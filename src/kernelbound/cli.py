@@ -365,19 +365,19 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         for t in times:
             for row in sources:
                 center = _point(row, d)
-                for k in components:
-                    tick = time.perf_counter()
-                    field = verify.stored_column(handle, t, center, k,
-                                                 width=width, dt=dt,
-                                                 theta=theta, store=store,
-                                                 sys_fp=sys_fp)
+                tick = time.perf_counter()
+                fields = verify.stored_columns(
+                    handle, t, [(center, k) for k in components], width=width,
+                    dt=dt, theta=theta, store=store, sys_fp=sys_fp)
+                seconds = time.perf_counter() - tick
+                for k, field in zip(components, fields):
                     name = _column_name(variant, t, row, k)
                     solver.save_field_csv(os.path.join(out, name), field)
                     written += 1
-                    print("solve: %s t=%g y=%s k=%d -> %s (%.3fs)"
+                    print("solve: %s t=%g y=%s k=%d -> %s (batch %.3fs)"
                           % (variant, t,
                              ",".join("%g" % v for v in np.atleast_1d(row)),
-                             k, name, time.perf_counter() - tick))
+                             k, name, seconds))
     print("solve: wrote %d columns in %.3fs (store size %d)"
           % (written, time.perf_counter() - wall, len(store)))
     return EXIT_PASS

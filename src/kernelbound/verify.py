@@ -25,11 +25,12 @@ from .coefficients import CouplingSupport, _FamilyBase
 from .errors import DomainError, KernelBoundError
 from .hypotheses import RowSumBound, compute_row_sum_bound, estimate_ledger
 from .lyapunov import SynthesisResult, TimeLyapunovSpec, verify_certificate
-from .solver import (DiscreteField, GridSpec, OperatorHandle, kernel_column,
-                     load_field, save_field)
+from .solver import (SOLVER_VERSION, DiscreteField, GridSpec, OperatorHandle,
+                     kernel_columns, load_field, save_field)
 
 __all__ = [
     "CheckResult", "KernelStore", "system_fingerprint", "stored_column",
+    "stored_columns",
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
@@ -163,26 +164,53 @@ def _loc_pt(point, d: int):
     return float(arr[0]) if d == 1 else tuple(float(v) for v in arr)
 
 
-def stored_column(handle: OperatorHandle, t: float, center, component: int,
-                  width: Optional[float] = None, dt: Optional[float] = None,
-                  theta: float = 0.5, store: Optional[KernelStore] = None,
-                  sys_fp: str = "anon") -> DiscreteField:
-    """Kernel column routed through the store under a canonical cache key.
+def stored_columns(handle: OperatorHandle, t: float, sources: Sequence[tuple],
+                   width: Optional[float] = None, dt: Optional[float] = None,
+                   theta: float = 0.5, store: Optional[KernelStore] = None, *,
+                   sys_fp: str) -> list:
+    """Kernel columns for (center, component) sources, routed through the store.
 
-    Unset width and step resolve to the solver defaults before keying, so a
-    later call that spells them out hits the same entry.
+    Every source passes through the store under its own canonical key, so
+    hits and misses count per column.  Unset width and step resolve to the
+    solver defaults before keying, so a later call that spells them out hits
+    the same entry.  A miss evolves all m components of its center in one
+    batch, shared by the other misses at that center.  Batches never depend
+    on which columns a caller asked for, so a column has the same bits
+    whichever check computes it first.
     """
     g = handle.grid
     w = 2.0 * g.spacing if width is None else float(width)
     step = min(t / 64.0, g.spacing) if dt is None else float(dt)
-    if store is None:
-        return kernel_column(handle, t, center, component, width=w,
-                             dt=step, theta=theta)
-    key = _fingerprint("col", sys_fp, handle.variant, g.d, g.radius, g.spacing,
-                       t, tuple(_center(center, g.d)), component, w, step, theta)
-    return store.get_or_compute(
-        key, lambda: kernel_column(handle, t, center, component, width=w,
-                                   dt=step, theta=theta))
+    batches: dict = {}
+
+    def build(center: tuple, k: int) -> DiscreteField:
+        if center not in batches:
+            batches[center] = kernel_columns(
+                handle, t, [(center, h) for h in range(handle.m)],
+                width=w, dt=step, theta=theta)
+        return batches[center][k]
+
+    out = []
+    for point, k in sources:
+        if not 0 <= k < handle.m:
+            raise DomainError(f"component {k} outside 0..{handle.m - 1}")
+        center = tuple(_center(point, g.d))
+        if store is None:
+            out.append(build(center, k))
+            continue
+        key = _fingerprint("col", SOLVER_VERSION, sys_fp, handle.variant, g.d,
+                           g.radius, g.spacing, t, center, k, w, step, theta)
+        out.append(store.get_or_compute(key, lambda c=center, k=k: build(c, k)))
+    return out
+
+
+def stored_column(handle: OperatorHandle, t: float, center, component: int,
+                  width: Optional[float] = None, dt: Optional[float] = None,
+                  theta: float = 0.5, store: Optional[KernelStore] = None, *,
+                  sys_fp: str) -> DiscreteField:
+    """One kernel column through the store; see stored_columns."""
+    return stored_columns(handle, t, [(center, component)], width, dt, theta,
+                          store, sys_fp=sys_fp)[0]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
@@ -225,9 +253,9 @@ def check_domination(system, grid: GridSpec, t: float,
     worst = -math.inf
     loc = (t, None, None, None, None)
     samples = []
-    for center, k in sources:
-        cp = stored_column(coop, t, center, k, width, dt, 1.0, store, sys_fp)
-        cf = stored_column(plain, t, center, k, width, dt, 1.0, store, sys_fp)
+    coop_cols = stored_columns(coop, t, sources, width, dt, 1.0, store, sys_fp=sys_fp)
+    plain_cols = stored_columns(plain, t, sources, width, dt, 1.0, store, sys_fp=sys_fp)
+    for (center, k), cp, cf in zip(sources, coop_cols, plain_cols):
         scale = max(float(np.max(cp.values)), _TINY)
         excess = (np.abs(cf.values) - cp.values) / scale
         i = int(np.argmax(excess))
@@ -241,10 +269,14 @@ def check_domination(system, grid: GridSpec, t: float,
             loc = (t, _loc_pt(grid.points()[node], grid.d),
                    _loc_pt(center, grid.d), h, k)
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        f = rng.uniform(-1.0, 1.0, size=(grid.n_nodes, coop.m))
-        uf, _ = plain.evolve(f, t, dt=dt, theta=1.0)
-        up, _ = coop.evolve(np.abs(f), t, dt=dt, theta=1.0)
+    if n_random:
+        # the draws, in the order they were always taken, evolve as one batch
+        f = np.stack([rng.uniform(-1.0, 1.0, size=(grid.n_nodes, coop.m))
+                      for _ in range(n_random)], axis=-1)
+        ufs, _ = plain.evolve(f, t, dt=dt, theta=1.0)
+        ups, _ = coop.evolve(np.abs(f), t, dt=dt, theta=1.0)
+    for j in range(n_random):
+        uf, up = ufs[:, :, j], ups[:, :, j]
         scale = max(float(np.max(np.abs(up))), _TINY)
         excess = (np.abs(uf) - up) / scale
         i = int(np.argmax(excess))
@@ -285,7 +317,7 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
     grids = [GridSpec(d=d, radius=R, spacing=spacing) for R in radii]
     fields = [
         stored_column(OperatorHandle(system, g, variant="P"), t, center, k,
-                width, dt, theta, store, sys_fp)
+                      width, dt, theta, store, sys_fp=sys_fp)
         for g in grids
     ]
     scale = max(max(float(np.max(f.values)) for f in fields), _TINY)
@@ -361,9 +393,8 @@ def check_mass_and_positivity(system, grid: GridSpec,
             worst = excess
             loc = (t, _loc_pt(grid.points()[node], grid.d), None, h, None)
         pos_ratio = max(pos_ratio, -float(np.min(u)) / pos_tol)
-    for center, k in sources:
-        col = stored_column(handle, max(t_values), center, k, width, dt, theta,
-                      store, sys_fp)
+    for col in stored_columns(handle, max(t_values), sources, width, dt, theta,
+                              store, sys_fp=sys_fp):
         scale = max(float(np.max(col.values)), _TINY)
         pos_ratio = max(pos_ratio, -float(np.min(col.values)) / (pos_tol * scale))
     worst = max(worst, tol * pos_ratio)
@@ -396,7 +427,7 @@ def check_support(system, k: int, grid: GridSpec, t: float,
                       t, tuple(_center(center, d)), tol_null, floor,
                       sorted(support.reachable))
     handle = OperatorHandle(system, grid, variant="P")
-    col = stored_column(handle, t, center, k, width, dt, theta, store, sys_fp)
+    col = stored_column(handle, t, center, k, width, dt, theta, store, sys_fp=sys_fp)
     scale = max(float(np.max(np.abs(col.values))), _TINY)
     per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
                 for h in range(handle.m)]
@@ -448,9 +479,11 @@ def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
     worst = 0.0
     loc = (t, None, None, None, None)
     samples = []
-    for x, h, y, k in pairs:
-        cf = stored_column(forward, t, y, k, width, dt, theta, store, sys_fp)
-        ca = stored_column(adjoint, t, x, h, width, dt, theta, store, sys_fp)
+    fwd_cols = stored_columns(forward, t, [(y, k) for _, _, y, k in pairs],
+                              width, dt, theta, store, sys_fp=sys_fp)
+    adj_cols = stored_columns(adjoint, t, [(x, h) for x, h, _, _ in pairs],
+                              width, dt, theta, store, sys_fp=sys_fp)
+    for (x, h, y, k), cf, ca in zip(pairs, fwd_cols, adj_cols):
         vf = float(cf.values[grid.node_of(_center(x, d)), h])
         va = float(ca.values[grid.node_of(_center(y, d)), k])
         noise = 1e-12 * max(float(np.max(np.abs(cf.values))),
@@ -573,8 +606,10 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
     for t in t_values:
         log_nu = np.asarray(w.log_value(t, pts, d), dtype=float)
         init = np.repeat(np.exp(log_nu)[:, None], handle.m, axis=1)
-        out, _ = handle.evolve(init, t, dt=dt, theta=theta)
-        out_shell, _ = handle.evolve(init * shell[:, None], t, dt=dt, theta=theta)
+        # the full weight and its outer shell share one batched evolve
+        both, _ = handle.evolve(np.stack([init, init * shell[:, None]], axis=-1),
+                                t, dt=dt, theta=theta)
+        out, out_shell = both[:, :, 0], both[:, :, 1]
         bound = math.exp(float(spec_used.G(t)) - g_margin)
         for x in x_points:
             node = grid.node_of(_center(x, d))
@@ -693,8 +728,8 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
             H, Hstar = majorants[t]
             for y in sources:
                 total = np.zeros((grid.n_nodes, handle.m))
-                for k in range(handle.m):
-                    col = stored_column(handle, t, y, k, width, dt, theta, store, sys_fp)
+                for col in stored_columns(handle, t, [(y, k) for k in range(handle.m)],
+                                          width, dt, theta, store, sys_fp=sys_fp):
                     total += np.abs(col.values)
                 wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
                 if majorant_override is not None:
@@ -759,7 +794,8 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
     loc = (None, None, None, None, None)
     samples = []
     for t in t_values:
-        col = stored_column(handle, t, x0, component, width, dt, theta, store, sys_fp)
+        col = stored_column(handle, t, x0, component, width, dt, theta, store,
+                            sys_fp=sys_fp)
         total = np.sum(np.abs(col.values), axis=1)
         noise = 1e-13 * max(float(np.max(total)), _TINY)
         phi = np.log(np.maximum(total, _TINY)) \

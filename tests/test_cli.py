@@ -290,6 +290,23 @@ class TestVerifyCommand:
         assert (serial / "verify_results.csv").read_bytes() == \
             (parallel / "verify_results.csv").read_bytes()
 
+    def test_two_jobs_match_one_job_on_a_2d_grid(self, tmp_path):
+        # checks share store columns, and with two jobs either one may
+        # compute a shared column first
+        cfg = make_config(tmp_path,
+                          grid={"d": "2", "radii": "1 2", "spacing": "0.125"},
+                          bounds={"s": "5"},
+                          solve={"sources": "0.5 0", "width": "0.125"},
+                          verify={"checks": ALL_CHECKS, "coarse": "0.25 2"})
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / ("jobs" + jobs)
+            assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
+                             "--jobs", jobs]) == 0
+            outs.append(out)
+        for name in ("verify_summary.txt", "verify_results.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_svg_artifacts_are_polyline_documents(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": "mass"})
         out = tmp_path / "out"

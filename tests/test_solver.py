@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import linalg as sparse_linalg
 
 from kernelbound.coefficients import (
     FieldJet,
@@ -12,7 +13,7 @@ from kernelbound.coefficients import (
     diagonal_family,
     eval_operator,
 )
-from kernelbound.errors import AssemblyError, BudgetError, DomainError
+from kernelbound.errors import AssemblyError, BudgetError, DomainError, SolveError
 from kernelbound.solver import (
     DiscreteField,
     GridSpec,
@@ -25,6 +26,7 @@ from kernelbound.solver import (
     field_to_bytes,
     field_to_csv,
     kernel_column,
+    kernel_columns,
     kernel_matrix,
     load_field,
     mollified_source,
@@ -280,6 +282,98 @@ class TestEvolve:
             handle.evolve(u0, 1.0, theta=1.5)
         with pytest.raises(DomainError):
             handle.evolve(np.ones((3, 1)), 1.0)
+
+
+def coupled_family(d):
+    return diagonal_family("polynomial", d, 2, beta=1.0,
+                           theta=[[1.0, 0.5], [0.5, 1.0]],
+                           gamma=[[2.0, 1.0], [1.0, 2.0]])
+
+
+class _PerturbLastColumn:
+    """SuperLU stand-in that adds delta to the last column of every solve."""
+
+    def __init__(self, lu, delta):
+        self._lu = lu
+        self._delta = delta
+
+    def solve(self, rhs):
+        out = self._lu.solve(rhs)
+        if out.ndim == 2:
+            out[:, -1] += self._delta
+        else:
+            out += self._delta
+        return out
+
+
+class TestBatchedEvolve:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_batch_matches_column_by_column(self, theta):
+        g = GridSpec(2, 1.5, 0.125)
+        handle = OperatorHandle(coupled_family(2), g, "P")
+        rng = np.random.default_rng(11)
+        batch = rng.uniform(-1.0, 1.0, size=(g.n_nodes, 2, 5))
+        # 7 full steps of 0.04 and a trailing partial step of 0.02
+        out, meta = handle.evolve(batch, 0.3, dt=0.04, theta=theta)
+        assert out.shape == batch.shape
+        assert meta["steps"] == 8 and meta["final_step"] == pytest.approx(0.02)
+        for j in range(batch.shape[2]):
+            single, _ = handle.evolve(batch[:, :, j], 0.3, dt=0.04, theta=theta)
+            err = np.max(np.abs(out[:, :, j] - single))
+            assert err <= 1e-12 * np.max(np.abs(single))
+
+    def test_kernel_columns_match_single_columns(self):
+        g = GridSpec(1, 4.0, 0.125)
+        handle = OperatorHandle(coupled_family(1), g, "P")
+        sources = [([0.5], 1), ([-1.0], 0)]
+        cols = kernel_columns(handle, 0.25, sources, dt=0.01)
+        for (center, k), col in zip(sources, cols):
+            one = kernel_column(handle, 0.25, center, k, dt=0.01)
+            assert col.meta == one.meta
+            np.testing.assert_allclose(col.values, one.values, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(one.values)))
+
+    def test_small_column_is_held_to_its_own_tolerance(self, monkeypatch):
+        real_splu = sparse_linalg.splu
+        monkeypatch.setattr(
+            sparse_linalg, "splu",
+            lambda *a, **kw: _PerturbLastColumn(real_splu(*a, **kw), 1e-7))
+        g = GridSpec(1, 2.0, 0.125)
+        handle = OperatorHandle(coupled_family(1), g, "P")
+        big = np.full((g.n_nodes, 2), 1e6)
+        small = np.ones((g.n_nodes, 2))
+        # the 1e-7 error sits far below 1e-10 of the big column's scale, so
+        # only a per-column tolerance sees it in the small one
+        with pytest.raises(SolveError, match="column 1"):
+            handle.evolve(np.stack([big, small], axis=-1), 0.1, dt=0.05, theta=1.0)
+        out, _ = handle.evolve(np.stack([small, big], axis=-1), 0.1, dt=0.05,
+                               theta=1.0)
+        assert np.all(np.isfinite(out))
+
+    def test_fill_reducing_ordering_on_2d_grid(self, monkeypatch):
+        real_splu = sparse_linalg.splu
+        factored = []
+
+        def spy(matrix, **kw):
+            lu = real_splu(matrix, **kw)
+            factored.append((matrix, lu))
+            return lu
+
+        monkeypatch.setattr(sparse_linalg, "splu", spy)
+        g = GridSpec(2, 3.0, 0.125)
+        handle = OperatorHandle(coupled_family(2), g, "P")
+        handle.evolve(np.ones((g.n_nodes, 2)), 0.01, dt=0.01)
+        ((matrix, lu),) = factored
+        colamd = real_splu(matrix, permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+    def test_bad_batch_shape_rejected(self):
+        g = GridSpec(1, 2.0, 0.5)
+        handle = OperatorHandle(const_spec(), g, "P")
+        with pytest.raises(DomainError):
+            handle.evolve(np.ones((g.n_nodes, 2, 3)), 0.1)
+        with pytest.raises(DomainError):
+            handle.evolve(np.ones((g.n_nodes, 1, 2, 2)), 0.1)
 
 
 class TestDuality:

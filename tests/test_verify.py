@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelbound import verify
 from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
@@ -22,6 +23,8 @@ from kernelbound.verify import (
     check_weighted_bound,
     heat_weight_image,
     results_csv,
+    stored_column,
+    stored_columns,
     summary_text,
     system_fingerprint,
 )
@@ -106,6 +109,85 @@ class TestStoreAndFingerprint:
                                 theta=[[1.0, 0.5], [0.5, 1.0]],
                                 gamma=[[2.0, 1.0], [1.0, 2.5]])
         assert system_fingerprint(headline_family()) != system_fingerprint(other)
+
+
+class TestStoredColumns:
+    def test_system_fingerprint_is_required(self):
+        # two systems keyed without it would hand each other their fields
+        g = GridSpec(1, 2.0, 0.25)
+        store = KernelStore()
+        for fam in (headline_family(), chain_family()):
+            handle = OperatorHandle(fam, g, "P")
+            with pytest.raises(TypeError):
+                stored_column(handle, 0.1, 0.0, 0, store=store)
+        assert len(store) == 0
+
+    def test_distinct_systems_get_their_own_fields(self):
+        g = GridSpec(1, 2.0, 0.25)
+        store = KernelStore()
+        cols = []
+        for fam in (headline_family(), heat_family()):
+            handle = OperatorHandle(fam, g, "P")
+            cols.append(stored_column(handle, 0.1, 0.0, 0, store=store,
+                                      sys_fp=system_fingerprint(fam)))
+        assert cols[0].m == 2 and cols[1].m == 1
+
+    def test_fields_of_an_older_solver_are_recomputed(self, tmp_path):
+        fam = headline_family()
+        sys_fp = system_fingerprint(fam)
+        g = GridSpec(1, 2.0, 0.25)
+        handle = OperatorHandle(fam, g, "P")
+        t, w, step, theta = 0.1, 0.5, min(0.1 / 64.0, 0.25), 0.5
+        stale = DiscreteField(g, np.full((g.n_nodes, 2), 123.0))
+        # the key layout stored_column used before keys carried a solver version
+        old_key = verify._fingerprint("col", sys_fp, "P", g.d, g.radius, g.spacing,
+                                      t, tuple(np.zeros(1)), 0, w, step, theta)
+        KernelStore(tmp_path).get_or_compute(old_key, lambda: stale)
+        col = stored_column(handle, t, 0.0, 0, store=KernelStore(tmp_path),
+                            sys_fp=sys_fp)
+        fresh = kernel_column(handle, t, 0.0, 0)
+        np.testing.assert_allclose(col.values, fresh.values, rtol=0,
+                                   atol=1e-12 * np.max(fresh.values))
+
+    def test_solver_version_is_part_of_the_key(self, tmp_path, monkeypatch):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.25)
+        handle = OperatorHandle(fam, g, "P")
+        kwargs = dict(store=KernelStore(tmp_path), sys_fp=system_fingerprint(fam))
+        stored_column(handle, 0.1, 0.0, 0, **kwargs)
+        monkeypatch.setattr(verify, "SOLVER_VERSION", verify.SOLVER_VERSION + 1)
+        stored_column(handle, 0.1, 0.0, 0, **kwargs)
+        assert len(list(tmp_path.glob("*.kbf"))) == 2
+
+    def test_batch_counts_each_key_and_is_order_independent(self):
+        fam = headline_family()
+        sys_fp = system_fingerprint(fam)
+        g = GridSpec(1, 2.0, 0.25)
+        handle = OperatorHandle(fam, g, "P")
+        store = KernelStore()
+        built = []
+        get_or_compute = store.get_or_compute
+
+        def counting(key, build):
+            return get_or_compute(key, lambda: built.append(key) or build())
+
+        store.get_or_compute = counting
+        pair = stored_columns(handle, 0.1, [(0.0, 0), (0.0, 1)], store=store,
+                              sys_fp=sys_fp)
+        assert len(built) == 2 and len(store) == 2
+        again = stored_columns(handle, 0.1, [(0.0, 1), (0.0, 0)], store=store,
+                               sys_fp=sys_fp)
+        assert len(built) == 2
+        assert again[0] is pair[1] and again[1] is pair[0]
+        # a column computed on its own has the same bits as one from a batch
+        alone = stored_column(handle, 0.1, 0.0, 1, store=None, sys_fp=sys_fp)
+        np.testing.assert_array_equal(alone.values, pair[1].values)
+
+    def test_component_out_of_range_rejected(self):
+        fam = headline_family()
+        handle = OperatorHandle(fam, GridSpec(1, 2.0, 0.25), "P")
+        with pytest.raises(DomainError):
+            stored_columns(handle, 0.1, [(0.0, 2)], sys_fp=system_fingerprint(fam))
 
 
 class TestDomination:
