@@ -387,15 +387,19 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _read_calibration(path) -> Optional[float]:
+def _read_calibration(path, fingerprint: str) -> Optional[float]:
+    """The stored C_cal if it was calibrated from the same inputs, else None."""
+    entries = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
-                if line.startswith("C_cal"):
-                    return float(line.partition("=")[2])
-    except (OSError, ValueError):
+                name, _, value = line.partition("=")
+                entries[name.strip()] = value.strip()
+        if entries.get("fingerprint") != fingerprint:
+            return None
+        return float(entries["C_cal"])
+    except (OSError, KeyError, ValueError):
         return None
-    return None
 
 
 def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
@@ -495,7 +499,13 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 raise ConfigError("%s: verify.coarse / verify.fine need "
                                   "'spacing radius'" % cfg.path)
             two_sided = cfg.get_bool("verify", "two_sided", False)
-            C_cal = _read_calibration(cal_path)
+            # everything the coarse sup depends on; majorant_scale is left
+            # out, so a deliberately broken majorant meets the healthy C_cal
+            cal_fp = verify._fingerprint(
+                "calibration", verify.system_fingerprint(fam), s, eps_scales,
+                tuple(t_w), tuple(srcs), tuple(coarse), theta, dt, width,
+                cert_radius, fwd.timed)
+            C_cal = _read_calibration(cal_path, cal_fp)
             fresh_calibration = C_cal is None
             scale = cfg.get_float("verify", "majorant_scale", 1.0)
             override = None
@@ -551,7 +561,8 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                                            1.0) == 1.0:
         for r in results:
             if r.check == "check_weighted_bound" and "C_cal" in r.details:
-                _write(cal_path, "C_cal = %.17g\n" % r.details["C_cal"])
+                _write(cal_path, "C_cal = %.17g\nfingerprint = %s\n"
+                       % (r.details["C_cal"], cal_fp))
     formats = cfg.get_strs("output", "formats", ["txt", "csv"])
     if "svg" in formats:
         _write_plots(cfg, out, fam, grid, t_single, dt, theta, width, store,

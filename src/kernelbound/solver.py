@@ -19,7 +19,11 @@ everything numeric happens on a uniform interior grid of such a box:
   implicit factor is an M-matrix, so backward steps map nonnegative data
   to nonnegative data and dominated data to dominated data.
 
-Factorizations are cached per (theta, dt) and use SuperLU with the
+An OperatorHandle assembles its matrix on first use, so a caller whose
+every field comes from a store builds nothing.  It keeps one factorization,
+for the latest (theta, dt): a new step size drops the old LU before the new
+one is built, since no caller returns to an earlier one and each LU of a
+2-D grid holds several megabytes.  Factorizations use SuperLU with the
 minimum-degree ordering of A^T + A (MMD_AT_PLUS_A), which suits the
 structurally symmetric stencils here: on the 2-D grids it needs less than
 half the L+U fill of the default COLAMD ordering.  A step can carry several
@@ -28,13 +32,15 @@ and one residual matvec serve all of them; the residual tolerance still
 holds per column.  Kernel columns are semigroup images of mollified point
 sources (discrete Gaussians with unit discrete mass).  Fields round-trip
 through a small binary format and CSV, both byte-stable for identical
-inputs.
+inputs; binary writes are atomic.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field as _field
 from typing import Optional
 
@@ -55,6 +61,8 @@ _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
 SOLVER_VERSION = 2
+# Version of the binary field format (the KBF header); store keys carry it too.
+FIELD_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -333,6 +341,11 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
 # time stepping
 # ---------------------------------------------------------------------------
 
+def default_dt(t: float, spacing: float) -> float:
+    """Theta step used when a caller leaves dt unset."""
+    return min(t / 64.0, spacing)
+
+
 def _column_max_abs(a: np.ndarray):
     """max |a| per column (a scalar for a vector).
 
@@ -343,7 +356,8 @@ def _column_max_abs(a: np.ndarray):
 
 
 class OperatorHandle:
-    """Assembled generator plus a cache of theta-step factorizations."""
+    """Generator of one variant on one grid, assembled on first use, plus
+    the factorization of the latest theta step."""
 
     def __init__(self, system, grid: GridSpec, variant: str = "P",
                  budget: int = _DEFAULT_BUDGET):
@@ -356,8 +370,15 @@ class OperatorHandle:
         self.grid = grid
         self.variant = variant
         self.m = spec.dims.m
-        self.matrix = assemble_generator(system, grid, variant)
-        self._lu: dict = {}
+        self._system = system
+        self._matrix: Optional[sparse.csr_matrix] = None
+        self._lu: Optional[tuple] = None  # ((theta, dt), (lu, M1, M0))
+
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        if self._matrix is None:
+            self._matrix = assemble_generator(self._system, self.grid, self.variant)
+        return self._matrix
 
     def _flat(self, values: np.ndarray) -> np.ndarray:
         """Node-major vector, or one column per trailing index of (n, m, c)."""
@@ -374,17 +395,19 @@ class OperatorHandle:
 
     def _factor(self, theta: float, dt: float):
         key = (float(theta), float(dt))
-        if key not in self._lu:
-            n = self.matrix.shape[0]
-            eye = sparse.identity(n, format="csr")
-            M1 = (eye - theta * dt * self.matrix).tocsc()
-            try:
-                lu = sparse_linalg.splu(M1, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SolveError(f"implicit factor is singular: {exc}") from None
-            M0 = (eye + (1.0 - theta) * dt * self.matrix).tocsr() if theta < 1.0 else None
-            self._lu[key] = (lu, M1.tocsr(), M0)
-        return self._lu[key]
+        if self._lu is not None and self._lu[0] == key:
+            return self._lu[1]
+        self._lu = None  # free the old LU before building the next one
+        A = self.matrix
+        eye = sparse.identity(A.shape[0], format="csr")
+        M1 = (eye - theta * dt * A).tocsc()
+        try:
+            lu = sparse_linalg.splu(M1, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolveError(f"implicit factor is singular: {exc}") from None
+        M0 = (eye + (1.0 - theta) * dt * A).tocsr() if theta < 1.0 else None
+        self._lu = (key, (lu, M1.tocsr(), M0))
+        return self._lu[1]
 
     def _step(self, u: np.ndarray, theta: float, dt: float) -> np.ndarray:
         lu, M1, M0 = self._factor(theta, dt)
@@ -407,7 +430,7 @@ class OperatorHandle:
 
         values has shape (n_nodes, m), or (n_nodes, m, c) to evolve c columns
         together; the result has the same shape.  dt defaults to
-        min(t/64, spacing); whatever does not divide t evenly is taken as
+        default_dt(t, spacing); whatever does not divide t evenly is taken as
         one trailing shorter step, recorded in the metadata.
         """
         if t <= 0:
@@ -415,7 +438,7 @@ class OperatorHandle:
         if not 0.0 <= theta <= 1.0:
             raise DomainError(f"theta must lie in [0, 1], got {theta}")
         if dt is None:
-            dt = min(t / 64.0, self.grid.spacing)
+            dt = default_dt(t, self.grid.spacing)
         if dt <= 0:
             raise DomainError(f"need dt > 0, got {dt}")
         dt = min(dt, t)
@@ -535,7 +558,8 @@ def field_to_bytes(field: DiscreteField) -> bytes:
     width = float(meta.get("mollifier_width", math.nan))
     source = meta.get("source")
     src = np.full(g.d, math.nan) if source is None else np.asarray(source, dtype=float)
-    head = struct.pack("<4sIIII", _MAGIC, 1, g.d, field.m, g.n_per_axis)
+    head = struct.pack("<4sIIII", _MAGIC, FIELD_FORMAT_VERSION, g.d, field.m,
+                       g.n_per_axis)
     head += struct.pack("<ddd", g.radius, g.spacing, field.time)
     head += struct.pack("<Bi", variant, comp)
     head += struct.pack("<d", width)
@@ -549,7 +573,7 @@ def field_from_bytes(blob: bytes) -> DiscreteField:
     magic, version, d, m, n1 = struct.unpack_from("<4sIIII", blob, 0)
     if magic != _MAGIC:
         raise DomainError("not a kernel field blob (bad magic)")
-    if version != 1:
+    if version != FIELD_FORMAT_VERSION:
         raise DomainError(f"unsupported field format version {version}")
     off = fixed
     radius, spacing, time = struct.unpack_from("<ddd", blob, off)
@@ -577,8 +601,25 @@ def field_from_bytes(blob: bytes) -> DiscreteField:
 
 
 def save_field(path, field: DiscreteField):
-    with open(path, "wb") as fh:
-        fh.write(field_to_bytes(field))
+    """Write the binary field atomically.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over path, so a reader never sees a partial file under path and
+    a failed write leaves nothing behind.
+    """
+    blob = field_to_bytes(field)
+    folder, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def load_field(path) -> DiscreteField:

@@ -6,7 +6,8 @@ support, forward/adjoint duality, the semigroup identity, integrability
 against time-dependent weights, and the calibrated weighted majorant.  A
 check returns the worst violation it measured together with the tolerance it
 used and a fingerprint of its configuration, so repeated runs are comparable
-byte for byte.
+byte for byte.  Given a kernel store, every evolution a check runs goes
+through it, so a rerun against the same store recomputes nothing.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .coefficients import CouplingSupport, _FamilyBase
 from .errors import DomainError, KernelBoundError
 from .hypotheses import RowSumBound, compute_row_sum_bound, estimate_ledger
 from .lyapunov import SynthesisResult, TimeLyapunovSpec, verify_certificate
-from .solver import (SOLVER_VERSION, DiscreteField, GridSpec, OperatorHandle,
-                     kernel_columns, load_field, save_field)
+from .solver import (FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField, GridSpec,
+                     OperatorHandle, default_dt, kernel_columns, load_field,
+                     save_field)
 
 __all__ = [
-    "CheckResult", "KernelStore", "system_fingerprint", "stored_column",
-    "stored_columns",
+    "CheckResult", "KernelStore", "StoreKey", "system_fingerprint",
+    "stored_column", "stored_columns", "stored_evolve",
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# prefix of the id()-based fingerprints of opaque systems; family
+# fingerprints are hex digests, so they never start with it
+_OPAQUE = "spec"
 
 
 @dataclass(frozen=True)
@@ -107,51 +112,74 @@ def system_fingerprint(system) -> str:
             digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
         return digest.hexdigest()[:12]
     # opaque coefficient callables cannot be hashed by content
-    return f"spec{id(system):x}"
+    return f"{_OPAQUE}{id(system):x}"
 
 
 # ---------------------------------------------------------------------------
 # kernel store
 # ---------------------------------------------------------------------------
 
-class KernelStore:
-    """Cache of computed kernel fields, optionally persisted to a directory.
+@dataclass(frozen=True)
+class StoreKey:
+    """Key of one store entry, and the tiers the entry may live in.
 
-    Disk reuse is only meaningful for systems with a content fingerprint
-    (the coefficient families); opaque systems fall back to per-process
-    keys.  Corrupt or foreign files under a key are silently recomputed.
+    persist is False for opaque systems: their fingerprint comes from id(),
+    which another process can hand to another system, so their fields never
+    go to disk.  shared is False for fields that a single check reads: when
+    the store has a directory they are written through to it and not kept
+    in memory, so the store does not add to the peak memory of a run.
+    """
+
+    digest: str
+    persist: bool = True
+    shared: bool = True
+
+
+def _store_key(kind: str, sys_fp: str, *parts, shared: bool = True) -> StoreKey:
+    digest = _fingerprint(kind, SOLVER_VERSION, FIELD_FORMAT_VERSION, sys_fp, *parts)
+    return StoreKey(digest, persist=not sys_fp.startswith(_OPAQUE), shared=shared)
+
+
+class KernelStore:
+    """Cache of computed fields, in memory and optionally in a directory.
+
+    A plain string key is a shared, persistent StoreKey.  len() counts
+    every key loaded or built in this session, whichever tier holds it.
+    Corrupt or foreign files under a key are silently recomputed.
     """
 
     def __init__(self, directory=None):
         self._memory: dict[str, DiscreteField] = {}
+        self._seen: set[str] = set()
         self._dir = Path(directory) if directory is not None else None
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
-        return len(self._memory)
+        return len(self._seen)
 
-    def _path(self, key: str) -> Path:
-        name = hashlib.sha1(key.encode()).hexdigest()[:16]
+    def _path(self, digest: str) -> Path:
+        name = hashlib.sha1(digest.encode()).hexdigest()[:16]
         return self._dir / f"{name}.kbf"
 
-    def get_or_compute(self, key: str, build: Callable[[], DiscreteField]) -> DiscreteField:
-        if key in self._memory:
-            return self._memory[key]
-        if self._dir is not None:
-            path = self._path(key)
-            if path.exists():
-                try:
-                    fld = load_field(path)
-                except (KernelBoundError, ValueError, OSError, struct.error):
-                    fld = None
-                if fld is not None:
-                    self._memory[key] = fld
-                    return fld
-        fld = build()
-        self._memory[key] = fld
-        if self._dir is not None:
-            save_field(self._path(key), fld)
+    def get_or_compute(self, key, build: Callable[[], DiscreteField]) -> DiscreteField:
+        key = StoreKey(key) if isinstance(key, str) else key
+        if key.digest in self._memory:
+            return self._memory[key.digest]
+        path = self._path(key.digest) if self._dir is not None and key.persist else None
+        fld = None
+        if path is not None and path.exists():
+            try:
+                fld = load_field(path)
+            except (KernelBoundError, ValueError, OSError, struct.error):
+                fld = None
+        if fld is None:
+            fld = build()
+            if path is not None:
+                save_field(path, fld)
+        self._seen.add(key.digest)
+        if key.shared or path is None:
+            self._memory[key.digest] = fld
         return fld
 
 
@@ -180,7 +208,7 @@ def stored_columns(handle: OperatorHandle, t: float, sources: Sequence[tuple],
     """
     g = handle.grid
     w = 2.0 * g.spacing if width is None else float(width)
-    step = min(t / 64.0, g.spacing) if dt is None else float(dt)
+    step = default_dt(t, g.spacing) if dt is None else float(dt)
     batches: dict = {}
 
     def build(center: tuple, k: int) -> DiscreteField:
@@ -198,8 +226,8 @@ def stored_columns(handle: OperatorHandle, t: float, sources: Sequence[tuple],
         if store is None:
             out.append(build(center, k))
             continue
-        key = _fingerprint("col", SOLVER_VERSION, sys_fp, handle.variant, g.d,
-                           g.radius, g.spacing, t, center, k, w, step, theta)
+        key = _store_key("col", sys_fp, handle.variant, g.d, g.radius, g.spacing,
+                         t, center, k, w, step, theta)
         out.append(store.get_or_compute(key, lambda c=center, k=k: build(c, k)))
     return out
 
@@ -211,6 +239,43 @@ def stored_column(handle: OperatorHandle, t: float, center, component: int,
     """One kernel column through the store; see stored_columns."""
     return stored_columns(handle, t, [(center, component)], width, dt, theta,
                           store, sys_fp=sys_fp)[0]
+
+
+def stored_evolve(handle: OperatorHandle, values: np.ndarray, t: float,
+                  dt: Optional[float], theta: float,
+                  store: Optional[KernelStore], *, sys_fp: str) -> np.ndarray:
+    """handle.evolve(values, t, dt, theta)[0], routed through the store.
+
+    values has shape (n_nodes, m) or (n_nodes, m, c).  Each column is one
+    store entry, keyed by the data itself (a sha1 of the whole batch's
+    bytes and shape, plus the column index) next to the system, variant,
+    grid, t, the resolved step and theta.  A miss evolves the whole batch,
+    so a column has the same bits whichever columns were stored before.
+    The entries are read by a single check, so they are not shared: with a
+    directory they go to disk only.
+    """
+    g = handle.grid
+    step = default_dt(t, g.spacing) if dt is None else float(dt)
+    if store is None:
+        return handle.evolve(values, t, dt=step, theta=theta)[0]
+    data = np.ascontiguousarray(values, dtype=float)
+    digest = hashlib.sha1(repr(data.shape).encode() + data.tobytes()).hexdigest()
+    evolved = []
+
+    def build(j: int) -> DiscreteField:
+        if not evolved:
+            evolved.append(handle.evolve(data, t, dt=step, theta=theta)[0])
+        out = evolved[0]
+        col = out[:, :, j] if out.ndim == 3 else out
+        return DiscreteField(g, np.ascontiguousarray(col), time=t,
+                             meta={"variant": handle.variant})
+
+    cols = []
+    for j in range(data.shape[2] if data.ndim == 3 else 1):
+        key = _store_key("evolve", sys_fp, handle.variant, g.d, g.radius,
+                         g.spacing, t, step, theta, digest, j, shared=False)
+        cols.append(store.get_or_compute(key, lambda j=j: build(j)).values)
+    return np.stack(cols, axis=-1) if data.ndim == 3 else cols[0]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
@@ -273,8 +338,8 @@ def check_domination(system, grid: GridSpec, t: float,
         # the draws, in the order they were always taken, evolve as one batch
         f = np.stack([rng.uniform(-1.0, 1.0, size=(grid.n_nodes, coop.m))
                       for _ in range(n_random)], axis=-1)
-        ufs, _ = plain.evolve(f, t, dt=dt, theta=1.0)
-        ups, _ = coop.evolve(np.abs(f), t, dt=dt, theta=1.0)
+        ufs = stored_evolve(plain, f, t, dt, 1.0, store, sys_fp=sys_fp)
+        ups = stored_evolve(coop, np.abs(f), t, dt, 1.0, store, sys_fp=sys_fp)
     for j in range(n_random):
         uf, up = ufs[:, :, j], ups[:, :, j]
         scale = max(float(np.max(np.abs(up))), _TINY)
@@ -311,7 +376,7 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
     fp = _fingerprint("monotone-R", sys_fp, tuple(radii), spacing, t,
                       tuple(_center(center, d)), k, tol, shrink, theta)
     if dt is None:
-        dt = min(t / 64.0, spacing)
+        dt = default_dt(t, spacing)
     if width is None:
         width = 2.0 * spacing
     grids = [GridSpec(d=d, radius=R, spacing=spacing) for R in radii]
@@ -381,7 +446,7 @@ def check_mass_and_positivity(system, grid: GridSpec,
     loc = (None, None, None, None, None)
     samples = []
     for t in t_values:
-        u, _ = handle.evolve(ones, t, dt=dt, theta=theta)
+        u = stored_evolve(handle, ones, t, dt, theta, store, sys_fp=sys_fp)
         bound = sqm * math.exp(-row.M * t)
         i = int(np.argmax(u))
         node, h = divmod(i, handle.m)
@@ -517,15 +582,15 @@ def check_chapman_kolmogorov(system, grid: GridSpec, t: float, s: float,
     f = rng.uniform(-1.0, 1.0, size=(grid.n_nodes, handle.m))
     if s <= 0.0:
         # degenerate split: the composition is the single evolution
-        a, _ = handle.evolve(f, t, dt=dt, theta=theta)
+        a = stored_evolve(handle, f, t, dt, theta, store, sys_fp=sys_fp)
         b = a
     else:
         if dt is None:
             base = min(t, s, grid.spacing, (t + s) / 64.0)
             dt = s / math.ceil(s / base)
-        a, _ = handle.evolve(f, t + s, dt=dt, theta=theta)
-        mid, _ = handle.evolve(f, s, dt=dt, theta=theta)
-        b, _ = handle.evolve(mid, t, dt=dt, theta=theta)
+        a = stored_evolve(handle, f, t + s, dt, theta, store, sys_fp=sys_fp)
+        mid = stored_evolve(handle, f, s, dt, theta, store, sys_fp=sys_fp)
+        b = stored_evolve(handle, mid, t, dt, theta, store, sys_fp=sys_fp)
     scale = max(float(np.max(np.abs(f))), _TINY)
     diff = np.abs(a - b)
     i = int(np.argmax(diff))
@@ -607,8 +672,8 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
         log_nu = np.asarray(w.log_value(t, pts, d), dtype=float)
         init = np.repeat(np.exp(log_nu)[:, None], handle.m, axis=1)
         # the full weight and its outer shell share one batched evolve
-        both, _ = handle.evolve(np.stack([init, init * shell[:, None]], axis=-1),
-                                t, dt=dt, theta=theta)
+        both = stored_evolve(handle, np.stack([init, init * shell[:, None]], axis=-1),
+                             t, dt, theta, store, sys_fp=sys_fp)
         out, out_shell = both[:, :, 0], both[:, :, 1]
         bound = math.exp(float(spec_used.G(t)) - g_margin)
         for x in x_points:

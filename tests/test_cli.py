@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kernelbound import cli
+from kernelbound import cli, solver
 from kernelbound.config import parse_config_text
 from kernelbound.errors import ConfigError
 
@@ -304,6 +304,9 @@ class TestVerifyCommand:
             assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
                              "--jobs", jobs]) == 0
             outs.append(out)
+        # a rerun with two jobs reads every field back from the store
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(outs[0]),
+                         "--jobs", "2"]) == 0
         for name in ("verify_summary.txt", "verify_results.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -316,6 +319,82 @@ class TestVerifyCommand:
             text = (out / name).read_text()
             assert text.startswith("<svg") and "polyline" in text
 
+    @staticmethod
+    def count_solver_work(monkeypatch):
+        calls = {"evolve": 0, "assemble": 0}
+        evolve, assemble = solver.OperatorHandle.evolve, solver.assemble_generator
+
+        def counted_evolve(*args, **kwargs):
+            calls["evolve"] += 1
+            return evolve(*args, **kwargs)
+
+        def counted_assemble(*args, **kwargs):
+            calls["assemble"] += 1
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(solver.OperatorHandle, "evolve", counted_evolve)
+        monkeypatch.setattr(solver, "assemble_generator", counted_assemble)
+        return calls
+
+    def test_rerun_reads_every_field_from_the_store(self, tmp_path,
+                                                    monkeypatch):
+        cfg = make_config(tmp_path, verify={"checks": ALL_CHECKS})
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        cold = {name: (out / name).read_bytes()
+                for name in ("verify_summary.txt", "verify_results.csv")}
+        calls = self.count_solver_work(monkeypatch)
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        assert calls == {"evolve": 0, "assemble": 0}
+        for name, blob in cold.items():
+            assert (out / name).read_bytes() == blob
+
+    @pytest.mark.parametrize("update, recomputed", [
+        # domination's two random batches and chapman's three runs
+        ({"verify": {"seed": "8"}}, 5),
+        # duality's adjoint columns: the other checks step at theta = 1
+        # already, and at 1 duality's forward columns are domination's
+        ({"grid": {"theta": "1"}}, 1),
+    ])
+    def test_changed_inputs_miss_the_store(self, tmp_path, monkeypatch,
+                                           update, recomputed):
+        checks = {"checks": "domination mass duality chapman"}
+        output = {"formats": "txt csv"}
+        cfg = make_config(tmp_path, verify=checks, output=output)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        changed = make_config(tmp_path, name="changed.cfg", output=output,
+                              grid=update.get("grid", {}),
+                              verify=dict(checks, **update.get("verify", {})))
+        calls = self.count_solver_work(monkeypatch)
+        assert cli.main(["verify", "--config", str(changed), "--out",
+                         str(out)]) == 0
+        assert calls["evolve"] == recomputed
+        fresh = tmp_path / "fresh"
+        assert cli.main(["verify", "--config", str(changed), "--out",
+                         str(fresh)]) == 0
+        for name in ("verify_summary.txt", "verify_results.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_changed_system_recalibrates(self, tmp_path):
+        cfg = make_config(tmp_path, verify={"checks": "weighted"})
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        changed = make_config(tmp_path, name="changed.cfg",
+                              family={"gamma": "3 1; 1 3"},
+                              verify={"checks": "weighted"})
+        rc = cli.main(["verify", "--config", str(changed), "--out", str(out)])
+        fresh = tmp_path / "fresh"
+        assert cli.main(["verify", "--config", str(changed), "--out",
+                         str(fresh)]) == rc
+        for name in ("verify_summary.txt", "verify_results.csv",
+                     "calibration.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_store_is_shared_between_solve_and_verify(self, tmp_path):
         cfg = make_config(tmp_path)
         out = tmp_path / "out"
@@ -326,8 +405,8 @@ class TestVerifyCommand:
                          str(out)]) == 0
         after = len(list((out / "store").iterdir()))
         # duality reuses the two solved forward columns; adjoint and mass
-        # columns are the only additions
-        assert before == 2 and after == 6
+        # columns, and mass's three all-ones runs, are the only additions
+        assert before == 2 and after == 9
 
 
 class TestAllCommand:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kernelbound.coefficients import (
     diagonal_family,
     eval_operator,
 )
+from kernelbound import solver
 from kernelbound.errors import AssemblyError, BudgetError, DomainError, SolveError
 from kernelbound.solver import (
     DiscreteField,
@@ -272,6 +274,36 @@ class TestEvolve:
         with pytest.raises(BudgetError):
             OperatorHandle(const_spec(), g, "P", budget=10)
 
+    def test_matrix_is_assembled_on_first_use(self, monkeypatch):
+        calls = []
+        real = solver.assemble_generator
+        monkeypatch.setattr(solver, "assemble_generator",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        g = GridSpec(1, 2.0, 0.5)
+        handle = OperatorHandle(const_spec(), g, "P")
+        assert calls == []
+        u0 = np.ones((g.n_nodes, 1))
+        handle.evolve(u0, 0.5, dt=0.25)
+        handle.evolve(u0, 0.5, dt=0.125)
+        assert len(calls) == 1
+
+    def test_one_factorization_is_kept(self, monkeypatch):
+        real_splu = sparse_linalg.splu
+        factored = []
+        monkeypatch.setattr(sparse_linalg, "splu",
+                            lambda *a, **kw: factored.append(1) or real_splu(*a, **kw))
+        g = GridSpec(1, 2.0, 0.25)
+        handle = OperatorHandle(coupled_family(1), g, "P")
+        u0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
+        first, _ = handle.evolve(u0, 0.5, dt=0.05)
+        handle.evolve(u0, 0.5, dt=0.1)
+        assert len(factored) == 2 and handle._lu[0] == (0.5, 0.1)
+        handle.evolve(u0, 0.3, dt=0.1)
+        assert len(factored) == 2
+        again, _ = handle.evolve(u0, 0.5, dt=0.05)
+        assert len(factored) == 3 and handle._lu[0] == (0.5, 0.05)
+        np.testing.assert_array_equal(again, first)
+
     def test_argument_validation(self):
         g = GridSpec(1, 2.0, 0.5)
         handle = OperatorHandle(const_spec(), g, "P")
@@ -486,6 +518,38 @@ class TestSerialization:
         save_field(p, field)
         back = load_field(p)
         assert np.array_equal(back.values, field.values)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+                return False
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                self._fh.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, mode: HalfWrite(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="no space"):
+            save_field(tmp_path / "field.kbf", self.make_field())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_replaces_an_existing_file(self, tmp_path):
+        p = tmp_path / "field.kbf"
+        p.write_bytes(b"stale")
+        save_field(p, self.make_field())
+        assert p.read_bytes() == field_to_bytes(self.make_field())
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_missing_metadata_roundtrips_as_absent(self):
         g = GridSpec(2, 1.0, 0.5)

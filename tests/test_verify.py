@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from kernelbound.verify import (
     results_csv,
     stored_column,
     stored_columns,
+    stored_evolve,
     summary_text,
     system_fingerprint,
 )
@@ -102,6 +106,43 @@ class TestStoreAndFingerprint:
         fresh = KernelStore(tmp_path)
         fresh.get_or_compute("key", rebuild)
         assert len(calls) == 1
+
+    def test_failed_write_leaves_nothing_under_the_key(self, tmp_path, monkeypatch):
+        def fail_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            KernelStore(tmp_path).get_or_compute("key", self._field)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_threads_sharing_a_store(self, tmp_path):
+        # more threads than cores, each writing and reading the same keys
+        store = KernelStore(tmp_path)
+        keys = [verify.StoreKey("key%d" % i, shared=i % 2 == 0) for i in range(12)]
+        errors = []
+
+        def work():
+            try:
+                for key in keys:
+                    fld = store.get_or_compute(key, self._field)
+                    np.testing.assert_array_equal(fld.values, self._field().values)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and errors == []
+        assert len(store) == len(keys)
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf"] * len(keys)
 
     def test_family_fingerprint_tracks_content(self):
         assert system_fingerprint(headline_family()) == system_fingerprint(headline_family())
@@ -188,6 +229,106 @@ class TestStoredColumns:
         handle = OperatorHandle(fam, GridSpec(1, 2.0, 0.25), "P")
         with pytest.raises(DomainError):
             stored_columns(handle, 0.1, [(0.0, 2)], sys_fp=system_fingerprint(fam))
+
+    def test_field_format_version_is_part_of_the_key(self, tmp_path, monkeypatch):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.25)
+        handle = OperatorHandle(fam, g, "P")
+        kwargs = dict(store=KernelStore(tmp_path), sys_fp=system_fingerprint(fam))
+        ones = np.ones((g.n_nodes, 2))
+        for _ in range(2):
+            stored_column(handle, 0.1, 0.0, 0, **kwargs)
+            stored_evolve(handle, ones, 0.1, None, 1.0, **kwargs)
+            monkeypatch.setattr(verify, "FIELD_FORMAT_VERSION",
+                                verify.FIELD_FORMAT_VERSION + 1)
+        assert len(list(tmp_path.glob("*.kbf"))) == 4
+
+    def test_opaque_systems_stay_in_memory(self, tmp_path):
+        # an id()-based fingerprint can name another system in another process
+        spec = headline_family().operator_spec()
+        sys_fp = system_fingerprint(spec)
+        g = GridSpec(1, 2.0, 0.25)
+        handle = OperatorHandle(spec, g, "P")
+        store = KernelStore(tmp_path)
+        col = stored_column(handle, 0.1, 0.0, 0, store=store, sys_fp=sys_fp)
+        ones = np.ones((g.n_nodes, 2))
+        u = stored_evolve(handle, ones, 0.1, None, 1.0, store, sys_fp=sys_fp)
+        assert list(tmp_path.iterdir()) == [] and len(store) == 2
+        assert stored_column(handle, 0.1, 0.0, 0, store=store, sys_fp=sys_fp) is col
+        np.testing.assert_array_equal(
+            stored_evolve(handle, ones, 0.1, None, 1.0, store, sys_fp=sys_fp), u)
+        assert len(store) == 2
+
+
+class TestStoredEvolve:
+    def make(self):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.25)
+        batch = np.random.default_rng(3).uniform(-1.0, 1.0, size=(g.n_nodes, 2, 3))
+        return OperatorHandle(fam, g, "plain"), batch, system_fingerprint(fam)
+
+    def counting(self, handle, monkeypatch):
+        """Shapes of the values handle.evolve is called with from now on."""
+        calls = []
+        real = handle.evolve
+        monkeypatch.setattr(handle, "evolve",
+                            lambda v, *a, **kw: calls.append(v.shape) or real(v, *a, **kw))
+        return calls
+
+    def test_matches_evolve_and_hits_on_rerun(self, tmp_path, monkeypatch):
+        handle, batch, sys_fp = self.make()
+        expected, _ = handle.evolve(batch, 0.2, dt=0.05, theta=1.0)
+        calls = self.counting(handle, monkeypatch)
+        for store in (None, KernelStore(tmp_path), KernelStore(tmp_path)):
+            out = stored_evolve(handle, batch, 0.2, 0.05, 1.0, store, sys_fp=sys_fp)
+            np.testing.assert_array_equal(out, expected)
+        assert len(calls) == 2
+        one = stored_evolve(handle, batch[:, :, 1], 0.2, 0.05, 1.0, None, sys_fp=sys_fp)
+        np.testing.assert_array_equal(one, handle.evolve(batch[:, :, 1], 0.2,
+                                                         dt=0.05, theta=1.0)[0])
+
+    def test_columns_are_written_through_not_kept(self, tmp_path, monkeypatch):
+        handle, batch, sys_fp = self.make()
+        store = KernelStore(tmp_path)
+        stored_evolve(handle, batch, 0.2, None, 1.0, store, sys_fp=sys_fp)
+        assert len(list(tmp_path.glob("*.kbf"))) == 3 and len(store) == 3
+        loads = []
+        real_load = verify.load_field
+        monkeypatch.setattr(verify, "load_field",
+                            lambda path: loads.append(path) or real_load(path))
+        calls = self.counting(handle, monkeypatch)
+        stored_evolve(handle, batch, 0.2, None, 1.0, store, sys_fp=sys_fp)
+        assert len(loads) == 3 and calls == [] and len(store) == 3
+        # kernel columns, which several checks read, keep the memory tier
+        stored_column(handle, 0.2, 0.0, 0, store=store, sys_fp=sys_fp)
+        stored_column(handle, 0.2, 0.0, 0, store=store, sys_fp=sys_fp)
+        assert len(loads) == 3
+
+    def test_key_covers_data_step_and_theta(self, tmp_path, monkeypatch):
+        handle, batch, sys_fp = self.make()
+        store = KernelStore(tmp_path)
+        stored_evolve(handle, batch, 0.2, None, 1.0, store, sys_fp=sys_fp)
+        calls = self.counting(handle, monkeypatch)
+        changed = batch.copy()
+        changed[0, 0, 2] += 1e-3
+        for args in ((changed, 0.2, None, 1.0), (batch, 0.2, 0.05, 1.0),
+                     (batch, 0.2, None, 0.5), (batch[:, :, :2], 0.2, None, 1.0)):
+            stored_evolve(handle, *args, store, sys_fp=sys_fp)
+        assert len(calls) == 4
+        # unset and spelled-out default steps share their entries
+        stored_evolve(handle, batch, 0.2, 0.2 / 64, 1.0, store, sys_fp=sys_fp)
+        assert len(calls) == 4
+
+    def test_partial_hit_recomputes_the_whole_batch(self, tmp_path, monkeypatch):
+        handle, batch, sys_fp = self.make()
+        first = stored_evolve(handle, batch, 0.2, None, 1.0, KernelStore(tmp_path),
+                              sys_fp=sys_fp)
+        sorted(tmp_path.glob("*.kbf"))[0].unlink()
+        calls = self.counting(handle, monkeypatch)
+        again = stored_evolve(handle, batch, 0.2, None, 1.0, KernelStore(tmp_path),
+                              sys_fp=sys_fp)
+        assert calls == [batch.shape]
+        np.testing.assert_array_equal(again, first)
 
 
 class TestDomination:
