@@ -514,10 +514,12 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 # constants, so scaling them by f moves the majorant by at
                 # least f^(s/2); apply that envelope uniformly in time
                 href = {}
+                calibrated = verify.calibrate_majorant(fam, fwd, eps_scales,
+                                                       cert_radius)
                 for t in t_w:
                     _, H = verify.weighted_majorant(
                         fam, fwd, s, t=t, eps_scales=eps_scales,
-                        cert_radius=cert_radius)
+                        cert_radius=cert_radius, calibrated=calibrated)
                     href[t] = H * scale ** (s / 2.0)
 
                 def override(t, pts, href=href):

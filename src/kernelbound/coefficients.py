@@ -368,6 +368,11 @@ class _FamilyBase:
                             R=self.R, divb=self.divb)
 
 
+def operator_spec_of(system) -> OperatorSpec:
+    """The coefficient callables of a family or of an opaque OperatorSpec."""
+    return system.operator_spec() if isinstance(system, _FamilyBase) else system
+
+
 def min_ellipticity(family: "_FamilyBase", k: int) -> float:
     """Smallest eigenvalue of the sign-adjusted coefficient matrix Z^k.
 

@@ -38,12 +38,12 @@ from .coefficients import (
     PolynomialFamily,
     _FamilyBase,
     min_ellipticity,
+    operator_spec_of,
 )
 from .errors import DomainError, HypothesisViolationError, NonFiniteError
-from .lyapunov import SpaceTimeWeight, _grid_points
+from .lyapunov import SpaceTimeWeight, _grid_points, _points_per_axis, _vp_row_col_sums
 
 _LOG_MAX = math.log(np.finfo(float).max)
-_PLAN_POINTS = {1: 513, 2: 65}
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ class SamplePlan:
     per_axis: Optional[int] = None
 
     def points(self, d: int) -> np.ndarray:
-        n = self.per_axis or _PLAN_POINTS.get(d, 33)
-        return _grid_points(d, self.radius, n)
+        return _grid_points(d, self.radius, self.per_axis)
 
     def times(self, a0: float, b0: float) -> np.ndarray:
         return np.linspace(a0, b0, self.t_count)
@@ -262,8 +261,6 @@ def _effective_rows(system, pts: np.ndarray, adjoint: bool) -> np.ndarray:
     """Row sums of the cooperative potential; the adjoint transposes and
     adds div b.  Shape (m, n).  Families run fully in log space so a huge
     potential degrades to +/- inf rather than NaN against a huge drift."""
-    from .lyapunov import _vp_row_col_sums
-
     if not isinstance(system, _FamilyBase):
         sums = _vp_row_col_sums(system, pts, adjoint)
         if adjoint:
@@ -308,9 +305,8 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = 20.0,
     radii radius * {1, 1.25, 1.5, 2} and must be nondecreasing for the tail
     to count as certified, otherwise the result is marked numeric-only.
     """
-    spec = system.operator_spec() if isinstance(system, _FamilyBase) else system
-    d = spec.dims.d
-    n = per_axis or _PLAN_POINTS.get(d, 33)
+    d = system.dims.d
+    n = _points_per_axis(d, per_axis)
     pts = _grid_points(d, radius, n)
     sums = _effective_rows(system, pts, adjoint)
     M = float(np.min(sums))
@@ -358,7 +354,7 @@ def check_base(system, radius: float = 20.0) -> tuple[list[HypothesisReport], Ro
         note="families are smooth by construction; generic coefficients are "
              "assumed locally Hoelder continuous"))
 
-    spec = system.operator_spec() if is_family else system
+    spec = operator_spec_of(system)
     m, d = spec.dims.m, spec.dims.d
     if is_family:
         margins = {}
@@ -371,7 +367,7 @@ def check_base(system, radius: float = 20.0) -> tuple[list[HypothesisReport], Ro
                 margins[f"min_eig_Z[{k}]"] = float(np.linalg.eigvalsh(system.Z(k)).min())
         reports.append(HypothesisReport("ellipticity", status, witness=witness, margins=margins))
     else:
-        pts = _grid_points(d, radius, _PLAN_POINTS.get(d, 33))
+        pts = _grid_points(d, radius)
         worst = math.inf
         arg = None
         for k in range(m):
@@ -505,7 +501,9 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     variant: the potential item additionally absorbs |div b|, and the
     resulting constants land in c with M from the adjoint row sums (use
     ConstantsLedger.with_adjoint to merge).  inner overrides the inner
-    window pair (a, b); the default sits at even quarters.
+    window pair (a, b); the default sits at even quarters.  The
+    coefficients depend on x only, so their log-entries and the norms of
+    items 5-8 are evaluated once per grid, before the loop over times.
     """
     a0, b0 = window
     if not (0 < a0 < b0):
@@ -517,7 +515,7 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
         raise DomainError(
             f"need eps(w) < eps(nu1) < eps(nu2), got {w.eps}, {nu1.eps}, {nu2.eps}")
     plan = plan or SamplePlan()
-    spec = system.operator_spec() if isinstance(system, _FamilyBase) else system
+    spec = operator_spec_of(system)
     d, m = spec.dims.d, spec.dims.m
     is_family = isinstance(system, _FamilyBase)
 
@@ -529,6 +527,39 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     shape_cal = np.zeros(8)
     shapes = _ledger_shapes(system, w) if is_family else None
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
+
+    # the coefficients depend on x only: per component, the log-entries of
+    # Q and R, and the log-norms of items 5-8 before their weight factors
+    fields = []
+    if not is_family:
+        V = np.asarray(spec.V(pts), dtype=float)
+    for k in range(m):
+        if is_family:
+            logQ, signQ, logR, signR, logb, _ = _family_log_entries(system, k, pts)
+            logVrow = _family_log_V_row(system, k, r)
+        else:
+            Q = np.asarray(spec.Q(k, pts), dtype=float)
+            R = np.asarray(spec.R(k, pts), dtype=float)
+            bv = np.asarray(spec.b(k, pts), dtype=float)
+            logQ = np.log(np.maximum(np.abs(Q), 1e-300))
+            signQ = np.sign(Q)
+            logR = np.log(np.maximum(np.abs(R), 1e-300))
+            signR = np.sign(R)
+            logb = np.log(np.maximum(np.abs(bv), 1e-300))
+            logVrow = _log_norm_from_entries(
+                np.log(np.maximum(np.abs(V[:, k, :]), 1e-300)).T, axis=0)
+        # item 5: |V row| (+ |div b| in the starred variant)
+        if adjoint:
+            db = np.asarray(spec.divb(k, pts), dtype=float)
+            pot = np.logaddexp(logVrow, np.log(np.maximum(np.abs(db), 1e-300)))
+        else:
+            pot = logVrow
+        fields.append((
+            logQ, signQ, logR, signR, pot,
+            _log_norm_from_entries(logb.T, axis=0),                      # item 6: |b|
+            _log_norm_from_entries(logQ.reshape(len(r), -1).T, axis=0),  # item 7: |Q|_F
+            _log_norm_from_entries(logR.reshape(len(r), -1).T, axis=0),  # item 8: |R|_F
+        ))
 
     for t in ts:
         Sw = w.log_value(t, pts, d)
@@ -543,30 +574,14 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
         d2 = (Sw - S2) / s
         log_ratios = np.full((8, len(r)), -np.inf)
         log_ratios[0] = 2.0 * d1  # (w/nu1)^(2/s)
+        log_ratios[3] = np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1  # item 4
 
         log_gw = np.log(np.maximum(np.abs(gw), 1e-300))
         sign_gw = np.sign(gw)
         log_curv = np.log(np.maximum(np.abs(curv), 1e-300))
         sign_curv = np.sign(curv)
 
-        for k in range(m):
-            if is_family:
-                logQ, signQ, logR, signR, logb, signb = _family_log_entries(system, k, pts)
-                logVrow = _family_log_V_row(system, k, r)
-            else:
-                Q = np.asarray(spec.Q(k, pts), dtype=float)
-                R = np.asarray(spec.R(k, pts), dtype=float)
-                bv = np.asarray(spec.b(k, pts), dtype=float)
-                V = np.asarray(spec.V(pts), dtype=float)
-                logQ = np.log(np.maximum(np.abs(Q), 1e-300))
-                signQ = np.sign(Q)
-                logR = np.log(np.maximum(np.abs(R), 1e-300))
-                signR = np.sign(R)
-                logb = np.log(np.maximum(np.abs(bv), 1e-300))
-                signb = np.sign(bv)
-                logVrow = _log_norm_from_entries(
-                    np.log(np.maximum(np.abs(V[:, k, :]), 1e-300)).T, axis=0)
-
+        for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:
             # item 2: |Q grad w| / (w^((s-1)/s) nu1^(1/s)) = |Q grad Sw| e^(d1)
             terms = logQ + log_gw[:, None, :]
             signs = signQ * sign_gw[:, None, :]
@@ -584,31 +599,11 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
                                          np.concatenate([s1, s2], axis=1).T, axis=0)
             log_ratios[2] = np.maximum(log_ratios[2], div_log + 2.0 * d1)
 
-            # item 4
-            log_ratios[3] = np.maximum(
-                log_ratios[3], np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1)
-
-            # item 5: |V row| (+ |div b| in the starred variant) with nu2
-            if adjoint:
-                db = np.asarray(spec.divb(k, pts), dtype=float)
-                pot = np.logaddexp(logVrow, np.log(np.maximum(np.abs(db), 1e-300)))
-            else:
-                pot = logVrow
+            # items 5-8: the time-invariant norms against nu2 and nu1
             log_ratios[4] = np.maximum(log_ratios[4], pot + 2.0 * d2)
-
-            # item 6: |b| with nu2
-            log_ratios[5] = np.maximum(
-                log_ratios[5], _log_norm_from_entries(logb.T, axis=0) + d2)
-
-            # item 7: Frobenius |Q| with nu1
-            log_ratios[6] = np.maximum(
-                log_ratios[6],
-                _log_norm_from_entries(logQ.reshape(len(r), -1).T, axis=0) + d1)
-
-            # item 8: Frobenius |R| with nu1
-            log_ratios[7] = np.maximum(
-                log_ratios[7],
-                _log_norm_from_entries(logR.reshape(len(r), -1).T, axis=0) + 2.0 * d1)
+            log_ratios[5] = np.maximum(log_ratios[5], norm_b + d2)
+            log_ratios[6] = np.maximum(log_ratios[6], norm_Q + d1)
+            log_ratios[7] = np.maximum(log_ratios[7], norm_R + 2.0 * d1)
 
         with np.errstate(over="ignore"):
             ratios = np.exp(log_ratios)

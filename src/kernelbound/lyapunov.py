@@ -40,10 +40,10 @@ from scipy import integrate
 
 from .coefficients import (
     ExponentialFamily,
-    OperatorSpec,
     PolynomialFamily,
-    SystemDims,
     _FamilyBase,
+    eval_VP,
+    operator_spec_of,
 )
 from .errors import CertificateError, DomainError, SaturationError, SynthesisError
 
@@ -488,8 +488,17 @@ class CertificateReport:
     message: str
 
 
-def _grid_points(d: int, radius: float, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-radius, radius, per_axis) for _ in range(d)]
+# default points per axis of certificate and ledger sample grids
+_GRID_POINTS = {1: 513, 2: 65}
+
+
+def _points_per_axis(d: int, per_axis: Optional[int] = None) -> int:
+    return per_axis or _GRID_POINTS.get(d, 33)
+
+
+def _grid_points(d: int, radius: float, per_axis: Optional[int] = None) -> np.ndarray:
+    n = _points_per_axis(d, per_axis)
+    axes = [np.linspace(-radius, radius, n) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
@@ -526,30 +535,62 @@ def _vp_row_col_sums(system, pts: np.ndarray, adjoint: bool) -> np.ndarray:
                 vals[mag > _LOG_MAX] = np.inf * sign[mag > _LOG_MAX]
                 out[k] = vals
         return out
-    spec: OperatorSpec = system
-    V = np.asarray(spec.V(pts), dtype=float)
-    from .coefficients import eval_VP
+    V = np.asarray(system.V(pts), dtype=float)
     VP = eval_VP(V)
     sums = VP.sum(axis=-2) if adjoint else VP.sum(axis=-1)  # (n, m)
     return sums.T
 
 
-def _operator_spec_of(system) -> OperatorSpec:
-    return system.operator_spec() if isinstance(system, _FamilyBase) else system
+@dataclass(frozen=True)
+class GridFields:
+    """Coefficient fields of one system on one point grid, for one target.
+
+    The coefficients depend on x only, so a certificate evaluates these once
+    per grid and reuses them at every time.  Per component k: Q[k] is Q_k,
+    drift[k] is g_k + b_k (g_k - b_k for the adjoint, with g_j = sum_i
+    D_i q_ij), divb[k] is div b_k (adjoint only, else None), and vp_sums[k]
+    the cooperative potential's row sums (column sums for the adjoint).
+    """
+
+    Q: tuple
+    drift: tuple
+    divb: Optional[tuple]
+    vp_sums: np.ndarray
+
+
+def grid_fields(system, pts: np.ndarray, adjoint: bool) -> GridFields:
+    """Evaluate the time-invariant fields of _generator_ratio on pts."""
+    spec = operator_spec_of(system)
+    vp_sums = _vp_row_col_sums(system, pts, adjoint)
+    Qs, drifts, divbs = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(spec.dims.m):
+            Qs.append(np.asarray(spec.Q(k, pts), dtype=float))
+            R = np.asarray(spec.R(k, pts), dtype=float)
+            gvec = R.sum(axis=-2)  # column sums: g_j = sum_i D_i q_ij
+            bvec = np.asarray(spec.b(k, pts), dtype=float)
+            drifts.append(gvec + (-bvec if adjoint else bvec))
+            if adjoint:
+                divbs.append(np.asarray(spec.divb(k, pts), dtype=float))
+    return GridFields(Q=tuple(Qs), drift=tuple(drifts),
+                      divb=tuple(divbs) if adjoint else None, vp_sums=vp_sums)
 
 
 def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpec],
-                     t: Optional[float], pts: np.ndarray) -> np.ndarray:
+                     t: Optional[float], pts: np.ndarray,
+                     fields: Optional[GridFields] = None) -> np.ndarray:
     """(D_t +) generator applied to the (time-)Lyapunov function, over its value.
 
     Works entirely with S = log of the function: the ratio for component k is
     tr(Q_k (grad S grad S^T + D^2 S)) + <g_k + s b_k, grad S> + extras, with
     s = +1 for the forward targets and -1 plus the -div b - column-sum terms
-    for the adjoint.  Shape (m, n).
+    for the adjoint.  fields holds the coefficients on pts (grid_fields);
+    they are evaluated here when not given.  Shape (m, n).
     """
-    spec = _operator_spec_of(system)
-    d, m = spec.dims.d, spec.dims.m
+    d, m = system.dims.d, system.dims.m
     adjoint = lyap.target == "P_adjoint"
+    if fields is None:
+        fields = grid_fields(system, pts, adjoint)
     if timed is None:
         w = SpaceTimeWeight(form=lyap.form, eps=lyap.eps_hat, sigma=1.0, rho=lyap.rho)
         tt = 1.0  # static function: t^sigma frozen at 1
@@ -558,31 +599,23 @@ def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpe
         tt = float(t)
     grad = w.grad_log(tt, pts, d)          # (n, d)
     hess = w.hess_log(tt, pts, d)          # (n, d, d)
-    outer = grad[:, :, None] * grad[:, None, :]
-    vp_sums = _vp_row_col_sums(system, pts, adjoint)
-
     out = np.empty((m, pts.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
+        curv = grad[:, :, None] * grad[:, None, :] + hess
+        dt = w.dt_log(tt, pts, d) if timed is not None else None
         for k in range(m):
-            Q = np.asarray(spec.Q(k, pts), dtype=float)
-            R = np.asarray(spec.R(k, pts), dtype=float)
-            gvec = R.sum(axis=-2)  # column sums: g_j = sum_i D_i q_ij
-            bvec = np.asarray(spec.b(k, pts), dtype=float)
-            second = np.einsum("nij,nij->n", Q, outer + hess)
-            first = np.einsum("nj,nj->n", gvec + (-bvec if adjoint else bvec), grad)
-            val = second + first - vp_sums[k]
+            second = np.einsum("nij,nij->n", fields.Q[k], curv)
+            first = np.einsum("nj,nj->n", fields.drift[k], grad)
+            val = second + first - fields.vp_sums[k]
             if adjoint:
-                val = val - np.asarray(spec.divb(k, pts), dtype=float)
-            if timed is not None:
-                val = val + w.dt_log(tt, pts, d)
+                val = val - fields.divb[k]
+            if dt is not None:
+                val = val + dt
             out[k] = val
     # -inf is fine (deep damping); +inf or NaN is not
     if np.any(np.isnan(out)) or np.any(np.isposinf(out)):
         raise CertificateError("generator ratio produced NaN/+inf on the certificate grid")
     return out
-
-
-_CERT_POINTS = {1: 513, 2: 65}
 
 
 def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
@@ -595,25 +628,27 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     geometric time ladder.  Fails with a certificate error when the sup
     grows by 10% or more under radius doubling (the function is then no
     Lyapunov function for this operator); passes when the two suprema agree
-    within tolerance * max(1, |sup|).
+    within tolerance * max(1, |sup|).  The coefficient fields depend on x
+    only, so they are evaluated once per grid (grid_fields) and reused at
+    every ladder time.
     """
-    spec = _operator_spec_of(system)
-    d = spec.dims.d
-    n = per_axis or _CERT_POINTS.get(d, 33)
+    d = system.dims.d
     timed = isinstance(lyap, TimeLyapunovSpec)
+    target = lyap.base.target if timed else lyap.target
 
     def grid_sup(R: float) -> float:
-        pts = _grid_points(d, R, n)
+        pts = _grid_points(d, R, per_axis)
+        fields = grid_fields(system, pts, adjoint=target == "P_adjoint")
         if timed:
             tgrid = [lyap.T * 2.0 ** (-j) for j in range(0, 11)]
             p = lyap.sigma * (lyap.delta - 1.0) / lyap.delta
             best = -np.inf
             for t in tgrid:
-                ratio = _generator_ratio(system, lyap.base, lyap, t, pts)
+                ratio = _generator_ratio(system, lyap.base, lyap, t, pts, fields)
                 resid = ratio - lyap.eps_T * lyap.delta * t ** p
                 best = max(best, float(np.max(resid)))
             return best
-        ratio = _generator_ratio(system, lyap, None, None, pts)
+        ratio = _generator_ratio(system, lyap, None, None, pts, fields)
         return float(np.max(ratio))
 
     sup_c = grid_sup(radius)

@@ -48,7 +48,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .coefficients import VARIANTS, OperatorSpec, _FamilyBase, eval_VP
+from .coefficients import VARIANTS, eval_VP, operator_spec_of
 from .errors import (
     AssemblyError,
     BudgetError,
@@ -154,9 +154,6 @@ class DiscreteField:
             return out.reshape(n1, n1)
         return out
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def discrete_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
     """h^d-weighted inner product summed over nodes and components."""
@@ -171,10 +168,6 @@ def discrete_mass(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-
-def _operator_spec_of(system) -> OperatorSpec:
-    return system.operator_spec() if isinstance(system, _FamilyBase) else system
-
 
 def _check_coefficient_block(name: str, arr: np.ndarray):
     if not np.all(np.isfinite(arr)):
@@ -298,7 +291,7 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == "P_adjoint":
         return assemble_generator(system, grid, "P").T.tocsr()
-    spec = _operator_spec_of(system)
+    spec = operator_spec_of(system)
     if spec.dims.d != grid.d:
         raise AssemblyError(f"system dimension {spec.dims.d} != grid dimension {grid.d}")
     m = spec.dims.m
@@ -361,7 +354,7 @@ class OperatorHandle:
 
     def __init__(self, system, grid: GridSpec, variant: str = "P",
                  budget: int = _DEFAULT_BUDGET):
-        spec = _operator_spec_of(system)
+        spec = operator_spec_of(system)
         dof = grid.n_nodes * spec.dims.m
         if dof > budget:
             raise BudgetError(
@@ -630,13 +623,11 @@ def load_field(path) -> DiscreteField:
 def field_to_csv(field: DiscreteField) -> str:
     g = field.grid
     cols = [f"x{a}" for a in range(g.d)] + [f"u{k}" for k in range(field.m)]
-    lines = [",".join(cols)]
-    pts = g.points()
-    for i in range(g.n_nodes):
-        row = [f"{pts[i, a]:.17g}" for a in range(g.d)]
-        row += [f"{field.values[i, k]:.17g}" for k in range(field.m)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    # one % over a template of every row formats each float as %.17g
+    row = ",".join(["%.17g"] * len(cols))
+    data = np.concatenate([g.points(), field.values], axis=1)
+    body = "\n".join([row] * g.n_nodes) % tuple(data.ravel().tolist())
+    return ",".join(cols) + "\n" + body + "\n"
 
 
 def save_field_csv(path, field: DiscreteField):

@@ -36,8 +36,8 @@ __all__ = [
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
-    "check_decay_shape", "weighted_majorant", "heat_weight_image",
-    "results_csv", "summary_text",
+    "check_decay_shape", "calibrate_majorant", "weighted_majorant",
+    "heat_weight_image", "results_csv", "summary_text",
 ]
 
 _TINY = 1e-300
@@ -694,11 +694,34 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
                    inconclusive=tail_worst > boundary_fraction)
 
 
+def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
+    s0, s1, s2 = eps_scales
+    if not 0.0 < s0 < s1 < s2 <= 1.0:
+        raise DomainError(f"eps scales must increase within (0, 1], got {eps_scales}")
+    return s0, s1, s2
+
+
+def calibrate_majorant(system, synthesis: SynthesisResult,
+                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
+                       cert_radius: float = 20.0) -> tuple:
+    """The comparison weights nu1, nu2 of weighted_majorant, calibrated.
+
+    Their growth constants depend on the synthesis, the eps scales and the
+    certificate radius, not on the evaluation time, so a caller that needs
+    the majorant at several times calibrates once and passes the pair to
+    every weighted_majorant call.
+    """
+    _, s1, s2 = _checked_eps_scales(eps_scales)
+    return (_calibrated_scaled(system, synthesis.timed, s1, cert_radius),
+            _calibrated_scaled(system, synthesis.timed, s2, cert_radius))
+
+
 def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       t: Optional[float] = None,
                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
                       adjoint: bool = False, cert_radius: float = 20.0,
-                      window: Optional[Sequence[float]] = None) -> tuple:
+                      window: Optional[Sequence[float]] = None,
+                      calibrated: Optional[tuple] = None) -> tuple:
     """Ledger and constant majorant value over a time window.
 
     The window defaults to (t/8, t/4, t/2, 3t/4), proportional to the
@@ -706,12 +729,11 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     share the synthesized shape at eps_scales times the certified
     amplitude.  Because the comparison weights equal one at time zero, the
     majorant is constant in space; the value is returned along with the
-    estimated ledger.
+    estimated ledger.  calibrated is the pair calibrate_majorant returns
+    for the same arguments; it is computed here when not given.
     """
     timed = synthesis.timed
-    s0, s1, s2 = eps_scales
-    if not 0.0 < s0 < s1 < s2 <= 1.0:
-        raise DomainError(f"eps scales must increase within (0, 1], got {eps_scales}")
+    s0, s1, s2 = _checked_eps_scales(eps_scales)
     if window is None:
         if t is None:
             raise DomainError("need an evaluation time or an explicit window")
@@ -725,8 +747,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     ledger = estimate_ledger(system, w, nu1, nu2, s,
                              window=(window[0], window[3]),
                              inner=(window[1], window[2]), adjoint=adjoint)
-    spec1 = _calibrated_scaled(system, timed, s1, cert_radius)
-    spec2 = _calibrated_scaled(system, timed, s2, cert_radius)
+    spec1, spec2 = calibrated or calibrate_majorant(system, synthesis, eps_scales,
+                                                    cert_radius)
     ones = lambda pts: np.ones(pts.shape[0])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure
@@ -764,17 +786,23 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
     timed = synthesis.timed
     w = timed.weight(eps_scales[0] * timed.eps_T)
     wstar = None
+    if two_sided and adjoint_synthesis is None:
+        raise DomainError("two-sided ratio needs the adjoint synthesis")
+    calibrated = calibrate_majorant(system, synthesis, eps_scales, cert_radius)
+    if two_sided:
+        calibrated_star = calibrate_majorant(system, adjoint_synthesis, eps_scales,
+                                             cert_radius)
     majorants = {}
     for t in t_values:
         _, H = weighted_majorant(system, synthesis, s, t, eps_scales,
-                                 adjoint=False, cert_radius=cert_radius)
+                                 adjoint=False, cert_radius=cert_radius,
+                                 calibrated=calibrated)
         Hstar = None
         if two_sided:
-            if adjoint_synthesis is None:
-                raise DomainError("two-sided ratio needs the adjoint synthesis")
             _, Hstar = weighted_majorant(system, adjoint_synthesis, s, t,
                                          eps_scales, adjoint=True,
-                                         cert_radius=cert_radius)
+                                         cert_radius=cert_radius,
+                                         calibrated=calibrated_star)
         majorants[t] = (H, Hstar)
     if two_sided:
         adj = adjoint_synthesis.timed

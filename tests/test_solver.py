@@ -568,3 +568,20 @@ class TestSerialization:
         assert lines[0] == "x0,u0,u1"
         assert len(lines) == 1 + field.grid.n_nodes
         assert text == field_to_csv(field)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_matches_per_row_formatting(self, d):
+        g = GridSpec(d, 1.0, 0.25)
+        special = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   5e-324, -2.2250738585072e-309, 1.7976931348623157e308,
+                   0.1, -1.0 / 3.0, 1e16, 123456789.0]
+        vals = np.resize(np.array(special), (g.n_nodes, 3))
+        vals[:, 1] = vals[::-1, 0]
+        field = DiscreteField(g, vals)
+        pts = g.points()
+        lines = [",".join([f"x{a}" for a in range(d)] + ["u0", "u1", "u2"])]
+        for i in range(g.n_nodes):
+            row = [f"{pts[i, a]:.17g}" for a in range(d)]
+            row += [f"{vals[i, k]:.17g}" for k in range(3)]
+            lines.append(",".join(row))
+        assert field_to_csv(field) == "\n".join(lines) + "\n"

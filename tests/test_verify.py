@@ -566,6 +566,30 @@ class TestWeightedBound:
                                    **args)
         assert res.status == "fail"
 
+    def test_majorant_weights_are_calibrated_once_for_all_times(self, monkeypatch):
+        fam = headline_family()
+        syn = synth_poly(fam, 1.0)
+        adj = synth_poly(fam, 1.0, target="P_adjoint")
+        args = dict(s=4.0, sources=(0.0,), coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 4.0),
+                    width=1.0 / 16, two_sided=True, adjoint_synthesis=adj)
+        calls = []
+        real = verify.verify_certificate
+
+        def counted(*a, **kw):
+            calls.append(a[1])
+            return real(*a, **kw)
+
+        monkeypatch.setattr(verify, "verify_certificate", counted)
+        check_weighted_bound(fam, syn, t_values=(0.25,), **args)
+        one_time = len(calls)
+        res = check_weighted_bound(fam, syn, t_values=(0.1, 0.25, 0.5), **args)
+        assert len(calls) == 2 * one_time == 8
+        monkeypatch.undo()
+        # the same majorants as calibrating afresh at every time
+        for t in (0.1, 0.25, 0.5):
+            _, H = verify.weighted_majorant(fam, syn, 4.0, t)
+            assert res.details["majorants"][t] == H
+
     def test_misordered_scales_rejected(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
