@@ -57,11 +57,10 @@ class ConstantsLedger:
     """Numeric suprema of the eight weight-compatibility ratios.
 
     window = (a0, a, b, b0) is the nested time window: constants are
-    suprema over [a0, b0] x R^d, the bound itself lives on (a, b).  The
-    optional analytic tuple is the family closed-form envelope (always >=
-    the numeric values); boundary_flags marks items whose numeric argmax sat
-    on the sample-box boundary, i.e. whose supremum may not be converged in
-    the radius.  Starred fields repeat the story for the adjoint problem.
+    suprema over [a0, b0] x R^d, the bound itself lives on (a, b).
+    boundary_flags marks items whose numeric argmax sat on the sample-box
+    boundary, i.e. whose supremum may not be converged in the radius.
+    Starred fields repeat the story for the adjoint problem.
     """
 
     d: int
@@ -71,8 +70,6 @@ class ConstantsLedger:
     M: float
     c_star: Optional[tuple[float, ...]] = None
     M_star: Optional[float] = None
-    analytic: Optional[tuple[float, ...]] = None
-    analytic_star: Optional[tuple[float, ...]] = None
     boundary_flags: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
@@ -98,8 +95,7 @@ class ConstantsLedger:
             raise DomainError("adjoint ledger must share the window and s")
         return ConstantsLedger(
             d=self.d, s=self.s, window=self.window, c=self.c, M=self.M,
-            c_star=star.c, M_star=star.M, analytic=self.analytic,
-            analytic_star=star.analytic, boundary_flags=self.boundary_flags)
+            c_star=star.c, M_star=star.M, boundary_flags=self.boundary_flags)
 
 
 def eval_H(ledger: ConstantsLedger,

@@ -14,6 +14,7 @@ tripped.  All file outputs are reproducible byte-for-byte from the
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -49,6 +50,30 @@ RANDOMIZED_CHECKS = frozenset(("domination", "chapman"))
 def _write(path, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_freed_memory():
+    """Return the heap pages that freed LU factors and fields leave behind.
+
+    After a large block is freed, glibc raises its mmap threshold, so later
+    blocks of that size come from the heap, and any small live allocation
+    above them keeps the freed pages resident.  Whether that happens depends
+    on the address layout: without a trim, one verify of the poly2d bench
+    config carried some 35 MB of freed pages from check to check and into
+    the next command, and the next run of the same verify carried none.
+    Called before every check run, so that each check starts from a trimmed
+    heap; a call takes well under a millisecond.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _g(x) -> str:
@@ -103,7 +128,7 @@ def _synthesize(cfg: RunConfig, fam, target: str):
     result = fn(fam, T, target=target)
     if target == "P":
         result = _apply_overrides(cfg, result)
-    radius = cfg.get_float("lyapunov", "radius", 20.0)
+    radius = cfg.get_float("lyapunov", "radius", lyapunov.SAMPLE_RADIUS)
     report = lyapunov.verify_certificate(fam, result.timed, radius=radius)
     return replace(result, timed=report.certified), report
 
@@ -163,7 +188,7 @@ def cmd_check(cfg: RunConfig, out: str) -> int:
         reports = hypotheses.check_polynomial(fam)
     else:
         reports = hypotheses.check_exponential(fam)
-    radius = cfg.get_float("verify", "radius", 20.0)
+    radius = cfg.get_float("verify", "radius", lyapunov.SAMPLE_RADIUS)
     base_reports, row = hypotheses.check_base(fam, radius=radius)
     reports = list(reports) + list(base_reports)
     text = hypotheses.report_text(reports, row)
@@ -250,7 +275,7 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     fam = family_from_config(cfg)
     d = fam.dims.d
     s, window, t_ref, eps_scales = _bounds_params(cfg, d)
-    radius = cfg.get_float("lyapunov", "radius", 20.0)
+    radius = cfg.get_float("lyapunov", "radius", lyapunov.SAMPLE_RADIUS)
 
     forward, rep_ft = _synthesize(cfg, fam, "P")
     rep_fs = lyapunov.verify_certificate(fam, forward.static, radius=radius)
@@ -353,7 +378,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
             raise ConfigError("%s: solve.components entry %d outside 0..%d"
                               % (cfg._where("solve", "components"), k, m - 1))
     width = cfg.get_float("solve", "width", None)
-    budget = cfg.get_int("solve", "budget", 4_000_000)
+    budget = cfg.get_int("solve", "budget", solver.DEFAULT_BUDGET)
 
     store = verify.KernelStore(os.path.join(out, "store"))
     sys_fp = verify.system_fingerprint(fam)
@@ -432,7 +457,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     components = cfg.get_ints("verify", "components", list(range(m)))
     width = cfg.get_float("verify", "width",
                           cfg.get_float("solve", "width", None))
-    cert_radius = cfg.get_float("lyapunov", "radius", 20.0)
+    cert_radius = cfg.get_float("lyapunov", "radius", lyapunov.SAMPLE_RADIUS)
     store = verify.KernelStore(os.path.join(out, "store"))
     src_pairs = [(y, k) for y in srcs for k in components]
 
@@ -542,18 +567,21 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
             thunks.append(lambda t_dec=t_dec, e_scale=e_scale:
                           verify.check_decay_shape(
                               fam, grid, t_dec, xs[0], components[0],
-                              eps=e_scale * fwd.timed.eps_T,
-                              sigma=fwd.timed.sigma, rho=fwd.timed.base.rho,
+                              fwd.timed.weight(e_scale * fwd.timed.eps_T),
                               dt=dt, width=width,
                               slack=tol("decay", 0.5), store=store))
+
+    def run(fn):
+        _release_freed_memory()
+        return fn()
 
     wall = time.perf_counter()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn) for fn in thunks]
+            futures = [pool.submit(run, fn) for fn in thunks]
             results = [f.result() for f in futures]
     else:
-        results = [fn() for fn in thunks]
+        results = [run(fn) for fn in thunks]
 
     summary = verify.summary_text(results)
     _write(os.path.join(out, "verify_summary.txt"), summary)

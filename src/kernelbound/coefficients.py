@@ -299,7 +299,10 @@ def _radial(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 class _FamilyBase:
-    """Shared validation and derived quantities of both coefficient families."""
+    """Validation, coefficient fields and derived quantities of both families.
+
+    Subclasses define only the growth law: _grow, _log_grow and _chain.
+    """
 
     def __init__(self, dims: SystemDims, zeta, alpha, eta, beta, theta, gamma):
         d, m = dims.d, dims.m
@@ -367,6 +370,53 @@ class _FamilyBase:
         return OperatorSpec(dims=self.dims, Q=self.Q, b=self.b, V=self.V,
                             R=self.R, divb=self.divb)
 
+    # -- coefficient fields ---------------------------------------------------
+    #
+    # Written once against the growth law g(r, p) of the family, r = 1+|x|^2:
+    # each subclass supplies _grow (g), _log_grow (log g) and _chain, which
+    # multiplies u by the chain-rule factor (d/dr log g) / p.
+
+    def Q(self, k: int, x: np.ndarray) -> np.ndarray:
+        pts, r, scalar = _radial(x, self.dims.d)
+        out = self.zeta[k] * self._grow(r[:, None, None], self.alpha[k])
+        return out[0] if scalar else out
+
+    def R(self, k: int, x: np.ndarray) -> np.ndarray:
+        # (R^k)_ij = D_i q^k_ij = 2 x_i zeta_ij g'(r, alpha_ij)
+        pts, r, scalar = _radial(x, self.dims.d)
+        r3, a = r[:, None, None], self.alpha[k]
+        out = self._chain(2.0 * self.zeta[k] * a * self._grow(r3, a), r3, a) * pts[:, :, None]
+        return out[0] if scalar else out
+
+    def b(self, k: int, x: np.ndarray) -> np.ndarray:
+        pts, r, scalar = _radial(x, self.dims.d)
+        out = -self.eta[k] * pts * self._grow(r[:, None], self.beta[k])
+        return out[0] if scalar else out
+
+    def _divb_factor(self, k: int, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The factor 1 + 2 x_i^2 (d/dr log g)(r, beta_i) of D_i b^k_i, shape (n, d)."""
+        return 1.0 + self._chain(2.0 * self.beta[k] * pts * pts, r[:, None], self.beta[k])
+
+    def _log_abs_divb_terms(self, k: int, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """log |D_i b^k_i| per axis, shape (d, n); every such term is negative."""
+        return (np.log(self.eta[k])[None, :] + self._log_grow(r[:, None], self.beta[k])
+                + np.log(self._divb_factor(k, pts, r))).T
+
+    def divb(self, k: int, x: np.ndarray) -> np.ndarray:
+        pts, r, scalar = _radial(x, self.dims.d)
+        terms = -self.eta[k] * self._grow(r[:, None], self.beta[k]) * self._divb_factor(k, pts, r)
+        out = terms.sum(axis=-1)
+        return out[0] if scalar else out
+
+    def V(self, x: np.ndarray) -> np.ndarray:
+        pts, r, scalar = _radial(x, self.dims.d)
+        out = self.theta * self._grow(r[:, None, None], self.gamma)
+        return out[0] if scalar else out
+
+    def log_growth_V(self, h: int, k: int, r: np.ndarray) -> np.ndarray:
+        """log |v_hk| at radius variable r = 1+|x|^2 (for overflow-safe work)."""
+        return np.log(np.abs(self.theta[h, k])) + self._log_grow(r, self.gamma[h, k])
+
 
 def operator_spec_of(system) -> OperatorSpec:
     """The coefficient callables of a family or of an opaque OperatorSpec."""
@@ -396,38 +446,17 @@ class PolynomialFamily(_FamilyBase):
 
     kind = "polynomial"
 
-    def Q(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.zeta[k] * r[:, None, None] ** self.alpha[k]
-        return out[0] if scalar else out
+    @staticmethod
+    def _grow(r, p):
+        return r ** p
 
-    def R(self, k: int, x: np.ndarray) -> np.ndarray:
-        # (R^k)_ij = D_i q^k_ij = 2 zeta_ij alpha_ij x_i (1+|x|^2)^(alpha_ij - 1)
-        pts, r, scalar = _radial(x, self.dims.d)
-        core = 2.0 * self.zeta[k] * self.alpha[k] * r[:, None, None] ** (self.alpha[k] - 1.0)
-        out = core * pts[:, :, None]
-        return out[0] if scalar else out
+    @staticmethod
+    def _log_grow(r, p):
+        return p * np.log(r)
 
-    def b(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = -self.eta[k] * pts * r[:, None] ** self.beta[k]
-        return out[0] if scalar else out
-
-    def divb(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        terms = -self.eta[k] * r[:, None] ** self.beta[k] * (
-            1.0 + 2.0 * self.beta[k] * pts * pts / r[:, None])
-        out = terms.sum(axis=-1)
-        return out[0] if scalar else out
-
-    def V(self, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.theta * r[:, None, None] ** self.gamma
-        return out[0] if scalar else out
-
-    def log_growth_V(self, h: int, k: int, r: np.ndarray) -> np.ndarray:
-        """log |v_hk| at radius variable r = 1+|x|^2 (for overflow-safe work)."""
-        return np.log(np.abs(self.theta[h, k])) + self.gamma[h, k] * np.log(r)
+    @staticmethod
+    def _chain(u, r, p):
+        return u / r
 
 
 class ExponentialFamily(_FamilyBase):
@@ -435,38 +464,17 @@ class ExponentialFamily(_FamilyBase):
 
     kind = "exponential"
 
-    def Q(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.zeta[k] * np.exp(r[:, None, None] ** self.alpha[k])
-        return out[0] if scalar else out
+    @staticmethod
+    def _grow(r, p):
+        return np.exp(r ** p)
 
-    def R(self, k: int, x: np.ndarray) -> np.ndarray:
-        # D_i q_ij = 2 zeta_ij alpha_ij x_i (1+|x|^2)^(alpha_ij-1) e^{(1+|x|^2)^alpha_ij}
-        pts, r, scalar = _radial(x, self.dims.d)
-        core = 2.0 * self.zeta[k] * self.alpha[k] * r[:, None, None] ** (self.alpha[k] - 1.0) \
-            * np.exp(r[:, None, None] ** self.alpha[k])
-        out = core * pts[:, :, None]
-        return out[0] if scalar else out
+    @staticmethod
+    def _log_grow(r, p):
+        return r ** p
 
-    def b(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = -self.eta[k] * pts * np.exp(r[:, None] ** self.beta[k])
-        return out[0] if scalar else out
-
-    def divb(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        terms = -self.eta[k] * np.exp(r[:, None] ** self.beta[k]) * (
-            1.0 + 2.0 * self.beta[k] * pts * pts * r[:, None] ** (self.beta[k] - 1.0))
-        out = terms.sum(axis=-1)
-        return out[0] if scalar else out
-
-    def V(self, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.theta * np.exp(r[:, None, None] ** self.gamma)
-        return out[0] if scalar else out
-
-    def log_growth_V(self, h: int, k: int, r: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(self.theta[h, k])) + r ** self.gamma[h, k]
+    @staticmethod
+    def _chain(u, r, p):
+        return u * r ** (p - 1.0)
 
 
 def diagonal_family(kind: str, d: int, m: int, *, zeta_diag=1.0, alpha=0.0,

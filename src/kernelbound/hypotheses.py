@@ -17,10 +17,7 @@ Three layers of scrutiny, in increasing numeric weight:
        c_5 = sup |V_(h,.)| / (w^{-2/s} nu2^{2/s}),    and so on.
 
 All ratio work happens in log space: coefficients and weights may overflow
-float64 individually, their combinations never should.  For the coefficient
-families the ledger also reports the closed-form envelope of each constant
-(a calibrated multiple of the worst window endpoint), which by construction
-dominates the numeric supremum on any sample plan inside the window.
+float64 individually, their combinations never should.
 """
 
 from __future__ import annotations
@@ -41,9 +38,14 @@ from .coefficients import (
     operator_spec_of,
 )
 from .errors import DomainError, HypothesisViolationError, NonFiniteError
-from .lyapunov import SpaceTimeWeight, _grid_points, _points_per_axis, _vp_row_col_sums
-
-_LOG_MAX = math.log(np.finfo(float).max)
+from .lyapunov import (
+    SAMPLE_RADIUS,
+    SpaceTimeWeight,
+    _cooperative_row_sums,
+    _grid_points,
+    _points_per_axis,
+    _signed_log_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class SamplePlan:
     """Sampling layout for numeric suprema: time count, box radius, axis points."""
 
     t_count: int = 9
-    radius: float = 20.0
+    radius: float = SAMPLE_RADIUS
     per_axis: Optional[int] = None
 
     def points(self, d: int) -> np.ndarray:
@@ -139,13 +141,24 @@ def _diffusion_dominance(fam: _FamilyBase) -> HypothesisReport:
                             margins=margins)
 
 
-def check_polynomial(fam: PolynomialFamily) -> list[HypothesisReport]:
-    """Exponent hypotheses of the polynomial family.
+def _slack_report(hypothesis_id: str, label: str, slacks: Sequence[float]) -> HypothesisReport:
+    """Holds when every per-equation slack is positive; the witness is the worst k."""
+    margins = {f"{label}[{k}]": slack for k, slack in enumerate(slacks)}
+    k = int(np.argmin(slacks))
+    ok = slacks[k] > 0
+    return HypothesisReport(hypothesis_id, "holds" if ok else "fails",
+                            witness=None if ok else (k,), margins=margins)
+
+
+def _exponent_table(fam: _FamilyBase, lag: float) -> list[HypothesisReport]:
+    """Exponent hypotheses shared by both families.
 
     Covers sign/symmetry conventions (enforced at construction), row and
     diffusion dominance, the growth balance max{gamma_kk, beta_min} >
-    alpha_max - 1 needed for forward synthesis, the stronger diagonal
-    dominance needed for the adjoint, and the two-sided combination.
+    alpha_max - lag needed for forward synthesis, the stronger diagonal
+    dominance needed for the adjoint, and the two-sided combination.  The
+    diffusion lag is 1 for power growth, whose derivative loses one power
+    of r, and 0 when growth is compared inside exp.
     """
     m = fam.dims.m
     reports = [
@@ -156,147 +169,36 @@ def check_polynomial(fam: PolynomialFamily) -> list[HypothesisReport]:
         _offdiag_dominance(fam),
         _diffusion_dominance(fam),
     ]
-    margins, worst = {}, (math.inf, None)
+    balance, adjoint, two_sided = [], [], []
     for k in range(m):
-        slack = float(max(fam.gamma[k, k], fam.beta_min(k)) - (fam.alpha_max(k) - 1.0))
-        margins[f"balance[{k}]"] = slack
-        if slack < worst[0]:
-            worst = (slack, (k,))
-    reports.append(HypothesisReport(
-        "growth-balance", "holds" if worst[0] > 0 else "fails",
-        witness=None if worst[0] > 0 else worst[1], margins=margins))
-
-    margins, worst = {}, (math.inf, None)
-    for k in range(m):
-        rivals = [fam.beta_max(k), fam.alpha_max(k) - 1.0]
-        rivals += [float(fam.gamma[h, k]) for h in range(m) if h != k and fam.theta[h, k] != 0.0]
-        slack = float(fam.gamma[k, k] - max(rivals))
-        margins[f"adjoint[{k}]"] = slack
-        if slack < worst[0]:
-            worst = (slack, (k,))
-    reports.append(HypothesisReport(
-        "adjoint-dominance", "holds" if worst[0] > 0 else "fails",
-        witness=None if worst[0] > 0 else worst[1], margins=margins))
-
-    margins, worst = {}, (math.inf, None)
-    for k in range(m):
-        rivals = [fam.beta_max(k), fam.alpha_max(k) - 1.0]
-        rivals += [float(fam.gamma[h, k]) for h in range(m) if h != k and fam.theta[h, k] != 0.0]
-        rivals += [float(fam.gamma[k, h]) for h in range(m) if h != k and fam.theta[k, h] != 0.0]
-        slack = float(fam.gamma[k, k] - max(rivals))
-        margins[f"two-sided[{k}]"] = slack
-        if slack < worst[0]:
-            worst = (slack, (k,))
-    reports.append(HypothesisReport(
-        "two-sided-dominance", "holds" if worst[0] > 0 else "fails",
-        witness=None if worst[0] > 0 else worst[1], margins=margins))
+        g = fam.gamma[k, k]
+        col = [float(fam.gamma[h, k]) for h in range(m) if h != k and fam.theta[h, k] != 0.0]
+        row = [float(fam.gamma[k, h]) for h in range(m) if h != k and fam.theta[k, h] != 0.0]
+        rivals = [fam.beta_max(k), fam.alpha_max(k) - lag] + col
+        balance.append(float(max(g, fam.beta_min(k)) - (fam.alpha_max(k) - lag)))
+        adjoint.append(float(g - max(rivals)))
+        two_sided.append(float(g - max(rivals + row)))
+    reports.append(_slack_report("growth-balance", "balance", balance))
+    reports.append(_slack_report("adjoint-dominance", "adjoint", adjoint))
+    reports.append(_slack_report("two-sided-dominance", "two-sided", two_sided))
     return reports
+
+
+def check_polynomial(fam: PolynomialFamily) -> list[HypothesisReport]:
+    """Exponent hypotheses of the polynomial family (diffusion lag 1)."""
+    return _exponent_table(fam, lag=1.0)
 
 
 def check_exponential(fam: ExponentialFamily) -> list[HypothesisReport]:
     """Exponent hypotheses of the exponential family (growth compared inside exp)."""
-    m = fam.dims.m
-    reports = [
-        HypothesisReport("family-signs", "holds",
-                         margins={"eta_min": float(fam.eta.min()),
-                                  "theta_diag_min": float(np.diag(fam.theta).min())},
-                         note="sign and symmetry constraints enforced by the constructor"),
-        _offdiag_dominance(fam),
-        _diffusion_dominance(fam),
-    ]
-    margins, worst = {}, (math.inf, None)
-    for k in range(m):
-        slack = float(max(fam.beta_min(k), fam.gamma[k, k]) - fam.alpha_max(k))
-        margins[f"balance[{k}]"] = slack
-        if slack < worst[0]:
-            worst = (slack, (k,))
-    reports.append(HypothesisReport(
-        "growth-balance", "holds" if worst[0] > 0 else "fails",
-        witness=None if worst[0] > 0 else worst[1], margins=margins))
-
-    margins, worst = {}, (math.inf, None)
-    for k in range(m):
-        rivals = [fam.alpha_max(k), fam.beta_max(k)]
-        rivals += [float(fam.gamma[h, k]) for h in range(m) if h != k and fam.theta[h, k] != 0.0]
-        slack = float(fam.gamma[k, k] - max(rivals))
-        margins[f"adjoint[{k}]"] = slack
-        if slack < worst[0]:
-            worst = (slack, (k,))
-    reports.append(HypothesisReport(
-        "adjoint-dominance", "holds" if worst[0] > 0 else "fails",
-        witness=None if worst[0] > 0 else worst[1], margins=margins))
-
-    margins, worst = {}, (math.inf, None)
-    for k in range(m):
-        rivals = [fam.alpha_max(k), fam.beta_max(k)]
-        rivals += [float(fam.gamma[h, k]) for h in range(m) if h != k and fam.theta[h, k] != 0.0]
-        rivals += [float(fam.gamma[k, h]) for h in range(m) if h != k and fam.theta[k, h] != 0.0]
-        slack = float(fam.gamma[k, k] - max(rivals))
-        margins[f"two-sided[{k}]"] = slack
-        if slack < worst[0]:
-            worst = (slack, (k,))
-    reports.append(HypothesisReport(
-        "two-sided-dominance", "holds" if worst[0] > 0 else "fails",
-        witness=None if worst[0] > 0 else worst[1], margins=margins))
-    return reports
+    return _exponent_table(fam, lag=0.0)
 
 
 # ---------------------------------------------------------------------------
 # row-sum lower bound
 # ---------------------------------------------------------------------------
 
-def _family_log_absdivb_terms(fam: _FamilyBase, k: int, pts: np.ndarray) -> np.ndarray:
-    """log of the d per-axis magnitudes of div b^k; all carry the same (negative) sign."""
-    r = 1.0 + np.sum(pts * pts, axis=-1)
-    if isinstance(fam, PolynomialFamily):
-        grow = fam.beta[k] * np.log(r)[:, None]
-        inner = 1.0 + 2.0 * fam.beta[k] * pts * pts / r[:, None]
-    else:
-        grow = r[:, None] ** fam.beta[k]
-        inner = 1.0 + 2.0 * fam.beta[k] * pts * pts * r[:, None] ** (fam.beta[k] - 1.0)
-    return (np.log(fam.eta[k])[None, :] + grow + np.log(inner)).T  # (d, n)
-
-
-def _effective_rows(system, pts: np.ndarray, adjoint: bool) -> np.ndarray:
-    """Row sums of the cooperative potential; the adjoint transposes and
-    adds div b.  Shape (m, n).  Families run fully in log space so a huge
-    potential degrades to +/- inf rather than NaN against a huge drift."""
-    if not isinstance(system, _FamilyBase):
-        sums = _vp_row_col_sums(system, pts, adjoint)
-        if adjoint:
-            for h in range(system.dims.m):
-                sums[h] = sums[h] + np.asarray(system.divb(h, pts), dtype=float)
-        return sums
-
-    fam = system
-    m = fam.dims.m
-    r = 1.0 + np.sum(pts * pts, axis=-1)
-    out = np.empty((m, len(r)))
-    with np.errstate(over="ignore"):
-        for k in range(m):
-            logs = [fam.log_growth_V(k, k, r)[None, :]]
-            signs = [np.ones((1, len(r)))]
-            for l in range(m):
-                if l == k:
-                    continue
-                h_idx, l_idx = (l, k) if adjoint else (k, l)
-                if fam.theta[h_idx, l_idx] == 0.0:
-                    continue
-                logs.append(fam.log_growth_V(h_idx, l_idx, r)[None, :])
-                signs.append(-np.ones((1, len(r))))
-            if adjoint:
-                terms = _family_log_absdivb_terms(fam, k, pts)
-                logs.append(terms)
-                signs.append(-np.ones_like(terms))
-            mag, sign = _signed_log_sum(np.concatenate(logs, axis=0),
-                                        np.concatenate(signs, axis=0), axis=0)
-            vals = sign * np.exp(np.minimum(mag, _LOG_MAX))
-            vals[mag > _LOG_MAX] = np.inf * sign[mag > _LOG_MAX]
-            out[k] = vals
-    return out
-
-
-def compute_row_sum_bound(system, adjoint: bool = False, radius: float = 20.0,
+def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_RADIUS,
                           per_axis: Optional[int] = None) -> RowSumBound:
     """Grid infimum of the worst cooperative row sum, with a tail probe.
 
@@ -308,7 +210,7 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = 20.0,
     d = system.dims.d
     n = _points_per_axis(d, per_axis)
     pts = _grid_points(d, radius, n)
-    sums = _effective_rows(system, pts, adjoint)
+    sums = _cooperative_row_sums(system, pts, adjoint, with_divb=adjoint)
     M = float(np.min(sums))
 
     dirs = []
@@ -326,7 +228,7 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = 20.0,
     for v in dirs:
         radii = radius * np.array([1.0, 1.25, 1.5, 2.0])
         probe = np.stack([rr * v for rr in radii])
-        vals = _effective_rows(system, probe, adjoint).min(axis=0)
+        vals = _cooperative_row_sums(system, probe, adjoint, with_divb=adjoint).min(axis=0)
         for lo, hi in zip(vals[:-1], vals[1:]):
             if hi >= lo:
                 continue
@@ -338,7 +240,7 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = 20.0,
     return RowSumBound(M=M, method=method, certified_tail=certified)
 
 
-def check_base(system, radius: float = 20.0) -> tuple[list[HypothesisReport], RowSumBound]:
+def check_base(system, radius: float = SAMPLE_RADIUS) -> tuple[list[HypothesisReport], RowSumBound]:
     """Baseline well-posedness checks for any coefficient system.
 
     Regularity is assumed (reported as a note), ellipticity is certified
@@ -405,16 +307,6 @@ def check_base(system, radius: float = 20.0) -> tuple[list[HypothesisReport], Ro
 # constants ledger
 # ---------------------------------------------------------------------------
 
-def _signed_log_sum(logabs: np.ndarray, sign: np.ndarray, axis: int = 0):
-    """Stable signed sum of terms given by (log|term|, sign); returns (log|sum|, sign)."""
-    M = np.max(logabs, axis=axis, keepdims=True)
-    M = np.where(np.isfinite(M), M, 0.0)
-    acc = np.sum(sign * np.exp(logabs - M), axis=axis)
-    out_sign = np.sign(acc)
-    out = np.squeeze(M, axis=axis) + np.log(np.maximum(np.abs(acc), 1e-300))
-    return out, out_sign
-
-
 def _log_norm_from_entries(logabs: np.ndarray, axis: int = 0) -> np.ndarray:
     """log of the Euclidean/Frobenius norm from log|entries|."""
     M = np.max(logabs, axis=axis, keepdims=True)
@@ -424,30 +316,19 @@ def _log_norm_from_entries(logabs: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _family_log_entries(fam: _FamilyBase, k: int, pts: np.ndarray):
-    """Log-magnitudes and signs of Q, R, b entries plus |row V| in log space."""
-    d = fam.dims.d
+    """Log-magnitudes and signs of the Q, R and b entries of a family."""
     r = 1.0 + np.sum(pts * pts, axis=-1)
-    absx = np.abs(pts)
-    logr = np.log(r)
-    poly = isinstance(fam, PolynomialFamily)
+    r3, a = r[:, None, None], fam.alpha[k]
+    logx = np.log(np.maximum(np.abs(pts), 1e-300))
     with np.errstate(divide="ignore"):
-        if poly:
-            growQ = fam.alpha[k] * logr[:, None, None]
-            growb = fam.beta[k] * logr[:, None]
-        else:
-            growQ = r[:, None, None] ** fam.alpha[k]
-            growb = r[:, None] ** fam.beta[k]
-        logQ = np.log(np.abs(fam.zeta[k]))[None, :, :] + growQ
+        grow = fam._log_grow(r3, a)
+        logQ = np.log(np.abs(fam.zeta[k]))[None, :, :] + grow
         signQ = np.broadcast_to(np.sign(fam.zeta[k]), logQ.shape)
-        # R_ij = 2 zeta_ij alpha_ij x_i r^(alpha_ij - 1) (* e^{r^alpha_ij} for exp)
-        core = np.log(2.0 * np.abs(fam.zeta[k]) * fam.alpha[k])[None, :, :] \
-            + (fam.alpha[k] - 1.0) * logr[:, None, None] \
-            + np.log(np.maximum(absx, 1e-300))[:, :, None]
-        if not poly:
-            core = core + r[:, None, None] ** fam.alpha[k]
-        logR = core
+        # R_ij = 2 zeta_ij x_i g'(r, alpha_ij), as in the family's R
+        logR = np.log(2.0 * np.abs(fam.zeta[k]) * a)[None, :, :] + grow \
+            + np.log(fam._chain(1.0, r3, a)) + logx[:, :, None]
         signR = np.sign(fam.zeta[k])[None, :, :] * np.sign(pts)[:, :, None]
-        logb = np.log(fam.eta[k])[None, :] + np.log(np.maximum(absx, 1e-300)) + growb
+        logb = np.log(fam.eta[k])[None, :] + logx + fam._log_grow(r[:, None], fam.beta[k])
         signb = -np.sign(pts)
     return logQ, signQ, logR, signR, logb, signb
 
@@ -460,30 +341,6 @@ def _family_log_V_row(fam: _FamilyBase, h: int, r: np.ndarray) -> np.ndarray:
         if fam.theta[h, k] != 0.0:
             rows[k] = fam.log_growth_V(h, k, r)
     return _log_norm_from_entries(rows, axis=0)
-
-
-def _ledger_shapes(fam: _FamilyBase, w: SpaceTimeWeight):
-    """Per-item t-shape callables for the analytic envelope of c_1..c_8."""
-    sig, rho = w.sigma, w.rho
-    if isinstance(fam, PolynomialFamily):
-        abar = fam.abar()
-        bbar = fam.bbar()
-        gmax = float(fam.gamma.max())
-        powers = [0.0,
-                  -(sig / (2 * rho)) * (2 * abar - 1.0),
-                  -(sig / rho) * (abar - 1.0),
-                  -1.0,
-                  -(sig / rho) * gmax,
-                  -(sig / (2 * rho)) * (2 * bbar + 1.0),
-                  -(sig / rho) * abar,
-                  -(sig / (2 * rho)) * (2 * abar - 1.0)]
-        return [lambda t, p=p: t ** p for p in powers]
-    spike = lambda t: math.exp(0.25 * t ** (-sig))
-    return [lambda t: 1.0,
-            lambda t: t ** sig * spike(t),
-            lambda t: t ** sig * spike(t),
-            lambda t: t ** (-1.0),
-            spike, spike, spike, spike]
 
 
 def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
@@ -524,8 +381,6 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     ts = plan.times(a0, b0)
     sups = np.zeros(8)
     arg_edge = [False] * 8
-    shape_cal = np.zeros(8)
-    shapes = _ledger_shapes(system, w) if is_family else None
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
 
     # the coefficients depend on x only: per component, the log-entries of
@@ -619,8 +474,6 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
             if t_sup[i] > sups[i]:
                 sups[i] = t_sup[i]
                 arg_edge[i] = bool(edge[t_arg[i]])
-            if shapes is not None:
-                shape_cal[i] = max(shape_cal[i], t_sup[i] / shapes[i](t))
 
     row = compute_row_sum_bound(system, adjoint=adjoint, radius=plan.radius)
     if inner is None:
@@ -628,19 +481,8 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
         a, b = a0 + quarter, b0 - quarter
     else:
         a, b = inner
-    analytic = None
-    if shapes is not None:
-        tdense = np.linspace(a0, b0, 257)
-        analytic = []
-        for i in range(8):
-            env = shape_cal[i] * max(shapes[i](tt) for tt in tdense)
-            analytic.append(max(env, sups[i]))
-        # the weight never exceeds nu1, so 1 is always a valid first envelope
-        analytic[0] = max(1.0, sups[0]) if sups[0] <= 1.0 + 1e-12 else analytic[0]
-        analytic = tuple(analytic)
-
     return ConstantsLedger(d=d, s=s, window=(a0, a, b, b0), c=tuple(sups), M=row.M,
-                           analytic=analytic, boundary_flags=tuple(arg_edge))
+                           boundary_flags=tuple(arg_edge))
 
 
 # ---------------------------------------------------------------------------

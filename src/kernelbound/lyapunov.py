@@ -42,7 +42,6 @@ from .coefficients import (
     ExponentialFamily,
     PolynomialFamily,
     _FamilyBase,
-    eval_VP,
     operator_spec_of,
 )
 from .errors import CertificateError, DomainError, SaturationError, SynthesisError
@@ -488,7 +487,9 @@ class CertificateReport:
     message: str
 
 
-# default points per axis of certificate and ledger sample grids
+# default radius of the certificate, ledger and row-sum sample boxes, and
+# their default points per axis
+SAMPLE_RADIUS = 20.0
 _GRID_POINTS = {1: 513, 2: 65}
 
 
@@ -503,42 +504,59 @@ def _grid_points(d: int, radius: float, per_axis: Optional[int] = None) -> np.nd
     return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
 
-def _vp_row_col_sums(system, pts: np.ndarray, adjoint: bool) -> np.ndarray:
-    """Row (or column, for the adjoint) sums of the cooperative potential.
+def _signed_log_sum(logabs: np.ndarray, sign: np.ndarray, axis: int = 0):
+    """Stable signed sum of terms given by (log|term|, sign); returns (log|sum|, sign)."""
+    M = np.max(logabs, axis=axis, keepdims=True)
+    M = np.where(np.isfinite(M), M, 0.0)
+    acc = np.sum(sign * np.exp(logabs - M), axis=axis)
+    out_sign = np.sign(acc)
+    out = np.squeeze(M, axis=axis) + np.log(np.maximum(np.abs(acc), 1e-300))
+    return out, out_sign
 
-    Family systems get an overflow-safe evaluation: the diagonal growth is
-    factored out in log space so huge entries degrade to +/- inf instead of
-    NaN.  Returns shape (m, n).
+
+def _cooperative_row_sums(system, pts: np.ndarray, adjoint: bool,
+                          with_divb: bool = False) -> np.ndarray:
+    """Row sums of the cooperative potential V^P, shape (m, n).
+
+    The adjoint takes column sums instead, and with_divb adds div b to them.
+    The terms, diagonal first, are summed in log space after factoring out
+    the largest, so whichever entry dominates, a huge sum degrades to +/- inf
+    rather than NaN.  Families hand over log|v_hl| and the log-magnitudes of
+    the (negative) per-axis div b terms without forming the entries.
     """
-    if isinstance(system, _FamilyBase):
-        m = system.dims.m
+    spec = operator_spec_of(system)
+    m, n = spec.dims.m, len(pts)
+    fam = system if isinstance(system, _FamilyBase) else None
+    if fam is not None:
         r = 1.0 + np.sum(pts * pts, axis=-1)
-        out = np.empty((m, len(r)))
-        with np.errstate(over="ignore"):
-            for k in range(m):
-                # factor out the diagonal growth: sum = e^lead * acc with
-                # acc = 1 - sum_off e^(off growth - lead); off-diagonal
-                # cooperative entries always subtract
-                lead = system.log_growth_V(k, k, r)
-                acc = np.ones_like(r)
-                for l in range(m):
-                    if l == k:
-                        continue
-                    h_idx, l_idx = (l, k) if adjoint else (k, l)
-                    if system.theta[h_idx, l_idx] == 0.0:
-                        continue
-                    rel = system.log_growth_V(h_idx, l_idx, r) - lead
-                    acc -= np.exp(np.minimum(rel, _LOG_MAX))
-                sign = np.sign(acc)
-                mag = lead + np.log(np.maximum(np.abs(acc), 1e-300))
-                vals = sign * np.exp(np.minimum(mag, _LOG_MAX))
-                vals[mag > _LOG_MAX] = np.inf * sign[mag > _LOG_MAX]
-                out[k] = vals
-        return out
-    V = np.asarray(system.V(pts), dtype=float)
-    VP = eval_VP(V)
-    sums = VP.sum(axis=-2) if adjoint else VP.sum(axis=-1)  # (n, m)
-    return sums.T
+    else:
+        V = np.asarray(spec.V(pts), dtype=float)
+    out = np.empty((m, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        for k in range(m):
+            logs, signs = [], []
+            for l in [k] + [l for l in range(m) if l != k]:
+                h, c = (l, k) if adjoint else (k, l)
+                if fam is None:
+                    logs.append(np.log(np.abs(V[:, h, c])))
+                    signs.append(np.sign(V[:, h, c]) if l == k else np.full(n, -1.0))
+                elif fam.theta[h, c] != 0.0:
+                    # off-diagonal cooperative entries always subtract
+                    logs.append(fam.log_growth_V(h, c, r))
+                    signs.append(np.full(n, 1.0 if l == k else -1.0))
+            if with_divb and fam is None:
+                db = np.asarray(spec.divb(k, pts), dtype=float)
+                logs.append(np.log(np.abs(db)))
+                signs.append(np.sign(db))
+            elif with_divb:
+                terms = fam._log_abs_divb_terms(k, pts, r)
+                logs.extend(terms)
+                signs.extend(np.full(terms.shape, -1.0))
+            mag, sign = _signed_log_sum(np.array(logs), np.array(signs), axis=0)
+            vals = sign * np.exp(np.minimum(mag, _LOG_MAX))
+            vals[mag > _LOG_MAX] = np.inf * sign[mag > _LOG_MAX]
+            out[k] = vals
+    return out
 
 
 @dataclass(frozen=True)
@@ -561,7 +579,7 @@ class GridFields:
 def grid_fields(system, pts: np.ndarray, adjoint: bool) -> GridFields:
     """Evaluate the time-invariant fields of _generator_ratio on pts."""
     spec = operator_spec_of(system)
-    vp_sums = _vp_row_col_sums(system, pts, adjoint)
+    vp_sums = _cooperative_row_sums(system, pts, adjoint)
     Qs, drifts, divbs = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(spec.dims.m):
@@ -619,7 +637,7 @@ def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpe
 
 
 def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
-                       radius: float = 20.0, tolerance: float = 0.01,
+                       radius: float = SAMPLE_RADIUS, tolerance: float = 0.01,
                        per_axis: Optional[int] = None) -> CertificateReport:
     """Validate a Lyapunov certificate on a grid and its radius-doubled version.
 

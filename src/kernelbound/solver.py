@@ -3,8 +3,11 @@
 The whole-space kernels are limits of Dirichlet kernels on [-R, R]^d, so
 everything numeric happens on a uniform interior grid of such a box:
 
-* the generator is assembled in flux form: diffusion uses face-centered
-  coefficients (exact local conservation, symmetric stencil), drift is
+* the generator is assembled in flux form by one stencil that loops over
+  the axes.  Diffusion uses face-centered coefficients (exact local
+  conservation): along each axis the faces sit at -R + (i + 1/2) h, Q is
+  evaluated once per face, and the two nodes that share a face read the
+  same value, so the diffusion part is exactly symmetric.  Drift is
   centered but switches to upwind differences wherever the cell Peclet
   number |b| h / (2 q) exceeds 1, and the potential couples the m
   components of each node through a dense m x m block.  Unknowns are
@@ -56,7 +59,7 @@ from .errors import (
     SolveError,
 )
 
-_DEFAULT_BUDGET = 4_000_000
+DEFAULT_BUDGET = 4_000_000
 _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
@@ -174,60 +177,32 @@ def _check_coefficient_block(name: str, arr: np.ndarray):
         raise AssemblyError(f"{name} evaluates non-finite on the grid")
 
 
-def _component_stencil_1d(spec, grid: GridSpec, k: int):
-    h = grid.spacing
-    n = grid.n_nodes
-    x = grid.points()
-    # face j sits at -R + (j + 1/2) h; node j has faces j and j+1 around it
-    faces = (-grid.radius + (np.arange(grid.cells_per_axis) + 0.5) * h)[:, None]
-    qf = np.asarray(spec.Q(k, faces), dtype=float)[:, 0, 0]
-    qn = np.asarray(spec.Q(k, x), dtype=float)[:, 0, 0]
-    bn = np.asarray(spec.b(k, x), dtype=float)[:, 0]
-    _check_coefficient_block("Q", qf)
-    _check_coefficient_block("b", bn)
-    if np.any(qf <= 0) or np.any(qn <= 0):
-        raise AssemblyError(f"equation {k}: diffusion must be positive on faces and nodes")
+def _component_stencil(spec, grid: GridSpec, k: int):
+    """Rows, columns and values of equation k's diffusion and drift, any d.
 
-    diag = -(qf[:-1] + qf[1:]) / h ** 2
-    right = qf[1:-1] / h ** 2          # node j -> j+1, j = 0..n-2
-    left = qf[1:-1] / h ** 2           # node j -> j-1, j = 1..n-1
-
-    pe = np.abs(bn) * h / (2.0 * qn)
-    centered = pe <= 1.0
-    up_pos = (~centered) & (bn > 0)
-    up_neg = (~centered) & (bn < 0)
-
-    drift_diag = np.where(up_pos, -bn / h, 0.0) + np.where(up_neg, bn / h, 0.0)
-    drift_right = np.where(centered, bn / (2 * h), 0.0) + np.where(up_pos, bn / h, 0.0)
-    drift_left = np.where(centered, -bn / (2 * h), 0.0) + np.where(up_neg, -bn / h, 0.0)
-
-    rows = [np.arange(n), np.arange(n - 1), np.arange(1, n)]
-    cols = [np.arange(n), np.arange(1, n), np.arange(n - 1)]
-    vals = [diag + drift_diag, right + drift_right[:-1], left + drift_left[1:]]
-    return rows, cols, vals
-
-
-def _component_stencil_2d(spec, grid: GridSpec, k: int):
-    h = grid.spacing
-    n1 = grid.n_per_axis
+    Along axis a, node i has the faces i and i + 1 of that axis around it,
+    face f sitting at -R + (f + 1/2) h; Q is evaluated once per face, so the
+    two nodes that share a face read the same coefficient.
+    """
+    d, h, n1 = grid.d, grid.spacing, grid.n_per_axis
     n = grid.n_nodes
     pts = grid.points()
     P = np.arange(n)
-    IX, IY = P // n1, P % n1
-    stride = (n1, 1)
-    has = {
-        (0, +1): IX < n1 - 1, (0, -1): IX > 0,
-        (1, +1): IY < n1 - 1, (1, -1): IY > 0,
-    }
+    index = np.indices((n1,) * d).reshape(d, -1)  # per-axis node indices
+    stride = [n1 ** (d - 1 - a) for a in range(d)]
+    has = {(a, s): index[a] < n1 - 1 if s > 0 else index[a] > 0
+           for a in range(d) for s in (1, -1)}
 
-    Qn = np.asarray(spec.Q(k, pts), dtype=float)
-    bn = np.asarray(spec.b(k, pts), dtype=float)
+    Qn = np.asarray(spec.Q(k, pts), dtype=float).reshape(n, d, d)
+    bn = np.asarray(spec.b(k, pts), dtype=float).reshape(n, d)
     _check_coefficient_block("Q", Qn)
     _check_coefficient_block("b", bn)
     eigs = np.linalg.eigvalsh(0.5 * (Qn + np.swapaxes(Qn, 1, 2)))
     if float(eigs[:, 0].min()) <= 0:
         raise AssemblyError(f"equation {k}: diffusion not positive definite on the grid")
 
+    ax = grid.axis_coords()
+    faces = -grid.radius + (np.arange(n1 + 1) + 0.5) * h
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
 
@@ -236,42 +211,42 @@ def _component_stencil_2d(spec, grid: GridSpec, k: int):
         cols.append(target[mask])
         vals.append(value[mask])
 
-    for a in range(2):
-        e = np.zeros(2)
-        e[a] = 0.5 * h
-        qp = np.asarray(spec.Q(k, pts + e), dtype=float)[:, a, a]
-        qm = np.asarray(spec.Q(k, pts - e), dtype=float)[:, a, a]
+    for a in range(d):
+        # Q on every face of axis a, then on the minus and plus face of each node
+        axes = [faces if c == a else ax for c in range(d)]
+        fpts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        qf = np.asarray(spec.Q(k, fpts), dtype=float).reshape([len(x) for x in axes] + [d, d])
+        _check_coefficient_block("Q", qf)
+        Qm, Qp = (qf[(slice(None),) * a + (s,)].reshape(n, d, d)
+                  for s in (slice(None, -1), slice(1, None)))
+        qm, qp = Qm[:, a, a], Qp[:, a, a]
         if np.any(qp <= 0) or np.any(qm <= 0):
             raise AssemblyError(f"equation {k}: diffusion must be positive on faces")
-        diag += -(qp + qm) / h ** 2
-        couple(has[(a, +1)], P + stride[a], qp / h ** 2)
-        couple(has[(a, -1)], P - stride[a], qm / h ** 2)
 
+        # drift: centered, upwind where the cell Peclet number exceeds 1
         ba = bn[:, a]
         pe = np.abs(ba) * h / (2.0 * Qn[:, a, a])
         centered = pe <= 1.0
         up_pos = (~centered) & (ba > 0)
         up_neg = (~centered) & (ba < 0)
+        diag += -(qm + qp) / h ** 2
         diag += np.where(up_pos, -ba / h, 0.0) + np.where(up_neg, ba / h, 0.0)
-        couple(has[(a, +1)] & (centered | up_pos), P + stride[a],
-               np.where(centered, ba / (2 * h), ba / h))
-        couple(has[(a, -1)] & (centered | up_neg), P - stride[a],
-               np.where(centered, -ba / (2 * h), -ba / h))
+        couple(has[(a, 1)], P + stride[a], qp / h ** 2
+               + np.where(centered, ba / (2 * h), np.where(up_pos, ba / h, 0.0)))
+        couple(has[(a, -1)], P - stride[a], qm / h ** 2
+               + np.where(centered, -ba / (2 * h), np.where(up_neg, -ba / h, 0.0)))
 
-    # mixed diffusion D_0(q01 D_1 u) + D_1(q01 D_0 u), only when present
-    if np.any(Qn[:, 0, 1] != 0.0):
-        for a in range(2):
-            o = 1 - a
-            e = np.zeros(2)
-            e[a] = 0.5 * h
-            qp = np.asarray(spec.Q(k, pts + e), dtype=float)[:, 0, 1]
-            qm = np.asarray(spec.Q(k, pts - e), dtype=float)[:, 0, 1]
+        # mixed diffusion D_a(q_ao D_o u), only where present
+        for o in range(d):
+            if o == a or not np.any(Qn[:, a, o] != 0.0):
+                continue
+            qm, qp = Qm[:, a, o], Qp[:, a, o]
             c = 1.0 / (4.0 * h ** 2)
-            couple(has[(o, +1)], P + stride[o], (qp - qm) * c)
+            couple(has[(o, 1)], P + stride[o], (qp - qm) * c)
             couple(has[(o, -1)], P - stride[o], -(qp - qm) * c)
-            couple(has[(a, +1)] & has[(o, +1)], P + stride[a] + stride[o], qp * c)
-            couple(has[(a, +1)] & has[(o, -1)], P + stride[a] - stride[o], -qp * c)
-            couple(has[(a, -1)] & has[(o, +1)], P - stride[a] + stride[o], -qm * c)
+            couple(has[(a, 1)] & has[(o, 1)], P + stride[a] + stride[o], qp * c)
+            couple(has[(a, 1)] & has[(o, -1)], P + stride[a] - stride[o], -qp * c)
+            couple(has[(a, -1)] & has[(o, 1)], P - stride[a] + stride[o], -qm * c)
             couple(has[(a, -1)] & has[(o, -1)], P - stride[a] - stride[o], qm * c)
 
     rows.append(P)
@@ -304,11 +279,7 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
 
     rows_all, cols_all, vals_all = [], [], []
     for k in range(m):
-        if grid.d == 1:
-            rows, cols, vals = _component_stencil_1d(spec, grid, k)
-        else:
-            rows, cols, vals = _component_stencil_2d(spec, grid, k)
-        for r, c, v in zip(rows, cols, vals):
+        for r, c, v in zip(*_component_stencil(spec, grid, k)):
             rows_all.append(r * m + k)
             cols_all.append(c * m + k)
             vals_all.append(v)
@@ -353,7 +324,7 @@ class OperatorHandle:
     the factorization of the latest theta step."""
 
     def __init__(self, system, grid: GridSpec, variant: str = "P",
-                 budget: int = _DEFAULT_BUDGET):
+                 budget: int = DEFAULT_BUDGET):
         spec = operator_spec_of(system)
         dof = grid.n_nodes * spec.dims.m
         if dof > budget:

@@ -25,7 +25,8 @@ from .bounds import eval_H
 from .coefficients import CouplingSupport, _FamilyBase
 from .errors import DomainError, KernelBoundError
 from .hypotheses import RowSumBound, compute_row_sum_bound, estimate_ledger
-from .lyapunov import SynthesisResult, TimeLyapunovSpec, verify_certificate
+from .lyapunov import (SAMPLE_RADIUS, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec,
+                       verify_certificate)
 from .solver import (FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField, GridSpec,
                      OperatorHandle, default_dt, kernel_columns, load_field,
                      save_field)
@@ -436,7 +437,7 @@ def check_mass_and_positivity(system, grid: GridSpec,
     sys_fp = system_fingerprint(system)
     handle = OperatorHandle(system, grid, variant="P")
     if row is None:
-        row = compute_row_sum_bound(system, radius=max(20.0, 2.0 * grid.radius))
+        row = compute_row_sum_bound(system, radius=max(SAMPLE_RADIUS, 2.0 * grid.radius))
     fp = _fingerprint("mass-positivity", sys_fp, grid.d, grid.radius,
                       grid.spacing, tuple(t_values), tol, pos_tol, row.M, theta)
     sqm = math.sqrt(handle.m)
@@ -654,7 +655,7 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
     sys_fp = system_fingerprint(system)
     if eps is None:
         eps = timed.eps_T / 4.0
-    radius = cert_radius if cert_radius is not None else max(20.0, 2.0 * grid.radius)
+    radius = cert_radius if cert_radius is not None else max(SAMPLE_RADIUS, 2.0 * grid.radius)
     spec_used = _calibrated_scaled(system, timed, eps / timed.eps_T, radius)
     fp = _fingerprint("integrability", sys_fp, grid.d, grid.radius,
                       grid.spacing, tuple(t_values),
@@ -703,7 +704,7 @@ def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
 
 def calibrate_majorant(system, synthesis: SynthesisResult,
                        eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
-                       cert_radius: float = 20.0) -> tuple:
+                       cert_radius: float = SAMPLE_RADIUS) -> tuple:
     """The comparison weights nu1, nu2 of weighted_majorant, calibrated.
 
     Their growth constants depend on the synthesis, the eps scales and the
@@ -719,7 +720,7 @@ def calibrate_majorant(system, synthesis: SynthesisResult,
 def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       t: Optional[float] = None,
                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
-                      adjoint: bool = False, cert_radius: float = 20.0,
+                      adjoint: bool = False, cert_radius: float = SAMPLE_RADIUS,
                       window: Optional[Sequence[float]] = None,
                       calibrated: Optional[tuple] = None) -> tuple:
     """Ledger and constant majorant value over a time window.
@@ -766,7 +767,7 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                          adjoint_synthesis: Optional[SynthesisResult] = None,
                          C_cal: Optional[float] = None,
                          majorant_override: Optional[Callable] = None,
-                         cert_radius: float = 20.0,
+                         cert_radius: float = SAMPLE_RADIUS,
                          store: Optional[KernelStore] = None) -> CheckResult:
     """Weighted kernel suprema stay calibrated under mesh and box refinement.
 
@@ -863,23 +864,23 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
 
 
 def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
-                      x0, component: int, eps: float, sigma: float, rho: float,
+                      x0, component: int, weight: SpaceTimeWeight,
                       dt: Optional[float] = None, width: Optional[float] = None,
                       theta: float = 0.5, core_radius: float = 1.0,
                       tail_range: tuple = (2.0, 4.0), slack: float = 0.5,
                       store: Optional[KernelStore] = None) -> CheckResult:
     """Kernel tails decay at least as fast as the certified profile.
 
-    Adds the certified decay exponent eps t^sigma (1 + |y|^2)^rho back onto
-    log sum_k p_hk(t, x0, y); if the kernel obeys the bound, the compensated
-    profile cannot climb from the core into the tail by more than slack.
-    Adjoint columns provide the y-dependence in a single run per time.
+    Adds the log of the family's decay weight, weight.log_value(t, y), back
+    onto log sum_k p_hk(t, x0, y); if the kernel obeys the bound, the
+    compensated profile cannot climb from the core into the tail by more than
+    slack.  Adjoint columns provide the y-dependence in a single run per time.
     """
     d = grid.d
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("decay-shape", sys_fp, grid.d, grid.radius, grid.spacing,
-                      tuple(t_values), tuple(_center(x0, d)), component, eps,
-                      sigma, rho, core_radius, tail_range, slack)
+                      tuple(t_values), tuple(_center(x0, d)), component, weight,
+                      core_radius, tail_range, slack)
     handle = OperatorHandle(system, grid, variant="P_adjoint")
     pts = grid.points()
     rr = np.sqrt(np.sum(pts * pts, axis=-1))
@@ -891,8 +892,7 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
                             sys_fp=sys_fp)
         total = np.sum(np.abs(col.values), axis=1)
         noise = 1e-13 * max(float(np.max(total)), _TINY)
-        phi = np.log(np.maximum(total, _TINY)) \
-            + eps * t ** sigma * (1.0 + rr * rr) ** rho
+        phi = np.log(np.maximum(total, _TINY)) + weight.log_value(t, pts, d)
         core = phi[rr <= core_radius]
         tail_mask = (rr >= tail_range[0]) & (rr <= tail_range[1]) & (total > noise)
         if core.size == 0 or not np.any(tail_mask):
@@ -905,7 +905,7 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
             worst = rise
             loc = (t, _loc_pt(x0, d), _loc_pt(pts[node], d), component, None)
     return _result("check_decay_shape", worst, slack, loc, fp,
-                   {"samples": samples, "eps": eps, "sigma": sigma, "rho": rho})
+                   {"samples": samples, "weight": weight})
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,7 @@ def test_criterion_11_decay_shape(headline_synthesis):
     res = check_decay_shape(headline_synthesis["family"],
                             GridSpec(1, 6.0, 1.0 / 16),
                             t_values=(0.25, 0.5), x0=0.0, component=0,
-                            eps=0.5 * timed.eps_T, sigma=timed.sigma,
-                            rho=timed.base.rho)
+                            weight=timed.weight(0.5 * timed.eps_T))
     worsts.append(res.worst)
     ok = res.passed
     conclude(11, "tail decay shape", ok,

@@ -290,6 +290,19 @@ class TestVerifyCommand:
         assert (serial / "verify_results.csv").read_bytes() == \
             (parallel / "verify_results.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_freed_memory_is_released_after_each_check_run(
+            self, tmp_path, monkeypatch, jobs):
+        cli._release_freed_memory()  # the real trim, or a no-op off glibc
+        calls = []
+        monkeypatch.setattr(cli, "_release_freed_memory",
+                            lambda: calls.append(1))
+        cfg = make_config(tmp_path, verify={"checks": "mass support duality"})
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--jobs", jobs]) == 0
+        # mass, support once per component, duality
+        assert len(calls) == 4
+
     def test_two_jobs_match_one_job_on_a_2d_grid(self, tmp_path):
         # checks share store columns, and with two jobs either one may
         # compute a shared column first

@@ -177,6 +177,33 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             assemble_generator(const_spec(d=1), GridSpec(2, 2.0, 0.5), "P")
 
+    @staticmethod
+    def _variable_diffusion_spec(d):
+        """q(x) = 1 + |x|^2 on the diagonal, no drift, no potential."""
+        base = const_spec(d=d)
+
+        def Q(h, x):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
+            return (1.0 + np.sum(x * x, axis=-1))[:, None, None] * np.eye(d)
+
+        return OperatorSpec(dims=base.dims, Q=Q, b=base.b, V=base.V, R=base.R,
+                            divb=base.divb)
+
+    def test_2d_diffusion_is_exactly_symmetric_on_a_non_dyadic_grid(self):
+        # both nodes of a face read one coefficient, evaluated at the face
+        A = assemble_generator(self._variable_diffusion_spec(2), GridSpec(2, 1.0, 0.1), "P")
+        assert (A != A.T).nnz == 0
+
+    def test_1d_stencil_reads_q_at_the_shared_faces(self):
+        g = GridSpec(1, 1.0, 0.1)
+        h, n = g.spacing, g.n_nodes
+        faces = -g.radius + (np.arange(n + 1) + 0.5) * h
+        q = 1.0 + faces * faces
+        expected = np.diag(-(q[:-1] + q[1:]) / h ** 2) \
+            + np.diag(q[1:-1] / h ** 2, 1) + np.diag(q[1:-1] / h ** 2, -1)
+        A = assemble_generator(self._variable_diffusion_spec(1), g, "P").toarray()
+        assert np.array_equal(A, expected)
+
 
 class TestConsistency2D:
     def evaluate_errors(self, spacing):

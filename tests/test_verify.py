@@ -10,7 +10,7 @@ from kernelbound import verify
 from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
-from kernelbound.lyapunov import synth_poly
+from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
 from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, kernel_column
 from kernelbound.verify import (
     CheckResult,
@@ -613,8 +613,7 @@ class TestDecayShape:
         syn = synth_poly(fam, 1.0)
         res = check_decay_shape(fam, GridSpec(1, 6.0, 1.0 / 16),
                                 t_values=(0.25, 0.5), x0=0.5, component=0,
-                                eps=0.5 * syn.timed.eps_T,
-                                sigma=syn.timed.sigma, rho=syn.static.rho)
+                                weight=syn.timed.weight(0.5 * syn.timed.eps_T))
         assert res.passed, res.line()
 
     def test_excessive_decay_claim_fails(self):
@@ -622,9 +621,33 @@ class TestDecayShape:
         syn = synth_poly(fam, 1.0)
         res = check_decay_shape(fam, GridSpec(1, 6.0, 1.0 / 16),
                                 t_values=(0.5,), x0=0.5, component=0,
-                                eps=50.0, sigma=syn.timed.sigma,
-                                rho=syn.static.rho)
+                                weight=syn.timed.weight(50.0))
         assert res.status == "fail"
+
+    def test_exponential_family_is_compensated_by_its_own_profile(self):
+        fam = diagonal_family("exponential", 1, 2, beta=0.5,
+                              theta=[[1.0, 0.5], [0.5, 1.0]],
+                              gamma=[[1.0, 0.5], [0.5, 1.0]])
+        w = synth_exp(fam, 1.0).timed.weight()
+        assert w.form == "integrated-exp"
+        grid, t = GridSpec(1, 6.0, 1.0 / 16), 0.5
+        res = check_decay_shape(fam, grid, t_values=(t,), x0=0.0, component=0, weight=w)
+        # the rise from the adjoint column, compensated by the integrated-exp
+        # shape and, for contrast, by the power shape (1 + |y|^2)^rho
+        col = kernel_column(OperatorHandle(fam, grid, "P_adjoint"), t, 0.0, 0)
+        total = np.sum(np.abs(col.values), axis=1)
+        y = np.abs(grid.points()[:, 0])
+        core = y <= 1.0
+        tail = (y >= 2.0) & (y <= 4.0) & (total > 1e-13 * np.max(total))
+        amp = w.eps * t ** w.sigma
+
+        def rise(shape):
+            phi = np.log(np.maximum(total, 1e-300)) + amp * shape
+            return np.max(phi[tail]) - np.max(phi[core])
+
+        expected = rise(integrated_exp(1.0 + y * y, w.rho))
+        assert res.worst == pytest.approx(expected, abs=1e-12)
+        assert abs(rise((1.0 + y * y) ** w.rho) - expected) > 1.0
 
 
 class TestReporting:
