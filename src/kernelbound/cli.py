@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import math
 import os
 import sys
 import time
@@ -26,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, hypotheses, lyapunov, solver, verify
-from .coefficients import VARIANTS, PolynomialFamily
+from .coefficients import PolynomialFamily
 from .config import RunConfig, family_from_config, parse_config
 from .errors import BudgetError, ConfigError, KernelBoundError
 from .svg import polyline_plot
@@ -38,8 +37,6 @@ EXIT_PASS, EXIT_MATH, EXIT_CONFIG, EXIT_RESOURCE = 0, 1, 2, 3
 
 OUT_ENV = "KERNELBOUND_OUT"
 
-KNOWN_CHECKS = ("domination", "monotone", "mass", "support", "duality",
-                "chapman", "integrability", "weighted", "decay")
 RANDOMIZED_CHECKS = frozenset(("domination", "chapman"))
 
 
@@ -86,23 +83,17 @@ def _resolve_out(cfg: RunConfig, cli_out) -> str:
     env = os.environ.get(OUT_ENV)
     if env:
         return env
-    return cfg.get_str("output", "directory", ".")
+    return cfg.get("output", "directory")
 
 
 def _grid_params(cfg: RunConfig):
-    d = cfg.get_int("grid", "d")
-    if d not in (1, 2):
-        raise ConfigError("%s: grid.d must be 1 or 2, got %d"
-                          % (cfg._where("grid", "d"), d))
-    radii = cfg.get_floats("grid", "radii")
+    radii = cfg.get("grid", "radii")
     if any(r <= 0 for r in radii) or sorted(radii) != radii \
             or len(set(radii)) != len(radii):
         raise ConfigError("%s: grid.radii must be positive and strictly "
                           "increasing" % cfg._where("grid", "radii"))
-    spacing = cfg.get_float("grid", "spacing")
-    dt = cfg.get_float("grid", "dt", None)
-    theta = cfg.get_float("grid", "theta", 0.5)
-    return d, radii, spacing, dt, theta
+    return (cfg.get("grid", "d"), radii, cfg.get("grid", "spacing"),
+            cfg.get("grid", "dt"), cfg.get("grid", "theta"))
 
 
 def _point(row, d: int):
@@ -111,71 +102,66 @@ def _point(row, d: int):
 
 def _points_key(cfg: RunConfig, section: str, key: str, d: int,
                 default=None) -> Optional[list]:
-    if not cfg.has(section, key):
+    mat = cfg.get(section, key)
+    if mat is None:
         return default
-    mat = cfg.get_matrix(section, key)
     if mat.shape[1] != d:
         raise ConfigError("%s: %s.%s rows must have d = %d coordinates"
                           % (cfg._where(section, key), section, key, d))
     return [_point(row, d) for row in mat]
 
 
-def _synthesize(cfg: RunConfig, fam, target: str):
+def _components(cfg: RunConfig, section: str, m: int) -> list:
+    components = cfg.get(section, "components")
+    if components is None:
+        return list(range(m))
+    for k in components:
+        if not 0 <= k < m:
+            raise ConfigError("%s: %s.components entry %d outside 0..%d"
+                              % (cfg._where(section, "components"), section,
+                                 k, m - 1))
+    return components
+
+
+def _synthesize(cfg: RunConfig, fam, target: str, radius: float):
     """Deterministic synthesis plus grid calibration of the timed constant."""
-    T = cfg.get_float("lyapunov", "T", 1.0)
     fn = lyapunov.synth_poly if isinstance(fam, PolynomialFamily) \
         else lyapunov.synth_exp
-    result = fn(fam, T, target=target)
+    result = fn(fam, cfg.get("lyapunov", "T"), target=target)
     if target == "P":
         result = _apply_overrides(cfg, result)
-    radius = cfg.get_float("lyapunov", "radius", lyapunov.SAMPLE_RADIUS)
     report = lyapunov.verify_certificate(fam, result.timed, radius=radius)
     return replace(result, timed=report.certified), report
 
 
 def _apply_overrides(cfg: RunConfig, result):
     # forward-target overrides from [lyapunov]; adjoint synthesis is left alone
-    rho = cfg.get_float("lyapunov", "rho", None)
-    eps_hat = cfg.get_float("lyapunov", "eps_hat", None)
-    sigma = cfg.get_float("lyapunov", "sigma", None)
-    delta = cfg.get_float("lyapunov", "delta", None)
-    if all(v is None for v in (rho, eps_hat, sigma, delta)):
+    given = {key: cfg.get("lyapunov", key)
+             for key in ("rho", "eps_hat", "sigma", "delta")}
+    given = {key: value for key, value in given.items() if value is not None}
+    if not given:
         return result
-    static = result.static
-    static = replace(static,
-                     rho=static.rho if rho is None else rho,
-                     eps_hat=static.eps_hat if eps_hat is None else eps_hat)
-    timed = replace(result.timed, base=static,
-                    sigma=result.timed.sigma if sigma is None else sigma,
-                    delta=result.timed.delta if delta is None else delta,
-                    c0=None)
+    static = replace(result.static, **{key: given[key] for key in
+                                       ("rho", "eps_hat") if key in given})
+    timed = replace(result.timed, base=static, c0=None,
+                    **{key: given[key] for key in ("sigma", "delta")
+                       if key in given})
     return replace(result, static=static, timed=timed)
 
 
 def _bounds_params(cfg: RunConfig, d: int):
-    s = cfg.get_float("bounds", "s", float(d + 3))
+    """s, the fixed window or None, t_ref and eps_scales from [bounds]."""
+    s = cfg.get("bounds", "s")
+    if s is None:
+        s = float(d + 3)
     if s <= d + 2:
         raise ConfigError("%s: bounds.s must exceed d + 2 = %d, got %s"
                           % (cfg._where("bounds", "s"), d + 2, _g(s)))
-    mode = cfg.get_str("bounds", "window_mode", "proportional")
-    if mode not in ("proportional", "fixed"):
-        raise ConfigError("%s: bounds.window_mode must be proportional or "
-                          "fixed, got %r"
-                          % (cfg._where("bounds", "window_mode"), mode))
-    if mode == "fixed":
-        vals = cfg.get_floats("bounds", "window")
-        if len(vals) != 4:
-            raise ConfigError("%s: bounds.window needs 4 values a0 a b b0"
-                              % cfg._where("bounds", "window"))
-        window, t_ref = tuple(vals), None
-    else:
-        window, t_ref = None, cfg.get_float("bounds", "t_ref", 0.25)
-    eps_scales = tuple(cfg.get_floats("bounds", "eps_scales",
-                                      (0.5, 0.75, 1.0)))
-    if len(eps_scales) != 3:
-        raise ConfigError("%s: bounds.eps_scales needs exactly 3 values"
-                          % cfg._where("bounds", "eps_scales"))
-    return s, window, t_ref, eps_scales
+    window = None
+    if cfg.get("bounds", "window_mode") == "fixed":
+        window = tuple(cfg.get("bounds", "window"))
+    return (s, window, cfg.get("bounds", "t_ref"),
+            tuple(cfg.get("bounds", "eps_scales")))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +174,7 @@ def cmd_check(cfg: RunConfig, out: str) -> int:
         reports = hypotheses.check_polynomial(fam)
     else:
         reports = hypotheses.check_exponential(fam)
-    radius = cfg.get_float("verify", "radius", lyapunov.SAMPLE_RADIUS)
+    radius = cfg.get("verify", "radius")
     base_reports, row = hypotheses.check_base(fam, radius=radius)
     reports = list(reports) + list(base_reports)
     text = hypotheses.report_text(reports, row)
@@ -275,12 +261,12 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     fam = family_from_config(cfg)
     d = fam.dims.d
     s, window, t_ref, eps_scales = _bounds_params(cfg, d)
-    radius = cfg.get_float("lyapunov", "radius", lyapunov.SAMPLE_RADIUS)
+    radius = cfg.get("lyapunov", "radius")
 
-    forward, rep_ft = _synthesize(cfg, fam, "P")
+    forward, rep_ft = _synthesize(cfg, fam, "P", radius)
     rep_fs = lyapunov.verify_certificate(fam, forward.static, radius=radius)
     forward = replace(forward, static=rep_fs.certified)
-    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint")
+    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint", radius)
     rep_as = lyapunov.verify_certificate(fam, adjoint.static, radius=radius)
     adjoint = replace(adjoint, static=rep_as.certified)
 
@@ -303,7 +289,9 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     else:
         kind = "exponential"
         lam = lam_star = None
-        c_hat = cfg.get_float("bounds", "c_hat", bounds.default_c_hat(d))
+        c_hat = cfg.get("bounds", "c_hat")
+        if c_hat is None:
+            c_hat = bounds.default_c_hat(d)
     cert = bounds.BoundCertificate(
         kind=kind, d=d, s=s, ledger=ledger,
         eps=forward.timed.eps_T, sigma=forward.timed.sigma,
@@ -356,52 +344,37 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     fam = family_from_config(cfg)
     d, radii, spacing, dt, theta = _grid_params(cfg)
     grid = solver.GridSpec(d, radii[-1], spacing)
-    m = fam.dims.m
 
-    if not cfg.has("solve", "sources"):
+    sources = _points_key(cfg, "solve", "sources", d)
+    if sources is None:
         print("solve: no sources requested; store left empty")
         return EXIT_PASS
-    sources = cfg.get_matrix("solve", "sources")
-    if sources.shape[1] != d:
-        raise ConfigError("%s: solve.sources rows must have d = %d "
-                          "coordinates" % (cfg._where("solve", "sources"), d))
-    variants = cfg.get_strs("solve", "variants", ["P"])
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError("%s: solve.variants entry %r not in %s"
-                              % (cfg._where("solve", "variants"), v,
-                                 "/".join(VARIANTS)))
-    times = cfg.get_floats("solve", "times", [0.5])
-    components = cfg.get_ints("solve", "components", list(range(m)))
-    for k in components:
-        if not 0 <= k < m:
-            raise ConfigError("%s: solve.components entry %d outside 0..%d"
-                              % (cfg._where("solve", "components"), k, m - 1))
-    width = cfg.get_float("solve", "width", None)
-    budget = cfg.get_int("solve", "budget", solver.DEFAULT_BUDGET)
+    components = _components(cfg, "solve", fam.dims.m)
+    times, width, budget = (cfg.get("solve", key)
+                            for key in ("times", "width", "budget"))
 
     store = verify.KernelStore(os.path.join(out, "store"))
     sys_fp = verify.system_fingerprint(fam)
     wall = time.perf_counter()
     written = 0
-    for variant in variants:
+    for variant in cfg.get("solve", "variants"):
         handle = solver.OperatorHandle(fam, grid, variant=variant,
                                        budget=budget)
         for t in times:
-            for row in sources:
-                center = _point(row, d)
+            for center in sources:
                 tick = time.perf_counter()
                 fields = verify.stored_columns(
                     handle, t, [(center, k) for k in components], width=width,
                     dt=dt, theta=theta, store=store, sys_fp=sys_fp)
                 seconds = time.perf_counter() - tick
                 for k, field in zip(components, fields):
-                    name = _column_name(variant, t, row, k)
+                    name = _column_name(variant, t, center, k)
                     solver.save_field_csv(os.path.join(out, name), field)
                     written += 1
                     print("solve: %s t=%g y=%s k=%d -> %s (batch %.3fs)"
                           % (variant, t,
-                             ",".join("%g" % v for v in np.atleast_1d(row)),
+                             ",".join("%g" % v
+                                      for v in np.atleast_1d(center)),
                              k, name, seconds))
     print("solve: wrote %d columns in %.3fs (store size %d)"
           % (written, time.perf_counter() - wall, len(store)))
@@ -432,45 +405,41 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     fam = family_from_config(cfg)
     d, radii, spacing, dt, theta = _grid_params(cfg)
     grid = solver.GridSpec(d, radii[-1], spacing)
-    m = fam.dims.m
 
-    checks = cfg.get_strs("verify", "checks")
-    for name in checks:
-        if name not in KNOWN_CHECKS:
-            raise ConfigError("%s: unknown check %r (known: %s)"
-                              % (cfg._where("verify", "checks"), name,
-                                 " ".join(KNOWN_CHECKS)))
-    seed = cli_seed if cli_seed is not None else cfg.get_int("verify", "seed",
-                                                             None)
+    checks = cfg.get("verify", "checks")
+    seed = cli_seed if cli_seed is not None else cfg.get("verify", "seed")
     randomized = sorted(RANDOMIZED_CHECKS.intersection(checks))
     if randomized and seed is None:
         raise ConfigError("%s: checks %s draw random data; set verify.seed "
                           "or pass --seed" % (cfg.path, " ".join(randomized)))
-    jobs = jobs if jobs else cfg.get_int("verify", "jobs", 1)
+    jobs = jobs if jobs else cfg.get("verify", "jobs")
 
-    tset = cfg.get_floats("verify", "t", [0.1, 0.5, 1.0])
-    t_single = cfg.get_float("verify", "t_single", sorted(tset)[len(tset) // 2])
-    xs = _points_key(cfg, "verify", "x", d, [_point(np.zeros(d), d)])
+    tset = cfg.get("verify", "t")
+    t_single = cfg.get("verify", "t_single")
+    if t_single is None:
+        t_single = sorted(tset)[len(tset) // 2]
+    origin = [_point(np.zeros(d), d)]
+    xs = _points_key(cfg, "verify", "x", d, origin)
     srcs = _points_key(cfg, "verify", "sources", d,
-                       _points_key(cfg, "solve", "sources", d,
-                                   [_point(np.zeros(d), d)]))
-    components = cfg.get_ints("verify", "components", list(range(m)))
-    width = cfg.get_float("verify", "width",
-                          cfg.get_float("solve", "width", None))
-    cert_radius = cfg.get_float("lyapunov", "radius", lyapunov.SAMPLE_RADIUS)
+                       _points_key(cfg, "solve", "sources", d, origin))
+    components = _components(cfg, "verify", fam.dims.m)
+    width = cfg.get("verify", "width")
+    if width is None:
+        width = cfg.get("solve", "width")
+    cert_radius = cfg.get("lyapunov", "radius")
+    two_sided = cfg.get("verify", "two_sided")
+    scale = cfg.get("verify", "majorant_scale")
+    tol = {name: cfg.get("verify", "tol_" + name) for name in checks}
     store = verify.KernelStore(os.path.join(out, "store"))
     src_pairs = [(y, k) for y in srcs for k in components]
-
-    def tol(name: str, default: float) -> float:
-        return cfg.get_float("verify", "tol_" + name, default)
 
     # synthesis is shared state, so resolve it before any thread starts
     needs_synth = {"integrability", "weighted", "decay"}.intersection(checks)
     fwd = adj = None
     if needs_synth:
-        fwd = _synthesize(cfg, fam, "P")[0]
-        if "weighted" in checks and cfg.get_bool("verify", "two_sided", False):
-            adj = _synthesize(cfg, fam, "P_adjoint")[0]
+        fwd = _synthesize(cfg, fam, "P", cert_radius)[0]
+        if "weighted" in checks and two_sided:
+            adj = _synthesize(cfg, fam, "P_adjoint", cert_radius)[0]
 
     cal_path = os.path.join(out, "calibration.txt")
     fresh_calibration = False
@@ -479,51 +448,54 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         if name == "domination":
             thunks.append(lambda: verify.check_domination(
                 fam, grid, t_single, src_pairs, dt=dt, width=width,
-                tol=tol("domination", 1e-9), seed=seed, store=store))
+                tol=tol["domination"], seed=seed, store=store))
         elif name == "monotone":
             thunks.append(lambda: verify.check_monotone_in_R(
                 fam, radii, spacing, t_single, (srcs[0], components[0]),
-                dt=dt, width=width, tol=tol("monotone", 1e-8), store=store))
+                dt=dt, width=width, tol=tol["monotone"], store=store))
         elif name == "mass":
             thunks.append(lambda: verify.check_mass_and_positivity(
-                fam, grid, tset, dt=dt, tol=tol("mass", 0.01),
+                fam, grid, tset, dt=dt, tol=tol["mass"],
                 sources=src_pairs, width=width, store=store))
         elif name == "support":
             for k in components:
                 thunks.append(lambda k=k: verify.check_support(
                     fam, k, grid, t_single, center=srcs[0], dt=dt,
-                    width=width, tol_null=tol("support", 1e-10), store=store))
+                    width=width, tol_null=tol["support"], store=store))
         elif name == "duality":
             pairs = [(xs[0], h, srcs[0], k)
                      for h in components for k in components]
             thunks.append(lambda pairs=pairs: verify.check_duality(
                 fam, grid, t_single, pairs, dt=dt, width=width,
-                tol=tol("duality", 0.02), theta=theta, store=store))
+                tol=tol["duality"], theta=theta, store=store))
         elif name == "chapman":
-            s_split = cfg.get_float("verify", "chapman_s", t_single / 2.0)
+            s_split = cfg.get("verify", "chapman_s")
+            if s_split is None:
+                s_split = t_single / 2.0
             thunks.append(lambda s_split=s_split:
                           verify.check_chapman_kolmogorov(
                               fam, grid, t_single, s_split, dt=dt,
-                              tol=tol("chapman", 1e-9), seed=seed,
+                              tol=tol["chapman"], seed=seed,
                               store=store))
         elif name == "integrability":
-            t_int = cfg.get_floats("verify", "t_integrability", tset)
+            t_int = cfg.get("verify", "t_integrability")
+            if t_int is None:
+                t_int = tset
             thunks.append(lambda t_int=t_int:
                           verify.check_lyapunov_integrability(
                               fam, fwd.timed, grid, t_int, xs,
-                              tol=tol("integrability", 0.05), dt=dt,
+                              tol=tol["integrability"], dt=dt,
                               cert_radius=cert_radius, store=store))
         elif name == "weighted":
             s, _, t_ref, eps_scales = _bounds_params(cfg, d)
-            t_w = cfg.get_floats("verify", "t_weighted",
-                                 [t_ref if t_ref else 0.25])
-            coarse = cfg.get_floats("verify", "coarse",
-                                    [2.0 * spacing, radii[-1] / 2.0])
-            fine = cfg.get_floats("verify", "fine", [spacing, radii[-1]])
-            if len(coarse) != 2 or len(fine) != 2:
-                raise ConfigError("%s: verify.coarse / verify.fine need "
-                                  "'spacing radius'" % cfg.path)
-            two_sided = cfg.get_bool("verify", "two_sided", False)
+            t_w, coarse, fine = (cfg.get("verify", key) for key in
+                                 ("t_weighted", "coarse", "fine"))
+            if t_w is None:
+                t_w = [t_ref]
+            if coarse is None:
+                coarse = [2.0 * spacing, radii[-1] / 2.0]
+            if fine is None:
+                fine = [spacing, radii[-1]]
             # everything the coarse sup depends on; majorant_scale is left
             # out, so a deliberately broken majorant meets the healthy C_cal
             cal_fp = verify._fingerprint(
@@ -532,7 +504,6 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 cert_radius, fwd.timed)
             C_cal = _read_calibration(cal_path, cal_fp)
             fresh_calibration = C_cal is None
-            scale = cfg.get_float("verify", "majorant_scale", 1.0)
             override = None
             if scale != 1.0:
                 # every bracket monomial has degree >= s/2 in the ledger
@@ -550,26 +521,26 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 def override(t, pts, href=href):
                     return np.full(len(np.atleast_2d(pts)), href[t])
             thunks.append(lambda t_w=t_w, coarse=coarse, fine=fine,
-                          two_sided=two_sided, C_cal=C_cal,
+                          C_cal=C_cal,
                           override=override, s=s, eps_scales=eps_scales:
                           verify.check_weighted_bound(
                               fam, fwd, s, t_w, srcs,
                               (coarse[0], coarse[1]), (fine[0], fine[1]),
                               eps_scales=eps_scales,
-                              tol=tol("weighted", 0.10), dt=dt, width=width,
+                              tol=tol["weighted"], dt=dt, width=width,
                               theta=theta, two_sided=two_sided,
                               adjoint_synthesis=adj, C_cal=C_cal,
                               majorant_override=override,
                               cert_radius=cert_radius, store=store))
         elif name == "decay":
-            t_dec = cfg.get_floats("verify", "t_decay", [0.25, 0.5])
-            e_scale = cfg.get_float("verify", "decay_eps_scale", 0.5)
+            t_dec = cfg.get("verify", "t_decay")
+            e_scale = cfg.get("verify", "decay_eps_scale")
             thunks.append(lambda t_dec=t_dec, e_scale=e_scale:
                           verify.check_decay_shape(
                               fam, grid, t_dec, xs[0], components[0],
                               fwd.timed.weight(e_scale * fwd.timed.eps_T),
                               dt=dt, width=width,
-                              slack=tol("decay", 0.5), store=store))
+                              slack=tol["decay"], store=store))
 
     def run(fn):
         _release_freed_memory()
@@ -587,14 +558,12 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     _write(os.path.join(out, "verify_summary.txt"), summary)
     _write(os.path.join(out, "verify_results.csv"),
            verify.results_csv(results))
-    if fresh_calibration and cfg.get_float("verify", "majorant_scale",
-                                           1.0) == 1.0:
+    if fresh_calibration and scale == 1.0:
         for r in results:
             if r.check == "check_weighted_bound" and "C_cal" in r.details:
                 _write(cal_path, "C_cal = %.17g\nfingerprint = %s\n"
                        % (r.details["C_cal"], cal_fp))
-    formats = cfg.get_strs("output", "formats", ["txt", "csv"])
-    if "svg" in formats:
+    if "svg" in cfg.get("output", "formats"):
         _write_plots(cfg, out, fam, grid, t_single, dt, theta, width, store,
                      results, srcs, components)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")

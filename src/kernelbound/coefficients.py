@@ -31,8 +31,8 @@ single point of shape (d,) or a batch of shape (n, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,45 +71,6 @@ def eval_VP(V: np.ndarray) -> np.ndarray:
     diag = np.arange(V.shape[-1])
     out[..., diag, diag] = V[..., diag, diag]
     return out
-
-
-@dataclass(frozen=True)
-class FieldJet:
-    """Values, gradients and Hessians of an m-vector field at one point."""
-
-    values: np.ndarray     # (m,)
-    gradients: np.ndarray  # (m, d)
-    hessians: np.ndarray   # (m, d, d)
-
-    @classmethod
-    def from_callables(cls, funcs: Sequence[Callable[[np.ndarray], float]],
-                       x: np.ndarray, step: float | None = None) -> "FieldJet":
-        """Build a jet by central finite differences of scalar callables.
-
-        Used by tests as an independent route to operator values; step
-        defaults to cbrt(eps) * (1 + |x|).
-        """
-        x = np.asarray(x, dtype=float)
-        d = x.size
-        h = step if step is not None else (np.finfo(float).eps ** (1 / 3)) * (1.0 + float(np.linalg.norm(x)))
-        m = len(funcs)
-        vals = np.array([f(x) for f in funcs], dtype=float)
-        grads = np.zeros((m, d))
-        hesses = np.zeros((m, d, d))
-        for a, f in enumerate(funcs):
-            for i in range(d):
-                ei = np.zeros(d)
-                ei[i] = h
-                fp, fm = f(x + ei), f(x - ei)
-                grads[a, i] = (fp - fm) / (2 * h)
-                hesses[a, i, i] = (fp - 2 * vals[a] + fm) / h ** 2
-            for i in range(d):
-                for j in range(i + 1, d):
-                    ei = np.zeros(d); ei[i] = h
-                    ej = np.zeros(d); ej[j] = h
-                    val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4 * h ** 2)
-                    hesses[a, i, j] = hesses[a, j, i] = val
-        return cls(vals, grads, hesses)
 
 
 @dataclass(frozen=True)
@@ -187,47 +148,6 @@ def operator_spec_from_callables(dims: SystemDims, Q, b, V, R=None, divb=None) -
         R=R if R is not None else _fd_jacobian_of_Q(Q, dims.d),
         divb=divb if divb is not None else _fd_div_of_b(b, dims.d),
     )
-
-
-def eval_operator(spec: OperatorSpec, variant: str, jet: FieldJet, h: int, x: np.ndarray) -> float:
-    """Pointwise action of the system operator on a smooth vector field.
-
-    variant selects between the original potential ("plain"), its
-    cooperative modification ("P"), and the formal adjoint of the latter
-    ("P_adjoint"), which flips the drift sign, subtracts div(b^h) u_h, and
-    transposes the potential.  The divergence-form diffusion is expanded as
-    tr(Q D^2 u_h) + <g, grad u_h> with g_j = sum_i D_i q_ij.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    m, d = spec.dims.m, spec.dims.d
-    if not (0 <= h < m):
-        raise DimensionMismatchError(f"component index {h} outside 0..{m - 1}")
-    x = np.asarray(x, dtype=float)
-    if jet.values.shape != (m,) or jet.gradients.shape != (m, d) or jet.hessians.shape != (m, d, d):
-        raise DimensionMismatchError(
-            f"jet shapes {jet.values.shape}/{jet.gradients.shape}/{jet.hessians.shape} "
-            f"do not match dims (m={m}, d={d})")
-
-    Q = np.asarray(spec.Q(h, x), dtype=float).reshape(d, d)
-    R = np.asarray(spec.R(h, x), dtype=float).reshape(d, d)
-    g = R.sum(axis=0)  # g_j = sum_i D_i q_ij
-    grad = jet.gradients[h]
-    diffusion = float(np.tensordot(Q, jet.hessians[h]) + g @ grad)
-
-    bvec = np.asarray(spec.b(h, x), dtype=float).reshape(d)
-    Vmat = np.asarray(spec.V(x), dtype=float).reshape(m, m)
-    if variant == "plain":
-        value = diffusion + bvec @ grad - Vmat[h] @ jet.values
-    elif variant == "P":
-        value = diffusion + bvec @ grad - eval_VP(Vmat)[h] @ jet.values
-    else:
-        db = float(np.asarray(spec.divb(h, x), dtype=float).reshape(()))
-        value = diffusion - bvec @ grad - db * jet.values[h] - eval_VP(Vmat)[:, h] @ jet.values
-    value = float(value)
-    if not np.isfinite(value):
-        raise NonFiniteError(f"operator value not finite at x={x!r}, component {h}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +279,6 @@ class _FamilyBase:
 
     def bbar(self) -> float:
         return float(self.beta.max())
-
-    def gamma_diag_max(self) -> float:
-        return float(np.diag(self.gamma).max())
 
     def gamma_diag_min(self) -> float:
         return float(np.diag(self.gamma).min())

@@ -6,172 +6,215 @@ nonempty line is 'key = value'.  A top-level 'schema_version = 1' line must
 appear before the first section.  Matrices are written row-major with ';'
 between rows ("1 0.5; 0.5 1"), lists as whitespace-separated scalars.
 
-Every diagnostic names the file, the line, and the offending section.key so
-a bad config can be fixed without reading this module.
+SCHEMA declares every section and key, with its type, its default and the
+values it allows.  Values are checked while the file is parsed, so an
+unknown section or key, a malformed value or a disallowed one is an error
+that names the file, the line and the offending section.key.
 """
 
 from __future__ import annotations
 
-import re
+import difflib
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coefficients import diagonal_family
+from .coefficients import VARIANTS, diagonal_family
 from .errors import ConfigError, KernelBoundError
+from .lyapunov import SAMPLE_RADIUS
+from .solver import DEFAULT_BUDGET
 
-__all__ = ["RunConfig", "parse_config", "parse_config_text", "family_from_config"]
+__all__ = ["SCHEMA", "REQUIRED", "Key", "RunConfig", "parse_config",
+           "parse_config_text", "parse_value", "family_from_config"]
 
 SCHEMA_VERSION = 1
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_MISSING = object()
+REQUIRED = object()
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
+
+class Key(NamedTuple):
+    """One config key: kind is str, int, float, bool, strs, ints, floats or
+    matrix.  Reading an unset REQUIRED key is an error, and a None default
+    is resolved where the key is read.  choices limits the value, or each
+    list entry, and length fixes the length of a list."""
+
+    kind: str
+    default: object = REQUIRED
+    choices: Optional[tuple] = None
+    length: Optional[int] = None
+
+
+SCHEMA = {
+    "family": {
+        "kind": Key("str", choices=("polynomial", "exponential")),
+        "m": Key("int"),
+        "theta": Key("matrix"),
+        "gamma": Key("matrix"),
+        "zeta": Key("float", 1.0),
+        "alpha": Key("float", 0.0),
+        "eta": Key("float", 1.0),
+        "beta": Key("float", 0.0),
+    },
+    "grid": {
+        "d": Key("int", choices=(1, 2)),
+        "radii": Key("floats"),
+        "spacing": Key("float"),
+        "dt": Key("float", None),
+        "theta": Key("float", 0.5),
+    },
+    "lyapunov": {
+        "T": Key("float", 1.0),
+        "rho": Key("float", None),
+        "eps_hat": Key("float", None),
+        "sigma": Key("float", None),
+        "delta": Key("float", None),
+        "radius": Key("float", SAMPLE_RADIUS),
+    },
+    "bounds": {
+        "s": Key("float", None),
+        "window_mode": Key("str", "proportional", ("proportional", "fixed")),
+        "window": Key("floats", length=4),
+        "t_ref": Key("float", 0.25),
+        "eps_scales": Key("floats", (0.5, 0.75, 1.0), length=3),
+        "c_hat": Key("float", None),
+    },
+    "solve": {
+        "sources": Key("matrix", None),
+        "variants": Key("strs", ("P",), VARIANTS),
+        "times": Key("floats", (0.5,)),
+        "components": Key("ints", None),
+        "width": Key("float", None),
+        "budget": Key("int", DEFAULT_BUDGET),
+    },
+    "verify": {
+        "checks": Key("strs", choices=(
+            "domination", "monotone", "mass", "support", "duality",
+            "chapman", "integrability", "weighted", "decay")),
+        "seed": Key("int", None),
+        "jobs": Key("int", 1),
+        "t": Key("floats", (0.1, 0.5, 1.0)),
+        "t_single": Key("float", None),
+        "x": Key("matrix", None),
+        "sources": Key("matrix", None),
+        "components": Key("ints", None),
+        "width": Key("float", None),
+        "radius": Key("float", SAMPLE_RADIUS),
+        "two_sided": Key("bool", False),
+        "chapman_s": Key("float", None),
+        "t_integrability": Key("floats", None),
+        "t_weighted": Key("floats", None),
+        "coarse": Key("floats", None, length=2),
+        "fine": Key("floats", None, length=2),
+        "majorant_scale": Key("float", 1.0),
+        "t_decay": Key("floats", (0.25, 0.5)),
+        "decay_eps_scale": Key("float", 0.5),
+        "tol_domination": Key("float", 1e-9),
+        "tol_monotone": Key("float", 1e-8),
+        "tol_mass": Key("float", 0.01),
+        "tol_support": Key("float", 1e-10),
+        "tol_duality": Key("float", 0.02),
+        "tol_chapman": Key("float", 1e-9),
+        "tol_integrability": Key("float", 0.05),
+        "tol_weighted": Key("float", 0.10),
+        "tol_decay": Key("float", 0.5),
+    },
+    "output": {
+        "directory": Key("str", "."),
+        "formats": Key("strs", ("txt", "csv"), ("txt", "csv", "svg")),
+    },
+}
+
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+          **dict.fromkeys(("false", "no", "off", "0"), False)}
+
+
+def _number(tok: str) -> float:
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(tok)
+    return val
+
+
+_SCALARS = {"str": str, "int": int, "float": _number,
+            "bool": lambda tok: _BOOLS[tok.lower()]}
+_LISTS = {"strs": str, "ints": int, "floats": _number}
+_EXPECTS = {"int": "an integer", "float": "a finite number",
+            "bool": "true/false", "ints": "integers",
+            "floats": "finite numbers", "matrix": "a numeric matrix"}
+
+
+def parse_value(section: str, name: str, raw: str, where: str = "<value>"):
+    """raw as the type of section.name, checked against its SCHEMA row."""
+    key = SCHEMA[section][name]
+    label = "%s: %s.%s" % (where, section, name)
+    try:
+        if key.kind == "matrix":
+            value = [[_number(tok) for tok in part.split()]
+                     for part in raw.split(";") if part.strip()]
+            if not value:
+                raise ValueError(raw)
+        elif key.kind in _LISTS:
+            value = [_LISTS[key.kind](tok) for tok in raw.split()]
+        else:
+            value = _SCALARS[key.kind](raw)
+    except (KeyError, ValueError):
+        raise ConfigError("%s expects %s, got %r"
+                          % (label, _EXPECTS[key.kind], raw))
+    if key.kind == "matrix":
+        for i, row in enumerate(value):
+            if len(row) != len(value[0]):
+                raise ConfigError("%s row %d has %d entries, expected %d"
+                                  % (label, i, len(row), len(value[0])))
+        value = np.asarray(value, dtype=float)
+    if key.choices is not None:
+        # list keys are plural nouns: an entry of verify.checks is a check
+        items, noun = ((value, name[:-1]) if key.kind in _LISTS
+                       else ([value], "value"))
+        for item in items:
+            if item not in key.choices:
+                raise ConfigError("%s: unknown %s %r in %s.%s (allowed: %s)"
+                                  % (where, noun, item, section, name,
+                                     " ".join(map(str, key.choices))))
+    if key.length is not None and len(value) != key.length:
+        raise ConfigError("%s needs %d values, got %d"
+                          % (label, key.length, len(value)))
+    return value
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration with enough bookkeeping for good error messages."""
+    """Parsed configuration: typed values, and the line each was set on."""
 
     path: str
-    sections: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)  # (section, key) -> value
     lines: dict = field(default_factory=dict)   # (section, key) -> line number
-    schema_version: int = SCHEMA_VERSION
 
-    # -- location helpers -------------------------------------------------
+    def _where(self, section: str, key: str) -> str:
+        line = self.lines.get((section, key))
+        return self.path if line is None else "%s:%d" % (self.path, line)
 
-    def _where(self, section, key=None):
-        if key is not None and (section, key) in self.lines:
-            return "%s:%d" % (self.path, self.lines[(section, key)])
-        return self.path
-
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
-
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
-
-    # -- typed accessors ---------------------------------------------------
-
-    def get_str(self, section: str, key: str, default=_MISSING) -> str:
-        sec = self.sections.get(section)
-        if sec is None or key not in sec:
-            if default is not _MISSING:
-                return default
-            if sec is None:
-                raise ConfigError("%s: missing section [%s] (needed for %s.%s)"
-                                  % (self.path, section, section, key))
+    def get(self, section: str, key: str):
+        """The value set for section.key, else its SCHEMA default."""
+        if (section, key) in self.values:
+            return self.values[(section, key)]
+        default = SCHEMA[section][key].default
+        if default is REQUIRED:
             raise ConfigError("%s: missing key %s.%s"
                               % (self.path, section, key))
-        return sec[key]
+        # tuple defaults are handed out as fresh lists, like parsed lists
+        return list(default) if isinstance(default, tuple) else default
 
-    def get_int(self, section, key, default=_MISSING) -> int:
-        raw = self.get_str(section, key, default)
-        if raw is default and default is not _MISSING:
-            return default
-        try:
-            return int(str(raw))
-        except ValueError:
-            raise ConfigError("%s: %s.%s expects an integer, got %r"
-                              % (self._where(section, key), section, key, raw))
 
-    def get_float(self, section, key, default=_MISSING) -> float:
-        raw = self.get_str(section, key, default)
-        if raw is default and default is not _MISSING:
-            return default
-        try:
-            val = float(str(raw))
-        except ValueError:
-            raise ConfigError("%s: %s.%s expects a number, got %r"
-                              % (self._where(section, key), section, key, raw))
-        if not np.isfinite(val):
-            raise ConfigError("%s: %s.%s must be finite, got %r"
-                              % (self._where(section, key), section, key, raw))
-        return val
-
-    def get_bool(self, section, key, default=_MISSING) -> bool:
-        raw = self.get_str(section, key, default)
-        if isinstance(raw, bool):
-            return raw
-        word = str(raw).strip().lower()
-        if word in _TRUE:
-            return True
-        if word in _FALSE:
-            return False
-        raise ConfigError("%s: %s.%s expects true/false, got %r"
-                          % (self._where(section, key), section, key, raw))
-
-    def get_floats(self, section, key, default=_MISSING) -> list:
-        raw = self.get_str(section, key, default)
-        if not isinstance(raw, str):
-            return list(raw)
-        out = []
-        for tok in raw.split():
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise ConfigError("%s: %s.%s expects numbers, got %r"
-                                  % (self._where(section, key), section, key, tok))
-        if not out:
-            raise ConfigError("%s: %s.%s is empty"
-                              % (self._where(section, key), section, key))
-        return out
-
-    def get_ints(self, section, key, default=_MISSING) -> list:
-        raw = self.get_str(section, key, default)
-        if not isinstance(raw, str):
-            return list(raw)
-        out = []
-        for tok in raw.split():
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ConfigError("%s: %s.%s expects integers, got %r"
-                                  % (self._where(section, key), section, key, tok))
-        return out
-
-    def get_strs(self, section, key, default=_MISSING) -> list:
-        raw = self.get_str(section, key, default)
-        if not isinstance(raw, str):
-            return list(raw)
-        return raw.split()
-
-    def get_matrix(self, section, key, default=_MISSING) -> np.ndarray:
-        """Row-major matrix, rows split on ';'.  Rows must have equal length."""
-        raw = self.get_str(section, key, default)
-        if not isinstance(raw, str):
-            return np.asarray(raw, dtype=float)
-        rows = []
-        for part in raw.split(";"):
-            row = []
-            for tok in part.split():
-                try:
-                    row.append(float(tok))
-                except ValueError:
-                    raise ConfigError(
-                        "%s: %s.%s expects a numeric matrix, got %r"
-                        % (self._where(section, key), section, key, tok))
-            if row:
-                rows.append(row)
-        if not rows:
-            raise ConfigError("%s: %s.%s is empty"
-                              % (self._where(section, key), section, key))
-        width = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ConfigError(
-                    "%s: %s.%s row %d has %d entries, expected %d"
-                    % (self._where(section, key), section, key, i,
-                       len(row), width))
-        return np.asarray(rows, dtype=float)
+def _did_you_mean(name: str, known) -> str:
+    close = difflib.get_close_matches(name, known, n=1)
+    return " (did you mean %s?)" % close[0] if close else ""
 
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
-    sections: dict = {}
-    lines: dict = {}
+    cfg = RunConfig(path=path)
+    seen = set()
     section: Optional[str] = None
     version: Optional[int] = None
 
@@ -179,48 +222,50 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = "%s:%d" % (path, lineno)
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError("%s:%d: unterminated section header %r"
-                                  % (path, lineno, line))
-            name = line[1:-1].strip()
-            if not _IDENT.match(name):
-                raise ConfigError("%s:%d: bad section name %r"
-                                  % (path, lineno, name))
-            if name in sections:
-                raise ConfigError("%s:%d: duplicate section [%s]"
-                                  % (path, lineno, name))
-            sections[name] = {}
-            section = name
+                raise ConfigError("%s: unterminated section header %r"
+                                  % (where, line))
+            section = line[1:-1].strip()
+            if section not in SCHEMA:
+                raise ConfigError("%s: unknown section [%s]%s"
+                                  % (where, section,
+                                     _did_you_mean(section, SCHEMA)))
+            if section in seen:
+                raise ConfigError("%s: duplicate section [%s]"
+                                  % (where, section))
+            seen.add(section)
             continue
         if "=" not in line:
-            raise ConfigError("%s:%d: expected 'key = value' or '[section]', "
-                              "got %r" % (path, lineno, line))
+            raise ConfigError("%s: expected 'key = value' or '[section]', "
+                              "got %r" % (where, line))
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not _IDENT.match(key):
-            raise ConfigError("%s:%d: bad key %r" % (path, lineno, key))
         if not value:
-            raise ConfigError("%s:%d: empty value for %s"
-                              % (path, lineno, key))
+            raise ConfigError("%s: empty value for %s" % (where, key))
         if section is None:
             if key != "schema_version":
                 raise ConfigError(
-                    "%s:%d: %r appears before any [section]; only "
-                    "schema_version may" % (path, lineno, key))
+                    "%s: %r appears before any [section]; only "
+                    "schema_version may" % (where, key))
             try:
                 version = int(value)
             except ValueError:
-                raise ConfigError("%s:%d: schema_version expects an integer, "
-                                  "got %r" % (path, lineno, value))
+                raise ConfigError("%s: schema_version expects an integer, "
+                                  "got %r" % (where, value))
             continue
-        if key in sections[section]:
-            first = lines[(section, key)]
-            raise ConfigError("%s:%d: duplicate key %s.%s (first set at "
-                              "line %d)" % (path, lineno, section, key, first))
-        sections[section][key] = value
-        lines[(section, key)] = lineno
+        if key not in SCHEMA[section]:
+            raise ConfigError("%s: unknown key %s.%s%s"
+                              % (where, section, key,
+                                 _did_you_mean(key, SCHEMA[section])))
+        if (section, key) in cfg.values:
+            raise ConfigError("%s: duplicate key %s.%s (first set at "
+                              "line %d)" % (where, section, key,
+                                            cfg.lines[(section, key)]))
+        cfg.values[(section, key)] = parse_value(section, key, value, where)
+        cfg.lines[(section, key)] = lineno
 
     if version is None:
         raise ConfigError("%s: missing schema_version (must appear before the "
@@ -228,8 +273,7 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError("%s: unsupported schema_version %d (this build "
                           "reads %d)" % (path, version, SCHEMA_VERSION))
-    return RunConfig(path=path, sections=sections, lines=lines,
-                     schema_version=version)
+    return cfg
 
 
 def parse_config(path) -> RunConfig:
@@ -243,24 +287,11 @@ def parse_config(path) -> RunConfig:
 
 def family_from_config(cfg: RunConfig):
     """Build the coefficient family described by [family] and [grid]."""
-    kind = cfg.get_str("family", "kind")
-    if kind not in ("polynomial", "exponential"):
-        raise ConfigError("%s: family.kind must be polynomial or exponential, "
-                          "got %r" % (cfg._where("family", "kind"), kind))
-    d = cfg.get_int("grid", "d")
-    m = cfg.get_int("family", "m")
-    theta = cfg.get_matrix("family", "theta")
-    gamma = cfg.get_matrix("family", "gamma")
+    d = cfg.get("grid", "d")
+    args = {key: cfg.get("family", key) for key in SCHEMA["family"]}
+    kind, m, zeta = args.pop("kind"), args.pop("m"), args.pop("zeta")
     try:
-        return diagonal_family(
-            kind, d, m,
-            zeta_diag=cfg.get_float("family", "zeta", 1.0),
-            alpha=cfg.get_float("family", "alpha", 0.0),
-            eta=cfg.get_float("family", "eta", 1.0),
-            beta=cfg.get_float("family", "beta", 0.0),
-            theta=theta,
-            gamma=gamma,
-        )
+        return diagonal_family(kind, d, m, zeta_diag=zeta, **args)
     except KernelBoundError as exc:
         raise ConfigError("%s: [family] rejected: %s"
                           % (cfg._where("family", "kind"), exc))

@@ -477,31 +477,6 @@ def kernel_column(handle: OperatorHandle, t: float, center, component: int,
     return kernel_columns(handle, t, [(center, component)], width, dt, theta)[0]
 
 
-def kernel_matrix(handle: OperatorHandle, t: float, width: Optional[float] = None,
-                  dt: Optional[float] = None, theta: float = 0.5,
-                  max_columns: int = 8192) -> np.ndarray:
-    """Full kernel ensemble K[i*m+h, j*m+k] ~ p_hk(t, x_i, y_j).
-
-    All columns evolve as one batch; intended for small validation grids,
-    hence the column cap.
-    """
-    n, m = handle.grid.n_nodes, handle.m
-    if n * m > max_columns:
-        raise BudgetError(f"ensemble kernel needs {n * m} columns, cap is {max_columns}")
-    pts = handle.grid.points()
-    srcs = np.stack([mollified_source(handle.grid, m, pts[j], k, width)
-                     for j in range(n) for k in range(m)], axis=-1)
-    vals, _ = handle.evolve(srcs, t, dt=dt, theta=theta)
-    return vals.reshape(n * m, n * m)
-
-
-def apply_kernel_to_function(handle: OperatorHandle, t: float, values: np.ndarray,
-                             dt: Optional[float] = None, theta: float = 0.5) -> DiscreteField:
-    """Semigroup applied to sampled initial data (the kernel-quadrature limit)."""
-    vals, meta = handle.evolve(values, t, dt=dt, theta=theta)
-    return DiscreteField(handle.grid, vals, time=t, meta=meta)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

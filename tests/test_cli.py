@@ -57,60 +57,84 @@ def heat_updates():
 class TestConfigParsing:
     def test_round_trip_types(self):
         cfg = parse_config_text(
-            "schema_version = 1\n[a]\nx = 3\ny = 2.5\nz = yes\n"
-            "v = 1 2 3\nm = 1 0.5; 0.5 1\nw = alpha beta\n")
-        assert cfg.get_int("a", "x") == 3
-        assert cfg.get_float("a", "y") == 2.5
-        assert cfg.get_bool("a", "z") is True
-        assert cfg.get_floats("a", "v") == [1.0, 2.0, 3.0]
-        assert cfg.get_matrix("a", "m").shape == (2, 2)
-        assert cfg.get_strs("a", "w") == ["alpha", "beta"]
+            "schema_version = 1\n[family]\nm = 3\nbeta = 2.5\n"
+            "theta = 1 0.5; 0.5 1\n[grid]\nradii = 1 2 3\n[solve]\n"
+            "components = 0 1\n[verify]\ntwo_sided = yes\n"
+            "checks = mass duality\n")
+        assert cfg.get("family", "m") == 3
+        assert cfg.get("family", "beta") == 2.5
+        assert cfg.get("verify", "two_sided") is True
+        assert cfg.get("grid", "radii") == [1.0, 2.0, 3.0]
+        assert cfg.get("solve", "components") == [0, 1]
+        assert cfg.get("family", "theta").shape == (2, 2)
+        assert cfg.get("verify", "checks") == ["mass", "duality"]
 
     def test_defaults_pass_through(self):
-        cfg = parse_config_text("schema_version = 1\n[a]\nx = 1\n")
-        assert cfg.get_float("a", "missing", None) is None
-        assert cfg.get_int("a", "missing", 9) == 9
-        assert cfg.get_floats("a", "missing", [1.0]) == [1.0]
+        cfg = parse_config_text("schema_version = 1\n[grid]\nd = 1\n")
+        assert cfg.get("grid", "dt") is None
+        assert cfg.get("solve", "budget") == solver.DEFAULT_BUDGET
+        assert cfg.get("solve", "times") == [0.5]
+        with pytest.raises(ConfigError, match=r"missing key grid\.spacing"):
+            cfg.get("grid", "spacing")
 
     def test_missing_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
-            parse_config_text("[a]\nx = 1\n")
+            parse_config_text("[grid]\nd = 1\n")
 
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="unsupported schema_version"):
-            parse_config_text("schema_version = 2\n[a]\nx = 1\n")
+            parse_config_text("schema_version = 2\n[grid]\nd = 1\n")
 
     def test_duplicate_key_names_both_lines(self):
-        with pytest.raises(ConfigError, match=r"duplicate key a\.x.*line 3"):
-            parse_config_text("schema_version = 1\n[a]\nx = 1\nx = 2\n")
+        with pytest.raises(ConfigError,
+                           match=r"duplicate key grid\.d.*line 3"):
+            parse_config_text("schema_version = 1\n[grid]\nd = 1\nd = 2\n")
 
     def test_duplicate_section(self):
-        with pytest.raises(ConfigError, match=r"duplicate section \[a\]"):
-            parse_config_text("schema_version = 1\n[a]\nx = 1\n[a]\n")
+        with pytest.raises(ConfigError, match=r"duplicate section \[grid\]"):
+            parse_config_text("schema_version = 1\n[grid]\nd = 1\n[grid]\n")
 
     def test_key_before_section(self):
         with pytest.raises(ConfigError, match="before any"):
-            parse_config_text("schema_version = 1\nx = 1\n")
+            parse_config_text("schema_version = 1\nd = 1\n")
 
     def test_empty_value(self):
         with pytest.raises(ConfigError, match="empty value"):
-            parse_config_text("schema_version = 1\n[a]\nx =\n")
+            parse_config_text("schema_version = 1\n[grid]\nd =\n")
 
     def test_ragged_matrix(self):
-        cfg = parse_config_text("schema_version = 1\n[a]\nm = 1 2; 3\n")
         with pytest.raises(ConfigError, match="row 1 has 1"):
-            cfg.get_matrix("a", "m")
+            parse_config_text("schema_version = 1\n[family]\n"
+                              "theta = 1 2; 3\n")
 
     def test_bad_bool(self):
-        cfg = parse_config_text("schema_version = 1\n[a]\nx = maybe\n")
         with pytest.raises(ConfigError, match="true/false"):
-            cfg.get_bool("a", "x")
+            parse_config_text("schema_version = 1\n[verify]\n"
+                              "two_sided = maybe\n")
 
     def test_error_location_has_line_number(self):
-        cfg = parse_config_text("schema_version = 1\n[a]\nx = ok\ny = no\n",
-                                path="demo.cfg")
         with pytest.raises(ConfigError, match="demo.cfg:4"):
-            cfg.get_float("a", "y")
+            parse_config_text("schema_version = 1\n[grid]\nd = 1\n"
+                              "spacing = no\n", path="demo.cfg")
+
+    @pytest.mark.parametrize("command, updates, message", [
+        ("solve", {"solve": {"widht": "0.25"}},
+         "unknown key solve.widht (did you mean width?)"),
+        ("verify", {"verfy": {"checks": "mass"}},
+         "unknown section [verfy] (did you mean verify?)"),
+        ("verify", {"output": {"formats": "txt csv svgg"}},
+         "unknown format 'svgg'"),
+        ("check", {"grid": {"d": "3"}}, "unknown value 3 in grid.d"),
+        ("synth", {"bounds": {"eps_scales": "0.5 1"}},
+         "bounds.eps_scales needs 3 values, got 2"),
+    ], ids=["key_typo", "section_typo", "format_typo", "grid_d", "eps_length"])
+    def test_typo_or_disallowed_value_exits_2(self, tmp_path, capsys,
+                                               command, updates, message):
+        cfg = make_config(tmp_path, **updates)
+        rc = cli.main([command, "--config", str(cfg), "--out",
+                       str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCheckCommand:

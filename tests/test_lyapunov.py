@@ -16,6 +16,8 @@ from kernelbound.errors import (
     SynthesisError,
 )
 
+from oracles import FieldJet, eval_operator
+
 
 def poly_headline():
     """d=1, m=2 polynomial family used throughout: quadratic diagonal potential."""
@@ -261,9 +263,9 @@ def test_certificate_static_matches_fd_operator_route():
     static = res.static
     for xv in (0.0, 0.9, -1.7):
         phi = lambda x: float(np.exp(static.log_value(np.atleast_1d(x), 1)))
-        jet = co.FieldJet.from_callables([phi, phi], np.array([xv]), step=1e-5)
+        jet = FieldJet.from_callables([phi, phi], np.array([xv]), step=1e-5)
         for k in range(2):
-            direct = co.eval_operator(spec, "P", jet, k, np.array([xv])) / phi(xv)
+            direct = eval_operator(spec, "P", jet, k, np.array([xv])) / phi(xv)
             pts = np.array([[xv]])
             analytic = ly._generator_ratio(fam, static, None, None, pts)[k, 0]
             assert direct == pytest.approx(analytic, rel=1e-5, abs=1e-5)

@@ -7,12 +7,10 @@ from scipy.linalg import expm
 from scipy.sparse import linalg as sparse_linalg
 
 from kernelbound.coefficients import (
-    FieldJet,
     OperatorSpec,
     PolynomialFamily,
     SystemDims,
     diagonal_family,
-    eval_operator,
 )
 from kernelbound import solver
 from kernelbound.errors import AssemblyError, BudgetError, DomainError, SolveError
@@ -20,7 +18,6 @@ from kernelbound.solver import (
     DiscreteField,
     GridSpec,
     OperatorHandle,
-    apply_kernel_to_function,
     assemble_generator,
     discrete_inner,
     discrete_mass,
@@ -29,11 +26,13 @@ from kernelbound.solver import (
     field_to_csv,
     kernel_column,
     kernel_columns,
-    kernel_matrix,
     load_field,
     mollified_source,
     save_field,
 )
+
+from oracles import (FieldJet, apply_kernel_to_function, eval_operator,
+                     kernel_matrix)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
