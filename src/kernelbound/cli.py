@@ -14,7 +14,6 @@ tripped.  All file outputs are reproducible byte-for-byte from the
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 import time
@@ -49,28 +48,8 @@ def _write(path, text: str):
         fh.write(text)
 
 
-try:  # glibc only; elsewhere freed memory is left to the allocator
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _malloc_trim.restype = ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-def _release_freed_memory():
-    """Return the heap pages that freed LU factors and fields leave behind.
-
-    After a large block is freed, glibc raises its mmap threshold, so later
-    blocks of that size come from the heap, and any small live allocation
-    above them keeps the freed pages resident.  Whether that happens depends
-    on the address layout: without a trim, one verify of the poly2d bench
-    config carried some 35 MB of freed pages from check to check and into
-    the next command, and the next run of the same verify carried none.
-    Called before every check run, so that each check starts from a trimmed
-    heap; a call takes well under a millisecond.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
+# called before every check run, so that each check starts from a trimmed heap
+_release_freed_memory = solver.release_freed_memory
 
 
 def _g(x) -> str:
@@ -354,28 +333,24 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
                             for key in ("times", "width", "budget"))
 
     store = verify.KernelStore(os.path.join(out, "store"))
-    sys_fp = verify.system_fingerprint(fam)
     wall = time.perf_counter()
+    runs = [(variant, t, center) for variant in cfg.get("solve", "variants")
+            for t in times for center in sources]
+    columns = verify.evolve_all(
+        fam, [verify.Evolution.of_sources(variant, grid, t,
+                                          [(center, k) for k in components],
+                                          width, dt, theta)
+              for variant, t, center in runs], store, budget=budget)
     written = 0
-    for variant in cfg.get("solve", "variants"):
-        handle = solver.OperatorHandle(fam, grid, variant=variant,
-                                       budget=budget)
-        for t in times:
-            for center in sources:
-                tick = time.perf_counter()
-                fields = verify.stored_columns(
-                    handle, t, [(center, k) for k in components], width=width,
-                    dt=dt, theta=theta, store=store, sys_fp=sys_fp)
-                seconds = time.perf_counter() - tick
-                for k, field in zip(components, fields):
-                    name = _column_name(variant, t, center, k)
-                    solver.save_field_csv(os.path.join(out, name), field)
-                    written += 1
-                    print("solve: %s t=%g y=%s k=%d -> %s (batch %.3fs)"
-                          % (variant, t,
-                             ",".join("%g" % v
-                                      for v in np.atleast_1d(center)),
-                             k, name, seconds))
+    for (variant, t, center), fields in zip(runs, columns):
+        for k, field in zip(components, fields):
+            name = _column_name(variant, t, center, k)
+            solver.save_field_csv(os.path.join(out, name), field)
+            written += 1
+            print("solve: %s t=%g y=%s k=%d -> %s"
+                  % (variant, t,
+                     ",".join("%g" % v for v in np.atleast_1d(center)),
+                     k, name))
     print("solve: wrote %d columns in %.3fs (store size %d)"
           % (written, time.perf_counter() - wall, len(store)))
     return EXIT_PASS
@@ -443,49 +418,48 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
 
     cal_path = os.path.join(out, "calibration.txt")
     fresh_calibration = False
-    thunks = []
+    requests, thunks = [], []
+
+    def declare(check, **kw):
+        # the plan gets the requests of the very call the check runs
+        requests.extend(verify.requests_of(check, fam, **kw))
+        thunks.append(lambda: getattr(verify, check)(fam, **kw, store=store))
+
     for name in checks:
         if name == "domination":
-            thunks.append(lambda: verify.check_domination(
-                fam, grid, t_single, src_pairs, dt=dt, width=width,
-                tol=tol["domination"], seed=seed, store=store))
+            declare("check_domination", grid=grid, t=t_single,
+                    sources=src_pairs, dt=dt, width=width,
+                    tol=tol["domination"], seed=seed)
         elif name == "monotone":
-            thunks.append(lambda: verify.check_monotone_in_R(
-                fam, radii, spacing, t_single, (srcs[0], components[0]),
-                dt=dt, width=width, tol=tol["monotone"], store=store))
+            declare("check_monotone_in_R", radii=radii, spacing=spacing,
+                    t=t_single, source=(srcs[0], components[0]), dt=dt,
+                    width=width, tol=tol["monotone"])
         elif name == "mass":
-            thunks.append(lambda: verify.check_mass_and_positivity(
-                fam, grid, tset, dt=dt, tol=tol["mass"],
-                sources=src_pairs, width=width, store=store))
+            declare("check_mass_and_positivity", grid=grid, t_values=tset,
+                    dt=dt, tol=tol["mass"], sources=src_pairs, width=width)
         elif name == "support":
             for k in components:
-                thunks.append(lambda k=k: verify.check_support(
-                    fam, k, grid, t_single, center=srcs[0], dt=dt,
-                    width=width, tol_null=tol["support"], store=store))
+                declare("check_support", k=k, grid=grid, t=t_single,
+                        center=srcs[0], dt=dt, width=width,
+                        tol_null=tol["support"])
         elif name == "duality":
             pairs = [(xs[0], h, srcs[0], k)
                      for h in components for k in components]
-            thunks.append(lambda pairs=pairs: verify.check_duality(
-                fam, grid, t_single, pairs, dt=dt, width=width,
-                tol=tol["duality"], theta=theta, store=store))
+            declare("check_duality", grid=grid, t=t_single, pairs=pairs,
+                    dt=dt, width=width, tol=tol["duality"], theta=theta)
         elif name == "chapman":
             s_split = cfg.get("verify", "chapman_s")
             if s_split is None:
                 s_split = t_single / 2.0
-            thunks.append(lambda s_split=s_split:
-                          verify.check_chapman_kolmogorov(
-                              fam, grid, t_single, s_split, dt=dt,
-                              tol=tol["chapman"], seed=seed,
-                              store=store))
+            declare("check_chapman_kolmogorov", grid=grid, t=t_single,
+                    s=s_split, dt=dt, tol=tol["chapman"], seed=seed)
         elif name == "integrability":
             t_int = cfg.get("verify", "t_integrability")
             if t_int is None:
                 t_int = tset
-            thunks.append(lambda t_int=t_int:
-                          verify.check_lyapunov_integrability(
-                              fam, fwd.timed, grid, t_int, xs,
-                              tol=tol["integrability"], dt=dt,
-                              cert_radius=cert_radius, store=store))
+            declare("check_lyapunov_integrability", timed=fwd.timed,
+                    grid=grid, t_values=t_int, x_points=xs,
+                    tol=tol["integrability"], dt=dt, cert_radius=cert_radius)
         elif name == "weighted":
             s, _, t_ref, eps_scales = _bounds_params(cfg, d)
             t_w, coarse, fine = (cfg.get("verify", key) for key in
@@ -520,33 +494,38 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
 
                 def override(t, pts, href=href):
                     return np.full(len(np.atleast_2d(pts)), href[t])
-            thunks.append(lambda t_w=t_w, coarse=coarse, fine=fine,
-                          C_cal=C_cal,
-                          override=override, s=s, eps_scales=eps_scales:
-                          verify.check_weighted_bound(
-                              fam, fwd, s, t_w, srcs,
-                              (coarse[0], coarse[1]), (fine[0], fine[1]),
-                              eps_scales=eps_scales,
-                              tol=tol["weighted"], dt=dt, width=width,
-                              theta=theta, two_sided=two_sided,
-                              adjoint_synthesis=adj, C_cal=C_cal,
-                              majorant_override=override,
-                              cert_radius=cert_radius, store=store))
+            declare("check_weighted_bound", synthesis=fwd, s=s, t_values=t_w,
+                    sources=srcs, coarse=(coarse[0], coarse[1]),
+                    fine=(fine[0], fine[1]), eps_scales=eps_scales,
+                    tol=tol["weighted"], dt=dt, width=width, theta=theta,
+                    two_sided=two_sided, adjoint_synthesis=adj, C_cal=C_cal,
+                    majorant_override=override, cert_radius=cert_radius)
         elif name == "decay":
-            t_dec = cfg.get("verify", "t_decay")
             e_scale = cfg.get("verify", "decay_eps_scale")
-            thunks.append(lambda t_dec=t_dec, e_scale=e_scale:
-                          verify.check_decay_shape(
-                              fam, grid, t_dec, xs[0], components[0],
-                              fwd.timed.weight(e_scale * fwd.timed.eps_T),
-                              dt=dt, width=width,
-                              slack=tol["decay"], store=store))
+            declare("check_decay_shape", grid=grid,
+                    t_values=cfg.get("verify", "t_decay"), x0=xs[0],
+                    component=components[0],
+                    weight=fwd.timed.weight(e_scale * fwd.timed.eps_T),
+                    dt=dt, width=width, slack=tol["decay"])
+    plot = None
+    if "svg" in cfg.get("output", "formats"):
+        plot = verify.Evolution.of_sources("P", grid, t_single,
+                                           [(srcs[0], components[0])], width,
+                                           dt, theta)
+        requests.append(plot)
 
     def run(fn):
         _release_freed_memory()
         return fn()
 
     wall = time.perf_counter()
+    try:
+        plan = verify.run_plan(fam, requests, store, jobs=jobs)
+    except KernelBoundError:
+        # the check, or the plot, that needs the failed evolution meets the
+        # error again and reports it, after the checks before it ran, as
+        # without a plan; so the closing line below is never reached
+        plan = None
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run, fn) for fn in thunks]
@@ -563,22 +542,20 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
             if r.check == "check_weighted_bound" and "C_cal" in r.details:
                 _write(cal_path, "C_cal = %.17g\nfingerprint = %s\n"
                        % (r.details["C_cal"], cal_fp))
-    if "svg" in cfg.get("output", "formats"):
-        _write_plots(cfg, out, fam, grid, t_single, dt, theta, width, store,
-                     results, srcs, components)
+    if plot is not None:
+        _write_plots(out, fam, plot, store, results)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
-    print("verify: %d check runs in %.3fs" % (len(results),
-                                              time.perf_counter() - wall))
+    print("verify: %d check runs in %.3fs; plan: %s"
+          % (len(results), time.perf_counter() - wall,
+             ", ".join("%d %s" % (plan[name], name)
+                       for name in verify.PLAN_COUNTS)))
     return EXIT_PASS if all(r.status == "pass" for r in results) else EXIT_MATH
 
 
-def _write_plots(cfg, out, fam, grid, t_plot, dt, theta, width, store,
-                 results, srcs, components):
-    sys_fp = verify.system_fingerprint(fam)
-    handle = solver.OperatorHandle(fam, grid, variant="P")
-    field = verify.stored_column(handle, t_plot, srcs[0], components[0],
-                                 width=width, dt=dt, theta=theta,
-                                 store=store, sys_fp=sys_fp)
+def _write_plots(out, fam, column, store, results):
+    """SVG plots: the planned kernel column, mass decay, weighted ratios."""
+    (field,), = verify.evolve_all(fam, [column], store)
+    grid, t_plot = column.grid, column.t
     pts = grid.points()
     if grid.d == 1:
         mask = np.ones(len(pts), dtype=bool)

@@ -23,16 +23,20 @@ everything numeric happens on a uniform interior grid of such a box:
   to nonnegative data and dominated data to dominated data.
 
 An OperatorHandle assembles its matrix on first use, so a caller whose
-every field comes from a store builds nothing.  It keeps one factorization,
-for the latest (theta, dt): a new step size drops the old LU before the new
-one is built, since no caller returns to an earlier one and each LU of a
-2-D grid holds several megabytes.  Factorizations use SuperLU with the
-minimum-degree ordering of A^T + A (MMD_AT_PLUS_A), which suits the
-structurally symmetric stencils here: on the 2-D grids it needs less than
-half the L+U fill of the default COLAMD ordering.  A step can carry several
-columns at once (values of shape (n_nodes, m, c)), so one triangular solve
-and one residual matvec serve all of them; the residual tolerance still
-holds per column.  Kernel columns are semigroup images of mollified point
+every field comes from a store builds nothing; an adjoint handle given the
+forward handle of its grid transposes that handle's matrix instead of
+assembling its own.  A handle keeps one factorization, for the latest
+(theta, dt): a new step size drops the old LU before the new one is built,
+and release() drops it for good, since each LU of a 2-D grid holds several
+megabytes.  That one LU is enough because verify's plan orders every
+evolution by (variant, grid, theta, dt), so no caller returns to an earlier
+LU; each handle counts its assemblies, factorizations and evolutions.
+Factorizations use SuperLU with the minimum-degree ordering of A^T + A
+(MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
+the 2-D grids it needs less than half the L+U fill of the default COLAMD
+ordering.  A step can carry several columns at once (values of shape
+(n_nodes, m, c)), so one triangular solve serves all of them; the residual
+tolerance still holds per column.  Kernel columns are semigroup images of mollified point
 sources (discrete Gaussians with unit discrete mass).  Fields round-trip
 through a small binary format and CSV, both byte-stable for identical
 inputs; binary writes are atomic.
@@ -40,6 +44,7 @@ inputs; binary writes are atomic.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
@@ -319,30 +324,70 @@ def _column_max_abs(a: np.ndarray):
     return np.max(np.abs(np.asfortranarray(a)), axis=0)
 
 
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def release_freed_memory():
+    """Return the heap pages that freed LU factors and fields leave behind.
+
+    After a large block is freed, glibc raises its mmap threshold, so later
+    blocks of that size come from the heap, and any small live allocation
+    above them keeps the freed pages resident.  Whether that happens depends
+    on the address layout: without a trim, one verify of the poly2d bench
+    config carried some 35 MB of freed pages from check to check and into
+    the next command, and the next run of the same verify carried none.  A
+    call takes well under a millisecond.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 class OperatorHandle:
     """Generator of one variant on one grid, assembled on first use, plus
-    the factorization of the latest theta step."""
+    the factorization of the latest theta step.
+
+    forward, for a P_adjoint handle, is the P handle of the same grid: the
+    adjoint matrix is then the transpose of its matrix, bit for bit what
+    assemble_generator returns for P_adjoint.  assemblies, factorizations
+    and evolutions count the work the handle did.
+    """
 
     def __init__(self, system, grid: GridSpec, variant: str = "P",
-                 budget: int = DEFAULT_BUDGET):
+                 budget: int = DEFAULT_BUDGET,
+                 forward: Optional["OperatorHandle"] = None):
         spec = operator_spec_of(system)
         dof = grid.n_nodes * spec.dims.m
         if dof > budget:
             raise BudgetError(
                 f"grid needs {dof} unknowns, over the budget of {budget}; "
                 f"coarsen the grid or raise the budget")
+        if forward is not None and (variant != "P_adjoint" or forward.variant != "P"
+                                    or forward.grid != grid):
+            raise DomainError("only a P_adjoint handle takes the P handle of its grid")
         self.grid = grid
         self.variant = variant
         self.m = spec.dims.m
+        self.assemblies = self.factorizations = self.evolutions = 0
         self._system = system
-        self._matrix: Optional[sparse.csr_matrix] = None
+        self._matrix: Optional[sparse.csr_matrix] = (
+            None if forward is None else forward.matrix.T.tocsr())
         self._lu: Optional[tuple] = None  # ((theta, dt), (lu, M1, M0))
 
     @property
     def matrix(self) -> sparse.csr_matrix:
         if self._matrix is None:
             self._matrix = assemble_generator(self._system, self.grid, self.variant)
+            self.assemblies += 1
         return self._matrix
+
+    def release(self):
+        """Drop the factorization; the matrix stays for later steps."""
+        self._lu = None
 
     def _flat(self, values: np.ndarray) -> np.ndarray:
         """Node-major vector, or one column per trailing index of (n, m, c)."""
@@ -369,6 +414,7 @@ class OperatorHandle:
             lu = sparse_linalg.splu(M1, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolveError(f"implicit factor is singular: {exc}") from None
+        self.factorizations += 1
         M0 = (eye + (1.0 - theta) * dt * A).tocsr() if theta < 1.0 else None
         self._lu = (key, (lu, M1.tocsr(), M0))
         return self._lu[1]
@@ -377,8 +423,13 @@ class OperatorHandle:
         lu, M1, M0 = self._factor(theta, dt)
         rhs = M0 @ u if M0 is not None else u
         out = lu.solve(rhs)
-        # per column, so a large column cannot hide a bad small one
-        resid = _column_max_abs(M1 @ out - rhs)
+        # per column, so a large column cannot hide a bad small one.  One
+        # product per column: lu.solve returns Fortran order, and SciPy
+        # copies such a block before a multi-column product, which then
+        # costs about twice what the single-column products do
+        cols, rhs_cols = out.reshape(len(out), -1), rhs.reshape(len(rhs), -1)
+        resid = np.array([np.max(np.abs(M1 @ cols[:, j] - rhs_cols[:, j]))
+                          for j in range(cols.shape[1])])
         allowed = _RESIDUAL_TOL * np.maximum(1.0, _column_max_abs(rhs))
         bad = ~(resid <= allowed)  # also true for nan
         if np.any(bad):
@@ -405,6 +456,7 @@ class OperatorHandle:
             dt = default_dt(t, self.grid.spacing)
         if dt <= 0:
             raise DomainError(f"need dt > 0, got {dt}")
+        self.evolutions += 1
         dt = min(dt, t)
         full = int(math.floor(t / dt + 1e-9))
         rem = t - full * dt

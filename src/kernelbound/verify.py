@@ -6,34 +6,56 @@ support, forward/adjoint duality, the semigroup identity, integrability
 against time-dependent weights, and the calibrated weighted majorant.  A
 check returns the worst violation it measured together with the tolerance it
 used and a fingerprint of its configuration, so repeated runs are comparable
-byte for byte.  Given a kernel store, every evolution a check runs goes
-through it, so a rerun against the same store recomputes nothing.
+byte for byte.
+
+The evolutions run as a plan.  Each check declares its evolutions as
+Evolution requests: variant, grid, t, resolved step, theta, and either point
+sources, initial data, or, for the second leg of the semigroup check, the
+output of an earlier request.  The check runs its own requests through the
+executor, evolve_all, and reads their outputs.  requests_of(check, system,
+**kwargs) gives the requests of a call without running it, from the same
+arguments bound to the check's own signature, defaults included; the verify
+command hands those of every configured check, and of its plot, to run_plan.
+The executor drops duplicate requests by store key, sorts the rest by
+(variant, grid, theta, dt), runs each (variant, grid) on one operator
+handle, made on the first store miss, so every operator is built once and
+every step size factored once, and releases the handle's LU when its last
+request is done.  Requests are never merged into wider batches: each keeps
+the batch it had when its check ran alone, so every column has the same
+bits whether a check runs alone, in the plan, or in a thread.  Given a
+kernel store, every evolution goes through it, so after run_plan the checks
+compute nothing, and a rerun against the same store recomputes nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
+import os
 import struct
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from functools import cached_property
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bounds import eval_H
-from .coefficients import CouplingSupport, _FamilyBase
+from .coefficients import CouplingSupport, _FamilyBase, operator_spec_of
 from .errors import DomainError, KernelBoundError
 from .hypotheses import RowSumBound, compute_row_sum_bound, estimate_ledger
 from .lyapunov import (SAMPLE_RADIUS, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec,
                        verify_certificate)
-from .solver import (FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField, GridSpec,
-                     OperatorHandle, default_dt, kernel_columns, load_field,
-                     save_field)
+from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField,
+                     GridSpec, OperatorHandle, default_dt, kernel_columns, load_field,
+                     release_freed_memory, save_field)
 
 __all__ = [
     "CheckResult", "KernelStore", "StoreKey", "system_fingerprint",
-    "stored_column", "stored_columns", "stored_evolve",
+    "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan", "requests_of",
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
@@ -152,16 +174,26 @@ class KernelStore:
     def __init__(self, directory=None):
         self._memory: dict[str, DiscreteField] = {}
         self._seen: set[str] = set()
-        self._dir = Path(directory) if directory is not None else None
+        # a plain string: every lookup builds a path, and pathlib is slow at it
+        self._dir = os.fspath(directory) if directory is not None else None
         if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self._dir, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._seen)
 
-    def _path(self, digest: str) -> Path:
+    def _path(self, digest: str) -> str:
         name = hashlib.sha1(digest.encode()).hexdigest()[:16]
-        return self._dir / f"{name}.kbf"
+        return os.path.join(self._dir, name + ".kbf")
+
+    def holds(self, key: StoreKey) -> bool:
+        """Whether a field sits under key, in memory or in a file.
+
+        The file is not read, so a corrupt one still counts; get_or_compute
+        rebuilds it when it is read.
+        """
+        return key.digest in self._memory or (
+            self._dir is not None and key.persist and os.path.exists(self._path(key.digest)))
 
     def get_or_compute(self, key, build: Callable[[], DiscreteField]) -> DiscreteField:
         key = StoreKey(key) if isinstance(key, str) else key
@@ -169,7 +201,7 @@ class KernelStore:
             return self._memory[key.digest]
         path = self._path(key.digest) if self._dir is not None and key.persist else None
         fld = None
-        if path is not None and path.exists():
+        if path is not None and os.path.exists(path):
             try:
                 fld = load_field(path)
             except (KernelBoundError, ValueError, OSError, struct.error):
@@ -193,90 +225,363 @@ def _loc_pt(point, d: int):
     return float(arr[0]) if d == 1 else tuple(float(v) for v in arr)
 
 
-def stored_columns(handle: OperatorHandle, t: float, sources: Sequence[tuple],
+@dataclass(frozen=True, eq=False)
+class Evolution:
+    """One evolution a check needs, declared before anything runs.
+
+    variant and grid name the operator; t, the resolved step dt and theta
+    the time stepping.  The request evolves either the mollified point
+    sources (center, component) of the given width, giving one kernel
+    column per source, or the initial values data, of shape (n_nodes, m)
+    or (n_nodes, m, c), giving an array of that shape, or, as a second
+    stage, the output of the request after, for t more.  Build requests
+    with of_sources, of_values and then.
+    """
+
+    variant: str
+    grid: GridSpec
+    t: float
+    dt: float
+    theta: float
+    sources: tuple = ()
+    width: float = 0.0
+    data: Optional[np.ndarray] = None
+    after: Optional["Evolution"] = None
+
+    @classmethod
+    def of_sources(cls, variant: str, grid: GridSpec, t: float, sources: Sequence[tuple],
                    width: Optional[float] = None, dt: Optional[float] = None,
-                   theta: float = 0.5, store: Optional[KernelStore] = None, *,
-                   sys_fp: str) -> list:
-    """Kernel columns for (center, component) sources, routed through the store.
+                   theta: float = 0.5) -> "Evolution":
+        """Kernel columns.  An unset width is two cells and an unset dt the
+        solver default, resolved here, so a request that spells them out
+        shares the store entries."""
+        w = 2.0 * grid.spacing if width is None else float(width)
+        step = default_dt(t, grid.spacing) if dt is None else float(dt)
+        srcs = tuple((tuple(_center(point, grid.d)), k) for point, k in sources)
+        return cls(variant, grid, t, step, theta, sources=srcs, width=w)
 
-    Every source passes through the store under its own canonical key, so
-    hits and misses count per column.  Unset width and step resolve to the
-    solver defaults before keying, so a later call that spells them out hits
-    the same entry.  A miss evolves all m components of its center in one
-    batch, shared by the other misses at that center.  Batches never depend
-    on which columns a caller asked for, so a column has the same bits
-    whichever check computes it first.
+    @classmethod
+    def of_values(cls, variant: str, grid: GridSpec, values: np.ndarray, t: float,
+                  dt: Optional[float] = None, theta: float = 0.5) -> "Evolution":
+        """Evolved data; an unset dt resolves to the solver default here."""
+        step = default_dt(t, grid.spacing) if dt is None else float(dt)
+        return cls(variant, grid, t, step, theta,
+                   data=np.ascontiguousarray(values, dtype=float))
+
+    def then(self, t: float) -> "Evolution":
+        """This request's output evolved for t more, same operator and step."""
+        return Evolution(self.variant, self.grid, t, self.dt, self.theta, after=self)
+
+    @cached_property
+    def digest(self) -> str:
+        """_data_digest of the data, computed once per request."""
+        return _data_digest(self.data)
+
+
+def _center_batch(store, sys_fp: str, variant: str, grid: GridSpec, m: int,
+                  t: float, center: tuple, components, w: float, step: float,
+                  theta: float, handle_of: Callable[[], OperatorHandle]) -> dict:
+    """Kernel columns at one center, by component, routed through the store.
+
+    Each component is one store entry, under a key of the system, variant,
+    grid, t, center, component, width, step and theta.  A miss evolves all
+    m components of the center in one batch, shared by the other misses, so
+    a column has the same bits whichever components a caller asked for
+    first.
     """
-    g = handle.grid
-    w = 2.0 * g.spacing if width is None else float(width)
-    step = default_dt(t, g.spacing) if dt is None else float(dt)
-    batches: dict = {}
+    for k in components:
+        if not 0 <= k < m:
+            raise DomainError(f"component {k} outside 0..{m - 1}")
+    batch = []
 
-    def build(center: tuple, k: int) -> DiscreteField:
-        if center not in batches:
-            batches[center] = kernel_columns(
-                handle, t, [(center, h) for h in range(handle.m)],
-                width=w, dt=step, theta=theta)
-        return batches[center][k]
+    def build(k: int) -> DiscreteField:
+        if not batch:
+            batch.extend(kernel_columns(handle_of(), t, [(center, h) for h in range(m)],
+                                        width=w, dt=step, theta=theta))
+        return batch[k]
 
-    out = []
-    for point, k in sources:
-        if not 0 <= k < handle.m:
-            raise DomainError(f"component {k} outside 0..{handle.m - 1}")
-        center = tuple(_center(point, g.d))
-        if store is None:
-            out.append(build(center, k))
-            continue
-        key = _store_key("col", sys_fp, handle.variant, g.d, g.radius, g.spacing,
-                         t, center, k, w, step, theta)
-        out.append(store.get_or_compute(key, lambda c=center, k=k: build(c, k)))
-    return out
-
-
-def stored_column(handle: OperatorHandle, t: float, center, component: int,
-                  width: Optional[float] = None, dt: Optional[float] = None,
-                  theta: float = 0.5, store: Optional[KernelStore] = None, *,
-                  sys_fp: str) -> DiscreteField:
-    """One kernel column through the store; see stored_columns."""
-    return stored_columns(handle, t, [(center, component)], width, dt, theta,
-                          store, sys_fp=sys_fp)[0]
-
-
-def stored_evolve(handle: OperatorHandle, values: np.ndarray, t: float,
-                  dt: Optional[float], theta: float,
-                  store: Optional[KernelStore], *, sys_fp: str) -> np.ndarray:
-    """handle.evolve(values, t, dt, theta)[0], routed through the store.
-
-    values has shape (n_nodes, m) or (n_nodes, m, c).  Each column is one
-    store entry, keyed by the data itself (a sha1 of the whole batch's
-    bytes and shape, plus the column index) next to the system, variant,
-    grid, t, the resolved step and theta.  A miss evolves the whole batch,
-    so a column has the same bits whichever columns were stored before.
-    The entries are read by a single check, so they are not shared: with a
-    directory they go to disk only.
-    """
-    g = handle.grid
-    step = default_dt(t, g.spacing) if dt is None else float(dt)
     if store is None:
-        return handle.evolve(values, t, dt=step, theta=theta)[0]
-    data = np.ascontiguousarray(values, dtype=float)
-    digest = hashlib.sha1(repr(data.shape).encode() + data.tobytes()).hexdigest()
+        return {k: build(k) for k in components}
+    return {k: store.get_or_compute(
+                _column_key(sys_fp, variant, grid, t, center, k, w, step, theta),
+                lambda k=k: build(k))
+            for k in components}
+
+
+def _column_key(sys_fp: str, variant: str, grid: GridSpec, t: float, center: tuple,
+                k: int, w: float, step: float, theta: float) -> StoreKey:
+    return _store_key("col", sys_fp, variant, grid.d, grid.radius, grid.spacing,
+                      t, center, k, w, step, theta)
+
+
+def _data_key(sys_fp: str, variant: str, grid: GridSpec, t: float, step: float,
+              theta: float, digest: str, j: int) -> StoreKey:
+    # read by a single check, so not shared
+    return _store_key("evolve", sys_fp, variant, grid.d, grid.radius, grid.spacing,
+                      t, step, theta, digest, j, shared=False)
+
+
+def _data_digest(data: np.ndarray) -> str:
+    """sha1 of the shape and the C-order bytes, hashed in place, not copied."""
+    digest = hashlib.sha1(repr(data.shape).encode())
+    digest.update(np.ascontiguousarray(data))
+    return digest.hexdigest()
+
+
+def _data_batch(store, sys_fp: str, variant: str, grid: GridSpec, t: float,
+                data: np.ndarray, step: float, theta: float,
+                handle_of: Callable[[], OperatorHandle],
+                digest: Optional[str] = None) -> np.ndarray:
+    """Evolved data, routed through the store.
+
+    data has shape (n_nodes, m) or (n_nodes, m, c).  Each column is one
+    store entry, keyed by the data itself (digest, _data_digest(data),
+    computed here when not given, plus the column index) next to the
+    system, variant, grid, t, step and theta.  A miss evolves the whole
+    batch, so a column has the same bits whichever columns were stored
+    before.  The entries are read by a single check, so they are not
+    shared: with a directory they go to disk only.
+    """
+    if store is None:
+        return handle_of().evolve(data, t, dt=step, theta=theta)[0]
+    digest = digest or _data_digest(data)
     evolved = []
 
     def build(j: int) -> DiscreteField:
         if not evolved:
-            evolved.append(handle.evolve(data, t, dt=step, theta=theta)[0])
+            evolved.append(handle_of().evolve(data, t, dt=step, theta=theta)[0])
         out = evolved[0]
         col = out[:, :, j] if out.ndim == 3 else out
-        return DiscreteField(g, np.ascontiguousarray(col), time=t,
-                             meta={"variant": handle.variant})
+        return DiscreteField(grid, np.ascontiguousarray(col), time=t,
+                             meta={"variant": variant})
 
-    cols = []
-    for j in range(data.shape[2] if data.ndim == 3 else 1):
-        key = _store_key("evolve", sys_fp, handle.variant, g.d, g.radius,
-                         g.spacing, t, step, theta, digest, j, shared=False)
-        cols.append(store.get_or_compute(key, lambda j=j: build(j)).values)
+    cols = [store.get_or_compute(_data_key(sys_fp, variant, grid, t, step, theta,
+                                           digest, j), lambda j=j: build(j)).values
+            for j in range(data.shape[2] if data.ndim == 3 else 1)]
     return np.stack(cols, axis=-1) if data.ndim == 3 else cols[0]
+
+
+# ---------------------------------------------------------------------------
+# the plan: every evolution declared, then each run once
+# ---------------------------------------------------------------------------
+
+# what run_plan counts: the declared requests, the distinct evolve batches
+# they come to, the batches computed, the fields already stored, and the
+# operator handles' factorizations and assemblies
+PLAN_COUNTS = ("requests", "batches", "evolutions", "fields found in the store",
+               "factorizations", "assemblies")
+
+
+@dataclass(eq=False)
+class _Batch:
+    """One evolve batch of the plan, the unit that runs at most once.
+
+    Column requests at one center share a batch, since all m components
+    evolve together whichever of them are asked for; the batch reads the
+    union of the components its requests want.  Data requests and second
+    stages are batches of their own.
+    """
+
+    variant: str
+    grid: GridSpec
+    t: float
+    dt: float
+    theta: float
+    stage: int = 0
+    center: Optional[tuple] = None
+    width: float = 0.0
+    components: list = field(default_factory=list)
+    data: Optional[np.ndarray] = None
+    digest: Optional[str] = None  # of data; a second stage's is known once it runs
+    after: Optional["_Batch"] = None
+    continued: bool = False  # a second stage reads this batch's output
+
+    def order(self) -> tuple:
+        g = self.grid
+        return (self.variant, g.d, g.spacing, g.radius, self.theta, self.dt,
+                self.stage, self.t)
+
+    def keys(self, sys_fp: str) -> list:
+        """The store keys of the batch's fields; a second stage's are unknown."""
+        if self.center is not None:
+            return [_column_key(sys_fp, self.variant, self.grid, self.t, self.center, k,
+                                self.width, self.dt, self.theta) for k in self.components]
+        return [_data_key(sys_fp, self.variant, self.grid, self.t, self.dt, self.theta,
+                          self.digest, j)
+                for j in range(self.data.shape[2] if self.data.ndim == 3 else 1)]
+
+
+def _plan(requests: Sequence[Evolution]) -> tuple:
+    """The distinct batches in run order, and where each request's output lies.
+
+    Batches are keyed by the text of their store keys, so two requests
+    share a batch exactly when they would share store entries.  The run
+    order is (variant, grid, theta, dt, stage, t): one handle per (variant,
+    grid) steps through each (theta, dt) once, and a second stage runs right
+    after the stage it continues.  A request's output lies in one batch, or,
+    for kernel columns, in a list of (batch, component) picks.
+    """
+    batches: dict = {}
+    where: dict = {}  # id(request) -> batch, or [(batch, component), ...]
+
+    def batch_of(req: Evolution, *key, **extra) -> _Batch:
+        if key not in batches:
+            batches[key] = _Batch(req.variant, req.grid, req.t, req.dt, req.theta,
+                                  **extra)
+        return batches[key]
+
+    for req in requests:
+        g = req.grid
+        op = _fingerprint(req.variant, g.d, g.radius, g.spacing, req.t, req.dt, req.theta)
+        if req.after is not None:
+            parent = where.get(id(req.after))
+            if not isinstance(parent, _Batch):
+                raise DomainError("a second stage needs its first stage declared before it")
+            parent.continued = True
+            where[id(req)] = batch_of(req, op, "then", id(parent), stage=parent.stage + 1,
+                                      after=parent)
+        elif req.data is not None:
+            where[id(req)] = batch_of(req, op, "data", req.digest, data=req.data,
+                                      digest=req.digest)
+        else:
+            picks = []
+            for center, k in req.sources:
+                b = batch_of(req, op, "col", str(center), str(req.width), center=center,
+                             width=req.width)
+                if k not in b.components:
+                    b.components.append(k)
+                picks.append((b, k))
+            where[id(req)] = picks
+    return sorted(batches.values(), key=_Batch.order), [where[id(r)] for r in requests]
+
+
+class _Tally:
+    """A store seen by one group of batches, counting the fields it hands back."""
+
+    def __init__(self, store: KernelStore):
+        self._store = store
+        self.found = 0
+
+    def holds_all(self, keys: list) -> bool:
+        """Whether every key is stored; if so, they count as found."""
+        if all(map(self._store.holds, keys)):
+            self.found += len(keys)
+            return True
+        return False
+
+    def get_or_compute(self, key, build):
+        built = []
+
+        def counted():
+            built.append(True)
+            return build()
+
+        fld = self._store.get_or_compute(key, counted)
+        self.found += not built
+        return fld
+
+
+def _execute(system, requests: Sequence[Evolution], store: Optional[KernelStore],
+             jobs: int, keep: bool, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Run the plan of the requests; returns (outputs or None, counts).
+
+    Batches of one (variant, grid) form a group with one OperatorHandle of
+    the given budget, made on the group's first store miss, so a group
+    whose every field is stored builds nothing.  A P_adjoint handle
+    transposes the matrix of its grid's P handle when that group is done and
+    made one.  When its last batch is done a group releases its
+    factorization and hands freed heap pages back, so with one job at most
+    one LU is alive.  With jobs > 1 the groups run in threads, each with its
+    own handle; an adjoint group that starts before its P group is done
+    assembles its own matrix.  Batches never depend on the order or the
+    thread they run in, so neither do the bits.
+    """
+    sys_fp = system_fingerprint(system)
+    m = operator_spec_of(system).dims.m
+    batches, where = _plan(requests)
+    groups = [list(g) for _, g in groupby(batches, key=lambda b: (b.variant, b.grid))]
+    adjoint_grids = {b.grid for b in batches if b.variant == "P_adjoint"}
+    forward: dict = {}  # grid -> done P handle whose matrix its adjoint group takes
+
+    def run_group(group: list) -> tuple:
+        variant, grid = group[0].variant, group[0].grid
+        handle = None
+
+        def handle_of() -> OperatorHandle:
+            nonlocal handle
+            if handle is None:
+                fwd = forward.pop(grid, None) if variant == "P_adjoint" else None
+                handle = OperatorHandle(system, grid, variant, budget, forward=fwd)
+            return handle
+
+        tally = _Tally(store) if store is not None else None
+        done = {}
+        for b in group:
+            if not (keep or b.continued) and b.after is None and tally is not None \
+                    and tally.holds_all(b.keys(sys_fp)):
+                continue  # nothing to compute, and no output wanted
+            if b.center is not None:
+                out = _center_batch(tally, sys_fp, b.variant, b.grid, m, b.t, b.center,
+                                    b.components, b.width, b.dt, b.theta, handle_of)
+            else:
+                data = b.data if b.after is None else done[b.after]
+                out = _data_batch(tally, sys_fp, b.variant, b.grid, b.t, data, b.dt,
+                                  b.theta, handle_of, b.digest)
+            if keep or b.continued:
+                done[b] = out
+        counts = Counter({"batches": len(group),
+                          "fields found in the store": tally.found if tally else 0})
+        if handle is not None:
+            handle.release()
+            counts.update(evolutions=handle.evolutions,
+                          factorizations=handle.factorizations,
+                          assemblies=handle.assemblies)
+            if variant == "P" and grid in adjoint_grids:
+                forward[grid] = handle
+            handle = None
+            release_freed_memory()
+        return (done if keep else {}), counts
+
+    if jobs > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            ran = list(pool.map(run_group, groups))
+    else:
+        ran = [run_group(g) for g in groups]
+    total = Counter(requests=len(requests))
+    outputs: dict = {}
+    for done, counts in ran:
+        outputs.update(done)
+        total.update(counts)
+    if not keep:
+        return None, total
+    return [outputs[w] if isinstance(w, _Batch) else [outputs[b][k] for b, k in w]
+            for w in where], total
+
+
+def evolve_all(system, requests: Sequence[Evolution],
+               store: Optional[KernelStore] = None,
+               budget: int = DEFAULT_BUDGET) -> list:
+    """Outputs of the requests in their order, each batch run at most once.
+
+    A column request gives a list of DiscreteField, one per source; a data
+    request or a second stage gives an array shaped like its data.  Every
+    check runs its own requests through here; after run_plan has run them,
+    every field comes from the store.  budget caps the unknowns of each
+    operator, as in OperatorHandle.
+    """
+    return _execute(system, requests, store, 1, keep=True, budget=budget)[0]
+
+
+def run_plan(system, requests: Sequence[Evolution], store: KernelStore,
+             jobs: int = 1) -> Counter:
+    """Run the requests of several checks into the store, keeping no output.
+
+    Duplicates are dropped by store key and the rest run in plan order, so
+    each operator is built once and each (variant, grid, theta, dt) is
+    factored once; the checks then read every field from the store.
+    Returns the PLAN_COUNTS.
+    """
+    return _execute(system, requests, store, jobs, keep=False)[1]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
@@ -299,6 +604,22 @@ def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
 # order and structure checks
 # ---------------------------------------------------------------------------
 
+def _domination_requests(system, grid: GridSpec, t: float, sources: Sequence[tuple],
+                         dt: Optional[float], width: Optional[float], n_random: int,
+                         seed: int) -> list:
+    """The evolutions of check_domination, for the same arguments."""
+    reqs = [Evolution.of_sources(variant, grid, t, sources, width, dt, 1.0)
+            for variant in ("P", "plain")]
+    if n_random:
+        # the draws, in the order they were always taken, evolve as one batch
+        rng = np.random.default_rng(seed)
+        f = np.stack([rng.uniform(-1.0, 1.0, size=(grid.n_nodes, system.dims.m))
+                      for _ in range(n_random)], axis=-1)
+        reqs += [Evolution.of_values("plain", grid, f, t, dt, 1.0),
+                 Evolution.of_values("P", grid, np.abs(f), t, dt, 1.0)]
+    return reqs
+
+
 def check_domination(system, grid: GridSpec, t: float,
                      sources: Sequence[tuple], dt: Optional[float] = None,
                      width: Optional[float] = None, tol: float = 1e-9,
@@ -314,18 +635,18 @@ def check_domination(system, grid: GridSpec, t: float,
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("domination", sys_fp, grid.d, grid.radius, grid.spacing,
                       t, tuple(map(repr, sources)), tol, n_random, seed)
-    coop = OperatorHandle(system, grid, variant="P")
-    plain = OperatorHandle(system, grid, variant="plain")
+    m = system.dims.m
     worst = -math.inf
     loc = (t, None, None, None, None)
     samples = []
-    coop_cols = stored_columns(coop, t, sources, width, dt, 1.0, store, sys_fp=sys_fp)
-    plain_cols = stored_columns(plain, t, sources, width, dt, 1.0, store, sys_fp=sys_fp)
+    coop_cols, plain_cols, *random_runs = evolve_all(
+        system, _domination_requests(system, grid, t, sources, dt, width, n_random, seed),
+        store)
     for (center, k), cp, cf in zip(sources, coop_cols, plain_cols):
         scale = max(float(np.max(cp.values)), _TINY)
         excess = (np.abs(cf.values) - cp.values) / scale
         i = int(np.argmax(excess))
-        node, h = divmod(i, coop.m)
+        node, h = divmod(i, m)
         val = float(excess.flat[i])
         samples.append({"t": t, "x": _loc_pt(grid.points()[node], grid.d),
                         "y": _loc_pt(center, grid.d), "h": h, "k": k,
@@ -334,19 +655,13 @@ def check_domination(system, grid: GridSpec, t: float,
             worst = val
             loc = (t, _loc_pt(grid.points()[node], grid.d),
                    _loc_pt(center, grid.d), h, k)
-    rng = np.random.default_rng(seed)
-    if n_random:
-        # the draws, in the order they were always taken, evolve as one batch
-        f = np.stack([rng.uniform(-1.0, 1.0, size=(grid.n_nodes, coop.m))
-                      for _ in range(n_random)], axis=-1)
-        ufs = stored_evolve(plain, f, t, dt, 1.0, store, sys_fp=sys_fp)
-        ups = stored_evolve(coop, np.abs(f), t, dt, 1.0, store, sys_fp=sys_fp)
     for j in range(n_random):
+        ufs, ups = random_runs
         uf, up = ufs[:, :, j], ups[:, :, j]
         scale = max(float(np.max(np.abs(up))), _TINY)
         excess = (np.abs(uf) - up) / scale
         i = int(np.argmax(excess))
-        node, h = divmod(i, coop.m)
+        node, h = divmod(i, m)
         val = float(excess.flat[i])
         samples.append({"t": t, "x": _loc_pt(grid.points()[node], grid.d),
                         "y": None, "h": h, "k": None, "value": val, "bound": tol})
@@ -356,6 +671,19 @@ def check_domination(system, grid: GridSpec, t: float,
     return _result("check_domination", worst, tol, loc, fp,
                    {"samples": samples, "sources": len(sources),
                     "random_data": n_random})
+
+
+def _monotone_requests(system, radii: Sequence[float], spacing: float, t: float,
+                       source: tuple, dt: Optional[float], width: Optional[float],
+                       theta: float) -> list:
+    """The evolutions of check_monotone_in_R: one column per radius, ascending."""
+    if dt is None:
+        dt = default_dt(t, spacing)
+    if width is None:
+        width = 2.0 * spacing
+    return [Evolution.of_sources("P", GridSpec(d=system.dims.d, radius=R, spacing=spacing),
+                                 t, [source], width, dt, theta)
+            for R in sorted(float(R) for R in radii)]
 
 
 def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
@@ -376,16 +704,9 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("monotone-R", sys_fp, tuple(radii), spacing, t,
                       tuple(_center(center, d)), k, tol, shrink, theta)
-    if dt is None:
-        dt = default_dt(t, spacing)
-    if width is None:
-        width = 2.0 * spacing
-    grids = [GridSpec(d=d, radius=R, spacing=spacing) for R in radii]
-    fields = [
-        stored_column(OperatorHandle(system, g, variant="P"), t, center, k,
-                      width, dt, theta, store, sys_fp=sys_fp)
-        for g in grids
-    ]
+    reqs = _monotone_requests(system, radii, spacing, t, source, dt, width, theta)
+    grids = [req.grid for req in reqs]
+    fields = [cols[0] for cols in evolve_all(system, reqs, store)]
     scale = max(max(float(np.max(f.values)) for f in fields), _TINY)
     floor = 1e-12 * scale
     worst = 0.0
@@ -419,6 +740,16 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
                     "increments": increments, "scale": scale})
 
 
+def _mass_requests(system, grid: GridSpec, t_values: Sequence[float],
+                   dt: Optional[float], theta: float, sources: Sequence[tuple],
+                   width: Optional[float]) -> list:
+    """The evolutions of check_mass_and_positivity: the all-ones data at each
+    time, then the source columns at the last time."""
+    ones = np.ones((grid.n_nodes, system.dims.m))
+    return [Evolution.of_values("P", grid, ones, t, dt, theta) for t in t_values] \
+        + [Evolution.of_sources("P", grid, max(t_values), sources, width, dt, theta)]
+
+
 def check_mass_and_positivity(system, grid: GridSpec,
                               t_values: Sequence[float],
                               dt: Optional[float] = None, theta: float = 1.0,
@@ -435,22 +766,22 @@ def check_mass_and_positivity(system, grid: GridSpec,
     scale so a single worst number decides the check.
     """
     sys_fp = system_fingerprint(system)
-    handle = OperatorHandle(system, grid, variant="P")
+    m = system.dims.m
     if row is None:
         row = compute_row_sum_bound(system, radius=max(SAMPLE_RADIUS, 2.0 * grid.radius))
     fp = _fingerprint("mass-positivity", sys_fp, grid.d, grid.radius,
                       grid.spacing, tuple(t_values), tol, pos_tol, row.M, theta)
-    sqm = math.sqrt(handle.m)
-    ones = np.ones((grid.n_nodes, handle.m))
+    sqm = math.sqrt(m)
+    *runs, cols = evolve_all(
+        system, _mass_requests(system, grid, t_values, dt, theta, sources, width), store)
     worst = -math.inf
     pos_ratio = 0.0
     loc = (None, None, None, None, None)
     samples = []
-    for t in t_values:
-        u = stored_evolve(handle, ones, t, dt, theta, store, sys_fp=sys_fp)
+    for t, u in zip(t_values, runs):
         bound = sqm * math.exp(-row.M * t)
         i = int(np.argmax(u))
-        node, h = divmod(i, handle.m)
+        node, h = divmod(i, m)
         excess = float(u.flat[i]) / bound - 1.0
         samples.append({"t": t, "x": _loc_pt(grid.points()[node], grid.d),
                         "y": None, "h": h, "k": None,
@@ -459,14 +790,22 @@ def check_mass_and_positivity(system, grid: GridSpec,
             worst = excess
             loc = (t, _loc_pt(grid.points()[node], grid.d), None, h, None)
         pos_ratio = max(pos_ratio, -float(np.min(u)) / pos_tol)
-    for col in stored_columns(handle, max(t_values), sources, width, dt, theta,
-                              store, sys_fp=sys_fp):
+    for col in cols:
         scale = max(float(np.max(col.values)), _TINY)
         pos_ratio = max(pos_ratio, -float(np.min(col.values)) / (pos_tol * scale))
     worst = max(worst, tol * pos_ratio)
     return _result("check_mass_and_positivity", worst, tol, loc, fp,
                    {"samples": samples, "M": row.M, "certified_tail": row.certified_tail,
                     "positivity_ratio": pos_ratio})
+
+
+def _support_requests(system, k: int, grid: GridSpec, t: float, center,
+                      dt: Optional[float], width: Optional[float],
+                      theta: float) -> list:
+    """The evolution of check_support: the column of (center, k)."""
+    if center is None:
+        center = np.zeros(system.dims.d)
+    return [Evolution.of_sources("P", grid, t, [(center, k)], width, dt, theta)]
 
 
 def check_support(system, k: int, grid: GridSpec, t: float,
@@ -492,16 +831,17 @@ def check_support(system, k: int, grid: GridSpec, t: float,
     fp = _fingerprint("support", sys_fp, k, grid.d, grid.radius, grid.spacing,
                       t, tuple(_center(center, d)), tol_null, floor,
                       sorted(support.reachable))
-    handle = OperatorHandle(system, grid, variant="P")
-    col = stored_column(handle, t, center, k, width, dt, theta, store, sys_fp=sys_fp)
+    m = system.dims.m
+    (col,), = evolve_all(system, _support_requests(system, k, grid, t, center, dt, width,
+                                                   theta), store)
     scale = max(float(np.max(np.abs(col.values))), _TINY)
     per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
-                for h in range(handle.m)]
+                for h in range(m)]
     worst = 0.0
     loc = (t, None, _loc_pt(center, d), None, k)
     samples = []
     min_reach = math.inf
-    for h in range(handle.m):
+    for h in range(m):
         reachable = h in support.reachable
         samples.append({"t": t, "x": None, "y": _loc_pt(center, d), "h": h,
                         "k": k, "value": per_comp[h],
@@ -525,6 +865,17 @@ def check_support(system, k: int, grid: GridSpec, t: float,
 # identity checks
 # ---------------------------------------------------------------------------
 
+def _duality_requests(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
+                      dt: Optional[float], width: Optional[float],
+                      theta: float) -> list:
+    """The evolutions of check_duality: forward columns sourced at each (y, k),
+    adjoint columns sourced at each (x, h)."""
+    return [Evolution.of_sources("P", grid, t, [(y, k) for _, _, y, k in pairs],
+                                 width, dt, theta),
+            Evolution.of_sources("P_adjoint", grid, t, [(x, h) for x, h, _, _ in pairs],
+                                 width, dt, theta)]
+
+
 def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
                   dt: Optional[float] = None, width: Optional[float] = None,
                   tol: float = 0.02, theta: float = 0.5,
@@ -540,15 +891,11 @@ def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("duality", sys_fp, grid.d, grid.radius, grid.spacing, t,
                       tuple(map(repr, pairs)), tol, theta)
-    forward = OperatorHandle(system, grid, variant="P")
-    adjoint = OperatorHandle(system, grid, variant="P_adjoint")
     worst = 0.0
     loc = (t, None, None, None, None)
     samples = []
-    fwd_cols = stored_columns(forward, t, [(y, k) for _, _, y, k in pairs],
-                              width, dt, theta, store, sys_fp=sys_fp)
-    adj_cols = stored_columns(adjoint, t, [(x, h) for x, h, _, _ in pairs],
-                              width, dt, theta, store, sys_fp=sys_fp)
+    fwd_cols, adj_cols = evolve_all(
+        system, _duality_requests(system, grid, t, pairs, dt, width, theta), store)
     for (x, h, y, k), cf, ca in zip(pairs, fwd_cols, adj_cols):
         vf = float(cf.values[grid.node_of(_center(x, d)), h])
         va = float(ca.values[grid.node_of(_center(y, d)), k])
@@ -562,6 +909,28 @@ def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
             worst = rel
             loc = (t, _loc_pt(x, d), _loc_pt(y, d), h, k)
     return _result("check_duality", worst, tol, loc, fp, {"samples": samples})
+
+
+def _chapman_dt(grid: GridSpec, t: float, s: float, dt: Optional[float]):
+    """The step of a split (s, t): by default the largest one that divides s
+    and is at most min(t, s, spacing, (t + s) / 64)."""
+    if dt is None and s > 0.0:
+        base = min(t, s, grid.spacing, (t + s) / 64.0)
+        dt = s / math.ceil(s / base)
+    return dt
+
+
+def _chapman_requests(system, grid: GridSpec, t: float, s: float, variant: str,
+                      dt: Optional[float], theta: float, seed: int) -> list:
+    """The evolutions of check_chapman_kolmogorov: the direct path over t + s
+    and the composed one, s and then, as a second stage, t more."""
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(grid.n_nodes, system.dims.m))
+    if s <= 0.0:
+        # degenerate split: the composition is the single evolution
+        return [Evolution.of_values(variant, grid, f, t, dt, theta)]
+    dt = _chapman_dt(grid, t, s, dt)
+    mid = Evolution.of_values(variant, grid, f, s, dt, theta)
+    return [Evolution.of_values(variant, grid, f, t + s, dt, theta), mid, mid.then(t)]
 
 
 def check_chapman_kolmogorov(system, grid: GridSpec, t: float, s: float,
@@ -578,24 +947,14 @@ def check_chapman_kolmogorov(system, grid: GridSpec, t: float, s: float,
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("chapman", sys_fp, grid.d, grid.radius, grid.spacing,
                       t, s, variant, tol, seed, theta)
-    handle = OperatorHandle(system, grid, variant=variant)
-    rng = np.random.default_rng(seed)
-    f = rng.uniform(-1.0, 1.0, size=(grid.n_nodes, handle.m))
-    if s <= 0.0:
-        # degenerate split: the composition is the single evolution
-        a = stored_evolve(handle, f, t, dt, theta, store, sys_fp=sys_fp)
-        b = a
-    else:
-        if dt is None:
-            base = min(t, s, grid.spacing, (t + s) / 64.0)
-            dt = s / math.ceil(s / base)
-        a = stored_evolve(handle, f, t + s, dt, theta, store, sys_fp=sys_fp)
-        mid = stored_evolve(handle, f, s, dt, theta, store, sys_fp=sys_fp)
-        b = stored_evolve(handle, mid, t, dt, theta, store, sys_fp=sys_fp)
-    scale = max(float(np.max(np.abs(f))), _TINY)
+    reqs = _chapman_requests(system, grid, t, s, variant, dt, theta, seed)
+    runs = evolve_all(system, reqs, store)
+    a, b = runs[0], runs[-1]
+    dt = _chapman_dt(grid, t, s, dt)
+    scale = max(float(np.max(np.abs(reqs[0].data))), _TINY)
     diff = np.abs(a - b)
     i = int(np.argmax(diff))
-    node, h = divmod(i, handle.m)
+    node, h = divmod(i, system.dims.m)
     worst = float(diff.flat[i]) / scale
     loc = (t + s, _loc_pt(grid.points()[node], grid.d), None, h, None)
     samples = [{"t": t + s, "x": loc[1], "y": None, "h": h, "k": None,
@@ -622,14 +981,44 @@ def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
     return np.exp(eps * t + a * x * x / denom) / math.sqrt(denom)
 
 
-def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float,
-                       radius: float) -> TimeLyapunovSpec:
-    """Rescale the weight amplitude and recalibrate its growth constant."""
+def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
+    """The weight amplitude rescaled; its growth constant still to calibrate."""
     if scale == 1.0 and timed.c0 is not None:
         return timed
     base = replace(timed.base, eps_hat=timed.base.eps_hat * float(scale))
-    candidate = replace(timed, base=base, c0=None)
+    return replace(timed, base=base, c0=None)
+
+
+def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float,
+                       radius: float) -> TimeLyapunovSpec:
+    """Rescale the weight amplitude and recalibrate its growth constant."""
+    candidate = _scaled(timed, scale)
+    if candidate is timed:
+        return timed
     return verify_certificate(system, candidate, radius=radius).certified
+
+
+def _integrability_requests(system, timed: TimeLyapunovSpec, grid: GridSpec,
+                            t_values: Sequence[float], eps: Optional[float],
+                            theta: float, dt: Optional[float]) -> list:
+    """The evolutions of check_lyapunov_integrability: at each time, the weight
+    and its outer shell as one two-column batch.
+
+    The weight is the one of the rescaled spec, which calibration does not
+    change, so no calibration runs here.
+    """
+    if eps is None:
+        eps = timed.eps_T / 4.0
+    w = _scaled(timed, eps / timed.eps_T).weight()
+    pts = grid.points()
+    shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
+    reqs = []
+    for t in t_values:
+        log_nu = np.asarray(w.log_value(t, pts, grid.d), dtype=float)
+        init = np.repeat(np.exp(log_nu)[:, None], system.dims.m, axis=1)
+        both = np.stack([init, init * shell[:, None]], axis=-1)
+        reqs.append(Evolution.of_values("P", grid, both, t, dt, theta))
+    return reqs
 
 
 def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
@@ -661,20 +1050,13 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
                       grid.spacing, tuple(t_values),
                       tuple(_loc_pt(x, d) for x in x_points), eps, tol,
                       g_margin, theta)
-    handle = OperatorHandle(system, grid, variant="P")
-    w = spec_used.weight()
-    pts = grid.points()
-    shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
+    runs = evolve_all(system, _integrability_requests(system, timed, grid, t_values, eps,
+                                                      theta, dt), store)
     worst = -math.inf
     tail_worst = 0.0
     loc = (None, None, None, None, None)
     samples = []
-    for t in t_values:
-        log_nu = np.asarray(w.log_value(t, pts, d), dtype=float)
-        init = np.repeat(np.exp(log_nu)[:, None], handle.m, axis=1)
-        # the full weight and its outer shell share one batched evolve
-        both = stored_evolve(handle, np.stack([init, init * shell[:, None]], axis=-1),
-                             t, dt, theta, store, sys_fp=sys_fp)
+    for t, both in zip(t_values, runs):
         out, out_shell = both[:, :, 0], both[:, :, 1]
         bound = math.exp(float(spec_used.G(t)) - g_margin)
         for x in x_points:
@@ -757,6 +1139,18 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     return ledger, float(H)
 
 
+def _weighted_requests(system, t_values: Sequence[float], sources: Sequence,
+                       coarse: tuple, fine: tuple, dt: Optional[float],
+                       width: Optional[float], theta: float) -> list:
+    """The evolutions of check_weighted_bound: for the coarse and then the fine
+    (spacing, radius) pair, each time and source, the columns of every
+    component."""
+    d, m = system.dims.d, system.dims.m
+    return [Evolution.of_sources("P", GridSpec(d=d, radius=radius, spacing=spacing), t,
+                                 [(y, k) for k in range(m)], width, dt, theta)
+            for spacing, radius in (coarse, fine) for t in t_values for y in sources]
+
+
 def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                          t_values: Sequence[float], sources: Sequence,
                          coarse: tuple, fine: tuple,
@@ -808,11 +1202,15 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
     if two_sided:
         adj = adjoint_synthesis.timed
         wstar = adj.weight(eps_scales[0] * adj.eps_T)
+    reqs = _weighted_requests(system, t_values, sources, coarse, fine, dt, width, theta)
+    per_pair = len(reqs) // 2
+    m = system.dims.m
 
-    def sweep(pair):
+    def sweep(pair, reqs):
+        # one pair's columns at a time, in request order: by time and source
+        columns = iter(evolve_all(system, reqs, store))
         spacing, radius = pair
         grid = GridSpec(d=d, radius=radius, spacing=spacing)
-        handle = OperatorHandle(system, grid, variant="P")
         pts = grid.points()
         sup = 0.0
         sup2 = 0.0
@@ -821,9 +1219,8 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
         for t in t_values:
             H, Hstar = majorants[t]
             for y in sources:
-                total = np.zeros((grid.n_nodes, handle.m))
-                for col in stored_columns(handle, t, [(y, k) for k in range(handle.m)],
-                                          width, dt, theta, store, sys_fp=sys_fp):
+                total = np.zeros((grid.n_nodes, m))
+                for col in next(columns):
                     total += np.abs(col.values)
                 wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
                 if majorant_override is not None:
@@ -832,7 +1229,7 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                 else:
                     ratio = wy * total / H
                 i = int(np.argmax(ratio))
-                node, h = divmod(i, handle.m)
+                node, h = divmod(i, m)
                 val = float(ratio.flat[i])
                 rows.append({"t": t, "x": _loc_pt(pts[node], d),
                              "y": _loc_pt(y, d), "h": h, "k": None,
@@ -846,12 +1243,12 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                     sup2 = max(sup2, float(np.max(r2)))
         return sup, sup2, sup_loc, rows
 
-    sup_c, sup2_c, loc_c, rows_c = sweep(coarse)
+    sup_c, sup2_c, loc_c, rows_c = sweep(coarse, reqs[:per_pair])
     if not (math.isfinite(sup_c) and sup_c > 0):
         raise DomainError(f"coarse calibration sup degenerate: {sup_c}")
     cal = C_cal if C_cal is not None else sup_c
     cal2 = sup2_c if two_sided else None
-    sup_f, sup2_f, loc_f, rows_f = sweep(fine)
+    sup_f, sup2_f, loc_f, rows_f = sweep(fine, reqs[per_pair:])
     worst = sup_f / cal - 1.0
     loc = loc_f
     if two_sided and cal2 and cal2 > 0:
@@ -861,6 +1258,15 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                     "sup_coarse": sup_c, "sup_fine": sup_f,
                     "sup2_coarse": sup2_c, "sup2_fine": sup2_f,
                     "majorants": {t: hh[0] for t, hh in majorants.items()}})
+
+
+def _decay_requests(system, grid: GridSpec, t_values: Sequence[float], x0,
+                    component: int, dt: Optional[float], width: Optional[float],
+                    theta: float) -> list:
+    """The evolutions of check_decay_shape: the adjoint column of (x0,
+    component) at each time."""
+    return [Evolution.of_sources("P_adjoint", grid, t, [(x0, component)], width, dt, theta)
+            for t in t_values]
 
 
 def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
@@ -881,15 +1287,14 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
     fp = _fingerprint("decay-shape", sys_fp, grid.d, grid.radius, grid.spacing,
                       tuple(t_values), tuple(_center(x0, d)), component, weight,
                       core_radius, tail_range, slack)
-    handle = OperatorHandle(system, grid, variant="P_adjoint")
     pts = grid.points()
     rr = np.sqrt(np.sum(pts * pts, axis=-1))
     worst = -math.inf
     loc = (None, None, None, None, None)
     samples = []
-    for t in t_values:
-        col = stored_column(handle, t, x0, component, width, dt, theta, store,
-                            sys_fp=sys_fp)
+    runs = evolve_all(system, _decay_requests(system, grid, t_values, x0, component, dt,
+                                              width, theta), store)
+    for t, (col,) in zip(t_values, runs):
         total = np.sum(np.abs(col.values), axis=1)
         noise = 1e-13 * max(float(np.max(total)), _TINY)
         phi = np.log(np.maximum(total, _TINY)) + weight.log_value(t, pts, d)
@@ -906,6 +1311,38 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
             loc = (t, _loc_pt(x0, d), _loc_pt(pts[node], d), component, None)
     return _result("check_decay_shape", worst, slack, loc, fp,
                    {"samples": samples, "weight": weight})
+
+
+# each check's signature, the function declaring its evolutions, and that
+# function's parameters, named as the check's and without defaults of their own
+_PLANNED = {
+    check.__name__: (inspect.signature(check), requests,
+                     tuple(inspect.signature(requests).parameters))
+    for check, requests in [
+        (check_domination, _domination_requests),
+        (check_monotone_in_R, _monotone_requests),
+        (check_mass_and_positivity, _mass_requests),
+        (check_support, _support_requests),
+        (check_duality, _duality_requests),
+        (check_chapman_kolmogorov, _chapman_requests),
+        (check_lyapunov_integrability, _integrability_requests),
+        (check_weighted_bound, _weighted_requests),
+        (check_decay_shape, _decay_requests),
+    ]}
+
+
+def requests_of(check: str, system, **kwargs) -> list:
+    """The evolutions of the call check(system, **kwargs), not run.
+
+    check names a check function, such as "check_support".  The arguments
+    are bound to the check's own signature, defaults included, so these are
+    exactly the requests the call runs, and run_plan can run them ahead of
+    it into the store it is given.
+    """
+    signature, requests, names = _PLANNED[check]
+    args = signature.bind(system, **kwargs)
+    args.apply_defaults()
+    return requests(*(args.arguments[name] for name in names))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """End-to-end tests of the command line and its config format."""
 
+import weakref
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kernelbound import cli, solver
+from kernelbound import cli, solver, verify
 from kernelbound.config import parse_config_text
 from kernelbound.errors import ConfigError
 
@@ -23,6 +27,14 @@ BASE = {
 
 ALL_CHECKS = ("domination monotone mass support duality chapman "
               "integrability weighted decay")
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+# a small 2-D grid with every check
+TWO_D = {"grid": {"d": "2", "radii": "1 2", "spacing": "0.125"},
+         "bounds": {"s": "5"},
+         "solve": {"sources": "0.5 0", "width": "0.125"},
+         "verify": {"checks": ALL_CHECKS, "coarse": "0.25 2"}}
 
 
 def make_config(tmp_path, name="run.cfg", **updates):
@@ -444,6 +456,159 @@ class TestVerifyCommand:
         # duality reuses the two solved forward columns; adjoint and mass
         # columns, and mass's three all-ones runs, are the only additions
         assert before == 2 and after == 9
+
+
+class TestVerifyPlan:
+    @staticmethod
+    def watch_solver_work(monkeypatch):
+        """Count solver work before and after run_plan returns.
+
+        work["plan"] and work["checks"] count evolve, assemble_generator and
+        splu calls and store misses; work["factored"] lists the (variant,
+        grid, theta, dt) of every factorization, work["requests"] what the
+        plan was given.
+        """
+        work = {"phase": "plan", "plan": Counter(), "checks": Counter(),
+                "factored": [], "requests": []}
+
+        def count(owner, name, what):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                work[work["phase"]][what] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(solver.OperatorHandle, "evolve", "evolve")
+        count(solver, "assemble_generator", "assemble")
+        count(solver.sparse_linalg, "splu", "splu")
+        factor = solver.OperatorHandle._factor
+
+        def watched_factor(handle, theta, dt):
+            before = work[work["phase"]]["splu"]
+            out = factor(handle, theta, dt)
+            if work[work["phase"]]["splu"] > before:
+                work["factored"].append((handle.variant, handle.grid,
+                                         float(theta), float(dt)))
+            return out
+        monkeypatch.setattr(solver.OperatorHandle, "_factor", watched_factor)
+
+        get_or_compute = verify.KernelStore.get_or_compute
+
+        def watched_get(store, key, build):
+            def counted_build():
+                work[work["phase"]]["miss"] += 1
+                return build()
+            return get_or_compute(store, key, counted_build)
+        monkeypatch.setattr(verify.KernelStore, "get_or_compute", watched_get)
+
+        run_plan = verify.run_plan
+
+        def watched_run_plan(system, requests, store, jobs=1):
+            work["requests"] = list(requests)
+            stats = run_plan(system, requests, store, jobs)
+            work["phase"] = "checks"
+            return stats
+        monkeypatch.setattr(verify, "run_plan", watched_run_plan)
+        return work
+
+    @pytest.mark.parametrize("config", ["poly1d", "two_d"])
+    def test_checks_build_nothing_once_the_plan_ran(self, tmp_path,
+                                                     monkeypatch, config):
+        cfg = BENCH_CONFIGS / "poly1d.cfg" if config == "poly1d" \
+            else make_config(tmp_path, **TWO_D)
+        work = self.watch_solver_work(monkeypatch)
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--jobs", "1"]) == 0
+        assert work["phase"] == "checks"
+        assert work["checks"] == Counter()
+        # every (variant, grid, theta, dt) the checks step with is factored
+        # exactly once, and nothing else is
+        wanted = {(r.variant, r.grid, float(r.theta), float(r.dt))
+                  for r in work["requests"]}
+        assert sorted(work["factored"], key=repr) == sorted(wanted, key=repr)
+        assert work["plan"]["splu"] == len(wanted)
+        assert work["plan"]["evolve"] > 0 and work["plan"]["miss"] > 0
+
+    def test_checks_alone_give_the_planned_rows_and_fields(self, tmp_path,
+                                                            monkeypatch):
+        cfg = make_config(tmp_path, **TWO_D)
+        calls = []
+        for name in [n for n in verify.__all__ if n.startswith("check_")]:
+            original = getattr(verify, name)
+
+            def recorded(*args, original=original, **kwargs):
+                calls.append((original, args, kwargs))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(verify, name, recorded)
+        planned = tmp_path / "planned"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(planned), "--jobs", "1"]) == 0
+        assert len({fn for fn, _, _ in calls}) == 9
+        # each check alone, in the order verify ran them, each with its own
+        # fresh store, so every one computes its own fields
+        results, alone = [], []
+        for i, (fn, args, kwargs) in enumerate(calls):
+            alone.append(tmp_path / ("alone%d" % i))
+            store = verify.KernelStore(alone[-1])
+            results.append(fn(*args, **dict(kwargs, store=store)))
+        assert verify.results_csv(results).encode() == \
+            (planned / "verify_results.csv").read_bytes()
+        assert verify.summary_text(results).encode() == \
+            (planned / "verify_summary.txt").read_bytes()
+        # and every field a check stored alone has the planned bits
+        planned_fields = {p.name: p.read_bytes()
+                          for p in (planned / "store").iterdir()}
+        for folder in alone:
+            for path in folder.iterdir():
+                assert planned_fields[path.name] == path.read_bytes()
+
+    def test_one_factorization_is_alive_at_a_time(self, tmp_path,
+                                                  monkeypatch):
+        alive, most = weakref.WeakSet(), []
+        splu = solver.sparse_linalg.splu
+
+        class Tracked:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        def tracked_splu(*args, **kwargs):
+            lu = Tracked(splu(*args, **kwargs))
+            alive.add(lu)
+            most.append(len(alive))
+            return lu
+        monkeypatch.setattr(solver.sparse_linalg, "splu", tracked_splu)
+        cfg = make_config(tmp_path, **TWO_D)
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--jobs", "1"]) == 0
+        assert len(most) > 1 and max(most) == 1
+
+    def test_closing_line_reports_the_plan(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, **TWO_D)
+        out = tmp_path / "out"
+        counts = []
+        for _ in ("cold", "rerun"):
+            assert cli.main(["verify", "--config", str(cfg), "--out",
+                             str(out)]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            head, _, plan = last.partition("; plan: ")
+            assert head.startswith("verify: 10 check runs in ")
+            counts.append({name: int(n) for n, name in
+                           (part.split(" ", 1) for part in plan.split(", "))})
+        cold, rerun = counts
+        assert cold["requests"] == rerun["requests"] > cold["batches"] \
+            == rerun["batches"]
+        assert cold["fields found in the store"] == 0
+        assert min(cold["evolutions"], cold["factorizations"],
+                   cold["assemblies"]) > 0
+        # the rerun reads each stored field once and builds nothing
+        assert rerun["fields found in the store"] == \
+            len(list((out / "store").iterdir()))
+        assert rerun["evolutions"] == rerun["factorizations"] == \
+            rerun["assemblies"] == 0
 
 
 class TestAllCommand:

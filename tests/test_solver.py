@@ -611,3 +611,36 @@ class TestSerialization:
             row += [f"{vals[i, k]:.17g}" for k in range(3)]
             lines.append(",".join(row))
         assert field_to_csv(field) == "\n".join(lines) + "\n"
+
+
+def test_adjoint_handle_transposes_its_forward_matrix(monkeypatch):
+    fam = diagonal_family("polynomial", 2, 2, theta=[[1.0, 0.5], [0.5, 1.0]],
+                          gamma=[[2.0, 1.0], [1.0, 2.0]])
+    g = GridSpec(2, 1.0, 0.125)
+    expected = assemble_generator(fam, g, "P_adjoint")
+    calls = []
+    original = solver.assemble_generator
+    monkeypatch.setattr(solver, "assemble_generator",
+                        lambda *args: calls.append(args[2]) or original(*args))
+    forward = OperatorHandle(fam, g, "P")
+    adjoint = OperatorHandle(fam, g, "P_adjoint", forward=forward)
+    got = adjoint.matrix
+    assert calls == ["P"] and (forward.assemblies, adjoint.assemblies) == (1, 0)
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.data.tobytes() == expected.data.tobytes()
+    with pytest.raises(DomainError):
+        OperatorHandle(fam, g, "plain", forward=forward)
+
+
+def test_handle_counts_its_work_and_releases_its_factorization():
+    fam = diagonal_family("polynomial", 1, 1)
+    handle = OperatorHandle(fam, GridSpec(1, 2.0, 0.25), "P")
+    u = np.ones((handle.grid.n_nodes, 1))
+    handle.evolve(u, 0.1, dt=0.05)
+    handle.evolve(u, 0.2, dt=0.05)
+    handle.evolve(u, 0.1, dt=0.02)
+    assert (handle.assemblies, handle.factorizations, handle.evolutions) == (1, 2, 3)
+    handle.release()
+    handle.evolve(u, 0.1, dt=0.02)
+    assert (handle.assemblies, handle.factorizations) == (1, 3)

@@ -14,6 +14,7 @@ from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
 from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, kernel_column
 from kernelbound.verify import (
     CheckResult,
+    Evolution,
     KernelStore,
     check_chapman_kolmogorov,
     check_decay_shape,
@@ -24,11 +25,11 @@ from kernelbound.verify import (
     check_monotone_in_R,
     check_support,
     check_weighted_bound,
+    evolve_all,
     heat_weight_image,
+    requests_of,
     results_csv,
-    stored_column,
-    stored_columns,
-    stored_evolve,
+    run_plan,
     summary_text,
     system_fingerprint,
 )
@@ -152,59 +153,55 @@ class TestStoreAndFingerprint:
         assert system_fingerprint(headline_family()) != system_fingerprint(other)
 
 
+def stored_column(fam, g, t, k, store, variant="P"):
+    """One kernel column at the origin through evolve_all."""
+    (col,), = evolve_all(fam, [Evolution.of_sources(variant, g, t, [(0.0, k)])], store)
+    return col
+
+
 class TestStoredColumns:
     def test_system_fingerprint_is_required(self):
         # two systems keyed without it would hand each other their fields
         g = GridSpec(1, 2.0, 0.25)
         store = KernelStore()
-        for fam in (headline_family(), chain_family()):
-            handle = OperatorHandle(fam, g, "P")
-            with pytest.raises(TypeError):
-                stored_column(handle, 0.1, 0.0, 0, store=store)
+        with pytest.raises(TypeError):
+            evolve_all(requests=[Evolution.of_sources("P", g, 0.1, [(0.0, 0)])],
+                       store=store)
         assert len(store) == 0
 
     def test_distinct_systems_get_their_own_fields(self):
         g = GridSpec(1, 2.0, 0.25)
         store = KernelStore()
-        cols = []
-        for fam in (headline_family(), heat_family()):
-            handle = OperatorHandle(fam, g, "P")
-            cols.append(stored_column(handle, 0.1, 0.0, 0, store=store,
-                                      sys_fp=system_fingerprint(fam)))
+        cols = [stored_column(fam, g, 0.1, 0, store)
+                for fam in (headline_family(), heat_family())]
         assert cols[0].m == 2 and cols[1].m == 1
 
     def test_fields_of_an_older_solver_are_recomputed(self, tmp_path):
         fam = headline_family()
         sys_fp = system_fingerprint(fam)
         g = GridSpec(1, 2.0, 0.25)
-        handle = OperatorHandle(fam, g, "P")
         t, w, step, theta = 0.1, 0.5, min(0.1 / 64.0, 0.25), 0.5
         stale = DiscreteField(g, np.full((g.n_nodes, 2), 123.0))
-        # the key layout stored_column used before keys carried a solver version
+        # the key layout of kernel columns before keys carried a solver version
         old_key = verify._fingerprint("col", sys_fp, "P", g.d, g.radius, g.spacing,
                                       t, tuple(np.zeros(1)), 0, w, step, theta)
         KernelStore(tmp_path).get_or_compute(old_key, lambda: stale)
-        col = stored_column(handle, t, 0.0, 0, store=KernelStore(tmp_path),
-                            sys_fp=sys_fp)
-        fresh = kernel_column(handle, t, 0.0, 0)
+        col = stored_column(fam, g, t, 0, KernelStore(tmp_path))
+        fresh = kernel_column(OperatorHandle(fam, g, "P"), t, 0.0, 0)
         np.testing.assert_allclose(col.values, fresh.values, rtol=0,
                                    atol=1e-12 * np.max(fresh.values))
 
     def test_solver_version_is_part_of_the_key(self, tmp_path, monkeypatch):
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.25)
-        handle = OperatorHandle(fam, g, "P")
-        kwargs = dict(store=KernelStore(tmp_path), sys_fp=system_fingerprint(fam))
-        stored_column(handle, 0.1, 0.0, 0, **kwargs)
+        stored_column(fam, g, 0.1, 0, KernelStore(tmp_path))
         monkeypatch.setattr(verify, "SOLVER_VERSION", verify.SOLVER_VERSION + 1)
-        stored_column(handle, 0.1, 0.0, 0, **kwargs)
+        stored_column(fam, g, 0.1, 0, KernelStore(tmp_path))
         assert len(list(tmp_path.glob("*.kbf"))) == 2
 
     def test_batch_counts_each_key_and_is_order_independent(self):
         fam = headline_family()
-        sys_fp = system_fingerprint(fam)
         g = GridSpec(1, 2.0, 0.25)
-        handle = OperatorHandle(fam, g, "P")
         store = KernelStore()
         built = []
         get_or_compute = store.get_or_compute
@@ -213,32 +210,29 @@ class TestStoredColumns:
             return get_or_compute(key, lambda: built.append(key) or build())
 
         store.get_or_compute = counting
-        pair = stored_columns(handle, 0.1, [(0.0, 0), (0.0, 1)], store=store,
-                              sys_fp=sys_fp)
+        pair, = evolve_all(fam, [Evolution.of_sources("P", g, 0.1, [(0.0, 0), (0.0, 1)])],
+                           store)
         assert len(built) == 2 and len(store) == 2
-        again = stored_columns(handle, 0.1, [(0.0, 1), (0.0, 0)], store=store,
-                               sys_fp=sys_fp)
+        again, = evolve_all(fam, [Evolution.of_sources("P", g, 0.1, [(0.0, 1), (0.0, 0)])],
+                            store)
         assert len(built) == 2
         assert again[0] is pair[1] and again[1] is pair[0]
         # a column computed on its own has the same bits as one from a batch
-        alone = stored_column(handle, 0.1, 0.0, 1, store=None, sys_fp=sys_fp)
+        alone = stored_column(fam, g, 0.1, 1, None)
         np.testing.assert_array_equal(alone.values, pair[1].values)
 
     def test_component_out_of_range_rejected(self):
         fam = headline_family()
-        handle = OperatorHandle(fam, GridSpec(1, 2.0, 0.25), "P")
         with pytest.raises(DomainError):
-            stored_columns(handle, 0.1, [(0.0, 2)], sys_fp=system_fingerprint(fam))
+            stored_column(fam, GridSpec(1, 2.0, 0.25), 0.1, 2, None)
 
     def test_field_format_version_is_part_of_the_key(self, tmp_path, monkeypatch):
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.25)
-        handle = OperatorHandle(fam, g, "P")
-        kwargs = dict(store=KernelStore(tmp_path), sys_fp=system_fingerprint(fam))
-        ones = np.ones((g.n_nodes, 2))
+        ones = Evolution.of_values("P", g, np.ones((g.n_nodes, 2)), 0.1, theta=1.0)
         for _ in range(2):
-            stored_column(handle, 0.1, 0.0, 0, **kwargs)
-            stored_evolve(handle, ones, 0.1, None, 1.0, **kwargs)
+            stored_column(fam, g, 0.1, 0, KernelStore(tmp_path))
+            evolve_all(fam, [ones], KernelStore(tmp_path))
             monkeypatch.setattr(verify, "FIELD_FORMAT_VERSION",
                                 verify.FIELD_FORMAT_VERSION + 1)
         assert len(list(tmp_path.glob("*.kbf"))) == 4
@@ -246,17 +240,14 @@ class TestStoredColumns:
     def test_opaque_systems_stay_in_memory(self, tmp_path):
         # an id()-based fingerprint can name another system in another process
         spec = headline_family().operator_spec()
-        sys_fp = system_fingerprint(spec)
         g = GridSpec(1, 2.0, 0.25)
-        handle = OperatorHandle(spec, g, "P")
         store = KernelStore(tmp_path)
-        col = stored_column(handle, 0.1, 0.0, 0, store=store, sys_fp=sys_fp)
-        ones = np.ones((g.n_nodes, 2))
-        u = stored_evolve(handle, ones, 0.1, None, 1.0, store, sys_fp=sys_fp)
+        col = stored_column(spec, g, 0.1, 0, store)
+        ones = Evolution.of_values("P", g, np.ones((g.n_nodes, 2)), 0.1, theta=1.0)
+        u, = evolve_all(spec, [ones], store)
         assert list(tmp_path.iterdir()) == [] and len(store) == 2
-        assert stored_column(handle, 0.1, 0.0, 0, store=store, sys_fp=sys_fp) is col
-        np.testing.assert_array_equal(
-            stored_evolve(handle, ones, 0.1, None, 1.0, store, sys_fp=sys_fp), u)
+        assert stored_column(spec, g, 0.1, 0, store) is col
+        np.testing.assert_array_equal(evolve_all(spec, [ones], store)[0], u)
         assert len(store) == 2
 
 
@@ -265,68 +256,72 @@ class TestStoredEvolve:
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.25)
         batch = np.random.default_rng(3).uniform(-1.0, 1.0, size=(g.n_nodes, 2, 3))
-        return OperatorHandle(fam, g, "plain"), batch, system_fingerprint(fam)
+        return fam, g, batch
 
-    def counting(self, handle, monkeypatch):
-        """Shapes of the values handle.evolve is called with from now on."""
+    def evolve(self, fam, g, values, t, dt, theta, store):
+        """values evolved on the plain operator, through evolve_all."""
+        return evolve_all(fam, [Evolution.of_values("plain", g, values, t, dt, theta)],
+                          store)[0]
+
+    def counting(self, monkeypatch):
+        """Shapes of the values OperatorHandle.evolve is called with from now on."""
         calls = []
-        real = handle.evolve
-        monkeypatch.setattr(handle, "evolve",
-                            lambda v, *a, **kw: calls.append(v.shape) or real(v, *a, **kw))
+        real = OperatorHandle.evolve
+        monkeypatch.setattr(OperatorHandle, "evolve",
+                            lambda h, v, *a, **kw: calls.append(v.shape) or real(h, v, *a, **kw))
         return calls
 
     def test_matches_evolve_and_hits_on_rerun(self, tmp_path, monkeypatch):
-        handle, batch, sys_fp = self.make()
+        fam, g, batch = self.make()
+        handle = OperatorHandle(fam, g, "plain")
         expected, _ = handle.evolve(batch, 0.2, dt=0.05, theta=1.0)
-        calls = self.counting(handle, monkeypatch)
+        one_expected, _ = handle.evolve(batch[:, :, 1], 0.2, dt=0.05, theta=1.0)
+        calls = self.counting(monkeypatch)
         for store in (None, KernelStore(tmp_path), KernelStore(tmp_path)):
-            out = stored_evolve(handle, batch, 0.2, 0.05, 1.0, store, sys_fp=sys_fp)
+            out = self.evolve(fam, g, batch, 0.2, 0.05, 1.0, store)
             np.testing.assert_array_equal(out, expected)
         assert len(calls) == 2
-        one = stored_evolve(handle, batch[:, :, 1], 0.2, 0.05, 1.0, None, sys_fp=sys_fp)
-        np.testing.assert_array_equal(one, handle.evolve(batch[:, :, 1], 0.2,
-                                                         dt=0.05, theta=1.0)[0])
+        one = self.evolve(fam, g, batch[:, :, 1], 0.2, 0.05, 1.0, None)
+        np.testing.assert_array_equal(one, one_expected)
 
     def test_columns_are_written_through_not_kept(self, tmp_path, monkeypatch):
-        handle, batch, sys_fp = self.make()
+        fam, g, batch = self.make()
         store = KernelStore(tmp_path)
-        stored_evolve(handle, batch, 0.2, None, 1.0, store, sys_fp=sys_fp)
+        self.evolve(fam, g, batch, 0.2, None, 1.0, store)
         assert len(list(tmp_path.glob("*.kbf"))) == 3 and len(store) == 3
         loads = []
         real_load = verify.load_field
         monkeypatch.setattr(verify, "load_field",
                             lambda path: loads.append(path) or real_load(path))
-        calls = self.counting(handle, monkeypatch)
-        stored_evolve(handle, batch, 0.2, None, 1.0, store, sys_fp=sys_fp)
+        calls = self.counting(monkeypatch)
+        self.evolve(fam, g, batch, 0.2, None, 1.0, store)
         assert len(loads) == 3 and calls == [] and len(store) == 3
         # kernel columns, which several checks read, keep the memory tier
-        stored_column(handle, 0.2, 0.0, 0, store=store, sys_fp=sys_fp)
-        stored_column(handle, 0.2, 0.0, 0, store=store, sys_fp=sys_fp)
+        stored_column(fam, g, 0.2, 0, store, variant="plain")
+        stored_column(fam, g, 0.2, 0, store, variant="plain")
         assert len(loads) == 3
 
     def test_key_covers_data_step_and_theta(self, tmp_path, monkeypatch):
-        handle, batch, sys_fp = self.make()
+        fam, g, batch = self.make()
         store = KernelStore(tmp_path)
-        stored_evolve(handle, batch, 0.2, None, 1.0, store, sys_fp=sys_fp)
-        calls = self.counting(handle, monkeypatch)
+        self.evolve(fam, g, batch, 0.2, None, 1.0, store)
+        calls = self.counting(monkeypatch)
         changed = batch.copy()
         changed[0, 0, 2] += 1e-3
         for args in ((changed, 0.2, None, 1.0), (batch, 0.2, 0.05, 1.0),
                      (batch, 0.2, None, 0.5), (batch[:, :, :2], 0.2, None, 1.0)):
-            stored_evolve(handle, *args, store, sys_fp=sys_fp)
+            self.evolve(fam, g, *args, store)
         assert len(calls) == 4
         # unset and spelled-out default steps share their entries
-        stored_evolve(handle, batch, 0.2, 0.2 / 64, 1.0, store, sys_fp=sys_fp)
+        self.evolve(fam, g, batch, 0.2, 0.2 / 64, 1.0, store)
         assert len(calls) == 4
 
     def test_partial_hit_recomputes_the_whole_batch(self, tmp_path, monkeypatch):
-        handle, batch, sys_fp = self.make()
-        first = stored_evolve(handle, batch, 0.2, None, 1.0, KernelStore(tmp_path),
-                              sys_fp=sys_fp)
+        fam, g, batch = self.make()
+        first = self.evolve(fam, g, batch, 0.2, None, 1.0, KernelStore(tmp_path))
         sorted(tmp_path.glob("*.kbf"))[0].unlink()
-        calls = self.counting(handle, monkeypatch)
-        again = stored_evolve(handle, batch, 0.2, None, 1.0, KernelStore(tmp_path),
-                              sys_fp=sys_fp)
+        calls = self.counting(monkeypatch)
+        again = self.evolve(fam, g, batch, 0.2, None, 1.0, KernelStore(tmp_path))
         assert calls == [batch.shape]
         np.testing.assert_array_equal(again, first)
 
@@ -689,3 +684,117 @@ class TestReporting:
         res = self._two_results()[0]
         assert res.line().startswith("check_support: pass")
         assert "worst" in res.line() and "t=0.3" in res.line()
+
+
+class TestPlan:
+    def count_evolves(self, monkeypatch):
+        calls = []
+        evolve = OperatorHandle.evolve
+
+        def counted(handle, *args, **kwargs):
+            calls.append(handle.variant)
+            return evolve(handle, *args, **kwargs)
+        monkeypatch.setattr(OperatorHandle, "evolve", counted)
+        return calls
+
+    def test_requests_sharing_a_batch_evolve_once(self, monkeypatch):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        calls = self.count_evolves(monkeypatch)
+        ones = np.ones((g.n_nodes, 2))
+        reqs = [Evolution.of_sources("P", g, 0.1, [(0.0, 1)], theta=1.0),
+                Evolution.of_sources("P", g, 0.1, [(0.0, 0), (0.0, 1)], theta=1.0),
+                Evolution.of_values("P", g, ones, 0.1, theta=1.0),
+                Evolution.of_values("P", g, ones.copy(), 0.1, theta=1.0)]
+        single, pair, u, again = evolve_all(fam, reqs)
+        # one batch per center and one per distinct data, even with no store
+        assert calls == ["P", "P"]
+        assert single[0] is pair[1]
+        assert again is u
+        handle = OperatorHandle(fam, g, "P")
+        assert np.array_equal(pair[0].values,
+                              kernel_column(handle, 0.1, 0.0, 0, theta=1.0).values)
+        assert np.array_equal(u, handle.evolve(ones, 0.1, theta=1.0)[0])
+
+    def test_second_stage_continues_its_first(self):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        f = np.random.default_rng(3).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
+        first = Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0)
+        mid, out = evolve_all(fam, [first, first.then(0.05)])
+        handle = OperatorHandle(fam, g, "P")
+        assert np.array_equal(mid, handle.evolve(f, 0.1, 0.01, 1.0)[0])
+        assert np.array_equal(out, handle.evolve(mid, 0.05, 0.01, 1.0)[0])
+        with pytest.raises(DomainError):
+            evolve_all(fam, [first.then(0.05)])
+
+    def test_plan_fills_the_store_the_requests_then_read(self, tmp_path,
+                                                        monkeypatch):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        reqs = [Evolution.of_sources(variant, g, t, [(0.0, 0), (0.5, 1)], theta=theta)
+                for variant in ("P_adjoint", "plain", "P")
+                for t in (0.1, 0.2) for theta in (0.5, 1.0)]
+        calls = self.count_evolves(monkeypatch)
+        counts = run_plan(fam, reqs, KernelStore(tmp_path))
+        # two centers per request, nothing stored before
+        assert len(calls) == counts["evolutions"] == counts["batches"] == 24
+        assert counts["requests"] == 12
+        assert counts["fields found in the store"] == 0
+        # (variant, theta, dt) pairs, each factored once; P_adjoint takes
+        # P's matrix, so two operators are assembled
+        assert counts["factorizations"] == 12 and counts["assemblies"] == 2
+        # the run order is (variant, grid, theta, dt, t)
+        assert calls == sorted(calls)
+        del calls[:]
+        # a rerun finds every field stored and builds nothing
+        again = run_plan(fam, reqs, KernelStore(tmp_path))
+        assert again["fields found in the store"] == 24
+        assert again["evolutions"] == again["factorizations"] == 0
+        planned = evolve_all(fam, reqs, KernelStore(tmp_path))
+        assert calls == []
+        alone = evolve_all(fam, reqs)
+        for a, b in zip(planned, alone):
+            assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
+    def test_requests_of_a_call_take_the_check_defaults(self, tmp_path, monkeypatch):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        # theta comes from each check's own signature: 1.0, 0.5, or as given
+        (support,) = requests_of("check_support", fam, k=0, grid=g, t=0.1)
+        decay = requests_of("check_decay_shape", fam, grid=g, t_values=[0.1, 0.2],
+                            x0=0.0, component=1, weight=None, slack=0.4)
+        assert support.theta == 1.0 and [r.theta for r in decay] == [0.5, 0.5]
+        (given,) = requests_of("check_support", fam, k=0, grid=g, t=0.1, theta=0.5)
+        assert given.theta == 0.5
+        with pytest.raises(TypeError):
+            requests_of("check_support", fam, k=0, grid=g, t=0.1, thetta=0.5)
+        # the check then finds every field the plan stored
+        run_plan(fam, [support], KernelStore(tmp_path))
+        calls = self.count_evolves(monkeypatch)
+        check_support(fam, 0, g, 0.1, store=KernelStore(tmp_path))
+        assert calls == []
+
+    def test_plan_in_threads_gives_the_serial_bits(self, tmp_path):
+        fam = headline_family()
+        reqs = [Evolution.of_sources(variant, GridSpec(1, radius, 0.125), 0.1,
+                                     [(0.0, 0), (0.5, 1)], theta=theta)
+                for variant in ("P", "P_adjoint", "plain")
+                for radius in (1.0, 2.0) for theta in (0.5, 1.0)]
+        f = np.random.default_rng(5).uniform(size=(GridSpec(1, 2.0, 0.125).n_nodes, 2))
+        first = Evolution.of_values("P", GridSpec(1, 2.0, 0.125), f, 0.1, theta=1.0)
+        reqs += [first, first.then(0.05)]
+        run_plan(fam, reqs, KernelStore(tmp_path / "serial"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = run_plan(fam, reqs, KernelStore(tmp_path / "threads"),
+                              jobs=(os.cpu_count() or 1) + 2)
+        finally:
+            sys.setswitchinterval(interval)
+        # every batch ran exactly once, in whichever thread, with serial bits
+        assert counts["evolutions"] == counts["batches"] == 26
+        serial = sorted((tmp_path / "serial").iterdir())
+        threads = sorted((tmp_path / "threads").iterdir())
+        assert [p.name for p in serial] == [p.name for p in threads]
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(serial, threads))
