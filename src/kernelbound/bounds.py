@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .coefficients import PolynomialFamily
 from .errors import DomainError, NonFiniteError
-from .lyapunov import integrated_exp
+from .lyapunov import _quad, integrated_exp
 
 LEDGER_ITEMS = (
     "weight-vs-nu1",
@@ -101,15 +100,21 @@ class ConstantsLedger:
 def eval_H(ledger: ConstantsLedger,
            nu1_at_zero: Callable[[np.ndarray], np.ndarray],
            nu2_at_zero: Callable[[np.ndarray], np.ndarray],
-           G1: Callable[[float], float],
-           G2: Callable[[float], float],
+           G1: Callable[[np.ndarray], np.ndarray],
+           G2: Callable[[np.ndarray], np.ndarray],
            x: np.ndarray,
            starred: bool = False) -> np.ndarray:
     """Majorant H(x) built from a ledger, initial weights, and growth integrals.
 
     nu1_at_zero / nu2_at_zero take points of shape (n, d) or (d,); G1, G2
-    are the cumulated growth rates of the two comparison Lyapunov functions.
-    starred=True evaluates the adjoint-side majorant from c_star.
+    are the cumulated growth rates of the two comparison Lyapunov functions,
+    called with an array of times (a G returning one scalar is a constant).
+    starred=True evaluates the adjoint-side majorant from c_star.  The time
+    integrals of e^{G1} and e^{G2} over [a0, b0] come from the adaptive
+    Gauss-Legendre quadrature lyapunov._quad, bisected until its
+    panel-halving error estimate is at most 1e-9 relative.  Raises
+    NonFiniteError when e^G overflows on the window, when that estimate
+    misses 1e-9 after 200 bisections, or when H is not finite.
     """
     c = ledger.c_star if starred else ledger.c
     if c is None:
@@ -128,8 +133,8 @@ def eval_H(ledger: ConstantsLedger,
         raise NonFiniteError(f"majorant brackets overflow: {exc}") from None
     if not (math.isfinite(bracket1) and math.isfinite(bracket2)):
         raise NonFiniteError(f"majorant brackets overflow: {bracket1}, {bracket2}")
-    I1, _ = integrate.quad(lambda t: math.exp(float(G1(t))), a0, b0, epsrel=1e-9, limit=200)
-    I2, _ = integrate.quad(lambda t: math.exp(float(G2(t))), a0, b0, epsrel=1e-9, limit=200)
+    I1 = _quad(lambda t: np.exp(G1(t)), a0, b0, epsrel=1e-9)
+    I2 = _quad(lambda t: np.exp(G2(t)), a0, b0, epsrel=1e-9)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = np.atleast_2d(x)

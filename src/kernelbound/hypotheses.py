@@ -40,6 +40,7 @@ from .coefficients import (
 from .errors import DomainError, HypothesisViolationError, NonFiniteError
 from .lyapunov import (
     SAMPLE_RADIUS,
+    RadialPoints,
     SpaceTimeWeight,
     _cooperative_row_sums,
     _grid_points,
@@ -377,7 +378,8 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     is_family = isinstance(system, _FamilyBase)
 
     pts = plan.points(d)
-    r = 1.0 + np.sum(pts * pts, axis=-1)
+    at = RadialPoints(pts, d)  # the three weights share form and rho
+    r = at.r
     ts = plan.times(a0, b0)
     sups = np.zeros(8)
     arg_edge = [False] * 8
@@ -417,12 +419,12 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
         ))
 
     for t in ts:
-        Sw = w.log_value(t, pts, d)
-        S1 = nu1.log_value(t, pts, d)
-        S2 = nu2.log_value(t, pts, d)
-        gw = w.grad_log(t, pts, d)
-        hw = w.hess_log(t, pts, d)
-        dtw = w.dt_log(t, pts, d)
+        Sw = w.log_value(t, at, d)
+        S1 = nu1.log_value(t, at, d)
+        S2 = nu2.log_value(t, at, d)
+        gw = w.grad_log(t, at, d)
+        hw = w.hess_log(t, at, d)
+        dtw = w.dt_log(t, at, d)
         outer = gw[:, :, None] * gw[:, None, :]
         curv = outer + hw
         d1 = (Sw - S1) / s

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .coefficients import (
     ExponentialFamily,
@@ -44,7 +43,13 @@ from .coefficients import (
     _FamilyBase,
     operator_spec_of,
 )
-from .errors import CertificateError, DomainError, SaturationError, SynthesisError
+from .errors import (
+    CertificateError,
+    DomainError,
+    NonFiniteError,
+    SaturationError,
+    SynthesisError,
+)
 
 FORMS = ("power", "integrated-exp")
 TARGETS = ("P", "P_adjoint")
@@ -53,23 +58,77 @@ _LOG_MAX = math.log(np.finfo(float).max)  # ~709.78
 
 
 # ---------------------------------------------------------------------------
-# radial shapes, in log space
+# adaptive quadrature
 # ---------------------------------------------------------------------------
 
-def _radial_r(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != d:
-        raise DomainError(f"points must have last axis {d}, got shape {x.shape}")
-    return pts, 1.0 + np.sum(pts * pts, axis=-1), scalar
+# Gauss-Legendre rule of one panel, nodes and weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
+
+def _panel_rules(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre value of int f over each panel [lo_i, hi_i], from one call of f."""
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.broadcast_to(np.asarray(f(nodes.ravel()), dtype=float), (nodes.size,))
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteError(
+            f"integrand not finite on [{lo.min():.6g}, {hi.max():.6g}]")
+    return half * (vals.reshape(nodes.shape) @ _GL_WEIGHTS)
+
+
+def _quad(f, a: float, b: float, epsrel: float, limit: int = 200) -> float:
+    """int_a^b f by adaptive Gauss-Legendre quadrature, for a vectorized f.
+
+    f maps an array of nodes to one value per node (or to one scalar).  Each
+    panel's value is the 21-point rule summed over its two halves, and its
+    error estimate is the distance to the rule over the whole panel, the
+    local estimate of QUADPACK (Piessens et al., 1983).  The panel with the
+    largest estimate is bisected until the estimates sum to at most
+    epsrel * |I|.  Raises NonFiniteError when an integrand value or the
+    result is not finite, or when the estimate still misses epsrel after
+    limit bisections.
+    """
+    if a == b:
+        return 0.0
+    mid = 0.5 * (a + b)
+    whole, left, right = _panel_rules(f, np.array([a, a, mid]), np.array([b, mid, b]))
+    # per panel: its ends, the rule over it, and the rules over its halves
+    panels = [(a, b, whole, left, right)]
+    while True:
+        value = math.fsum(l + r for _, _, _, l, r in panels)
+        errs = [abs(w - (l + r)) for _, _, w, l, r in panels]
+        if not math.isfinite(value):
+            raise NonFiniteError(f"integral over [{a:.6g}, {b:.6g}] is not finite")
+        if math.fsum(errs) <= epsrel * abs(value):
+            return value
+        if len(panels) > limit:
+            raise NonFiniteError(
+                f"quadrature over [{a:.6g}, {b:.6g}] missed relative tolerance {epsrel:g} "
+                f"after {limit} bisections (error estimate {math.fsum(errs):.3g}, "
+                f"value {value:.6g})")
+        worst = errs.index(max(errs))
+        lo, hi, _, left, right = panels[worst]
+        mid = 0.5 * (lo + hi)
+        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        ll, lr, rl, rr = _panel_rules(f, np.array([lo, q1, mid, q3]),
+                                      np.array([q1, mid, q3, hi]))
+        panels[worst] = (lo, mid, left, ll, lr)
+        panels.append((mid, hi, right, rl, rr))
+
+
+# ---------------------------------------------------------------------------
+# radial shapes, in log space
+# ---------------------------------------------------------------------------
 
 def integrated_exp(r, rho: float):
     """int_0^r e^{tau^rho/2} dtau, vectorized.
 
-    Closed forms for rho = 1 and rho = 1/2 (the synthesis defaults), adaptive
-    quadrature at relative tolerance 1e-10 otherwise.
+    Closed forms for rho = 1 and rho = 1/2 (the synthesis defaults).  Other
+    rho go through the adaptive Gauss-Legendre quadrature _quad, once per
+    entry over [0, r_i], until its panel-halving error estimate is at most
+    1e-10 relative.  Raises NonFiniteError when e^{tau^rho/2} overflows on
+    [0, r_i] or an estimate misses 1e-10 after 200 bisections.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
@@ -80,11 +139,8 @@ def integrated_exp(r, rho: float):
         s = np.sqrt(r)
         return (4.0 * s - 8.0) * np.exp(s / 2.0) + 8.0
     flat = np.atleast_1d(r).ravel()
-    out = np.empty_like(flat)
-    for i, ri in enumerate(flat):
-        val, _ = integrate.quad(lambda tau: math.exp(tau ** rho / 2.0), 0.0, ri,
-                                epsrel=1e-10, limit=200)
-        out[i] = val
+    out = np.array([_quad(lambda tau: np.exp(tau ** rho / 2.0), 0.0, float(ri), epsrel=1e-10)
+                    for ri in flat])
     return out.reshape(np.shape(r)) if np.ndim(r) else float(out[0])
 
 
@@ -106,13 +162,46 @@ def _shape_d2S(form: str, r: np.ndarray, rho: float) -> np.ndarray:
     return 0.5 * rho * r ** (rho - 1.0) * np.exp(r ** rho / 2.0)
 
 
+_SHAPES = (_shape_S, _shape_dS, _shape_d2S)
+
+
+class RadialPoints:
+    """A point set with r = 1 + |x|^2 and the radial shapes evaluated on it.
+
+    S(r), S'(r) and S''(r) are computed on first use and kept, per form and
+    rho, so weights of one shape evaluated at many times on the same points
+    compute them once.  Every weight method takes one in place of points.
+    """
+
+    def __init__(self, x: np.ndarray, d: int):
+        x = np.asarray(x, dtype=float)
+        self.scalar = x.ndim == 1
+        self.pts = np.atleast_2d(x)
+        if self.pts.shape[-1] != d:
+            raise DomainError(f"points must have last axis {d}, got shape {x.shape}")
+        self.r = 1.0 + np.sum(self.pts * self.pts, axis=-1)
+        self._shapes: dict = {}
+
+    def shape(self, order: int, form: str, rho: float) -> np.ndarray:
+        """S (order 0), S' (1) or S'' (2) of the form on r."""
+        key = (order, form, rho)
+        if key not in self._shapes:
+            self._shapes[key] = _SHAPES[order](form, self.r, rho)
+        return self._shapes[key]
+
+
+def _points(x, d: int) -> RadialPoints:
+    return x if isinstance(x, RadialPoints) else RadialPoints(x, d)
+
+
 @dataclass(frozen=True)
 class SpaceTimeWeight:
     """Weight exp(eps * t^sigma * S(1+|x|^2)) exposed through log-derivatives.
 
     All downstream consumers (constants ledger, majorant, decay profiles)
     work with log w and its derivatives, never with w itself, so the class
-    stays finite wherever the exponent is representable.
+    stays finite wherever the exponent is representable.  x is an array of
+    points or a RadialPoints, which keeps the shape for the next call.
     """
 
     form: str
@@ -126,32 +215,33 @@ class SpaceTimeWeight:
         if self.eps <= 0 or self.sigma <= 0 or self.rho <= 0:
             raise DomainError("weight needs eps, sigma, rho > 0")
 
-    def log_value(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
-        _, r, scalar = _radial_r(x, d)
-        out = self.eps * t ** self.sigma * _shape_S(self.form, r, self.rho)
-        return out[0] if scalar else out
+    def log_value(self, t: float, x, d: int) -> np.ndarray:
+        p = _points(x, d)
+        out = self.eps * t ** self.sigma * p.shape(0, self.form, self.rho)
+        return out[0] if p.scalar else out
 
-    def dt_log(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
+    def dt_log(self, t: float, x, d: int) -> np.ndarray:
         if t <= 0:
             raise DomainError("time derivative needs t > 0")
-        _, r, scalar = _radial_r(x, d)
-        out = self.eps * self.sigma * t ** (self.sigma - 1.0) * _shape_S(self.form, r, self.rho)
-        return out[0] if scalar else out
+        p = _points(x, d)
+        out = self.eps * self.sigma * t ** (self.sigma - 1.0) * p.shape(0, self.form, self.rho)
+        return out[0] if p.scalar else out
 
-    def grad_log(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
-        pts, r, scalar = _radial_r(x, d)
-        out = 2.0 * self.eps * t ** self.sigma * _shape_dS(self.form, r, self.rho)[:, None] * pts
-        return out[0] if scalar else out
+    def grad_log(self, t: float, x, d: int) -> np.ndarray:
+        p = _points(x, d)
+        out = 2.0 * self.eps * t ** self.sigma * p.shape(1, self.form, self.rho)[:, None] \
+            * p.pts
+        return out[0] if p.scalar else out
 
-    def hess_log(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
-        pts, r, scalar = _radial_r(x, d)
+    def hess_log(self, t: float, x, d: int) -> np.ndarray:
+        p = _points(x, d)
         c = self.eps * t ** self.sigma
-        dS = _shape_dS(self.form, r, self.rho)
-        d2S = _shape_d2S(self.form, r, self.rho)
+        dS = p.shape(1, self.form, self.rho)
+        d2S = p.shape(2, self.form, self.rho)
         eye = np.eye(d)
         out = 2.0 * c * dS[:, None, None] * eye + 4.0 * c * d2S[:, None, None] \
-            * pts[:, :, None] * pts[:, None, :]
-        return out[0] if scalar else out
+            * p.pts[:, :, None] * p.pts[:, None, :]
+        return out[0] if p.scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +269,9 @@ class LyapunovSpec:
             raise DomainError("certified growth bound must be >= 0")
 
     def log_value(self, x: np.ndarray, d: int) -> np.ndarray:
-        _, r, scalar = _radial_r(x, d)
-        out = self.eps_hat * _shape_S(self.form, r, self.rho)
-        return out[0] if scalar else out
+        p = _points(x, d)
+        out = self.eps_hat * p.shape(0, self.form, self.rho)
+        return out[0] if p.scalar else out
 
     def value(self, x: np.ndarray, d: int) -> np.ndarray:
         lv = self.log_value(x, d)
@@ -223,8 +313,8 @@ class TimeLyapunovSpec:
         if t < 0:
             raise DomainError("need t >= 0")
         if t == 0:
-            _, r, scalar = _radial_r(x, d)
-            return 0.0 if scalar else np.zeros_like(r)
+            p = _points(x, d)
+            return 0.0 if p.scalar else np.zeros_like(p.r)
         return self.weight().log_value(t, x, d)
 
     def value(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
@@ -568,12 +658,14 @@ class GridFields:
     drift[k] is g_k + b_k (g_k - b_k for the adjoint, with g_j = sum_i
     D_i q_ij), divb[k] is div b_k (adjoint only, else None), and vp_sums[k]
     the cooperative potential's row sums (column sums for the adjoint).
+    points keeps the radial shapes of the weights on the grid.
     """
 
     Q: tuple
     drift: tuple
     divb: Optional[tuple]
     vp_sums: np.ndarray
+    points: RadialPoints
 
 
 def grid_fields(system, pts: np.ndarray, adjoint: bool) -> GridFields:
@@ -591,7 +683,8 @@ def grid_fields(system, pts: np.ndarray, adjoint: bool) -> GridFields:
             if adjoint:
                 divbs.append(np.asarray(spec.divb(k, pts), dtype=float))
     return GridFields(Q=tuple(Qs), drift=tuple(drifts),
-                      divb=tuple(divbs) if adjoint else None, vp_sums=vp_sums)
+                      divb=tuple(divbs) if adjoint else None, vp_sums=vp_sums,
+                      points=RadialPoints(pts, spec.dims.d))
 
 
 def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpec],
@@ -615,12 +708,13 @@ def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpe
     else:
         w = timed.weight()
         tt = float(t)
-    grad = w.grad_log(tt, pts, d)          # (n, d)
-    hess = w.hess_log(tt, pts, d)          # (n, d, d)
+    at = fields.points
+    grad = w.grad_log(tt, at, d)          # (n, d)
+    hess = w.hess_log(tt, at, d)          # (n, d, d)
     out = np.empty((m, pts.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         curv = grad[:, :, None] * grad[:, None, :] + hess
-        dt = w.dt_log(tt, pts, d) if timed is not None else None
+        dt = w.dt_log(tt, at, d) if timed is not None else None
         for k in range(m):
             second = np.einsum("nij,nij->n", fields.Q[k], curv)
             first = np.einsum("nj,nj->n", fields.drift[k], grad)

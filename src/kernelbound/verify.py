@@ -47,8 +47,8 @@ from .bounds import eval_H
 from .coefficients import CouplingSupport, _FamilyBase, operator_spec_of
 from .errors import DomainError, KernelBoundError
 from .hypotheses import RowSumBound, compute_row_sum_bound, estimate_ledger
-from .lyapunov import (SAMPLE_RADIUS, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec,
-                       verify_certificate)
+from .lyapunov import (SAMPLE_RADIUS, RadialPoints, SpaceTimeWeight, SynthesisResult,
+                       TimeLyapunovSpec, verify_certificate)
 from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField,
                      GridSpec, OperatorHandle, default_dt, kernel_columns, load_field,
                      release_freed_memory, save_field)
@@ -1011,10 +1011,11 @@ def _integrability_requests(system, timed: TimeLyapunovSpec, grid: GridSpec,
         eps = timed.eps_T / 4.0
     w = _scaled(timed, eps / timed.eps_T).weight()
     pts = grid.points()
+    at = RadialPoints(pts, grid.d)
     shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
     reqs = []
     for t in t_values:
-        log_nu = np.asarray(w.log_value(t, pts, grid.d), dtype=float)
+        log_nu = np.asarray(w.log_value(t, at, grid.d), dtype=float)
         init = np.repeat(np.exp(log_nu)[:, None], system.dims.m, axis=1)
         both = np.stack([init, init * shell[:, None]], axis=-1)
         reqs.append(Evolution.of_values("P", grid, both, t, dt, theta))
@@ -1212,6 +1213,7 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
         spacing, radius = pair
         grid = GridSpec(d=d, radius=radius, spacing=spacing)
         pts = grid.points()
+        at = RadialPoints(pts, d)
         sup = 0.0
         sup2 = 0.0
         sup_loc = (None, None, None, None, None)
@@ -1238,7 +1240,7 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                     sup = val
                     sup_loc = (t, _loc_pt(pts[node], d), _loc_pt(y, d), h, None)
                 if two_sided:
-                    wx = np.exp(0.5 * np.asarray(wstar.log_value(t, pts, d)))
+                    wx = np.exp(0.5 * np.asarray(wstar.log_value(t, at, d)))
                     r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar)
                     sup2 = max(sup2, float(np.max(r2)))
         return sup, sup2, sup_loc, rows
@@ -1288,6 +1290,7 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
                       tuple(t_values), tuple(_center(x0, d)), component, weight,
                       core_radius, tail_range, slack)
     pts = grid.points()
+    at = RadialPoints(pts, d)
     rr = np.sqrt(np.sum(pts * pts, axis=-1))
     worst = -math.inf
     loc = (None, None, None, None, None)
@@ -1297,7 +1300,7 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
     for t, (col,) in zip(t_values, runs):
         total = np.sum(np.abs(col.values), axis=1)
         noise = 1e-13 * max(float(np.max(total)), _TINY)
-        phi = np.log(np.maximum(total, _TINY)) + weight.log_value(t, pts, d)
+        phi = np.log(np.maximum(total, _TINY)) + weight.log_value(t, at, d)
         core = phi[rr <= core_radius]
         tail_mask = (rr >= tail_range[0]) & (rr <= tail_range[1]) & (total > noise)
         if core.size == 0 or not np.any(tail_mask):

@@ -60,6 +60,14 @@ class TestMajorant:
         with pytest.raises(NonFiniteError):
             eval_H(led, ONES_AT, ONES_AT, lambda t: 0.0, lambda t: 0.0, np.array([0.0]))
 
+    def test_growth_overflow_is_a_non_finite_error(self):
+        # e^G passes float64's range inside the window: exit 1, not a crash
+        led = make_ledger([1] * 8, window=(0.03125, 0.0625, 0.125, 0.1875))
+        H = eval_H(led, ONES_AT, ONES_AT, lambda t: 1000 * t, lambda t: 0.0, np.array([0.0]))
+        assert math.isfinite(H)
+        with pytest.raises(NonFiniteError, match="not finite"):
+            eval_H(led, ONES_AT, ONES_AT, lambda t: 5000 * t, lambda t: 0.0, np.array([0.0]))
+
     def test_starred_side_requires_starred_constants(self):
         led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(DomainError):

@@ -1,5 +1,8 @@
 """End-to-end tests of the command line and its config format."""
 
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -620,6 +623,24 @@ class TestAllCommand:
         for name in ("hypotheses.txt", "ledger.txt",
                      "column_P_t0.25_y0.5_k0.csv", "verify_summary.txt"):
             assert (out / name).exists()
+
+    def test_no_stage_loads_scipy_integrate_special_or_optimize(self, tmp_path):
+        # scipy.integrate alone pulls in special, optimize, spatial and fft:
+        # about 200 modules and a third of the start-up time of every stage
+        cfg = make_config(tmp_path, verify={"checks": ALL_CHECKS})
+        code = ("import sys\n"
+                "import kernelbound.cli\n"
+                "rc = kernelbound.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],"
+                " '--seed', '1'])\n"
+                "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
+                "print(rc, *[m for m in heavy if m in sys.modules])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0"
 
     def test_stops_at_first_failing_stage(self, tmp_path):
         cfg = make_config(tmp_path, family={"gamma": "2 2; 2 2"})

@@ -1,6 +1,7 @@
 """Lyapunov synthesis, evaluation, growth integrals, certificates."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from kernelbound import lyapunov as ly
 from kernelbound.errors import (
     CertificateError,
     DomainError,
+    NonFiniteError,
     SaturationError,
     SynthesisError,
 )
+from kernelbound.hypotheses import estimate_ledger
 
 from oracles import FieldJet, eval_operator
 
@@ -171,10 +174,75 @@ def test_integrated_exp_closed_forms_match_quadrature():
             direct, _ = integrate.quad(lambda tau: math.exp(tau ** rho / 2.0), 0.0, r,
                                        epsrel=1e-12, limit=200)
             assert ly.integrated_exp(r, rho) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            generic = ly._quad(lambda tau: np.exp(tau ** rho / 2.0), 0.0, r, epsrel=1e-12)
+            assert ly.integrated_exp(r, rho) == pytest.approx(generic, rel=1e-12, abs=1e-15)
     # generic-rho path agrees with its own quadrature contract
     assert ly.integrated_exp(2.0, 0.8) == pytest.approx(
         integrate.quad(lambda tau: math.exp(tau ** 0.8 / 2.0), 0, 2.0, epsrel=1e-12)[0],
         rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# adaptive quadrature, against scipy's QUADPACK as the oracle
+# ---------------------------------------------------------------------------
+
+def quadpack(f, a, b):
+    """scipy.integrate.quad, asked for three more digits than the rule under test."""
+    return integrate.quad(f, a, b, epsrel=1e-13, limit=400)[0]
+
+
+# (eps_T, sigma, delta) of the majorant weights of the bench configs:
+# poly1d forward and adjoint, exp1d forward and adjoint
+GROWTH_SHAPES = [(0.5, 2.0, 0.8333333333333333), (0.5, 1.3333333333333333, 0.7857142857142858),
+                 (0.5, 1.0, 0.75), (0.5, 2.0, 1.3333333333333333)]
+
+
+@pytest.mark.parametrize("eps_T,sigma,delta", GROWTH_SHAPES)
+@pytest.mark.parametrize("c0", [0.5, 2.08, 5.55, 50.0, 120.0, 126.21564244396549])
+def test_quad_matches_quadpack_on_majorant_integrands(c0, eps_T, sigma, delta):
+    # eval_H's integrands e^{G(t)} on the bench window; the last c0 with the
+    # exp1d adjoint shape is exp1d's steep case, I ~ 1.55e8
+    G = lambda t: ly.growth_integral(c0, eps_T, sigma, delta, t)
+    got = ly._quad(lambda t: np.exp(G(t)), 0.03125, 0.1875, epsrel=1e-9)
+    want = quadpack(lambda t: math.exp(G(t)), 0.03125, 0.1875)
+    assert abs(got - want) <= 1e-9 * want
+    if c0 == 126.21564244396549 and delta > 1.0:
+        assert got == pytest.approx(1.55365e8, rel=1e-5)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.75, 1.5, 2.0])
+def test_integrated_exp_generic_rho_matches_quadpack(rho):
+    r = np.array([0.5, 3.0, 10.0, 20.0])
+    batch = ly.integrated_exp(r, rho)
+    for ri, got in zip(r, batch):
+        want = quadpack(lambda tau: math.exp(tau ** rho / 2.0), 0.0, ri)
+        assert abs(got - want) <= 1e-10 * want
+        assert abs(ly.integrated_exp(ri, rho) - want) <= 1e-10 * want
+
+
+def test_quad_overflow_is_a_non_finite_error():
+    # e^{tau^2/2} passes float64's range at tau ~ 37.7
+    with pytest.raises(NonFiniteError, match="not finite"):
+        ly.integrated_exp(40.0, 2.0)
+
+
+def test_quad_that_misses_its_tolerance_is_a_non_finite_error():
+    # a narrow bump the rule cannot resolve in three bisections
+    bump = lambda t: np.exp(-((t - 0.3) / 1e-3) ** 2)
+    with pytest.raises(NonFiniteError, match="after 3 bisections"):
+        ly._quad(bump, 0.0, 1.0, epsrel=1e-9, limit=3)
+    assert ly._quad(bump, 0.0, 1.0, epsrel=1e-9) == pytest.approx(
+        math.sqrt(math.pi) * 1e-3, rel=1e-9)
+
+
+def test_integrated_exp_generic_rho_takes_repeated_and_zero_radii():
+    # each entry is integrated on its own, so it does not depend on the
+    # other entries of its array
+    r = np.array([3.0, 0.0, 3.0, 0.5])
+    got = ly.integrated_exp(r, 0.3)
+    assert got[1] == 0.0 and got[0] == got[2]
+    assert got[0] == ly.integrated_exp(3.0, 0.3)
+    assert got[3] == ly.integrated_exp(0.5, 0.3)
 
 
 def test_weight_log_derivatives_match_fd():
@@ -197,6 +265,27 @@ def test_weight_log_derivatives_match_fd():
                 h_fd = (lv(t, x + ei + ej) - lv(t, x + ei - ej)
                         - lv(t, x - ei + ej) + lv(t, x - ei - ej)) / (4 * step ** 2)
                 assert hess[i, j] == pytest.approx(h_fd, rel=1e-4, abs=1e-4)
+
+
+def test_each_radial_shape_is_computed_once_per_grid(monkeypatch):
+    calls = Counter()
+
+    def counted(order, shape):
+        def call(form, r, rho):
+            calls[order] += 1
+            return shape(form, r, rho)
+        return call
+
+    monkeypatch.setattr(ly, "_SHAPES", tuple(counted(i, f) for i, f in enumerate(ly._SHAPES)))
+    fam = poly_headline()
+    # two radii, eleven ladder times each
+    timed = ly.verify_certificate(fam, ly.synth_poly(fam, T=1.0).timed).certified
+    assert calls == {0: 2, 1: 2, 2: 2}
+    calls.clear()
+    # three weights of one shape, nine sample times
+    estimate_ledger(fam, *[timed.weight(f * timed.eps_T) for f in (0.5, 0.75, 1.0)],
+                    s=5.0, window=(0.0625, 0.375))
+    assert calls == {0: 1, 1: 1, 2: 1}
 
 
 # ---------------------------------------------------------------------------
