@@ -102,6 +102,16 @@ def _components(cfg: RunConfig, section: str, m: int) -> list:
     return components
 
 
+def _flag_or_key(cfg: RunConfig, key: str, flag, least: int):
+    """--key if it was given, else verify.key; an int below least exits 2."""
+    value = flag if flag is not None else cfg.get("verify", key)
+    if value is not None and value < least:
+        where = ("--%s" % key if flag is not None
+                 else "%s: verify.%s" % (cfg._where("verify", key), key))
+        raise ConfigError("%s must be at least %d, got %d" % (where, least, value))
+    return value
+
+
 def _synthesize(cfg: RunConfig, fam, target: str, radius: float):
     """Deterministic synthesis plus grid calibration of the timed constant."""
     fn = lyapunov.synth_poly if isinstance(fam, PolynomialFamily) \
@@ -382,12 +392,12 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     grid = solver.GridSpec(d, radii[-1], spacing)
 
     checks = cfg.get("verify", "checks")
-    seed = cli_seed if cli_seed is not None else cfg.get("verify", "seed")
+    seed = _flag_or_key(cfg, "seed", cli_seed, 0)
     randomized = sorted(RANDOMIZED_CHECKS.intersection(checks))
     if randomized and seed is None:
         raise ConfigError("%s: checks %s draw random data; set verify.seed "
                           "or pass --seed" % (cfg.path, " ".join(randomized)))
-    jobs = jobs if jobs else cfg.get("verify", "jobs")
+    jobs = _flag_or_key(cfg, "jobs", jobs, 1)
 
     tset = cfg.get("verify", "t")
     t_single = cfg.get("verify", "t_single")

@@ -53,8 +53,6 @@ from dataclasses import dataclass, field as _field
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from .coefficients import VARIANTS, eval_VP, operator_spec_of
 from .errors import (
@@ -71,6 +69,22 @@ _RESIDUAL_TOL = 1e-10
 SOLVER_VERSION = 2
 # Version of the binary field format (the KBF header); store keys carry it too.
 FIELD_FORMAT_VERSION = 1
+
+
+# scipy.sparse and scipy.sparse.linalg take about half the start-up time of
+# the command line tool and only operators use them, so assemble_generator
+# and OperatorHandle._factor import them when they run; check and synth load
+# no scipy module.  solver.sparse and solver.sparse_linalg resolve here, on
+# access (PEP 562), and _factor looks splu up on scipy.sparse.linalg at each
+# call, so a patch of solver.sparse_linalg.splu sees every factorization.
+def __getattr__(name):
+    if name == "sparse":
+        from scipy import sparse
+        return sparse
+    if name == "sparse_linalg":
+        from scipy.sparse import linalg as sparse_linalg
+        return sparse_linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -271,6 +285,8 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == "P_adjoint":
         return assemble_generator(system, grid, "P").T.tocsr()
+    from scipy import sparse
+
     spec = operator_spec_of(system)
     if spec.dims.d != grid.d:
         raise AssemblyError(f"system dimension {spec.dims.d} != grid dimension {grid.d}")
@@ -407,6 +423,9 @@ class OperatorHandle:
         if self._lu is not None and self._lu[0] == key:
             return self._lu[1]
         self._lu = None  # free the old LU before building the next one
+        from scipy import sparse
+        from scipy.sparse import linalg as sparse_linalg
+
         A = self.matrix
         eye = sparse.identity(A.shape[0], format="csr")
         M1 = (eye - theta * dt * A).tocsc()

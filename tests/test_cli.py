@@ -1,6 +1,7 @@
 """End-to-end tests of the command line and its config format."""
 
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -67,6 +68,17 @@ def heat_updates():
                        "theta": "1e-30", "gamma": "0"},
             "solve": {"components": "0", "sources": "0"},
             "verify": {"checks": "mass"}}
+
+
+def run_fresh(code, *args):
+    """stdout lines of code run in a new interpreter on the source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 class TestConfigParsing:
@@ -284,6 +296,24 @@ class TestVerifyCommand:
         assert "seed" in capsys.readouterr().err
         assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
                          "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("updates, flags, named", [
+        ({"seed": "-3"}, [], r"run\.cfg:\d+: verify\.seed"),
+        ({}, ["--seed", "-1"], "error: --seed"),
+        ({"jobs": "0"}, [], r"run\.cfg:\d+: verify\.jobs"),
+        ({}, ["--jobs", "0"], "error: --jobs"),
+        ({}, ["--jobs", "-1"], "error: --jobs"),
+    ], ids=["verify.seed=-3", "--seed=-1", "verify.jobs=0", "--jobs=0",
+            "--jobs=-1"])
+    def test_negative_seed_or_jobs_below_one_exits_2(self, tmp_path, capsys,
+                                                     updates, flags, named):
+        cfg = make_config(tmp_path, verify=updates)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert re.search(named + " must be ", err) and "Traceback" not in err
+        assert not (out / "verify_summary.txt").exists()
 
     def test_tolerance_override_can_fail_a_check(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": "duality",
@@ -634,13 +664,53 @@ class TestAllCommand:
                 " '--seed', '1'])\n"
                 "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
                 "print(rc, *[m for m in heavy if m in sys.modules])\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, timeout=600)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0"
+        lines = run_fresh(code, cfg, tmp_path / "out")
+        assert lines[-1] == "0"
+
+    def test_check_and_synth_load_no_scipy_module(self, tmp_path):
+        # scipy.sparse and its linalg are about half of the start-up time;
+        # only an operator needs them
+        cfg = make_config(tmp_path)
+        code = ("import sys\n"
+                "import kernelbound.cli\n"
+                "rcs = [kernelbound.cli.main([stage, '--config', sys.argv[1], '--out',"
+                " sys.argv[2]]) for stage in ('check', 'synth')]\n"
+                "print(*rcs, *sorted(m for m in sys.modules"
+                " if m.partition('.')[0] == 'scipy'))\n")
+        lines = run_fresh(code, cfg, tmp_path / "out")
+        assert lines[-1] == "0 0"
+
+    def test_solve_loads_scipy_sparse_linalg(self, tmp_path):
+        cfg = make_config(tmp_path)
+        code = ("import sys\n"
+                "import kernelbound.cli\n"
+                "before = 'scipy.sparse.linalg' in sys.modules\n"
+                "rc = kernelbound.cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                "print(rc, before, 'scipy.sparse.linalg' in sys.modules)\n")
+        lines = run_fresh(code, cfg, tmp_path / "out")
+        assert lines[-1] == "0 False True"
+
+    def test_splu_patched_before_any_operator_sees_every_factorization(
+            self, tmp_path):
+        # solver.sparse_linalg loads scipy.sparse.linalg on access, and each
+        # factorization looks splu up on that module when it runs
+        cfg = make_config(tmp_path, verify={"checks": ALL_CHECKS})
+        code = ("import sys\n"
+                "import pytest\n"
+                "from kernelbound import cli, solver\n"
+                "before = 'scipy.sparse' in sys.modules\n"
+                "calls = []\n"
+                "with pytest.MonkeyPatch.context() as monkeypatch:\n"
+                "    splu = solver.sparse_linalg.splu\n"
+                "    monkeypatch.setattr(solver.sparse_linalg, 'splu',\n"
+                "                        lambda *a, **kw: calls.append(1) or splu(*a, **kw))\n"
+                "    rc = cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                "print(rc, before, len(calls))\n")
+        lines = run_fresh(code, cfg, tmp_path / "out")
+        plan = next(line for line in lines if "; plan: " in line)
+        factored = int(plan.partition(" factorizations")[0].rpartition(" ")[2])
+        assert factored > 0
+        assert lines[-1] == "0 False %d" % factored
 
     def test_stops_at_first_failing_stage(self, tmp_path):
         cfg = make_config(tmp_path, family={"gamma": "2 2; 2 2"})

@@ -33,6 +33,16 @@ def test_scan_finds_an_unused_import():
                           "x: Optional[int] = sys.maxsize\n") == ["Any", "os"]
 
 
+def test_scan_reads_imports_inside_functions():
+    # solver imports scipy.sparse where an operator is built, and its module
+    # __getattr__ (PEP 562) imports and returns it on attribute access
+    assert unused_imports("def __getattr__(name):\n"
+                          "    from scipy import sparse\n"
+                          "    return sparse\n"
+                          "def f():\n"
+                          "    import json\n") == ["json"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda path: path.name)
 def test_module_has_no_unused_import(path):
