@@ -14,6 +14,7 @@ tripped.  All file outputs are reproducible byte-for-byte from the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -112,14 +113,15 @@ def _flag_or_key(cfg: RunConfig, key: str, flag, least: int):
     return value
 
 
-def _synthesize(cfg: RunConfig, fam, target: str, radius: float):
-    """Deterministic synthesis plus grid calibration of the timed constant."""
+def _synthesize(cfg: RunConfig, fam, target: str, radius: float, store=None):
+    """Deterministic synthesis plus grid calibration of the timed constant,
+    whose certificate is a record in the store when one is given."""
     fn = lyapunov.synth_poly if isinstance(fam, PolynomialFamily) \
         else lyapunov.synth_exp
     result = fn(fam, cfg.get("lyapunov", "T"), target=target)
     if target == "P":
         result = _apply_overrides(cfg, result)
-    report = lyapunov.verify_certificate(fam, result.timed, radius=radius)
+    report = verify.stored_certificate(fam, result.timed, radius, store)
     return replace(result, timed=report.certified), report
 
 
@@ -371,7 +373,11 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_calibration(path, fingerprint: str) -> Optional[float]:
-    """The stored C_cal if it was calibrated from the same inputs, else None."""
+    """The stored C_cal if it was calibrated from the same inputs, else None.
+
+    A calibration is a sup of positive ratios, so a value that is not
+    finite and positive is no calibration and counts as missing.
+    """
     entries = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -380,9 +386,10 @@ def _read_calibration(path, fingerprint: str) -> Optional[float]:
                 entries[name.strip()] = value.strip()
         if entries.get("fingerprint") != fingerprint:
             return None
-        return float(entries["C_cal"])
+        C_cal = float(entries["C_cal"])
     except (OSError, KeyError, ValueError):
         return None
+    return C_cal if math.isfinite(C_cal) and C_cal > 0 else None
 
 
 def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
@@ -422,18 +429,21 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     needs_synth = {"integrability", "weighted", "decay"}.intersection(checks)
     fwd = adj = None
     if needs_synth:
-        fwd = _synthesize(cfg, fam, "P", cert_radius)[0]
+        fwd = _synthesize(cfg, fam, "P", cert_radius, store)[0]
         if "weighted" in checks and two_sided:
-            adj = _synthesize(cfg, fam, "P_adjoint", cert_radius)[0]
+            adj = _synthesize(cfg, fam, "P_adjoint", cert_radius, store)[0]
 
     cal_path = os.path.join(out, "calibration.txt")
     fresh_calibration = False
     requests, thunks = [], []
 
     def declare(check, **kw):
-        # the plan gets the requests of the very call the check runs
-        requests.extend(verify.requests_of(check, fam, **kw))
-        thunks.append(lambda: getattr(verify, check)(fam, **kw, store=store))
+        # the plan and the check share the requests of the very call the
+        # check runs, so each request's data is built and hashed once
+        reqs = verify.requests_of(check, fam, **kw)
+        requests.extend(reqs)
+        thunks.append(lambda: getattr(verify, check)(fam, **kw, requests=reqs,
+                                                     store=store))
 
     for name in checks:
         if name == "domination":
@@ -495,11 +505,12 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 # least f^(s/2); apply that envelope uniformly in time
                 href = {}
                 calibrated = verify.calibrate_majorant(fam, fwd, eps_scales,
-                                                       cert_radius)
+                                                       cert_radius, store)
                 for t in t_w:
                     _, H = verify.weighted_majorant(
                         fam, fwd, s, t=t, eps_scales=eps_scales,
-                        cert_radius=cert_radius, calibrated=calibrated)
+                        cert_radius=cert_radius, calibrated=calibrated,
+                        store=store)
                     href[t] = H * scale ** (s / 2.0)
 
                 def override(t, pts, href=href):

@@ -478,13 +478,26 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
                 arg_edge[i] = bool(edge[t_arg[i]])
 
     row = compute_row_sum_bound(system, adjoint=adjoint, radius=plan.radius)
+    return ledger_of(d, s, window, inner, sups, arg_edge, row.M)
+
+
+def ledger_of(d: int, s: float, window: tuple[float, float],
+              inner: Optional[tuple[float, float]], sups: Sequence[float],
+              edge: Sequence[bool], M: float) -> ConstantsLedger:
+    """The ledger estimate_ledger returns for its window and inner pair, from
+    the eight sups, their edge flags and the row-sum bound M it measured.
+
+    A store that keeps only those numbers rebuilds the ledger here.
+    """
+    a0, b0 = window
     if inner is None:
         quarter = (b0 - a0) / 4.0
         a, b = a0 + quarter, b0 - quarter
     else:
         a, b = inner
-    return ConstantsLedger(d=d, s=s, window=(a0, a, b, b0), c=tuple(sups), M=row.M,
-                           boundary_flags=tuple(arg_edge))
+    return ConstantsLedger(d=d, s=s, window=(a0, a, b, b0),
+                           c=tuple(np.asarray(sups, dtype=float)), M=M,
+                           boundary_flags=tuple(bool(e) for e in edge))
 
 
 # ---------------------------------------------------------------------------

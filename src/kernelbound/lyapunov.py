@@ -763,8 +763,17 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
         ratio = _generator_ratio(system, lyap, None, None, pts, fields)
         return float(np.max(ratio))
 
-    sup_c = grid_sup(radius)
-    sup_f = grid_sup(2.0 * radius)
+    return certificate_report(lyap, grid_sup(radius), grid_sup(2.0 * radius), radius,
+                              tolerance)
+
+
+def certificate_report(lyap: LyapunovSpec | TimeLyapunovSpec, sup_c: float, sup_f: float,
+                       radius: float, tolerance: float = 0.01) -> CertificateReport:
+    """The report of verify_certificate, from its grid sups at radius and 2 radius.
+
+    A store that keeps only the two sups rebuilds the report here.
+    """
+    timed = isinstance(lyap, TimeLyapunovSpec)
     scale = max(1.0, abs(sup_c))
     if sup_f >= sup_c + 0.10 * scale and sup_f > sup_c:
         raise CertificateError(

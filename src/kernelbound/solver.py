@@ -610,14 +610,13 @@ def field_from_bytes(blob: bytes) -> DiscreteField:
     return DiscreteField(grid, values, time=time, meta=meta)
 
 
-def save_field(path, field: DiscreteField):
-    """Write the binary field atomically.
+def write_atomic(path, blob: bytes):
+    """Write blob to path atomically.
 
     The bytes go to a temporary file in the same directory, which is then
     renamed over path, so a reader never sees a partial file under path and
     a failed write leaves nothing behind.
     """
-    blob = field_to_bytes(field)
     folder, name = os.path.split(os.fspath(path))
     fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name + ".", suffix=".tmp")
     try:
@@ -630,6 +629,11 @@ def save_field(path, field: DiscreteField):
         except OSError:
             pass
         raise
+
+
+def save_field(path, field: DiscreteField):
+    """Write the binary field atomically (write_atomic)."""
+    write_atomic(path, field_to_bytes(field))
 
 
 def load_field(path) -> DiscreteField:

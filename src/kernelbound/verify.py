@@ -11,11 +11,14 @@ byte for byte.
 The evolutions run as a plan.  Each check declares its evolutions as
 Evolution requests: variant, grid, t, resolved step, theta, and either point
 sources, initial data, or, for the second leg of the semigroup check, the
-output of an earlier request.  The check runs its own requests through the
+output of an earlier request.  The check runs its requests through the
 executor, evolve_all, and reads their outputs.  requests_of(check, system,
 **kwargs) gives the requests of a call without running it, from the same
 arguments bound to the check's own signature, defaults included; the verify
-command hands those of every configured check, and of its plot, to run_plan.
+command hands those of every configured check, and of its plot, to run_plan,
+and then hands each check its own (the requests argument), so the data of a
+request is built once and hashed once; a check called without them builds
+its own.
 The executor drops duplicate requests by store key, sorts the rest by
 (variant, grid, theta, dt), runs each (variant, grid) on one operator
 handle, made on the first store miss, so every operator is built once and
@@ -24,7 +27,17 @@ request is done.  Requests are never merged into wider batches: each keeps
 the batch it had when its check ran alone, so every column has the same
 bits whether a check runs alone, in the plan, or in a thread.  Given a
 kernel store, every evolution goes through it, so after run_plan the checks
-compute nothing, and a rerun against the same store recomputes nothing.
+compute nothing.
+
+The constants the weighted and integrability checks rest on go through the
+store too, as records: the two grid sups of each Lyapunov certificate
+(stored_certificate) and the eight sups, edge flags and M of each constants
+ledger (weighted_majorant), kept as float.hex text in .kbr files and
+rebuilt by the functions verify_certificate and estimate_ledger build them
+with, so a stored constant has the bits of a computed one.  A record's key
+covers the system, every field of the specs and weights, the radius and
+points per axis, s, the window, the sample plan, adjoint, the inner window
+and RECORD_VERSION.  So a rerun against the same store recomputes nothing.
 """
 
 from __future__ import annotations
@@ -43,19 +56,21 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import eval_H
+from .bounds import ConstantsLedger, eval_H
 from .coefficients import CouplingSupport, _FamilyBase, operator_spec_of
 from .errors import DomainError, KernelBoundError
-from .hypotheses import RowSumBound, compute_row_sum_bound, estimate_ledger
-from .lyapunov import (SAMPLE_RADIUS, RadialPoints, SpaceTimeWeight, SynthesisResult,
-                       TimeLyapunovSpec, verify_certificate)
+from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimate_ledger,
+                         ledger_of)
+from .lyapunov import (SAMPLE_RADIUS, CertificateReport, LyapunovSpec, RadialPoints,
+                       SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
+                       certificate_report, verify_certificate)
 from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField,
                      GridSpec, OperatorHandle, default_dt, kernel_columns, load_field,
-                     release_freed_memory, save_field)
+                     release_freed_memory, save_field, write_atomic)
 
 __all__ = [
-    "CheckResult", "KernelStore", "StoreKey", "system_fingerprint",
-    "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan", "requests_of",
+    "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
+    "stored_certificate", "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan", "requests_of",
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
@@ -64,6 +79,9 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# Part of every record key: bump it whenever a change can move a recorded
+# certificate sup or ledger number, as SOLVER_VERSION for fields.
+RECORD_VERSION = 1
 # prefix of the id()-based fingerprints of opaque systems; family
 # fingerprints are hex digests, so they never start with it
 _OPAQUE = "spec"
@@ -164,15 +182,18 @@ def _store_key(kind: str, sys_fp: str, *parts, shared: bool = True) -> StoreKey:
 
 
 class KernelStore:
-    """Cache of computed fields, in memory and optionally in a directory.
+    """Cache of computed fields and records, in memory and optionally in a directory.
 
     A plain string key is a shared, persistent StoreKey.  len() counts
-    every key loaded or built in this session, whichever tier holds it.
-    Corrupt or foreign files under a key are silently recomputed.
+    every field key loaded or built since the store was made, whichever
+    tier holds it; records, read and written by record(), are not fields
+    and are not counted.  Corrupt or foreign files under a key are silently
+    recomputed.
     """
 
     def __init__(self, directory=None):
         self._memory: dict[str, DiscreteField] = {}
+        self._records: dict[str, tuple] = {}
         self._seen: set[str] = set()
         # a plain string: every lookup builds a path, and pathlib is slow at it
         self._dir = os.fspath(directory) if directory is not None else None
@@ -182,9 +203,9 @@ class KernelStore:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def _path(self, digest: str) -> str:
+    def _path(self, digest: str, suffix: str = ".kbf") -> str:
         name = hashlib.sha1(digest.encode()).hexdigest()[:16]
-        return os.path.join(self._dir, name + ".kbf")
+        return os.path.join(self._dir, name + suffix)
 
     def holds(self, key: StoreKey) -> bool:
         """Whether a field sits under key, in memory or in a file.
@@ -214,6 +235,107 @@ class KernelStore:
         if key.shared or path is None:
             self._memory[key.digest] = fld
         return fld
+
+    def record(self, key: StoreKey, build: Callable[[], Sequence[float]]) -> tuple:
+        """The numbers under key, as floats, from memory, from a .kbr file, or
+        from build, and then kept in memory and, if key.persist, in the file.
+
+        A file that does not parse, or holds a NaN, is rebuilt.  Numbers
+        with a NaN are handed back but never kept, so they are built again.
+        """
+        if key.digest in self._records:
+            return self._records[key.digest]
+        persist = self._dir is not None and key.persist
+        path = self._path(key.digest, ".kbr") if persist else None
+        values = _read_record(path) if persist else None
+        if values is None:
+            values = tuple(float(v) for v in build())
+            if any(map(math.isnan, values)):
+                return values
+            if persist:
+                write_atomic(path, _record_text(values).encode())
+        self._records[key.digest] = values
+        return values
+
+
+_RECORD_MAGIC = "KBR1"
+
+
+def _record_text(values: tuple) -> str:
+    """A record file: a header with the count, then one float.hex per line,
+    so every number, infinities included, reads back to the same bits."""
+    return "%s %d\n" % (_RECORD_MAGIC, len(values)) + "".join(v.hex() + "\n" for v in values)
+
+
+def _read_record(path: str) -> Optional[tuple]:
+    """The numbers of a record file, or None if it is missing, truncated,
+    foreign or holds a NaN."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+        head, *lines = text[:-1].split("\n")
+        if not text.endswith("\n") or head != "%s %d" % (_RECORD_MAGIC, len(lines)):
+            return None
+        values = tuple(map(float.fromhex, lines))
+    except (OSError, ValueError):
+        return None
+    return None if any(map(math.isnan, values)) else values
+
+
+def _record_key(kind: str, system, *parts) -> StoreKey:
+    sys_fp = system_fingerprint(system)
+    return StoreKey(_fingerprint("record", kind, RECORD_VERSION, sys_fp, *parts),
+                    persist=not sys_fp.startswith(_OPAQUE))
+
+
+def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
+                       radius: float = SAMPLE_RADIUS,
+                       store: Optional[KernelStore] = None) -> CertificateReport:
+    """verify_certificate(system, lyap, radius=radius), with its two grid sups
+    kept in the store as a record.
+
+    The record key covers the system, every field of lyap, the radius and
+    the grid's points per axis.  The report is rebuilt from the sups by
+    certificate_report, as verify_certificate builds it, so a stored
+    certificate has the bits of a computed one.
+    """
+    if store is None:
+        return verify_certificate(system, lyap, radius=radius)
+
+    def sups():
+        report = verify_certificate(system, lyap, radius=radius)
+        return report.sup_coarse, report.sup_fine
+
+    key = _record_key("certificate", system, lyap, radius, _points_per_axis(system.dims.d))
+    return certificate_report(lyap, *store.record(key, sups), radius)
+
+
+def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
+                   nu2: SpaceTimeWeight, s: float, window: tuple, adjoint: bool,
+                   inner: tuple, store: Optional[KernelStore]) -> ConstantsLedger:
+    """estimate_ledger of the arguments, with its eight sups, their edge flags
+    and M kept in the store as a record.
+
+    The record key covers the system, every field of the three weights, s,
+    the window, the sample plan and its points per axis, adjoint and inner.
+    The ledger is rebuilt from the numbers by ledger_of, as estimate_ledger
+    builds it.
+    """
+    def ledger() -> ConstantsLedger:
+        return estimate_ledger(system, w, nu1, nu2, s, window, adjoint=adjoint, inner=inner)
+
+    if store is None:
+        return ledger()
+
+    def numbers():
+        led = ledger()
+        return (*led.c, *led.boundary_flags, led.M)
+
+    d = system.dims.d
+    key = _record_key("ledger", system, w, nu1, nu2, s, window, SamplePlan(),
+                      _points_per_axis(d), adjoint, inner)
+    nums = store.record(key, numbers)
+    return ledger_of(d, s, window, inner, nums[:8], nums[8:16], nums[16])
 
 
 def _center(point, d: int) -> np.ndarray:
@@ -277,6 +399,19 @@ class Evolution:
         """_data_digest of the data, computed once per request."""
         return _data_digest(self.data)
 
+    def digest_after(self, sys_fp: str, data: np.ndarray) -> str:
+        """For a second stage: _data_digest of data, the output of the request
+        after for the system sys_fp, computed once per request and system.
+
+        That output has the same bits whichever run produced it, so the
+        plan and the check that declared the request share one digest.
+        """
+        # a frozen dataclass: kept in the instance dict, as cached_property does
+        known = vars(self).setdefault("_digests_after", {})
+        if sys_fp not in known:
+            known[sys_fp] = _data_digest(data)
+        return known[sys_fp]
+
 
 def _center_batch(store, sys_fp: str, variant: str, grid: GridSpec, m: int,
                   t: float, center: tuple, components, w: float, step: float,
@@ -330,21 +465,18 @@ def _data_digest(data: np.ndarray) -> str:
 
 def _data_batch(store, sys_fp: str, variant: str, grid: GridSpec, t: float,
                 data: np.ndarray, step: float, theta: float,
-                handle_of: Callable[[], OperatorHandle],
-                digest: Optional[str] = None) -> np.ndarray:
+                handle_of: Callable[[], OperatorHandle], digest: str) -> np.ndarray:
     """Evolved data, routed through the store.
 
     data has shape (n_nodes, m) or (n_nodes, m, c).  Each column is one
-    store entry, keyed by the data itself (digest, _data_digest(data),
-    computed here when not given, plus the column index) next to the
-    system, variant, grid, t, step and theta.  A miss evolves the whole
-    batch, so a column has the same bits whichever columns were stored
-    before.  The entries are read by a single check, so they are not
-    shared: with a directory they go to disk only.
+    store entry, keyed by the data itself (digest, _data_digest(data), plus
+    the column index) next to the system, variant, grid, t, step and theta.
+    A miss evolves the whole batch, so a column has the same bits whichever
+    columns were stored before.  The entries are read by a single check, so
+    they are not shared: with a directory they go to disk only.
     """
     if store is None:
         return handle_of().evolve(data, t, dt=step, theta=theta)[0]
-    digest = digest or _data_digest(data)
     evolved = []
 
     def build(j: int) -> DiscreteField:
@@ -391,8 +523,7 @@ class _Batch:
     center: Optional[tuple] = None
     width: float = 0.0
     components: list = field(default_factory=list)
-    data: Optional[np.ndarray] = None
-    digest: Optional[str] = None  # of data; a second stage's is known once it runs
+    request: Optional[Evolution] = None  # the first data request or second stage
     after: Optional["_Batch"] = None
     continued: bool = False  # a second stage reads this batch's output
 
@@ -406,9 +537,10 @@ class _Batch:
         if self.center is not None:
             return [_column_key(sys_fp, self.variant, self.grid, self.t, self.center, k,
                                 self.width, self.dt, self.theta) for k in self.components]
+        data = self.request.data
         return [_data_key(sys_fp, self.variant, self.grid, self.t, self.dt, self.theta,
-                          self.digest, j)
-                for j in range(self.data.shape[2] if self.data.ndim == 3 else 1)]
+                          self.request.digest, j)
+                for j in range(data.shape[2] if data.ndim == 3 else 1)]
 
 
 def _plan(requests: Sequence[Evolution]) -> tuple:
@@ -439,10 +571,9 @@ def _plan(requests: Sequence[Evolution]) -> tuple:
                 raise DomainError("a second stage needs its first stage declared before it")
             parent.continued = True
             where[id(req)] = batch_of(req, op, "then", id(parent), stage=parent.stage + 1,
-                                      after=parent)
+                                      after=parent, request=req)
         elif req.data is not None:
-            where[id(req)] = batch_of(req, op, "data", req.digest, data=req.data,
-                                      digest=req.digest)
+            where[id(req)] = batch_of(req, op, "data", req.digest, request=req)
         else:
             picks = []
             for center, k in req.sources:
@@ -523,10 +654,13 @@ def _execute(system, requests: Sequence[Evolution], store: Optional[KernelStore]
             if b.center is not None:
                 out = _center_batch(tally, sys_fp, b.variant, b.grid, m, b.t, b.center,
                                     b.components, b.width, b.dt, b.theta, handle_of)
+            elif b.after is None:
+                out = _data_batch(tally, sys_fp, b.variant, b.grid, b.t, b.request.data,
+                                  b.dt, b.theta, handle_of, b.request.digest)
             else:
-                data = b.data if b.after is None else done[b.after]
+                data = done[b.after]
                 out = _data_batch(tally, sys_fp, b.variant, b.grid, b.t, data, b.dt,
-                                  b.theta, handle_of, b.digest)
+                                  b.theta, handle_of, b.request.digest_after(sys_fp, data))
             if keep or b.continued:
                 done[b] = out
         counts = Counter({"batches": len(group),
@@ -624,6 +758,7 @@ def check_domination(system, grid: GridSpec, t: float,
                      sources: Sequence[tuple], dt: Optional[float] = None,
                      width: Optional[float] = None, tol: float = 1e-9,
                      n_random: int = 3, seed: int = 0,
+                     requests: Optional[Sequence[Evolution]] = None,
                      store: Optional[KernelStore] = None) -> CheckResult:
     """Signed kernels stay below the cooperative ones, entrywise.
 
@@ -640,8 +775,8 @@ def check_domination(system, grid: GridSpec, t: float,
     loc = (t, None, None, None, None)
     samples = []
     coop_cols, plain_cols, *random_runs = evolve_all(
-        system, _domination_requests(system, grid, t, sources, dt, width, n_random, seed),
-        store)
+        system, requests or _domination_requests(system, grid, t, sources, dt, width,
+                                                 n_random, seed), store)
     for (center, k), cp, cf in zip(sources, coop_cols, plain_cols):
         scale = max(float(np.max(cp.values)), _TINY)
         excess = (np.abs(cf.values) - cp.values) / scale
@@ -690,6 +825,7 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
                         t: float, source: tuple, dt: Optional[float] = None,
                         width: Optional[float] = None, tol: float = 1e-8,
                         shrink: float = 4.0, theta: float = 1.0,
+                        requests: Optional[Sequence[Evolution]] = None,
                         store: Optional[KernelStore] = None) -> CheckResult:
     """Cooperative kernels grow with the box and their increments collapse.
 
@@ -704,7 +840,8 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("monotone-R", sys_fp, tuple(radii), spacing, t,
                       tuple(_center(center, d)), k, tol, shrink, theta)
-    reqs = _monotone_requests(system, radii, spacing, t, source, dt, width, theta)
+    reqs = requests or _monotone_requests(system, radii, spacing, t, source, dt, width,
+                                          theta)
     grids = [req.grid for req in reqs]
     fields = [cols[0] for cols in evolve_all(system, reqs, store)]
     scale = max(max(float(np.max(f.values)) for f in fields), _TINY)
@@ -757,6 +894,7 @@ def check_mass_and_positivity(system, grid: GridSpec,
                               row: Optional[RowSumBound] = None,
                               sources: Sequence[tuple] = (),
                               width: Optional[float] = None,
+                              requests: Optional[Sequence[Evolution]] = None,
                               store: Optional[KernelStore] = None) -> CheckResult:
     """Total kernel mass decays at the certified rate and stays nonnegative.
 
@@ -773,7 +911,8 @@ def check_mass_and_positivity(system, grid: GridSpec,
                       grid.spacing, tuple(t_values), tol, pos_tol, row.M, theta)
     sqm = math.sqrt(m)
     *runs, cols = evolve_all(
-        system, _mass_requests(system, grid, t_values, dt, theta, sources, width), store)
+        system, requests or _mass_requests(system, grid, t_values, dt, theta, sources, width),
+        store)
     worst = -math.inf
     pos_ratio = 0.0
     loc = (None, None, None, None, None)
@@ -813,6 +952,7 @@ def check_support(system, k: int, grid: GridSpec, t: float,
                   width: Optional[float] = None, tol_null: float = 1e-10,
                   floor: float = 1e-12, theta: float = 1.0,
                   support: Optional[CouplingSupport] = None,
+                  requests: Optional[Sequence[Evolution]] = None,
                   store: Optional[KernelStore] = None) -> CheckResult:
     """Kernel column vanishes exactly off the coupling-reachable components.
 
@@ -832,8 +972,8 @@ def check_support(system, k: int, grid: GridSpec, t: float,
                       t, tuple(_center(center, d)), tol_null, floor,
                       sorted(support.reachable))
     m = system.dims.m
-    (col,), = evolve_all(system, _support_requests(system, k, grid, t, center, dt, width,
-                                                   theta), store)
+    (col,), = evolve_all(system, requests or _support_requests(system, k, grid, t, center,
+                                                               dt, width, theta), store)
     scale = max(float(np.max(np.abs(col.values))), _TINY)
     per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
                 for h in range(m)]
@@ -879,6 +1019,7 @@ def _duality_requests(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
 def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
                   dt: Optional[float] = None, width: Optional[float] = None,
                   tol: float = 0.02, theta: float = 0.5,
+                  requests: Optional[Sequence[Evolution]] = None,
                   store: Optional[KernelStore] = None) -> CheckResult:
     """Forward kernel values agree with transposed adjoint kernel values.
 
@@ -895,7 +1036,7 @@ def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
     loc = (t, None, None, None, None)
     samples = []
     fwd_cols, adj_cols = evolve_all(
-        system, _duality_requests(system, grid, t, pairs, dt, width, theta), store)
+        system, requests or _duality_requests(system, grid, t, pairs, dt, width, theta), store)
     for (x, h, y, k), cf, ca in zip(pairs, fwd_cols, adj_cols):
         vf = float(cf.values[grid.node_of(_center(x, d)), h])
         va = float(ca.values[grid.node_of(_center(y, d)), k])
@@ -937,6 +1078,7 @@ def check_chapman_kolmogorov(system, grid: GridSpec, t: float, s: float,
                              variant: str = "P", dt: Optional[float] = None,
                              theta: float = 1.0, tol: float = 1e-9,
                              seed: int = 0,
+                             requests: Optional[Sequence[Evolution]] = None,
                              store: Optional[KernelStore] = None) -> CheckResult:
     """Composing the evolution over s then t equals evolving over t + s.
 
@@ -947,7 +1089,7 @@ def check_chapman_kolmogorov(system, grid: GridSpec, t: float, s: float,
     sys_fp = system_fingerprint(system)
     fp = _fingerprint("chapman", sys_fp, grid.d, grid.radius, grid.spacing,
                       t, s, variant, tol, seed, theta)
-    reqs = _chapman_requests(system, grid, t, s, variant, dt, theta, seed)
+    reqs = requests or _chapman_requests(system, grid, t, s, variant, dt, theta, seed)
     runs = evolve_all(system, reqs, store)
     a, b = runs[0], runs[-1]
     dt = _chapman_dt(grid, t, s, dt)
@@ -989,13 +1131,14 @@ def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
     return replace(timed, base=base, c0=None)
 
 
-def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float,
-                       radius: float) -> TimeLyapunovSpec:
-    """Rescale the weight amplitude and recalibrate its growth constant."""
+def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float, radius: float,
+                       store: Optional[KernelStore] = None) -> TimeLyapunovSpec:
+    """Rescale the weight amplitude and recalibrate its growth constant,
+    through the store's certificate records when given one."""
     candidate = _scaled(timed, scale)
     if candidate is timed:
         return timed
-    return verify_certificate(system, candidate, radius=radius).certified
+    return stored_certificate(system, candidate, radius, store).certified
 
 
 def _integrability_requests(system, timed: TimeLyapunovSpec, grid: GridSpec,
@@ -1030,6 +1173,7 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
                                  boundary_fraction: float = 0.01,
                                  g_margin: float = 0.0,
                                  cert_radius: Optional[float] = None,
+                                 requests: Optional[Sequence[Evolution]] = None,
                                  store: Optional[KernelStore] = None) -> CheckResult:
     """Weighted kernel integrals stay below the certified growth envelope.
 
@@ -1046,13 +1190,13 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
     if eps is None:
         eps = timed.eps_T / 4.0
     radius = cert_radius if cert_radius is not None else max(SAMPLE_RADIUS, 2.0 * grid.radius)
-    spec_used = _calibrated_scaled(system, timed, eps / timed.eps_T, radius)
+    spec_used = _calibrated_scaled(system, timed, eps / timed.eps_T, radius, store)
     fp = _fingerprint("integrability", sys_fp, grid.d, grid.radius,
                       grid.spacing, tuple(t_values),
                       tuple(_loc_pt(x, d) for x in x_points), eps, tol,
                       g_margin, theta)
-    runs = evolve_all(system, _integrability_requests(system, timed, grid, t_values, eps,
-                                                      theta, dt), store)
+    runs = evolve_all(system, requests or _integrability_requests(
+        system, timed, grid, t_values, eps, theta, dt), store)
     worst = -math.inf
     tail_worst = 0.0
     loc = (None, None, None, None, None)
@@ -1087,17 +1231,19 @@ def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
 
 def calibrate_majorant(system, synthesis: SynthesisResult,
                        eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
-                       cert_radius: float = SAMPLE_RADIUS) -> tuple:
+                       cert_radius: float = SAMPLE_RADIUS,
+                       store: Optional[KernelStore] = None) -> tuple:
     """The comparison weights nu1, nu2 of weighted_majorant, calibrated.
 
     Their growth constants depend on the synthesis, the eps scales and the
     certificate radius, not on the evaluation time, so a caller that needs
     the majorant at several times calibrates once and passes the pair to
-    every weighted_majorant call.
+    every weighted_majorant call.  Given a store, the certificates are
+    records in it.
     """
     _, s1, s2 = _checked_eps_scales(eps_scales)
-    return (_calibrated_scaled(system, synthesis.timed, s1, cert_radius),
-            _calibrated_scaled(system, synthesis.timed, s2, cert_radius))
+    return (_calibrated_scaled(system, synthesis.timed, s1, cert_radius, store),
+            _calibrated_scaled(system, synthesis.timed, s2, cert_radius, store))
 
 
 def weighted_majorant(system, synthesis: SynthesisResult, s: float,
@@ -1105,7 +1251,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
                       adjoint: bool = False, cert_radius: float = SAMPLE_RADIUS,
                       window: Optional[Sequence[float]] = None,
-                      calibrated: Optional[tuple] = None) -> tuple:
+                      calibrated: Optional[tuple] = None,
+                      store: Optional[KernelStore] = None) -> tuple:
     """Ledger and constant majorant value over a time window.
 
     The window defaults to (t/8, t/4, t/2, 3t/4), proportional to the
@@ -1114,7 +1261,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     amplitude.  Because the comparison weights equal one at time zero, the
     majorant is constant in space; the value is returned along with the
     estimated ledger.  calibrated is the pair calibrate_majorant returns
-    for the same arguments; it is computed here when not given.
+    for the same arguments; it is computed here when not given.  Given a
+    store, the ledger and the certificates are records in it.
     """
     timed = synthesis.timed
     s0, s1, s2 = _checked_eps_scales(eps_scales)
@@ -1128,11 +1276,10 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     w = timed.weight(s0 * eps_T)
     nu1 = timed.weight(s1 * eps_T)
     nu2 = timed.weight(s2 * eps_T)
-    ledger = estimate_ledger(system, w, nu1, nu2, s,
-                             window=(window[0], window[3]),
-                             inner=(window[1], window[2]), adjoint=adjoint)
+    ledger = _stored_ledger(system, w, nu1, nu2, s, (window[0], window[3]), adjoint,
+                            (window[1], window[2]), store)
     spec1, spec2 = calibrated or calibrate_majorant(system, synthesis, eps_scales,
-                                                    cert_radius)
+                                                    cert_radius, store)
     ones = lambda pts: np.ones(pts.shape[0])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure
@@ -1163,6 +1310,7 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
                          C_cal: Optional[float] = None,
                          majorant_override: Optional[Callable] = None,
                          cert_radius: float = SAMPLE_RADIUS,
+                         requests: Optional[Sequence[Evolution]] = None,
                          store: Optional[KernelStore] = None) -> CheckResult:
     """Weighted kernel suprema stay calibrated under mesh and box refinement.
 
@@ -1184,26 +1332,27 @@ def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
     wstar = None
     if two_sided and adjoint_synthesis is None:
         raise DomainError("two-sided ratio needs the adjoint synthesis")
-    calibrated = calibrate_majorant(system, synthesis, eps_scales, cert_radius)
+    calibrated = calibrate_majorant(system, synthesis, eps_scales, cert_radius, store)
     if two_sided:
         calibrated_star = calibrate_majorant(system, adjoint_synthesis, eps_scales,
-                                             cert_radius)
+                                             cert_radius, store)
     majorants = {}
     for t in t_values:
         _, H = weighted_majorant(system, synthesis, s, t, eps_scales,
                                  adjoint=False, cert_radius=cert_radius,
-                                 calibrated=calibrated)
+                                 calibrated=calibrated, store=store)
         Hstar = None
         if two_sided:
             _, Hstar = weighted_majorant(system, adjoint_synthesis, s, t,
                                          eps_scales, adjoint=True,
                                          cert_radius=cert_radius,
-                                         calibrated=calibrated_star)
+                                         calibrated=calibrated_star, store=store)
         majorants[t] = (H, Hstar)
     if two_sided:
         adj = adjoint_synthesis.timed
         wstar = adj.weight(eps_scales[0] * adj.eps_T)
-    reqs = _weighted_requests(system, t_values, sources, coarse, fine, dt, width, theta)
+    reqs = requests or _weighted_requests(system, t_values, sources, coarse, fine, dt, width,
+                                          theta)
     per_pair = len(reqs) // 2
     m = system.dims.m
 
@@ -1276,6 +1425,7 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
                       dt: Optional[float] = None, width: Optional[float] = None,
                       theta: float = 0.5, core_radius: float = 1.0,
                       tail_range: tuple = (2.0, 4.0), slack: float = 0.5,
+                      requests: Optional[Sequence[Evolution]] = None,
                       store: Optional[KernelStore] = None) -> CheckResult:
     """Kernel tails decay at least as fast as the certified profile.
 
@@ -1295,8 +1445,8 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
     worst = -math.inf
     loc = (None, None, None, None, None)
     samples = []
-    runs = evolve_all(system, _decay_requests(system, grid, t_values, x0, component, dt,
-                                              width, theta), store)
+    runs = evolve_all(system, requests or _decay_requests(system, grid, t_values, x0,
+                                                          component, dt, width, theta), store)
     for t, (col,) in zip(t_values, runs):
         total = np.sum(np.abs(col.values), axis=1)
         noise = 1e-13 * max(float(np.max(total)), _TINY)

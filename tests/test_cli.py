@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelbound import cli, solver, verify
+from kernelbound import cli, hypotheses, lyapunov, solver, verify
 from kernelbound.config import parse_config_text
 from kernelbound.errors import ConfigError
 
@@ -386,11 +386,15 @@ class TestVerifyCommand:
             assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
                              "--jobs", jobs]) == 0
             outs.append(out)
-        # a rerun with two jobs reads every field back from the store
+        # a rerun with two jobs reads every field and record back from the store
         assert cli.main(["verify", "--config", str(cfg), "--out", str(outs[0]),
                          "--jobs", "2"]) == 0
-        for name in ("verify_summary.txt", "verify_results.csv"):
+        for name in ("verify_summary.txt", "verify_results.csv",
+                     "calibration.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        records = [{p.name: p.read_bytes() for p in (out / "store").glob("*.kbr")}
+                   for out in outs]
+        assert len(records[0]) == 4 and records[0] == records[1]
 
     def test_svg_artifacts_are_polyline_documents(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": "mass"})
@@ -619,6 +623,24 @@ class TestVerifyPlan:
                          str(tmp_path / "out"), "--jobs", "1"]) == 0
         assert len(most) > 1 and max(most) == 1
 
+    def test_rerun_hashes_each_data_request_once(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path, **TWO_D)
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli.main(args) == 0
+        hashed, planned = [], []
+        digest, run_plan = verify._data_digest, verify.run_plan
+        monkeypatch.setattr(verify, "_data_digest",
+                            lambda data: hashed.append(data.shape) or digest(data))
+        monkeypatch.setattr(verify, "run_plan",
+                            lambda system, requests, store, jobs=1:
+                            planned.extend(requests)
+                            or run_plan(system, requests, store, jobs))
+        assert cli.main(args) == 0
+        # the checks get the planned requests, so each data request and each
+        # second stage hashes what it evolves once, for the plan and the check
+        hashing = [r for r in planned if r.data is not None or r.after is not None]
+        assert len(hashed) == len(hashing) == 11
+
     def test_closing_line_reports_the_plan(self, tmp_path, capsys):
         cfg = make_config(tmp_path, **TWO_D)
         out = tmp_path / "out"
@@ -637,11 +659,120 @@ class TestVerifyPlan:
         assert cold["fields found in the store"] == 0
         assert min(cold["evolutions"], cold["factorizations"],
                    cold["assemblies"]) > 0
-        # the rerun reads each stored field once and builds nothing
+        # the rerun reads each stored field once and builds nothing; the
+        # certificate and ledger records (.kbr) are not fields
         assert rerun["fields found in the store"] == \
-            len(list((out / "store").iterdir()))
+            len(list((out / "store").glob("*.kbf")))
         assert rerun["evolutions"] == rerun["factorizations"] == \
             rerun["assemblies"] == 0
+
+
+class TestVerifyRecords:
+    """Certificates and the ledger as kernel-store records (.kbr files)."""
+
+    RECORDED = {"verify": {"checks": "integrability weighted decay"},
+                "output": {"formats": "txt csv"}}
+
+    def test_rerun_computes_no_certificate_or_ledger(self, tmp_path,
+                                                     monkeypatch):
+        cfg = make_config(tmp_path, **TWO_D)
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli.main(args) == 0
+        cold = {name: (tmp_path / "out" / name).read_bytes()
+                for name in ("verify_summary.txt", "verify_results.csv")}
+
+        def explode(*args, **kwargs):
+            raise AssertionError("recomputed on a rerun")
+
+        for owner in (lyapunov, verify):
+            monkeypatch.setattr(owner, "verify_certificate", explode)
+        for owner in (hypotheses, verify):
+            monkeypatch.setattr(owner, "estimate_ledger", explode)
+        assert cli.main(args) == 0
+        for name, blob in cold.items():
+            assert (tmp_path / "out" / name).read_bytes() == blob
+
+    @pytest.mark.parametrize("update, certificates, ledgers", [
+        # every record: the timed certificate, integrability's and nu1's
+        # calibrations, and the ledger
+        ({"family": {"gamma": "3 1; 1 3"}}, 3, 1),
+        ({"lyapunov": {"T": "2"}}, 3, 1),
+        ({"bounds": {"s": "5"}}, 0, 1),
+        # nu1's scale moves, nu2's stays at 1
+        ({"bounds": {"eps_scales": "0.5 0.8 1"}}, 1, 1),
+    ], ids=["gamma", "T", "s", "eps_scales"])
+    def test_changed_inputs_miss_the_records(self, tmp_path, monkeypatch,
+                                             update, certificates, ledgers):
+        cfg = make_config(tmp_path, **self.RECORDED)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        changed = make_config(tmp_path, name="changed.cfg", **update,
+                              **self.RECORDED)
+        calls = Counter()
+        for name in ("verify_certificate", "estimate_ledger"):
+            real = getattr(verify, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(verify, name, counted)
+        rc = cli.main(["verify", "--config", str(changed), "--out", str(out)])
+        assert calls == Counter(verify_certificate=certificates,
+                                estimate_ledger=ledgers)
+        monkeypatch.undo()
+        fresh = tmp_path / "fresh"
+        assert cli.main(["verify", "--config", str(changed), "--out",
+                         str(fresh)]) == rc
+        for name in ("verify_summary.txt", "verify_results.csv",
+                     "calibration.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_stored_calibration_must_be_finite_and_positive(self, tmp_path,
+                                                             value):
+        cfg = make_config(tmp_path, verify={"checks": "weighted"},
+                          output={"formats": "txt csv"})
+        out = tmp_path / "out"
+        args = ["verify", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(args) == 0
+        cold = {name: (out / name).read_bytes() for name in
+                ("verify_summary.txt", "verify_results.csv", "calibration.txt")}
+        cal = out / "calibration.txt"
+        cal.write_text(re.sub(r"C_cal = \S+", "C_cal = " + value, cal.read_text()))
+        assert cli.main(args) == 0
+        for name, blob in cold.items():
+            assert (out / name).read_bytes() == blob
+
+    def test_check_and_synth_read_and_write_no_record(self, tmp_path):
+        # bench/run.py repeats check and synth in the output directory of a
+        # pass and takes every repeat for the same work, so neither stage
+        # may read or write the store that verify fills
+        cfg = make_config(tmp_path, **self.RECORDED)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        cold = (out / "verify_results.csv").read_bytes()
+        # wrong numbers under the real keys: every recorded number doubled
+        for path in (out / "store").glob("*.kbr"):
+            head, *lines = path.read_text().splitlines()
+            path.write_text("\n".join(
+                [head] + [(2.0 * float.fromhex(v)).hex() for v in lines]) + "\n")
+        seeded = {p.name: p.read_bytes() for p in (out / "store").iterdir()}
+        assert len(seeded) > 4
+        for stage in ("check", "synth"):
+            assert cli.main([stage, "--config", str(cfg), "--out", str(out)]) \
+                == cli.main([stage, "--config", str(cfg), "--out", str(fresh)])
+        for name in ("hypotheses.txt", "hypotheses.csv",
+                     "lyapunov_certificate.txt", "time_spec.txt", "ledger.txt",
+                     "certificate.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert {p.name: p.read_bytes()
+                for p in (out / "store").iterdir()} == seeded
+        assert not (fresh / "store").exists()
+        # while verify does read the seeded records
+        cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert (out / "verify_results.csv").read_bytes() != cold
 
 
 class TestAllCommand:

@@ -12,6 +12,7 @@ import pytest
 
 from kernelbound import coefficients as co
 from kernelbound import lyapunov as ly
+from kernelbound import verify
 from kernelbound.hypotheses import compute_row_sum_bound, estimate_ledger
 
 
@@ -32,6 +33,17 @@ def synthesize(fam, target):
 
 def ledger_weights(timed):
     return [timed.weight(f * timed.eps_T) for f in (0.5, 0.75, 1.0)]
+
+
+# The verify command keeps these numbers in its kernel store as records, keyed
+# by RECORD_VERSION among other things.  A change that moves a pinned value
+# must bump verify.RECORD_VERSION, and the pin below, in the same diff, so
+# records written before it are recomputed rather than read back.
+RECORD_VERSION = 1
+
+
+def test_record_version_is_pinned():
+    assert verify.RECORD_VERSION == RECORD_VERSION
 
 
 # static sup_coarse, sup_fine; timed c0, sup_coarse, sup_fine; ledger c_1..c_8, M

@@ -153,6 +153,123 @@ class TestStoreAndFingerprint:
         assert system_fingerprint(headline_family()) != system_fingerprint(other)
 
 
+class TestRecords:
+    """Certificate sups and ledger numbers kept as float.hex text records."""
+
+    def test_numbers_round_trip_exactly(self, tmp_path):
+        values = (0.1, -0.0, 1e-320, math.inf, -math.inf, 2.0 ** 1000)
+        key = verify.StoreKey("key")
+        assert KernelStore(tmp_path).record(key, lambda: values) == values
+        (path,) = tmp_path.iterdir()
+        assert path.suffix == ".kbr"
+
+        def explode():
+            raise AssertionError("should have read the record")
+
+        got = KernelStore(tmp_path).record(key, explode)
+        assert [v.hex() for v in got] == [v.hex() for v in values]
+
+    def test_records_are_not_fields(self, tmp_path):
+        store = KernelStore(tmp_path)
+        store.record(verify.StoreKey("key"), lambda: (1.0,))
+        store.get_or_compute("key", TestStoreAndFingerprint()._field)
+        assert len(store) == 1
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf", ".kbr"]
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:-3],                        # truncated
+        lambda text: text.replace("0x1.0000000000000p+1", "nan"),
+        lambda text: "",
+        lambda text: "KBF1 2\n" + text.split("\n", 1)[1],  # foreign header
+    ], ids=["truncated", "nan", "empty", "foreign"])
+    def test_damaged_file_is_recomputed(self, tmp_path, damage):
+        key = verify.StoreKey("key")
+        KernelStore(tmp_path).record(key, lambda: (2.0, 3.0))
+        (path,) = tmp_path.iterdir()
+        path.write_text(damage(path.read_text()))
+        calls = []
+        got = KernelStore(tmp_path).record(key, lambda: calls.append(1) or (2.0, 3.0))
+        assert got == (2.0, 3.0) and calls == [1]
+        assert KernelStore(tmp_path).record(key, lambda: 1 / 0) == (2.0, 3.0)
+
+    def test_nan_is_never_kept(self, tmp_path):
+        store = KernelStore(tmp_path)
+        calls = []
+
+        def build():
+            calls.append(1)
+            return (1.0, math.nan)
+
+        for _ in range(2):
+            got = store.record(verify.StoreKey("key"), build)
+            assert got[0] == 1.0 and math.isnan(got[1])
+        assert calls == [1, 1] and list(tmp_path.iterdir()) == []
+
+    def test_threads_sharing_records(self, tmp_path):
+        # more threads than cores, each building and reading the same records
+        store = KernelStore(tmp_path)
+        keys = [verify.StoreKey("key%d" % i, persist=i % 3 != 0) for i in range(12)]
+        errors = []
+
+        def work():
+            try:
+                for i, key in enumerate(keys):
+                    assert store.record(key, lambda i=i: (float(i), -math.inf)) \
+                        == (float(i), -math.inf)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and errors == []
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbr"] * 8
+        fresh = KernelStore(tmp_path)
+        for i, key in enumerate(keys):
+            if key.persist:
+                assert fresh.record(key, lambda: 1 / 0) == (float(i), -math.inf)
+
+    def count_calls(self, monkeypatch):
+        calls = []
+        for name in ("verify_certificate", "estimate_ledger"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *a, real=real, name=name, **kw:
+                                calls.append(name) or real(*a, **kw))
+        return calls
+
+    def test_stored_majorant_matches_the_computed_one(self, tmp_path, monkeypatch):
+        fam = headline_family()
+        syn = synth_poly(fam, 1.0)
+        cert = verify.verify_certificate(fam, syn.timed)
+        expected = verify.weighted_majorant(fam, syn, 4.0, 0.25)
+        calls = self.count_calls(monkeypatch)
+        for store in (KernelStore(tmp_path), KernelStore(tmp_path)):
+            assert verify.stored_certificate(fam, syn.timed, store=store) == cert
+            assert verify.weighted_majorant(fam, syn, 4.0, 0.25, store=store) == expected
+        # the timed certificate, which is also nu2's calibration, nu1's
+        # calibration and the ledger, once each
+        assert sorted(calls) == ["estimate_ledger"] + ["verify_certificate"] * 2
+        assert len(list(tmp_path.glob("*.kbr"))) == 3
+
+    def test_opaque_records_stay_in_memory(self, tmp_path, monkeypatch):
+        spec = headline_family().operator_spec()
+        syn = synth_poly(headline_family(), 1.0)
+        store = KernelStore(tmp_path)
+        calls = self.count_calls(monkeypatch)
+        first = verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store)
+        assert verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store) == first
+        # the ledger and the nu1 and nu2 calibrations, once each
+        assert sorted(calls) == ["estimate_ledger"] + ["verify_certificate"] * 2
+        assert list(tmp_path.iterdir()) == []
+
+
 def stored_column(fam, g, t, k, store, variant="P"):
     """One kernel column at the origin through evolve_all."""
     (col,), = evolve_all(fam, [Evolution.of_sources(variant, g, t, [(0.0, k)])], store)
