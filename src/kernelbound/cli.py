@@ -14,7 +14,6 @@ tripped.  All file outputs are reproducible byte-for-byte from the
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -372,26 +371,6 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _read_calibration(path, fingerprint: str) -> Optional[float]:
-    """The stored C_cal if it was calibrated from the same inputs, else None.
-
-    A calibration is a sup of positive ratios, so a value that is not
-    finite and positive is no calibration and counts as missing.
-    """
-    entries = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                name, _, value = line.partition("=")
-                entries[name.strip()] = value.strip()
-        if entries.get("fingerprint") != fingerprint:
-            return None
-        C_cal = float(entries["C_cal"])
-    except (OSError, KeyError, ValueError):
-        return None
-    return C_cal if math.isfinite(C_cal) and C_cal > 0 else None
-
-
 def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                cli_seed: Optional[int] = None) -> int:
     fam = family_from_config(cfg)
@@ -420,7 +399,6 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         width = cfg.get("solve", "width")
     cert_radius = cfg.get("lyapunov", "radius")
     two_sided = cfg.get("verify", "two_sided")
-    scale = cfg.get("verify", "majorant_scale")
     tol = {name: cfg.get("verify", "tol_" + name) for name in checks}
     store = verify.KernelStore(os.path.join(out, "store"))
     src_pairs = [(y, k) for y in srcs for k in components]
@@ -433,53 +411,42 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         if "weighted" in checks and two_sided:
             adj = _synthesize(cfg, fam, "P_adjoint", cert_radius, store)[0]
 
-    cal_path = os.path.join(out, "calibration.txt")
-    fresh_calibration = False
-    requests, thunks = [], []
-
-    def declare(check, **kw):
-        # the plan and the check share the requests of the very call the
-        # check runs, so each request's data is built and hashed once
-        reqs = verify.requests_of(check, fam, **kw)
-        requests.extend(reqs)
-        thunks.append(lambda: getattr(verify, check)(fam, **kw, requests=reqs,
-                                                     store=store))
-
+    checks_run, cal_fp = [], None
     for name in checks:
         if name == "domination":
-            declare("check_domination", grid=grid, t=t_single,
-                    sources=src_pairs, dt=dt, width=width,
-                    tol=tol["domination"], seed=seed)
+            checks_run.append(verify.Domination(fam, grid, t_single, src_pairs, dt,
+                                                width, tol["domination"], seed=seed))
         elif name == "monotone":
-            declare("check_monotone_in_R", radii=radii, spacing=spacing,
-                    t=t_single, source=(srcs[0], components[0]), dt=dt,
-                    width=width, tol=tol["monotone"])
+            checks_run.append(verify.MonotoneInR(fam, radii, spacing, t_single,
+                                                 (srcs[0], components[0]), dt,
+                                                 width, tol["monotone"]))
         elif name == "mass":
-            declare("check_mass_and_positivity", grid=grid, t_values=tset,
-                    dt=dt, tol=tol["mass"], sources=src_pairs, width=width)
+            checks_run.append(verify.MassAndPositivity(
+                fam, grid, tset, dt, tol=tol["mass"], sources=src_pairs,
+                width=width))
         elif name == "support":
-            for k in components:
-                declare("check_support", k=k, grid=grid, t=t_single,
-                        center=srcs[0], dt=dt, width=width,
-                        tol_null=tol["support"])
+            checks_run += [verify.Support(fam, k, grid, t_single, srcs[0], dt,
+                                          width, tol["support"])
+                           for k in components]
         elif name == "duality":
             pairs = [(xs[0], h, srcs[0], k)
                      for h in components for k in components]
-            declare("check_duality", grid=grid, t=t_single, pairs=pairs,
-                    dt=dt, width=width, tol=tol["duality"], theta=theta)
+            checks_run.append(verify.Duality(fam, grid, t_single, pairs, dt,
+                                             width, tol["duality"], theta))
         elif name == "chapman":
             s_split = cfg.get("verify", "chapman_s")
             if s_split is None:
                 s_split = t_single / 2.0
-            declare("check_chapman_kolmogorov", grid=grid, t=t_single,
-                    s=s_split, dt=dt, tol=tol["chapman"], seed=seed)
+            checks_run.append(verify.ChapmanKolmogorov(
+                fam, grid, t_single, s_split, dt=dt, tol=tol["chapman"],
+                seed=seed))
         elif name == "integrability":
             t_int = cfg.get("verify", "t_integrability")
             if t_int is None:
                 t_int = tset
-            declare("check_lyapunov_integrability", timed=fwd.timed,
-                    grid=grid, t_values=t_int, x_points=xs,
-                    tol=tol["integrability"], dt=dt, cert_radius=cert_radius)
+            checks_run.append(verify.LyapunovIntegrability(
+                fam, fwd.timed, grid, t_int, xs, tol=tol["integrability"],
+                dt=dt, cert_radius=cert_radius))
         elif name == "weighted":
             s, _, t_ref, eps_scales = _bounds_params(cfg, d)
             t_w, coarse, fine = (cfg.get("verify", key) for key in
@@ -490,44 +457,25 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 coarse = [2.0 * spacing, radii[-1] / 2.0]
             if fine is None:
                 fine = [spacing, radii[-1]]
-            # everything the coarse sup depends on; majorant_scale is left
-            # out, so a deliberately broken majorant meets the healthy C_cal
+            checks_run.append(verify.WeightedBound(
+                fam, fwd, s, t_w, srcs, tuple(coarse), tuple(fine), eps_scales,
+                tol["weighted"], dt, width, theta, two_sided, adj,
+                cert_radius=cert_radius,
+                majorant_scale=cfg.get("verify", "majorant_scale")))
+            # calibration.txt names the inputs its C_cal comes from
             cal_fp = verify._fingerprint(
                 "calibration", verify.system_fingerprint(fam), s, eps_scales,
                 tuple(t_w), tuple(srcs), tuple(coarse), theta, dt, width,
                 cert_radius, fwd.timed)
-            C_cal = _read_calibration(cal_path, cal_fp)
-            fresh_calibration = C_cal is None
-            override = None
-            if scale != 1.0:
-                # every bracket monomial has degree >= s/2 in the ledger
-                # constants, so scaling them by f moves the majorant by at
-                # least f^(s/2); apply that envelope uniformly in time
-                href = {}
-                calibrated = verify.calibrate_majorant(fam, fwd, eps_scales,
-                                                       cert_radius, store)
-                for t in t_w:
-                    _, H = verify.weighted_majorant(
-                        fam, fwd, s, t=t, eps_scales=eps_scales,
-                        cert_radius=cert_radius, calibrated=calibrated,
-                        store=store)
-                    href[t] = H * scale ** (s / 2.0)
-
-                def override(t, pts, href=href):
-                    return np.full(len(np.atleast_2d(pts)), href[t])
-            declare("check_weighted_bound", synthesis=fwd, s=s, t_values=t_w,
-                    sources=srcs, coarse=(coarse[0], coarse[1]),
-                    fine=(fine[0], fine[1]), eps_scales=eps_scales,
-                    tol=tol["weighted"], dt=dt, width=width, theta=theta,
-                    two_sided=two_sided, adjoint_synthesis=adj, C_cal=C_cal,
-                    majorant_override=override, cert_radius=cert_radius)
         elif name == "decay":
             e_scale = cfg.get("verify", "decay_eps_scale")
-            declare("check_decay_shape", grid=grid,
-                    t_values=cfg.get("verify", "t_decay"), x0=xs[0],
-                    component=components[0],
-                    weight=fwd.timed.weight(e_scale * fwd.timed.eps_T),
-                    dt=dt, width=width, slack=tol["decay"])
+            checks_run.append(verify.DecayShape(
+                fam, grid, cfg.get("verify", "t_decay"), xs[0], components[0],
+                fwd.timed.weight(e_scale * fwd.timed.eps_T), dt, width,
+                slack=tol["decay"]))
+    # the plan and the checks share each declaration's requests, so the
+    # data of each request is built and hashed once
+    requests = [req for check in checks_run for req in check.requests]
     plot = None
     if "svg" in cfg.get("output", "formats"):
         plot = verify.Evolution.of_sources("P", grid, t_single,
@@ -535,9 +483,9 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                                            dt, theta)
         requests.append(plot)
 
-    def run(fn):
+    def run(check):
         _release_freed_memory()
-        return fn()
+        return getattr(verify, check.name)(check, store=store)
 
     wall = time.perf_counter()
     try:
@@ -549,20 +497,20 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         plan = None
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run, fn) for fn in thunks]
-            results = [f.result() for f in futures]
+            results = list(pool.map(run, checks_run))
     else:
-        results = [run(fn) for fn in thunks]
+        results = [run(check) for check in checks_run]
 
     summary = verify.summary_text(results)
     _write(os.path.join(out, "verify_summary.txt"), summary)
     _write(os.path.join(out, "verify_results.csv"),
            verify.results_csv(results))
-    if fresh_calibration and scale == 1.0:
-        for r in results:
-            if r.check == "check_weighted_bound" and "C_cal" in r.details:
-                _write(cal_path, "C_cal = %.17g\nfingerprint = %s\n"
-                       % (r.details["C_cal"], cal_fp))
+    for r in results:
+        if r.check == "check_weighted_bound":
+            # written for the reader; no run reads it back
+            _write(os.path.join(out, "calibration.txt"),
+                   "C_cal = %.17g\nfingerprint = %s\n"
+                   % (r.details["C_cal"], cal_fp))
     if plot is not None:
         _write_plots(out, fam, plot, store, results)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")

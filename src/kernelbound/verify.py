@@ -8,17 +8,16 @@ check returns the worst violation it measured together with the tolerance it
 used and a fingerprint of its configuration, so repeated runs are comparable
 byte for byte.
 
-The evolutions run as a plan.  Each check declares its evolutions as
-Evolution requests: variant, grid, t, resolved step, theta, and either point
-sources, initial data, or, for the second leg of the semigroup check, the
-output of an earlier request.  The check runs its requests through the
-executor, evolve_all, and reads their outputs.  requests_of(check, system,
-**kwargs) gives the requests of a call without running it, from the same
-arguments bound to the check's own signature, defaults included; the verify
-command hands those of every configured check, and of its plot, to run_plan,
-and then hands each check its own (the requests argument), so the data of a
-request is built once and hashed once; a check called without them builds
-its own.
+Each check is a declaration, a frozen dataclass of its parameters such as
+Domination, and a measurement.  The declaration's requests are the
+Evolution requests it reads: variant, grid, t, resolved step, theta, and
+either point sources, initial data, or, for the second leg of the semigroup
+check, the output of an earlier request.  Its measure method turns their
+outputs into a CheckResult and evolves nothing.  check_domination and its
+siblings take a declaration, or the arguments that build one, and run its
+requests through the executor, evolve_all, before measuring; the verify
+command first hands the requests of every check, and of its plot, to
+run_plan.
 The executor drops duplicate requests by store key, sorts the rest by
 (variant, grid, theta, dt), runs each (variant, grid) on one operator
 handle, made on the first store miss, so every operator is built once and
@@ -43,13 +42,12 @@ and RECORD_VERSION.  So a rerun against the same store recomputes nothing.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import math
 import os
 import struct
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import groupby
 from typing import Callable, Optional, Sequence
@@ -70,7 +68,9 @@ from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, Discr
 
 __all__ = [
     "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
-    "stored_certificate", "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan", "requests_of",
+    "stored_certificate", "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan",
+    "Domination", "MonotoneInR", "MassAndPositivity", "Support", "Duality",
+    "ChapmanKolmogorov", "LyapunovIntegrability", "WeightedBound", "DecayShape",
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
@@ -123,19 +123,6 @@ class CheckResult:
         at = f" at {', '.join(parts)}" if parts else ""
         return (f"{self.check}: {self.status} "
                 f"(worst {self.worst:.3e}, tolerance {self.tolerance:.3e}{at})")
-
-
-def _result(check: str, worst: float, tolerance: float, location: tuple,
-            fingerprint: str, details: dict, inconclusive: bool = False) -> CheckResult:
-    if worst > tolerance:
-        status = "fail"
-    elif inconclusive:
-        status = "inconclusive"
-    else:
-        status = "pass"
-    return CheckResult(check=check, status=status, worst=float(worst),
-                       location=location, tolerance=float(tolerance),
-                       fingerprint=fingerprint, details=details)
 
 
 def _fingerprint(*parts) -> str:
@@ -735,31 +722,65 @@ def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# checks: each one declaration, with its evolutions and its measurement
+# ---------------------------------------------------------------------------
+
+class _Check:
+    """Base of the check declarations: frozen dataclasses whose fields are a
+    check's parameters, system first, each default written once.
+
+    requests is built once per declaration, so the plan and the check share
+    its data and digest.  measure(outputs, store) takes the outputs of the
+    requests in order, and reads the synthesis and the store's records but
+    evolves nothing, so it can be fed fields built by hand.
+    """
+
+    name = ""  # the public check function, and CheckResult.check
+
+    @property
+    def fingerprint(self) -> str:
+        """Digest of the fields, the system by its system_fingerprint; fields
+        declared with compare=False, such as callables, are left out."""
+        return _fingerprint(self.name, *(
+            system_fingerprint(self.system) if f.name == "system" else getattr(self, f.name)
+            for f in fields(self) if f.compare))
+
+    def result(self, worst: float, tolerance: float, location: tuple, details: dict,
+               inconclusive: bool = False) -> CheckResult:
+        status = "fail" if worst > tolerance else "inconclusive" if inconclusive else "pass"
+        return CheckResult(check=self.name, status=status, worst=float(worst),
+                           location=location, tolerance=float(tolerance),
+                           fingerprint=self.fingerprint, details=details)
+
+
+class _Rows:
+    """The CSV rows of a check, and the largest score among them with its
+    location (t, x, y, h, k); a row's score is its value unless given."""
+
+    def __init__(self, worst: float = -math.inf, loc: tuple = (None,) * 5):
+        self.samples, self.worst, self.loc = [], worst, loc
+
+    def add(self, t, x, y, h, k, value: float, bound: float, score: Optional[float] = None):
+        self.samples.append({"t": t, "x": x, "y": y, "h": h, "k": k, "value": value,
+                             "bound": bound})
+        score = value if score is None else score
+        if score > self.worst:
+            self.worst, self.loc = score, (t, x, y, h, k)
+
+
+def _peak(values: np.ndarray, pts: np.ndarray, d: int) -> tuple:
+    """The largest entry of an (n_nodes, m) array, its node's location and
+    its component."""
+    node, h = divmod(int(np.argmax(values)), values.shape[1])
+    return float(values[node, h]), _loc_pt(pts[node], d), h
+
+
+# ---------------------------------------------------------------------------
 # order and structure checks
 # ---------------------------------------------------------------------------
 
-def _domination_requests(system, grid: GridSpec, t: float, sources: Sequence[tuple],
-                         dt: Optional[float], width: Optional[float], n_random: int,
-                         seed: int) -> list:
-    """The evolutions of check_domination, for the same arguments."""
-    reqs = [Evolution.of_sources(variant, grid, t, sources, width, dt, 1.0)
-            for variant in ("P", "plain")]
-    if n_random:
-        # the draws, in the order they were always taken, evolve as one batch
-        rng = np.random.default_rng(seed)
-        f = np.stack([rng.uniform(-1.0, 1.0, size=(grid.n_nodes, system.dims.m))
-                      for _ in range(n_random)], axis=-1)
-        reqs += [Evolution.of_values("plain", grid, f, t, dt, 1.0),
-                 Evolution.of_values("P", grid, np.abs(f), t, dt, 1.0)]
-    return reqs
-
-
-def check_domination(system, grid: GridSpec, t: float,
-                     sources: Sequence[tuple], dt: Optional[float] = None,
-                     width: Optional[float] = None, tol: float = 1e-9,
-                     n_random: int = 3, seed: int = 0,
-                     requests: Optional[Sequence[Evolution]] = None,
-                     store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class Domination(_Check):
     """Signed kernels stay below the cooperative ones, entrywise.
 
     Kernel level: |p_hk| <= p^P_hk at every node, for each requested source.
@@ -767,66 +788,58 @@ def check_domination(system, grid: GridSpec, t: float,
     Backward steps keep the comparison exact, so the tolerance only covers
     linear-solver residue.
     """
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("domination", sys_fp, grid.d, grid.radius, grid.spacing,
-                      t, tuple(map(repr, sources)), tol, n_random, seed)
-    m = system.dims.m
-    worst = -math.inf
-    loc = (t, None, None, None, None)
-    samples = []
-    coop_cols, plain_cols, *random_runs = evolve_all(
-        system, requests or _domination_requests(system, grid, t, sources, dt, width,
-                                                 n_random, seed), store)
-    for (center, k), cp, cf in zip(sources, coop_cols, plain_cols):
-        scale = max(float(np.max(cp.values)), _TINY)
-        excess = (np.abs(cf.values) - cp.values) / scale
-        i = int(np.argmax(excess))
-        node, h = divmod(i, m)
-        val = float(excess.flat[i])
-        samples.append({"t": t, "x": _loc_pt(grid.points()[node], grid.d),
-                        "y": _loc_pt(center, grid.d), "h": h, "k": k,
-                        "value": val, "bound": tol})
-        if val > worst:
-            worst = val
-            loc = (t, _loc_pt(grid.points()[node], grid.d),
-                   _loc_pt(center, grid.d), h, k)
-    for j in range(n_random):
-        ufs, ups = random_runs
-        uf, up = ufs[:, :, j], ups[:, :, j]
-        scale = max(float(np.max(np.abs(up))), _TINY)
-        excess = (np.abs(uf) - up) / scale
-        i = int(np.argmax(excess))
-        node, h = divmod(i, m)
-        val = float(excess.flat[i])
-        samples.append({"t": t, "x": _loc_pt(grid.points()[node], grid.d),
-                        "y": None, "h": h, "k": None, "value": val, "bound": tol})
-        if val > worst:
-            worst = val
-            loc = (t, _loc_pt(grid.points()[node], grid.d), None, h, None)
-    return _result("check_domination", worst, tol, loc, fp,
-                   {"samples": samples, "sources": len(sources),
-                    "random_data": n_random})
+
+    name = "check_domination"
+    system: object
+    grid: GridSpec
+    t: float
+    sources: Sequence[tuple]
+    dt: Optional[float] = None
+    width: Optional[float] = None
+    tol: float = 1e-9
+    n_random: int = 3
+    seed: int = 0
+
+    @cached_property
+    def requests(self) -> list:
+        """Cooperative and plain columns, then the random draws as one batch,
+        plain on f and cooperative on |f|."""
+        g, t, dt = self.grid, self.t, self.dt
+        reqs = [Evolution.of_sources(variant, g, t, self.sources, self.width, dt, 1.0)
+                for variant in ("P", "plain")]
+        if self.n_random:
+            # the draws, in the order they were always taken
+            rng = np.random.default_rng(self.seed)
+            f = np.stack([rng.uniform(-1.0, 1.0, size=(g.n_nodes, self.system.dims.m))
+                          for _ in range(self.n_random)], axis=-1)
+            reqs += [Evolution.of_values("plain", g, f, t, dt, 1.0),
+                     Evolution.of_values("P", g, np.abs(f), t, dt, 1.0)]
+        return reqs
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        d, t, tol = self.grid.d, self.t, self.tol
+        pts = self.grid.points()
+        coop_cols, plain_cols, *random_runs = outputs
+        # (signed, cooperative, scale, y, k) per comparison
+        compared = [(cf.values, cp.values, max(float(np.max(cp.values)), _TINY),
+                     _loc_pt(center, d), k)
+                    for (center, k), cp, cf in zip(self.sources, coop_cols, plain_cols)]
+        if random_runs:
+            ufs, ups = random_runs
+            compared += [(ufs[:, :, j], ups[:, :, j],
+                          max(float(np.max(np.abs(ups[:, :, j]))), _TINY), None, None)
+                         for j in range(self.n_random)]
+        rows = _Rows(loc=(t, None, None, None, None))
+        for signed, coop, scale, y, k in compared:
+            val, x, h = _peak((np.abs(signed) - coop) / scale, pts, d)
+            rows.add(t, x, y, h, k, val, tol)
+        return self.result(rows.worst, tol, rows.loc,
+                           {"samples": rows.samples, "sources": len(self.sources),
+                            "random_data": self.n_random})
 
 
-def _monotone_requests(system, radii: Sequence[float], spacing: float, t: float,
-                       source: tuple, dt: Optional[float], width: Optional[float],
-                       theta: float) -> list:
-    """The evolutions of check_monotone_in_R: one column per radius, ascending."""
-    if dt is None:
-        dt = default_dt(t, spacing)
-    if width is None:
-        width = 2.0 * spacing
-    return [Evolution.of_sources("P", GridSpec(d=system.dims.d, radius=R, spacing=spacing),
-                                 t, [source], width, dt, theta)
-            for R in sorted(float(R) for R in radii)]
-
-
-def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
-                        t: float, source: tuple, dt: Optional[float] = None,
-                        width: Optional[float] = None, tol: float = 1e-8,
-                        shrink: float = 4.0, theta: float = 1.0,
-                        requests: Optional[Sequence[Evolution]] = None,
-                        store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class MonotoneInR(_Check):
     """Cooperative kernels grow with the box and their increments collapse.
 
     All grids share spacing, time step, and mollifier, so shared nodes are
@@ -834,68 +847,59 @@ def check_monotone_in_R(system, radii: Sequence[float], spacing: float,
     on the smallest grid must shrink by the given factor per radius step,
     with a roundoff floor of 1e-12 times the kernel scale.
     """
-    d = system.dims.d
-    center, k = source
-    radii = sorted(float(R) for R in radii)
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("monotone-R", sys_fp, tuple(radii), spacing, t,
-                      tuple(_center(center, d)), k, tol, shrink, theta)
-    reqs = requests or _monotone_requests(system, radii, spacing, t, source, dt, width,
-                                          theta)
-    grids = [req.grid for req in reqs]
-    fields = [cols[0] for cols in evolve_all(system, reqs, store)]
-    scale = max(max(float(np.max(f.values)) for f in fields), _TINY)
-    floor = 1e-12 * scale
-    worst = 0.0
-    loc = (t, None, _loc_pt(center, d), None, k)
-    samples = []
-    violations = []
-    for g_small, f_small, g_big, f_big in zip(grids, fields, grids[1:], fields[1:]):
-        emb = _embed_indices(g_small, g_big)
-        drop = f_small.values - f_big.values[emb]
-        i = int(np.argmax(drop))
-        node, h = divmod(i, f_small.m)
-        val = float(drop.flat[i])
-        violations.append(val)
-        samples.append({"t": t, "x": _loc_pt(g_small.points()[node], d),
-                        "y": _loc_pt(center, d), "h": h, "k": k,
-                        "value": val, "bound": tol})
-        if val > worst:
-            worst = val
-            loc = (t, _loc_pt(g_small.points()[node], d), _loc_pt(center, d), h, k)
-    base = grids[0]
-    restricted = [f.values[_embed_indices(base, g)] if g.radius > base.radius
-                  else f.values for g, f in zip(grids, fields)]
-    increments = [float(np.max(np.abs(b - a)))
-                  for a, b in zip(restricted, restricted[1:])]
-    for prev, nxt in zip(increments, increments[1:]):
-        allowed = max(prev / shrink, floor)
-        ratio = nxt / max(allowed, _TINY)
-        worst = max(worst, tol * ratio if ratio > 1.0 else 0.0)
-    return _result("check_monotone_in_R", worst, tol, loc, fp,
-                   {"samples": samples, "violations": violations,
-                    "increments": increments, "scale": scale})
+
+    name = "check_monotone_in_R"
+    system: object
+    radii: Sequence[float]
+    spacing: float
+    t: float
+    source: tuple
+    dt: Optional[float] = None
+    width: Optional[float] = None
+    tol: float = 1e-8
+    shrink: float = 4.0
+    theta: float = 1.0
+
+    @cached_property
+    def requests(self) -> list:
+        """One column per radius, ascending; the grids share their spacing,
+        so an unset step or width resolves alike on all of them."""
+        return [Evolution.of_sources("P", GridSpec(d=self.system.dims.d, radius=R,
+                                                   spacing=self.spacing),
+                                     self.t, [self.source], self.width, self.dt, self.theta)
+                for R in sorted(float(R) for R in self.radii)]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        d, t, tol = self.system.dims.d, self.t, self.tol
+        center, k = self.source
+        y = _loc_pt(center, d)
+        grids = [req.grid for req in self.requests]
+        kernels = [cols[0] for cols in outputs]
+        scale = max(max(float(np.max(f.values)) for f in kernels), _TINY)
+        floor = 1e-12 * scale
+        rows = _Rows(0.0, (t, None, y, None, k))
+        for g_small, f_small, g_big, f_big in zip(grids, kernels, grids[1:], kernels[1:]):
+            val, x, h = _peak(f_small.values - f_big.values[_embed_indices(g_small, g_big)],
+                              g_small.points(), d)
+            rows.add(t, x, y, h, k, val, tol)
+        worst = rows.worst
+        base = grids[0]
+        restricted = [f.values[_embed_indices(base, g)] if g.radius > base.radius
+                      else f.values for g, f in zip(grids, kernels)]
+        increments = [float(np.max(np.abs(b - a)))
+                      for a, b in zip(restricted, restricted[1:])]
+        for prev, nxt in zip(increments, increments[1:]):
+            allowed = max(prev / self.shrink, floor)
+            ratio = nxt / max(allowed, _TINY)
+            worst = max(worst, tol * ratio if ratio > 1.0 else 0.0)
+        return self.result(worst, tol, rows.loc,
+                           {"samples": rows.samples,
+                            "violations": [row["value"] for row in rows.samples],
+                            "increments": increments, "scale": scale})
 
 
-def _mass_requests(system, grid: GridSpec, t_values: Sequence[float],
-                   dt: Optional[float], theta: float, sources: Sequence[tuple],
-                   width: Optional[float]) -> list:
-    """The evolutions of check_mass_and_positivity: the all-ones data at each
-    time, then the source columns at the last time."""
-    ones = np.ones((grid.n_nodes, system.dims.m))
-    return [Evolution.of_values("P", grid, ones, t, dt, theta) for t in t_values] \
-        + [Evolution.of_sources("P", grid, max(t_values), sources, width, dt, theta)]
-
-
-def check_mass_and_positivity(system, grid: GridSpec,
-                              t_values: Sequence[float],
-                              dt: Optional[float] = None, theta: float = 1.0,
-                              tol: float = 0.01, pos_tol: float = 1e-10,
-                              row: Optional[RowSumBound] = None,
-                              sources: Sequence[tuple] = (),
-                              width: Optional[float] = None,
-                              requests: Optional[Sequence[Evolution]] = None,
-                              store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class MassAndPositivity(_Check):
     """Total kernel mass decays at the certified rate and stays nonnegative.
 
     Evolving the all-ones data computes sum_k of the L1 kernel masses in one
@@ -903,124 +907,130 @@ def check_mass_and_positivity(system, grid: GridSpec,
     potential row sums.  Positivity violations are folded into the same
     scale so a single worst number decides the check.
     """
-    sys_fp = system_fingerprint(system)
-    m = system.dims.m
-    if row is None:
-        row = compute_row_sum_bound(system, radius=max(SAMPLE_RADIUS, 2.0 * grid.radius))
-    fp = _fingerprint("mass-positivity", sys_fp, grid.d, grid.radius,
-                      grid.spacing, tuple(t_values), tol, pos_tol, row.M, theta)
-    sqm = math.sqrt(m)
-    *runs, cols = evolve_all(
-        system, requests or _mass_requests(system, grid, t_values, dt, theta, sources, width),
-        store)
-    worst = -math.inf
-    pos_ratio = 0.0
-    loc = (None, None, None, None, None)
-    samples = []
-    for t, u in zip(t_values, runs):
-        bound = sqm * math.exp(-row.M * t)
-        i = int(np.argmax(u))
-        node, h = divmod(i, m)
-        excess = float(u.flat[i]) / bound - 1.0
-        samples.append({"t": t, "x": _loc_pt(grid.points()[node], grid.d),
-                        "y": None, "h": h, "k": None,
-                        "value": float(u.flat[i]), "bound": bound})
-        if excess > worst:
-            worst = excess
-            loc = (t, _loc_pt(grid.points()[node], grid.d), None, h, None)
-        pos_ratio = max(pos_ratio, -float(np.min(u)) / pos_tol)
-    for col in cols:
-        scale = max(float(np.max(col.values)), _TINY)
-        pos_ratio = max(pos_ratio, -float(np.min(col.values)) / (pos_tol * scale))
-    worst = max(worst, tol * pos_ratio)
-    return _result("check_mass_and_positivity", worst, tol, loc, fp,
-                   {"samples": samples, "M": row.M, "certified_tail": row.certified_tail,
-                    "positivity_ratio": pos_ratio})
+
+    name = "check_mass_and_positivity"
+    system: object
+    grid: GridSpec
+    t_values: Sequence[float]
+    dt: Optional[float] = None
+    theta: float = 1.0
+    tol: float = 0.01
+    pos_tol: float = 1e-10
+    row: Optional[RowSumBound] = None
+    sources: Sequence[tuple] = ()
+    width: Optional[float] = None
+
+    @cached_property
+    def requests(self) -> list:
+        """The all-ones data at each time, then the source columns at the last
+        time."""
+        g = self.grid
+        ones = np.ones((g.n_nodes, self.system.dims.m))
+        return [Evolution.of_values("P", g, ones, t, self.dt, self.theta)
+                for t in self.t_values] \
+            + [Evolution.of_sources("P", g, max(self.t_values), self.sources, self.width,
+                                    self.dt, self.theta)]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        grid, m, tol, pos_tol = self.grid, self.system.dims.m, self.tol, self.pos_tol
+        row = self.row
+        if row is None:
+            row = compute_row_sum_bound(self.system,
+                                        radius=max(SAMPLE_RADIUS, 2.0 * grid.radius))
+        sqm = math.sqrt(m)
+        pts = grid.points()
+        *runs, cols = outputs
+        pos_ratio = 0.0
+        rows = _Rows()
+        for t, u in zip(self.t_values, runs):
+            bound = sqm * math.exp(-row.M * t)
+            val, x, h = _peak(u, pts, grid.d)
+            rows.add(t, x, None, h, None, val, bound, score=val / bound - 1.0)
+            pos_ratio = max(pos_ratio, -float(np.min(u)) / pos_tol)
+        for col in cols:
+            scale = max(float(np.max(col.values)), _TINY)
+            pos_ratio = max(pos_ratio, -float(np.min(col.values)) / (pos_tol * scale))
+        worst = max(rows.worst, tol * pos_ratio)
+        return self.result(worst, tol, rows.loc,
+                           {"samples": rows.samples, "M": row.M,
+                            "certified_tail": row.certified_tail,
+                            "positivity_ratio": pos_ratio})
 
 
-def _support_requests(system, k: int, grid: GridSpec, t: float, center,
-                      dt: Optional[float], width: Optional[float],
-                      theta: float) -> list:
-    """The evolution of check_support: the column of (center, k)."""
-    if center is None:
-        center = np.zeros(system.dims.d)
-    return [Evolution.of_sources("P", grid, t, [(center, k)], width, dt, theta)]
-
-
-def check_support(system, k: int, grid: GridSpec, t: float,
-                  center=None, dt: Optional[float] = None,
-                  width: Optional[float] = None, tol_null: float = 1e-10,
-                  floor: float = 1e-12, theta: float = 1.0,
-                  support: Optional[CouplingSupport] = None,
-                  requests: Optional[Sequence[Evolution]] = None,
-                  store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class Support(_Check):
     """Kernel column vanishes exactly off the coupling-reachable components.
 
     Components outside the reachability set F_k must stay below tol_null
     relative to the column maximum (pure roundoff), reachable ones must rise
-    above the relative floor.
+    above the relative floor.  The center defaults to the origin, and the
+    support to the family's own.
     """
-    if support is None:
-        if not isinstance(system, _FamilyBase):
+
+    name = "check_support"
+    system: object
+    k: int
+    grid: GridSpec
+    t: float
+    center: object = None
+    dt: Optional[float] = None
+    width: Optional[float] = None
+    tol_null: float = 1e-10
+    floor: float = 1e-12
+    theta: float = 1.0
+    support: Optional[CouplingSupport] = None
+
+    def __post_init__(self):
+        if self.support is None and not isinstance(self.system, _FamilyBase):
             raise DomainError("non-family systems need an explicit coupling support")
-        support = system.support(k)
-    d = system.dims.d
-    if center is None:
-        center = np.zeros(d)
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("support", sys_fp, k, grid.d, grid.radius, grid.spacing,
-                      t, tuple(_center(center, d)), tol_null, floor,
-                      sorted(support.reachable))
-    m = system.dims.m
-    (col,), = evolve_all(system, requests or _support_requests(system, k, grid, t, center,
-                                                               dt, width, theta), store)
-    scale = max(float(np.max(np.abs(col.values))), _TINY)
-    per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
-                for h in range(m)]
-    worst = 0.0
-    loc = (t, None, _loc_pt(center, d), None, k)
-    samples = []
-    min_reach = math.inf
-    for h in range(m):
-        reachable = h in support.reachable
-        samples.append({"t": t, "x": None, "y": _loc_pt(center, d), "h": h,
-                        "k": k, "value": per_comp[h],
-                        "bound": floor if reachable else tol_null})
-        if reachable:
-            min_reach = min(min_reach, per_comp[h])
-        elif per_comp[h] > worst:
-            worst = per_comp[h]
-            node = int(np.argmax(np.abs(col.values[:, h])))
-            loc = (t, _loc_pt(grid.points()[node], d), _loc_pt(center, d), h, k)
-    # a reachable component sitting below the floor trips the tolerance too
-    if min_reach < floor:
-        worst = max(worst, tol_null * floor / max(min_reach, _TINY))
-    return _result("check_support", worst, tol_null, loc, fp,
-                   {"samples": samples, "reachable": sorted(support.reachable),
-                    "levels": [sorted(level) for level in support.levels],
-                    "relative_maxima": per_comp, "floor": floor})
+
+    @property
+    def _at(self):
+        return np.zeros(self.system.dims.d) if self.center is None else self.center
+
+    @cached_property
+    def requests(self) -> list:
+        """The column of (center, k)."""
+        return [Evolution.of_sources("P", self.grid, self.t, [(self._at, self.k)],
+                                     self.width, self.dt, self.theta)]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        d, m, t, k = self.system.dims.d, self.system.dims.m, self.t, self.k
+        tol_null, floor = self.tol_null, self.floor
+        support = self.support if self.support is not None else self.system.support(k)
+        y = _loc_pt(self._at, d)
+        (col,), = outputs
+        scale = max(float(np.max(np.abs(col.values))), _TINY)
+        per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
+                    for h in range(m)]
+        rows = _Rows(0.0, (t, None, y, None, k))
+        min_reach = math.inf
+        pts = self.grid.points()
+        for h in range(m):
+            reachable = h in support.reachable
+            rows.add(t, None, y, h, k, per_comp[h], floor if reachable else tol_null,
+                     score=-math.inf)
+            if reachable:
+                min_reach = min(min_reach, per_comp[h])
+            elif per_comp[h] > rows.worst:
+                node = int(np.argmax(np.abs(col.values[:, h])))
+                rows.worst, rows.loc = per_comp[h], (t, _loc_pt(pts[node], d), y, h, k)
+        worst = rows.worst
+        # a reachable component sitting below the floor trips the tolerance too
+        if min_reach < floor:
+            worst = max(worst, tol_null * floor / max(min_reach, _TINY))
+        return self.result(worst, tol_null, rows.loc,
+                           {"samples": rows.samples, "reachable": sorted(support.reachable),
+                            "levels": [sorted(level) for level in support.levels],
+                            "relative_maxima": per_comp, "floor": floor})
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _duality_requests(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
-                      dt: Optional[float], width: Optional[float],
-                      theta: float) -> list:
-    """The evolutions of check_duality: forward columns sourced at each (y, k),
-    adjoint columns sourced at each (x, h)."""
-    return [Evolution.of_sources("P", grid, t, [(y, k) for _, _, y, k in pairs],
-                                 width, dt, theta),
-            Evolution.of_sources("P_adjoint", grid, t, [(x, h) for x, h, _, _ in pairs],
-                                 width, dt, theta)]
-
-
-def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
-                  dt: Optional[float] = None, width: Optional[float] = None,
-                  tol: float = 0.02, theta: float = 0.5,
-                  requests: Optional[Sequence[Evolution]] = None,
-                  store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class Duality(_Check):
     """Forward kernel values agree with transposed adjoint kernel values.
 
     Each pair is (x, h, y, k): the forward column sourced at (y, k) read at
@@ -1028,81 +1038,92 @@ def check_duality(system, grid: GridSpec, t: float, pairs: Sequence[tuple],
     Both runs mollify one argument, so agreement is up to mollifier bias;
     pairs whose values sit at solver-noise level count as agreeing.
     """
-    d = grid.d
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("duality", sys_fp, grid.d, grid.radius, grid.spacing, t,
-                      tuple(map(repr, pairs)), tol, theta)
-    worst = 0.0
-    loc = (t, None, None, None, None)
-    samples = []
-    fwd_cols, adj_cols = evolve_all(
-        system, requests or _duality_requests(system, grid, t, pairs, dt, width, theta), store)
-    for (x, h, y, k), cf, ca in zip(pairs, fwd_cols, adj_cols):
-        vf = float(cf.values[grid.node_of(_center(x, d)), h])
-        va = float(ca.values[grid.node_of(_center(y, d)), k])
-        noise = 1e-12 * max(float(np.max(np.abs(cf.values))),
-                            float(np.max(np.abs(ca.values))), _TINY)
-        scale = max(abs(vf), abs(va))
-        rel = 0.0 if scale <= noise else abs(vf - va) / scale
-        samples.append({"t": t, "x": _loc_pt(x, d), "y": _loc_pt(y, d),
-                        "h": h, "k": k, "value": rel, "bound": tol})
-        if rel > worst:
-            worst = rel
-            loc = (t, _loc_pt(x, d), _loc_pt(y, d), h, k)
-    return _result("check_duality", worst, tol, loc, fp, {"samples": samples})
+
+    name = "check_duality"
+    system: object
+    grid: GridSpec
+    t: float
+    pairs: Sequence[tuple]
+    dt: Optional[float] = None
+    width: Optional[float] = None
+    tol: float = 0.02
+    theta: float = 0.5
+
+    @cached_property
+    def requests(self) -> list:
+        """Forward columns sourced at each (y, k), adjoint columns sourced at
+        each (x, h)."""
+        return [Evolution.of_sources(variant, self.grid, self.t, sources, self.width,
+                                     self.dt, self.theta)
+                for variant, sources in (("P", [(y, k) for _, _, y, k in self.pairs]),
+                                         ("P_adjoint", [(x, h) for x, h, _, _ in self.pairs]))]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        grid, t, tol = self.grid, self.t, self.tol
+        d = grid.d
+        rows = _Rows(0.0, (t, None, None, None, None))
+        for (x, h, y, k), cf, ca in zip(self.pairs, *outputs):
+            vf = float(cf.values[grid.node_of(_center(x, d)), h])
+            va = float(ca.values[grid.node_of(_center(y, d)), k])
+            noise = 1e-12 * max(float(np.max(np.abs(cf.values))),
+                                float(np.max(np.abs(ca.values))), _TINY)
+            scale = max(abs(vf), abs(va))
+            rel = 0.0 if scale <= noise else abs(vf - va) / scale
+            rows.add(t, _loc_pt(x, d), _loc_pt(y, d), h, k, rel, tol)
+        return self.result(rows.worst, tol, rows.loc, {"samples": rows.samples})
 
 
-def _chapman_dt(grid: GridSpec, t: float, s: float, dt: Optional[float]):
-    """The step of a split (s, t): by default the largest one that divides s
-    and is at most min(t, s, spacing, (t + s) / 64)."""
-    if dt is None and s > 0.0:
-        base = min(t, s, grid.spacing, (t + s) / 64.0)
-        dt = s / math.ceil(s / base)
-    return dt
-
-
-def _chapman_requests(system, grid: GridSpec, t: float, s: float, variant: str,
-                      dt: Optional[float], theta: float, seed: int) -> list:
-    """The evolutions of check_chapman_kolmogorov: the direct path over t + s
-    and the composed one, s and then, as a second stage, t more."""
-    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(grid.n_nodes, system.dims.m))
-    if s <= 0.0:
-        # degenerate split: the composition is the single evolution
-        return [Evolution.of_values(variant, grid, f, t, dt, theta)]
-    dt = _chapman_dt(grid, t, s, dt)
-    mid = Evolution.of_values(variant, grid, f, s, dt, theta)
-    return [Evolution.of_values(variant, grid, f, t + s, dt, theta), mid, mid.then(t)]
-
-
-def check_chapman_kolmogorov(system, grid: GridSpec, t: float, s: float,
-                             variant: str = "P", dt: Optional[float] = None,
-                             theta: float = 1.0, tol: float = 1e-9,
-                             seed: int = 0,
-                             requests: Optional[Sequence[Evolution]] = None,
-                             store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class ChapmanKolmogorov(_Check):
     """Composing the evolution over s then t equals evolving over t + s.
 
     The default step divides s exactly, which makes both paths the same
     matrix product including the trailing partial step; the tolerance then
     only absorbs accumulated linear-solver residue.
     """
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("chapman", sys_fp, grid.d, grid.radius, grid.spacing,
-                      t, s, variant, tol, seed, theta)
-    reqs = requests or _chapman_requests(system, grid, t, s, variant, dt, theta, seed)
-    runs = evolve_all(system, reqs, store)
-    a, b = runs[0], runs[-1]
-    dt = _chapman_dt(grid, t, s, dt)
-    scale = max(float(np.max(np.abs(reqs[0].data))), _TINY)
-    diff = np.abs(a - b)
-    i = int(np.argmax(diff))
-    node, h = divmod(i, system.dims.m)
-    worst = float(diff.flat[i]) / scale
-    loc = (t + s, _loc_pt(grid.points()[node], grid.d), None, h, None)
-    samples = [{"t": t + s, "x": loc[1], "y": None, "h": h, "k": None,
-                "value": worst, "bound": tol}]
-    return _result("check_chapman_kolmogorov", worst, tol, loc, fp,
-                   {"samples": samples, "dt": dt, "split": (t, s)})
+
+    name = "check_chapman_kolmogorov"
+    system: object
+    grid: GridSpec
+    t: float
+    s: float
+    variant: str = "P"
+    dt: Optional[float] = None
+    theta: float = 1.0
+    tol: float = 1e-9
+    seed: int = 0
+
+    @property
+    def step(self) -> Optional[float]:
+        """The step of the split: by default the largest one that divides s
+        and is at most min(t, s, spacing, (t + s) / 64)."""
+        if self.dt is None and self.s > 0.0:
+            base = min(self.t, self.s, self.grid.spacing, (self.t + self.s) / 64.0)
+            return self.s / math.ceil(self.s / base)
+        return self.dt
+
+    @cached_property
+    def requests(self) -> list:
+        """The direct path over t + s and the composed one, s and then, as a
+        second stage, t more; with s <= 0 the one evolution over t."""
+        g, t, s, dt = self.grid, self.t, self.s, self.step
+        f = np.random.default_rng(self.seed).uniform(-1.0, 1.0,
+                                                     size=(g.n_nodes, self.system.dims.m))
+        if s <= 0.0:
+            return [Evolution.of_values(self.variant, g, f, t, dt, self.theta)]
+        mid = Evolution.of_values(self.variant, g, f, s, dt, self.theta)
+        return [Evolution.of_values(self.variant, g, f, t + s, dt, self.theta), mid,
+                mid.then(t)]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        grid, t, s, tol = self.grid, self.t, self.s, self.tol
+        scale = max(float(np.max(np.abs(self.requests[0].data))), _TINY)
+        diff, x, h = _peak(np.abs(outputs[0] - outputs[-1]), grid.points(), grid.d)
+        worst = diff / scale
+        samples = [{"t": t + s, "x": x, "y": None, "h": h, "k": None, "value": worst,
+                    "bound": tol}]
+        return self.result(worst, tol, (t + s, x, None, h, None),
+                           {"samples": samples, "dt": self.step, "split": (t, s)})
 
 
 # ---------------------------------------------------------------------------
@@ -1141,40 +1162,8 @@ def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float, radius: fl
     return stored_certificate(system, candidate, radius, store).certified
 
 
-def _integrability_requests(system, timed: TimeLyapunovSpec, grid: GridSpec,
-                            t_values: Sequence[float], eps: Optional[float],
-                            theta: float, dt: Optional[float]) -> list:
-    """The evolutions of check_lyapunov_integrability: at each time, the weight
-    and its outer shell as one two-column batch.
-
-    The weight is the one of the rescaled spec, which calibration does not
-    change, so no calibration runs here.
-    """
-    if eps is None:
-        eps = timed.eps_T / 4.0
-    w = _scaled(timed, eps / timed.eps_T).weight()
-    pts = grid.points()
-    at = RadialPoints(pts, grid.d)
-    shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
-    reqs = []
-    for t in t_values:
-        log_nu = np.asarray(w.log_value(t, at, grid.d), dtype=float)
-        init = np.repeat(np.exp(log_nu)[:, None], system.dims.m, axis=1)
-        both = np.stack([init, init * shell[:, None]], axis=-1)
-        reqs.append(Evolution.of_values("P", grid, both, t, dt, theta))
-    return reqs
-
-
-def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
-                                 grid: GridSpec, t_values: Sequence[float],
-                                 x_points: Sequence, eps: Optional[float] = None,
-                                 tol: float = 0.05, theta: float = 1.0,
-                                 dt: Optional[float] = None,
-                                 boundary_fraction: float = 0.01,
-                                 g_margin: float = 0.0,
-                                 cert_radius: Optional[float] = None,
-                                 requests: Optional[Sequence[Evolution]] = None,
-                                 store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class LyapunovIntegrability(_Check):
     """Weighted kernel integrals stay below the certified growth envelope.
 
     Evolving the weight itself as initial data computes sum_k of the
@@ -1183,43 +1172,68 @@ def check_lyapunov_integrability(system, timed: TimeLyapunovSpec,
     restricted to the outer shell measures how much of the integral lives
     near the boundary; when that exceeds boundary_fraction the verdict is
     inconclusive (enlarge the box) rather than a pass.  g_margin subtracts
-    a fixed amount from G to probe how tight the envelope is.
+    a fixed amount from G to probe how tight the envelope is.  eps defaults
+    to eps_T / 4.
     """
-    d = grid.d
-    sys_fp = system_fingerprint(system)
-    if eps is None:
-        eps = timed.eps_T / 4.0
-    radius = cert_radius if cert_radius is not None else max(SAMPLE_RADIUS, 2.0 * grid.radius)
-    spec_used = _calibrated_scaled(system, timed, eps / timed.eps_T, radius, store)
-    fp = _fingerprint("integrability", sys_fp, grid.d, grid.radius,
-                      grid.spacing, tuple(t_values),
-                      tuple(_loc_pt(x, d) for x in x_points), eps, tol,
-                      g_margin, theta)
-    runs = evolve_all(system, requests or _integrability_requests(
-        system, timed, grid, t_values, eps, theta, dt), store)
-    worst = -math.inf
-    tail_worst = 0.0
-    loc = (None, None, None, None, None)
-    samples = []
-    for t, both in zip(t_values, runs):
-        out, out_shell = both[:, :, 0], both[:, :, 1]
-        bound = math.exp(float(spec_used.G(t)) - g_margin)
-        for x in x_points:
-            node = grid.node_of(_center(x, d))
-            val = float(np.max(out[node]))
-            excess = val / bound - 1.0
-            tail = float(np.max(out_shell[node])) / max(val, _TINY)
-            tail_worst = max(tail_worst, tail)
-            samples.append({"t": t, "x": _loc_pt(x, d), "y": None,
-                            "h": int(np.argmax(out[node])), "k": None,
-                            "value": val, "bound": bound})
-            if excess > worst:
-                worst = excess
-                loc = (t, _loc_pt(x, d), None, int(np.argmax(out[node])), None)
-    return _result("check_lyapunov_integrability", worst, tol, loc, fp,
-                   {"samples": samples, "eps": eps, "c0": spec_used.c0,
-                    "boundary_fraction": tail_worst, "g_margin": g_margin},
-                   inconclusive=tail_worst > boundary_fraction)
+
+    name = "check_lyapunov_integrability"
+    system: object
+    timed: TimeLyapunovSpec
+    grid: GridSpec
+    t_values: Sequence[float]
+    x_points: Sequence
+    eps: Optional[float] = None
+    tol: float = 0.05
+    theta: float = 1.0
+    dt: Optional[float] = None
+    boundary_fraction: float = 0.01
+    g_margin: float = 0.0
+    cert_radius: Optional[float] = None
+
+    @property
+    def _eps(self) -> float:
+        return self.timed.eps_T / 4.0 if self.eps is None else self.eps
+
+    @cached_property
+    def requests(self) -> list:
+        """At each time, the weight and its outer shell as one two-column
+        batch.  The weight is the one of the rescaled spec, which calibration
+        does not change, so no calibration runs here."""
+        grid = self.grid
+        w = _scaled(self.timed, self._eps / self.timed.eps_T).weight()
+        pts = grid.points()
+        at = RadialPoints(pts, grid.d)
+        shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
+        reqs = []
+        for t in self.t_values:
+            log_nu = np.asarray(w.log_value(t, at, grid.d), dtype=float)
+            init = np.repeat(np.exp(log_nu)[:, None], self.system.dims.m, axis=1)
+            both = np.stack([init, init * shell[:, None]], axis=-1)
+            reqs.append(Evolution.of_values("P", grid, both, t, self.dt, self.theta))
+        return reqs
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        grid, eps = self.grid, self._eps
+        d = grid.d
+        radius = self.cert_radius if self.cert_radius is not None \
+            else max(SAMPLE_RADIUS, 2.0 * grid.radius)
+        spec_used = _calibrated_scaled(self.system, self.timed, eps / self.timed.eps_T,
+                                       radius, store)
+        tail_worst = 0.0
+        rows = _Rows()
+        for t, both in zip(self.t_values, outputs):
+            out, out_shell = both[:, :, 0], both[:, :, 1]
+            bound = math.exp(float(spec_used.G(t)) - self.g_margin)
+            for x in self.x_points:
+                node = grid.node_of(_center(x, d))
+                val = float(np.max(out[node]))
+                tail_worst = max(tail_worst, float(np.max(out_shell[node])) / max(val, _TINY))
+                rows.add(t, _loc_pt(x, d), None, int(np.argmax(out[node])), None, val, bound,
+                         score=val / bound - 1.0)
+        return self.result(rows.worst, self.tol, rows.loc,
+                           {"samples": rows.samples, "eps": eps, "c0": spec_used.c0,
+                            "boundary_fraction": tail_worst, "g_margin": self.g_margin},
+                           inconclusive=tail_worst > self.boundary_fraction)
 
 
 def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
@@ -1287,146 +1301,132 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     return ledger, float(H)
 
 
-def _weighted_requests(system, t_values: Sequence[float], sources: Sequence,
-                       coarse: tuple, fine: tuple, dt: Optional[float],
-                       width: Optional[float], theta: float) -> list:
-    """The evolutions of check_weighted_bound: for the coarse and then the fine
-    (spacing, radius) pair, each time and source, the columns of every
-    component."""
-    d, m = system.dims.d, system.dims.m
-    return [Evolution.of_sources("P", GridSpec(d=d, radius=radius, spacing=spacing), t,
-                                 [(y, k) for k in range(m)], width, dt, theta)
-            for spacing, radius in (coarse, fine) for t in t_values for y in sources]
-
-
-def check_weighted_bound(system, synthesis: SynthesisResult, s: float,
-                         t_values: Sequence[float], sources: Sequence,
-                         coarse: tuple, fine: tuple,
-                         eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
-                         tol: float = 0.10, dt: Optional[float] = None,
-                         width: Optional[float] = None, theta: float = 0.5,
-                         two_sided: bool = False,
-                         adjoint_synthesis: Optional[SynthesisResult] = None,
-                         C_cal: Optional[float] = None,
-                         majorant_override: Optional[Callable] = None,
-                         cert_radius: float = SAMPLE_RADIUS,
-                         requests: Optional[Sequence[Evolution]] = None,
-                         store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class WeightedBound(_Check):
     """Weighted kernel suprema stay calibrated under mesh and box refinement.
 
-    The ratio w(t, y) sum_k |p_hk(t, x, y)| / H is computed over every
-    source and node of the coarse (spacing, radius) pair; its supremum
+    The ratio w(t, y) sum_k |p_hk(t, x, y)| / H over every source and node
+    of the coarse (spacing, radius) pair, with the healthy majorant H,
     calibrates C_cal unless one is supplied.  The same supremum on the fine
-    pair must then stay within (1 + tol) of the calibration.  two_sided adds
-    the symmetrized ratio sqrt(w(t, y) w*(t, x)) / sqrt(H H*) built from the
-    adjoint synthesis.  majorant_override(t, points) replaces H for probing
-    deliberately broken majorants.
+    pair, against the majorant under test, must then stay within (1 + tol)
+    of the calibration.  The majorant under test is H, unless
+    majorant_scale scales the ledger constants, or majorant_override(t,
+    points) replaces it, to probe deliberately broken majorants; neither
+    touches the calibration.  two_sided adds the symmetrized ratio
+    sqrt(w(t, y) w*(t, x)) / sqrt(H H*) built from the adjoint synthesis.
     """
-    d = system.dims.d
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("weighted-bound", sys_fp, s, tuple(t_values),
-                      tuple(_loc_pt(y, d) for y in sources), coarse, fine,
-                      tuple(eps_scales), tol, two_sided, C_cal, theta)
-    timed = synthesis.timed
-    w = timed.weight(eps_scales[0] * timed.eps_T)
-    wstar = None
-    if two_sided and adjoint_synthesis is None:
-        raise DomainError("two-sided ratio needs the adjoint synthesis")
-    calibrated = calibrate_majorant(system, synthesis, eps_scales, cert_radius, store)
-    if two_sided:
-        calibrated_star = calibrate_majorant(system, adjoint_synthesis, eps_scales,
-                                             cert_radius, store)
-    majorants = {}
-    for t in t_values:
-        _, H = weighted_majorant(system, synthesis, s, t, eps_scales,
-                                 adjoint=False, cert_radius=cert_radius,
-                                 calibrated=calibrated, store=store)
-        Hstar = None
+
+    name = "check_weighted_bound"
+    system: object
+    synthesis: SynthesisResult
+    s: float
+    t_values: Sequence[float]
+    sources: Sequence
+    coarse: tuple
+    fine: tuple
+    eps_scales: Sequence[float] = (0.5, 0.75, 1.0)
+    tol: float = 0.10
+    dt: Optional[float] = None
+    width: Optional[float] = None
+    theta: float = 0.5
+    two_sided: bool = False
+    adjoint_synthesis: Optional[SynthesisResult] = None
+    C_cal: Optional[float] = None
+    majorant_override: Optional[Callable] = field(default=None, compare=False)
+    cert_radius: float = SAMPLE_RADIUS
+    majorant_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.two_sided and self.adjoint_synthesis is None:
+            raise DomainError("two-sided ratio needs the adjoint synthesis")
+
+    @cached_property
+    def requests(self) -> list:
+        """For the coarse and then the fine (spacing, radius) pair, each time
+        and source, the columns of every component."""
+        d, m = self.system.dims.d, self.system.dims.m
+        return [Evolution.of_sources("P", GridSpec(d=d, radius=radius, spacing=spacing), t,
+                                     [(y, k) for k in range(m)], self.width, self.dt,
+                                     self.theta)
+                for spacing, radius in (self.coarse, self.fine)
+                for t in self.t_values for y in self.sources]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        system, s, eps_scales = self.system, self.s, self.eps_scales
+        d, m = system.dims.d, system.dims.m
+        two_sided, adj = self.two_sided, self.adjoint_synthesis
+        timed = self.synthesis.timed
+        w = timed.weight(eps_scales[0] * timed.eps_T)
+        wstar = adj.timed.weight(eps_scales[0] * adj.timed.eps_T) if two_sided else None
+        calibrated = calibrate_majorant(system, self.synthesis, eps_scales, self.cert_radius,
+                                        store)
         if two_sided:
-            _, Hstar = weighted_majorant(system, adjoint_synthesis, s, t,
-                                         eps_scales, adjoint=True,
-                                         cert_radius=cert_radius,
-                                         calibrated=calibrated_star, store=store)
-        majorants[t] = (H, Hstar)
-    if two_sided:
-        adj = adjoint_synthesis.timed
-        wstar = adj.weight(eps_scales[0] * adj.eps_T)
-    reqs = requests or _weighted_requests(system, t_values, sources, coarse, fine, dt, width,
-                                          theta)
-    per_pair = len(reqs) // 2
-    m = system.dims.m
+            calibrated_star = calibrate_majorant(system, adj, eps_scales, self.cert_radius,
+                                                 store)
+        majorants = {}
+        for t in self.t_values:
+            _, H = weighted_majorant(system, self.synthesis, s, t, eps_scales,
+                                     adjoint=False, cert_radius=self.cert_radius,
+                                     calibrated=calibrated, store=store)
+            Hstar = None
+            if two_sided:
+                _, Hstar = weighted_majorant(system, adj, s, t, eps_scales, adjoint=True,
+                                             cert_radius=self.cert_radius,
+                                             calibrated=calibrated_star, store=store)
+            majorants[t] = (H, Hstar)
 
-    def sweep(pair, reqs):
-        # one pair's columns at a time, in request order: by time and source
-        columns = iter(evolve_all(system, reqs, store))
-        spacing, radius = pair
-        grid = GridSpec(d=d, radius=radius, spacing=spacing)
-        pts = grid.points()
-        at = RadialPoints(pts, d)
-        sup = 0.0
-        sup2 = 0.0
-        sup_loc = (None, None, None, None, None)
-        rows = []
-        for t in t_values:
-            H, Hstar = majorants[t]
-            for y in sources:
-                total = np.zeros((grid.n_nodes, m))
-                for col in next(columns):
-                    total += np.abs(col.values)
-                wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
-                if majorant_override is not None:
-                    denom = np.asarray(majorant_override(t, pts), dtype=float)[:, None]
-                    ratio = wy * total / denom
-                else:
-                    ratio = wy * total / H
-                i = int(np.argmax(ratio))
-                node, h = divmod(i, m)
-                val = float(ratio.flat[i])
-                rows.append({"t": t, "x": _loc_pt(pts[node], d),
-                             "y": _loc_pt(y, d), "h": h, "k": None,
-                             "value": val, "bound": H})
-                if val > sup:
-                    sup = val
-                    sup_loc = (t, _loc_pt(pts[node], d), _loc_pt(y, d), h, None)
-                if two_sided:
-                    wx = np.exp(0.5 * np.asarray(wstar.log_value(t, at, d)))
-                    r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar)
-                    sup2 = max(sup2, float(np.max(r2)))
-        return sup, sup2, sup_loc, rows
+        def sweep(pair, columns, tested):
+            # one pair's columns, in request order: by time and source
+            columns = iter(columns)
+            spacing, radius = pair
+            grid = GridSpec(d=d, radius=radius, spacing=spacing)
+            pts = grid.points()
+            at = RadialPoints(pts, d)
+            sup2 = 0.0
+            rows = _Rows(0.0)
+            for t in self.t_values:
+                H, Hstar = majorants[t]
+                denom = H
+                if tested and self.majorant_override is not None:
+                    denom = np.asarray(self.majorant_override(t, pts), dtype=float)[:, None]
+                elif tested and self.majorant_scale != 1.0:
+                    # every bracket monomial has degree >= s/2 in the ledger
+                    # constants, so scaling them by f moves the majorant by
+                    # at least f^(s/2); apply that envelope uniformly
+                    denom = H * self.majorant_scale ** (s / 2.0)
+                for y in self.sources:
+                    total = np.zeros((grid.n_nodes, m))
+                    for col in next(columns):
+                        total += np.abs(col.values)
+                    wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
+                    val, x, h = _peak(wy * total / denom, pts, d)
+                    rows.add(t, x, _loc_pt(y, d), h, None, val, H)
+                    if two_sided:
+                        wx = np.exp(0.5 * np.asarray(wstar.log_value(t, at, d)))
+                        r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar)
+                        sup2 = max(sup2, float(np.max(r2)))
+            return rows, sup2
 
-    sup_c, sup2_c, loc_c, rows_c = sweep(coarse, reqs[:per_pair])
-    if not (math.isfinite(sup_c) and sup_c > 0):
-        raise DomainError(f"coarse calibration sup degenerate: {sup_c}")
-    cal = C_cal if C_cal is not None else sup_c
-    cal2 = sup2_c if two_sided else None
-    sup_f, sup2_f, loc_f, rows_f = sweep(fine, reqs[per_pair:])
-    worst = sup_f / cal - 1.0
-    loc = loc_f
-    if two_sided and cal2 and cal2 > 0:
-        worst = max(worst, sup2_f / cal2 - 1.0)
-    return _result("check_weighted_bound", worst, tol, loc, fp,
-                   {"samples": rows_c + rows_f, "C_cal": cal,
-                    "sup_coarse": sup_c, "sup_fine": sup_f,
-                    "sup2_coarse": sup2_c, "sup2_fine": sup2_f,
-                    "majorants": {t: hh[0] for t, hh in majorants.items()}})
+        per_pair = len(outputs) // 2
+        coarse, sup2_c = sweep(self.coarse, outputs[:per_pair], tested=False)
+        sup_c = coarse.worst
+        if not (math.isfinite(sup_c) and sup_c > 0):
+            raise DomainError(f"coarse calibration sup degenerate: {sup_c}")
+        cal = self.C_cal if self.C_cal is not None else sup_c
+        fine, sup2_f = sweep(self.fine, outputs[per_pair:], tested=True)
+        sup_f = fine.worst
+        worst = sup_f / cal - 1.0
+        if two_sided and sup2_c > 0:
+            worst = max(worst, sup2_f / sup2_c - 1.0)
+        return self.result(worst, self.tol, fine.loc,
+                           {"samples": coarse.samples + fine.samples, "C_cal": cal,
+                            "sup_coarse": sup_c, "sup_fine": sup_f,
+                            "sup2_coarse": sup2_c, "sup2_fine": sup2_f,
+                            "majorants": {t: hh[0] for t, hh in majorants.items()}})
 
 
-def _decay_requests(system, grid: GridSpec, t_values: Sequence[float], x0,
-                    component: int, dt: Optional[float], width: Optional[float],
-                    theta: float) -> list:
-    """The evolutions of check_decay_shape: the adjoint column of (x0,
-    component) at each time."""
-    return [Evolution.of_sources("P_adjoint", grid, t, [(x0, component)], width, dt, theta)
-            for t in t_values]
-
-
-def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
-                      x0, component: int, weight: SpaceTimeWeight,
-                      dt: Optional[float] = None, width: Optional[float] = None,
-                      theta: float = 0.5, core_radius: float = 1.0,
-                      tail_range: tuple = (2.0, 4.0), slack: float = 0.5,
-                      requests: Optional[Sequence[Evolution]] = None,
-                      store: Optional[KernelStore] = None) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class DecayShape(_Check):
     """Kernel tails decay at least as fast as the certified profile.
 
     Adds the log of the family's decay weight, weight.log_value(t, y), back
@@ -1434,68 +1434,96 @@ def check_decay_shape(system, grid: GridSpec, t_values: Sequence[float],
     compensated profile cannot climb from the core into the tail by more than
     slack.  Adjoint columns provide the y-dependence in a single run per time.
     """
-    d = grid.d
-    sys_fp = system_fingerprint(system)
-    fp = _fingerprint("decay-shape", sys_fp, grid.d, grid.radius, grid.spacing,
-                      tuple(t_values), tuple(_center(x0, d)), component, weight,
-                      core_radius, tail_range, slack)
-    pts = grid.points()
-    at = RadialPoints(pts, d)
-    rr = np.sqrt(np.sum(pts * pts, axis=-1))
-    worst = -math.inf
-    loc = (None, None, None, None, None)
-    samples = []
-    runs = evolve_all(system, requests or _decay_requests(system, grid, t_values, x0,
-                                                          component, dt, width, theta), store)
-    for t, (col,) in zip(t_values, runs):
-        total = np.sum(np.abs(col.values), axis=1)
-        noise = 1e-13 * max(float(np.max(total)), _TINY)
-        phi = np.log(np.maximum(total, _TINY)) + weight.log_value(t, at, d)
-        core = phi[rr <= core_radius]
-        tail_mask = (rr >= tail_range[0]) & (rr <= tail_range[1]) & (total > noise)
-        if core.size == 0 or not np.any(tail_mask):
-            raise DomainError("grid too small for the requested core/tail split")
-        rise = float(np.max(phi[tail_mask])) - float(np.max(core))
-        node = int(np.argmax(np.where(tail_mask, phi, -np.inf)))
-        samples.append({"t": t, "x": _loc_pt(x0, d), "y": _loc_pt(pts[node], d),
-                        "h": component, "k": None, "value": rise, "bound": slack})
-        if rise > worst:
-            worst = rise
-            loc = (t, _loc_pt(x0, d), _loc_pt(pts[node], d), component, None)
-    return _result("check_decay_shape", worst, slack, loc, fp,
-                   {"samples": samples, "weight": weight})
+
+    name = "check_decay_shape"
+    system: object
+    grid: GridSpec
+    t_values: Sequence[float]
+    x0: object
+    component: int
+    weight: SpaceTimeWeight
+    dt: Optional[float] = None
+    width: Optional[float] = None
+    theta: float = 0.5
+    core_radius: float = 1.0
+    tail_range: tuple = (2.0, 4.0)
+    slack: float = 0.5
+
+    @cached_property
+    def requests(self) -> list:
+        """The adjoint column of (x0, component) at each time."""
+        return [Evolution.of_sources("P_adjoint", self.grid, t, [(self.x0, self.component)],
+                                     self.width, self.dt, self.theta)
+                for t in self.t_values]
+
+    def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        d, slack, component = self.grid.d, self.slack, self.component
+        x0 = _loc_pt(self.x0, d)
+        pts = self.grid.points()
+        at = RadialPoints(pts, d)
+        rr = np.sqrt(np.sum(pts * pts, axis=-1))
+        lo, hi = self.tail_range
+        rows = _Rows()
+        for t, (col,) in zip(self.t_values, outputs):
+            total = np.sum(np.abs(col.values), axis=1)
+            noise = 1e-13 * max(float(np.max(total)), _TINY)
+            phi = np.log(np.maximum(total, _TINY)) + self.weight.log_value(t, at, d)
+            core = phi[rr <= self.core_radius]
+            tail_mask = (rr >= lo) & (rr <= hi) & (total > noise)
+            if core.size == 0 or not np.any(tail_mask):
+                raise DomainError("grid too small for the requested core/tail split")
+            rise = float(np.max(phi[tail_mask])) - float(np.max(core))
+            y = _loc_pt(pts[int(np.argmax(np.where(tail_mask, phi, -np.inf)))], d)
+            rows.add(t, x0, y, component, None, rise, slack)
+        return self.result(rows.worst, slack, rows.loc,
+                           {"samples": rows.samples, "weight": self.weight})
 
 
-# each check's signature, the function declaring its evolutions, and that
-# function's parameters, named as the check's and without defaults of their own
-_PLANNED = {
-    check.__name__: (inspect.signature(check), requests,
-                     tuple(inspect.signature(requests).parameters))
-    for check, requests in [
-        (check_domination, _domination_requests),
-        (check_monotone_in_R, _monotone_requests),
-        (check_mass_and_positivity, _mass_requests),
-        (check_support, _support_requests),
-        (check_duality, _duality_requests),
-        (check_chapman_kolmogorov, _chapman_requests),
-        (check_lyapunov_integrability, _integrability_requests),
-        (check_weighted_bound, _weighted_requests),
-        (check_decay_shape, _decay_requests),
-    ]}
+def _run(cls, args: tuple, kwargs: dict, store: Optional[KernelStore]) -> CheckResult:
+    """The declaration given alone in args, or the one args and kwargs build,
+    its requests evolved through the store and then measured."""
+    check = args[0] if len(args) == 1 and not kwargs and isinstance(args[0], cls) \
+        else cls(*args, **kwargs)
+    return check.measure(evolve_all(check.system, check.requests, store), store)
 
 
-def requests_of(check: str, system, **kwargs) -> list:
-    """The evolutions of the call check(system, **kwargs), not run.
+# the public checks: each runs a declaration of the class it names, given
+# alone or built from the same arguments
 
-    check names a check function, such as "check_support".  The arguments
-    are bound to the check's own signature, defaults included, so these are
-    exactly the requests the call runs, and run_plan can run them ahead of
-    it into the store it is given.
-    """
-    signature, requests, names = _PLANNED[check]
-    args = signature.bind(system, **kwargs)
-    args.apply_defaults()
-    return requests(*(args.arguments[name] for name in names))
+def check_domination(*args, store=None, **kwargs) -> CheckResult:
+    return _run(Domination, args, kwargs, store)
+
+
+def check_monotone_in_R(*args, store=None, **kwargs) -> CheckResult:
+    return _run(MonotoneInR, args, kwargs, store)
+
+
+def check_mass_and_positivity(*args, store=None, **kwargs) -> CheckResult:
+    return _run(MassAndPositivity, args, kwargs, store)
+
+
+def check_support(*args, store=None, **kwargs) -> CheckResult:
+    return _run(Support, args, kwargs, store)
+
+
+def check_duality(*args, store=None, **kwargs) -> CheckResult:
+    return _run(Duality, args, kwargs, store)
+
+
+def check_chapman_kolmogorov(*args, store=None, **kwargs) -> CheckResult:
+    return _run(ChapmanKolmogorov, args, kwargs, store)
+
+
+def check_lyapunov_integrability(*args, store=None, **kwargs) -> CheckResult:
+    return _run(LyapunovIntegrability, args, kwargs, store)
+
+
+def check_weighted_bound(*args, store=None, **kwargs) -> CheckResult:
+    return _run(WeightedBound, args, kwargs, store)
+
+
+def check_decay_shape(*args, store=None, **kwargs) -> CheckResult:
+    return _run(DecayShape, args, kwargs, store)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,17 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--config", str(broken), "--out",
                          str(out)]) == 1
 
+    def test_broken_majorant_fails_cold(self, tmp_path):
+        # C_cal comes from the healthy majorant on every run, so a broken
+        # one fails with no earlier run to calibrate against
+        cfg = make_config(tmp_path, verify={"checks": "weighted",
+                                            "majorant_scale": "1e-6"})
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(out)]) == 1
+        assert "check_weighted_bound: fail" in \
+            (out / "verify_summary.txt").read_text()
+
     def test_fresh_runs_are_byte_identical(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": ALL_CHECKS})
         outs = []

@@ -27,7 +27,6 @@ from kernelbound.verify import (
     check_weighted_bound,
     evolve_all,
     heat_weight_image,
-    requests_of,
     results_csv,
     run_plan,
     summary_text,
@@ -874,22 +873,42 @@ class TestPlan:
         for a, b in zip(planned, alone):
             assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
-    def test_requests_of_a_call_take_the_check_defaults(self, tmp_path, monkeypatch):
+    def test_declarations_take_the_check_defaults(self, tmp_path, monkeypatch):
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.125)
-        # theta comes from each check's own signature: 1.0, 0.5, or as given
-        (support,) = requests_of("check_support", fam, k=0, grid=g, t=0.1)
-        decay = requests_of("check_decay_shape", fam, grid=g, t_values=[0.1, 0.2],
-                            x0=0.0, component=1, weight=None, slack=0.4)
-        assert support.theta == 1.0 and [r.theta for r in decay] == [0.5, 0.5]
-        (given,) = requests_of("check_support", fam, k=0, grid=g, t=0.1, theta=0.5)
-        assert given.theta == 0.5
-        with pytest.raises(TypeError):
-            requests_of("check_support", fam, k=0, grid=g, t=0.1, thetta=0.5)
-        # the check then finds every field the plan stored
-        run_plan(fam, [support], KernelStore(tmp_path))
+        # theta comes from each check's own defaults: 1.0, 0.5, or as given
+        support = verify.Support(fam, 0, g, 0.1)
+        decay = verify.DecayShape(fam, g, [0.1, 0.2], 0.0, 1, weight=None, slack=0.4)
+        assert support.requests[0].theta == 1.0
+        assert [r.theta for r in decay.requests] == [0.5, 0.5]
+        assert verify.Support(fam, 0, g, 0.1, theta=0.5).requests[0].theta == 0.5
+        # a declaration builds its requests once, for the plan and the check
+        assert support.requests is support.requests
+        for misspelled in (verify.Support, check_support):
+            with pytest.raises(TypeError):
+                misspelled(fam, k=0, grid=g, t=0.1, thetta=0.5)
+        # the check then finds every field the plan stored, given the
+        # declaration or the same arguments
+        run_plan(fam, support.requests, KernelStore(tmp_path))
         calls = self.count_evolves(monkeypatch)
-        check_support(fam, 0, g, 0.1, store=KernelStore(tmp_path))
+        declared = check_support(support, store=KernelStore(tmp_path))
+        assert check_support(fam, 0, g, 0.1, store=KernelStore(tmp_path)) == declared
+        assert calls == []
+
+    def test_a_measurement_fails_on_a_field_mutated_by_hand(self, monkeypatch):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        domination = verify.Domination(fam, g, 0.1, [(0.0, 0)], n_random=0)
+        calls = self.count_evolves(monkeypatch)
+        coop = np.full((g.n_nodes, 2), 0.5)
+        healthy = [[DiscreteField(g, coop)], [DiscreteField(g, -0.5 * coop)]]
+        assert domination.measure(healthy).status == "pass"
+        # the signed kernel climbs above the cooperative one at one node
+        plain = -0.5 * coop
+        plain[g.node_of(1.0), 1] = 0.75
+        res = domination.measure([[DiscreteField(g, coop)], [DiscreteField(g, plain)]])
+        assert res.status == "fail"
+        assert res.worst == pytest.approx(0.5) and res.location[1:4] == (1.0, 0.0, 1)
         assert calls == []
 
     def test_plan_in_threads_gives_the_serial_bits(self, tmp_path):
