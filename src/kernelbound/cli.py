@@ -457,16 +457,27 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 coarse = [2.0 * spacing, radii[-1] / 2.0]
             if fine is None:
                 fine = [spacing, radii[-1]]
-            checks_run.append(verify.WeightedBound(
-                fam, fwd, s, t_w, srcs, tuple(coarse), tuple(fine), eps_scales,
-                tol["weighted"], dt, width, theta, two_sided, adj,
-                cert_radius=cert_radius,
-                majorant_scale=cfg.get("verify", "majorant_scale")))
             # calibration.txt names the inputs its C_cal comes from
             cal_fp = verify._fingerprint(
                 "calibration", verify.system_fingerprint(fam), s, eps_scales,
                 tuple(t_w), tuple(srcs), tuple(coarse), theta, dt, width,
                 cert_radius, fwd.timed)
+            weighted = verify.WeightedBound(
+                fam, fwd, s, t_w, srcs, tuple(coarse), tuple(fine), eps_scales,
+                tol["weighted"], dt, width, theta, two_sided, adj,
+                cert_radius=cert_radius)
+            scale = cfg.get("verify", "majorant_scale")
+            if scale != 1.0:
+                # every bracket monomial has degree >= s/2 in the ledger
+                # constants, so scaling them by f moves the majorant by at
+                # least f^(s/2); apply that envelope uniformly in time
+                href = {t: H * scale ** (s / 2.0)
+                        for t, H in weighted.majorants(store).items()}
+
+                def override(t, pts, href=href):
+                    return np.full(len(np.atleast_2d(pts)), href[t])
+                weighted = replace(weighted, majorant_override=override)
+            checks_run.append(weighted)
         elif name == "decay":
             e_scale = cfg.get("verify", "decay_eps_scale")
             checks_run.append(verify.DecayShape(

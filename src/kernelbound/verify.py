@@ -9,14 +9,12 @@ used and a fingerprint of its configuration, so repeated runs are comparable
 byte for byte.
 
 Each check is a declaration, a frozen dataclass of its parameters such as
-Domination, and a measurement.  The declaration's requests are the
-Evolution requests it reads: variant, grid, t, resolved step, theta, and
-either point sources, initial data, or, for the second leg of the semigroup
-check, the output of an earlier request.  Its measure method turns their
-outputs into a CheckResult and evolves nothing.  check_domination and its
-siblings take a declaration, or the arguments that build one, and run its
-requests through the executor, evolve_all, before measuring; the verify
-command first hands the requests of every check, and of its plot, to
+Domination, whose requests are the Evolution requests it reads (variant,
+grid, t, resolved step, theta, and point sources, initial data, or the
+output of an earlier request), and whose measure method turns their outputs
+into a CheckResult, evolving nothing.  check_domination and its siblings run
+a declaration, or the one their arguments build, through the executor,
+evolve_all; the verify command first hands every check's requests to
 run_plan.
 The executor drops duplicate requests by store key, sorts the rest by
 (variant, grid, theta, dt), runs each (variant, grid) on one operator
@@ -1003,24 +1001,25 @@ class Support(_Check):
         scale = max(float(np.max(np.abs(col.values))), _TINY)
         per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
                     for h in range(m)]
-        rows = _Rows(0.0, (t, None, y, None, k))
+        worst = 0.0
+        loc = (t, None, y, None, k)
+        samples = []
         min_reach = math.inf
         pts = self.grid.points()
         for h in range(m):
             reachable = h in support.reachable
-            rows.add(t, None, y, h, k, per_comp[h], floor if reachable else tol_null,
-                     score=-math.inf)
+            samples.append({"t": t, "x": None, "y": y, "h": h, "k": k,
+                            "value": per_comp[h], "bound": floor if reachable else tol_null})
             if reachable:
                 min_reach = min(min_reach, per_comp[h])
-            elif per_comp[h] > rows.worst:
+            elif per_comp[h] > worst:
                 node = int(np.argmax(np.abs(col.values[:, h])))
-                rows.worst, rows.loc = per_comp[h], (t, _loc_pt(pts[node], d), y, h, k)
-        worst = rows.worst
+                worst, loc = per_comp[h], (t, _loc_pt(pts[node], d), y, h, k)
         # a reachable component sitting below the floor trips the tolerance too
         if min_reach < floor:
             worst = max(worst, tol_null * floor / max(min_reach, _TINY))
-        return self.result(worst, tol_null, rows.loc,
-                           {"samples": rows.samples, "reachable": sorted(support.reachable),
+        return self.result(worst, tol_null, loc,
+                           {"samples": samples, "reachable": sorted(support.reachable),
                             "levels": [sorted(level) for level in support.levels],
                             "relative_maxima": per_comp, "floor": floor})
 
@@ -1305,15 +1304,14 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
 class WeightedBound(_Check):
     """Weighted kernel suprema stay calibrated under mesh and box refinement.
 
-    The ratio w(t, y) sum_k |p_hk(t, x, y)| / H over every source and node
-    of the coarse (spacing, radius) pair, with the healthy majorant H,
+    The ratio w(t, y) sum_k |p_hk(t, x, y)| / H is computed over every
+    source and node of the coarse (spacing, radius) pair; its supremum
     calibrates C_cal unless one is supplied.  The same supremum on the fine
-    pair, against the majorant under test, must then stay within (1 + tol)
-    of the calibration.  The majorant under test is H, unless
-    majorant_scale scales the ledger constants, or majorant_override(t,
-    points) replaces it, to probe deliberately broken majorants; neither
-    touches the calibration.  two_sided adds the symmetrized ratio
-    sqrt(w(t, y) w*(t, x)) / sqrt(H H*) built from the adjoint synthesis.
+    pair must then stay within (1 + tol) of the calibration.  two_sided adds
+    the symmetrized ratio sqrt(w(t, y) w*(t, x)) / sqrt(H H*) built from the
+    adjoint synthesis.  majorant_override(t, points) replaces H on the fine
+    pair for probing deliberately broken majorants; the calibration always
+    uses the healthy H.
     """
 
     name = "check_weighted_bound"
@@ -1334,7 +1332,6 @@ class WeightedBound(_Check):
     C_cal: Optional[float] = None
     majorant_override: Optional[Callable] = field(default=None, compare=False)
     cert_radius: float = SAMPLE_RADIUS
-    majorant_scale: float = 1.0
 
     def __post_init__(self):
         if self.two_sided and self.adjoint_synthesis is None:
@@ -1351,29 +1348,25 @@ class WeightedBound(_Check):
                 for spacing, radius in (self.coarse, self.fine)
                 for t in self.t_values for y in self.sources]
 
+    def majorants(self, store: Optional[KernelStore] = None, adjoint: bool = False) -> dict:
+        """The healthy majorant H, or H* of the adjoint synthesis, at each
+        time, with the ledgers and certificates as records in the store."""
+        synthesis = self.adjoint_synthesis if adjoint else self.synthesis
+        calibrated = calibrate_majorant(self.system, synthesis, self.eps_scales,
+                                        self.cert_radius, store)
+        return {t: weighted_majorant(self.system, synthesis, self.s, t, self.eps_scales,
+                                     adjoint=adjoint, cert_radius=self.cert_radius,
+                                     calibrated=calibrated, store=store)[1]
+                for t in self.t_values}
+
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
-        system, s, eps_scales = self.system, self.s, self.eps_scales
-        d, m = system.dims.d, system.dims.m
-        two_sided, adj = self.two_sided, self.adjoint_synthesis
+        d, m = self.system.dims.d, self.system.dims.m
+        two_sided, adj, scale0 = self.two_sided, self.adjoint_synthesis, self.eps_scales[0]
         timed = self.synthesis.timed
-        w = timed.weight(eps_scales[0] * timed.eps_T)
-        wstar = adj.timed.weight(eps_scales[0] * adj.timed.eps_T) if two_sided else None
-        calibrated = calibrate_majorant(system, self.synthesis, eps_scales, self.cert_radius,
-                                        store)
-        if two_sided:
-            calibrated_star = calibrate_majorant(system, adj, eps_scales, self.cert_radius,
-                                                 store)
-        majorants = {}
-        for t in self.t_values:
-            _, H = weighted_majorant(system, self.synthesis, s, t, eps_scales,
-                                     adjoint=False, cert_radius=self.cert_radius,
-                                     calibrated=calibrated, store=store)
-            Hstar = None
-            if two_sided:
-                _, Hstar = weighted_majorant(system, adj, s, t, eps_scales, adjoint=True,
-                                             cert_radius=self.cert_radius,
-                                             calibrated=calibrated_star, store=store)
-            majorants[t] = (H, Hstar)
+        w = timed.weight(scale0 * timed.eps_T)
+        wstar = adj.timed.weight(scale0 * adj.timed.eps_T) if two_sided else None
+        H_of = self.majorants(store)
+        Hstar_of = self.majorants(store, adjoint=True) if two_sided else {}
 
         def sweep(pair, columns, tested):
             # one pair's columns, in request order: by time and source
@@ -1385,15 +1378,9 @@ class WeightedBound(_Check):
             sup2 = 0.0
             rows = _Rows(0.0)
             for t in self.t_values:
-                H, Hstar = majorants[t]
-                denom = H
+                H = denom = H_of[t]
                 if tested and self.majorant_override is not None:
                     denom = np.asarray(self.majorant_override(t, pts), dtype=float)[:, None]
-                elif tested and self.majorant_scale != 1.0:
-                    # every bracket monomial has degree >= s/2 in the ledger
-                    # constants, so scaling them by f moves the majorant by
-                    # at least f^(s/2); apply that envelope uniformly
-                    denom = H * self.majorant_scale ** (s / 2.0)
                 for y in self.sources:
                     total = np.zeros((grid.n_nodes, m))
                     for col in next(columns):
@@ -1403,7 +1390,7 @@ class WeightedBound(_Check):
                     rows.add(t, x, _loc_pt(y, d), h, None, val, H)
                     if two_sided:
                         wx = np.exp(0.5 * np.asarray(wstar.log_value(t, at, d)))
-                        r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar)
+                        r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar_of[t])
                         sup2 = max(sup2, float(np.max(r2)))
             return rows, sup2
 
@@ -1422,7 +1409,7 @@ class WeightedBound(_Check):
                            {"samples": coarse.samples + fine.samples, "C_cal": cal,
                             "sup_coarse": sup_c, "sup_fine": sup_f,
                             "sup2_coarse": sup2_c, "sup2_fine": sup2_f,
-                            "majorants": {t: hh[0] for t, hh in majorants.items()}})
+                            "majorants": H_of})
 
 
 @dataclass(frozen=True, eq=False)

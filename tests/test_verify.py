@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 
@@ -795,6 +796,27 @@ class TestReporting:
                           tol_null=1e-9)
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
+
+    def test_equal_declarations_share_a_fingerprint_across_processes(self):
+        fam = headline_family()
+        syn = synth_poly(fam, 1.0)
+        args = (fam, syn, 4.0, (0.25,), (0.0,), (1.0 / 8, 4.0), (1.0 / 8, 8.0))
+        plain = verify.WeightedBound(*args)
+        # a callable has no stable text, so it is left out
+        probed = verify.WeightedBound(*args, majorant_override=lambda t, pts: 1.0)
+        assert probed.fingerprint == plain.fingerprint
+        assert verify.WeightedBound(*args, tol=0.2).fingerprint != plain.fingerprint
+        code = ("from kernelbound.coefficients import diagonal_family\n"
+                "from kernelbound.lyapunov import synth_poly\n"
+                "from kernelbound.verify import WeightedBound\n"
+                "fam = diagonal_family('polynomial', 1, 2, beta=1.0,\n"
+                "    theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])\n"
+                "print(WeightedBound(fam, synth_poly(fam, 1.0), 4.0, (0.25,), (0.0,),\n"
+                "    (1.0 / 8, 4.0), (1.0 / 8, 8.0)).fingerprint)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == plain.fingerprint
 
     def test_line_mentions_worst_and_location(self):
         res = self._two_results()[0]
