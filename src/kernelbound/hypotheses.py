@@ -236,7 +236,16 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_
             tol = 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0
             if not (hi >= lo - tol):
                 certified = False
-    method = f"grid-infimum(radius={radius:g}, per_axis={n})" \
+    return row_sum_bound_of(M, certified, radius, n)
+
+
+def row_sum_bound_of(M: float, certified: bool, radius: float, per_axis: int) -> RowSumBound:
+    """The bound compute_row_sum_bound returns for its radius and points per
+    axis, from the infimum M and the tail verdict it measured.
+
+    A store that keeps only those two numbers rebuilds the bound here.
+    """
+    method = f"grid-infimum(radius={radius:g}, per_axis={per_axis})" \
         + (", tail certified nondecreasing" if certified else ", tail NOT certified")
     return RowSumBound(M=M, method=method, certified_tail=certified)
 

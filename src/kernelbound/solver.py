@@ -35,8 +35,10 @@ Factorizations use SuperLU with the minimum-degree ordering of A^T + A
 (MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
 the 2-D grids it needs less than half the L+U fill of the default COLAMD
 ordering.  A step can carry several columns at once (values of shape
-(n_nodes, m, c)), so one triangular solve serves all of them; the residual
-tolerance still holds per column.  Kernel columns are semigroup images of mollified point
+(n_nodes, m, c)).  An evolution looks its factorization up once per step
+size; each step then makes one triangular solve for all columns, and one
+residual per column, formed in place and held to a tolerance scaled by that
+column's right-hand side.  Kernel columns are semigroup images of mollified point
 sources (discrete Gaussians with unit discrete mass).  Fields round-trip
 through a small binary format and CSV, both byte-stable for identical
 inputs; binary writes are atomic.
@@ -175,16 +177,6 @@ class DiscreteField:
             n1 = self.grid.n_per_axis
             return out.reshape(n1, n1)
         return out
-
-
-def discrete_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """h^d-weighted inner product summed over nodes and components."""
-    return float(grid.spacing ** grid.d * np.sum(np.asarray(a) * np.asarray(b)))
-
-
-def discrete_mass(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """h^d-weighted integral of each component, shape (m,)."""
-    return grid.spacing ** grid.d * np.asarray(values).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +323,6 @@ def default_dt(t: float, spacing: float) -> float:
     return min(t / 64.0, spacing)
 
 
-def _column_max_abs(a: np.ndarray):
-    """max |a| per column (a scalar for a vector).
-
-    Columns are made contiguous first: numpy reduces a narrow C-ordered
-    array along axis 0 about 30 times slower than a Fortran-ordered one.
-    """
-    return np.max(np.abs(np.asfortranarray(a)), axis=0)
-
-
 try:  # glibc only; elsewhere freed memory is left to the allocator
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _malloc_trim.argtypes = [ctypes.c_size_t]
@@ -438,25 +421,33 @@ class OperatorHandle:
         self._lu = (key, (lu, M1.tocsr(), M0))
         return self._lu[1]
 
-    def _step(self, u: np.ndarray, theta: float, dt: float) -> np.ndarray:
+    def _steps(self, u: np.ndarray, theta: float, dt: float, count: int) -> np.ndarray:
+        """count theta steps of size dt from u, one solve per step for all columns.
+
+        The residual is checked per column, so a large column cannot hide a
+        bad small one.  Products with M0 and M1 go column by column: lu.solve
+        returns Fortran order, and SciPy copies such a block before a
+        multi-column product, which then costs about twice what the
+        single-column products do, with the same bits.
+        """
         lu, M1, M0 = self._factor(theta, dt)
-        rhs = M0 @ u if M0 is not None else u
-        out = lu.solve(rhs)
-        # per column, so a large column cannot hide a bad small one.  One
-        # product per column: lu.solve returns Fortran order, and SciPy
-        # copies such a block before a multi-column product, which then
-        # costs about twice what the single-column products do
-        cols, rhs_cols = out.reshape(len(out), -1), rhs.reshape(len(rhs), -1)
-        resid = np.array([np.max(np.abs(M1 @ cols[:, j] - rhs_cols[:, j]))
-                          for j in range(cols.shape[1])])
-        allowed = _RESIDUAL_TOL * np.maximum(1.0, _column_max_abs(rhs))
-        bad = ~(resid <= allowed)  # also true for nan
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            where = f" in column {j}" if u.ndim == 2 else ""
-            raise SolveError(f"step residual {float(np.ravel(resid)[j]):.3g} "
-                             f"exceeds tolerance{where}")
-        return out
+        n = len(u)
+        for _ in range(count):
+            if M0 is None:
+                rhs = u
+            else:
+                rhs = np.empty_like(u, order="F")
+                for b, v in zip(rhs.reshape(n, -1).T, u.reshape(n, -1).T):
+                    b[:] = M0 @ v
+            u = lu.solve(rhs)
+            for j, (b, v) in enumerate(zip(rhs.reshape(n, -1).T, u.reshape(n, -1).T)):
+                r = M1 @ v
+                r -= b
+                resid = float(np.abs(r, out=r).max())
+                if not resid <= _RESIDUAL_TOL * max(1.0, float(np.abs(b).max())):
+                    where = f" in column {j}" if u.ndim == 2 else ""
+                    raise SolveError(f"step residual {resid:.3g} exceeds tolerance{where}")
+        return u
 
     def evolve(self, values: np.ndarray, t: float, dt: Optional[float] = None,
                theta: float = 0.5) -> tuple[np.ndarray, dict]:
@@ -481,11 +472,9 @@ class OperatorHandle:
         rem = t - full * dt
         if rem <= 1e-12 * max(1.0, t):
             rem = 0.0
-        u = self._flat(values).copy()
-        for _ in range(full):
-            u = self._step(u, theta, dt)
+        u = self._steps(self._flat(values), theta, dt, full)
         if rem > 0.0:
-            u = self._step(u, theta, rem)
+            u = self._steps(u, theta, rem, 1)
         if not np.all(np.isfinite(u)):
             raise SolveError("evolution produced non-finite values")
         meta = {"variant": self.variant, "theta": theta, "dt": dt,

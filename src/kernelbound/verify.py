@@ -28,13 +28,15 @@ compute nothing.
 
 The constants the weighted and integrability checks rest on go through the
 store too, as records: the two grid sups of each Lyapunov certificate
-(stored_certificate) and the eight sups, edge flags and M of each constants
-ledger (weighted_majorant), kept as float.hex text in .kbr files and
-rebuilt by the functions verify_certificate and estimate_ledger build them
-with, so a stored constant has the bits of a computed one.  A record's key
-covers the system, every field of the specs and weights, the radius and
-points per axis, s, the window, the sample plan, adjoint, the inner window
-and RECORD_VERSION.  So a rerun against the same store recomputes nothing.
+(stored_certificate), the eight sups, edge flags and M of each constants
+ledger (weighted_majorant), and the row-sum bound M and its tail verdict,
+by which the mass check bounds the decay, kept as float.hex text in .kbr
+files and rebuilt by the functions verify_certificate, estimate_ledger and
+compute_row_sum_bound build them with, so a stored constant has the bits of
+a computed one.  A record's key covers the system, every field of the specs
+and weights, the radius and points per axis, s, the window, the sample plan,
+adjoint, the inner window and RECORD_VERSION.  So a rerun against the same
+store recomputes nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .bounds import ConstantsLedger, eval_H
 from .coefficients import CouplingSupport, _FamilyBase, operator_spec_of
 from .errors import DomainError, KernelBoundError
 from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimate_ledger,
-                         ledger_of)
+                         ledger_of, row_sum_bound_of)
 from .lyapunov import (SAMPLE_RADIUS, CertificateReport, LyapunovSpec, RadialPoints,
                        SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
@@ -321,6 +323,26 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                       _points_per_axis(d), adjoint, inner)
     nums = store.record(key, numbers)
     return ledger_of(d, s, window, inner, nums[:8], nums[8:16], nums[16])
+
+
+def _stored_row_sum(system, radius: float, store: Optional[KernelStore]) -> RowSumBound:
+    """compute_row_sum_bound(system, radius=radius), with M and the tail verdict
+    kept in the store as a record.
+
+    The record key covers the system, the radius and the points per axis.
+    The bound is rebuilt from the two numbers by row_sum_bound_of, as
+    compute_row_sum_bound builds it.
+    """
+    if store is None:
+        return compute_row_sum_bound(system, radius=radius)
+
+    def numbers():
+        row = compute_row_sum_bound(system, radius=radius)
+        return row.M, row.certified_tail
+
+    n = _points_per_axis(system.dims.d)
+    M, certified = store.record(_record_key("row_sum", system, radius, n), numbers)
+    return row_sum_bound_of(M, bool(certified), radius, n)
 
 
 def _center(point, d: int) -> np.ndarray:
@@ -931,10 +953,8 @@ class MassAndPositivity(_Check):
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         grid, m, tol, pos_tol = self.grid, self.system.dims.m, self.tol, self.pos_tol
-        row = self.row
-        if row is None:
-            row = compute_row_sum_bound(self.system,
-                                        radius=max(SAMPLE_RADIUS, 2.0 * grid.radius))
+        row = self.row or _stored_row_sum(self.system, max(SAMPLE_RADIUS, 2.0 * grid.radius),
+                                          store)
         sqm = math.sqrt(m)
         pts = grid.points()
         *runs, cols = outputs

@@ -4,7 +4,10 @@ eval_operator applies the system operator pointwise to a smooth field given
 by its jet, an independent route to the values the assembled generators and
 the Lyapunov certificates compute.  kernel_matrix evolves the whole kernel
 ensemble of a small validation grid, and apply_kernel_to_function applies
-the semigroup to sampled initial data.
+the semigroup to sampled initial data.  theta_steps is the plain theta loop
+whose bits OperatorHandle.evolve must reproduce, and discrete_inner and
+discrete_mass are the h^d-weighted sums the duality and mollifier tests
+compare.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from kernelbound.coefficients import VARIANTS, OperatorSpec, eval_VP
 from kernelbound.errors import (BudgetError, DimensionMismatchError,
                                 NonFiniteError)
-from kernelbound.solver import DiscreteField, OperatorHandle, mollified_source
+from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, mollified_source
 
 
 @dataclass(frozen=True)
@@ -123,3 +126,31 @@ def apply_kernel_to_function(handle: OperatorHandle, t: float, values: np.ndarra
     """Semigroup applied to sampled initial data (the kernel-quadrature limit)."""
     vals, meta = handle.evolve(values, t, dt=dt, theta=theta)
     return DiscreteField(handle.grid, vals, time=t, meta=meta)
+
+
+def theta_steps(handle: OperatorHandle, values: np.ndarray, theta: float,
+                steps: Sequence[float]) -> np.ndarray:
+    """The values after theta steps of the given sizes: per step a
+    multi-vector product with I + (1 - theta) dt A and one SuperLU solve with
+    I - theta dt A, factored as the handle factors it, with no checks."""
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
+    A = handle.matrix
+    eye = sparse.identity(A.shape[0], format="csr")
+    u = np.asarray(values, dtype=float)
+    u = u.reshape((A.shape[0],) + u.shape[2:])
+    for dt in steps:
+        lu = sparse_linalg.splu((eye - theta * dt * A).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        u = lu.solve(u if theta == 1.0 else (eye + (1.0 - theta) * dt * A).tocsr() @ u)
+    return u.reshape(np.shape(values))
+
+
+def discrete_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """h^d-weighted inner product summed over nodes and components."""
+    return float(grid.spacing ** grid.d * np.sum(np.asarray(a) * np.asarray(b)))
+
+
+def discrete_mass(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """h^d-weighted integral of each component, shape (m,)."""
+    return grid.spacing ** grid.d * np.asarray(values).sum(axis=0)

@@ -267,6 +267,17 @@ class TestSolveCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_exp1d_stops_on_the_step_residual(self, tmp_path, capsys):
+        # ROADMAP item 2: the integrability check evolves exp(log nu), which
+        # overflows on exp1d's larger radii, so a step's residual reads NaN;
+        # until that item lands, the run must stop on the solver's message
+        assert cli.main(["verify", "--config", str(BENCH_CONFIGS / "exp1d.cfg"),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: step residual nan exceeds tolerance in column 0\n")
+
     def test_full_check_list_passes(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": ALL_CHECKS})
         out = tmp_path / "out"
@@ -405,7 +416,8 @@ class TestVerifyCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         records = [{p.name: p.read_bytes() for p in (out / "store").glob("*.kbr")}
                    for out in outs]
-        assert len(records[0]) == 4 and records[0] == records[1]
+        # three certificates, the ledger and the mass check's row-sum bound
+        assert len(records[0]) == 5 and records[0] == records[1]
 
     def test_svg_artifacts_are_polyline_documents(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": "mass"})
@@ -502,8 +514,9 @@ class TestVerifyCommand:
                          str(out)]) == 0
         after = len(list((out / "store").iterdir()))
         # duality reuses the two solved forward columns; adjoint and mass
-        # columns, and mass's three all-ones runs, are the only additions
-        assert before == 2 and after == 9
+        # columns, mass's three all-ones runs and its row-sum record are the
+        # only additions
+        assert before == 2 and after == 10
 
 
 class TestVerifyPlan:
@@ -702,6 +715,26 @@ class TestVerifyRecords:
         assert cli.main(args) == 0
         for name, blob in cold.items():
             assert (tmp_path / "out" / name).read_bytes() == blob
+
+    def test_rerun_computes_no_row_sum_bound(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path, **TWO_D)
+        out = tmp_path / "out"
+        args = ["verify", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(args) == 0
+        cold = {name: (out / name).read_bytes()
+                for name in ("verify_summary.txt", "verify_results.csv")}
+        calls = []
+        real = verify.compute_row_sum_bound
+        monkeypatch.setattr(verify, "compute_row_sum_bound",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert cli.main(args) == 0
+        assert calls == []
+        for name, blob in cold.items():
+            assert (out / name).read_bytes() == blob
+        changed = make_config(tmp_path, name="changed.cfg",
+                              family={"gamma": "3 1; 1 3"}, **TWO_D)
+        cli.main(["verify", "--config", str(changed), "--out", str(out)])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("update, certificates, ledgers", [
         # every record: the timed certificate, integrability's and nu1's

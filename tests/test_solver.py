@@ -19,8 +19,6 @@ from kernelbound.solver import (
     GridSpec,
     OperatorHandle,
     assemble_generator,
-    discrete_inner,
-    discrete_mass,
     field_from_bytes,
     field_to_bytes,
     field_to_csv,
@@ -31,8 +29,8 @@ from kernelbound.solver import (
     save_field,
 )
 
-from oracles import (FieldJet, apply_kernel_to_function, eval_operator,
-                     kernel_matrix)
+from oracles import (FieldJet, apply_kernel_to_function, discrete_inner, discrete_mass,
+                     eval_operator, kernel_matrix, theta_steps)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
@@ -432,6 +430,81 @@ class TestBatchedEvolve:
             handle.evolve(np.ones((g.n_nodes, 2, 3)), 0.1)
         with pytest.raises(DomainError):
             handle.evolve(np.ones((g.n_nodes, 1, 2, 2)), 0.1)
+
+
+class _NanInColumn:
+    """SuperLU stand-in that writes NaN into one column of every solve, or
+    into the whole vector of a single-column solve; it counts its calls."""
+
+    def __init__(self, lu, column, calls):
+        self._lu = lu
+        self._column = column
+        self._calls = calls
+
+    def solve(self, rhs):
+        self._calls.append(rhs.shape)
+        out = self._lu.solve(rhs)
+        if self._column is not None:
+            out[..., self._column] = np.nan
+        return out
+
+
+class TestThetaSteps:
+    @staticmethod
+    def patch_solve(monkeypatch, column=None):
+        real_splu = sparse_linalg.splu
+        calls = []
+        monkeypatch.setattr(sparse_linalg, "splu",
+                            lambda *a, **kw: _NanInColumn(real_splu(*a, **kw), column, calls))
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_evolve_has_the_bits_of_the_plain_theta_loop(self, d, theta, columns):
+        g = GridSpec(d, 1.5, 0.125)
+        handle = OperatorHandle(coupled_family(d), g, "P")
+        shape = (g.n_nodes, 2) + ((columns,) if columns > 1 else ())
+        u0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=shape)
+        t, dt = 0.3, 0.04
+        out, meta = handle.evolve(u0, t, dt=dt, theta=theta)
+        # 7 full steps and a trailing partial step
+        assert meta["steps"] == 8
+        expected = theta_steps(handle, u0, theta, [dt] * 7 + [t - 7 * dt])
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_one_solve_per_step_for_all_columns(self, monkeypatch, theta):
+        calls = self.patch_solve(monkeypatch)
+        g = GridSpec(1, 2.0, 0.125)
+        handle = OperatorHandle(coupled_family(1), g, "P")
+        _, meta = handle.evolve(np.ones((g.n_nodes, 2, 3)), 0.3, dt=0.04, theta=theta)
+        assert meta["steps"] == 8 and meta["final_step"] == pytest.approx(0.02)
+        assert calls == [(2 * g.n_nodes, 3)] * 8
+
+    def test_nan_in_a_column_names_the_column(self, monkeypatch):
+        self.patch_solve(monkeypatch, column=1)
+        g = GridSpec(1, 2.0, 0.125)
+        handle = OperatorHandle(coupled_family(1), g, "P")
+        with pytest.raises(SolveError,
+                           match="^step residual nan exceeds tolerance in column 1$"):
+            handle.evolve(np.ones((g.n_nodes, 2, 3)), 0.1, dt=0.05, theta=1.0)
+
+    def test_nan_in_a_single_evolve_names_no_column(self, monkeypatch):
+        self.patch_solve(monkeypatch, column=slice(None))
+        g = GridSpec(1, 2.0, 0.125)
+        handle = OperatorHandle(coupled_family(1), g, "P")
+        with pytest.raises(SolveError, match="^step residual nan exceeds tolerance$"):
+            handle.evolve(np.ones((g.n_nodes, 2)), 0.1, dt=0.05, theta=1.0)
+
+
+# The kernel store keys every field by SOLVER_VERSION.  A change that moves a
+# bit of an evolved field must bump solver.SOLVER_VERSION, and the pin below,
+# in the same diff, so fields stored before it are recomputed rather than read
+# back; the theta-loop oracle above sees such a move on its grids.
+def test_solver_version_is_pinned():
+    assert solver.SOLVER_VERSION == 2
 
 
 class TestDuality:

@@ -513,6 +513,14 @@ class TestMassAndPositivity:
         assert res.status == "fail"
         assert res.worst > res.tolerance
 
+    def test_explicit_row_wins_over_the_stored_bound(self):
+        fam, g, store = headline_family(), GridSpec(1, 6.0, 1.0 / 8), KernelStore()
+        stored = check_mass_and_positivity(fam, g, t_values=(1.0,), store=store)
+        assert stored.passed and stored.details["M"] == pytest.approx(0.5, abs=1e-6)
+        fake = RowSumBound(M=3.0, method="manual", certified_tail=False)
+        res = check_mass_and_positivity(fam, g, t_values=(1.0,), row=fake, store=store)
+        assert res.status == "fail" and res.details["M"] == 3.0
+
 
 class TestSupport:
     def test_chain_start_stays_confined(self):
