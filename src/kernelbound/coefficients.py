@@ -91,9 +91,6 @@ class OperatorSpec:
     R: Callable[[int, np.ndarray], np.ndarray]
     divb: Callable[[int, np.ndarray], np.ndarray]
 
-    def VP(self, x: np.ndarray) -> np.ndarray:
-        return eval_VP(self.V(x))
-
 
 def _fd_jacobian_of_Q(Q: Callable[[int, np.ndarray], np.ndarray], d: int):
     """Finite-difference fallback for R^h when no analytic derivative is given."""

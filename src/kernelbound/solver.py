@@ -38,10 +38,12 @@ ordering.  A step can carry several columns at once (values of shape
 (n_nodes, m, c)).  An evolution looks its factorization up once per step
 size; each step then makes one triangular solve for all columns, and one
 residual per column, formed in place and held to a tolerance scaled by that
-column's right-hand side.  Kernel columns are semigroup images of mollified point
-sources (discrete Gaussians with unit discrete mass).  Fields round-trip
-through a small binary format and CSV, both byte-stable for identical
-inputs; binary writes are atomic.
+column's right-hand side.  Kernel columns are semigroup images of mollified
+point sources (mollified_source: discrete Gaussians with unit discrete
+mass); verify's plan evolves the m sources of a center as one batch, through
+its store, which is the only way the package evolves them.  Fields
+round-trip through a small binary format and CSV, both byte-stable for
+identical inputs; binary writes are atomic.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ DEFAULT_BUDGET = 4_000_000
 _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 # Version of the binary field format (the KBF header); store keys carry it too.
 FIELD_FORMAT_VERSION = 1
 
@@ -170,13 +172,6 @@ class DiscreteField:
     @property
     def m(self) -> int:
         return self.values.shape[1]
-
-    def component(self, k: int) -> np.ndarray:
-        out = self.values[:, k]
-        if self.grid.d == 2:
-            n1 = self.grid.n_per_axis
-            return out.reshape(n1, n1)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +392,6 @@ class OperatorHandle:
                 f"({self.grid.n_nodes}, {self.m}, columns), got {v.shape}")
         return v.reshape(-1) if v.ndim == 2 else v.reshape(-1, v.shape[2])
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """One matvec with the generator, shape preserved."""
-        return np.asarray(self.matrix @ self._flat(values)).reshape(np.shape(values))
-
     def _factor(self, theta: float, dt: float):
         key = (float(theta), float(dt))
         if self._lu is not None and self._lu[0] == key:
@@ -484,7 +475,7 @@ class OperatorHandle:
 
 
 # ---------------------------------------------------------------------------
-# kernel access
+# point sources
 # ---------------------------------------------------------------------------
 
 def mollified_source(grid: GridSpec, m: int, center, component: int,
@@ -506,35 +497,6 @@ def mollified_source(grid: GridSpec, m: int, center, component: int,
     out = np.zeros((grid.n_nodes, m))
     out[:, component] = g / mass
     return out
-
-
-def kernel_columns(handle: OperatorHandle, t: float, sources,
-                   width: Optional[float] = None, dt: Optional[float] = None,
-                   theta: float = 0.5) -> list:
-    """Kernel columns for several (center, component) sources, one batched evolve.
-
-    Each column holds all components at time t sourced at (center,
-    component); the result lists them in the order of sources.
-    """
-    g = handle.grid
-    w = 2.0 * g.spacing if width is None else float(width)
-    srcs = np.stack([mollified_source(g, handle.m, center, k, w)
-                     for center, k in sources], axis=-1)
-    vals, meta = handle.evolve(srcs, t, dt=dt, theta=theta)
-    out = []
-    for j, (center, k) in enumerate(sources):
-        src = tuple(np.asarray(center, dtype=float).reshape(g.d))
-        out.append(DiscreteField(g, np.ascontiguousarray(vals[:, :, j]), time=t,
-                                 meta=dict(meta, source=src, source_component=k,
-                                           mollifier_width=w)))
-    return out
-
-
-def kernel_column(handle: OperatorHandle, t: float, center, component: int,
-                  width: Optional[float] = None, dt: Optional[float] = None,
-                  theta: float = 0.5) -> DiscreteField:
-    """Column of the kernel: all components at time t sourced at (center, component)."""
-    return kernel_columns(handle, t, [(center, component)], width, dt, theta)[0]
 
 
 # ---------------------------------------------------------------------------

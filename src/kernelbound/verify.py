@@ -16,15 +16,18 @@ into a CheckResult, evolving nothing.  check_domination and its siblings run
 a declaration, or the one their arguments build, through the executor,
 evolve_all; the verify command first hands every check's requests to
 run_plan.
-The executor drops duplicate requests by store key, sorts the rest by
-(variant, grid, theta, dt), runs each (variant, grid) on one operator
-handle, made on the first store miss, so every operator is built once and
-every step size factored once, and releases the handle's LU when its last
-request is done.  Requests are never merged into wider batches: each keeps
-the batch it had when its check ran alone, so every column has the same
-bits whether a check runs alone, in the plan, or in a thread.  Given a
-kernel store, every evolution goes through it, so after run_plan the checks
-compute nothing.
+The executor computes every store key when it plans, a second stage's
+from the keys of the stage it continues, so it hashes no output.  It drops
+duplicate requests by store key, sorts the rest by (variant, grid, theta,
+dt), runs each (variant, grid) on one operator handle, made on the first
+store miss, so every operator is built once and every step size factored
+once, and releases the handle's LU when its last request is done.  Every
+batch takes one path through the store, whose first miss evolves it once.
+Requests are never merged into wider batches: each keeps the batch it had
+when its check ran alone, so every column has the same bits whether a
+check runs alone, in the plan, or in a thread.  Every evolution goes
+through a kernel store, one in memory for the call when none is given, so
+after run_plan the checks compute nothing.
 
 The constants the weighted and integrability checks rest on go through the
 store too, as records: the two grid sups of each Lyapunov certificate
@@ -63,7 +66,7 @@ from .lyapunov import (SAMPLE_RADIUS, CertificateReport, LyapunovSpec, RadialPoi
                        SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
 from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField,
-                     GridSpec, OperatorHandle, default_dt, kernel_columns, load_field,
+                     GridSpec, OperatorHandle, default_dt, load_field, mollified_source,
                      release_freed_memory, save_field, write_atomic)
 
 __all__ = [
@@ -75,7 +78,7 @@ __all__ = [
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
     "check_decay_shape", "calibrate_majorant", "weighted_majorant",
-    "heat_weight_image", "results_csv", "summary_text",
+    "results_csv", "summary_text",
 ]
 
 _TINY = 1e-300
@@ -284,10 +287,10 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     The record key covers the system, every field of lyap, the radius and
     the grid's points per axis.  The report is rebuilt from the sups by
     certificate_report, as verify_certificate builds it, so a stored
-    certificate has the bits of a computed one.
+    certificate has the bits of a computed one.  Without a store the record
+    goes to a KernelStore in memory, made for the call.
     """
-    if store is None:
-        return verify_certificate(system, lyap, radius=radius)
+    store = KernelStore() if store is None else store
 
     def sups():
         report = verify_certificate(system, lyap, radius=radius)
@@ -299,7 +302,7 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
 
 def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                    nu2: SpaceTimeWeight, s: float, window: tuple, adjoint: bool,
-                   inner: tuple, store: Optional[KernelStore]) -> ConstantsLedger:
+                   inner: tuple, store: KernelStore) -> ConstantsLedger:
     """estimate_ledger of the arguments, with its eight sups, their edge flags
     and M kept in the store as a record.
 
@@ -308,14 +311,8 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
     The ledger is rebuilt from the numbers by ledger_of, as estimate_ledger
     builds it.
     """
-    def ledger() -> ConstantsLedger:
-        return estimate_ledger(system, w, nu1, nu2, s, window, adjoint=adjoint, inner=inner)
-
-    if store is None:
-        return ledger()
-
     def numbers():
-        led = ledger()
+        led = estimate_ledger(system, w, nu1, nu2, s, window, adjoint=adjoint, inner=inner)
         return (*led.c, *led.boundary_flags, led.M)
 
     d = system.dims.d
@@ -325,7 +322,7 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
     return ledger_of(d, s, window, inner, nums[:8], nums[8:16], nums[16])
 
 
-def _stored_row_sum(system, radius: float, store: Optional[KernelStore]) -> RowSumBound:
+def _stored_row_sum(system, radius: float, store: KernelStore) -> RowSumBound:
     """compute_row_sum_bound(system, radius=radius), with M and the tail verdict
     kept in the store as a record.
 
@@ -333,9 +330,6 @@ def _stored_row_sum(system, radius: float, store: Optional[KernelStore]) -> RowS
     The bound is rebuilt from the two numbers by row_sum_bound_of, as
     compute_row_sum_bound builds it.
     """
-    if store is None:
-        return compute_row_sum_bound(system, radius=radius)
-
     def numbers():
         row = compute_row_sum_bound(system, radius=radius)
         return row.M, row.certified_tail
@@ -406,49 +400,6 @@ class Evolution:
         """_data_digest of the data, computed once per request."""
         return _data_digest(self.data)
 
-    def digest_after(self, sys_fp: str, data: np.ndarray) -> str:
-        """For a second stage: _data_digest of data, the output of the request
-        after for the system sys_fp, computed once per request and system.
-
-        That output has the same bits whichever run produced it, so the
-        plan and the check that declared the request share one digest.
-        """
-        # a frozen dataclass: kept in the instance dict, as cached_property does
-        known = vars(self).setdefault("_digests_after", {})
-        if sys_fp not in known:
-            known[sys_fp] = _data_digest(data)
-        return known[sys_fp]
-
-
-def _center_batch(store, sys_fp: str, variant: str, grid: GridSpec, m: int,
-                  t: float, center: tuple, components, w: float, step: float,
-                  theta: float, handle_of: Callable[[], OperatorHandle]) -> dict:
-    """Kernel columns at one center, by component, routed through the store.
-
-    Each component is one store entry, under a key of the system, variant,
-    grid, t, center, component, width, step and theta.  A miss evolves all
-    m components of the center in one batch, shared by the other misses, so
-    a column has the same bits whichever components a caller asked for
-    first.
-    """
-    for k in components:
-        if not 0 <= k < m:
-            raise DomainError(f"component {k} outside 0..{m - 1}")
-    batch = []
-
-    def build(k: int) -> DiscreteField:
-        if not batch:
-            batch.extend(kernel_columns(handle_of(), t, [(center, h) for h in range(m)],
-                                        width=w, dt=step, theta=theta))
-        return batch[k]
-
-    if store is None:
-        return {k: build(k) for k in components}
-    return {k: store.get_or_compute(
-                _column_key(sys_fp, variant, grid, t, center, k, w, step, theta),
-                lambda k=k: build(k))
-            for k in components}
-
 
 def _column_key(sys_fp: str, variant: str, grid: GridSpec, t: float, center: tuple,
                 k: int, w: float, step: float, theta: float) -> StoreKey:
@@ -470,36 +421,6 @@ def _data_digest(data: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _data_batch(store, sys_fp: str, variant: str, grid: GridSpec, t: float,
-                data: np.ndarray, step: float, theta: float,
-                handle_of: Callable[[], OperatorHandle], digest: str) -> np.ndarray:
-    """Evolved data, routed through the store.
-
-    data has shape (n_nodes, m) or (n_nodes, m, c).  Each column is one
-    store entry, keyed by the data itself (digest, _data_digest(data), plus
-    the column index) next to the system, variant, grid, t, step and theta.
-    A miss evolves the whole batch, so a column has the same bits whichever
-    columns were stored before.  The entries are read by a single check, so
-    they are not shared: with a directory they go to disk only.
-    """
-    if store is None:
-        return handle_of().evolve(data, t, dt=step, theta=theta)[0]
-    evolved = []
-
-    def build(j: int) -> DiscreteField:
-        if not evolved:
-            evolved.append(handle_of().evolve(data, t, dt=step, theta=theta)[0])
-        out = evolved[0]
-        col = out[:, :, j] if out.ndim == 3 else out
-        return DiscreteField(grid, np.ascontiguousarray(col), time=t,
-                             meta={"variant": variant})
-
-    cols = [store.get_or_compute(_data_key(sys_fp, variant, grid, t, step, theta,
-                                           digest, j), lambda j=j: build(j)).values
-            for j in range(data.shape[2] if data.ndim == 3 else 1)]
-    return np.stack(cols, axis=-1) if data.ndim == 3 else cols[0]
-
-
 # ---------------------------------------------------------------------------
 # the plan: every evolution declared, then each run once
 # ---------------------------------------------------------------------------
@@ -515,111 +436,119 @@ PLAN_COUNTS = ("requests", "batches", "evolutions", "fields found in the store",
 class _Batch:
     """One evolve batch of the plan, the unit that runs at most once.
 
-    Column requests at one center share a batch, since all m components
-    evolve together whichever of them are asked for; the batch reads the
-    union of the components its requests want.  Data requests and second
-    stages are batches of their own.
+    request is the batch's first request, which names its operator, its
+    time stepping and its start; keys holds the store key of every field
+    its requests read, by component for kernel columns and by column for
+    data.  Column requests at one center share a batch, since all m
+    components evolve together whichever of them are asked for.  A data
+    request is a batch of its own, keyed by the digest of its data, and so
+    is a second stage, keyed by "after " and the keys of the batch after it
+    continues.  stacked says whether the data had a column axis.
     """
 
-    variant: str
-    grid: GridSpec
-    t: float
-    dt: float
-    theta: float
-    stage: int = 0
+    request: Evolution
+    keys: dict
     center: Optional[tuple] = None
-    width: float = 0.0
-    components: list = field(default_factory=list)
-    request: Optional[Evolution] = None  # the first data request or second stage
     after: Optional["_Batch"] = None
-    continued: bool = False  # a second stage reads this batch's output
+    stage: int = 0
+    stacked: bool = False
 
     def order(self) -> tuple:
-        g = self.grid
-        return (self.variant, g.d, g.spacing, g.radius, self.theta, self.dt,
-                self.stage, self.t)
-
-    def keys(self, sys_fp: str) -> list:
-        """The store keys of the batch's fields; a second stage's are unknown."""
-        if self.center is not None:
-            return [_column_key(sys_fp, self.variant, self.grid, self.t, self.center, k,
-                                self.width, self.dt, self.theta) for k in self.components]
-        data = self.request.data
-        return [_data_key(sys_fp, self.variant, self.grid, self.t, self.dt, self.theta,
-                          self.request.digest, j)
-                for j in range(data.shape[2] if data.ndim == 3 else 1)]
+        r, g = self.request, self.request.grid
+        return (r.variant, g.d, g.spacing, g.radius, r.theta, r.dt, self.stage, r.t)
 
 
-def _plan(requests: Sequence[Evolution]) -> tuple:
+def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
     """The distinct batches in run order, and where each request's output lies.
 
-    Batches are keyed by the text of their store keys, so two requests
-    share a batch exactly when they would share store entries.  The run
-    order is (variant, grid, theta, dt, stage, t): one handle per (variant,
-    grid) steps through each (theta, dt) once, and a second stage runs right
-    after the stage it continues.  A request's output lies in one batch, or,
-    for kernel columns, in a list of (batch, component) picks.
+    Every store key is computed here, once, and two requests share a batch
+    exactly when they would share store entries.  The run order is
+    (variant, grid, theta, dt, stage, t): one handle per (variant, grid)
+    steps through each (theta, dt) once, and a second stage runs right
+    after the stage it continues.  A request's output lies in one batch,
+    or, for kernel columns, in a list of (batch, component) picks.
     """
     batches: dict = {}
-    where: dict = {}  # id(request) -> batch, or [(batch, component), ...]
-
-    def batch_of(req: Evolution, *key, **extra) -> _Batch:
-        if key not in batches:
-            batches[key] = _Batch(req.variant, req.grid, req.t, req.dt, req.theta,
-                                  **extra)
-        return batches[key]
-
+    of_request: dict = {}  # id(request) -> its batch, for the stages after it
+    where = []
     for req in requests:
         g = req.grid
-        op = _fingerprint(req.variant, g.d, g.radius, g.spacing, req.t, req.dt, req.theta)
-        if req.after is not None:
-            parent = where.get(id(req.after))
-            if not isinstance(parent, _Batch):
-                raise DomainError("a second stage needs its first stage declared before it")
-            parent.continued = True
-            where[id(req)] = batch_of(req, op, "then", id(parent), stage=parent.stage + 1,
-                                      after=parent, request=req)
-        elif req.data is not None:
-            where[id(req)] = batch_of(req, op, "data", req.digest, request=req)
-        else:
+        if req.data is None and req.after is None:
+            op = _fingerprint(req.variant, g.d, g.radius, g.spacing, req.t, req.dt,
+                              req.theta, req.width)
             picks = []
             for center, k in req.sources:
-                b = batch_of(req, op, "col", str(center), str(req.width), center=center,
-                             width=req.width)
-                if k not in b.components:
-                    b.components.append(k)
+                if not 0 <= k < m:
+                    raise DomainError(f"component {k} outside 0..{m - 1}")
+                b = batches.setdefault((op, str(center)), _Batch(req, {}, center=center))
+                if k not in b.keys:
+                    b.keys[k] = _column_key(sys_fp, req.variant, g, req.t, center, k,
+                                            req.width, req.dt, req.theta)
                 picks.append((b, k))
-            where[id(req)] = picks
-    return sorted(batches.values(), key=_Batch.order), [where[id(r)] for r in requests]
+            where.append(picks)
+            continue
+        if req.after is None:
+            after, tag = None, req.digest
+            stacked = req.data.ndim == 3
+            columns = req.data.shape[2] if stacked else 1
+        else:
+            after = of_request.get(id(req.after))
+            if after is None:
+                raise DomainError("a second stage needs its first stage declared before it")
+            tag = "after " + " ".join(key.digest for key in after.keys.values())
+            stacked, columns = after.stacked, len(after.keys)
+        keys = {j: _data_key(sys_fp, req.variant, g, req.t, req.dt, req.theta, tag, j)
+                for j in range(columns)}
+        b = batches.setdefault(tuple(key.digest for key in keys.values()),
+                               _Batch(req, keys, after=after, stacked=stacked,
+                                      stage=0 if after is None else after.stage + 1))
+        of_request[id(req)] = b
+        where.append(b)
+    return sorted(batches.values(), key=_Batch.order), where
 
 
-class _Tally:
-    """A store seen by one group of batches, counting the fields it hands back."""
+def _evolve_batch(b: _Batch, store: KernelStore, m: int,
+                  handle_of: Callable[[], OperatorHandle]) -> tuple:
+    """The output of a batch, read through the store, and how many of its
+    fields were built.
 
-    def __init__(self, store: KernelStore):
-        self._store = store
-        self.found = 0
+    Each field is read under its key.  The first miss builds the start
+    array and evolves it once for every field of the batch: the m mollified
+    sources at a center, the request's data, or the output of the stage b
+    continues, itself read back through the store.  So a field has the
+    same bits whichever fields were stored before, and none is built unless
+    the batch evolved.  A column batch gives a dict of columns by
+    component, any other an array shaped like its data.
+    """
+    req = b.request
+    built, evolved = [], []
 
-    def holds_all(self, keys: list) -> bool:
-        """Whether every key is stored; if so, they count as found."""
-        if all(map(self._store.holds, keys)):
-            self.found += len(keys)
-            return True
-        return False
+    def build(j: int) -> DiscreteField:
+        built.append(j)
+        if not evolved:
+            if b.center is not None:
+                start = np.stack([mollified_source(req.grid, m, b.center, h, req.width)
+                                  for h in range(m)], axis=-1)
+            elif b.after is not None:
+                start = _evolve_batch(b.after, store, m, handle_of)[0]
+            else:
+                start = req.data
+            evolved.append(handle_of().evolve(start, req.t, dt=req.dt, theta=req.theta)[0])
+        u = evolved[0]
+        meta = {"variant": req.variant}
+        if b.center is not None:
+            meta.update(source=b.center, source_component=j, mollifier_width=req.width)
+        return DiscreteField(req.grid, np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u),
+                             time=req.t, meta=meta)
 
-    def get_or_compute(self, key, build):
-        built = []
-
-        def counted():
-            built.append(True)
-            return build()
-
-        fld = self._store.get_or_compute(key, counted)
-        self.found += not built
-        return fld
+    fields = {j: store.get_or_compute(key, lambda j=j: build(j)) for j, key in b.keys.items()}
+    if b.center is not None:
+        return fields, len(built)
+    cols = [fld.values for fld in fields.values()]
+    return (np.stack(cols, axis=-1) if b.stacked else cols[0]), len(built)
 
 
-def _execute(system, requests: Sequence[Evolution], store: Optional[KernelStore],
+def _execute(system, requests: Sequence[Evolution], store: KernelStore,
              jobs: int, keep: bool, budget: int = DEFAULT_BUDGET) -> tuple:
     """Run the plan of the requests; returns (outputs or None, counts).
 
@@ -634,15 +563,15 @@ def _execute(system, requests: Sequence[Evolution], store: Optional[KernelStore]
     assembles its own matrix.  Batches never depend on the order or the
     thread they run in, so neither do the bits.
     """
-    sys_fp = system_fingerprint(system)
     m = operator_spec_of(system).dims.m
-    batches, where = _plan(requests)
-    groups = [list(g) for _, g in groupby(batches, key=lambda b: (b.variant, b.grid))]
-    adjoint_grids = {b.grid for b in batches if b.variant == "P_adjoint"}
+    batches, where = _plan(requests, system_fingerprint(system), m)
+    groups = [list(g) for _, g in groupby(batches, key=lambda b: (b.request.variant,
+                                                                   b.request.grid))]
+    adjoint_grids = {b.request.grid for b in batches if b.request.variant == "P_adjoint"}
     forward: dict = {}  # grid -> done P handle whose matrix its adjoint group takes
 
     def run_group(group: list) -> tuple:
-        variant, grid = group[0].variant, group[0].grid
+        variant, grid = group[0].request.variant, group[0].request.grid
         handle = None
 
         def handle_of() -> OperatorHandle:
@@ -652,26 +581,16 @@ def _execute(system, requests: Sequence[Evolution], store: Optional[KernelStore]
                 handle = OperatorHandle(system, grid, variant, budget, forward=fwd)
             return handle
 
-        tally = _Tally(store) if store is not None else None
-        done = {}
+        done, found = {}, 0
         for b in group:
-            if not (keep or b.continued) and b.after is None and tally is not None \
-                    and tally.holds_all(b.keys(sys_fp)):
-                continue  # nothing to compute, and no output wanted
-            if b.center is not None:
-                out = _center_batch(tally, sys_fp, b.variant, b.grid, m, b.t, b.center,
-                                    b.components, b.width, b.dt, b.theta, handle_of)
-            elif b.after is None:
-                out = _data_batch(tally, sys_fp, b.variant, b.grid, b.t, b.request.data,
-                                  b.dt, b.theta, handle_of, b.request.digest)
-            else:
-                data = done[b.after]
-                out = _data_batch(tally, sys_fp, b.variant, b.grid, b.t, data, b.dt,
-                                  b.theta, handle_of, b.request.digest_after(sys_fp, data))
-            if keep or b.continued:
+            if not keep and all(map(store.holds, b.keys.values())):
+                found += len(b.keys)  # nothing to compute, and no output wanted
+                continue
+            out, built = _evolve_batch(b, store, m, handle_of)
+            found += len(b.keys) - built
+            if keep:
                 done[b] = out
-        counts = Counter({"batches": len(group),
-                          "fields found in the store": tally.found if tally else 0})
+        counts = Counter({"batches": len(group), "fields found in the store": found})
         if handle is not None:
             handle.release()
             counts.update(evolutions=handle.evolutions,
@@ -681,7 +600,7 @@ def _execute(system, requests: Sequence[Evolution], store: Optional[KernelStore]
                 forward[grid] = handle
             handle = None
             release_freed_memory()
-        return (done if keep else {}), counts
+        return done, counts
 
     if jobs > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -707,9 +626,11 @@ def evolve_all(system, requests: Sequence[Evolution],
     A column request gives a list of DiscreteField, one per source; a data
     request or a second stage gives an array shaped like its data.  Every
     check runs its own requests through here; after run_plan has run them,
-    every field comes from the store.  budget caps the unknowns of each
-    operator, as in OperatorHandle.
+    every field comes from the store.  Without a store the fields go
+    through a KernelStore in memory, made for the call.  budget caps the
+    unknowns of each operator, as in OperatorHandle.
     """
+    store = KernelStore() if store is None else store
     return _execute(system, requests, store, 1, keep=True, budget=budget)[0]
 
 
@@ -954,7 +875,7 @@ class MassAndPositivity(_Check):
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         grid, m, tol, pos_tol = self.grid, self.system.dims.m, self.tol, self.pos_tol
         row = self.row or _stored_row_sum(self.system, max(SAMPLE_RADIUS, 2.0 * grid.radius),
-                                          store)
+                                          KernelStore() if store is None else store)
         sqm = math.sqrt(m)
         pts = grid.points()
         *runs, cols = outputs
@@ -1149,20 +1070,6 @@ class ChapmanKolmogorov(_Check):
 # weight checks
 # ---------------------------------------------------------------------------
 
-def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
-    """Heat semigroup applied to exp(eps t (1 + y^2)) in one dimension.
-
-    Closed form (1 - 4 a t)^(-1/2) exp(eps t + a x^2 / (1 - 4 a t)) with
-    a = eps t, finite exactly while 4 eps t^2 < 1.
-    """
-    a = eps * t
-    denom = 1.0 - 4.0 * a * t
-    if denom <= 0.0:
-        raise DomainError(f"need 4 eps t^2 < 1, got eps={eps}, t={t}")
-    x = np.asarray(x, dtype=float)
-    return np.exp(eps * t + a * x * x / denom) / math.sqrt(denom)
-
-
 def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
     """The weight amplitude rescaled; its growth constant still to calibrate."""
     if scale == 1.0 and timed.c0 is not None:
@@ -1294,9 +1201,11 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     amplitude.  Because the comparison weights equal one at time zero, the
     majorant is constant in space; the value is returned along with the
     estimated ledger.  calibrated is the pair calibrate_majorant returns
-    for the same arguments; it is computed here when not given.  Given a
-    store, the ledger and the certificates are records in it.
+    for the same arguments; it is computed here when not given.  The ledger
+    and the certificates are records in the store, or, without one, in a
+    KernelStore in memory, made for the call.
     """
+    store = KernelStore() if store is None else store
     timed = synthesis.timed
     s0, s1, s2 = _checked_eps_scales(eps_scales)
     if window is None:

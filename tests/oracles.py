@@ -4,21 +4,24 @@ eval_operator applies the system operator pointwise to a smooth field given
 by its jet, an independent route to the values the assembled generators and
 the Lyapunov certificates compute.  kernel_matrix evolves the whole kernel
 ensemble of a small validation grid, and apply_kernel_to_function applies
-the semigroup to sampled initial data.  theta_steps is the plain theta loop
-whose bits OperatorHandle.evolve must reproduce, and discrete_inner and
-discrete_mass are the h^d-weighted sums the duality and mollifier tests
-compare.
+the semigroup to sampled initial data.  kernel_columns and kernel_column
+evolve mollified point sources on a handle directly, outside verify's plan
+and store.  theta_steps is the plain theta loop whose bits
+OperatorHandle.evolve must reproduce, and discrete_inner and discrete_mass
+are the h^d-weighted sums the duality and mollifier tests compare.
+heat_weight_image is the closed-form heat image of a time-dependent weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from kernelbound.coefficients import VARIANTS, OperatorSpec, eval_VP
-from kernelbound.errors import (BudgetError, DimensionMismatchError,
+from kernelbound.errors import (BudgetError, DimensionMismatchError, DomainError,
                                 NonFiniteError)
 from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, mollified_source
 
@@ -121,6 +124,35 @@ def kernel_matrix(handle: OperatorHandle, t: float, width: Optional[float] = Non
     return vals.reshape(n * m, n * m)
 
 
+def kernel_columns(handle: OperatorHandle, t: float, sources,
+                   width: Optional[float] = None, dt: Optional[float] = None,
+                   theta: float = 0.5) -> list:
+    """Kernel columns for several (center, component) sources, one batched evolve.
+
+    Each column holds all components at time t sourced at (center,
+    component); the result lists them in the order of sources.
+    """
+    g = handle.grid
+    w = 2.0 * g.spacing if width is None else float(width)
+    srcs = np.stack([mollified_source(g, handle.m, center, k, w)
+                     for center, k in sources], axis=-1)
+    vals, meta = handle.evolve(srcs, t, dt=dt, theta=theta)
+    out = []
+    for j, (center, k) in enumerate(sources):
+        src = tuple(np.asarray(center, dtype=float).reshape(g.d))
+        out.append(DiscreteField(g, np.ascontiguousarray(vals[:, :, j]), time=t,
+                                 meta=dict(meta, source=src, source_component=k,
+                                           mollifier_width=w)))
+    return out
+
+
+def kernel_column(handle: OperatorHandle, t: float, center, component: int,
+                  width: Optional[float] = None, dt: Optional[float] = None,
+                  theta: float = 0.5) -> DiscreteField:
+    """Column of the kernel: all components at time t sourced at (center, component)."""
+    return kernel_columns(handle, t, [(center, component)], width, dt, theta)[0]
+
+
 def apply_kernel_to_function(handle: OperatorHandle, t: float, values: np.ndarray,
                              dt: Optional[float] = None, theta: float = 0.5) -> DiscreteField:
     """Semigroup applied to sampled initial data (the kernel-quadrature limit)."""
@@ -154,3 +186,17 @@ def discrete_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
 def discrete_mass(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """h^d-weighted integral of each component, shape (m,)."""
     return grid.spacing ** grid.d * np.asarray(values).sum(axis=0)
+
+
+def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
+    """Heat semigroup applied to exp(eps t (1 + y^2)) in one dimension.
+
+    Closed form (1 - 4 a t)^(-1/2) exp(eps t + a x^2 / (1 - 4 a t)) with
+    a = eps t, finite exactly while 4 eps t^2 < 1.
+    """
+    a = eps * t
+    denom = 1.0 - 4.0 * a * t
+    if denom <= 0.0:
+        raise DomainError(f"need 4 eps t^2 < 1, got eps={eps}, t={t}")
+    x = np.asarray(x, dtype=float)
+    return np.exp(eps * t + a * x * x / denom) / math.sqrt(denom)

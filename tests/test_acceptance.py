@@ -19,7 +19,7 @@ from kernelbound.bounds import solve_X0
 from kernelbound.coefficients import OperatorSpec, SystemDims, diagonal_family
 from kernelbound.hypotheses import check_base, check_exponential, check_polynomial
 from kernelbound.lyapunov import synth_exp, synth_poly, verify_certificate
-from kernelbound.solver import GridSpec, OperatorHandle, kernel_column
+from kernelbound.solver import GridSpec, OperatorHandle
 from kernelbound.verify import (
     check_decay_shape,
     check_domination,
@@ -29,8 +29,9 @@ from kernelbound.verify import (
     check_monotone_in_R,
     check_support,
     check_weighted_bound,
-    heat_weight_image,
 )
+
+from oracles import heat_weight_image, kernel_column
 
 
 def conclude(num: int, title: str, ok: bool, detail: str):

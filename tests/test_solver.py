@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -22,15 +23,14 @@ from kernelbound.solver import (
     field_from_bytes,
     field_to_bytes,
     field_to_csv,
-    kernel_column,
-    kernel_columns,
     load_field,
     mollified_source,
     save_field,
 )
 
 from oracles import (FieldJet, apply_kernel_to_function, discrete_inner, discrete_mass,
-                     eval_operator, kernel_matrix, theta_steps)
+                     eval_operator, kernel_column, kernel_columns, kernel_matrix,
+                     theta_steps)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
@@ -502,9 +502,27 @@ class TestThetaSteps:
 # The kernel store keys every field by SOLVER_VERSION.  A change that moves a
 # bit of an evolved field must bump solver.SOLVER_VERSION, and the pin below,
 # in the same diff, so fields stored before it are recomputed rather than read
-# back; the theta-loop oracle above sees such a move on its grids.
+# back; the theta-loop oracle above sees such a move in the steps, and the
+# stencil pin below one in the assembled generator.
 def test_solver_version_is_pinned():
-    assert solver.SOLVER_VERSION == 2
+    assert solver.SOLVER_VERSION == 3
+
+
+def test_mixed_diffusion_stencil_bits_are_pinned():
+    # spacing 0.1 puts the faces off binary fractions, and the off-diagonal
+    # zeta runs the mixed-diffusion couplings; exponents 0 and 1 keep every
+    # coefficient exact, so only the stencil's own arithmetic moves the digest
+    fam = PolynomialFamily(SystemDims(2, 2),
+                           zeta=[[[1.0, 0.3], [0.3, 1.0]], [[1.0, -0.2], [-0.2, 0.8]]],
+                           alpha=np.ones((2, 2, 2)), eta=np.ones((2, 2)),
+                           beta=np.zeros((2, 2)), theta=[[1.0, 0.5], [0.5, 1.0]],
+                           gamma=np.ones((2, 2)))
+    A = assemble_generator(fam, GridSpec(2, 2.0, 0.1), "P")
+    digest = hashlib.sha1()
+    for arr, dtype in ((A.indptr, "<i8"), (A.indices, "<i8"), (A.data, "<f8")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert A.nnz == 29492
+    assert digest.hexdigest() == "ead796bd059e461d9ca6cbf15e0af6455e3f69e7"
 
 
 class TestDuality:

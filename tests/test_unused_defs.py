@@ -1,0 +1,70 @@
+"""No function or method of the package goes unreferenced.
+
+A def counts as used when its name appears in src/, tests/ or bench/: a
+method as an attribute (obj.name), any other def as a name or an attribute
+(name(...) or module.name).  Dunder methods are called by the language and
+are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kernelbound"
+
+
+def references(sources: list) -> tuple:
+    """The names and the attribute names that the sources read or write."""
+    names, attrs = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def unused_defs(source: str, names: set, attrs: set) -> list:
+    """The non-dunder defs of source that nothing references, sorted."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    unused = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        seen = attrs if id(node) in methods else names | attrs
+        if node.name not in seen:
+            unused.add(node.name)
+    return sorted(unused)
+
+
+def test_scan_finds_an_unused_function_and_method():
+    source = ("def used():\n    pass\n"
+              "def unused():\n    pass\n"
+              "class A:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def called(self):\n        return used()\n"
+              "    def never(self):\n        pass\n"
+              "A().called()\n")
+    assert unused_defs(source, *references([source])) == ["never", "unused"]
+
+
+def test_a_method_needs_an_attribute_reference():
+    # a local variable that shares a method's name does not call the method
+    source = "class Spec:\n    def VP(self):\n        pass\n"
+    names, attrs = references([source, "VP = 1\nprint(VP)\n"])
+    assert unused_defs(source, names, attrs) == ["VP"]
+    assert unused_defs(source, *references([source, "Spec().VP()\n"])) == []
+
+
+def test_package_has_no_unreferenced_def():
+    sources = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    names, attrs = references(sources)
+    unused = {path.name: unused_defs(path.read_text(encoding="utf-8"), names, attrs)
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: defs for name, defs in unused.items() if defs} == {}

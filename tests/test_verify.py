@@ -12,7 +12,7 @@ from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
-from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, kernel_column
+from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle
 from kernelbound.verify import (
     CheckResult,
     Evolution,
@@ -27,12 +27,13 @@ from kernelbound.verify import (
     check_support,
     check_weighted_bound,
     evolve_all,
-    heat_weight_image,
     results_csv,
     run_plan,
     summary_text,
     system_fingerprint,
 )
+
+from oracles import heat_weight_image, kernel_column
 
 
 def headline_family():
@@ -873,6 +874,48 @@ class TestPlan:
         assert np.array_equal(out, handle.evolve(mid, 0.05, 0.01, 1.0)[0])
         with pytest.raises(DomainError):
             evolve_all(fam, [first.then(0.05)])
+
+    def stored_stages(self, tmp_path):
+        """A first stage and its second stage run into a store; returns the
+        requests, the first stage's key, the paths of the two fields and
+        their bytes."""
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        f = np.random.default_rng(3).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
+        first = Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0)
+        reqs = [first, first.then(0.05)]
+        store = KernelStore(tmp_path)
+        run_plan(fam, reqs, store)
+        _, (one, two) = verify._plan(reqs, system_fingerprint(fam), 2)
+        # second stages are keyed by the keys of the stage they continue
+        assert all(key.digest != k.digest for key in two.keys.values()
+                   for k in one.keys.values())
+        paths = [store._path(b.keys[0].digest) for b in (one, two)]
+        return fam, reqs, one.keys[0], paths, [open(p, "rb").read() for p in paths]
+
+    def test_second_stage_is_rebuilt_from_its_stored_first(self, tmp_path, monkeypatch):
+        fam, reqs, _, (first, second), blobs = self.stored_stages(tmp_path)
+        os.remove(second)
+        calls = self.count_evolves(monkeypatch)
+        counts = run_plan(fam, reqs, KernelStore(tmp_path))
+        # the first stage is read back from the store, only the second evolves
+        assert calls == ["P"] and counts["fields found in the store"] == 1
+        assert [open(p, "rb").read() for p in (first, second)] == blobs
+
+    def test_truncated_first_stage_is_rebuilt_under_its_second(self, tmp_path,
+                                                               monkeypatch):
+        fam, reqs, first_key, (first, second), blobs = self.stored_stages(tmp_path)
+        with open(first, "wb") as fh:
+            fh.write(blobs[0][:len(blobs[0]) // 2])
+        assert KernelStore(tmp_path).holds(first_key)
+        os.remove(second)
+        calls = self.count_evolves(monkeypatch)
+        mid, out = evolve_all(fam, reqs, KernelStore(tmp_path))
+        # the truncated file fails to load, so the first stage evolves again,
+        # with its old bits, and so does the second
+        assert calls == ["P", "P"]
+        assert [open(p, "rb").read() for p in (first, second)] == blobs
+        np.testing.assert_array_equal(out, evolve_all(fam, reqs)[1])
 
     def test_plan_fills_the_store_the_requests_then_read(self, tmp_path,
                                                         monkeypatch):
