@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
@@ -398,17 +397,17 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     if width is None:
         width = cfg.get("solve", "width")
     cert_radius = cfg.get("lyapunov", "radius")
-    two_sided = cfg.get("verify", "two_sided")
     tol = {name: cfg.get("verify", "tol_" + name) for name in checks}
     store = verify.KernelStore(os.path.join(out, "store"))
     src_pairs = [(y, k) for y in srcs for k in components]
 
-    # synthesis is shared state, so resolve it before any thread starts
+    # the checks share the syntheses, so each is made once; the weighted
+    # check is two-sided exactly when it is given the adjoint one
     needs_synth = {"integrability", "weighted", "decay"}.intersection(checks)
     fwd = adj = None
     if needs_synth:
         fwd = _synthesize(cfg, fam, "P", cert_radius, store)[0]
-        if "weighted" in checks and two_sided:
+        if "weighted" in checks and cfg.get("verify", "two_sided"):
             adj = _synthesize(cfg, fam, "P_adjoint", cert_radius, store)[0]
 
     checks_run, cal_fp = [], None
@@ -462,22 +461,10 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 "calibration", verify.system_fingerprint(fam), s, eps_scales,
                 tuple(t_w), tuple(srcs), tuple(coarse), theta, dt, width,
                 cert_radius, fwd.timed)
-            weighted = verify.WeightedBound(
+            checks_run.append(verify.WeightedBound(
                 fam, fwd, s, t_w, srcs, tuple(coarse), tuple(fine), eps_scales,
-                tol["weighted"], dt, width, theta, two_sided, adj,
-                cert_radius=cert_radius)
-            scale = cfg.get("verify", "majorant_scale")
-            if scale != 1.0:
-                # every bracket monomial has degree >= s/2 in the ledger
-                # constants, so scaling them by f moves the majorant by at
-                # least f^(s/2); apply that envelope uniformly in time
-                href = {t: H * scale ** (s / 2.0)
-                        for t, H in weighted.majorants(store).items()}
-
-                def override(t, pts, href=href):
-                    return np.full(len(np.atleast_2d(pts)), href[t])
-                weighted = replace(weighted, majorant_override=override)
-            checks_run.append(weighted)
+                tol["weighted"], dt, width, theta, adj,
+                cfg.get("verify", "majorant_scale"), cert_radius))
         elif name == "decay":
             e_scale = cfg.get("verify", "decay_eps_scale")
             checks_run.append(verify.DecayShape(
@@ -494,10 +481,6 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                                            dt, theta)
         requests.append(plot)
 
-    def run(check):
-        _release_freed_memory()
-        return getattr(verify, check.name)(check, store=store)
-
     wall = time.perf_counter()
     try:
         plan = verify.run_plan(fam, requests, store, jobs=jobs)
@@ -506,11 +489,10 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         # error again and reports it, after the checks before it ran, as
         # without a plan; so the closing line below is never reached
         plan = None
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, checks_run))
-    else:
-        results = [run(check) for check in checks_run]
+    results = []
+    for check in checks_run:
+        _release_freed_memory()
+        results.append(getattr(verify, check.name)(check, store=store))
 
     summary = verify.summary_text(results)
     _write(os.path.join(out, "verify_summary.txt"), summary)

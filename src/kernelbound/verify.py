@@ -5,8 +5,7 @@ domination, monotone growth in the domain radius, mass decay, coupling
 support, forward/adjoint duality, the semigroup identity, integrability
 against time-dependent weights, and the calibrated weighted majorant.  A
 check returns the worst violation it measured together with the tolerance it
-used and a fingerprint of its configuration, so repeated runs are comparable
-byte for byte.
+used and where it sits, and repeated runs give the same result byte for byte.
 
 Each check is a declaration, a frozen dataclass of its parameters such as
 Domination, whose requests are the Evolution requests it reads (variant,
@@ -50,7 +49,7 @@ import os
 import struct
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 from typing import Callable, Optional, Sequence
@@ -77,7 +76,7 @@ __all__ = [
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
     "check_support", "check_duality", "check_chapman_kolmogorov",
     "check_lyapunov_integrability", "check_weighted_bound",
-    "check_decay_shape", "calibrate_majorant", "weighted_majorant",
+    "check_decay_shape", "weighted_majorant",
     "results_csv", "summary_text",
 ]
 
@@ -105,7 +104,6 @@ class CheckResult:
     worst: float
     location: tuple
     tolerance: float
-    fingerprint: str
     details: dict = field(default_factory=dict)
 
     @property
@@ -678,20 +676,11 @@ class _Check:
 
     name = ""  # the public check function, and CheckResult.check
 
-    @property
-    def fingerprint(self) -> str:
-        """Digest of the fields, the system by its system_fingerprint; fields
-        declared with compare=False, such as callables, are left out."""
-        return _fingerprint(self.name, *(
-            system_fingerprint(self.system) if f.name == "system" else getattr(self, f.name)
-            for f in fields(self) if f.compare))
-
     def result(self, worst: float, tolerance: float, location: tuple, details: dict,
                inconclusive: bool = False) -> CheckResult:
         status = "fail" if worst > tolerance else "inconclusive" if inconclusive else "pass"
         return CheckResult(check=self.name, status=status, worst=float(worst),
-                           location=location, tolerance=float(tolerance),
-                           fingerprint=self.fingerprint, details=details)
+                           location=location, tolerance=float(tolerance), details=details)
 
 
 class _Rows:
@@ -1097,9 +1086,8 @@ class LyapunovIntegrability(_Check):
     below e^(G(t)) nu(0, x) (1 + tol).  A companion run of the weight
     restricted to the outer shell measures how much of the integral lives
     near the boundary; when that exceeds boundary_fraction the verdict is
-    inconclusive (enlarge the box) rather than a pass.  g_margin subtracts
-    a fixed amount from G to probe how tight the envelope is.  eps defaults
-    to eps_T / 4.
+    inconclusive (enlarge the box) rather than a pass.  eps defaults to
+    eps_T / 4.
     """
 
     name = "check_lyapunov_integrability"
@@ -1113,7 +1101,6 @@ class LyapunovIntegrability(_Check):
     theta: float = 1.0
     dt: Optional[float] = None
     boundary_fraction: float = 0.01
-    g_margin: float = 0.0
     cert_radius: Optional[float] = None
 
     @property
@@ -1149,7 +1136,7 @@ class LyapunovIntegrability(_Check):
         rows = _Rows()
         for t, both in zip(self.t_values, outputs):
             out, out_shell = both[:, :, 0], both[:, :, 1]
-            bound = math.exp(float(spec_used.G(t)) - self.g_margin)
+            bound = math.exp(float(spec_used.G(t)))
             for x in self.x_points:
                 node = grid.node_of(_center(x, d))
                 val = float(np.max(out[node]))
@@ -1158,7 +1145,7 @@ class LyapunovIntegrability(_Check):
                          score=val / bound - 1.0)
         return self.result(rows.worst, self.tol, rows.loc,
                            {"samples": rows.samples, "eps": eps, "c0": spec_used.c0,
-                            "boundary_fraction": tail_worst, "g_margin": self.g_margin},
+                            "boundary_fraction": tail_worst},
                            inconclusive=tail_worst > self.boundary_fraction)
 
 
@@ -1169,29 +1156,11 @@ def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
     return s0, s1, s2
 
 
-def calibrate_majorant(system, synthesis: SynthesisResult,
-                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
-                       cert_radius: float = SAMPLE_RADIUS,
-                       store: Optional[KernelStore] = None) -> tuple:
-    """The comparison weights nu1, nu2 of weighted_majorant, calibrated.
-
-    Their growth constants depend on the synthesis, the eps scales and the
-    certificate radius, not on the evaluation time, so a caller that needs
-    the majorant at several times calibrates once and passes the pair to
-    every weighted_majorant call.  Given a store, the certificates are
-    records in it.
-    """
-    _, s1, s2 = _checked_eps_scales(eps_scales)
-    return (_calibrated_scaled(system, synthesis.timed, s1, cert_radius, store),
-            _calibrated_scaled(system, synthesis.timed, s2, cert_radius, store))
-
-
 def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       t: Optional[float] = None,
                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
                       adjoint: bool = False, cert_radius: float = SAMPLE_RADIUS,
                       window: Optional[Sequence[float]] = None,
-                      calibrated: Optional[tuple] = None,
                       store: Optional[KernelStore] = None) -> tuple:
     """Ledger and constant majorant value over a time window.
 
@@ -1200,10 +1169,9 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     share the synthesized shape at eps_scales times the certified
     amplitude.  Because the comparison weights equal one at time zero, the
     majorant is constant in space; the value is returned along with the
-    estimated ledger.  calibrated is the pair calibrate_majorant returns
-    for the same arguments; it is computed here when not given.  The ledger
-    and the certificates are records in the store, or, without one, in a
-    KernelStore in memory, made for the call.
+    estimated ledger.  The ledger and the certificates of nu1 and nu2 are
+    records in the store, or, without one, in a KernelStore in memory, made
+    for the call; so calls at several times calibrate nu1 and nu2 once.
     """
     store = KernelStore() if store is None else store
     timed = synthesis.timed
@@ -1220,8 +1188,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     nu2 = timed.weight(s2 * eps_T)
     ledger = _stored_ledger(system, w, nu1, nu2, s, (window[0], window[3]), adjoint,
                             (window[1], window[2]), store)
-    spec1, spec2 = calibrated or calibrate_majorant(system, synthesis, eps_scales,
-                                                    cert_radius, store)
+    spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store)
+    spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store)
     ones = lambda pts: np.ones(pts.shape[0])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure
@@ -1235,12 +1203,12 @@ class WeightedBound(_Check):
 
     The ratio w(t, y) sum_k |p_hk(t, x, y)| / H is computed over every
     source and node of the coarse (spacing, radius) pair; its supremum
-    calibrates C_cal unless one is supplied.  The same supremum on the fine
-    pair must then stay within (1 + tol) of the calibration.  two_sided adds
-    the symmetrized ratio sqrt(w(t, y) w*(t, x)) / sqrt(H H*) built from the
-    adjoint synthesis.  majorant_override(t, points) replaces H on the fine
-    pair for probing deliberately broken majorants; the calibration always
-    uses the healthy H.
+    calibrates C_cal.  The same supremum on the fine pair must then stay
+    within (1 + tol) of the calibration.  Given the adjoint synthesis, the
+    check is two-sided: it adds the symmetrized ratio
+    sqrt(w(t, y) w*(t, x)) / sqrt(H H*).  majorant_scale f breaks the
+    majorant under test: the fine pair divides by H f^(s/2), while the
+    calibration always uses the healthy H.
     """
 
     name = "check_weighted_bound"
@@ -1256,15 +1224,9 @@ class WeightedBound(_Check):
     dt: Optional[float] = None
     width: Optional[float] = None
     theta: float = 0.5
-    two_sided: bool = False
     adjoint_synthesis: Optional[SynthesisResult] = None
-    C_cal: Optional[float] = None
-    majorant_override: Optional[Callable] = field(default=None, compare=False)
+    majorant_scale: float = 1.0
     cert_radius: float = SAMPLE_RADIUS
-
-    def __post_init__(self):
-        if self.two_sided and self.adjoint_synthesis is None:
-            raise DomainError("two-sided ratio needs the adjoint synthesis")
 
     @cached_property
     def requests(self) -> list:
@@ -1277,27 +1239,26 @@ class WeightedBound(_Check):
                 for spacing, radius in (self.coarse, self.fine)
                 for t in self.t_values for y in self.sources]
 
-    def majorants(self, store: Optional[KernelStore] = None, adjoint: bool = False) -> dict:
-        """The healthy majorant H, or H* of the adjoint synthesis, at each
-        time, with the ledgers and certificates as records in the store."""
-        synthesis = self.adjoint_synthesis if adjoint else self.synthesis
-        calibrated = calibrate_majorant(self.system, synthesis, self.eps_scales,
-                                        self.cert_radius, store)
-        return {t: weighted_majorant(self.system, synthesis, self.s, t, self.eps_scales,
-                                     adjoint=adjoint, cert_radius=self.cert_radius,
-                                     calibrated=calibrated, store=store)[1]
-                for t in self.t_values}
-
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
+        store = KernelStore() if store is None else store
         d, m = self.system.dims.d, self.system.dims.m
-        two_sided, adj, scale0 = self.two_sided, self.adjoint_synthesis, self.eps_scales[0]
+        adj, scale0 = self.adjoint_synthesis, self.eps_scales[0]
         timed = self.synthesis.timed
         w = timed.weight(scale0 * timed.eps_T)
-        wstar = adj.timed.weight(scale0 * adj.timed.eps_T) if two_sided else None
-        H_of = self.majorants(store)
-        Hstar_of = self.majorants(store, adjoint=True) if two_sided else {}
+        wstar = adj.timed.weight(scale0 * adj.timed.eps_T) if adj is not None else None
 
-        def sweep(pair, columns, tested):
+        def majorants(synthesis, adjoint):
+            # the healthy H, or H*, at each time; every time after the first
+            # finds its certificates in the store
+            return {t: weighted_majorant(self.system, synthesis, self.s, t, self.eps_scales,
+                                         adjoint=adjoint, cert_radius=self.cert_radius,
+                                         store=store)[1]
+                    for t in self.t_values}
+
+        H_of = majorants(self.synthesis, False)
+        Hstar_of = majorants(adj, True) if adj is not None else {}
+
+        def sweep(pair, columns, scale):
             # one pair's columns, in request order: by time and source
             columns = iter(columns)
             spacing, radius = pair
@@ -1307,35 +1268,35 @@ class WeightedBound(_Check):
             sup2 = 0.0
             rows = _Rows(0.0)
             for t in self.t_values:
-                H = denom = H_of[t]
-                if tested and self.majorant_override is not None:
-                    denom = np.asarray(self.majorant_override(t, pts), dtype=float)[:, None]
+                H = H_of[t]
                 for y in self.sources:
                     total = np.zeros((grid.n_nodes, m))
                     for col in next(columns):
                         total += np.abs(col.values)
                     wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
-                    val, x, h = _peak(wy * total / denom, pts, d)
+                    val, x, h = _peak(wy * total / (H * scale), pts, d)
                     rows.add(t, x, _loc_pt(y, d), h, None, val, H)
-                    if two_sided:
+                    if adj is not None:
                         wx = np.exp(0.5 * np.asarray(wstar.log_value(t, at, d)))
                         r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar_of[t])
                         sup2 = max(sup2, float(np.max(r2)))
             return rows, sup2
 
         per_pair = len(outputs) // 2
-        coarse, sup2_c = sweep(self.coarse, outputs[:per_pair], tested=False)
+        coarse, sup2_c = sweep(self.coarse, outputs[:per_pair], 1.0)
         sup_c = coarse.worst
         if not (math.isfinite(sup_c) and sup_c > 0):
             raise DomainError(f"coarse calibration sup degenerate: {sup_c}")
-        cal = self.C_cal if self.C_cal is not None else sup_c
-        fine, sup2_f = sweep(self.fine, outputs[per_pair:], tested=True)
+        # every bracket monomial has degree >= s/2 in the ledger constants,
+        # so scaling them by f moves the majorant by at least f^(s/2); the
+        # fine pair divides by that envelope, uniformly in time
+        fine, sup2_f = sweep(self.fine, outputs[per_pair:], self.majorant_scale ** (self.s / 2.0))
         sup_f = fine.worst
-        worst = sup_f / cal - 1.0
-        if two_sided and sup2_c > 0:
+        worst = sup_f / sup_c - 1.0
+        if adj is not None and sup2_c > 0:
             worst = max(worst, sup2_f / sup2_c - 1.0)
         return self.result(worst, self.tol, fine.loc,
-                           {"samples": coarse.samples + fine.samples, "C_cal": cal,
+                           {"samples": coarse.samples + fine.samples, "C_cal": sup_c,
                             "sup_coarse": sup_c, "sup_fine": sup_f,
                             "sup2_coarse": sup2_c, "sup2_fine": sup2_f,
                             "majorants": H_of})

@@ -314,7 +314,7 @@ def test_criterion_10_weighted_kernel_bound(headline_synthesis):
         headline_synthesis["family"], headline_synthesis["forward"], s=4.0,
         t_values=(0.25,), sources=(0.0, 0.5),
         coarse=(1.0 / 32, 8.0), fine=(1.0 / 64, 16.0),
-        width=1.0 / 32, tol=0.10, two_sided=True,
+        width=1.0 / 32, tol=0.10,
         adjoint_synthesis=headline_synthesis["adjoint"])
     elapsed = time.perf_counter() - start
     d = res.details

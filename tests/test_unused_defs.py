@@ -2,8 +2,10 @@
 
 A def counts as used when its name appears in src/, tests/ or bench/: a
 method as an attribute (obj.name), any other def as a name or an attribute
-(name(...) or module.name).  Dunder methods are called by the language and
-are skipped.
+(name(...) or module.name).  Inside a class that declares name as a
+class-level field and defines no method of that name, self.name reads the
+field, so it references no method.  Dunder methods are called by the
+language and are skipped.
 """
 
 import ast
@@ -13,14 +15,35 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kernelbound"
 
 
+def field_reads(tree: ast.AST) -> set:
+    """The ids of the self.<name> nodes that read a class-level field of
+    their class, one that declares no method of that name."""
+    reads = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [node for node in cls.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        targets = [node.target for node in cls.body if isinstance(node, ast.AnnAssign)]
+        targets += [t for node in cls.body if isinstance(node, ast.Assign) for t in node.targets]
+        fields = {t.id for t in targets if isinstance(t, ast.Name)}
+        fields -= {node.name for node in methods}
+        reads.update(id(node) for method in methods for node in ast.walk(method)
+                     if isinstance(node, ast.Attribute) and node.attr in fields
+                     and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return reads
+
+
 def references(sources: list) -> tuple:
     """The names and the attribute names that the sources read or write."""
     names, attrs = set(), set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        skip = field_reads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and id(node) not in skip:
                 attrs.add(node.attr)
     return names, attrs
 
@@ -58,6 +81,21 @@ def test_a_method_needs_an_attribute_reference():
     names, attrs = references([source, "VP = 1\nprint(VP)\n"])
     assert unused_defs(source, names, attrs) == ["VP"]
     assert unused_defs(source, *references([source, "Spec().VP()\n"])) == []
+
+
+def test_a_field_read_does_not_reference_a_method_of_that_name():
+    # Field.component is dead; Shape.component is a field that Shape reads
+    source = ("from dataclasses import dataclass\n"
+              "class Field:\n"
+              "    def component(self, k):\n        return k\n"
+              "@dataclass\n"
+              "class Shape:\n"
+              "    component: int\n"
+              "    def peak(self):\n        return self.component\n"
+              "Field()\nShape(0).peak()\n")
+    assert unused_defs(source, *references([source])) == ["component"]
+    # any other attribute read still counts
+    assert unused_defs(source, *references([source, "f.component(0)\n"])) == []
 
 
 def test_package_has_no_unreferenced_def():

@@ -1,8 +1,8 @@
 import math
 import os
-import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,7 +451,6 @@ class TestDomination:
         res = check_domination(fam, g, 0.3, sources=[(0.0, 0), (0.5, 1)])
         assert res.passed
         assert res.worst <= 1e-9
-        assert len(res.fingerprint) == 12
 
     def test_nonpositive_offdiagonal_gives_equality(self):
         fam = diagonal_family("polynomial", 1, 2, beta=1.0,
@@ -634,12 +633,15 @@ class TestLyapunovIntegrability:
         assert res.details["eps"] == pytest.approx(syn.timed.eps_T / 4.0)
 
     def test_shaved_growth_envelope_fails(self):
+        # a control through measure: weights evolved e times too high are
+        # what a growth envelope shaved by one, e^(G(t) - 1), would let by
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
-        res = check_lyapunov_integrability(fam, syn.timed, GridSpec(1, 8.0, 1.0 / 16),
-                                           t_values=(0.05,), x_points=(0.0,),
-                                           g_margin=1.0)
-        assert res.status == "fail"
+        check = verify.LyapunovIntegrability(fam, syn.timed, GridSpec(1, 8.0, 1.0 / 16),
+                                             t_values=(0.05,), x_points=(0.0,))
+        outputs = evolve_all(fam, check.requests)
+        assert check.measure(outputs).passed
+        assert check.measure([math.e * both for both in outputs]).status == "fail"
 
     def test_boundary_heavy_run_is_inconclusive(self):
         fam = headline_family()
@@ -659,8 +661,7 @@ class TestWeightedBound:
         res = check_weighted_bound(fam, syn, s=4.0, t_values=(0.25,),
                                    sources=(0.0, 1.0, -1.0),
                                    coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
-                                   width=1.0 / 16, two_sided=True,
-                                   adjoint_synthesis=adj)
+                                   width=1.0 / 16, adjoint_synthesis=adj)
         assert res.passed, res.line()
         assert res.details["C_cal"] > 0.0
         assert res.details["sup_fine"] <= 1.10 * res.details["C_cal"]
@@ -673,26 +674,41 @@ class TestWeightedBound:
         res = check_weighted_bound(
             fam, syn, s=4.0, t_values=(0.25,), sources=(0.0,),
             coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 8.0), width=1.0 / 16,
-            majorant_override=lambda t, pts: np.exp(-4.0 * np.sum(pts * pts, axis=-1)))
+            majorant_scale=1e-6)
         assert res.status == "fail"
 
-    def test_reused_calibration_detects_shrunk_majorant(self):
+    @pytest.mark.parametrize("f", [0.5, 2.0])
+    def test_majorant_scale_divides_the_fine_sup_only(self, f):
+        # s = 4, so f^(s/2) is a power of two and every division is exact
+        fam = headline_family()
+        syn = synth_poly(fam, 1.0)
+        check = verify.WeightedBound(fam, syn, 4.0, (0.25,), (0.0,), (1.0 / 8, 4.0),
+                                     (1.0 / 8, 8.0), width=1.0 / 16)
+        outputs = evolve_all(fam, check.requests)
+        healthy = check.measure(outputs).details
+        res = replace(check, majorant_scale=f).measure(outputs)
+        assert res.details["C_cal"] == healthy["C_cal"]
+        assert res.worst == healthy["sup_fine"] / f ** 2.0 / healthy["C_cal"] - 1.0
+        assert res.status == ("fail" if f < 1.0 else "pass")
+
+    def test_adjoint_synthesis_alone_makes_the_check_two_sided(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
         args = dict(s=4.0, t_values=(0.25,), sources=(0.0,),
-                    coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 4.0), width=1.0 / 16)
-        healthy = check_weighted_bound(fam, syn, **args)
-        assert healthy.passed
-        res = check_weighted_bound(fam, syn, C_cal=healthy.details["C_cal"] / 1e6,
-                                   **args)
-        assert res.status == "fail"
+                    coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 8.0), width=1.0 / 16)
+        one = check_weighted_bound(fam, syn, **args).details
+        assert one["sup2_coarse"] == one["sup2_fine"] == 0.0
+        two = check_weighted_bound(fam, syn, adjoint_synthesis=synth_poly(
+            fam, 1.0, target="P_adjoint"), **args).details
+        assert two["sup2_coarse"] > 0.0 and two["sup2_fine"] > 0.0
+        assert two["sup_fine"] == one["sup_fine"]
 
     def test_majorant_weights_are_calibrated_once_for_all_times(self, monkeypatch):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
         adj = synth_poly(fam, 1.0, target="P_adjoint")
         args = dict(s=4.0, sources=(0.0,), coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 4.0),
-                    width=1.0 / 16, two_sided=True, adjoint_synthesis=adj)
+                    width=1.0 / 16, adjoint_synthesis=adj)
         calls = []
         real = verify.verify_certificate
 
@@ -718,14 +734,6 @@ class TestWeightedBound:
             check_weighted_bound(fam, syn, s=4.0, t_values=(0.25,), sources=(0.0,),
                                  coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
                                  eps_scales=(0.75, 0.5, 1.0))
-
-    def test_two_sided_needs_adjoint_synthesis(self):
-        fam = headline_family()
-        syn = synth_poly(fam, 1.0)
-        with pytest.raises(DomainError):
-            check_weighted_bound(fam, syn, s=4.0, t_values=(0.25,), sources=(0.0,),
-                                 coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
-                                 two_sided=True)
 
 
 class TestDecayShape:
@@ -791,41 +799,11 @@ class TestReporting:
         results = self._two_results()
         assert "overall: pass" in summary_text(results)
         failed = CheckResult(check="x", status="fail", worst=1.0, tolerance=0.1,
-                             location=(None,) * 5, fingerprint="0" * 12)
+                             location=(None,) * 5)
         assert "overall: fail" in summary_text(results + [failed])
         unclear = CheckResult(check="x", status="inconclusive", worst=0.0,
-                              tolerance=0.1, location=(None,) * 5,
-                              fingerprint="0" * 12)
+                              tolerance=0.1, location=(None,) * 5)
         assert "overall: inconclusive" in summary_text(results + [unclear])
-
-    def test_fingerprint_tracks_configuration(self):
-        a = check_support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3)
-        b = check_support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3)
-        c = check_support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3,
-                          tol_null=1e-9)
-        assert a.fingerprint == b.fingerprint
-        assert a.fingerprint != c.fingerprint
-
-    def test_equal_declarations_share_a_fingerprint_across_processes(self):
-        fam = headline_family()
-        syn = synth_poly(fam, 1.0)
-        args = (fam, syn, 4.0, (0.25,), (0.0,), (1.0 / 8, 4.0), (1.0 / 8, 8.0))
-        plain = verify.WeightedBound(*args)
-        # a callable has no stable text, so it is left out
-        probed = verify.WeightedBound(*args, majorant_override=lambda t, pts: 1.0)
-        assert probed.fingerprint == plain.fingerprint
-        assert verify.WeightedBound(*args, tol=0.2).fingerprint != plain.fingerprint
-        code = ("from kernelbound.coefficients import diagonal_family\n"
-                "from kernelbound.lyapunov import synth_poly\n"
-                "from kernelbound.verify import WeightedBound\n"
-                "fam = diagonal_family('polynomial', 1, 2, beta=1.0,\n"
-                "    theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])\n"
-                "print(WeightedBound(fam, synth_poly(fam, 1.0), 4.0, (0.25,), (0.0,),\n"
-                "    (1.0 / 8, 4.0), (1.0 / 8, 8.0)).fingerprint)\n")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120).stdout
-        assert out.strip() == plain.fingerprint
 
     def test_line_mentions_worst_and_location(self):
         res = self._two_results()[0]
