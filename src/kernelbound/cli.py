@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds, hypotheses, lyapunov, solver, verify
 from .coefficients import PolynomialFamily
 from .config import RunConfig, family_from_config, parse_config
-from .errors import BudgetError, ConfigError, KernelBoundError
+from .errors import BudgetError, ConfigError, DomainError, KernelBoundError
 from .svg import polyline_plot
 
 __all__ = ["main", "cmd_check", "cmd_synth", "cmd_solve", "cmd_verify",
@@ -65,13 +65,14 @@ def _resolve_out(cfg: RunConfig, cli_out) -> str:
 
 
 def _grid_params(cfg: RunConfig):
-    radii = cfg.get("grid", "radii")
-    if any(r <= 0 for r in radii) or sorted(radii) != radii \
-            or len(set(radii)) != len(radii):
-        raise ConfigError("%s: grid.radii must be positive and strictly "
-                          "increasing" % cfg._where("grid", "radii"))
-    return (cfg.get("grid", "d"), radii, cfg.get("grid", "spacing"),
-            cfg.get("grid", "dt"), cfg.get("grid", "theta"))
+    d, radii, spacing = (cfg.get("grid", key) for key in ("d", "radii", "spacing"))
+    for radius in radii:
+        try:
+            solver.GridSpec(d, radius, spacing)
+        except DomainError as exc:
+            raise ConfigError("%s: grid.spacing does not fit grid.radii: %s"
+                              % (cfg._where("grid", "spacing"), exc))
+    return d, radii, spacing, cfg.get("grid", "dt"), cfg.get("grid", "theta")
 
 
 def _point(row, d: int):
@@ -111,15 +112,17 @@ def _flag_or_key(cfg: RunConfig, key: str, flag, least: int):
     return value
 
 
-def _synthesize(cfg: RunConfig, fam, target: str, radius: float, store=None):
+def _synthesize(cfg: RunConfig, fam, target: str, radius: float, store=None,
+                grids=None):
     """Deterministic synthesis plus grid calibration of the timed constant,
-    whose certificate is a record in the store when one is given."""
+    whose certificate is a record in the store when one is given, on the
+    certificate grids when given."""
     fn = lyapunov.synth_poly if isinstance(fam, PolynomialFamily) \
         else lyapunov.synth_exp
     result = fn(fam, cfg.get("lyapunov", "T"), target=target)
     if target == "P":
         result = _apply_overrides(cfg, result)
-    report = verify.stored_certificate(fam, result.timed, radius, store)
+    report = verify.stored_certificate(fam, result.timed, radius, store, grids)
     return replace(result, timed=report.certified), report
 
 
@@ -251,21 +254,27 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     d = fam.dims.d
     s, window, t_ref, eps_scales = _bounds_params(cfg, d)
     radius = cfg.get("lyapunov", "radius")
+    # the static, timed and nu1 certificates of a target share its two
+    # grids, each evaluated once; they go when the command returns
+    grids = lyapunov.CertificateGrids(fam)
 
-    forward, rep_ft = _synthesize(cfg, fam, "P", radius)
-    rep_fs = lyapunov.verify_certificate(fam, forward.static, radius=radius)
+    forward, rep_ft = _synthesize(cfg, fam, "P", radius, grids=grids)
+    rep_fs = lyapunov.verify_certificate(fam, forward.static, radius=radius,
+                                         grids=grids)
     forward = replace(forward, static=rep_fs.certified)
-    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint", radius)
-    rep_as = lyapunov.verify_certificate(fam, adjoint.static, radius=radius)
+    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint", radius, grids=grids)
+    rep_as = lyapunov.verify_certificate(fam, adjoint.static, radius=radius,
+                                         grids=grids)
     adjoint = replace(adjoint, static=rep_as.certified)
 
     led_f, H = verify.weighted_majorant(fam, forward, s, t=t_ref,
                                         eps_scales=eps_scales,
-                                        cert_radius=radius, window=window)
+                                        cert_radius=radius, window=window,
+                                        grids=grids)
     led_a, H_star = verify.weighted_majorant(fam, adjoint, s, t=t_ref,
                                              eps_scales=eps_scales,
                                              adjoint=True, cert_radius=radius,
-                                             window=window)
+                                             window=window, grids=grids)
     ledger = led_f.with_adjoint(led_a)
 
     if isinstance(fam, PolynomialFamily):

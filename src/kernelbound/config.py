@@ -8,8 +8,9 @@ between rows ("1 0.5; 0.5 1"), lists as whitespace-separated scalars.
 
 SCHEMA declares every section and key, with its type, its default and the
 values it allows.  Values are checked while the file is parsed, so an
-unknown section or key, a malformed value or a disallowed one is an error
-that names the file, the line and the offending section.key.
+unknown section or key, a malformed value or a disallowed one (one outside
+its choices or its domain, a list of the wrong length) is an error that
+names the file, the line and the offending section.key.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import difflib
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import ConfigError, KernelBoundError
 from .lyapunov import SAMPLE_RADIUS
 from .solver import DEFAULT_BUDGET
 
-__all__ = ["SCHEMA", "REQUIRED", "Key", "RunConfig", "parse_config",
+__all__ = ["SCHEMA", "REQUIRED", "Key", "Domain", "RunConfig", "parse_config",
            "parse_config_text", "parse_value", "family_from_config"]
 
 SCHEMA_VERSION = 1
@@ -34,16 +35,34 @@ SCHEMA_VERSION = 1
 REQUIRED = object()
 
 
+class Domain(NamedTuple):
+    """The numbers a key allows: holds tests the list of its values (a
+    scalar key's one value), and text says what it allows."""
+
+    text: str
+    holds: Callable[[list], bool]
+
+
+POSITIVE = Domain("> 0", lambda vals: all(v > 0 for v in vals))
+UNIT = Domain("in [0, 1]", lambda vals: all(0 <= v <= 1 for v in vals))
+INCREASING = Domain("increasing, > 0", lambda vals: 0 < vals[0] and all(
+    a < b for a, b in zip(vals, vals[1:])))
+INCREASING_IN_UNIT = Domain("increasing in (0, 1]", lambda vals: INCREASING.holds(vals)
+                            and vals[-1] <= 1)
+
+
 class Key(NamedTuple):
     """One config key: kind is str, int, float, bool, strs, ints, floats or
     matrix.  Reading an unset REQUIRED key is an error, and a None default
     is resolved where the key is read.  choices limits the value, or each
-    list entry, and length fixes the length of a list."""
+    list entry, length fixes the length of a list, and domain limits a
+    number, or each list entry."""
 
     kind: str
     default: object = REQUIRED
     choices: Optional[tuple] = None
     length: Optional[int] = None
+    domain: Optional[Domain] = None
 
 
 SCHEMA = {
@@ -59,33 +78,34 @@ SCHEMA = {
     },
     "grid": {
         "d": Key("int", choices=(1, 2)),
-        "radii": Key("floats"),
-        "spacing": Key("float"),
-        "dt": Key("float", None),
-        "theta": Key("float", 0.5),
+        "radii": Key("floats", domain=INCREASING),
+        "spacing": Key("float", domain=POSITIVE),
+        "dt": Key("float", None, domain=POSITIVE),
+        "theta": Key("float", 0.5, domain=UNIT),
     },
     "lyapunov": {
-        "T": Key("float", 1.0),
+        "T": Key("float", 1.0, domain=POSITIVE),
         "rho": Key("float", None),
         "eps_hat": Key("float", None),
         "sigma": Key("float", None),
         "delta": Key("float", None),
-        "radius": Key("float", SAMPLE_RADIUS),
+        "radius": Key("float", SAMPLE_RADIUS, domain=POSITIVE),
     },
     "bounds": {
         "s": Key("float", None),
         "window_mode": Key("str", "proportional", ("proportional", "fixed")),
-        "window": Key("floats", length=4),
-        "t_ref": Key("float", 0.25),
-        "eps_scales": Key("floats", (0.5, 0.75, 1.0), length=3),
+        "window": Key("floats", length=4, domain=INCREASING),
+        "t_ref": Key("float", 0.25, domain=POSITIVE),
+        "eps_scales": Key("floats", (0.5, 0.75, 1.0), length=3,
+                          domain=INCREASING_IN_UNIT),
         "c_hat": Key("float", None),
     },
     "solve": {
         "sources": Key("matrix", None),
         "variants": Key("strs", ("P",), VARIANTS),
-        "times": Key("floats", (0.5,)),
+        "times": Key("floats", (0.5,), domain=POSITIVE),
         "components": Key("ints", None),
-        "width": Key("float", None),
+        "width": Key("float", None, domain=POSITIVE),
         "budget": Key("int", DEFAULT_BUDGET),
     },
     "verify": {
@@ -94,21 +114,21 @@ SCHEMA = {
             "chapman", "integrability", "weighted", "decay")),
         "seed": Key("int", None),
         "jobs": Key("int", 1),
-        "t": Key("floats", (0.1, 0.5, 1.0)),
-        "t_single": Key("float", None),
+        "t": Key("floats", (0.1, 0.5, 1.0), domain=POSITIVE),
+        "t_single": Key("float", None, domain=POSITIVE),
         "x": Key("matrix", None),
         "sources": Key("matrix", None),
         "components": Key("ints", None),
-        "width": Key("float", None),
-        "radius": Key("float", SAMPLE_RADIUS),
+        "width": Key("float", None, domain=POSITIVE),
+        "radius": Key("float", SAMPLE_RADIUS, domain=POSITIVE),
         "two_sided": Key("bool", False),
-        "chapman_s": Key("float", None),
-        "t_integrability": Key("floats", None),
-        "t_weighted": Key("floats", None),
+        "chapman_s": Key("float", None, domain=POSITIVE),
+        "t_integrability": Key("floats", None, domain=POSITIVE),
+        "t_weighted": Key("floats", None, domain=POSITIVE),
         "coarse": Key("floats", None, length=2),
         "fine": Key("floats", None, length=2),
         "majorant_scale": Key("float", 1.0),
-        "t_decay": Key("floats", (0.25, 0.5)),
+        "t_decay": Key("floats", (0.25, 0.5), domain=POSITIVE),
         "decay_eps_scale": Key("float", 0.5),
         "tol_domination": Key("float", 1e-9),
         "tol_monotone": Key("float", 1e-8),
@@ -180,6 +200,10 @@ def parse_value(section: str, name: str, raw: str, where: str = "<value>"):
     if key.length is not None and len(value) != key.length:
         raise ConfigError("%s needs %d values, got %d"
                           % (label, key.length, len(value)))
+    if key.domain is not None and not key.domain.holds(
+            value if key.kind in _LISTS else [value]):
+        raise ConfigError("%s must be %s, got %r"
+                          % (label, key.domain.text, raw))
     return value
 
 

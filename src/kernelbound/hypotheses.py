@@ -46,6 +46,7 @@ from .lyapunov import (
     _grid_points,
     _points_per_axis,
     _signed_log_sum,
+    time_blocks,
 )
 
 
@@ -353,53 +354,19 @@ def _family_log_V_row(fam: _FamilyBase, h: int, r: np.ndarray) -> np.ndarray:
     return _log_norm_from_entries(rows, axis=0)
 
 
-def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
-                    s: float, window: tuple[float, float],
-                    plan: Optional[SamplePlan] = None,
-                    adjoint: bool = False,
-                    inner: Optional[tuple[float, float]] = None) -> ConstantsLedger:
-    """Numeric suprema of the eight weight-compatibility ratios.
-
-    w must decay relative to nu1 and nu2 (eps strictly increasing along
-    w, nu1, nu2 and shared sigma, rho), otherwise the ratios blow up.  The
-    supremum runs over plan.times(a0, b0) x plan.points; every evaluation
-    is a log-space combination, so family coefficients far beyond float64
-    range still produce finite ratios.  adjoint=True computes the starred
-    variant: the potential item additionally absorbs |div b|, and the
-    resulting constants land in c with M from the adjoint row sums (use
-    ConstantsLedger.with_adjoint to merge).  inner overrides the inner
-    window pair (a, b); the default sits at even quarters.  The
-    coefficients depend on x only, so their log-entries and the norms of
-    items 5-8 are evaluated once per grid, before the loop over times.
-    """
-    a0, b0 = window
-    if not (0 < a0 < b0):
-        raise DomainError(f"window must satisfy 0 < a0 < b0, got {window}")
-    if not (w.sigma == nu1.sigma == nu2.sigma and w.rho == nu1.rho == nu2.rho
-            and w.form == nu1.form == nu2.form):
-        raise DomainError("w, nu1, nu2 must share form, sigma, and rho")
-    if not (w.eps < nu1.eps < nu2.eps):
-        raise DomainError(
-            f"need eps(w) < eps(nu1) < eps(nu2), got {w.eps}, {nu1.eps}, {nu2.eps}")
-    plan = plan or SamplePlan()
+def ledger_fields(system, at: RadialPoints, adjoint: bool) -> list:
+    """The time-invariant part of the ledger ratios on the points, per component k:
+    the log-magnitudes and signs of Q_k and R_k, and the log-norms of items
+    5-8 (|V row| with |div b| for the adjoint, |b|, |Q|_F, |R|_F) before
+    their weight factors."""
     spec = operator_spec_of(system)
-    d, m = spec.dims.d, spec.dims.m
+    pts, r = at.pts, at.r
+    n = len(r)
     is_family = isinstance(system, _FamilyBase)
-
-    pts = plan.points(d)
-    at = RadialPoints(pts, d)  # the three weights share form and rho
-    r = at.r
-    ts = plan.times(a0, b0)
-    sups = np.zeros(8)
-    arg_edge = [False] * 8
-    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
-
-    # the coefficients depend on x only: per component, the log-entries of
-    # Q and R, and the log-norms of items 5-8 before their weight factors
     fields = []
     if not is_family:
         V = np.asarray(spec.V(pts), dtype=float)
-    for k in range(m):
+    for k in range(spec.dims.m):
         if is_family:
             logQ, signQ, logR, signR, logb, _ = _family_log_entries(system, k, pts)
             logVrow = _family_log_V_row(system, k, r)
@@ -422,25 +389,68 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
             pot = logVrow
         fields.append((
             logQ, signQ, logR, signR, pot,
-            _log_norm_from_entries(logb.T, axis=0),                      # item 6: |b|
-            _log_norm_from_entries(logQ.reshape(len(r), -1).T, axis=0),  # item 7: |Q|_F
-            _log_norm_from_entries(logR.reshape(len(r), -1).T, axis=0),  # item 8: |R|_F
+            _log_norm_from_entries(logb.T, axis=0),                  # item 6: |b|
+            _log_norm_from_entries(logQ.reshape(n, -1).T, axis=0),   # item 7: |Q|_F
+            _log_norm_from_entries(logR.reshape(n, -1).T, axis=0),   # item 8: |R|_F
         ))
+    return fields
 
-    for t in ts:
-        Sw = w.log_value(t, at, d)
-        S1 = nu1.log_value(t, at, d)
-        S2 = nu2.log_value(t, at, d)
-        gw = w.grad_log(t, at, d)
-        hw = w.hess_log(t, at, d)
-        dtw = w.dt_log(t, at, d)
-        outer = gw[:, :, None] * gw[:, None, :]
+
+def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
+                    s: float, window: tuple[float, float],
+                    plan: Optional[SamplePlan] = None,
+                    adjoint: bool = False,
+                    inner: Optional[tuple[float, float]] = None) -> ConstantsLedger:
+    """Numeric suprema of the eight weight-compatibility ratios.
+
+    w must decay relative to nu1 and nu2 (eps strictly increasing along
+    w, nu1, nu2 and shared sigma, rho), otherwise the ratios blow up.  The
+    supremum runs over plan.times(a0, b0) x plan.points; every evaluation
+    is a log-space combination, so family coefficients far beyond float64
+    range still produce finite ratios.  adjoint=True computes the starred
+    variant: the potential item additionally absorbs |div b|, and the
+    resulting constants land in c with M from the adjoint row sums (use
+    ConstantsLedger.with_adjoint to merge).  inner overrides the inner
+    window pair (a, b); the default sits at even quarters.  The
+    coefficients depend on x only, so their log-entries and the norms of
+    items 5-8 are evaluated once per grid (ledger_fields).  The window
+    times are evaluated in blocks (lyapunov.time_blocks), one vectorized
+    pass each; sups, argmaxes and the first non-finite ratio are taken in
+    time order.
+    """
+    a0, b0 = window
+    if not (0 < a0 < b0):
+        raise DomainError(f"window must satisfy 0 < a0 < b0, got {window}")
+    if not (w.sigma == nu1.sigma == nu2.sigma and w.rho == nu1.rho == nu2.rho
+            and w.form == nu1.form == nu2.form):
+        raise DomainError("w, nu1, nu2 must share form, sigma, and rho")
+    if not (w.eps < nu1.eps < nu2.eps):
+        raise DomainError(
+            f"need eps(w) < eps(nu1) < eps(nu2), got {w.eps}, {nu1.eps}, {nu2.eps}")
+    plan = plan or SamplePlan()
+    d = system.dims.d
+    pts = plan.points(d)
+    n = len(pts)
+    at = RadialPoints(pts, d)  # the three weights share form and rho
+    sups = np.zeros(8)
+    arg_edge = [False] * 8
+    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
+    fields = ledger_fields(system, at, adjoint)
+
+    for ts in time_blocks(plan.times(a0, b0), n, d):
+        Sw = w.log_value(ts, at, d)             # (B, n)
+        S1 = nu1.log_value(ts, at, d)
+        S2 = nu2.log_value(ts, at, d)
+        gw = w.grad_log(ts, at, d)              # (B, n, d)
+        hw = w.hess_log(ts, at, d)              # (B, n, d, d)
+        dtw = w.dt_log(ts, at, d)
+        outer = gw[..., :, None] * gw[..., None, :]
         curv = outer + hw
         d1 = (Sw - S1) / s
         d2 = (Sw - S2) / s
-        log_ratios = np.full((8, len(r)), -np.inf)
-        log_ratios[0] = 2.0 * d1  # (w/nu1)^(2/s)
-        log_ratios[3] = np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1  # item 4
+        log_ratios = np.full((len(ts), 8, n), -np.inf)
+        log_ratios[:, 0] = 2.0 * d1  # (w/nu1)^(2/s)
+        log_ratios[:, 3] = np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1  # item 4
 
         log_gw = np.log(np.maximum(np.abs(gw), 1e-300))
         sign_gw = np.sign(gw)
@@ -449,42 +459,43 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
 
         for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:
             # item 2: |Q grad w| / (w^((s-1)/s) nu1^(1/s)) = |Q grad Sw| e^(d1)
-            terms = logQ + log_gw[:, None, :]
-            signs = signQ * sign_gw[:, None, :]
-            comp_log, _ = _signed_log_sum(terms, signs, axis=2)   # (n, d)
-            log_ratios[1] = np.maximum(log_ratios[1],
-                                       _log_norm_from_entries(comp_log.T, axis=0) + d1)
+            terms = logQ + log_gw[..., None, :]
+            signs = signQ * sign_gw[..., None, :]
+            comp_log, _ = _signed_log_sum(terms, signs, axis=-1)   # (B, n, d)
+            log_ratios[:, 1] = np.maximum(
+                log_ratios[:, 1],
+                _log_norm_from_entries(np.swapaxes(comp_log, -1, -2), axis=-2) + d1)
 
             # item 3: |div(Q grad w)|/w * e^(2 d1)
             #       = |sum_ij q_ij (gSg + hess)_ij + sum_ij R_ij gS_j| e^(2 d1)
-            t1 = (logQ + log_curv).reshape(len(r), -1)
-            s1 = (signQ * sign_curv).reshape(len(r), -1)
-            t2 = (logR + log_gw[:, None, :]).reshape(len(r), -1)
-            s2 = (signR * sign_gw[:, None, :]).reshape(len(r), -1)
-            div_log, _ = _signed_log_sum(np.concatenate([t1, t2], axis=1).T,
-                                         np.concatenate([s1, s2], axis=1).T, axis=0)
-            log_ratios[2] = np.maximum(log_ratios[2], div_log + 2.0 * d1)
+            t1 = (logQ + log_curv).reshape(len(ts), n, -1)
+            s1 = (signQ * sign_curv).reshape(len(ts), n, -1)
+            t2 = (logR + log_gw[..., None, :]).reshape(len(ts), n, -1)
+            s2 = (signR * sign_gw[..., None, :]).reshape(len(ts), n, -1)
+            div_log, _ = _signed_log_sum(
+                np.swapaxes(np.concatenate([t1, t2], axis=-1), -1, -2),
+                np.swapaxes(np.concatenate([s1, s2], axis=-1), -1, -2), axis=-2)
+            log_ratios[:, 2] = np.maximum(log_ratios[:, 2], div_log + 2.0 * d1)
 
             # items 5-8: the time-invariant norms against nu2 and nu1
-            log_ratios[4] = np.maximum(log_ratios[4], pot + 2.0 * d2)
-            log_ratios[5] = np.maximum(log_ratios[5], norm_b + d2)
-            log_ratios[6] = np.maximum(log_ratios[6], norm_Q + d1)
-            log_ratios[7] = np.maximum(log_ratios[7], norm_R + 2.0 * d1)
+            log_ratios[:, 4] = np.maximum(log_ratios[:, 4], pot + 2.0 * d2)
+            log_ratios[:, 5] = np.maximum(log_ratios[:, 5], norm_b + d2)
+            log_ratios[:, 6] = np.maximum(log_ratios[:, 6], norm_Q + d1)
+            log_ratios[:, 7] = np.maximum(log_ratios[:, 7], norm_R + 2.0 * d1)
 
         with np.errstate(over="ignore"):
-            ratios = np.exp(log_ratios)
+            ratios = np.exp(log_ratios, out=log_ratios)
         if not np.all(np.isfinite(ratios)):
-            bad = np.argwhere(~np.isfinite(ratios))
-            item, pt = int(bad[0][0]), int(bad[0][1])
+            # the first time, item and point, in that order
+            b, item, pt = (int(v) for v in np.argwhere(~np.isfinite(ratios))[0])
             raise NonFiniteError(
-                f"ledger item '{LEDGER_ITEMS[item]}' non-finite at t={t:.6g}, "
+                f"ledger item '{LEDGER_ITEMS[item]}' non-finite at t={ts[b]:.6g}, "
                 f"x={pts[pt]!r}")
-        t_sup = ratios.max(axis=1)
-        t_arg = ratios.argmax(axis=1)
-        for i in range(8):
-            if t_sup[i] > sups[i]:
-                sups[i] = t_sup[i]
-                arg_edge[i] = bool(edge[t_arg[i]])
+        for t_sup, t_arg in zip(ratios.max(axis=-1), ratios.argmax(axis=-1)):
+            for i in range(8):
+                if t_sup[i] > sups[i]:
+                    sups[i] = t_sup[i]
+                    arg_edge[i] = bool(edge[t_arg[i]])
 
     row = compute_row_sum_bound(system, adjoint=adjoint, radius=plan.radius)
     return ledger_of(d, s, window, inner, sups, arg_edge, row.M)

@@ -26,7 +26,10 @@ of the feasible intervals dictated by the growth exponents of the chosen
 coefficient family (sigma, whose interval is one-sided, is set to its lower
 endpoint plus one).  Certificates are validated numerically: grid suprema
 of the generator ratio, stability under radius doubling, and calibration of
-the constant part c0 of g.
+the constant part c0 of g.  The weights' log-derivatives and the generator
+ratio take a block of times in one vectorized pass (time_blocks sizes the
+blocks), with each time's bits as when taken alone; CertificateGrids keeps
+a system's certificate grids, so that synth evaluates each grid once.
 """
 
 from __future__ import annotations
@@ -194,6 +197,23 @@ def _points(x, d: int) -> RadialPoints:
     return x if isinstance(x, RadialPoints) else RadialPoints(x, d)
 
 
+def _power(t, exponent: float, trailing: int):
+    """t ** exponent for one time; for a block of times, the powers of its
+    entries shaped (len(t),) + (1,) * trailing, to broadcast over the points.
+
+    Each power is the scalar one (numpy's array power may differ from it in
+    the last bit), so a time has the same bits in a block as alone.
+    """
+    if np.ndim(t) == 0:
+        return t ** exponent
+    return np.array([ti ** exponent for ti in t]).reshape((-1,) + (1,) * trailing)
+
+
+def _at_points(p: RadialPoints, out: np.ndarray, t) -> np.ndarray:
+    # the point axis follows the time axis of a block
+    return np.take(out, 0, axis=np.ndim(t)) if p.scalar else out
+
+
 @dataclass(frozen=True)
 class SpaceTimeWeight:
     """Weight exp(eps * t^sigma * S(1+|x|^2)) exposed through log-derivatives.
@@ -201,7 +221,9 @@ class SpaceTimeWeight:
     All downstream consumers (constants ledger, majorant, decay profiles)
     work with log w and its derivatives, never with w itself, so the class
     stays finite wherever the exponent is representable.  x is an array of
-    points or a RadialPoints, which keeps the shape for the next call.
+    points or a RadialPoints, which keeps the shape for the next call.  t is
+    one time, or a block of times (a sequence) evaluated in one pass, whose
+    axis then leads the result.
     """
 
     form: str
@@ -215,33 +237,34 @@ class SpaceTimeWeight:
         if self.eps <= 0 or self.sigma <= 0 or self.rho <= 0:
             raise DomainError("weight needs eps, sigma, rho > 0")
 
-    def log_value(self, t: float, x, d: int) -> np.ndarray:
+    def log_value(self, t, x, d: int) -> np.ndarray:
         p = _points(x, d)
-        out = self.eps * t ** self.sigma * p.shape(0, self.form, self.rho)
-        return out[0] if p.scalar else out
+        out = self.eps * _power(t, self.sigma, 1) * p.shape(0, self.form, self.rho)
+        return _at_points(p, out, t)
 
-    def dt_log(self, t: float, x, d: int) -> np.ndarray:
-        if t <= 0:
+    def dt_log(self, t, x, d: int) -> np.ndarray:
+        if np.any(np.asarray(t) <= 0):
             raise DomainError("time derivative needs t > 0")
         p = _points(x, d)
-        out = self.eps * self.sigma * t ** (self.sigma - 1.0) * p.shape(0, self.form, self.rho)
-        return out[0] if p.scalar else out
+        out = self.eps * self.sigma * _power(t, self.sigma - 1.0, 1) \
+            * p.shape(0, self.form, self.rho)
+        return _at_points(p, out, t)
 
-    def grad_log(self, t: float, x, d: int) -> np.ndarray:
+    def grad_log(self, t, x, d: int) -> np.ndarray:
         p = _points(x, d)
-        out = 2.0 * self.eps * t ** self.sigma * p.shape(1, self.form, self.rho)[:, None] \
-            * p.pts
-        return out[0] if p.scalar else out
+        out = 2.0 * self.eps * _power(t, self.sigma, 2) \
+            * p.shape(1, self.form, self.rho)[:, None] * p.pts
+        return _at_points(p, out, t)
 
-    def hess_log(self, t: float, x, d: int) -> np.ndarray:
+    def hess_log(self, t, x, d: int) -> np.ndarray:
         p = _points(x, d)
-        c = self.eps * t ** self.sigma
+        c = self.eps * _power(t, self.sigma, 3)
         dS = p.shape(1, self.form, self.rho)
         d2S = p.shape(2, self.form, self.rho)
         eye = np.eye(d)
         out = 2.0 * c * dS[:, None, None] * eye + 4.0 * c * d2S[:, None, None] \
             * p.pts[:, :, None] * p.pts[:, None, :]
-        return out[0] if p.scalar else out
+        return _at_points(p, out, t)
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +710,52 @@ def grid_fields(system, pts: np.ndarray, adjoint: bool) -> GridFields:
                       points=RadialPoints(pts, spec.dims.d))
 
 
+class CertificateGrids:
+    """The GridFields of one system's certificate grids, by radius, points
+    per axis and target, each evaluated on first use.
+
+    A command that certifies several functions of one system hands one to
+    every verify_certificate, so each grid's coefficients and radial shapes
+    are evaluated once; they go when the command drops it.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self._fields: dict = {}
+
+    def fields(self, radius: float, per_axis: Optional[int], adjoint: bool) -> GridFields:
+        key = (radius, _points_per_axis(self.system.dims.d, per_axis), adjoint)
+        if key not in self._fields:
+            pts = _grid_points(self.system.dims.d, radius, per_axis)
+            self._fields[key] = grid_fields(self.system, pts, adjoint)
+        return self._fields[key]
+
+
+# elements of the (times, points, d, d) curvature block that one vectorized
+# pass over a sample grid takes: 1-D grids take a certificate ladder or a
+# ledger window in one block, 2-D grids one time per block
+_BLOCK_ELEMENTS = 2 ** 14
+
+
+def time_blocks(times, n: int, d: int) -> list:
+    """times cut in consecutive blocks of max(1, _BLOCK_ELEMENTS // (n d^2))
+    for a grid of n points."""
+    size = max(1, _BLOCK_ELEMENTS // (n * d * d))
+    return [times[i:i + size] for i in range(0, len(times), size)]
+
+
 def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpec],
-                     t: Optional[float], pts: np.ndarray,
-                     fields: Optional[GridFields] = None) -> np.ndarray:
+                     t, pts: np.ndarray, fields: Optional[GridFields] = None) -> np.ndarray:
     """(D_t +) generator applied to the (time-)Lyapunov function, over its value.
 
     Works entirely with S = log of the function: the ratio for component k is
     tr(Q_k (grad S grad S^T + D^2 S)) + <g_k + s b_k, grad S> + extras, with
     s = +1 for the forward targets and -1 plus the -div b - column-sum terms
     for the adjoint.  fields holds the coefficients on pts (grid_fields);
-    they are evaluated here when not given.  Shape (m, n).
+    they are evaluated here when not given.  t is one time, giving a ratio
+    of shape (m, n), or a block of times, giving shape (len(t), m, n); the
+    static function (timed None) is the one time at which t^sigma is
+    frozen at 1.
     """
     d, m = system.dims.d, system.dims.m
     adjoint = lyap.target == "P_adjoint"
@@ -707,23 +766,23 @@ def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpe
         tt = 1.0  # static function: t^sigma frozen at 1
     else:
         w = timed.weight()
-        tt = float(t)
+        tt = t if np.ndim(t) else float(t)
     at = fields.points
-    grad = w.grad_log(tt, at, d)          # (n, d)
-    hess = w.hess_log(tt, at, d)          # (n, d, d)
-    out = np.empty((m, pts.shape[0]))
+    grad = w.grad_log(tt, at, d)          # (..., n, d)
+    hess = w.hess_log(tt, at, d)          # (..., n, d, d)
+    out = np.empty(np.shape(tt) + (m, pts.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        curv = grad[:, :, None] * grad[:, None, :] + hess
+        curv = grad[..., :, None] * grad[..., None, :] + hess
         dt = w.dt_log(tt, at, d) if timed is not None else None
         for k in range(m):
-            second = np.einsum("nij,nij->n", fields.Q[k], curv)
-            first = np.einsum("nj,nj->n", fields.drift[k], grad)
+            second = np.einsum("...ij,...ij->...", fields.Q[k], curv)
+            first = np.einsum("...j,...j->...", fields.drift[k], grad)
             val = second + first - fields.vp_sums[k]
             if adjoint:
                 val = val - fields.divb[k]
             if dt is not None:
                 val = val + dt
-            out[k] = val
+            out[..., k, :] = val
     # -inf is fine (deep damping); +inf or NaN is not
     if np.any(np.isnan(out)) or np.any(np.isposinf(out)):
         raise CertificateError("generator ratio produced NaN/+inf on the certificate grid")
@@ -732,7 +791,8 @@ def _generator_ratio(system, lyap: LyapunovSpec, timed: Optional[TimeLyapunovSpe
 
 def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
                        radius: float = SAMPLE_RADIUS, tolerance: float = 0.01,
-                       per_axis: Optional[int] = None) -> CertificateReport:
+                       per_axis: Optional[int] = None,
+                       grids: Optional[CertificateGrids] = None) -> CertificateReport:
     """Validate a Lyapunov certificate on a grid and its radius-doubled version.
 
     Static specs: certifies lam = max(0, sup_k,x (A psi)_k / psi).  Timed
@@ -741,27 +801,34 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     grows by 10% or more under radius doubling (the function is then no
     Lyapunov function for this operator); passes when the two suprema agree
     within tolerance * max(1, |sup|).  The coefficient fields depend on x
-    only, so they are evaluated once per grid (grid_fields) and reused at
-    every ladder time.
+    only, so they are evaluated once per grid and reused at every ladder
+    time; grids, when given, keeps them for the system's next certificate,
+    which is how synth evaluates each of its grids once.  The ladder is
+    evaluated in blocks of times (time_blocks), one vectorized pass each,
+    and each time's sup is taken in ladder order.
     """
     d = system.dims.d
     timed = isinstance(lyap, TimeLyapunovSpec)
     target = lyap.base.target if timed else lyap.target
+    grids = CertificateGrids(system) if grids is None else grids
+    if grids.system is not system:
+        raise DomainError("certificate grids belong to another system")
 
     def grid_sup(R: float) -> float:
-        pts = _grid_points(d, R, per_axis)
-        fields = grid_fields(system, pts, adjoint=target == "P_adjoint")
-        if timed:
-            tgrid = [lyap.T * 2.0 ** (-j) for j in range(0, 11)]
-            p = lyap.sigma * (lyap.delta - 1.0) / lyap.delta
-            best = -np.inf
-            for t in tgrid:
-                ratio = _generator_ratio(system, lyap.base, lyap, t, pts, fields)
-                resid = ratio - lyap.eps_T * lyap.delta * t ** p
-                best = max(best, float(np.max(resid)))
-            return best
-        ratio = _generator_ratio(system, lyap, None, None, pts, fields)
-        return float(np.max(ratio))
+        fields = grids.fields(R, per_axis, adjoint=target == "P_adjoint")
+        pts = fields.points.pts
+        if not timed:
+            return float(np.max(_generator_ratio(system, lyap, None, None, pts, fields)))
+        tgrid = [lyap.T * 2.0 ** (-j) for j in range(0, 11)]
+        p = lyap.sigma * (lyap.delta - 1.0) / lyap.delta
+        best = -np.inf
+        for block in time_blocks(tgrid, len(pts), d):
+            ratio = _generator_ratio(system, lyap.base, lyap, block, pts, fields)
+            shift = np.array([lyap.eps_T * lyap.delta * t ** p for t in block])
+            resid = ratio - shift[:, None, None]
+            for sup in resid.reshape(len(block), -1).max(axis=1).tolist():
+                best = max(best, sup)
+        return best
 
     return certificate_report(lyap, grid_sup(radius), grid_sup(2.0 * radius), radius,
                               tolerance)

@@ -61,8 +61,8 @@ from .coefficients import CouplingSupport, _FamilyBase, operator_spec_of
 from .errors import DomainError, KernelBoundError
 from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimate_ledger,
                          ledger_of, row_sum_bound_of)
-from .lyapunov import (SAMPLE_RADIUS, CertificateReport, LyapunovSpec, RadialPoints,
-                       SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
+from .lyapunov import (SAMPLE_RADIUS, CertificateGrids, CertificateReport, LyapunovSpec,
+                       RadialPoints, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
 from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField,
                      GridSpec, OperatorHandle, default_dt, load_field, mollified_source,
@@ -278,9 +278,10 @@ def _record_key(kind: str, system, *parts) -> StoreKey:
 
 def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
                        radius: float = SAMPLE_RADIUS,
-                       store: Optional[KernelStore] = None) -> CertificateReport:
-    """verify_certificate(system, lyap, radius=radius), with its two grid sups
-    kept in the store as a record.
+                       store: Optional[KernelStore] = None,
+                       grids: Optional[CertificateGrids] = None) -> CertificateReport:
+    """verify_certificate(system, lyap, radius=radius, grids=grids), with its
+    two grid sups kept in the store as a record.
 
     The record key covers the system, every field of lyap, the radius and
     the grid's points per axis.  The report is rebuilt from the sups by
@@ -291,7 +292,7 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     store = KernelStore() if store is None else store
 
     def sups():
-        report = verify_certificate(system, lyap, radius=radius)
+        report = verify_certificate(system, lyap, radius=radius, grids=grids)
         return report.sup_coarse, report.sup_fine
 
     key = _record_key("certificate", system, lyap, radius, _points_per_axis(system.dims.d))
@@ -1068,13 +1069,14 @@ def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
 
 
 def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float, radius: float,
-                       store: Optional[KernelStore] = None) -> TimeLyapunovSpec:
+                       store: Optional[KernelStore] = None,
+                       grids: Optional[CertificateGrids] = None) -> TimeLyapunovSpec:
     """Rescale the weight amplitude and recalibrate its growth constant,
     through the store's certificate records when given one."""
     candidate = _scaled(timed, scale)
     if candidate is timed:
         return timed
-    return stored_certificate(system, candidate, radius, store).certified
+    return stored_certificate(system, candidate, radius, store, grids).certified
 
 
 @dataclass(frozen=True, eq=False)
@@ -1161,7 +1163,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
                       adjoint: bool = False, cert_radius: float = SAMPLE_RADIUS,
                       window: Optional[Sequence[float]] = None,
-                      store: Optional[KernelStore] = None) -> tuple:
+                      store: Optional[KernelStore] = None,
+                      grids: Optional[CertificateGrids] = None) -> tuple:
     """Ledger and constant majorant value over a time window.
 
     The window defaults to (t/8, t/4, t/2, 3t/4), proportional to the
@@ -1172,6 +1175,7 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     estimated ledger.  The ledger and the certificates of nu1 and nu2 are
     records in the store, or, without one, in a KernelStore in memory, made
     for the call; so calls at several times calibrate nu1 and nu2 once.
+    grids, when given, holds the certificate grids of the system.
     """
     store = KernelStore() if store is None else store
     timed = synthesis.timed
@@ -1188,8 +1192,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     nu2 = timed.weight(s2 * eps_T)
     ledger = _stored_ledger(system, w, nu1, nu2, s, (window[0], window[3]), adjoint,
                             (window[1], window[2]), store)
-    spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store)
-    spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store)
+    spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store, grids)
+    spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store, grids)
     ones = lambda pts: np.ones(pts.shape[0])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure

@@ -10,6 +10,10 @@ and store.  theta_steps is the plain theta loop whose bits
 OperatorHandle.evolve must reproduce, and discrete_inner and discrete_mass
 are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
+certificate_ladder_sups and ledger_window_sups evaluate the timed
+certificate's ladder and the ledger's window one time at a time, the loops
+whose bits the blocked passes of verify_certificate and estimate_ledger must
+reproduce.
 """
 
 from __future__ import annotations
@@ -20,9 +24,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from kernelbound.bounds import LEDGER_ITEMS
 from kernelbound.coefficients import VARIANTS, OperatorSpec, eval_VP
 from kernelbound.errors import (BudgetError, DimensionMismatchError, DomainError,
                                 NonFiniteError)
+from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries, ledger_fields
+from kernelbound.lyapunov import (RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
+                                  _generator_ratio, _grid_points, _signed_log_sum,
+                                  grid_fields)
 from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, mollified_source
 
 
@@ -200,3 +209,83 @@ def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
         raise DomainError(f"need 4 eps t^2 < 1, got eps={eps}, t={t}")
     x = np.asarray(x, dtype=float)
     return np.exp(eps * t + a * x * x / denom) / math.sqrt(denom)
+
+
+def certificate_ladder_sups(system, timed: TimeLyapunovSpec, radius: float,
+                            per_axis: Optional[int] = None) -> list:
+    """Per time of the 11-time ladder T 2^-j, taken one time at a time, the
+    timed certificate's sup of the g-free residual on the grid of one radius;
+    the certificate's grid sup is the first largest of them."""
+    pts = _grid_points(system.dims.d, radius, per_axis)
+    fields = grid_fields(system, pts, adjoint=timed.base.target == "P_adjoint")
+    p = timed.sigma * (timed.delta - 1.0) / timed.delta
+    sups = []
+    for t in [timed.T * 2.0 ** (-j) for j in range(0, 11)]:
+        ratio = _generator_ratio(system, timed.base, timed, t, pts, fields)
+        resid = ratio - timed.eps_T * timed.delta * t ** p
+        sups.append(float(np.max(resid)))
+    return sups
+
+
+def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
+                       nu2: SpaceTimeWeight, s: float, window: tuple, plan: SamplePlan,
+                       adjoint: bool = False) -> tuple:
+    """The eight ledger sups and their edge flags over plan.times(*window)
+    x plan.points, one time at a time; raises NonFiniteError at the first
+    time, item and point whose ratio is not finite."""
+    d = system.dims.d
+    pts = plan.points(d)
+    at = RadialPoints(pts, d)
+    n = len(pts)
+    sups = np.zeros(8)
+    arg_edge = [False] * 8
+    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
+    fields = ledger_fields(system, at, adjoint)
+    for t in plan.times(*window):
+        Sw = w.log_value(t, at, d)
+        S1 = nu1.log_value(t, at, d)
+        S2 = nu2.log_value(t, at, d)
+        gw = w.grad_log(t, at, d)
+        hw = w.hess_log(t, at, d)
+        dtw = w.dt_log(t, at, d)
+        curv = gw[:, :, None] * gw[:, None, :] + hw
+        d1 = (Sw - S1) / s
+        d2 = (Sw - S2) / s
+        log_ratios = np.full((8, n), -np.inf)
+        log_ratios[0] = 2.0 * d1
+        log_ratios[3] = np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1
+        log_gw = np.log(np.maximum(np.abs(gw), 1e-300))
+        sign_gw = np.sign(gw)
+        log_curv = np.log(np.maximum(np.abs(curv), 1e-300))
+        sign_curv = np.sign(curv)
+        for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:
+            comp_log, _ = _signed_log_sum(logQ + log_gw[:, None, :],
+                                          signQ * sign_gw[:, None, :], axis=2)
+            log_ratios[1] = np.maximum(log_ratios[1],
+                                       _log_norm_from_entries(comp_log.T, axis=0) + d1)
+            t1 = (logQ + log_curv).reshape(n, -1)
+            s1 = (signQ * sign_curv).reshape(n, -1)
+            t2 = (logR + log_gw[:, None, :]).reshape(n, -1)
+            s2 = (signR * sign_gw[:, None, :]).reshape(n, -1)
+            div_log, _ = _signed_log_sum(np.concatenate([t1, t2], axis=1).T,
+                                         np.concatenate([s1, s2], axis=1).T, axis=0)
+            log_ratios[2] = np.maximum(log_ratios[2], div_log + 2.0 * d1)
+            log_ratios[4] = np.maximum(log_ratios[4], pot + 2.0 * d2)
+            log_ratios[5] = np.maximum(log_ratios[5], norm_b + d2)
+            log_ratios[6] = np.maximum(log_ratios[6], norm_Q + d1)
+            log_ratios[7] = np.maximum(log_ratios[7], norm_R + 2.0 * d1)
+        with np.errstate(over="ignore"):
+            ratios = np.exp(log_ratios)
+        if not np.all(np.isfinite(ratios)):
+            bad = np.argwhere(~np.isfinite(ratios))
+            item, pt = int(bad[0][0]), int(bad[0][1])
+            raise NonFiniteError(
+                f"ledger item '{LEDGER_ITEMS[item]}' non-finite at t={t:.6g}, "
+                f"x={pts[pt]!r}")
+        t_sup = ratios.max(axis=1)
+        t_arg = ratios.argmax(axis=1)
+        for i in range(8):
+            if t_sup[i] > sups[i]:
+                sups[i] = t_sup[i]
+                arg_edge[i] = bool(edge[t_arg[i]])
+    return list(sups), arg_edge

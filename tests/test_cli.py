@@ -164,6 +164,37 @@ class TestConfigParsing:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, updates, named", [
+        ("verify", {"grid": {"theta": "1.5"}}, "grid.theta"),
+        ("verify", {"grid": {"radii": "4 8 16", "spacing": "0.3"}},
+         "grid.spacing"),
+        ("solve", {"solve": {"times": "-0.25 0.5"}}, "solve.times"),
+        ("solve", {"solve": {"width": "-1"}}, "solve.width"),
+        ("verify", {"verify": {"t": "0 0.25 0.5"}}, "verify.t"),
+        ("verify", {"verify": {"t_single": "0"}}, "verify.t_single"),
+        ("synth", {"lyapunov": {"T": "0"}}, "lyapunov.T"),
+        ("synth", {"bounds": {"eps_scales": "0.9 0.5 1"}},
+         "bounds.eps_scales"),
+        ("solve", {"grid": {"radii": "4 2"}}, "grid.radii"),
+        ("synth", {"lyapunov": {"radius": "-1"}}, "lyapunov.radius"),
+        ("synth", {"bounds": {"window_mode": "fixed",
+                              "window": "0.1 0.05 0.2 0.3"}}, "bounds.window"),
+        ("check", {"verify": {"radius": "0"}}, "verify.radius"),
+        ("verify", {"verify": {"chapman_s": "0"}}, "verify.chapman_s"),
+    ], ids=["grid.theta", "grid.spacing", "solve.times", "solve.width",
+            "verify.t", "verify.t_single", "lyapunov.T", "bounds.eps_scales",
+            "grid.radii", "lyapunov.radius", "bounds.window", "verify.radius",
+            "verify.chapman_s"])
+    def test_out_of_domain_value_exits_2_and_names_the_key(
+            self, tmp_path, capsys, command, updates, named):
+        cfg = make_config(tmp_path, **updates)
+        rc = cli.main([command, "--config", str(cfg), "--out",
+                       str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"run\.cfg:\d+: " + re.escape(named) + " ", err), err
+
+
 class TestCheckCommand:
     def test_passes_and_writes_reports(self, tmp_path, capsys):
         cfg = make_config(tmp_path)
@@ -217,6 +248,22 @@ class TestSynthCommand:
         for name in ("lyapunov_certificate.txt", "time_spec.txt",
                      "ledger.txt", "certificate.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_each_certificate_grid_is_evaluated_once_per_command(
+            self, tmp_path, monkeypatch):
+        # the static, timed and nu1 certificates of a target share one grid
+        # per radius: two targets at two radii; a second synth in the same
+        # process evaluates them again, so nothing is carried over
+        calls = []
+        real = lyapunov.grid_fields
+        monkeypatch.setattr(lyapunov, "grid_fields",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        cfg = make_config(tmp_path)
+        for out in ("a", "b"):
+            assert cli.main(["synth", "--config", str(cfg), "--out",
+                             str(tmp_path / out)]) == 0
+            assert len(calls) == 4
+            calls.clear()
 
     def test_infeasible_family_names_constraint(self, tmp_path, capsys):
         cfg = make_config(tmp_path, family={"alpha": "2", "beta": "0",

@@ -57,9 +57,9 @@ def test_readme_key_table_matches_schema_both_ways():
         else:
             assert config.parse_value(section, key, default) == \
                 defaults.get(section, key), (section, key)
-        if row.choices is not None:
-            assert allowed == " ".join(map(str, row.choices)), (section, key)
-        elif row.length is not None:
-            assert allowed == "%d values" % row.length, (section, key)
-        else:
-            assert allowed == "", (section, key)
+        limits = [" ".join(map(str, row.choices))] if row.choices else []
+        if row.length is not None:
+            limits.append("%d values" % row.length)
+        if row.domain is not None:
+            limits.append(row.domain.text)
+        assert allowed == ", ".join(limits), (section, key)

@@ -4,16 +4,28 @@ The coefficients depend on x only, so certificates and the ledger evaluate
 them once per grid and reuse them at every time.  The pinned values below
 (float.hex) were computed when the fields were still evaluated afresh at
 every time; moving where they are computed must not move a single bit.
+Certificate ladders and ledger windows are evaluated in blocks of times,
+and must have the bits of the one-time-at-a-time loops in oracles.py.
+synth's artifacts on the bench configs are pinned by their sha256.
 """
 
+import contextlib
+import hashlib
+import io
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kernelbound import cli
 from kernelbound import coefficients as co
 from kernelbound import lyapunov as ly
 from kernelbound import verify
-from kernelbound.hypotheses import compute_row_sum_bound, estimate_ledger
+from kernelbound.errors import CertificateError, NonFiniteError
+from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_ledger
+
+from oracles import certificate_ladder_sups, ledger_window_sups
 
 
 def family(kind, d):
@@ -237,3 +249,154 @@ def test_ledger_evaluates_coefficients_once_per_component(adjoint):
     if adjoint:
         expected["divb"] = m
     assert Counter(ledger_spec.calls) - Counter(row_spec.calls) == expected
+
+
+# ---------------------------------------------------------------------------
+# blocks of times against the one-time-at-a-time loops
+# ---------------------------------------------------------------------------
+
+# points per axis, with the block lengths they cut the 11-time certificate
+# ladder and the 9-time ledger window into: the default grid, a split into
+# two blocks, and a split that leaves a block of a single time
+BLOCKINGS = {
+    1: [(None, [11], [9]), (2000, [8, 3], [8, 1]), (3000, [5, 5, 1], [5, 4])],
+    2: [(None, [1] * 11, [1] * 9), (25, [6, 5], [6, 3]), (40, [2] * 5 + [1], [2] * 4 + [1])],
+}
+BLOCK_CASES = [(kind, d, target, per_axis, ladder, window)
+               for kind in ("polynomial", "exponential") for d in (1, 2)
+               for target in ly.TARGETS
+               for per_axis, ladder, window in BLOCKINGS[d]]
+
+
+def block_lengths(count, per_axis, d):
+    n = ly._points_per_axis(d, per_axis) ** d
+    return [len(block) for block in ly.time_blocks(list(range(count)), n, d)]
+
+
+@pytest.mark.parametrize("kind,d,target,per_axis,ladder,window", BLOCK_CASES)
+def test_blocked_certificate_ladder_has_the_bits_of_the_time_loop(
+        kind, d, target, per_axis, ladder, window):
+    assert block_lengths(11, per_axis, d) == ladder
+    fam = family(kind, d)
+    timed = synthesize(fam, target).timed
+    rep = ly.verify_certificate(fam, timed, per_axis=per_axis)
+    looped = [max(certificate_ladder_sups(fam, timed, R, per_axis))
+              for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
+    assert [rep.sup_coarse.hex(), rep.sup_fine.hex()] == [v.hex() for v in looped]
+
+
+@pytest.mark.parametrize("form", ly.FORMS)
+def test_a_block_of_times_has_the_bits_of_each_time(form):
+    w = ly.SpaceTimeWeight(form, eps=0.37, sigma=1.3, rho=0.5)
+    at = ly.RadialPoints(ly._grid_points(2, 20.0, 9), 2)
+    ts = np.linspace(0.013, 0.97, 37)
+    for method in (w.log_value, w.dt_log, w.grad_log, w.hess_log):
+        assert method(ts, at, 2).tobytes() == \
+            np.stack([method(t, at, 2) for t in ts]).tobytes(), method.__name__
+
+
+def heat_like(q: float = 1.0):
+    """A one-component 1-D spec with diffusion q, and nothing else."""
+    zeros = lambda x: np.zeros(np.atleast_2d(x).shape[:1])
+    return co.operator_spec_from_callables(
+        co.SystemDims(1, 1),
+        Q=lambda h, x: np.full(np.atleast_2d(x).shape[:1], q)[:, None, None],
+        b=lambda h, x: np.zeros_like(np.atleast_2d(x)),
+        V=lambda x: zeros(x)[:, None, None],
+        R=lambda h, x: zeros(x)[:, None, None],
+        divb=lambda h, x: zeros(x))
+
+
+def test_a_late_ladder_sup_is_found_in_the_last_block():
+    # with sigma < 1 the t^(sigma-1) growth of D_t log nu outruns the
+    # subtracted g part as t -> 0, so the sup sits at the smallest time,
+    # alone in the last block of a 3000-point grid
+    static = ly.LyapunovSpec(form="power", rho=0.001, eps_hat=1.0)
+    timed = ly.TimeLyapunovSpec(base=static, T=1.0, sigma=0.5, delta=0.4999)
+    assert block_lengths(11, 3000, 1) == [5, 5, 1]
+    rep = ly.verify_certificate(heat_like(), timed, per_axis=3000)
+    for R, sup in ((ly.SAMPLE_RADIUS, rep.sup_coarse), (2.0 * ly.SAMPLE_RADIUS, rep.sup_fine)):
+        looped = certificate_ladder_sups(heat_like(), timed, R, 3000)
+        assert int(np.argmax(looped)) == 10
+        assert sup.hex() == looped[10].hex()
+
+
+@pytest.mark.parametrize("kind,d,target,per_axis,ladder,window", BLOCK_CASES)
+def test_blocked_ledger_window_has_the_bits_of_the_time_loop(
+        kind, d, target, per_axis, ladder, window):
+    assert block_lengths(9, per_axis, d) == window
+    fam = family(kind, d)
+    timed = ly.verify_certificate(fam, synthesize(fam, target).timed).certified
+    plan = SamplePlan(per_axis=per_axis)
+    args = (fam, *ledger_weights(timed), 5.0, (0.0625, 0.375))
+    led = estimate_ledger(*args, plan=plan, adjoint=target == "P_adjoint")
+    sups, edge = ledger_window_sups(*args, plan=plan, adjoint=target == "P_adjoint")
+    assert [float(c).hex() for c in led.c] == [float(c).hex() for c in sups]
+    assert list(led.boundary_flags) == edge
+
+
+def test_blocked_certificate_raises_the_loop_error():
+    # Q (grad S)^2 overflows at the ladder's larger times
+    static = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=1.0)
+    timed = ly.TimeLyapunovSpec(base=static, T=1.0, sigma=1.0, delta=0.75)
+    spec = heat_like(1e306)
+    with pytest.raises(CertificateError) as blocked:
+        ly.verify_certificate(spec, timed)
+    with pytest.raises(CertificateError) as looped:
+        certificate_ladder_sups(spec, timed, ly.SAMPLE_RADIUS)
+    assert str(blocked.value) == str(looped.value)
+
+
+@pytest.mark.parametrize("per_axis", [None, 3000])
+def test_blocked_ledger_names_the_loop_first_non_finite_ratio(per_axis):
+    # the divergence item |Q| |grad w|^2 crosses float range inside the
+    # window, at a time that is not the first of its block
+    w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0)
+                   for eps in (1.0, 1.0 + 1e-9, 1.0 + 2e-9))
+    args = (heat_like(1e308), w, nu1, nu2, 4.0, (0.01, 0.1))
+    plan = SamplePlan(per_axis=per_axis)
+    with pytest.raises(NonFiniteError) as blocked:
+        estimate_ledger(*args, plan=plan)
+    with pytest.raises(NonFiniteError) as looped:
+        ledger_window_sups(*args, plan=plan)
+    assert str(blocked.value) == str(looped.value)
+    assert "t=0.01," not in str(blocked.value)
+
+
+# ---------------------------------------------------------------------------
+# synth's artifacts on the bench configs
+# ---------------------------------------------------------------------------
+
+# A change that moves a bit of these files updates the pin in the same diff,
+# and CHANGES.md says why.
+SYNTH_SHA256 = {
+    "poly1d": {
+        "lyapunov_certificate.txt": "a2fd83a94511b9968c94f97de282adfef82f7dffa3cd7e41765b14b9071f5730",
+        "time_spec.txt": "fa35e14243302c7f156691a6d35c3b3e016769f40870692e8e693773a0f58d54",
+        "ledger.txt": "1c74bbd50a6354c6d3a5882ffb843fc61b1d46a42c9ee4d61e70b22e814d37f6",
+        "certificate.txt": "39d5ca672a06ca667f83dba9016b565f100d8c1eece60b858f80b33e145e3ee5",
+    },
+    "poly2d": {
+        "lyapunov_certificate.txt": "aeac739f588d19ba9993a9bf4c3ea36511fa4de245e42fb8d45b19cf321488cc",
+        "time_spec.txt": "c4c9afba303122d8405d0ad024e7d2bb249503bc859fb8057e9a5078801e7c70",
+        "ledger.txt": "704ba9a9280ebbe2c68d1c0fe9426749d8718989fc8ca51f574a2a5dcdec86c3",
+        "certificate.txt": "de7aebbeccf662e3b24444bc1ce5e70d7d7b4ae2095ec8d72039dd7ac3f10744",
+    },
+    "exp1d": {
+        "lyapunov_certificate.txt": "74e32c722b00124ee4b3de5540eb9642be954ed1761fe9a92076bcce7e066a1e",
+        "time_spec.txt": "d0c5e05ccc1bdb5331450d71afcc041695aa4b708d2d313c40bb9cde08fa0d6c",
+        "ledger.txt": "65f12e51bb7ccc63472bc9536453fc757f7c846c4e3fa1d13a125f1a48532f11",
+        "certificate.txt": "00e84bd7598b8a67be3257630d2da7c59fbb6adfbc18524615d8e6d6e10523d5",
+    },
+}
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+@pytest.mark.parametrize("workload", sorted(SYNTH_SHA256))
+def test_synth_artifacts_are_pinned(workload, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--config", str(BENCH_CONFIGS / (workload + ".cfg")),
+                         "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SYNTH_SHA256[workload]} == SYNTH_SHA256[workload]
