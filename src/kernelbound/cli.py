@@ -64,14 +64,21 @@ def _resolve_out(cfg: RunConfig, cli_out) -> str:
     return cfg.get("output", "directory")
 
 
+def _check_grid_rule(cfg: RunConfig, section: str, key: str, d: int,
+                     radius: float, spacing: float):
+    """A (radius, spacing) pair that GridSpec rejects exits 2 and names
+    section.key, which set it."""
+    try:
+        solver.GridSpec(d, radius, spacing)
+    except DomainError as exc:
+        raise ConfigError("%s: %s.%s does not fit the grid rule: %s"
+                          % (cfg._where(section, key), section, key, exc))
+
+
 def _grid_params(cfg: RunConfig):
     d, radii, spacing = (cfg.get("grid", key) for key in ("d", "radii", "spacing"))
     for radius in radii:
-        try:
-            solver.GridSpec(d, radius, spacing)
-        except DomainError as exc:
-            raise ConfigError("%s: grid.spacing does not fit grid.radii: %s"
-                              % (cfg._where("grid", "spacing"), exc))
+        _check_grid_rule(cfg, "grid", "spacing", d, radius, spacing)
     return d, radii, spacing, cfg.get("grid", "dt"), cfg.get("grid", "theta")
 
 
@@ -112,17 +119,15 @@ def _flag_or_key(cfg: RunConfig, key: str, flag, least: int):
     return value
 
 
-def _synthesize(cfg: RunConfig, fam, target: str, radius: float, store=None,
-                grids=None):
+def _synthesize(cfg: RunConfig, fam, target: str, radius: float, store):
     """Deterministic synthesis plus grid calibration of the timed constant,
-    whose certificate is a record in the store when one is given, on the
-    certificate grids when given."""
+    whose certificate is a record in the store."""
     fn = lyapunov.synth_poly if isinstance(fam, PolynomialFamily) \
         else lyapunov.synth_exp
     result = fn(fam, cfg.get("lyapunov", "T"), target=target)
     if target == "P":
         result = _apply_overrides(cfg, result)
-    report = verify.stored_certificate(fam, result.timed, radius, store, grids)
+    report = verify.stored_certificate(fam, result.timed, radius, store)
     return replace(result, timed=report.certified), report
 
 
@@ -149,10 +154,7 @@ def _bounds_params(cfg: RunConfig, d: int):
     if s <= d + 2:
         raise ConfigError("%s: bounds.s must exceed d + 2 = %d, got %s"
                           % (cfg._where("bounds", "s"), d + 2, _g(s)))
-    window = None
-    if cfg.get("bounds", "window_mode") == "fixed":
-        window = tuple(cfg.get("bounds", "window"))
-    return (s, window, cfg.get("bounds", "t_ref"),
+    return (s, cfg.get("bounds", "window"), cfg.get("bounds", "t_ref"),
             tuple(cfg.get("bounds", "eps_scales")))
 
 
@@ -254,27 +256,25 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     d = fam.dims.d
     s, window, t_ref, eps_scales = _bounds_params(cfg, d)
     radius = cfg.get("lyapunov", "radius")
-    # the static, timed and nu1 certificates of a target share its two
-    # grids, each evaluated once; they go when the command returns
-    grids = lyapunov.CertificateGrids(fam)
+    # in memory: the static, timed and nu1 certificates of a target share
+    # its two grids, each evaluated once, and synth writes no store files
+    store = verify.KernelStore()
 
-    forward, rep_ft = _synthesize(cfg, fam, "P", radius, grids=grids)
-    rep_fs = lyapunov.verify_certificate(fam, forward.static, radius=radius,
-                                         grids=grids)
+    forward, rep_ft = _synthesize(cfg, fam, "P", radius, store)
+    rep_fs = verify.stored_certificate(fam, forward.static, radius, store)
     forward = replace(forward, static=rep_fs.certified)
-    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint", radius, grids=grids)
-    rep_as = lyapunov.verify_certificate(fam, adjoint.static, radius=radius,
-                                         grids=grids)
+    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint", radius, store)
+    rep_as = verify.stored_certificate(fam, adjoint.static, radius, store)
     adjoint = replace(adjoint, static=rep_as.certified)
 
     led_f, H = verify.weighted_majorant(fam, forward, s, t=t_ref,
                                         eps_scales=eps_scales,
                                         cert_radius=radius, window=window,
-                                        grids=grids)
+                                        store=store)
     led_a, H_star = verify.weighted_majorant(fam, adjoint, s, t=t_ref,
                                              eps_scales=eps_scales,
                                              adjoint=True, cert_radius=radius,
-                                             window=window, grids=grids)
+                                             window=window, store=store)
     ledger = led_f.with_adjoint(led_a)
 
     if isinstance(fam, PolynomialFamily):
@@ -465,6 +465,8 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 coarse = [2.0 * spacing, radii[-1] / 2.0]
             if fine is None:
                 fine = [spacing, radii[-1]]
+            for key, (sp, radius) in (("coarse", coarse), ("fine", fine)):
+                _check_grid_rule(cfg, "verify", key, d, radius, sp)
             # calibration.txt names the inputs its C_cal comes from
             cal_fp = verify._fingerprint(
                 "calibration", verify.system_fingerprint(fam), s, eps_scales,

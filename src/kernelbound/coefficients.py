@@ -92,61 +92,6 @@ class OperatorSpec:
     divb: Callable[[int, np.ndarray], np.ndarray]
 
 
-def _fd_jacobian_of_Q(Q: Callable[[int, np.ndarray], np.ndarray], d: int):
-    """Finite-difference fallback for R^h when no analytic derivative is given."""
-
-    def R(h: int, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        out = np.zeros((n, d, d))
-        for p in range(n):
-            xp = x[p]
-            step = (np.finfo(float).eps ** (1 / 3)) * (1.0 + float(np.linalg.norm(xp)))
-            for i in range(d):
-                ei = np.zeros(d)
-                ei[i] = step
-                dQ = (np.asarray(Q(h, xp + ei), dtype=float) - np.asarray(Q(h, xp - ei), dtype=float)) / (2 * step)
-                out[p, i, :] = dQ[i, :] if dQ.ndim == 2 else dQ.reshape(d, d)[i, :]
-        return out
-
-    return R
-
-
-def _fd_div_of_b(b: Callable[[int, np.ndarray], np.ndarray], d: int):
-    def divb(h: int, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0])
-        for p in range(x.shape[0]):
-            xp = x[p]
-            step = (np.finfo(float).eps ** (1 / 3)) * (1.0 + float(np.linalg.norm(xp)))
-            acc = 0.0
-            for i in range(d):
-                ei = np.zeros(d)
-                ei[i] = step
-                acc += (np.asarray(b(h, xp + ei), dtype=float)[i] - np.asarray(b(h, xp - ei), dtype=float)[i]) / (2 * step)
-            out[p] = acc
-        return out
-
-    return divb
-
-
-def operator_spec_from_callables(dims: SystemDims, Q, b, V, R=None, divb=None) -> OperatorSpec:
-    """Wrap plain callables into an OperatorSpec.
-
-    Missing derivative data (R, divb) is filled with central finite
-    differences; fine for tests and generic checks, families provide
-    analytic versions.
-    """
-    return OperatorSpec(
-        dims=dims,
-        Q=Q,
-        b=b,
-        V=V,
-        R=R if R is not None else _fd_jacobian_of_Q(Q, dims.d),
-        divb=divb if divb is not None else _fd_div_of_b(b, dims.d),
-    )
-
-
 # ---------------------------------------------------------------------------
 # coupling reachability
 # ---------------------------------------------------------------------------

@@ -93,8 +93,7 @@ SCHEMA = {
     },
     "bounds": {
         "s": Key("float", None),
-        "window_mode": Key("str", "proportional", ("proportional", "fixed")),
-        "window": Key("floats", length=4, domain=INCREASING),
+        "window": Key("floats", None, length=4, domain=INCREASING),
         "t_ref": Key("float", 0.25, domain=POSITIVE),
         "eps_scales": Key("floats", (0.5, 0.75, 1.0), length=3,
                           domain=INCREASING_IN_UNIT),

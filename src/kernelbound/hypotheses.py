@@ -396,6 +396,14 @@ def ledger_fields(system, at: RadialPoints, adjoint: bool) -> list:
     return fields
 
 
+def _joined_terms(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Two (B, n, d, d) blocks of terms as one (B, 2 d^2, n) array, the
+    terms of each point along axis -2."""
+    B, n = first.shape[:2]
+    return np.swapaxes(np.concatenate([first.reshape(B, n, -1), second.reshape(B, n, -1)],
+                                      axis=-1), -1, -2)
+
+
 def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
                     s: float, window: tuple[float, float],
                     plan: Optional[SamplePlan] = None,
@@ -437,51 +445,46 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
     fields = ledger_fields(system, at, adjoint)
 
+    # each (times, points) temporary is dropped after its last use
     for ts in time_blocks(plan.times(a0, b0), n, d):
         Sw = w.log_value(ts, at, d)             # (B, n)
-        S1 = nu1.log_value(ts, at, d)
-        S2 = nu2.log_value(ts, at, d)
+        d1 = (Sw - nu1.log_value(ts, at, d)) / s
+        d2 = (Sw - nu2.log_value(ts, at, d)) / s
+        del Sw
         gw = w.grad_log(ts, at, d)              # (B, n, d)
-        hw = w.hess_log(ts, at, d)              # (B, n, d, d)
-        dtw = w.dt_log(ts, at, d)
-        outer = gw[..., :, None] * gw[..., None, :]
-        curv = outer + hw
-        d1 = (Sw - S1) / s
-        d2 = (Sw - S2) / s
+        curv = gw[..., :, None] * gw[..., None, :] + w.hess_log(ts, at, d)  # (B, n, d, d)
+        log_curv, sign_curv = np.log(np.maximum(np.abs(curv), 1e-300)), np.sign(curv)
+        del curv
+        log_gw, sign_gw = np.log(np.maximum(np.abs(gw), 1e-300)), np.sign(gw)
+        del gw
         log_ratios = np.full((len(ts), 8, n), -np.inf)
         log_ratios[:, 0] = 2.0 * d1  # (w/nu1)^(2/s)
-        log_ratios[:, 3] = np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1  # item 4
-
-        log_gw = np.log(np.maximum(np.abs(gw), 1e-300))
-        sign_gw = np.sign(gw)
-        log_curv = np.log(np.maximum(np.abs(curv), 1e-300))
-        sign_curv = np.sign(curv)
+        log_ratios[:, 3] = (np.log(np.maximum(np.abs(w.dt_log(ts, at, d)), 1e-300))
+                            + 2.0 * d1)  # item 4
 
         for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:
             # item 2: |Q grad w| / (w^((s-1)/s) nu1^(1/s)) = |Q grad Sw| e^(d1)
-            terms = logQ + log_gw[..., None, :]
-            signs = signQ * sign_gw[..., None, :]
-            comp_log, _ = _signed_log_sum(terms, signs, axis=-1)   # (B, n, d)
+            comp_log, _ = _signed_log_sum(logQ + log_gw[..., None, :],
+                                          signQ * sign_gw[..., None, :], axis=-1)  # (B, n, d)
             log_ratios[:, 1] = np.maximum(
                 log_ratios[:, 1],
                 _log_norm_from_entries(np.swapaxes(comp_log, -1, -2), axis=-2) + d1)
+            del comp_log
 
             # item 3: |div(Q grad w)|/w * e^(2 d1)
             #       = |sum_ij q_ij (gSg + hess)_ij + sum_ij R_ij gS_j| e^(2 d1)
-            t1 = (logQ + log_curv).reshape(len(ts), n, -1)
-            s1 = (signQ * sign_curv).reshape(len(ts), n, -1)
-            t2 = (logR + log_gw[..., None, :]).reshape(len(ts), n, -1)
-            s2 = (signR * sign_gw[..., None, :]).reshape(len(ts), n, -1)
             div_log, _ = _signed_log_sum(
-                np.swapaxes(np.concatenate([t1, t2], axis=-1), -1, -2),
-                np.swapaxes(np.concatenate([s1, s2], axis=-1), -1, -2), axis=-2)
+                _joined_terms(logQ + log_curv, logR + log_gw[..., None, :]),
+                _joined_terms(signQ * sign_curv, signR * sign_gw[..., None, :]), axis=-2)
             log_ratios[:, 2] = np.maximum(log_ratios[:, 2], div_log + 2.0 * d1)
+            del div_log
 
             # items 5-8: the time-invariant norms against nu2 and nu1
             log_ratios[:, 4] = np.maximum(log_ratios[:, 4], pot + 2.0 * d2)
             log_ratios[:, 5] = np.maximum(log_ratios[:, 5], norm_b + d2)
             log_ratios[:, 6] = np.maximum(log_ratios[:, 6], norm_Q + d1)
             log_ratios[:, 7] = np.maximum(log_ratios[:, 7], norm_R + 2.0 * d1)
+        del d1, d2, log_gw, sign_gw, log_curv, sign_curv
 
         with np.errstate(over="ignore"):
             ratios = np.exp(log_ratios, out=log_ratios)

@@ -29,7 +29,7 @@ of the generator ratio, stability under radius doubling, and calibration of
 the constant part c0 of g.  The weights' log-derivatives and the generator
 ratio take a block of times in one vectorized pass (time_blocks sizes the
 blocks), with each time's bits as when taken alone; CertificateGrids keeps
-a system's certificate grids, so that synth evaluates each grid once.
+a system's certificate grids, so that a command evaluates each grid once.
 """
 
 from __future__ import annotations
@@ -803,7 +803,7 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     within tolerance * max(1, |sup|).  The coefficient fields depend on x
     only, so they are evaluated once per grid and reused at every ladder
     time; grids, when given, keeps them for the system's next certificate,
-    which is how synth evaluates each of its grids once.  The ladder is
+    which is how a command's kernel store evaluates each grid once.  The ladder is
     evaluated in blocks of times (time_blocks), one vectorized pass each,
     and each time's sup is taken in ladder order.
     """

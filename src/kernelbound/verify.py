@@ -38,7 +38,8 @@ compute_row_sum_bound build them with, so a stored constant has the bits of
 a computed one.  A record's key covers the system, every field of the specs
 and weights, the radius and points per axis, s, the window, the sample plan,
 adjoint, the inner window and RECORD_VERSION.  So a rerun against the same
-store recomputes nothing.
+store recomputes nothing, and a certificate the store lacks is computed on
+the store's grids of the system, so a command evaluates each grid once.
 """
 
 from __future__ import annotations
@@ -176,12 +177,14 @@ class KernelStore:
     every field key loaded or built since the store was made, whichever
     tier holds it; records, read and written by record(), are not fields
     and are not counted.  Corrupt or foreign files under a key are silently
-    recomputed.
+    recomputed.  grids(system) keeps the certificate grids of each system
+    the store sees, in memory only, so a command evaluates each grid once.
     """
 
     def __init__(self, directory=None):
         self._memory: dict[str, DiscreteField] = {}
         self._records: dict[str, tuple] = {}
+        self._grids: dict[int, CertificateGrids] = {}
         self._seen: set[str] = set()
         # a plain string: every lookup builds a path, and pathlib is slow at it
         self._dir = os.fspath(directory) if directory is not None else None
@@ -194,6 +197,18 @@ class KernelStore:
     def _path(self, digest: str, suffix: str = ".kbf") -> str:
         name = hashlib.sha1(digest.encode()).hexdigest()[:16]
         return os.path.join(self._dir, name + suffix)
+
+    def grids(self, system) -> CertificateGrids:
+        """The certificate grids of system, made on first use.
+
+        They are keyed by the system object, not by its fingerprint, since
+        verify_certificate takes only the grids of the very system it
+        certifies; they hold the system, so its id() stays unique while
+        the store lives.
+        """
+        if id(system) not in self._grids:
+            self._grids[id(system)] = CertificateGrids(system)
+        return self._grids[id(system)]
 
     def holds(self, key: StoreKey) -> bool:
         """Whether a field sits under key, in memory or in a file.
@@ -278,10 +293,9 @@ def _record_key(kind: str, system, *parts) -> StoreKey:
 
 def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
                        radius: float = SAMPLE_RADIUS,
-                       store: Optional[KernelStore] = None,
-                       grids: Optional[CertificateGrids] = None) -> CertificateReport:
-    """verify_certificate(system, lyap, radius=radius, grids=grids), with its
-    two grid sups kept in the store as a record.
+                       store: Optional[KernelStore] = None) -> CertificateReport:
+    """verify_certificate(system, lyap, radius=radius) on the store's grids
+    of the system, with its two grid sups kept in the store as a record.
 
     The record key covers the system, every field of lyap, the radius and
     the grid's points per axis.  The report is rebuilt from the sups by
@@ -292,7 +306,7 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     store = KernelStore() if store is None else store
 
     def sups():
-        report = verify_certificate(system, lyap, radius=radius, grids=grids)
+        report = verify_certificate(system, lyap, radius=radius, grids=store.grids(system))
         return report.sup_coarse, report.sup_fine
 
     key = _record_key("certificate", system, lyap, radius, _points_per_axis(system.dims.d))
@@ -1069,14 +1083,13 @@ def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
 
 
 def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float, radius: float,
-                       store: Optional[KernelStore] = None,
-                       grids: Optional[CertificateGrids] = None) -> TimeLyapunovSpec:
+                       store: Optional[KernelStore] = None) -> TimeLyapunovSpec:
     """Rescale the weight amplitude and recalibrate its growth constant,
     through the store's certificate records when given one."""
     candidate = _scaled(timed, scale)
     if candidate is timed:
         return timed
-    return stored_certificate(system, candidate, radius, store, grids).certified
+    return stored_certificate(system, candidate, radius, store).certified
 
 
 @dataclass(frozen=True, eq=False)
@@ -1163,8 +1176,7 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
                       adjoint: bool = False, cert_radius: float = SAMPLE_RADIUS,
                       window: Optional[Sequence[float]] = None,
-                      store: Optional[KernelStore] = None,
-                      grids: Optional[CertificateGrids] = None) -> tuple:
+                      store: Optional[KernelStore] = None) -> tuple:
     """Ledger and constant majorant value over a time window.
 
     The window defaults to (t/8, t/4, t/2, 3t/4), proportional to the
@@ -1175,7 +1187,6 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     estimated ledger.  The ledger and the certificates of nu1 and nu2 are
     records in the store, or, without one, in a KernelStore in memory, made
     for the call; so calls at several times calibrate nu1 and nu2 once.
-    grids, when given, holds the certificate grids of the system.
     """
     store = KernelStore() if store is None else store
     timed = synthesis.timed
@@ -1192,8 +1203,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
     nu2 = timed.weight(s2 * eps_T)
     ledger = _stored_ledger(system, w, nu1, nu2, s, (window[0], window[3]), adjoint,
                             (window[1], window[2]), store)
-    spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store, grids)
-    spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store, grids)
+    spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store)
+    spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store)
     ones = lambda pts: np.ones(pts.shape[0])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure

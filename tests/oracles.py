@@ -10,6 +10,8 @@ and store.  theta_steps is the plain theta loop whose bits
 OperatorHandle.evolve must reproduce, and discrete_inner and discrete_mass
 are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
+operator_spec_from_callables wraps bare coefficient callables into an
+OperatorSpec, differencing Q and b where no derivatives are given.
 certificate_ladder_sups and ledger_window_sups evaluate the timed
 certificate's ladder and the ledger's window one time at a time, the loops
 whose bits the blocked passes of verify_certificate and estimate_ledger must
@@ -25,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from kernelbound.bounds import LEDGER_ITEMS
-from kernelbound.coefficients import VARIANTS, OperatorSpec, eval_VP
+from kernelbound.coefficients import VARIANTS, OperatorSpec, SystemDims, eval_VP
 from kernelbound.errors import (BudgetError, DimensionMismatchError, DomainError,
                                 NonFiniteError)
 from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries, ledger_fields
@@ -113,6 +115,60 @@ def eval_operator(spec: OperatorSpec, variant: str, jet: FieldJet, h: int, x: np
     if not np.isfinite(value):
         raise NonFiniteError(f"operator value not finite at x={x!r}, component {h}")
     return value
+
+
+def _fd_jacobian_of_Q(Q: Callable[[int, np.ndarray], np.ndarray], d: int):
+    """Finite-difference fallback for R^h when no analytic derivative is given."""
+
+    def R(h: int, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        n = x.shape[0]
+        out = np.zeros((n, d, d))
+        for p in range(n):
+            xp = x[p]
+            step = (np.finfo(float).eps ** (1 / 3)) * (1.0 + float(np.linalg.norm(xp)))
+            for i in range(d):
+                ei = np.zeros(d)
+                ei[i] = step
+                dQ = (np.asarray(Q(h, xp + ei), dtype=float) - np.asarray(Q(h, xp - ei), dtype=float)) / (2 * step)
+                out[p, i, :] = dQ[i, :] if dQ.ndim == 2 else dQ.reshape(d, d)[i, :]
+        return out
+
+    return R
+
+
+def _fd_div_of_b(b: Callable[[int, np.ndarray], np.ndarray], d: int):
+    def divb(h: int, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        out = np.zeros(x.shape[0])
+        for p in range(x.shape[0]):
+            xp = x[p]
+            step = (np.finfo(float).eps ** (1 / 3)) * (1.0 + float(np.linalg.norm(xp)))
+            acc = 0.0
+            for i in range(d):
+                ei = np.zeros(d)
+                ei[i] = step
+                acc += (np.asarray(b(h, xp + ei), dtype=float)[i] - np.asarray(b(h, xp - ei), dtype=float)[i]) / (2 * step)
+            out[p] = acc
+        return out
+
+    return divb
+
+
+def operator_spec_from_callables(dims: SystemDims, Q, b, V, R=None, divb=None) -> OperatorSpec:
+    """Wrap plain callables into an OperatorSpec.
+
+    Missing derivative data (R, divb) is filled with central finite
+    differences; families provide analytic versions.
+    """
+    return OperatorSpec(
+        dims=dims,
+        Q=Q,
+        b=b,
+        V=V,
+        R=R if R is not None else _fd_jacobian_of_Q(Q, dims.d),
+        divb=divb if divb is not None else _fd_div_of_b(b, dims.d),
+    )
 
 
 def kernel_matrix(handle: OperatorHandle, t: float, width: Optional[float] = None,

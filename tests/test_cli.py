@@ -154,7 +154,11 @@ class TestConfigParsing:
         ("check", {"grid": {"d": "3"}}, "unknown value 3 in grid.d"),
         ("synth", {"bounds": {"eps_scales": "0.5 1"}},
          "bounds.eps_scales needs 3 values, got 2"),
-    ], ids=["key_typo", "section_typo", "format_typo", "grid_d", "eps_length"])
+        # a set bounds.window is the fixed window; no mode key selects it
+        ("synth", {"bounds": {"window_mode": "fixed"}},
+         "unknown key bounds.window_mode"),
+    ], ids=["key_typo", "section_typo", "format_typo", "grid_d", "eps_length",
+            "window_mode"])
     def test_typo_or_disallowed_value_exits_2(self, tmp_path, capsys,
                                                command, updates, message):
         cfg = make_config(tmp_path, **updates)
@@ -177,14 +181,18 @@ class TestConfigParsing:
          "bounds.eps_scales"),
         ("solve", {"grid": {"radii": "4 2"}}, "grid.radii"),
         ("synth", {"lyapunov": {"radius": "-1"}}, "lyapunov.radius"),
-        ("synth", {"bounds": {"window_mode": "fixed",
-                              "window": "0.1 0.05 0.2 0.3"}}, "bounds.window"),
+        ("synth", {"bounds": {"window": "0.1 0.05 0.2 0.3"}}, "bounds.window"),
         ("check", {"verify": {"radius": "0"}}, "verify.radius"),
         ("verify", {"verify": {"chapman_s": "0"}}, "verify.chapman_s"),
+        # (spacing, radius) pairs off the grid rule, as grid.spacing
+        ("verify", {"verify": {"checks": "weighted", "coarse": "0.3 8"}},
+         "verify.coarse"),
+        ("verify", {"verify": {"checks": "weighted", "fine": "0.125 0.1"}},
+         "verify.fine"),
     ], ids=["grid.theta", "grid.spacing", "solve.times", "solve.width",
             "verify.t", "verify.t_single", "lyapunov.T", "bounds.eps_scales",
             "grid.radii", "lyapunov.radius", "bounds.window", "verify.radius",
-            "verify.chapman_s"])
+            "verify.chapman_s", "verify.coarse", "verify.fine"])
     def test_out_of_domain_value_exits_2_and_names_the_key(
             self, tmp_path, capsys, command, updates, named):
         cfg = make_config(tmp_path, **updates)
@@ -248,6 +256,12 @@ class TestSynthCommand:
         for name in ("lyapunov_certificate.txt", "time_spec.txt",
                      "ledger.txt", "certificate.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_a_set_window_reaches_the_ledger(self, tmp_path):
+        cfg = make_config(tmp_path, bounds={"window": "0.01 0.02 0.03 0.04"})
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "window: 0.01 0.02 0.03 0.04\n" in (out / "ledger.txt").read_text()
 
     def test_each_certificate_grid_is_evaluated_once_per_command(
             self, tmp_path, monkeypatch):
@@ -764,6 +778,21 @@ class TestVerifyRecords:
         assert cli.main(args) == 0
         for name, blob in cold.items():
             assert (tmp_path / "out" / name).read_bytes() == blob
+
+    def test_each_certificate_grid_is_evaluated_once_per_command(
+            self, tmp_path, monkeypatch):
+        # the timed, rescaled and nu1 certificates share the forward grid at
+        # each of two radii; a rerun reads every certificate as a record
+        calls = []
+        real = lyapunov.grid_fields
+        monkeypatch.setattr(lyapunov, "grid_fields",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        cfg = make_config(tmp_path, **self.RECORDED)
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        for expected in (2, 0):
+            assert cli.main(args) == 0
+            assert len(calls) == expected
+            calls.clear()
 
     def test_rerun_computes_no_row_sum_bound(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path, **TWO_D)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kernelbound import coefficients as co
 from kernelbound.errors import DimensionMismatchError, HypothesisViolationError
 
-from oracles import FieldJet, eval_operator
+from oracles import FieldJet, eval_operator, operator_spec_from_callables
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def test_vp_rejects_nonsquare():
 
 def _laplacian_spec():
     dims = co.SystemDims(d=1, m=1)
-    return co.operator_spec_from_callables(
+    return operator_spec_from_callables(
         dims,
         Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1] + (1, 1))
         if np.asarray(x).ndim > 1 else np.eye(1),
@@ -63,6 +63,18 @@ def _laplacian_spec():
         R=lambda h, x: np.zeros((1, 1)),
         divb=lambda h, x: 0.0,
     )
+
+
+def test_finite_difference_derivatives_match_a_family():
+    # without R and divb the spec differentiates Q and b numerically
+    fam = co.diagonal_family("polynomial", 2, 2, alpha=0.5, beta=0.5,
+                             theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
+    exact = fam.operator_spec()
+    spec = operator_spec_from_callables(fam.dims, exact.Q, exact.b, exact.V)
+    x = np.array([[0.3, -1.2], [2.0, 0.5], [0.0, 0.0]])
+    for h in range(2):
+        assert np.allclose(spec.R(h, x), exact.R(h, x), rtol=1e-6, atol=1e-8)
+        assert np.allclose(spec.divb(h, x), exact.divb(h, x), rtol=1e-6, atol=1e-8)
 
 
 def test_operator_on_square_is_second_derivative():
@@ -77,7 +89,7 @@ def test_operator_constant_potential_coupling():
     # d=1, m=2, Q=I, b=0, V=[[2,3],[-1,4]]: (A u)_0 = u0'' - 2 u0 - 3 u1
     dims = co.SystemDims(d=1, m=2)
     V = np.array([[2.0, 3.0], [-1.0, 4.0]])
-    spec = co.operator_spec_from_callables(
+    spec = operator_spec_from_callables(
         dims,
         Q=lambda h, x: np.eye(1),
         b=lambda h, x: np.zeros(1),

@@ -25,7 +25,7 @@ from kernelbound import verify
 from kernelbound.errors import CertificateError, NonFiniteError
 from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_ledger
 
-from oracles import certificate_ladder_sups, ledger_window_sups
+from oracles import certificate_ladder_sups, ledger_window_sups, operator_spec_from_callables
 
 
 def family(kind, d):
@@ -298,7 +298,7 @@ def test_a_block_of_times_has_the_bits_of_each_time(form):
 def heat_like(q: float = 1.0):
     """A one-component 1-D spec with diffusion q, and nothing else."""
     zeros = lambda x: np.zeros(np.atleast_2d(x).shape[:1])
-    return co.operator_spec_from_callables(
+    return operator_spec_from_callables(
         co.SystemDims(1, 1),
         Q=lambda h, x: np.full(np.atleast_2d(x).shape[:1], q)[:, None, None],
         b=lambda h, x: np.zeros_like(np.atleast_2d(x)),

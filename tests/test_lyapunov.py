@@ -19,7 +19,7 @@ from kernelbound.errors import (
 )
 from kernelbound.hypotheses import estimate_ledger
 
-from oracles import FieldJet, eval_operator
+from oracles import FieldJet, eval_operator, operator_spec_from_callables
 
 
 def poly_headline():
@@ -363,7 +363,7 @@ def test_certificate_static_matches_fd_operator_route():
 def test_certificate_rejects_heat_equation_blowup():
     # V = 0, b = 0: exp(eps (1+x^2)^rho) grows under the Laplacian, sup explodes with R
     dims = co.SystemDims(1, 1)
-    spec = co.operator_spec_from_callables(
+    spec = operator_spec_from_callables(
         dims,
         Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1])[:, None, None],
         b=lambda h, x: np.zeros_like(np.atleast_2d(x)),
