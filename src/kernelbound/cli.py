@@ -119,16 +119,13 @@ def _flag_or_key(cfg: RunConfig, key: str, flag, least: int):
     return value
 
 
-def _synthesize(cfg: RunConfig, fam, target: str, radius: float, store):
-    """Deterministic synthesis plus grid calibration of the timed constant,
-    whose certificate is a record in the store."""
+def _synthesize(cfg: RunConfig, fam, target: str):
+    """Deterministic synthesis, with the [lyapunov] overrides for the forward
+    target; its timed constant c0 is left for a certificate to calibrate."""
     fn = lyapunov.synth_poly if isinstance(fam, PolynomialFamily) \
         else lyapunov.synth_exp
     result = fn(fam, cfg.get("lyapunov", "T"), target=target)
-    if target == "P":
-        result = _apply_overrides(cfg, result)
-    report = verify.stored_certificate(fam, result.timed, radius, store)
-    return replace(result, timed=report.certified), report
+    return _apply_overrides(cfg, result) if target == "P" else result
 
 
 def _apply_overrides(cfg: RunConfig, result):
@@ -164,14 +161,8 @@ def _bounds_params(cfg: RunConfig, d: int):
 
 def cmd_check(cfg: RunConfig, out: str) -> int:
     fam = family_from_config(cfg)
-    if isinstance(fam, PolynomialFamily):
-        reports = hypotheses.check_polynomial(fam)
-    else:
-        reports = hypotheses.check_exponential(fam)
-    radius = cfg.get("verify", "radius")
-    base_reports, row = hypotheses.check_base(fam, radius=radius)
-    reports = list(reports) + list(base_reports)
-    text = hypotheses.report_text(reports, row)
+    reports, _ = hypotheses.check_base(fam, radius=cfg.get("verify", "radius"))
+    text = hypotheses.report_text(reports)
     _write(os.path.join(out, "hypotheses.txt"), text)
     _write(os.path.join(out, "hypotheses.csv"), hypotheses.margins_csv(reports))
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -260,12 +251,15 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     # its two grids, each evaluated once, and synth writes no store files
     store = verify.KernelStore()
 
-    forward, rep_ft = _synthesize(cfg, fam, "P", radius, store)
-    rep_fs = verify.stored_certificate(fam, forward.static, radius, store)
-    forward = replace(forward, static=rep_fs.certified)
-    adjoint, rep_at = _synthesize(cfg, fam, "P_adjoint", radius, store)
-    rep_as = verify.stored_certificate(fam, adjoint.static, radius, store)
-    adjoint = replace(adjoint, static=rep_as.certified)
+    def certified(target: str) -> tuple:
+        result = _synthesize(cfg, fam, target)
+        timed, static = (verify.stored_certificate(fam, spec, radius, store)
+                         for spec in (result.timed, result.static))
+        return (replace(result, static=static.certified, timed=timed.certified),
+                static, timed)
+
+    forward, rep_fs, rep_ft = certified("P")
+    adjoint, rep_as, rep_at = certified("P_adjoint")
 
     led_f, H = verify.weighted_majorant(fam, forward, s, t=t_ref,
                                         eps_scales=eps_scales,
@@ -364,7 +358,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     for (variant, t, center), fields in zip(runs, columns):
         for k, field in zip(components, fields):
             name = _column_name(variant, t, center, k)
-            solver.save_field_csv(os.path.join(out, name), field)
+            solver.save_field_csv(os.path.join(out, name), grid, field)
             written += 1
             print("solve: %s t=%g y=%s k=%d -> %s"
                   % (variant, t,
@@ -410,16 +404,17 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     store = verify.KernelStore(os.path.join(out, "store"))
     src_pairs = [(y, k) for y in srcs for k in components]
 
-    # the checks share the syntheses, so each is made once; the weighted
-    # check is two-sided exactly when it is given the adjoint one
+    # the checks share the syntheses, so each is made once, and calibrate
+    # the growth constants they read when they measure, after the plan; the
+    # weighted check is two-sided exactly when it is given the adjoint one
     needs_synth = {"integrability", "weighted", "decay"}.intersection(checks)
     fwd = adj = None
     if needs_synth:
-        fwd = _synthesize(cfg, fam, "P", cert_radius, store)[0]
+        fwd = _synthesize(cfg, fam, "P")
         if "weighted" in checks and cfg.get("verify", "two_sided"):
-            adj = _synthesize(cfg, fam, "P_adjoint", cert_radius, store)[0]
+            adj = _synthesize(cfg, fam, "P_adjoint")
 
-    checks_run, cal_fp = [], None
+    checks_run = []
     for name in checks:
         if name == "domination":
             checks_run.append(verify.Domination(fam, grid, t_single, src_pairs, dt,
@@ -467,11 +462,6 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 fine = [spacing, radii[-1]]
             for key, (sp, radius) in (("coarse", coarse), ("fine", fine)):
                 _check_grid_rule(cfg, "verify", key, d, radius, sp)
-            # calibration.txt names the inputs its C_cal comes from
-            cal_fp = verify._fingerprint(
-                "calibration", verify.system_fingerprint(fam), s, eps_scales,
-                tuple(t_w), tuple(srcs), tuple(coarse), theta, dt, width,
-                cert_radius, fwd.timed)
             checks_run.append(verify.WeightedBound(
                 fam, fwd, s, t_w, srcs, tuple(coarse), tuple(fine), eps_scales,
                 tol["weighted"], dt, width, theta, adj,
@@ -513,8 +503,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         if r.check == "check_weighted_bound":
             # written for the reader; no run reads it back
             _write(os.path.join(out, "calibration.txt"),
-                   "C_cal = %.17g\nfingerprint = %s\n"
-                   % (r.details["C_cal"], cal_fp))
+                   "C_cal = %.17g\n" % r.details["C_cal"])
     if plot is not None:
         _write_plots(out, fam, plot, store, results)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
@@ -535,7 +524,7 @@ def _write_plots(out, fam, column, store, results):
     else:
         mask = np.abs(pts[:, 1]) < 1e-12
     axis = pts[mask, 0]
-    series = [("component %d" % k, axis, field.values[mask, k])
+    series = [("component %d" % k, axis, field[mask, k])
               for k in range(fam.dims.m)]
     _write(os.path.join(out, "kernel_section.svg"),
            polyline_plot(series, title="kernel section at t=%g" % t_plot,

@@ -252,34 +252,34 @@ def row_sum_bound_of(M: float, certified: bool, radius: float, per_axis: int) ->
 
 
 def check_base(system, radius: float = SAMPLE_RADIUS) -> tuple[list[HypothesisReport], RowSumBound]:
-    """Baseline well-posedness checks for any coefficient system.
+    """Every hypothesis report of a coefficient system, and its row-sum bound.
 
-    Regularity is assumed (reported as a note), ellipticity is certified
-    via the sign-adjusted matrices for families and sampled for generic
-    specs, the Lyapunov existence requirement is deferred to the synthesis
-    and certificate machinery, and the row-sum lower bound of the
-    cooperative potential is measured.
+    A family's reports open with its exponent table (check_polynomial or
+    check_exponential).  Its ellipticity is then certified by the Z^k
+    eigenvalues of diffusion-diagonal-dominance, and the row-sum status
+    takes potential-row-dominance from the table, so each is computed once
+    and reported under one id.  Generic specs sample their ellipticity.
+    Regularity is assumed (reported as a note), the Lyapunov existence
+    requirement is deferred to the synthesis and certificate machinery,
+    and the row-sum lower bound of the cooperative potential is measured.
     """
-    reports: list[HypothesisReport] = []
-    is_family = isinstance(system, _FamilyBase)
-    reports.append(HypothesisReport(
-        "regularity", "holds" if is_family else "numeric-only",
-        note="families are smooth by construction; generic coefficients are "
-             "assumed locally Hoelder continuous"))
-
     spec = operator_spec_of(system)
     m, d = spec.dims.m, spec.dims.d
-    if is_family:
-        margins = {}
-        status, witness = "holds", None
-        for k in range(m):
-            try:
-                margins[f"min_eig_Z[{k}]"] = min_ellipticity(system, k)
-            except HypothesisViolationError:
-                status, witness = "fails", (k,)
-                margins[f"min_eig_Z[{k}]"] = float(np.linalg.eigvalsh(system.Z(k)).min())
-        reports.append(HypothesisReport("ellipticity", status, witness=witness, margins=margins))
+    row = compute_row_sum_bound(system, radius=radius)
+    if isinstance(system, _FamilyBase):
+        table = (check_polynomial if isinstance(system, PolynomialFamily)
+                 else check_exponential)(system)
+        by_id = {rep.hypothesis_id: rep for rep in table}
+        eigs = by_id["diffusion-diagonal-dominance"].margins
+        bad = [k for k in range(m) if not eigs[f"min_eig_Z[{k}]"] > 0]
+        ellipticity = HypothesisReport(
+            "ellipticity", "fails" if bad else "holds", witness=(bad[-1],) if bad else None,
+            note="every Z^k positive definite, by min_eig_Z of diffusion-diagonal-dominance")
+        dom = by_id["potential-row-dominance"]
+        status = "fails" if not dom.ok else "holds" if row.certified_tail else "numeric-only"
+        witness, regularity = dom.witness, "holds"
     else:
+        table, status, witness, regularity = [], "numeric-only", None, "numeric-only"
         pts = _grid_points(d, radius)
         worst = math.inf
         arg = None
@@ -289,29 +289,19 @@ def check_base(system, radius: float = SAMPLE_RADIUS) -> tuple[list[HypothesisRe
             lo = float(eigs[:, 0].min())
             if lo < worst:
                 worst, arg = lo, (k, tuple(pts[int(np.argmin(eigs[:, 0]))]))
-        reports.append(HypothesisReport(
+        ellipticity = HypothesisReport(
             "ellipticity", "numeric-only" if worst > 0 else "fails",
-            witness=None if worst > 0 else arg, margins={"min_eig_Q_sampled": worst}))
-
-    reports.append(HypothesisReport(
-        "lyapunov-existence", "numeric-only",
-        note="certified separately by synthesis and grid certificates"))
-
-    if is_family:
-        dom = _offdiag_dominance(system)
-        reports.append(dom)
-        row = compute_row_sum_bound(system, radius=radius)
-        status = "holds" if (dom.ok and row.certified_tail) else \
-            ("fails" if not dom.ok else "numeric-only")
-        witness = dom.witness
-    else:
-        row = compute_row_sum_bound(system, radius=radius)
-        status = "numeric-only"
-        witness = None
-    reports.append(HypothesisReport(
-        "row-sum-lower-bound", status, witness=witness,
-        margins={"M": row.M}, note=row.method))
-    return reports, row
+            witness=None if worst > 0 else arg, margins={"min_eig_Q_sampled": worst})
+    return table + [
+        HypothesisReport("regularity", regularity,
+                         note="families are smooth by construction; generic coefficients "
+                              "are assumed locally Hoelder continuous"),
+        ellipticity,
+        HypothesisReport("lyapunov-existence", "numeric-only",
+                         note="certified separately by synthesis and grid certificates"),
+        HypothesisReport("row-sum-lower-bound", status, witness=witness,
+                         margins={"M": row.M}, note=row.method),
+    ], row
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +517,7 @@ def ledger_of(d: int, s: float, window: tuple[float, float],
 # serialization
 # ---------------------------------------------------------------------------
 
-def report_text(reports: Sequence[HypothesisReport], row: Optional[RowSumBound] = None) -> str:
+def report_text(reports: Sequence[HypothesisReport]) -> str:
     """Human-readable structured report, stable across runs."""
     buf = io.StringIO()
     buf.write("hypothesis report\n=================\n")
@@ -539,9 +529,6 @@ def report_text(reports: Sequence[HypothesisReport], row: Optional[RowSumBound] 
             buf.write(f"note = {rep.note}\n")
         for key in sorted(rep.margins):
             buf.write(f"margin {key} = {rep.margins[key]!r}\n")
-    if row is not None:
-        buf.write(f"\n[row-sum-bound]\nM = {row.M!r}\nmethod = {row.method}\n"
-                  f"certified_tail = {row.certified_tail}\n")
     return buf.getvalue()
 
 

@@ -41,19 +41,16 @@ residual per column, formed in place and held to a tolerance scaled by that
 column's right-hand side.  Kernel columns are semigroup images of mollified
 point sources (mollified_source: discrete Gaussians with unit discrete
 mass); verify's plan evolves the m sources of a center as one batch, through
-its store, which is the only way the package evolves them.  Fields
-round-trip through a small binary format and CSV, both byte-stable for
-identical inputs; binary writes are atomic.
+its store, which is the only way the package evolves them.  Fields are
+plain (n_nodes, m) arrays; save_field_csv writes one with its node
+coordinates, byte-stable for identical inputs.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
-import struct
-import tempfile
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,8 +68,6 @@ _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
 SOLVER_VERSION = 3
-# Version of the binary field format (the KBF header); store keys carry it too.
-FIELD_FORMAT_VERSION = 1
 
 
 # scipy.sparse and scipy.sparse.linalg take about half the start-up time of
@@ -151,27 +146,6 @@ class GridSpec:
         for a in range(self.d):
             flat = flat * self.n_per_axis + int(near[a])
         return flat
-
-
-@dataclass
-class DiscreteField:
-    """Values of an m-component field on a grid, plus how it was produced."""
-
-    grid: GridSpec
-    values: np.ndarray  # (n_nodes, m)
-    time: float = 0.0
-    meta: dict = _field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_nodes:
-            raise DomainError(
-                f"field values must have shape (n_nodes, m) = ({self.grid.n_nodes}, m), "
-                f"got {self.values.shape}")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +421,7 @@ class OperatorHandle:
         values has shape (n_nodes, m), or (n_nodes, m, c) to evolve c columns
         together; the result has the same shape.  dt defaults to
         default_dt(t, spacing); whatever does not divide t evenly is taken as
-        one trailing shorter step, recorded in the metadata.
+        one trailing shorter step, recorded in the step record.
         """
         if t <= 0:
             raise DomainError(f"evolve needs t > 0, got {t}")
@@ -468,10 +442,10 @@ class OperatorHandle:
             u = self._steps(u, theta, rem, 1)
         if not np.all(np.isfinite(u)):
             raise SolveError("evolution produced non-finite values")
-        meta = {"variant": self.variant, "theta": theta, "dt": dt,
-                "steps": full + (1 if rem else 0), "final_step": rem if rem else dt,
-                "t": t}
-        return u.reshape(np.shape(values)), meta
+        record = {"variant": self.variant, "theta": theta, "dt": dt,
+                  "steps": full + (1 if rem else 0), "final_step": rem if rem else dt,
+                  "t": t}
+        return u.reshape(np.shape(values)), record
 
 
 # ---------------------------------------------------------------------------
@@ -500,108 +474,19 @@ def mollified_source(grid: GridSpec, m: int, center, component: int,
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# CSV output
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"KBF1"
-_VARIANT_CODES = {"plain": 0, "P": 1, "P_adjoint": 2}
-_VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
-
-
-def field_to_bytes(field: DiscreteField) -> bytes:
-    """Binary encoding: fixed header, then row-major float64 payload.
-
-    Deterministic for identical inputs (no timestamps, no environment)."""
-    g = field.grid
-    meta = field.meta
-    variant = _VARIANT_CODES.get(meta.get("variant"), 255)
-    comp = int(meta.get("source_component", -1))
-    width = float(meta.get("mollifier_width", math.nan))
-    source = meta.get("source")
-    src = np.full(g.d, math.nan) if source is None else np.asarray(source, dtype=float)
-    head = struct.pack("<4sIIII", _MAGIC, FIELD_FORMAT_VERSION, g.d, field.m,
-                       g.n_per_axis)
-    head += struct.pack("<ddd", g.radius, g.spacing, field.time)
-    head += struct.pack("<Bi", variant, comp)
-    head += struct.pack("<d", width)
-    head += struct.pack(f"<{g.d}d", *src)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    return head + payload
-
-
-def field_from_bytes(blob: bytes) -> DiscreteField:
-    fixed = struct.calcsize("<4sIIII")
-    magic, version, d, m, n1 = struct.unpack_from("<4sIIII", blob, 0)
-    if magic != _MAGIC:
-        raise DomainError("not a kernel field blob (bad magic)")
-    if version != FIELD_FORMAT_VERSION:
-        raise DomainError(f"unsupported field format version {version}")
-    off = fixed
-    radius, spacing, time = struct.unpack_from("<ddd", blob, off)
-    off += struct.calcsize("<ddd")
-    variant, comp = struct.unpack_from("<Bi", blob, off)
-    off += struct.calcsize("<Bi")
-    (width,) = struct.unpack_from("<d", blob, off)
-    off += struct.calcsize("<d")
-    src = struct.unpack_from(f"<{d}d", blob, off)
-    off += struct.calcsize(f"<{d}d")
-    grid = GridSpec(d=d, radius=radius, spacing=spacing)
-    if grid.n_per_axis != n1:
-        raise DomainError("grid header is inconsistent")
-    values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(grid.n_nodes, m).copy()
-    meta = {}
-    if variant in _VARIANT_NAMES:
-        meta["variant"] = _VARIANT_NAMES[variant]
-    if comp >= 0:
-        meta["source_component"] = comp
-    if not math.isnan(width):
-        meta["mollifier_width"] = width
-    if not any(math.isnan(s) for s in src):
-        meta["source"] = tuple(src)
-    return DiscreteField(grid, values, time=time, meta=meta)
-
-
-def write_atomic(path, blob: bytes):
-    """Write blob to path atomically.
-
-    The bytes go to a temporary file in the same directory, which is then
-    renamed over path, so a reader never sees a partial file under path and
-    a failed write leaves nothing behind.
-    """
-    folder, name = os.path.split(os.fspath(path))
-    fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def save_field(path, field: DiscreteField):
-    """Write the binary field atomically (write_atomic)."""
-    write_atomic(path, field_to_bytes(field))
-
-
-def load_field(path) -> DiscreteField:
-    with open(path, "rb") as fh:
-        return field_from_bytes(fh.read())
-
-
-def field_to_csv(field: DiscreteField) -> str:
-    g = field.grid
-    cols = [f"x{a}" for a in range(g.d)] + [f"u{k}" for k in range(field.m)]
+def field_to_csv(grid: GridSpec, values: np.ndarray) -> str:
+    """One row per node: its coordinates, then the (n_nodes, m) values, %.17g."""
+    cols = [f"x{a}" for a in range(grid.d)] + [f"u{k}" for k in range(values.shape[1])]
     # one % over a template of every row formats each float as %.17g
     row = ",".join(["%.17g"] * len(cols))
-    data = np.concatenate([g.points(), field.values], axis=1)
-    body = "\n".join([row] * g.n_nodes) % tuple(data.ravel().tolist())
+    data = np.concatenate([grid.points(), values], axis=1)
+    body = "\n".join([row] * grid.n_nodes) % tuple(data.ravel().tolist())
     return ",".join(cols) + "\n" + body + "\n"
 
 
-def save_field_csv(path, field: DiscreteField):
+def save_field_csv(path, grid: GridSpec, values: np.ndarray):
     with open(path, "w") as fh:
-        fh.write(field_to_csv(field))
+        fh.write(field_to_csv(grid, values))

@@ -32,14 +32,16 @@ The constants the weighted and integrability checks rest on go through the
 store too, as records: the two grid sups of each Lyapunov certificate
 (stored_certificate), the eight sups, edge flags and M of each constants
 ledger (weighted_majorant), and the row-sum bound M and its tail verdict,
-by which the mass check bounds the decay, kept as float.hex text in .kbr
-files and rebuilt by the functions verify_certificate, estimate_ledger and
-compute_row_sum_bound build them with, so a stored constant has the bits of
-a computed one.  A record's key covers the system, every field of the specs
-and weights, the radius and points per axis, s, the window, the sample plan,
-adjoint, the inner window and RECORD_VERSION.  So a rerun against the same
-store recomputes nothing, and a certificate the store lacks is computed on
-the store's grids of the system, so a command evaluates each grid once.
+by which the mass check bounds the decay, rebuilt by the functions
+verify_certificate, estimate_ledger and compute_row_sum_bound build them
+with, so a stored constant has the bits of a computed one.  A record's key
+covers the system, every field of the specs and weights, the radius and
+points per axis, s, the window, the sample plan, adjoint, the inner window
+and RECORD_VERSION.  So a rerun against the same store recomputes nothing,
+and a certificate the store lacks is computed on the store's grids of the
+system, so a command evaluates each grid once.  Fields and records reach
+the disk as one binary format, a float64 array behind a magic and its
+shape, which save_field writes and load_field reads.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import hashlib
 import math
 import os
 import struct
+import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -65,12 +68,12 @@ from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimat
 from .lyapunov import (SAMPLE_RADIUS, CertificateGrids, CertificateReport, LyapunovSpec,
                        RadialPoints, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
-from .solver import (DEFAULT_BUDGET, FIELD_FORMAT_VERSION, SOLVER_VERSION, DiscreteField,
-                     GridSpec, OperatorHandle, default_dt, load_field, mollified_source,
-                     release_freed_memory, save_field, write_atomic)
+from .solver import (DEFAULT_BUDGET, SOLVER_VERSION, GridSpec, OperatorHandle, default_dt,
+                     mollified_source, release_freed_memory)
 
 __all__ = [
     "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
+    "FIELD_FORMAT_VERSION", "save_field", "load_field",
     "stored_certificate", "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan",
     "Domination", "MonotoneInR", "MassAndPositivity", "Support", "Duality",
     "ChapmanKolmogorov", "LyapunovIntegrability", "WeightedBound", "DecayShape",
@@ -85,6 +88,9 @@ _TINY = 1e-300
 # Part of every record key: bump it whenever a change can move a recorded
 # certificate sup or ledger number, as SOLVER_VERSION for fields.
 RECORD_VERSION = 1
+# Part of every store key, fields and records alike: bump it whenever the
+# store file format changes, so no file of an older format is read.
+FIELD_FORMAT_VERSION = 2
 # prefix of the id()-based fingerprints of opaque systems; family
 # fingerprints are hex digests, so they never start with it
 _OPAQUE = "spec"
@@ -149,15 +155,60 @@ def system_fingerprint(system) -> str:
 # kernel store
 # ---------------------------------------------------------------------------
 
+# Every store file is one array: this magic, the number of axes (uint32) and
+# each axis length (uint64), then the little-endian float64 payload.
+_MAGIC = b"KBS\x00"
+
+
+def save_field(path, values):
+    """Write an array, a field or a record's numbers, as a store file; equal
+    arrays give equal bytes.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over path, so a reader never sees a partial file under path and
+    a failed write leaves nothing behind.
+    """
+    arr = np.ascontiguousarray(values, dtype="<f8")
+    folder, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(struct.pack(f"<4sI{arr.ndim}Q", _MAGIC, arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def load_field(path) -> np.ndarray:
+    """The read-only array of a store file.  DomainError for a wrong magic or
+    a payload whose length does not match the shape; struct.error for a
+    file too short to hold its header."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    magic, ndim = struct.unpack_from("<4sI", blob)
+    if magic != _MAGIC:
+        raise DomainError(f"{path} is not a kernel store file")
+    shape = struct.unpack_from(f"<{ndim}Q", blob, 8)
+    start = 8 + 8 * ndim
+    if len(blob) - start != 8 * math.prod(shape):
+        raise DomainError(f"{path} does not hold the {shape} array its header names")
+    return np.frombuffer(blob, dtype="<f8", offset=start).reshape(shape)
+
+
 @dataclass(frozen=True)
 class StoreKey:
     """Key of one store entry, and the tiers the entry may live in.
 
     persist is False for opaque systems: their fingerprint comes from id(),
-    which another process can hand to another system, so their fields never
-    go to disk.  shared is False for fields that a single check reads: when
-    the store has a directory they are written through to it and not kept
-    in memory, so the store does not add to the peak memory of a run.
+    which another process can hand to another system, so their entries
+    never go to disk.  shared is False for fields that a single check reads:
+    when the store has a directory they are written through to it and not
+    kept in memory, so the store does not add to the peak memory of a run.
     """
 
     digest: str
@@ -173,16 +224,18 @@ def _store_key(kind: str, sys_fp: str, *parts, shared: bool = True) -> StoreKey:
 class KernelStore:
     """Cache of computed fields and records, in memory and optionally in a directory.
 
-    A plain string key is a shared, persistent StoreKey.  len() counts
-    every field key loaded or built since the store was made, whichever
-    tier holds it; records, read and written by record(), are not fields
-    and are not counted.  Corrupt or foreign files under a key are silently
-    recomputed.  grids(system) keeps the certificate grids of each system
-    the store sees, in memory only, so a command evaluates each grid once.
+    Fields are (n_nodes, m) arrays and records tuples of floats; on disk
+    both are save_field files, .kbf and .kbr.  A plain string key is a
+    shared, persistent StoreKey.  len() counts every field key loaded or
+    built since the store was made, whichever tier holds it; records, read
+    and written by record(), are not fields and are not counted.  Corrupt
+    or foreign files under a key are silently recomputed.  grids(system)
+    keeps the certificate grids of each system the store sees, in memory
+    only, so a command evaluates each grid once.
     """
 
     def __init__(self, directory=None):
-        self._memory: dict[str, DiscreteField] = {}
+        self._memory: dict[str, np.ndarray] = {}
         self._records: dict[str, tuple] = {}
         self._grids: dict[int, CertificateGrids] = {}
         self._seen: set[str] = set()
@@ -194,9 +247,23 @@ class KernelStore:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def _path(self, digest: str, suffix: str = ".kbf") -> str:
-        name = hashlib.sha1(digest.encode()).hexdigest()[:16]
+    def _path(self, key: StoreKey, suffix: str) -> Optional[str]:
+        """The file of key's entry, or None when the entry lives in memory only."""
+        if self._dir is None or not key.persist:
+            return None
+        name = hashlib.sha1(key.digest.encode()).hexdigest()[:16]
         return os.path.join(self._dir, name + suffix)
+
+    @staticmethod
+    def _load(path: Optional[str]) -> Optional[np.ndarray]:
+        """The array stored at path, or None if there is no file or it does
+        not load; load_field is looked up at each call."""
+        if path is None or not os.path.exists(path):
+            return None
+        try:
+            return load_field(path)
+        except (KernelBoundError, ValueError, OSError, struct.error):
+            return None
 
     def grids(self, system) -> CertificateGrids:
         """The certificate grids of system, made on first use.
@@ -216,78 +283,50 @@ class KernelStore:
         The file is not read, so a corrupt one still counts; get_or_compute
         rebuilds it when it is read.
         """
-        return key.digest in self._memory or (
-            self._dir is not None and key.persist and os.path.exists(self._path(key.digest)))
+        path = self._path(key, ".kbf")
+        return key.digest in self._memory or (path is not None and os.path.exists(path))
 
-    def get_or_compute(self, key, build: Callable[[], DiscreteField]) -> DiscreteField:
+    def get_or_compute(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
         key = StoreKey(key) if isinstance(key, str) else key
         if key.digest in self._memory:
             return self._memory[key.digest]
-        path = self._path(key.digest) if self._dir is not None and key.persist else None
-        fld = None
-        if path is not None and os.path.exists(path):
-            try:
-                fld = load_field(path)
-            except (KernelBoundError, ValueError, OSError, struct.error):
-                fld = None
-        if fld is None:
-            fld = build()
+        path = self._path(key, ".kbf")
+        values = self._load(path)
+        if values is None:
+            values = build()
             if path is not None:
-                save_field(path, fld)
+                save_field(path, values)
         self._seen.add(key.digest)
         if key.shared or path is None:
-            self._memory[key.digest] = fld
-        return fld
+            self._memory[key.digest] = values
+        return values
 
     def record(self, key: StoreKey, build: Callable[[], Sequence[float]]) -> tuple:
         """The numbers under key, as floats, from memory, from a .kbr file, or
         from build, and then kept in memory and, if key.persist, in the file.
 
-        A file that does not parse, or holds a NaN, is rebuilt.  Numbers
+        A file that does not load, or holds a NaN, is rebuilt.  Numbers
         with a NaN are handed back but never kept, so they are built again.
         """
         if key.digest in self._records:
             return self._records[key.digest]
-        persist = self._dir is not None and key.persist
-        path = self._path(key.digest, ".kbr") if persist else None
-        values = _read_record(path) if persist else None
-        if values is None:
+        path = self._path(key, ".kbr")
+        stored = self._load(path)
+        values = None if stored is None else tuple(stored.ravel().tolist())
+        if values is None or any(map(math.isnan, values)):
             values = tuple(float(v) for v in build())
             if any(map(math.isnan, values)):
                 return values
-            if persist:
-                write_atomic(path, _record_text(values).encode())
+            if path is not None:
+                save_field(path, values)
         self._records[key.digest] = values
         return values
 
 
-_RECORD_MAGIC = "KBR1"
-
-
-def _record_text(values: tuple) -> str:
-    """A record file: a header with the count, then one float.hex per line,
-    so every number, infinities included, reads back to the same bits."""
-    return "%s %d\n" % (_RECORD_MAGIC, len(values)) + "".join(v.hex() + "\n" for v in values)
-
-
-def _read_record(path: str) -> Optional[tuple]:
-    """The numbers of a record file, or None if it is missing, truncated,
-    foreign or holds a NaN."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        head, *lines = text[:-1].split("\n")
-        if not text.endswith("\n") or head != "%s %d" % (_RECORD_MAGIC, len(lines)):
-            return None
-        values = tuple(map(float.fromhex, lines))
-    except (OSError, ValueError):
-        return None
-    return None if any(map(math.isnan, values)) else values
-
-
 def _record_key(kind: str, system, *parts) -> StoreKey:
     sys_fp = system_fingerprint(system)
-    return StoreKey(_fingerprint("record", kind, RECORD_VERSION, sys_fp, *parts),
+    return StoreKey(_fingerprint("record", kind, RECORD_VERSION, FIELD_FORMAT_VERSION, sys_fp,
+                                 *parts),
                     persist=not sys_fp.startswith(_OPAQUE))
 
 
@@ -536,7 +575,7 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     req = b.request
     built, evolved = [], []
 
-    def build(j: int) -> DiscreteField:
+    def build(j: int) -> np.ndarray:
         built.append(j)
         if not evolved:
             if b.center is not None:
@@ -548,16 +587,12 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
                 start = req.data
             evolved.append(handle_of().evolve(start, req.t, dt=req.dt, theta=req.theta)[0])
         u = evolved[0]
-        meta = {"variant": req.variant}
-        if b.center is not None:
-            meta.update(source=b.center, source_component=j, mollifier_width=req.width)
-        return DiscreteField(req.grid, np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u),
-                             time=req.t, meta=meta)
+        return np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u)
 
     fields = {j: store.get_or_compute(key, lambda j=j: build(j)) for j, key in b.keys.items()}
     if b.center is not None:
         return fields, len(built)
-    cols = [fld.values for fld in fields.values()]
+    cols = list(fields.values())
     return (np.stack(cols, axis=-1) if b.stacked else cols[0]), len(built)
 
 
@@ -636,10 +671,10 @@ def evolve_all(system, requests: Sequence[Evolution],
                budget: int = DEFAULT_BUDGET) -> list:
     """Outputs of the requests in their order, each batch run at most once.
 
-    A column request gives a list of DiscreteField, one per source; a data
-    request or a second stage gives an array shaped like its data.  Every
-    check runs its own requests through here; after run_plan has run them,
-    every field comes from the store.  Without a store the fields go
+    A column request gives a list of (n_nodes, m) arrays, one per source;
+    a data request or a second stage gives an array shaped like its data.
+    Every check runs its own requests through here; after run_plan has run
+    them, every field comes from the store.  Without a store the fields go
     through a KernelStore in memory, made for the call.  budget caps the
     unknowns of each operator, as in OperatorHandle.
     """
@@ -766,8 +801,7 @@ class Domination(_Check):
         pts = self.grid.points()
         coop_cols, plain_cols, *random_runs = outputs
         # (signed, cooperative, scale, y, k) per comparison
-        compared = [(cf.values, cp.values, max(float(np.max(cp.values)), _TINY),
-                     _loc_pt(center, d), k)
+        compared = [(cf, cp, max(float(np.max(cp)), _TINY), _loc_pt(center, d), k)
                     for (center, k), cp, cf in zip(self.sources, coop_cols, plain_cols)]
         if random_runs:
             ufs, ups = random_runs
@@ -820,17 +854,17 @@ class MonotoneInR(_Check):
         y = _loc_pt(center, d)
         grids = [req.grid for req in self.requests]
         kernels = [cols[0] for cols in outputs]
-        scale = max(max(float(np.max(f.values)) for f in kernels), _TINY)
+        scale = max(max(float(np.max(f)) for f in kernels), _TINY)
         floor = 1e-12 * scale
         rows = _Rows(0.0, (t, None, y, None, k))
         for g_small, f_small, g_big, f_big in zip(grids, kernels, grids[1:], kernels[1:]):
-            val, x, h = _peak(f_small.values - f_big.values[_embed_indices(g_small, g_big)],
+            val, x, h = _peak(f_small - f_big[_embed_indices(g_small, g_big)],
                               g_small.points(), d)
             rows.add(t, x, y, h, k, val, tol)
         worst = rows.worst
         base = grids[0]
-        restricted = [f.values[_embed_indices(base, g)] if g.radius > base.radius
-                      else f.values for g, f in zip(grids, kernels)]
+        restricted = [f[_embed_indices(base, g)] if g.radius > base.radius else f
+                      for g, f in zip(grids, kernels)]
         increments = [float(np.max(np.abs(b - a)))
                       for a, b in zip(restricted, restricted[1:])]
         for prev, nxt in zip(increments, increments[1:]):
@@ -891,8 +925,8 @@ class MassAndPositivity(_Check):
             rows.add(t, x, None, h, None, val, bound, score=val / bound - 1.0)
             pos_ratio = max(pos_ratio, -float(np.min(u)) / pos_tol)
         for col in cols:
-            scale = max(float(np.max(col.values)), _TINY)
-            pos_ratio = max(pos_ratio, -float(np.min(col.values)) / (pos_tol * scale))
+            scale = max(float(np.max(col)), _TINY)
+            pos_ratio = max(pos_ratio, -float(np.min(col)) / (pos_tol * scale))
         worst = max(rows.worst, tol * pos_ratio)
         return self.result(worst, tol, rows.loc,
                            {"samples": rows.samples, "M": row.M,
@@ -943,8 +977,8 @@ class Support(_Check):
         support = self.support if self.support is not None else self.system.support(k)
         y = _loc_pt(self._at, d)
         (col,), = outputs
-        scale = max(float(np.max(np.abs(col.values))), _TINY)
-        per_comp = [float(np.max(np.abs(col.values[:, h]))) / scale
+        scale = max(float(np.max(np.abs(col))), _TINY)
+        per_comp = [float(np.max(np.abs(col[:, h]))) / scale
                     for h in range(m)]
         worst = 0.0
         loc = (t, None, y, None, k)
@@ -958,7 +992,7 @@ class Support(_Check):
             if reachable:
                 min_reach = min(min_reach, per_comp[h])
             elif per_comp[h] > worst:
-                node = int(np.argmax(np.abs(col.values[:, h])))
+                node = int(np.argmax(np.abs(col[:, h])))
                 worst, loc = per_comp[h], (t, _loc_pt(pts[node], d), y, h, k)
         # a reachable component sitting below the floor trips the tolerance too
         if min_reach < floor:
@@ -1007,10 +1041,9 @@ class Duality(_Check):
         d = grid.d
         rows = _Rows(0.0, (t, None, None, None, None))
         for (x, h, y, k), cf, ca in zip(self.pairs, *outputs):
-            vf = float(cf.values[grid.node_of(_center(x, d)), h])
-            va = float(ca.values[grid.node_of(_center(y, d)), k])
-            noise = 1e-12 * max(float(np.max(np.abs(cf.values))),
-                                float(np.max(np.abs(ca.values))), _TINY)
+            vf = float(cf[grid.node_of(_center(x, d)), h])
+            va = float(ca[grid.node_of(_center(y, d)), k])
+            noise = 1e-12 * max(float(np.max(np.abs(cf))), float(np.max(np.abs(ca))), _TINY)
             scale = max(abs(vf), abs(va))
             rel = 0.0 if scale <= noise else abs(vf - va) / scale
             rows.add(t, _loc_pt(x, d), _loc_pt(y, d), h, k, rel, tol)
@@ -1076,8 +1109,6 @@ class ChapmanKolmogorov(_Check):
 
 def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
     """The weight amplitude rescaled; its growth constant still to calibrate."""
-    if scale == 1.0 and timed.c0 is not None:
-        return timed
     base = replace(timed.base, eps_hat=timed.base.eps_hat * float(scale))
     return replace(timed, base=base, c0=None)
 
@@ -1086,10 +1117,7 @@ def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float, radius: fl
                        store: Optional[KernelStore] = None) -> TimeLyapunovSpec:
     """Rescale the weight amplitude and recalibrate its growth constant,
     through the store's certificate records when given one."""
-    candidate = _scaled(timed, scale)
-    if candidate is timed:
-        return timed
-    return stored_certificate(system, candidate, radius, store).certified
+    return stored_certificate(system, _scaled(timed, scale), radius, store).certified
 
 
 @dataclass(frozen=True, eq=False)
@@ -1287,7 +1315,7 @@ class WeightedBound(_Check):
                 for y in self.sources:
                     total = np.zeros((grid.n_nodes, m))
                     for col in next(columns):
-                        total += np.abs(col.values)
+                        total += np.abs(col)
                     wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
                     val, x, h = _peak(wy * total / (H * scale), pts, d)
                     rows.add(t, x, _loc_pt(y, d), h, None, val, H)
@@ -1357,7 +1385,7 @@ class DecayShape(_Check):
         lo, hi = self.tail_range
         rows = _Rows()
         for t, (col,) in zip(self.t_values, outputs):
-            total = np.sum(np.abs(col.values), axis=1)
+            total = np.sum(np.abs(col), axis=1)
             noise = 1e-13 * max(float(np.max(total)), _TINY)
             phi = np.log(np.maximum(total, _TINY)) + self.weight.log_value(t, at, d)
             core = phi[rr <= self.core_radius]

@@ -34,7 +34,7 @@ from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries, ledger_fi
 from kernelbound.lyapunov import (RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
                                   _generator_ratio, _grid_points, _signed_log_sum,
                                   grid_fields)
-from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle, mollified_source
+from kernelbound.solver import GridSpec, OperatorHandle, mollified_source
 
 
 @dataclass(frozen=True)
@@ -194,35 +194,29 @@ def kernel_columns(handle: OperatorHandle, t: float, sources,
                    theta: float = 0.5) -> list:
     """Kernel columns for several (center, component) sources, one batched evolve.
 
-    Each column holds all components at time t sourced at (center,
-    component); the result lists them in the order of sources.
+    Each column, an (n_nodes, m) array, holds all components at time t
+    sourced at (center, component); the result lists them in the order of
+    sources.
     """
     g = handle.grid
     w = 2.0 * g.spacing if width is None else float(width)
     srcs = np.stack([mollified_source(g, handle.m, center, k, w)
                      for center, k in sources], axis=-1)
-    vals, meta = handle.evolve(srcs, t, dt=dt, theta=theta)
-    out = []
-    for j, (center, k) in enumerate(sources):
-        src = tuple(np.asarray(center, dtype=float).reshape(g.d))
-        out.append(DiscreteField(g, np.ascontiguousarray(vals[:, :, j]), time=t,
-                                 meta=dict(meta, source=src, source_component=k,
-                                           mollifier_width=w)))
-    return out
+    vals, _ = handle.evolve(srcs, t, dt=dt, theta=theta)
+    return [np.ascontiguousarray(vals[:, :, j]) for j in range(len(sources))]
 
 
 def kernel_column(handle: OperatorHandle, t: float, center, component: int,
                   width: Optional[float] = None, dt: Optional[float] = None,
-                  theta: float = 0.5) -> DiscreteField:
+                  theta: float = 0.5) -> np.ndarray:
     """Column of the kernel: all components at time t sourced at (center, component)."""
     return kernel_columns(handle, t, [(center, component)], width, dt, theta)[0]
 
 
 def apply_kernel_to_function(handle: OperatorHandle, t: float, values: np.ndarray,
-                             dt: Optional[float] = None, theta: float = 0.5) -> DiscreteField:
+                             dt: Optional[float] = None, theta: float = 0.5) -> np.ndarray:
     """Semigroup applied to sampled initial data (the kernel-quadrature limit)."""
-    vals, meta = handle.evolve(values, t, dt=dt, theta=theta)
-    return DiscreteField(handle.grid, vals, time=t, meta=meta)
+    return handle.evolve(values, t, dt=dt, theta=theta)[0]
 
 
 def theta_steps(handle: OperatorHandle, values: np.ndarray, theta: float,

@@ -167,11 +167,17 @@ class TestBaseChecks:
         assert by_status["row-sum-lower-bound"] == "numeric-only"
         assert row.M == pytest.approx(0.0, abs=1e-14)
 
-    def test_indefinite_diffusion_fails(self):
+    @pytest.mark.parametrize("family", [False, True], ids=["opaque", "family"])
+    def test_indefinite_diffusion_fails(self, family):
         spec = trivial_spec()
         bad = OperatorSpec(dims=spec.dims,
                            Q=lambda h, x: -np.asarray(spec.Q(h, x)),
                            b=spec.b, V=spec.V, R=spec.R, divb=spec.divb)
+        if family:
+            # Z = [[1, -2], [-2, 1]] has the eigenvalue -1
+            bad = PolynomialFamily(SystemDims(2, 1), np.array([[[1.0, 2.0], [2.0, 1.0]]]),
+                                   np.zeros((1, 2, 2)), np.ones((1, 2)), np.zeros((1, 2)),
+                                   np.array([[1.0]]), np.zeros((1, 1)))
         reports, _ = check_base(bad)
         rep = report_by_id(reports, "ellipticity")
         assert rep.status == "fails"
@@ -304,11 +310,26 @@ class TestLedger:
 class TestReporting:
     def test_report_text_layout(self):
         reports, row = check_base(headline_family())
-        text = report_text(reports, row)
+        text = report_text(reports)
         assert text.splitlines()[0] == "hypothesis report"
         assert "[ellipticity]" in text and "status = holds" in text
-        assert "certified_tail = True" in text
-        assert text == report_text(reports, row)
+        assert "tail certified nondecreasing" in text
+        assert text == report_text(reports)
+
+    @pytest.mark.parametrize("system", [headline_family(), smoke_exp_family(),
+                                        trivial_spec(m=2)],
+                             ids=["polynomial", "exponential", "opaque"])
+    def test_each_hypothesis_and_margin_is_reported_once(self, system):
+        # a family's table holds row dominance and the Z^k eigenvalues, which
+        # its ellipticity and row-sum verdicts read instead of repeating
+        reports, row = check_base(system)
+        text = report_text(reports)
+        ids = [rep.hypothesis_id for rep in reports]
+        assert len(ids) == len(set(ids)) and "[row-sum-bound]" not in text
+        margins = [key for rep in reports for key in rep.margins]
+        assert len(margins) == len(set(margins))
+        assert [line for line in text.splitlines() if "M =" in line] \
+            == [f"margin M = {row.M!r}"]
 
     def test_margins_csv_shape(self):
         reports = check_polynomial(headline_family())

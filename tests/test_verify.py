@@ -12,7 +12,7 @@ from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
-from kernelbound.solver import DiscreteField, GridSpec, OperatorHandle
+from kernelbound.solver import GridSpec, OperatorHandle
 from kernelbound.verify import (
     CheckResult,
     Evolution,
@@ -68,8 +68,11 @@ def gaussian(x, mean, var):
 
 class TestStoreAndFingerprint:
     def _field(self):
+        # infinities, a negative zero and a subnormal among the values
         g = GridSpec(1, 2.0, 0.5)
-        return DiscreteField(g, np.arange(g.n_nodes, dtype=float).reshape(-1, 1))
+        values = np.arange(g.n_nodes, dtype=float).reshape(-1, 1)
+        values[:4, 0] = (math.inf, -math.inf, -0.0, 5e-324)
+        return values
 
     def test_memory_cache_computes_once(self):
         store = KernelStore()
@@ -92,13 +95,21 @@ class TestStoreAndFingerprint:
 
         second = KernelStore(tmp_path)
         loaded = second.get_or_compute("key", explode)
-        np.testing.assert_allclose(loaded.values, self._field().values)
+        assert loaded.shape == self._field().shape
+        assert loaded.tobytes() == self._field().tobytes()
 
-    def test_corrupt_file_is_recomputed(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        lambda blob: b"junk",
+        lambda blob: blob[:6],                       # truncated header
+        lambda blob: blob[:-3],                      # truncated payload
+        lambda blob: b"KBF1" + blob[4:],             # wrong magic
+        lambda blob: blob[:8] + (3).to_bytes(8, "little") + blob[16:],  # shape/length
+    ], ids=["junk", "truncated-header", "truncated", "magic", "shape"])
+    def test_corrupt_file_is_recomputed(self, tmp_path, damage):
         store = KernelStore(tmp_path)
         store.get_or_compute("key", self._field)
         (blob,) = list(tmp_path.glob("*.kbf"))
-        blob.write_bytes(b"junk")
+        blob.write_bytes(damage(blob.read_bytes()))
         calls = []
 
         def rebuild():
@@ -108,6 +119,8 @@ class TestStoreAndFingerprint:
         fresh = KernelStore(tmp_path)
         fresh.get_or_compute("key", rebuild)
         assert len(calls) == 1
+        assert KernelStore(tmp_path).get_or_compute("key", lambda: 1 / 0).tobytes() \
+            == self._field().tobytes()
 
     def test_failed_write_leaves_nothing_under_the_key(self, tmp_path, monkeypatch):
         def fail_rename(src, dst):
@@ -128,7 +141,7 @@ class TestStoreAndFingerprint:
             try:
                 for key in keys:
                     fld = store.get_or_compute(key, self._field)
-                    np.testing.assert_array_equal(fld.values, self._field().values)
+                    np.testing.assert_array_equal(fld, self._field())
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
 
@@ -155,7 +168,7 @@ class TestStoreAndFingerprint:
 
 
 class TestRecords:
-    """Certificate sups and ledger numbers kept as float.hex text records."""
+    """Certificate sups and ledger numbers kept as store records."""
 
     def test_numbers_round_trip_exactly(self, tmp_path):
         values = (0.1, -0.0, 1e-320, math.inf, -math.inf, 2.0 ** 1000)
@@ -178,16 +191,17 @@ class TestRecords:
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf", ".kbr"]
 
     @pytest.mark.parametrize("damage", [
-        lambda text: text[:-3],                        # truncated
-        lambda text: text.replace("0x1.0000000000000p+1", "nan"),
-        lambda text: "",
-        lambda text: "KBF1 2\n" + text.split("\n", 1)[1],  # foreign header
-    ], ids=["truncated", "nan", "empty", "foreign"])
+        lambda blob: blob[:-3],                        # truncated
+        lambda blob: blob[:-16] + np.float64(math.nan).tobytes() + blob[-8:],  # 2.0 -> nan
+        lambda blob: b"",
+        lambda blob: b"KBF1" + blob[4:],               # foreign magic
+        lambda blob: blob[:8] + (3).to_bytes(8, "little") + blob[16:],  # shape/length
+    ], ids=["truncated", "nan", "empty", "foreign", "shape"])
     def test_damaged_file_is_recomputed(self, tmp_path, damage):
         key = verify.StoreKey("key")
         KernelStore(tmp_path).record(key, lambda: (2.0, 3.0))
         (path,) = tmp_path.iterdir()
-        path.write_text(damage(path.read_text()))
+        path.write_bytes(damage(path.read_bytes()))
         calls = []
         got = KernelStore(tmp_path).record(key, lambda: calls.append(1) or (2.0, 3.0))
         assert got == (2.0, 3.0) and calls == [1]
@@ -292,22 +306,21 @@ class TestStoredColumns:
         store = KernelStore()
         cols = [stored_column(fam, g, 0.1, 0, store)
                 for fam in (headline_family(), heat_family())]
-        assert cols[0].m == 2 and cols[1].m == 1
+        assert cols[0].shape[1] == 2 and cols[1].shape[1] == 1
 
     def test_fields_of_an_older_solver_are_recomputed(self, tmp_path):
         fam = headline_family()
         sys_fp = system_fingerprint(fam)
         g = GridSpec(1, 2.0, 0.25)
         t, w, step, theta = 0.1, 0.5, min(0.1 / 64.0, 0.25), 0.5
-        stale = DiscreteField(g, np.full((g.n_nodes, 2), 123.0))
+        stale = np.full((g.n_nodes, 2), 123.0)
         # the key layout of kernel columns before keys carried a solver version
         old_key = verify._fingerprint("col", sys_fp, "P", g.d, g.radius, g.spacing,
                                       t, tuple(np.zeros(1)), 0, w, step, theta)
         KernelStore(tmp_path).get_or_compute(old_key, lambda: stale)
         col = stored_column(fam, g, t, 0, KernelStore(tmp_path))
         fresh = kernel_column(OperatorHandle(fam, g, "P"), t, 0.0, 0)
-        np.testing.assert_allclose(col.values, fresh.values, rtol=0,
-                                   atol=1e-12 * np.max(fresh.values))
+        np.testing.assert_allclose(col, fresh, rtol=0, atol=1e-12 * np.max(fresh))
 
     def test_solver_version_is_part_of_the_key(self, tmp_path, monkeypatch):
         fam = headline_family()
@@ -337,7 +350,7 @@ class TestStoredColumns:
         assert again[0] is pair[1] and again[1] is pair[0]
         # a column computed on its own has the same bits as one from a batch
         alone = stored_column(fam, g, 0.1, 1, None)
-        np.testing.assert_array_equal(alone.values, pair[1].values)
+        np.testing.assert_array_equal(alone, pair[1])
 
     def test_component_out_of_range_rejected(self):
         fam = headline_family()
@@ -480,7 +493,7 @@ class TestMonotoneInR:
         for n in range(-3, 4):
             oracle += gaussian(x - y - 4.0 * g.radius * n, 0.0, var)
             oracle -= gaussian(x + y - 2.0 * g.radius - 4.0 * g.radius * n, 0.0, var)
-        err = g.spacing * np.sum(np.abs(col.values[:, 0] - oracle))
+        err = g.spacing * np.sum(np.abs(col[:, 0] - oracle))
         assert err <= 0.01
 
     def test_family_ladder_is_monotone(self):
@@ -564,7 +577,7 @@ class TestDuality:
         col = kernel_column(handle, t, x0, 0, width=1.0 / 16, dt=1.0 / 128)
         y = g.points()[:, 0]
         oracle = gaussian(y, x0 * math.exp(-t), 1.0 - math.exp(-2.0 * t))
-        err = g.spacing * np.sum(np.abs(col.values[:, 0] - oracle))
+        err = g.spacing * np.sum(np.abs(col[:, 0] - oracle))
         assert err <= 0.02
 
     def test_drifted_pairs_agree(self):
@@ -764,7 +777,7 @@ class TestDecayShape:
         # the rise from the adjoint column, compensated by the integrated-exp
         # shape and, for contrast, by the power shape (1 + |y|^2)^rho
         col = kernel_column(OperatorHandle(fam, grid, "P_adjoint"), t, 0.0, 0)
-        total = np.sum(np.abs(col.values), axis=1)
+        total = np.sum(np.abs(col), axis=1)
         y = np.abs(grid.points()[:, 0])
         core = y <= 1.0
         tail = (y >= 2.0) & (y <= 4.0) & (total > 1e-13 * np.max(total))
@@ -837,8 +850,7 @@ class TestPlan:
         assert single[0] is pair[1]
         assert again is u
         handle = OperatorHandle(fam, g, "P")
-        assert np.array_equal(pair[0].values,
-                              kernel_column(handle, 0.1, 0.0, 0, theta=1.0).values)
+        assert np.array_equal(pair[0], kernel_column(handle, 0.1, 0.0, 0, theta=1.0))
         assert np.array_equal(u, handle.evolve(ones, 0.1, theta=1.0)[0])
 
     def test_second_stage_continues_its_first(self):
@@ -868,7 +880,7 @@ class TestPlan:
         # second stages are keyed by the keys of the stage they continue
         assert all(key.digest != k.digest for key in two.keys.values()
                    for k in one.keys.values())
-        paths = [store._path(b.keys[0].digest) for b in (one, two)]
+        paths = [store._path(b.keys[0], ".kbf") for b in (one, two)]
         return fam, reqs, one.keys[0], paths, [open(p, "rb").read() for p in paths]
 
     def test_second_stage_is_rebuilt_from_its_stored_first(self, tmp_path, monkeypatch):
@@ -922,7 +934,7 @@ class TestPlan:
         assert calls == []
         alone = evolve_all(fam, reqs)
         for a, b in zip(planned, alone):
-            assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_declarations_take_the_check_defaults(self, tmp_path, monkeypatch):
         fam = headline_family()
@@ -952,12 +964,12 @@ class TestPlan:
         domination = verify.Domination(fam, g, 0.1, [(0.0, 0)], n_random=0)
         calls = self.count_evolves(monkeypatch)
         coop = np.full((g.n_nodes, 2), 0.5)
-        healthy = [[DiscreteField(g, coop)], [DiscreteField(g, -0.5 * coop)]]
+        healthy = [[coop], [-0.5 * coop]]
         assert domination.measure(healthy).status == "pass"
         # the signed kernel climbs above the cooperative one at one node
         plain = -0.5 * coop
         plain[g.node_of(1.0), 1] = 0.75
-        res = domination.measure([[DiscreteField(g, coop)], [DiscreteField(g, plain)]])
+        res = domination.measure([[coop], [plain]])
         assert res.status == "fail"
         assert res.worst == pytest.approx(0.5) and res.location[1:4] == (1.0, 0.0, 1)
         assert calls == []
