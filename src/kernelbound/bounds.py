@@ -102,24 +102,20 @@ def eval_H(ledger: ConstantsLedger,
            nu2_at_zero: Callable[[np.ndarray], np.ndarray],
            G1: Callable[[np.ndarray], np.ndarray],
            G2: Callable[[np.ndarray], np.ndarray],
-           x: np.ndarray,
-           starred: bool = False) -> np.ndarray:
+           x: np.ndarray) -> np.ndarray:
     """Majorant H(x) built from a ledger, initial weights, and growth integrals.
 
     nu1_at_zero / nu2_at_zero take points of shape (n, d) or (d,); G1, G2
     are the cumulated growth rates of the two comparison Lyapunov functions,
     called with an array of times (a G returning one scalar is a constant).
-    starred=True evaluates the adjoint-side majorant from c_star.  The time
-    integrals of e^{G1} and e^{G2} over [a0, b0] come from the adaptive
+    The constants are the ledger's c, so an adjoint ledger gives H*.  The
+    time integrals of e^{G1} and e^{G2} over [a0, b0] come from the adaptive
     Gauss-Legendre quadrature lyapunov._quad, bisected until its
     panel-halving error estimate is at most 1e-9 relative.  Raises
     NonFiniteError when e^G overflows on the window, when that estimate
     misses 1e-9 after 200 bisections, or when H is not finite.
     """
-    c = ledger.c_star if starred else ledger.c
-    if c is None:
-        raise DomainError("ledger has no starred constants")
-    c1, c2, c3, c4, c5, c6, c7, c8 = c
+    c1, c2, c3, c4, c5, c6, c7, c8 = ledger.c
     s = ledger.s
     a0, a, b, b0 = ledger.window
     gap = min(a - a0, b0 - b)

@@ -85,10 +85,10 @@ SCHEMA = {
     },
     "lyapunov": {
         "T": Key("float", 1.0, domain=POSITIVE),
-        "rho": Key("float", None),
-        "eps_hat": Key("float", None),
-        "sigma": Key("float", None),
-        "delta": Key("float", None),
+        "rho": Key("float", None, domain=POSITIVE),
+        "eps_hat": Key("float", None, domain=POSITIVE),
+        "sigma": Key("float", None, domain=POSITIVE),
+        "delta": Key("float", None, domain=POSITIVE),
         "radius": Key("float", SAMPLE_RADIUS, domain=POSITIVE),
     },
     "bounds": {
@@ -126,9 +126,9 @@ SCHEMA = {
         "t_weighted": Key("floats", None, domain=POSITIVE),
         "coarse": Key("floats", None, length=2),
         "fine": Key("floats", None, length=2),
-        "majorant_scale": Key("float", 1.0),
+        "majorant_scale": Key("float", 1.0, domain=POSITIVE),
         "t_decay": Key("floats", (0.25, 0.5), domain=POSITIVE),
-        "decay_eps_scale": Key("float", 0.5),
+        "decay_eps_scale": Key("float", 0.5, domain=POSITIVE),
         "tol_domination": Key("float", 1e-9),
         "tol_monotone": Key("float", 1e-8),
         "tol_mass": Key("float", 0.01),

@@ -33,9 +33,9 @@ class CertificateError(KernelBoundError):
 class SaturationError(KernelBoundError):
     """A requested value overflows float64; carries the log-value instead."""
 
-    def __init__(self, log_value: float, message: str = ""):
+    def __init__(self, log_value: float):
         self.log_value = log_value
-        super().__init__(message or f"value exceeds float64 range, log-value = {log_value:.6g}")
+        super().__init__(f"value exceeds float64 range, log-value = {log_value:.6g}")
 
 
 class DomainError(KernelBoundError):

@@ -200,8 +200,8 @@ def check_exponential(fam: ExponentialFamily) -> list[HypothesisReport]:
 # row-sum lower bound
 # ---------------------------------------------------------------------------
 
-def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_RADIUS,
-                          per_axis: Optional[int] = None) -> RowSumBound:
+def compute_row_sum_bound(system, adjoint: bool = False,
+                          radius: float = SAMPLE_RADIUS) -> RowSumBound:
     """Grid infimum of the worst cooperative row sum, with a tail probe.
 
     The infimum is taken over a box of the given radius; along each signed
@@ -210,7 +210,7 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_
     to count as certified, otherwise the result is marked numeric-only.
     """
     d = system.dims.d
-    n = _points_per_axis(d, per_axis)
+    n = _points_per_axis(d)
     pts = _grid_points(d, radius, n)
     sums = _cooperative_row_sums(system, pts, adjoint, with_divb=adjoint)
     M = float(np.min(sums))

@@ -30,7 +30,7 @@ assembling its own.  A handle keeps one factorization, for the latest
 and release() drops it for good, since each LU of a 2-D grid holds several
 megabytes.  That one LU is enough because verify's plan orders every
 evolution by (variant, grid, theta, dt), so no caller returns to an earlier
-LU; each handle counts its assemblies, factorizations and evolutions.
+LU; each handle counts its assemblies and factorizations.
 Factorizations use SuperLU with the minimum-degree ordering of A^T + A
 (MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
 the 2-D grids it needs less than half the L+U fill of the default COLAMD
@@ -321,8 +321,8 @@ class OperatorHandle:
 
     forward, for a P_adjoint handle, is the P handle of the same grid: the
     adjoint matrix is then the transpose of its matrix, bit for bit what
-    assemble_generator returns for P_adjoint.  assemblies, factorizations
-    and evolutions count the work the handle did.
+    assemble_generator returns for P_adjoint.  assemblies and
+    factorizations count the work the handle did.
     """
 
     def __init__(self, system, grid: GridSpec, variant: str = "P",
@@ -340,7 +340,7 @@ class OperatorHandle:
         self.grid = grid
         self.variant = variant
         self.m = spec.dims.m
-        self.assemblies = self.factorizations = self.evolutions = 0
+        self.assemblies = self.factorizations = 0
         self._system = system
         self._matrix: Optional[sparse.csr_matrix] = (
             None if forward is None else forward.matrix.T.tocsr())
@@ -431,7 +431,6 @@ class OperatorHandle:
             dt = default_dt(t, self.grid.spacing)
         if dt <= 0:
             raise DomainError(f"need dt > 0, got {dt}")
-        self.evolutions += 1
         dt = min(dt, t)
         full = int(math.floor(t / dt + 1e-9))
         rem = t - full * dt

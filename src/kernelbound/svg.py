@@ -18,22 +18,21 @@ def _fmt(x: float) -> str:
     return "%.2f" % x
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
-def polyline_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
-                  width: int = 640, height: int = 420,
-                  logy: bool = False) -> str:
+def polyline_plot(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render labelled (xs, ys) series as an SVG document string.
 
-    series is an iterable of (label, xs, ys).  With logy the y axis shows
-    log10 and nonpositive samples are dropped from their polyline.
+    series is an iterable of (label, xs, ys); non-finite samples are dropped
+    from their polyline.
     """
     left, right, top, bottom = _MARGIN
+    width, height = 640, 420
     px0, px1 = left, width - right
     py0, py1 = height - bottom, top
 
@@ -42,10 +41,6 @@ def polyline_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
         pts = []
         for x, y in zip(xs, ys):
             fx, fy = float(x), float(y)
-            if logy:
-                if fy <= 0.0:
-                    continue
-                fy = math.log10(fy)
             if math.isfinite(fx) and math.isfinite(fy):
                 pts.append((fx, fy))
         cleaned.append((str(label), pts))
@@ -101,11 +96,10 @@ def polyline_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
                    % (_fmt((px0 + px1) / 2), _fmt(height - 8),
                       _escape(xlabel)))
     if ylabel:
-        label = _escape(ylabel if not logy else "log10 " + ylabel)
         out.append('<text x="14" y="%s" font-family="monospace" '
                    'font-size="11" text-anchor="middle" '
                    'transform="rotate(-90 14 %s)">%s</text>'
-                   % (_fmt((py0 + py1) / 2), _fmt((py0 + py1) / 2), label))
+                   % (_fmt((py0 + py1) / 2), _fmt((py0 + py1) / 2), _escape(ylabel)))
 
     for i, (label, pts) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]

@@ -9,24 +9,24 @@ used and where it sits, and repeated runs give the same result byte for byte.
 
 Each check is a declaration, a frozen dataclass of its parameters such as
 Domination, whose requests are the Evolution requests it reads (variant,
-grid, t, resolved step, theta, and point sources, initial data, or the
-output of an earlier request), and whose measure method turns their outputs
-into a CheckResult, evolving nothing.  check_domination and its siblings run
-a declaration, or the one their arguments build, through the executor,
-evolve_all; the verify command first hands every check's requests to
-run_plan.
-The executor computes every store key when it plans, a second stage's
-from the keys of the stage it continues, so it hashes no output.  It drops
-duplicate requests by store key, sorts the rest by (variant, grid, theta,
-dt), runs each (variant, grid) on one operator handle, made on the first
-store miss, so every operator is built once and every step size factored
-once, and releases the handle's LU when its last request is done.  Every
-batch takes one path through the store, whose first miss evolves it once.
-Requests are never merged into wider batches: each keeps the batch it had
-when its check ran alone, so every column has the same bits whether a
-check runs alone, in the plan, or in a thread.  Every evolution goes
-through a kernel store, one in memory for the call when none is given, so
-after run_plan the checks compute nothing.
+grid, t, resolved step, theta, point sources or initial data, and any
+further time legs, as the composed path of the semigroup identity has),
+and whose measure method turns their outputs into a CheckResult, evolving
+nothing.  check_domination and its siblings run a declaration, or the one
+their arguments build, through the executor, evolve_all; the verify
+command first hands every check's requests to run_plan.
+The executor computes every store key when it plans, so it hashes no
+output.  It drops duplicate requests by store key, sorts the rest by
+(variant, grid, theta, dt), runs each (variant, grid) on one operator
+handle, made on the first store miss, so every operator is built once and
+every step size factored once, and releases the handle's LU when its last
+request is done.  Every batch takes one path through the store, whose
+first miss evolves it once over all its legs, and no batch reads another's
+output.  Requests are never merged into wider batches: each keeps the
+batch it had when its check ran alone, so every column has the same bits
+whether a check runs alone, in the plan, or in a thread.  Every evolution
+goes through a kernel store, one in memory for the call when none is
+given, so after run_plan the checks compute nothing.
 
 The constants the weighted and integrability checks rest on go through the
 store too, as records: the two grid sups of each Lyapunov certificate
@@ -408,9 +408,9 @@ class Evolution:
     the time stepping.  The request evolves either the mollified point
     sources (center, component) of the given width, giving one kernel
     column per source, or the initial values data, of shape (n_nodes, m)
-    or (n_nodes, m, c), giving an array of that shape, or, as a second
-    stage, the output of the request after, for t more.  Build requests
-    with of_sources, of_values and then.
+    or (n_nodes, m, c), giving an array of that shape.  Each of legs then
+    evolves that output for its time more, with the same operator and step.
+    Build requests with of_sources, of_values and then.
     """
 
     variant: str
@@ -421,7 +421,7 @@ class Evolution:
     sources: tuple = ()
     width: float = 0.0
     data: Optional[np.ndarray] = None
-    after: Optional["Evolution"] = None
+    legs: tuple = ()
 
     @classmethod
     def of_sources(cls, variant: str, grid: GridSpec, t: float, sources: Sequence[tuple],
@@ -444,8 +444,8 @@ class Evolution:
                    data=np.ascontiguousarray(values, dtype=float))
 
     def then(self, t: float) -> "Evolution":
-        """This request's output evolved for t more, same operator and step."""
-        return Evolution(self.variant, self.grid, t, self.dt, self.theta, after=self)
+        """This request with one more leg: its output evolved for t more."""
+        return replace(self, legs=self.legs + (float(t),))
 
     @cached_property
     def digest(self) -> str:
@@ -453,17 +453,20 @@ class Evolution:
         return _data_digest(self.data)
 
 
-def _column_key(sys_fp: str, variant: str, grid: GridSpec, t: float, center: tuple,
-                k: int, w: float, step: float, theta: float) -> StoreKey:
-    return _store_key("col", sys_fp, variant, grid.d, grid.radius, grid.spacing,
-                      t, center, k, w, step, theta)
+# the legs come last in a key, so a request without legs is keyed by its
+# operator, step and start alone
+
+def _column_key(sys_fp: str, req: Evolution, center: tuple, k: int) -> StoreKey:
+    g = req.grid
+    return _store_key("col", sys_fp, req.variant, g.d, g.radius, g.spacing, req.t, center,
+                      k, req.width, req.dt, req.theta, *req.legs)
 
 
-def _data_key(sys_fp: str, variant: str, grid: GridSpec, t: float, step: float,
-              theta: float, digest: str, j: int) -> StoreKey:
+def _data_key(sys_fp: str, req: Evolution, j: int) -> StoreKey:
     # read by a single check, so not shared
-    return _store_key("evolve", sys_fp, variant, grid.d, grid.radius, grid.spacing,
-                      t, step, theta, digest, j, shared=False)
+    g = req.grid
+    return _store_key("evolve", sys_fp, req.variant, g.d, g.radius, g.spacing, req.t,
+                      req.dt, req.theta, req.digest, j, *req.legs, shared=False)
 
 
 def _data_digest(data: np.ndarray) -> str:
@@ -489,25 +492,21 @@ class _Batch:
     """One evolve batch of the plan, the unit that runs at most once.
 
     request is the batch's first request, which names its operator, its
-    time stepping and its start; keys holds the store key of every field
-    its requests read, by component for kernel columns and by column for
-    data.  Column requests at one center share a batch, since all m
-    components evolve together whichever of them are asked for.  A data
-    request is a batch of its own, keyed by the digest of its data, and so
-    is a second stage, keyed by "after " and the keys of the batch after it
-    continues.  stacked says whether the data had a column axis.
+    time stepping, its legs and its start; keys holds the store key of
+    every field its requests read, by component for kernel columns and by
+    column for data.  Column requests at one center share a batch, since
+    all m components evolve together whichever of them are asked for.  A
+    data request is a batch of its own, keyed by the digest of its data.
+    No batch reads another's output, so batches run in any order.
     """
 
     request: Evolution
     keys: dict
     center: Optional[tuple] = None
-    after: Optional["_Batch"] = None
-    stage: int = 0
-    stacked: bool = False
 
     def order(self) -> tuple:
         r, g = self.request, self.request.grid
-        return (r.variant, g.d, g.spacing, g.radius, r.theta, r.dt, self.stage, r.t)
+        return (r.variant, g.d, g.spacing, g.radius, r.theta, r.dt, r.t)
 
 
 def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
@@ -515,47 +514,31 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
 
     Every store key is computed here, once, and two requests share a batch
     exactly when they would share store entries.  The run order is
-    (variant, grid, theta, dt, stage, t): one handle per (variant, grid)
-    steps through each (theta, dt) once, and a second stage runs right
-    after the stage it continues.  A request's output lies in one batch,
+    (variant, grid, theta, dt, t): one handle per (variant, grid) steps
+    through each (theta, dt) once.  A request's output lies in one batch,
     or, for kernel columns, in a list of (batch, component) picks.
     """
     batches: dict = {}
-    of_request: dict = {}  # id(request) -> its batch, for the stages after it
     where = []
     for req in requests:
         g = req.grid
-        if req.data is None and req.after is None:
+        if req.data is None:
             op = _fingerprint(req.variant, g.d, g.radius, g.spacing, req.t, req.dt,
-                              req.theta, req.width)
+                              req.theta, req.width, *req.legs)
             picks = []
             for center, k in req.sources:
                 if not 0 <= k < m:
                     raise DomainError(f"component {k} outside 0..{m - 1}")
                 b = batches.setdefault((op, str(center)), _Batch(req, {}, center=center))
                 if k not in b.keys:
-                    b.keys[k] = _column_key(sys_fp, req.variant, g, req.t, center, k,
-                                            req.width, req.dt, req.theta)
+                    b.keys[k] = _column_key(sys_fp, req, center, k)
                 picks.append((b, k))
             where.append(picks)
             continue
-        if req.after is None:
-            after, tag = None, req.digest
-            stacked = req.data.ndim == 3
-            columns = req.data.shape[2] if stacked else 1
-        else:
-            after = of_request.get(id(req.after))
-            if after is None:
-                raise DomainError("a second stage needs its first stage declared before it")
-            tag = "after " + " ".join(key.digest for key in after.keys.values())
-            stacked, columns = after.stacked, len(after.keys)
-        keys = {j: _data_key(sys_fp, req.variant, g, req.t, req.dt, req.theta, tag, j)
-                for j in range(columns)}
-        b = batches.setdefault(tuple(key.digest for key in keys.values()),
-                               _Batch(req, keys, after=after, stacked=stacked,
-                                      stage=0 if after is None else after.stage + 1))
-        of_request[id(req)] = b
-        where.append(b)
+        columns = req.data.shape[2] if req.data.ndim == 3 else 1
+        keys = {j: _data_key(sys_fp, req, j) for j in range(columns)}
+        where.append(batches.setdefault(tuple(key.digest for key in keys.values()),
+                                        _Batch(req, keys)))
     return sorted(batches.values(), key=_Batch.order), where
 
 
@@ -565,12 +548,11 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     fields were built.
 
     Each field is read under its key.  The first miss builds the start
-    array and evolves it once for every field of the batch: the m mollified
-    sources at a center, the request's data, or the output of the stage b
-    continues, itself read back through the store.  So a field has the
-    same bits whichever fields were stored before, and none is built unless
-    the batch evolved.  A column batch gives a dict of columns by
-    component, any other an array shaped like its data.
+    array, the m mollified sources at a center or the request's data, and
+    evolves it once for every field of the batch, over t and then over each
+    leg.  So a field has the same bits whichever fields were stored before,
+    and none is built unless the batch evolved.  A column batch gives a
+    dict of columns by component, any other an array shaped like its data.
     """
     req = b.request
     built, evolved = [], []
@@ -578,14 +560,12 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     def build(j: int) -> np.ndarray:
         built.append(j)
         if not evolved:
-            if b.center is not None:
-                start = np.stack([mollified_source(req.grid, m, b.center, h, req.width)
-                                  for h in range(m)], axis=-1)
-            elif b.after is not None:
-                start = _evolve_batch(b.after, store, m, handle_of)[0]
-            else:
-                start = req.data
-            evolved.append(handle_of().evolve(start, req.t, dt=req.dt, theta=req.theta)[0])
+            u = req.data if b.center is None else np.stack(
+                [mollified_source(req.grid, m, b.center, h, req.width) for h in range(m)],
+                axis=-1)
+            for t in (req.t, *req.legs):
+                u = handle_of().evolve(u, t, dt=req.dt, theta=req.theta)[0]
+            evolved.append(u)
         u = evolved[0]
         return np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u)
 
@@ -593,7 +573,7 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     if b.center is not None:
         return fields, len(built)
     cols = list(fields.values())
-    return (np.stack(cols, axis=-1) if b.stacked else cols[0]), len(built)
+    return (np.stack(cols, axis=-1) if req.data.ndim == 3 else cols[0]), len(built)
 
 
 def _execute(system, requests: Sequence[Evolution], store: KernelStore,
@@ -629,20 +609,21 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
                 handle = OperatorHandle(system, grid, variant, budget, forward=fwd)
             return handle
 
-        done, found = {}, 0
+        done, found, evolved = {}, 0, 0
         for b in group:
             if not keep and all(map(store.holds, b.keys.values())):
                 found += len(b.keys)  # nothing to compute, and no output wanted
                 continue
             out, built = _evolve_batch(b, store, m, handle_of)
             found += len(b.keys) - built
+            evolved += built > 0
             if keep:
                 done[b] = out
-        counts = Counter({"batches": len(group), "fields found in the store": found})
+        counts = Counter({"batches": len(group), "evolutions": evolved,
+                          "fields found in the store": found})
         if handle is not None:
             handle.release()
-            counts.update(evolutions=handle.evolutions,
-                          factorizations=handle.factorizations,
+            counts.update(factorizations=handle.factorizations,
                           assemblies=handle.assemblies)
             if variant == "P" and grid in adjoint_grids:
                 forward[grid] = handle
@@ -672,7 +653,7 @@ def evolve_all(system, requests: Sequence[Evolution],
     """Outputs of the requests in their order, each batch run at most once.
 
     A column request gives a list of (n_nodes, m) arrays, one per source;
-    a data request or a second stage gives an array shaped like its data.
+    a data request gives an array shaped like its data.
     Every check runs its own requests through here; after run_plan has run
     them, every field comes from the store.  Without a store the fields go
     through a KernelStore in memory, made for the call.  budget caps the
@@ -1081,16 +1062,15 @@ class ChapmanKolmogorov(_Check):
 
     @cached_property
     def requests(self) -> list:
-        """The direct path over t + s and the composed one, s and then, as a
-        second stage, t more; with s <= 0 the one evolution over t."""
+        """The direct path over t + s and the composed one, s and then a leg
+        of t more; with s <= 0 the one evolution over t."""
         g, t, s, dt = self.grid, self.t, self.s, self.step
         f = np.random.default_rng(self.seed).uniform(-1.0, 1.0,
                                                      size=(g.n_nodes, self.system.dims.m))
         if s <= 0.0:
             return [Evolution.of_values(self.variant, g, f, t, dt, self.theta)]
-        mid = Evolution.of_values(self.variant, g, f, s, dt, self.theta)
-        return [Evolution.of_values(self.variant, g, f, t + s, dt, self.theta), mid,
-                mid.then(t)]
+        return [Evolution.of_values(self.variant, g, f, t + s, dt, self.theta),
+                Evolution.of_values(self.variant, g, f, s, dt, self.theta).then(t)]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         grid, t, s, tol = self.grid, self.t, self.s, self.tol

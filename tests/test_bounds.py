@@ -68,12 +68,6 @@ class TestMajorant:
         with pytest.raises(NonFiniteError, match="not finite"):
             eval_H(led, ONES_AT, ONES_AT, lambda t: 5000 * t, lambda t: 0.0, np.array([0.0]))
 
-    def test_starred_side_requires_starred_constants(self):
-        led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(DomainError):
-            eval_H(led, ONES_AT, ONES_AT, lambda t: 0.0, lambda t: 0.0,
-                   np.array([0.0]), starred=True)
-
 
 class TestLedgerValidation:
     def test_s_must_exceed_d_plus_2(self):

@@ -189,10 +189,21 @@ class TestConfigParsing:
          "verify.coarse"),
         ("verify", {"verify": {"checks": "weighted", "fine": "0.125 0.1"}},
          "verify.fine"),
+        # (-1)^(s/2) is 1 at s = 4, so a negative scale would pass
+        ("verify", {"verify": {"checks": "weighted", "majorant_scale": "-1"}},
+         "verify.majorant_scale"),
+        ("verify", {"verify": {"checks": "decay", "decay_eps_scale": "0"}},
+         "verify.decay_eps_scale"),
+        ("synth", {"lyapunov": {"rho": "-1"}}, "lyapunov.rho"),
+        ("synth", {"lyapunov": {"eps_hat": "0"}}, "lyapunov.eps_hat"),
+        ("synth", {"lyapunov": {"sigma": "-0.5"}}, "lyapunov.sigma"),
+        ("synth", {"lyapunov": {"delta": "0"}}, "lyapunov.delta"),
     ], ids=["grid.theta", "grid.spacing", "solve.times", "solve.width",
             "verify.t", "verify.t_single", "lyapunov.T", "bounds.eps_scales",
             "grid.radii", "lyapunov.radius", "bounds.window", "verify.radius",
-            "verify.chapman_s", "verify.coarse", "verify.fine"])
+            "verify.chapman_s", "verify.coarse", "verify.fine",
+            "verify.majorant_scale", "verify.decay_eps_scale", "lyapunov.rho",
+            "lyapunov.eps_hat", "lyapunov.sigma", "lyapunov.delta"])
     def test_out_of_domain_value_exits_2_and_names_the_key(
             self, tmp_path, capsys, command, updates, named):
         cfg = make_config(tmp_path, **updates)
@@ -522,7 +533,8 @@ class TestVerifyCommand:
             assert (out / name).read_bytes() == blob
 
     @pytest.mark.parametrize("update, recomputed", [
-        # domination's two random batches and chapman's three runs
+        # domination's two random batches, and chapman's direct path and
+        # the two legs of its composed one
         ({"verify": {"seed": "8"}}, 5),
         # duality's adjoint columns: the other checks step at theta = 1
         # already, and at 1 duality's forward columns are domination's
@@ -722,11 +734,11 @@ class TestVerifyPlan:
                             or run_plan(system, requests, store, jobs))
         assert cli.main(args) == 0
         # the checks get the planned requests, so each data request hashes its
-        # data once, for the plan and the check; a second stage is keyed by
-        # the keys of the stage it continues and hashes nothing
+        # data once, for the plan and the check, the two-leg composed path of
+        # the Chapman-Kolmogorov check too
         hashing = [r for r in planned if r.data is not None]
         assert len(hashed) == len(hashing) == 10
-        assert any(r.after is not None for r in planned)
+        assert [r.legs for r in planned if r.legs] == [(0.25,)]
 
     def test_closing_line_reports_the_plan(self, tmp_path, capsys):
         cfg = make_config(tmp_path, **TWO_D)

@@ -735,7 +735,7 @@ def test_handle_counts_its_work_and_releases_its_factorization():
     handle.evolve(u, 0.1, dt=0.05)
     handle.evolve(u, 0.2, dt=0.05)
     handle.evolve(u, 0.1, dt=0.02)
-    assert (handle.assemblies, handle.factorizations, handle.evolutions) == (1, 2, 3)
+    assert (handle.assemblies, handle.factorizations) == (1, 2)
     handle.release()
     handle.evolve(u, 0.1, dt=0.02)
     assert (handle.assemblies, handle.factorizations) == (1, 3)

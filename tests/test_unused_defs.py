@@ -1,5 +1,5 @@
-"""No function or method of the package goes unreferenced, and none serves
-the tests alone.
+"""No function or method of the package goes unreferenced, none serves the
+tests alone, and no defaulted parameter goes unpassed.
 
 A def counts as used when its name appears in src/, tests/ or bench/: a
 method as an attribute (obj.name), any other def as a name, an attribute
@@ -9,9 +9,16 @@ that declares name as a class-level field and defines no method of that
 name, self.name reads the field, so it references no method.  Dunder
 methods are called by the language and are skipped.  A def that only tests/
 uses belongs in tests/, unless TEST_ONLY lists it with its reason.
+
+A defaulted parameter of a def counts as passed when a call in src/, tests/
+or bench/ passes it by keyword, by position, or through * or ** unpacking.
+A call reaches a module-level def by its name or as an attribute, a method
+as an attribute, and __init__ by the name of its class.  A parameter whose
+calls the scan cannot resolve is listed in UNRESOLVED with the reason.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,3 +147,122 @@ def test_package_has_no_unreferenced_def():
 def test_no_src_def_serves_the_tests_alone():
     # bench/ drives the package from outside, so it counts as a user
     assert unreferenced(("src", "bench")) == set(TEST_ONLY)
+
+
+# ---------------------------------------------------------------------------
+# defaulted parameters that no call passes
+# ---------------------------------------------------------------------------
+
+def defaulted_params(source: str) -> list:
+    """(def, class or None, parameter, position) for each defaulted parameter
+    of the defs of source; position is the index of the call argument that
+    fills it, None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body}
+    params = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        static = any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                     for dec in node.decorator_list)
+        bound = cls is not None and not static  # self or cls is not passed
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params += [(node.name, cls, arg.arg, i - bound)
+                   for i, arg in enumerate(positional) if i >= first]
+        params += [(node.name, cls, arg.arg, None)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+    return params
+
+
+def call_arguments(sources: list) -> dict:
+    """(callee name, called as an attribute) -> (positional count, keywords)
+    of every call in the sources.  A *-unpacking fills every position, and a
+    **-unpacking every keyword, which shows as None among the keywords."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                callee = (func.id, False)
+            elif isinstance(func, ast.Attribute):
+                callee = (func.attr, True)
+            else:
+                continue
+            count = math.inf if any(isinstance(arg, ast.Starred) for arg in node.args) \
+                else len(node.args)
+            calls.setdefault(callee, []).append((count, {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def unpassed_params(source: str, calls: dict) -> list:
+    """The (def, parameter) pairs of source's defaulted parameters that no
+    call passes, sorted."""
+    unpassed = set()
+    for name, cls, param, position in defaulted_params(source):
+        if name == "__init__":
+            callees = [(cls, False), (cls, True)]
+        elif cls is not None:
+            callees = [(name, True)]
+        else:
+            callees = [(name, False), (name, True)]
+        if not any(None in keywords or param in keywords
+                   or position is not None and position < count
+                   for callee in callees for count, keywords in calls.get(callee, ())):
+            unpassed.add((name, param))
+    return sorted(unpassed)
+
+
+def test_scan_finds_a_planted_unused_parameter():
+    source = ("def f(a, b=1, c=2, *, d=3, planted=4):\n    pass\n"
+              "class K:\n"
+              "    def __init__(self, x=0, y=0):\n        pass\n"
+              "    def m(self, z=0):\n        pass\n"
+              "    @staticmethod\n"
+              "    def s(w=0):\n        pass\n"
+              "f(0, 1, d=2)\n"
+              "K(1).m(2)\n"
+              "K.s(3)\n")
+    assert unpassed_params(source, call_arguments([source])) == [
+        ("__init__", "y"), ("f", "c"), ("f", "planted")]
+    # unpacking passes every position, or every keyword
+    for call in ("f(*args, d=1)\nK(*args)\n", "f(**kw)\nK(**kw)\n"):
+        assert unpassed_params(source, call_arguments([source, call])) == \
+            ([("f", "planted")] if "*args" in call else [])
+
+
+def test_a_method_parameter_needs_an_attribute_call():
+    # a plain call of a same-named function does not call the method
+    source = "class A:\n    def run(self, n=1):\n        pass\n"
+    assert unpassed_params(source, call_arguments([source, "run(2)\n"])) == [("run", "n")]
+    assert unpassed_params(source, call_arguments([source, "A().run(2)\n"])) == []
+
+
+# (module, def, parameter) triples that no call the scan resolves passes,
+# each with where it is passed or why it stays
+UNRESOLVED = {
+    **{("verify.py", name, "store"): "cmd_verify runs each check as "
+                                     "getattr(verify, check.name)(check, store=store)"
+       for name in ("check_domination", "check_monotone_in_R", "check_duality",
+                    "check_chapman_kolmogorov", "check_lyapunov_integrability",
+                    "check_decay_shape")},
+    ("bounds.py", "eval", "x"): "BoundCertificate.eval is TEST_ONLY above; x asks it for "
+                                "the two-sided bound, which the pointwise check is to read",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    calls = call_arguments(sources)
+    unpassed = {(path.name, name, param) for path in sorted(SRC.glob("*.py"))
+                for name, param in unpassed_params(path.read_text(encoding="utf-8"), calls)}
+    # an entry of UNRESOLVED that the scan resolves is stale
+    assert unpassed == set(UNRESOLVED)

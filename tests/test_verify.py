@@ -853,59 +853,70 @@ class TestPlan:
         assert np.array_equal(pair[0], kernel_column(handle, 0.1, 0.0, 0, theta=1.0))
         assert np.array_equal(u, handle.evolve(ones, 0.1, theta=1.0)[0])
 
-    def test_second_stage_continues_its_first(self):
+    def test_a_two_leg_request_has_the_bits_of_two_evolves(self, monkeypatch):
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.125)
         f = np.random.default_rng(3).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
-        first = Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0)
-        mid, out = evolve_all(fam, [first, first.then(0.05)])
+        composed = Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0).then(0.05)
+        column = Evolution.of_sources("P", g, 0.1, [(0.5, 1)], dt=0.01, theta=1.0).then(0.05)
         handle = OperatorHandle(fam, g, "P")
-        assert np.array_equal(mid, handle.evolve(f, 0.1, 0.01, 1.0)[0])
-        assert np.array_equal(out, handle.evolve(mid, 0.05, 0.01, 1.0)[0])
-        with pytest.raises(DomainError):
-            evolve_all(fam, [first.then(0.05)])
+        mid = handle.evolve(f, 0.1, 0.01, 1.0)[0]
+        expected = handle.evolve(mid, 0.05, 0.01, 1.0)[0]
+        col = kernel_column(handle, 0.1, 0.5, 1, dt=0.01, theta=1.0)
+        expected_col = handle.evolve(col, 0.05, 0.01, 1.0)[0]
+        calls = self.count_evolves(monkeypatch)
+        out, (got_col,) = evolve_all(fam, [composed, column])
+        # one batch each, evolved over its two legs on one handle
+        assert calls == ["P"] * 4
+        assert out.tobytes() == expected.tobytes()
+        assert got_col.tobytes() == expected_col.tobytes()
 
-    def stored_stages(self, tmp_path):
-        """A first stage and its second stage run into a store; returns the
-        requests, the first stage's key, the paths of the two fields and
-        their bytes."""
+    def test_legs_are_part_of_the_store_key(self):
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        f = np.ones((g.n_nodes, 2))
+        first = Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0)
+        column = Evolution.of_sources("P", g, 0.1, [(0.5, 1)], dt=0.01, theta=1.0)
+        reqs = [first, first.then(0.05), first.then(0.05), first.then(0.05).then(0.05),
+                first.then(0.1), column, column.then(0.05)]
+        batches, where = verify._plan(reqs, system_fingerprint(fam), 2)
+        # the same legs share a batch, any other legs do not
+        assert len(batches) == 6 and where[1] is where[2]
+        digests = [key.digest for b in batches for key in b.keys.values()]
+        assert len(set(digests)) == len(digests) == 6
+        # a leg leaves the request it extends as it was
+        assert first.legs == () and first.then(0.05).legs == (0.05,)
+
+    def test_store_keys_without_legs_are_pinned(self):
+        # a change that renames every store entry shows up here
+        fam = headline_family()
+        g = GridSpec(1, 2.0, 0.125)
+        data = np.arange(g.n_nodes * 2, dtype=float).reshape(g.n_nodes, 2)
+        reqs = [Evolution.of_sources("P", g, 0.1, [(0.5, 1)], theta=1.0),
+                Evolution.of_values("P", g, data, 0.1, dt=0.01, theta=1.0)]
+        (((column, _),), values) = verify._plan(reqs, system_fingerprint(fam), 2)[1]
+        assert system_fingerprint(fam) == "b41f55060d35"
+        assert column.keys[1].digest == "861707116b65"
+        assert values.keys[0].digest == "f0eea837a4d3"
+
+    def test_a_lost_two_leg_field_is_rebuilt_with_its_bits(self, tmp_path, monkeypatch):
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.125)
         f = np.random.default_rng(3).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
-        first = Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0)
-        reqs = [first, first.then(0.05)]
-        store = KernelStore(tmp_path)
-        run_plan(fam, reqs, store)
-        _, (one, two) = verify._plan(reqs, system_fingerprint(fam), 2)
-        # second stages are keyed by the keys of the stage they continue
-        assert all(key.digest != k.digest for key in two.keys.values()
-                   for k in one.keys.values())
-        paths = [store._path(b.keys[0], ".kbf") for b in (one, two)]
-        return fam, reqs, one.keys[0], paths, [open(p, "rb").read() for p in paths]
-
-    def test_second_stage_is_rebuilt_from_its_stored_first(self, tmp_path, monkeypatch):
-        fam, reqs, _, (first, second), blobs = self.stored_stages(tmp_path)
-        os.remove(second)
+        reqs = [Evolution.of_values("P", g, f, 0.1, dt=0.01, theta=1.0).then(0.05)]
+        run_plan(fam, reqs, KernelStore(tmp_path))
+        (path,) = tmp_path.iterdir()
+        blob = path.read_bytes()
         calls = self.count_evolves(monkeypatch)
-        counts = run_plan(fam, reqs, KernelStore(tmp_path))
-        # the first stage is read back from the store, only the second evolves
-        assert calls == ["P"] and counts["fields found in the store"] == 1
-        assert [open(p, "rb").read() for p in (first, second)] == blobs
-
-    def test_truncated_first_stage_is_rebuilt_under_its_second(self, tmp_path,
-                                                               monkeypatch):
-        fam, reqs, first_key, (first, second), blobs = self.stored_stages(tmp_path)
-        with open(first, "wb") as fh:
-            fh.write(blobs[0][:len(blobs[0]) // 2])
-        assert KernelStore(tmp_path).holds(first_key)
-        os.remove(second)
-        calls = self.count_evolves(monkeypatch)
-        mid, out = evolve_all(fam, reqs, KernelStore(tmp_path))
-        # the truncated file fails to load, so the first stage evolves again,
-        # with its old bits, and so does the second
-        assert calls == ["P", "P"]
-        assert [open(p, "rb").read() for p in (first, second)] == blobs
-        np.testing.assert_array_equal(out, evolve_all(fam, reqs)[1])
+        path.unlink()
+        # the batch evolves both legs again, with the old bits
+        assert run_plan(fam, reqs, KernelStore(tmp_path))["evolutions"] == 1
+        assert calls == ["P", "P"] and path.read_bytes() == blob
+        # a truncated file fails to load when it is read, and is rebuilt too
+        path.write_bytes(blob[:len(blob) // 2])
+        (out,) = evolve_all(fam, reqs, KernelStore(tmp_path))
+        assert calls == ["P"] * 4 and path.read_bytes() == blob
+        assert out.tobytes() == verify.load_field(path).tobytes()
 
     def test_plan_fills_the_store_the_requests_then_read(self, tmp_path,
                                                         monkeypatch):
@@ -981,6 +992,7 @@ class TestPlan:
                 for variant in ("P", "P_adjoint", "plain")
                 for radius in (1.0, 2.0) for theta in (0.5, 1.0)]
         f = np.random.default_rng(5).uniform(size=(GridSpec(1, 2.0, 0.125).n_nodes, 2))
+        # a request and its two-leg extension are two independent batches
         first = Evolution.of_values("P", GridSpec(1, 2.0, 0.125), f, 0.1, theta=1.0)
         reqs += [first, first.then(0.05)]
         run_plan(fam, reqs, KernelStore(tmp_path / "serial"))
