@@ -29,7 +29,8 @@ goes through a kernel store, one in memory for the call when none is
 given, so after run_plan the checks compute nothing.
 
 The constants the weighted and integrability checks rest on go through the
-store too, as records: the two grid sups of each Lyapunov certificate
+store too, as records, arrays of numbers read and written by the same
+get_or_compute as fields: the two grid sups of each Lyapunov certificate
 (stored_certificate), the eight sups, edge flags and M of each constants
 ledger (weighted_majorant), and the row-sum bound M and its tail verdict,
 by which the mass check bounds the decay, rebuilt by the functions
@@ -39,8 +40,8 @@ covers the system, every field of the specs and weights, the radius and
 points per axis, s, the window, the sample plan, adjoint, the inner window
 and RECORD_VERSION.  So a rerun against the same store recomputes nothing,
 and a certificate the store lacks is computed on the store's grids of the
-system, so a command evaluates each grid once.  Fields and records reach
-the disk as one binary format, a float64 array behind a magic and its
+system, so a command evaluates each grid once.  Every store entry reaches
+the disk in one binary format, a float64 array behind a magic and its
 shape, which save_field writes and load_field reads.
 """
 
@@ -158,6 +159,8 @@ def system_fingerprint(system) -> str:
 # Every store file is one array: this magic, the number of axes (uint32) and
 # each axis length (uint64), then the little-endian float64 payload.
 _MAGIC = b"KBS\x00"
+# what reading a damaged or foreign store file raises
+_UNREADABLE = (KernelBoundError, ValueError, OSError, struct.error)
 
 
 def save_field(path, values):
@@ -184,20 +187,30 @@ def save_field(path, values):
         raise
 
 
-def load_field(path) -> np.ndarray:
-    """The read-only array of a store file.  DomainError for a wrong magic or
-    a payload whose length does not match the shape; struct.error for a
-    file too short to hold its header."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, ndim = struct.unpack_from("<4sI", blob)
+def _read_shape(fh, path) -> tuple:
+    """The shape the header of an open store file names, with fh left at the
+    payload, which is not read.  DomainError for a wrong magic or a file
+    whose length does not match the shape; struct.error for a file too short
+    to hold its first eight bytes."""
+    size = os.fstat(fh.fileno()).st_size
+    magic, ndim = struct.unpack("<4sI", fh.read(8))
     if magic != _MAGIC:
         raise DomainError(f"{path} is not a kernel store file")
-    shape = struct.unpack_from(f"<{ndim}Q", blob, 8)
     start = 8 + 8 * ndim
-    if len(blob) - start != 8 * math.prod(shape):
-        raise DomainError(f"{path} does not hold the {shape} array its header names")
-    return np.frombuffer(blob, dtype="<f8", offset=start).reshape(shape)
+    # a foreign axis count is never unpacked: the file must hold its axes
+    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if start <= size else None
+    if shape is None or size - start != 8 * math.prod(shape):
+        raise DomainError(f"{path} does not hold the array its header names")
+    return shape
+
+
+def load_field(path) -> np.ndarray:
+    """The read-only array of a store file; _read_shape's errors for a file
+    that does not hold the array its header names."""
+    # unbuffered: the header is read in two small reads, the payload in one
+    with open(path, "rb", buffering=0) as fh:
+        shape = _read_shape(fh, path)
+        return np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -222,21 +235,20 @@ def _store_key(kind: str, sys_fp: str, *parts, shared: bool = True) -> StoreKey:
 
 
 class KernelStore:
-    """Cache of computed fields and records, in memory and optionally in a directory.
+    """Cache of computed arrays, in memory and optionally in a directory.
 
-    Fields are (n_nodes, m) arrays and records tuples of floats; on disk
-    both are save_field files, .kbf and .kbr.  A plain string key is a
-    shared, persistent StoreKey.  len() counts every field key loaded or
-    built since the store was made, whichever tier holds it; records, read
-    and written by record(), are not fields and are not counted.  Corrupt
-    or foreign files under a key are silently recomputed.  grids(system)
-    keeps the certificate grids of each system the store sees, in memory
-    only, so a command evaluates each grid once.
+    Every entry is a float64 array, a field of shape (n_nodes, m) or a
+    record's numbers, and is read and written by get_or_compute; on disk it
+    is a save_field file, .kbf.  len() counts every key loaded or built
+    since the store was made, whichever tier holds it.  A file that does
+    not load, or holds a NaN, is rebuilt, and a built array with a NaN is
+    handed back but never kept.  grids(system) keeps the certificate grids
+    of each system the store sees, in memory only, so a command evaluates
+    each grid once.
     """
 
     def __init__(self, directory=None):
         self._memory: dict[str, np.ndarray] = {}
-        self._records: dict[str, tuple] = {}
         self._grids: dict[int, CertificateGrids] = {}
         self._seen: set[str] = set()
         # a plain string: every lookup builds a path, and pathlib is slow at it
@@ -247,23 +259,12 @@ class KernelStore:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def _path(self, key: StoreKey, suffix: str) -> Optional[str]:
+    def _path(self, key: StoreKey) -> Optional[str]:
         """The file of key's entry, or None when the entry lives in memory only."""
         if self._dir is None or not key.persist:
             return None
         name = hashlib.sha1(key.digest.encode()).hexdigest()[:16]
-        return os.path.join(self._dir, name + suffix)
-
-    @staticmethod
-    def _load(path: Optional[str]) -> Optional[np.ndarray]:
-        """The array stored at path, or None if there is no file or it does
-        not load; load_field is looked up at each call."""
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            return load_field(path)
-        except (KernelBoundError, ValueError, OSError, struct.error):
-            return None
+        return os.path.join(self._dir, name + ".kbf")
 
     def grids(self, system) -> CertificateGrids:
         """The certificate grids of system, made on first use.
@@ -278,48 +279,46 @@ class KernelStore:
         return self._grids[id(system)]
 
     def holds(self, key: StoreKey) -> bool:
-        """Whether a field sits under key, in memory or in a file.
+        """Whether an entry sits under key, in memory or in a file whose
+        header names an array of the file's length.
 
-        The file is not read, so a corrupt one still counts; get_or_compute
-        rebuilds it when it is read.
+        Only the header is read, so a file holding a NaN still counts;
+        get_or_compute rebuilds it when it is read.
         """
-        path = self._path(key, ".kbf")
-        return key.digest in self._memory or (path is not None and os.path.exists(path))
+        if key.digest in self._memory:
+            return True
+        path = self._path(key)
+        if path is None:
+            return False
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                _read_shape(fh, path)
+        except _UNREADABLE:
+            return False
+        return True
 
-    def get_or_compute(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
-        key = StoreKey(key) if isinstance(key, str) else key
+    def get_or_compute(self, key: StoreKey, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The array under key, from memory, from its file, or from build, and
+        then kept in its file, if it has one, and in memory if key.shared or
+        it has no file."""
         if key.digest in self._memory:
             return self._memory[key.digest]
-        path = self._path(key, ".kbf")
-        values = self._load(path)
-        if values is None:
-            values = build()
+        path = self._path(key)
+        values = None
+        if path is not None and os.path.exists(path):
+            try:
+                values = load_field(path)  # looked up at each call
+            except _UNREADABLE:
+                pass
+        if values is None or np.isnan(values).any():
+            values = np.asarray(build(), dtype=float)
+            if np.isnan(values).any():
+                return values
             if path is not None:
                 save_field(path, values)
         self._seen.add(key.digest)
         if key.shared or path is None:
             self._memory[key.digest] = values
-        return values
-
-    def record(self, key: StoreKey, build: Callable[[], Sequence[float]]) -> tuple:
-        """The numbers under key, as floats, from memory, from a .kbr file, or
-        from build, and then kept in memory and, if key.persist, in the file.
-
-        A file that does not load, or holds a NaN, is rebuilt.  Numbers
-        with a NaN are handed back but never kept, so they are built again.
-        """
-        if key.digest in self._records:
-            return self._records[key.digest]
-        path = self._path(key, ".kbr")
-        stored = self._load(path)
-        values = None if stored is None else tuple(stored.ravel().tolist())
-        if values is None or any(map(math.isnan, values)):
-            values = tuple(float(v) for v in build())
-            if any(map(math.isnan, values)):
-                return values
-            if path is not None:
-                save_field(path, values)
-        self._records[key.digest] = values
         return values
 
 
@@ -349,7 +348,7 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
         return report.sup_coarse, report.sup_fine
 
     key = _record_key("certificate", system, lyap, radius, _points_per_axis(system.dims.d))
-    return certificate_report(lyap, *store.record(key, sups), radius)
+    return certificate_report(lyap, *store.get_or_compute(key, sups).tolist(), radius)
 
 
 def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
@@ -370,7 +369,7 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
     d = system.dims.d
     key = _record_key("ledger", system, w, nu1, nu2, s, window, SamplePlan(),
                       _points_per_axis(d), adjoint, inner)
-    nums = store.record(key, numbers)
+    nums = store.get_or_compute(key, numbers).tolist()
     return ledger_of(d, s, window, inner, nums[:8], nums[8:16], nums[16])
 
 
@@ -387,7 +386,8 @@ def _stored_row_sum(system, radius: float, store: KernelStore) -> RowSumBound:
         return row.M, row.certified_tail
 
     n = _points_per_axis(system.dims.d)
-    M, certified = store.record(_record_key("row_sum", system, radius, n), numbers)
+    key = _record_key("row_sum", system, radius, n)
+    M, certified = store.get_or_compute(key, numbers).tolist()
     return row_sum_bound_of(M, bool(certified), radius, n)
 
 
@@ -803,9 +803,10 @@ class MonotoneInR(_Check):
     """Cooperative kernels grow with the box and their increments collapse.
 
     All grids share spacing, time step, and mollifier, so shared nodes are
-    directly comparable.  Violations are absolute; the increment sequence
-    on the smallest grid must shrink by the given factor per radius step,
-    with a roundoff floor of 1e-12 times the kernel scale.
+    directly comparable, and backward Euler steps them.  Violations are
+    absolute; the increment sequence on the smallest grid must shrink by a
+    factor of 4 per radius step, with a roundoff floor of 1e-12 times the
+    kernel scale.
     """
 
     name = "check_monotone_in_R"
@@ -817,8 +818,6 @@ class MonotoneInR(_Check):
     dt: Optional[float] = None
     width: Optional[float] = None
     tol: float = 1e-8
-    shrink: float = 4.0
-    theta: float = 1.0
 
     @cached_property
     def requests(self) -> list:
@@ -826,7 +825,7 @@ class MonotoneInR(_Check):
         so an unset step or width resolves alike on all of them."""
         return [Evolution.of_sources("P", GridSpec(d=self.system.dims.d, radius=R,
                                                    spacing=self.spacing),
-                                     self.t, [self.source], self.width, self.dt, self.theta)
+                                     self.t, [self.source], self.width, self.dt, 1.0)
                 for R in sorted(float(R) for R in self.radii)]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
@@ -849,7 +848,7 @@ class MonotoneInR(_Check):
         increments = [float(np.max(np.abs(b - a)))
                       for a, b in zip(restricted, restricted[1:])]
         for prev, nxt in zip(increments, increments[1:]):
-            allowed = max(prev / self.shrink, floor)
+            allowed = max(prev / 4.0, floor)
             ratio = nxt / max(allowed, _TINY)
             worst = max(worst, tol * ratio if ratio > 1.0 else 0.0)
         return self.result(worst, tol, rows.loc,
@@ -862,9 +861,10 @@ class MonotoneInR(_Check):
 class MassAndPositivity(_Check):
     """Total kernel mass decays at the certified rate and stays nonnegative.
 
-    Evolving the all-ones data computes sum_k of the L1 kernel masses in one
-    run per time; the bound is sqrt(m) e^(-Mt) (1 + tol) with M from the
-    potential row sums.  Positivity violations are folded into the same
+    Evolving the all-ones data by backward Euler computes sum_k of the L1
+    kernel masses in one run per time; the bound is sqrt(m) e^(-Mt)
+    (1 + tol) with M from the potential row sums.  Positivity violations,
+    entries below -1e-10 times their run's scale, are folded into the same
     scale so a single worst number decides the check.
     """
 
@@ -873,9 +873,7 @@ class MassAndPositivity(_Check):
     grid: GridSpec
     t_values: Sequence[float]
     dt: Optional[float] = None
-    theta: float = 1.0
     tol: float = 0.01
-    pos_tol: float = 1e-10
     row: Optional[RowSumBound] = None
     sources: Sequence[tuple] = ()
     width: Optional[float] = None
@@ -886,13 +884,12 @@ class MassAndPositivity(_Check):
         time."""
         g = self.grid
         ones = np.ones((g.n_nodes, self.system.dims.m))
-        return [Evolution.of_values("P", g, ones, t, self.dt, self.theta)
-                for t in self.t_values] \
+        return [Evolution.of_values("P", g, ones, t, self.dt, 1.0) for t in self.t_values] \
             + [Evolution.of_sources("P", g, max(self.t_values), self.sources, self.width,
-                                    self.dt, self.theta)]
+                                    self.dt, 1.0)]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
-        grid, m, tol, pos_tol = self.grid, self.system.dims.m, self.tol, self.pos_tol
+        grid, m, tol, pos_tol = self.grid, self.system.dims.m, self.tol, 1e-10
         row = self.row or _stored_row_sum(self.system, max(SAMPLE_RADIUS, 2.0 * grid.radius),
                                           KernelStore() if store is None else store)
         sqm = math.sqrt(m)
@@ -921,8 +918,9 @@ class Support(_Check):
 
     Components outside the reachability set F_k must stay below tol_null
     relative to the column maximum (pure roundoff), reachable ones must rise
-    above the relative floor.  The center defaults to the origin, and the
-    support to the family's own.
+    above the relative floor 1e-12.  The column is stepped by backward
+    Euler, the center defaults to the origin, and the support to the
+    family's own.
     """
 
     name = "check_support"
@@ -934,8 +932,6 @@ class Support(_Check):
     dt: Optional[float] = None
     width: Optional[float] = None
     tol_null: float = 1e-10
-    floor: float = 1e-12
-    theta: float = 1.0
     support: Optional[CouplingSupport] = None
 
     def __post_init__(self):
@@ -950,11 +946,11 @@ class Support(_Check):
     def requests(self) -> list:
         """The column of (center, k)."""
         return [Evolution.of_sources("P", self.grid, self.t, [(self._at, self.k)],
-                                     self.width, self.dt, self.theta)]
+                                     self.width, self.dt, 1.0)]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         d, m, t, k = self.system.dims.d, self.system.dims.m, self.t, self.k
-        tol_null, floor = self.tol_null, self.floor
+        tol_null, floor = self.tol_null, 1e-12
         support = self.support if self.support is not None else self.system.support(k)
         y = _loc_pt(self._at, d)
         (col,), = outputs
@@ -1035,9 +1031,10 @@ class Duality(_Check):
 class ChapmanKolmogorov(_Check):
     """Composing the evolution over s then t equals evolving over t + s.
 
-    The default step divides s exactly, which makes both paths the same
-    matrix product including the trailing partial step; the tolerance then
-    only absorbs accumulated linear-solver residue.
+    Both paths take backward Euler steps.  The default step divides s
+    exactly, which makes both paths the same matrix product including the
+    trailing partial step; the tolerance then only absorbs accumulated
+    linear-solver residue.
     """
 
     name = "check_chapman_kolmogorov"
@@ -1047,7 +1044,6 @@ class ChapmanKolmogorov(_Check):
     s: float
     variant: str = "P"
     dt: Optional[float] = None
-    theta: float = 1.0
     tol: float = 1e-9
     seed: int = 0
 
@@ -1068,9 +1064,9 @@ class ChapmanKolmogorov(_Check):
         f = np.random.default_rng(self.seed).uniform(-1.0, 1.0,
                                                      size=(g.n_nodes, self.system.dims.m))
         if s <= 0.0:
-            return [Evolution.of_values(self.variant, g, f, t, dt, self.theta)]
-        return [Evolution.of_values(self.variant, g, f, t + s, dt, self.theta),
-                Evolution.of_values(self.variant, g, f, s, dt, self.theta).then(t)]
+            return [Evolution.of_values(self.variant, g, f, t, dt, 1.0)]
+        return [Evolution.of_values(self.variant, g, f, t + s, dt, 1.0),
+                Evolution.of_values(self.variant, g, f, s, dt, 1.0).then(t)]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         grid, t, s, tol = self.grid, self.t, self.s, self.tol
@@ -1109,8 +1105,8 @@ class LyapunovIntegrability(_Check):
     below e^(G(t)) nu(0, x) (1 + tol).  A companion run of the weight
     restricted to the outer shell measures how much of the integral lives
     near the boundary; when that exceeds boundary_fraction the verdict is
-    inconclusive (enlarge the box) rather than a pass.  eps defaults to
-    eps_T / 4.
+    inconclusive (enlarge the box) rather than a pass.  The weight is the
+    one of amplitude eps_T / 4, and the runs take backward Euler steps.
     """
 
     name = "check_lyapunov_integrability"
@@ -1119,16 +1115,10 @@ class LyapunovIntegrability(_Check):
     grid: GridSpec
     t_values: Sequence[float]
     x_points: Sequence
-    eps: Optional[float] = None
     tol: float = 0.05
-    theta: float = 1.0
     dt: Optional[float] = None
     boundary_fraction: float = 0.01
     cert_radius: Optional[float] = None
-
-    @property
-    def _eps(self) -> float:
-        return self.timed.eps_T / 4.0 if self.eps is None else self.eps
 
     @cached_property
     def requests(self) -> list:
@@ -1136,7 +1126,7 @@ class LyapunovIntegrability(_Check):
         batch.  The weight is the one of the rescaled spec, which calibration
         does not change, so no calibration runs here."""
         grid = self.grid
-        w = _scaled(self.timed, self._eps / self.timed.eps_T).weight()
+        w = _scaled(self.timed, 0.25).weight()
         pts = grid.points()
         at = RadialPoints(pts, grid.d)
         shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
@@ -1145,16 +1135,15 @@ class LyapunovIntegrability(_Check):
             log_nu = np.asarray(w.log_value(t, at, grid.d), dtype=float)
             init = np.repeat(np.exp(log_nu)[:, None], self.system.dims.m, axis=1)
             both = np.stack([init, init * shell[:, None]], axis=-1)
-            reqs.append(Evolution.of_values("P", grid, both, t, self.dt, self.theta))
+            reqs.append(Evolution.of_values("P", grid, both, t, self.dt, 1.0))
         return reqs
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
-        grid, eps = self.grid, self._eps
+        grid, eps = self.grid, self.timed.eps_T / 4.0
         d = grid.d
         radius = self.cert_radius if self.cert_radius is not None \
             else max(SAMPLE_RADIUS, 2.0 * grid.radius)
-        spec_used = _calibrated_scaled(self.system, self.timed, eps / self.timed.eps_T,
-                                       radius, store)
+        spec_used = _calibrated_scaled(self.system, self.timed, 0.25, radius, store)
         tail_worst = 0.0
         rows = _Rows()
         for t, both in zip(self.t_values, outputs):
@@ -1331,8 +1320,9 @@ class DecayShape(_Check):
 
     Adds the log of the family's decay weight, weight.log_value(t, y), back
     onto log sum_k p_hk(t, x0, y); if the kernel obeys the bound, the
-    compensated profile cannot climb from the core into the tail by more than
-    slack.  Adjoint columns provide the y-dependence in a single run per time.
+    compensated profile cannot climb from the core |y| <= 1 into the tail
+    2 <= |y| <= 4 by more than slack.  Adjoint Crank-Nicolson columns
+    provide the y-dependence in a single run per time.
     """
 
     name = "check_decay_shape"
@@ -1344,16 +1334,13 @@ class DecayShape(_Check):
     weight: SpaceTimeWeight
     dt: Optional[float] = None
     width: Optional[float] = None
-    theta: float = 0.5
-    core_radius: float = 1.0
-    tail_range: tuple = (2.0, 4.0)
     slack: float = 0.5
 
     @cached_property
     def requests(self) -> list:
         """The adjoint column of (x0, component) at each time."""
         return [Evolution.of_sources("P_adjoint", self.grid, t, [(self.x0, self.component)],
-                                     self.width, self.dt, self.theta)
+                                     self.width, self.dt, 0.5)
                 for t in self.t_values]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
@@ -1362,14 +1349,13 @@ class DecayShape(_Check):
         pts = self.grid.points()
         at = RadialPoints(pts, d)
         rr = np.sqrt(np.sum(pts * pts, axis=-1))
-        lo, hi = self.tail_range
         rows = _Rows()
         for t, (col,) in zip(self.t_values, outputs):
             total = np.sum(np.abs(col), axis=1)
             noise = 1e-13 * max(float(np.max(total)), _TINY)
             phi = np.log(np.maximum(total, _TINY)) + self.weight.log_value(t, at, d)
-            core = phi[rr <= self.core_radius]
-            tail_mask = (rr >= lo) & (rr <= hi) & (total > noise)
+            core = phi[rr <= 1.0]
+            tail_mask = (rr >= 2.0) & (rr <= 4.0) & (total > noise)
             if core.size == 0 or not np.any(tail_mask):
                 raise DomainError("grid too small for the requested core/tail split")
             rise = float(np.max(phi[tail_mask])) - float(np.max(core))

@@ -15,12 +15,14 @@ OperatorSpec, differencing Q and b where no derivatives are given.
 certificate_ladder_sups and ledger_window_sups evaluate the timed
 certificate's ladder and the ledger's window one time at a time, the loops
 whose bits the blocked passes of verify_certificate and estimate_ledger must
-reproduce.
+reproduce.  watch_record_keys and record_files tell a store's records from
+its fields, which a file's name does not.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +36,7 @@ from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries, ledger_fi
 from kernelbound.lyapunov import (RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
                                   _generator_ratio, _grid_points, _signed_log_sum,
                                   grid_fields)
+from kernelbound import verify
 from kernelbound.solver import GridSpec, OperatorHandle, mollified_source
 
 
@@ -339,3 +342,21 @@ def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                 sups[i] = t_sup[i]
                 arg_edge[i] = bool(edge[t_arg[i]])
     return list(sups), arg_edge
+
+
+def watch_record_keys(monkeypatch) -> list:
+    """The record keys verify makes from now on, in the order it makes them."""
+    keys = []
+    make = verify._record_key
+
+    def caught(*args):
+        keys.append(make(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(verify, "_record_key", caught)
+    return keys
+
+
+def record_files(folder, keys) -> set:
+    """The names of the files of the record keys in a store folder."""
+    return {os.path.basename(verify.KernelStore(folder)._path(key)) for key in keys}

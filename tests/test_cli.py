@@ -15,6 +15,8 @@ from kernelbound import cli, hypotheses, lyapunov, solver, verify
 from kernelbound.config import parse_config_text
 from kernelbound.errors import ConfigError
 
+from oracles import record_files, watch_record_keys
+
 BASE = {
     "family": {"kind": "polynomial", "m": "2", "zeta": "1", "alpha": "0",
                "eta": "1", "beta": "1", "theta": "1 0.5; 0.5 1",
@@ -466,9 +468,10 @@ class TestVerifyCommand:
         # mass, support once per component, duality
         assert len(calls) == 4
 
-    def test_two_jobs_match_one_job_on_a_2d_grid(self, tmp_path):
+    def test_two_jobs_match_one_job_on_a_2d_grid(self, tmp_path, monkeypatch):
         # checks share store columns, and with two jobs either one may
         # compute a shared column first
+        keys = watch_record_keys(monkeypatch)
         cfg = make_config(tmp_path,
                           grid={"d": "2", "radii": "1 2", "spacing": "0.125"},
                           bounds={"s": "5"},
@@ -486,8 +489,8 @@ class TestVerifyCommand:
         for name in ("verify_summary.txt", "verify_results.csv",
                      "calibration.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        records = [{p.name: p.read_bytes() for p in (out / "store").glob("*.kbr")}
-                   for out in outs]
+        records = [{name: (out / "store" / name).read_bytes()
+                    for name in record_files(out / "store", keys)} for out in outs]
         # three certificates, the ledger and the mass check's row-sum bound
         assert len(records[0]) == 5 and records[0] == records[1]
 
@@ -600,7 +603,7 @@ class TestVerifyPlan:
         work["plan"] and work["checks"] count evolve, assemble_generator and
         splu calls and store misses; work["factored"] lists the (variant,
         grid, theta, dt) of every factorization, work["requests"] what the
-        plan was given.
+        plan was given.  Records, told by their keys, are not counted.
         """
         work = {"phase": "plan", "plan": Counter(), "checks": Counter(),
                 "factored": [], "requests": []}
@@ -628,10 +631,14 @@ class TestVerifyPlan:
         monkeypatch.setattr(solver.OperatorHandle, "_factor", watched_factor)
 
         get_or_compute = verify.KernelStore.get_or_compute
+        records = watch_record_keys(monkeypatch)
 
         def watched_get(store, key, build):
             def counted_build():
-                work[work["phase"]]["miss"] += 1
+                # the checks build their records when they measure; a miss
+                # is a field's
+                if key not in records:
+                    work[work["phase"]]["miss"] += 1
                 return build()
             return get_or_compute(store, key, counted_build)
         monkeypatch.setattr(verify.KernelStore, "get_or_compute", watched_get)
@@ -740,34 +747,49 @@ class TestVerifyPlan:
         assert len(hashed) == len(hashing) == 10
         assert [r.legs for r in planned if r.legs] == [(0.25,)]
 
-    def test_closing_line_reports_the_plan(self, tmp_path, capsys):
+    def test_closing_line_reports_the_plan(self, tmp_path, capsys,
+                                           monkeypatch):
         cfg = make_config(tmp_path, **TWO_D)
         out = tmp_path / "out"
-        counts = []
-        for _ in ("cold", "rerun"):
+        records = watch_record_keys(monkeypatch)
+
+        def plan_counts():
             assert cli.main(["verify", "--config", str(cfg), "--out",
                              str(out)]) == 0
             last = capsys.readouterr().out.splitlines()[-1]
             head, _, plan = last.partition("; plan: ")
             assert head.startswith("verify: 10 check runs in ")
-            counts.append({name: int(n) for n, name in
-                           (part.split(" ", 1) for part in plan.split(", "))})
-        cold, rerun = counts
+            return {name: int(n) for n, name in
+                    (part.split(" ", 1) for part in plan.split(", "))}
+
+        cold, rerun = plan_counts(), plan_counts()
         assert cold["requests"] == rerun["requests"] > cold["batches"] \
             == rerun["batches"]
         assert cold["fields found in the store"] == 0
         assert min(cold["evolutions"], cold["factorizations"],
                    cold["assemblies"]) > 0
         # the rerun reads each stored field once and builds nothing; the
-        # certificate and ledger records (.kbr) are not fields
-        assert rerun["fields found in the store"] == \
-            len(list((out / "store").glob("*.kbf")))
+        # certificate, ledger and row-sum records are not fields
+        fields = sorted(set(os.listdir(out / "store"))
+                        - record_files(out / "store", records))
+        assert rerun["fields found in the store"] == len(fields)
         assert rerun["evolutions"] == rerun["factorizations"] == \
             rerun["assemblies"] == 0
+        # a truncated field file is not found: the plan evolves its batch
+        # again, and no check evolves outside the plan
+        path = out / "store" / fields[0]
+        path.write_bytes(path.read_bytes()[:-8])
+        work = self.watch_solver_work(monkeypatch)
+        truncated = plan_counts()
+        assert truncated["fields found in the store"] == len(fields) - 1
+        assert truncated["evolutions"] == truncated["factorizations"] == \
+            truncated["assemblies"] == 1
+        assert work["plan"]["evolve"] > 0 and work["checks"] == Counter()
 
 
 class TestVerifyRecords:
-    """Certificates and the ledger as kernel-store records (.kbr files)."""
+    """Certificates, the ledger and the row-sum bound as kernel-store
+    records, entries keyed by verify._record_key."""
 
     RECORDED = {"verify": {"checks": "integrability weighted decay"},
                 "output": {"formats": "txt csv"}}
@@ -878,17 +900,20 @@ class TestVerifyRecords:
         for name, blob in cold.items():
             assert (out / name).read_bytes() == blob
 
-    def test_check_and_synth_read_and_write_no_record(self, tmp_path):
+    def test_check_and_synth_read_and_write_no_record(self, tmp_path,
+                                                      monkeypatch):
         # bench/run.py repeats check and synth in the output directory of a
         # pass and takes every repeat for the same work, so neither stage
         # may read or write the store that verify fills
+        keys = watch_record_keys(monkeypatch)
         cfg = make_config(tmp_path, **self.RECORDED)
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert cli.main(["verify", "--config", str(cfg), "--out",
                          str(out)]) == 0
         cold = (out / "verify_results.csv").read_bytes()
         # wrong numbers under the real keys: every recorded number doubled
-        for path in (out / "store").glob("*.kbr"):
+        for name in record_files(out / "store", keys):
+            path = out / "store" / name
             verify.save_field(path, 2.0 * verify.load_field(path))
         seeded = {p.name: p.read_bytes() for p in (out / "store").iterdir()}
         assert len(seeded) > 4

@@ -671,7 +671,7 @@ class TestSerialization:
         assert sorted(tmp_path.iterdir()) == [p, fresh]
 
     def test_record_numbers_roundtrip_on_one_axis(self, tmp_path):
-        p = tmp_path / "record.kbr"
+        p = tmp_path / "record.kbf"
         save_field(p, tuple(self.SPECIAL))
         back = load_field(p)
         assert back.shape == (len(self.SPECIAL),)

@@ -15,6 +15,13 @@ or bench/ passes it by keyword, by position, or through * or ** unpacking.
 A call reaches a module-level def by its name or as an attribute, a method
 as an attribute, and __init__ by the name of its class.  A parameter whose
 calls the scan cannot resolve is listed in UNRESOLVED with the reason.
+
+A defaulted field of a @dataclass counts as set the same way, by a call of
+the class by name or as an attribute, by cls(...) in one of the class's own
+methods, or by the check_* function that the class's name attribute spells.
+A dataclasses.replace call sets each field it names by keyword, and under **
+each field that a string in the unpacked expression spells.  A field whose
+setters the scan cannot resolve is listed in UNRESOLVED_FIELDS.
 """
 
 import ast
@@ -195,10 +202,16 @@ def call_arguments(sources: list) -> dict:
                 callee = (func.attr, True)
             else:
                 continue
-            count = math.inf if any(isinstance(arg, ast.Starred) for arg in node.args) \
-                else len(node.args)
-            calls.setdefault(callee, []).append((count, {kw.arg for kw in node.keywords}))
+            calls.setdefault(callee, []).append(arguments(node))
     return calls
+
+
+def arguments(call: ast.Call) -> tuple:
+    """The positional count and the keywords of a call, unpacking counted as
+    call_arguments counts it."""
+    count = math.inf if any(isinstance(arg, ast.Starred) for arg in call.args) \
+        else len(call.args)
+    return count, {kw.arg for kw in call.keywords}
 
 
 def unpassed_params(source: str, calls: dict) -> list:
@@ -266,3 +279,133 @@ def test_every_defaulted_parameter_is_passed():
                 for name, param in unpassed_params(path.read_text(encoding="utf-8"), calls)}
     # an entry of UNRESOLVED that the scan resolves is stale
     assert unpassed == set(UNRESOLVED)
+
+
+# ---------------------------------------------------------------------------
+# defaulted dataclass fields that no call sets
+# ---------------------------------------------------------------------------
+
+def _named(node: ast.AST, name: str) -> bool:
+    """Whether node is name or an attribute access .name."""
+    return isinstance(node, ast.Name) and node.id == name \
+        or isinstance(node, ast.Attribute) and node.attr == name
+
+
+def dataclass_fields(source: str) -> list:
+    """(class, field, position, setters) for each defaulted field of the
+    @dataclass classes of source.  position is the index of the call argument
+    that fills the field; setters are the callees that build the class, its
+    own name and the check function its name attribute spells."""
+    fields = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                _named(dec.func if isinstance(dec, ast.Call) else dec, "dataclass")
+                for dec in cls.decorator_list):
+            continue
+        setters = {cls.name}
+        setters.update(node.value.value for node in cls.body
+                       if isinstance(node, ast.Assign) and any(_named(t, "name")
+                                                               for t in node.targets)
+                       and isinstance(node.value, ast.Constant) and node.value.value)
+        declared = [node for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        fields += [(cls.name, node.target.id, i, setters)
+                   for i, node in enumerate(declared) if node.value is not None]
+    return fields
+
+
+def own_cls_calls(source: str) -> dict:
+    """class -> (positional count, keywords) of each cls(...) call in the
+    class's own methods."""
+    calls = {}
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef):
+            calls[cls.name] = [arguments(node) for method in cls.body
+                               if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               for node in ast.walk(method)
+                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                               and node.func.id == "cls"]
+    return calls
+
+
+def replaced_names(sources: list) -> set:
+    """The field names that some replace(...) call sets: its keywords, and the
+    strings inside each ** it unpacks."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call) or not _named(node.func, "replace"):
+                continue
+            for kw in node.keywords:
+                names.update([kw.arg] if kw.arg is not None else
+                             (c.value for c in ast.walk(kw.value)
+                              if isinstance(c, ast.Constant) and isinstance(c.value, str)))
+    return names
+
+
+def unset_fields(source: str, calls: dict, replaced: set) -> list:
+    """The (class, field) pairs of source's defaulted dataclass fields that no
+    call sets, sorted."""
+    own = own_cls_calls(source)
+    unset = set()
+    for cls, name, position, setters in dataclass_fields(source):
+        made = [c for setter in setters for attr in (False, True)
+                for c in calls.get((setter, attr), ())] + own.get(cls, [])
+        if name not in replaced and not any(None in keywords or name in keywords
+                                            or position < count
+                                            for count, keywords in made):
+            unset.add((cls, name))
+    return sorted(unset)
+
+
+def test_scan_finds_a_planted_unset_field():
+    source = ("from dataclasses import dataclass, field, replace\n"
+              "@dataclass(frozen=True)\n"
+              "class Check:\n"
+              "    name = 'check_it'\n"
+              "    a: int\n"
+              "    b: int = 0\n"
+              "    c: int = 1\n"
+              "    d: dict = field(default_factory=dict)\n"
+              "    e: int = 2\n"
+              "    planted: int = 3\n"
+              "    @classmethod\n"
+              "    def make(cls):\n        return cls(0, d={})\n"
+              "@dataclass\n"
+              "class Other:\n"
+              "    f: int = 0\n"
+              "    g: int = 0\n"
+              "def check_it(*args, **kwargs):\n    return run(Check, args, kwargs)\n"
+              "def run(cls, args, kwargs):\n    return cls(*args, planted=1, **kwargs)\n"
+              "Check(0, 1)\n"
+              "check_it(0, 1, 2)\n"
+              "replace(Check.make(), **{k: 1 for k in ('e',)})\n"
+              "mod.Other(g=1)\n")
+    calls = call_arguments([source])
+    assert unset_fields(source, calls, replaced_names([source])) == [
+        ("Check", "planted"), ("Other", "f")]
+    # unpacking sets every field, and a string under ** in replace the one it spells
+    for extra in ("Check(*args)\nOther(**kw)\n", "replace(x, **{'planted': 1, 'f': 2})\n"):
+        both = [source, extra]
+        assert unset_fields(source, call_arguments(both), replaced_names(both)) == []
+
+
+# (module, class, field) triples whose setters the scan cannot resolve, each
+# with where the field is set or why it stays
+UNRESOLVED_FIELDS = {
+    ("config.py", "RunConfig", "values"): "parse_config_text fills the values of a "
+                                          "RunConfig it made in place",
+    ("config.py", "RunConfig", "lines"): "parse_config_text fills the line of each "
+                                         "value in place",
+}
+
+
+def test_every_defaulted_dataclass_field_is_set():
+    sources = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    calls, replaced = call_arguments(sources), replaced_names(sources)
+    unset = {(path.name, cls, name) for path in sorted(SRC.glob("*.py"))
+             for cls, name in unset_fields(path.read_text(encoding="utf-8"), calls, replaced)}
+    # an entry of UNRESOLVED_FIELDS that the scan resolves is stale
+    assert unset == set(UNRESOLVED_FIELDS)

@@ -66,82 +66,121 @@ def gaussian(x, mean, var):
     return np.exp(-(x - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
-class TestStoreAndFingerprint:
-    def _field(self):
-        # infinities, a negative zero and a subnormal among the values
-        g = GridSpec(1, 2.0, 0.5)
-        values = np.arange(g.n_nodes, dtype=float).reshape(-1, 1)
-        values[:4, 0] = (math.inf, -math.inf, -0.0, 5e-324)
-        return values
+def field_entry():
+    # infinities, a negative zero and a subnormal among the values
+    g = GridSpec(1, 2.0, 0.5)
+    values = np.arange(g.n_nodes, dtype=float).reshape(-1, 1)
+    values[:4, 0] = (math.inf, -math.inf, -0.0, 5e-324)
+    return values
 
-    def test_memory_cache_computes_once(self):
+
+def record_entry():
+    # a record's numbers, built as a tuple of floats
+    return (0.1, -0.0, 1e-320, math.inf, -math.inf, 2.0 ** 1000)
+
+
+# every store test runs on a field and on a record
+ENTRIES = pytest.mark.parametrize("entry", [field_entry, record_entry], ids=["field", "record"])
+
+
+def same_bits(stored, entry) -> bool:
+    return stored.tobytes() == np.asarray(entry(), dtype=float).tobytes()
+
+
+class TestStoreAndFingerprint:
+    @ENTRIES
+    def test_memory_cache_computes_once(self, entry):
         store = KernelStore()
         calls = []
 
         def build():
             calls.append(1)
-            return self._field()
+            return entry()
 
-        a = store.get_or_compute("key", build)
-        b = store.get_or_compute("key", build)
+        a = store.get_or_compute(verify.StoreKey("key"), build)
+        b = store.get_or_compute(verify.StoreKey("key"), build)
         assert a is b and len(calls) == 1 and len(store) == 1
 
-    def test_disk_persistence_across_instances(self, tmp_path):
+    @ENTRIES
+    def test_disk_persistence_across_instances(self, tmp_path, entry):
         first = KernelStore(tmp_path)
-        first.get_or_compute("key", self._field)
+        first.get_or_compute(verify.StoreKey("key"), entry)
+        (path,) = tmp_path.iterdir()
+        assert path.suffix == ".kbf"
 
         def explode():
             raise AssertionError("should have loaded from disk")
 
         second = KernelStore(tmp_path)
-        loaded = second.get_or_compute("key", explode)
-        assert loaded.shape == self._field().shape
-        assert loaded.tobytes() == self._field().tobytes()
+        loaded = second.get_or_compute(verify.StoreKey("key"), explode)
+        assert loaded.shape == np.shape(entry()) and same_bits(loaded, entry)
 
+    @ENTRIES
     @pytest.mark.parametrize("damage", [
         lambda blob: b"junk",
+        lambda blob: b"",
         lambda blob: blob[:6],                       # truncated header
         lambda blob: blob[:-3],                      # truncated payload
+        lambda blob: blob[:-8] + np.float64(math.nan).tobytes(),  # a NaN
         lambda blob: b"KBF1" + blob[4:],             # wrong magic
         lambda blob: blob[:8] + (3).to_bytes(8, "little") + blob[16:],  # shape/length
-    ], ids=["junk", "truncated-header", "truncated", "magic", "shape"])
-    def test_corrupt_file_is_recomputed(self, tmp_path, damage):
+        lambda blob: blob[:4] + (2 ** 32 - 1).to_bytes(4, "little") + blob[8:],  # axes
+    ], ids=["junk", "empty", "truncated-header", "truncated", "nan", "magic", "shape", "axes"])
+    def test_corrupt_file_is_recomputed(self, tmp_path, damage, entry):
+        key = verify.StoreKey("key")
         store = KernelStore(tmp_path)
-        store.get_or_compute("key", self._field)
+        store.get_or_compute(key, entry)
         (blob,) = list(tmp_path.glob("*.kbf"))
         blob.write_bytes(damage(blob.read_bytes()))
         calls = []
 
         def rebuild():
             calls.append(1)
-            return self._field()
+            return entry()
 
         fresh = KernelStore(tmp_path)
-        fresh.get_or_compute("key", rebuild)
+        assert same_bits(fresh.get_or_compute(key, rebuild), entry)
         assert len(calls) == 1
-        assert KernelStore(tmp_path).get_or_compute("key", lambda: 1 / 0).tobytes() \
-            == self._field().tobytes()
+        assert same_bits(KernelStore(tmp_path).get_or_compute(key, lambda: 1 / 0), entry)
 
-    def test_failed_write_leaves_nothing_under_the_key(self, tmp_path, monkeypatch):
+    @ENTRIES
+    def test_an_entry_with_a_nan_is_never_kept(self, tmp_path, entry):
+        store = KernelStore(tmp_path)
+        calls = []
+
+        def build():
+            calls.append(1)
+            values = np.array(entry(), dtype=float)
+            values.flat[1] = math.nan
+            return values
+
+        for _ in range(2):
+            got = store.get_or_compute(verify.StoreKey("key"), build)
+            assert got.flat[0] == np.asarray(entry()).flat[0] and math.isnan(got.flat[1])
+        assert calls == [1, 1] and list(tmp_path.iterdir()) == [] and len(store) == 0
+
+    @ENTRIES
+    def test_failed_write_leaves_nothing_under_the_key(self, tmp_path, monkeypatch, entry):
         def fail_rename(src, dst):
             raise OSError("rename failed")
 
         monkeypatch.setattr(os, "replace", fail_rename)
         with pytest.raises(OSError, match="rename failed"):
-            KernelStore(tmp_path).get_or_compute("key", self._field)
+            KernelStore(tmp_path).get_or_compute(verify.StoreKey("key"), entry)
         assert list(tmp_path.iterdir()) == []
 
-    def test_threads_sharing_a_store(self, tmp_path):
+    @ENTRIES
+    def test_threads_sharing_a_store(self, tmp_path, entry):
         # more threads than cores, each writing and reading the same keys
         store = KernelStore(tmp_path)
-        keys = [verify.StoreKey("key%d" % i, shared=i % 2 == 0) for i in range(12)]
+        keys = [verify.StoreKey("key%d" % i, persist=i % 3 != 0, shared=i % 2 == 0)
+                for i in range(12)]
         errors = []
 
         def work():
             try:
                 for key in keys:
-                    fld = store.get_or_compute(key, self._field)
-                    np.testing.assert_array_equal(fld, self._field())
+                    assert same_bits(store.get_or_compute(key, entry), entry)
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
 
@@ -157,7 +196,11 @@ class TestStoreAndFingerprint:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads) and errors == []
         assert len(store) == len(keys)
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf"] * len(keys)
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf"] * 8
+        fresh = KernelStore(tmp_path)
+        for key in keys:
+            if key.persist:
+                assert same_bits(fresh.get_or_compute(key, lambda: 1 / 0), entry)
 
     def test_family_fingerprint_tracks_content(self):
         assert system_fingerprint(headline_family()) == system_fingerprint(headline_family())
@@ -167,122 +210,34 @@ class TestStoreAndFingerprint:
         assert system_fingerprint(headline_family()) != system_fingerprint(other)
 
 
+def count_calls(monkeypatch):
+    calls = []
+    for name in ("verify_certificate", "estimate_ledger"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
+    return calls
+
+
 class TestRecords:
     """Certificate sups and ledger numbers kept as store records."""
-
-    def test_numbers_round_trip_exactly(self, tmp_path):
-        values = (0.1, -0.0, 1e-320, math.inf, -math.inf, 2.0 ** 1000)
-        key = verify.StoreKey("key")
-        assert KernelStore(tmp_path).record(key, lambda: values) == values
-        (path,) = tmp_path.iterdir()
-        assert path.suffix == ".kbr"
-
-        def explode():
-            raise AssertionError("should have read the record")
-
-        got = KernelStore(tmp_path).record(key, explode)
-        assert [v.hex() for v in got] == [v.hex() for v in values]
-
-    def test_records_are_not_fields(self, tmp_path):
-        store = KernelStore(tmp_path)
-        store.record(verify.StoreKey("key"), lambda: (1.0,))
-        store.get_or_compute("key", TestStoreAndFingerprint()._field)
-        assert len(store) == 1
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf", ".kbr"]
-
-    @pytest.mark.parametrize("damage", [
-        lambda blob: blob[:-3],                        # truncated
-        lambda blob: blob[:-16] + np.float64(math.nan).tobytes() + blob[-8:],  # 2.0 -> nan
-        lambda blob: b"",
-        lambda blob: b"KBF1" + blob[4:],               # foreign magic
-        lambda blob: blob[:8] + (3).to_bytes(8, "little") + blob[16:],  # shape/length
-    ], ids=["truncated", "nan", "empty", "foreign", "shape"])
-    def test_damaged_file_is_recomputed(self, tmp_path, damage):
-        key = verify.StoreKey("key")
-        KernelStore(tmp_path).record(key, lambda: (2.0, 3.0))
-        (path,) = tmp_path.iterdir()
-        path.write_bytes(damage(path.read_bytes()))
-        calls = []
-        got = KernelStore(tmp_path).record(key, lambda: calls.append(1) or (2.0, 3.0))
-        assert got == (2.0, 3.0) and calls == [1]
-        assert KernelStore(tmp_path).record(key, lambda: 1 / 0) == (2.0, 3.0)
-
-    def test_nan_is_never_kept(self, tmp_path):
-        store = KernelStore(tmp_path)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return (1.0, math.nan)
-
-        for _ in range(2):
-            got = store.record(verify.StoreKey("key"), build)
-            assert got[0] == 1.0 and math.isnan(got[1])
-        assert calls == [1, 1] and list(tmp_path.iterdir()) == []
-
-    def test_threads_sharing_records(self, tmp_path):
-        # more threads than cores, each building and reading the same records
-        store = KernelStore(tmp_path)
-        keys = [verify.StoreKey("key%d" % i, persist=i % 3 != 0) for i in range(12)]
-        errors = []
-
-        def work():
-            try:
-                for i, key in enumerate(keys):
-                    assert store.record(key, lambda i=i: (float(i), -math.inf)) \
-                        == (float(i), -math.inf)
-            except Exception as exc:  # reported below, not lost in the thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads) and errors == []
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbr"] * 8
-        fresh = KernelStore(tmp_path)
-        for i, key in enumerate(keys):
-            if key.persist:
-                assert fresh.record(key, lambda: 1 / 0) == (float(i), -math.inf)
-
-    def count_calls(self, monkeypatch):
-        calls = []
-        for name in ("verify_certificate", "estimate_ledger"):
-            real = getattr(verify, name)
-            monkeypatch.setattr(verify, name, lambda *a, real=real, name=name, **kw:
-                                calls.append(name) or real(*a, **kw))
-        return calls
 
     def test_stored_majorant_matches_the_computed_one(self, tmp_path, monkeypatch):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
         cert = verify.verify_certificate(fam, syn.timed)
         expected = verify.weighted_majorant(fam, syn, 4.0, 0.25)
-        calls = self.count_calls(monkeypatch)
+        calls = count_calls(monkeypatch)
         for store in (KernelStore(tmp_path), KernelStore(tmp_path)):
-            assert verify.stored_certificate(fam, syn.timed, store=store) == cert
-            assert verify.weighted_majorant(fam, syn, 4.0, 0.25, store=store) == expected
+            # the same reprs: a record reads back as Python floats, since
+            # spec reprs enter the store keys
+            assert repr(verify.stored_certificate(fam, syn.timed, store=store)) == repr(cert)
+            assert repr(verify.weighted_majorant(fam, syn, 4.0, 0.25, store=store)) \
+                == repr(expected)
         # the timed certificate, which is also nu2's calibration, nu1's
         # calibration and the ledger, once each
         assert sorted(calls) == ["estimate_ledger"] + ["verify_certificate"] * 2
-        assert len(list(tmp_path.glob("*.kbr"))) == 3
-
-    def test_opaque_records_stay_in_memory(self, tmp_path, monkeypatch):
-        spec = headline_family().operator_spec()
-        syn = synth_poly(headline_family(), 1.0)
-        store = KernelStore(tmp_path)
-        calls = self.count_calls(monkeypatch)
-        first = verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store)
-        assert verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store) == first
-        # the ledger and the nu1 and nu2 calibrations, once each
-        assert sorted(calls) == ["estimate_ledger"] + ["verify_certificate"] * 2
-        assert list(tmp_path.iterdir()) == []
+        assert len(list(tmp_path.iterdir())) == 3
 
 
 def stored_column(fam, g, t, k, store, variant="P"):
@@ -317,7 +272,7 @@ class TestStoredColumns:
         # the key layout of kernel columns before keys carried a solver version
         old_key = verify._fingerprint("col", sys_fp, "P", g.d, g.radius, g.spacing,
                                       t, tuple(np.zeros(1)), 0, w, step, theta)
-        KernelStore(tmp_path).get_or_compute(old_key, lambda: stale)
+        KernelStore(tmp_path).get_or_compute(verify.StoreKey(old_key), lambda: stale)
         col = stored_column(fam, g, t, 0, KernelStore(tmp_path))
         fresh = kernel_column(OperatorHandle(fam, g, "P"), t, 0.0, 0)
         np.testing.assert_allclose(col, fresh, rtol=0, atol=1e-12 * np.max(fresh))
@@ -368,7 +323,7 @@ class TestStoredColumns:
                                 verify.FIELD_FORMAT_VERSION + 1)
         assert len(list(tmp_path.glob("*.kbf"))) == 4
 
-    def test_opaque_systems_stay_in_memory(self, tmp_path):
+    def test_opaque_systems_stay_in_memory(self, tmp_path, monkeypatch):
         # an id()-based fingerprint can name another system in another process
         spec = headline_family().operator_spec()
         g = GridSpec(1, 2.0, 0.25)
@@ -380,6 +335,14 @@ class TestStoredColumns:
         assert stored_column(spec, g, 0.1, 0, store) is col
         np.testing.assert_array_equal(evolve_all(spec, [ones], store)[0], u)
         assert len(store) == 2
+        # and so do its records
+        syn = synth_poly(headline_family(), 1.0)
+        calls = count_calls(monkeypatch)
+        first = verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store)
+        assert verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store) == first
+        # the ledger and the nu1 and nu2 calibrations, once each
+        assert sorted(calls) == ["estimate_ledger"] + ["verify_certificate"] * 2
+        assert list(tmp_path.iterdir()) == [] and len(store) == 5
 
 
 class TestStoredEvolve:
@@ -912,11 +875,12 @@ class TestPlan:
         # the batch evolves both legs again, with the old bits
         assert run_plan(fam, reqs, KernelStore(tmp_path))["evolutions"] == 1
         assert calls == ["P", "P"] and path.read_bytes() == blob
-        # a truncated file fails to load when it is read, and is rebuilt too
+        # a truncated file is not held, so the plan rebuilds it too
         path.write_bytes(blob[:len(blob) // 2])
-        (out,) = evolve_all(fam, reqs, KernelStore(tmp_path))
+        assert run_plan(fam, reqs, KernelStore(tmp_path))["evolutions"] == 1
         assert calls == ["P"] * 4 and path.read_bytes() == blob
-        assert out.tobytes() == verify.load_field(path).tobytes()
+        (out,) = evolve_all(fam, reqs, KernelStore(tmp_path))
+        assert calls == ["P"] * 4 and out.tobytes() == verify.load_field(path).tobytes()
 
     def test_plan_fills_the_store_the_requests_then_read(self, tmp_path,
                                                         monkeypatch):
@@ -950,12 +914,11 @@ class TestPlan:
     def test_declarations_take_the_check_defaults(self, tmp_path, monkeypatch):
         fam = headline_family()
         g = GridSpec(1, 2.0, 0.125)
-        # theta comes from each check's own defaults: 1.0, 0.5, or as given
+        # theta is each check's own: 1.0 or 0.5
         support = verify.Support(fam, 0, g, 0.1)
         decay = verify.DecayShape(fam, g, [0.1, 0.2], 0.0, 1, weight=None, slack=0.4)
         assert support.requests[0].theta == 1.0
         assert [r.theta for r in decay.requests] == [0.5, 0.5]
-        assert verify.Support(fam, 0, g, 0.1, theta=0.5).requests[0].theta == 0.5
         # a declaration builds its requests once, for the plan and the check
         assert support.requests is support.requests
         for misspelled in (verify.Support, check_support):
