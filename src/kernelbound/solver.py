@@ -20,7 +20,9 @@ everything numeric happens on a uniform interior grid of such a box:
 * time stepping is the theta method.  theta = 1/2 for accuracy, theta = 1
   when order-preservation matters: with the cooperative potential the
   implicit factor is an M-matrix, so backward steps map nonnegative data
-  to nonnegative data and dominated data to dominated data.
+  to nonnegative data and dominated data to dominated data.  One rule,
+  default_dt, sets the step a caller leaves unset: min(t / 32, h), which
+  holds the theta = 1/2 time error below the grid's space error.
 
 An OperatorHandle assembles its matrix on first use, so a caller whose
 every field comes from a store builds nothing; an adjoint handle given the
@@ -30,7 +32,7 @@ assembling its own.  A handle keeps one factorization, for the latest
 and release() drops it for good, since each LU of a 2-D grid holds several
 megabytes.  That one LU is enough because verify's plan orders every
 evolution by (variant, grid, theta, dt), so no caller returns to an earlier
-LU; each handle counts its assemblies and factorizations.
+LU; each handle counts its assemblies, factorizations and theta steps.
 Factorizations use SuperLU with the minimum-degree ordering of A^T + A
 (MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
 the 2-D grids it needs less than half the L+U fill of the default COLAMD
@@ -68,6 +70,9 @@ _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
 SOLVER_VERSION = 3
+# an evolution over t at the default step takes STEPS theta steps, or more
+# where the spacing caps the step (default_dt)
+STEPS = 32
 
 
 # scipy.sparse and scipy.sparse.linalg take about half the start-up time of
@@ -288,8 +293,27 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
 # ---------------------------------------------------------------------------
 
 def default_dt(t: float, spacing: float) -> float:
-    """Theta step used when a caller leaves dt unset."""
-    return min(t / 64.0, spacing)
+    """Theta step used when a caller leaves dt unset: min(t / STEPS, spacing).
+
+    The package's only step rule.  Its budget: at theta = 1/2, the time
+    error of a kernel column is at most the space error of the same grid at
+    its own spacing.  Crank-Nicolson is second order in dt, and on the 1-D
+    polynomial bench system (h = 1/16, t = 0.1 to 0.5) the time error at
+    t / 32 is 1.6e-4 to 4.5e-4 of the column's max, against a space error
+    of 5.6e-4 to 1.8e-3; the 2-D one (h = 1/8) reads 5.1e-4 to 8.3e-4
+    against 4.7e-3 to 1.9e-2.  tests/test_solver.py holds the 1-D budget,
+    and shows that t / 16 breaks it at t = 0.5.
+
+    The budget binds theta = 1/2 only.  Backward Euler (theta = 1) is
+    first order: its 1-D time error is 1.3e-2 to 3.0e-2 at t / 32, and was
+    over the budget at half that step too, so no affordable step meets it.
+    Nothing needs it to: its implicit factor is an M-matrix, so its steps
+    keep sign and order at any step size, which is all that domination,
+    monotonicity, mass, support and Chapman-Kolmogorov compare, and the
+    integrability check's worst moves by 3e-4 when the step doubles,
+    against its tolerance of 5e-2.  grid.dt overrides the rule.
+    """
+    return min(t / STEPS, spacing)
 
 
 try:  # glibc only; elsewhere freed memory is left to the allocator
@@ -321,8 +345,8 @@ class OperatorHandle:
 
     forward, for a P_adjoint handle, is the P handle of the same grid: the
     adjoint matrix is then the transpose of its matrix, bit for bit what
-    assemble_generator returns for P_adjoint.  assemblies and
-    factorizations count the work the handle did.
+    assemble_generator returns for P_adjoint.  assemblies, factorizations
+    and steps count the work the handle did.
     """
 
     def __init__(self, system, grid: GridSpec, variant: str = "P",
@@ -340,7 +364,7 @@ class OperatorHandle:
         self.grid = grid
         self.variant = variant
         self.m = spec.dims.m
-        self.assemblies = self.factorizations = 0
+        self.assemblies = self.factorizations = self.steps = 0
         self._system = system
         self._matrix: Optional[sparse.csr_matrix] = (
             None if forward is None else forward.matrix.T.tocsr())
@@ -412,6 +436,7 @@ class OperatorHandle:
                 if not resid <= _RESIDUAL_TOL * max(1.0, float(np.abs(b).max())):
                     where = f" in column {j}" if u.ndim == 2 else ""
                     raise SolveError(f"step residual {resid:.3g} exceeds tolerance{where}")
+        self.steps += count
         return u
 
     def evolve(self, values: np.ndarray, t: float, dt: Optional[float] = None,

@@ -482,9 +482,9 @@ def _data_digest(data: np.ndarray) -> str:
 
 # what run_plan counts: the declared requests, the distinct evolve batches
 # they come to, the batches computed, the fields already stored, and the
-# operator handles' factorizations and assemblies
+# operator handles' factorizations, assemblies and theta steps
 PLAN_COUNTS = ("requests", "batches", "evolutions", "fields found in the store",
-               "factorizations", "assemblies")
+               "factorizations", "assemblies", "steps")
 
 
 @dataclass(eq=False)
@@ -624,7 +624,7 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
         if handle is not None:
             handle.release()
             counts.update(factorizations=handle.factorizations,
-                          assemblies=handle.assemblies)
+                          assemblies=handle.assemblies, steps=handle.steps)
             if variant == "P" and grid in adjoint_grids:
                 forward[grid] = handle
             handle = None
@@ -1031,10 +1031,10 @@ class Duality(_Check):
 class ChapmanKolmogorov(_Check):
     """Composing the evolution over s then t equals evolving over t + s.
 
-    Both paths take backward Euler steps.  The default step divides s
-    exactly, which makes both paths the same matrix product including the
-    trailing partial step; the tolerance then only absorbs accumulated
-    linear-solver residue.
+    Both paths take backward Euler steps.  The default step is the
+    solver's rule for t + s, shrunk to divide s exactly, which makes both
+    paths the same matrix product including the trailing partial step; the
+    tolerance then only absorbs accumulated linear-solver residue.
     """
 
     name = "check_chapman_kolmogorov"
@@ -1050,9 +1050,9 @@ class ChapmanKolmogorov(_Check):
     @property
     def step(self) -> Optional[float]:
         """The step of the split: by default the largest one that divides s
-        and is at most min(t, s, spacing, (t + s) / 64)."""
+        and is at most min(t, s, default_dt(t + s, spacing))."""
         if self.dt is None and self.s > 0.0:
-            base = min(self.t, self.s, self.grid.spacing, (self.t + self.s) / 64.0)
+            base = min(self.t, self.s, default_dt(self.t + self.s, self.grid.spacing))
             return self.s / math.ceil(self.s / base)
         return self.dt
 

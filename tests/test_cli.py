@@ -767,14 +767,14 @@ class TestVerifyPlan:
             == rerun["batches"]
         assert cold["fields found in the store"] == 0
         assert min(cold["evolutions"], cold["factorizations"],
-                   cold["assemblies"]) > 0
+                   cold["assemblies"], cold["steps"]) > 0
         # the rerun reads each stored field once and builds nothing; the
         # certificate, ledger and row-sum records are not fields
         fields = sorted(set(os.listdir(out / "store"))
                         - record_files(out / "store", records))
         assert rerun["fields found in the store"] == len(fields)
         assert rerun["evolutions"] == rerun["factorizations"] == \
-            rerun["assemblies"] == 0
+            rerun["assemblies"] == rerun["steps"] == 0
         # a truncated field file is not found: the plan evolves its batch
         # again, and no check evolves outside the plan
         path = out / "store" / fields[0]
@@ -784,6 +784,7 @@ class TestVerifyPlan:
         assert truncated["fields found in the store"] == len(fields) - 1
         assert truncated["evolutions"] == truncated["factorizations"] == \
             truncated["assemblies"] == 1
+        assert 0 < truncated["steps"] < cold["steps"]
         assert work["plan"]["evolve"] > 0 and work["checks"] == Counter()
 
 

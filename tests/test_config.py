@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelbound import config
+from kernelbound import config, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -63,3 +63,8 @@ def test_readme_key_table_matches_schema_both_ways():
         if row.domain is not None:
             limits.append(row.domain.text)
         assert allowed == ", ".join(limits), (section, key)
+
+
+def test_readme_states_the_step_rule():
+    cells = {(section, key): default for section, key, _, default, _ in readme_key_rows()}
+    assert cells["grid", "dt"] == "*min(t / %d, spacing)*" % solver.STEPS

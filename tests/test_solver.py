@@ -288,6 +288,7 @@ class TestEvolve:
         assert meta["final_step"] == pytest.approx(0.05)
         _, meta = handle.evolve(u0, 0.5, dt=0.25)
         assert meta["steps"] == 2 and meta["final_step"] == pytest.approx(0.25)
+        assert handle.steps == 4
 
     def test_budget_enforced(self):
         g = GridSpec(1, 4.0, 0.125)
@@ -491,6 +492,84 @@ class TestThetaSteps:
         handle = OperatorHandle(coupled_family(1), g, "P")
         with pytest.raises(SolveError, match="^step residual nan exceeds tolerance$"):
             handle.evolve(np.ones((g.n_nodes, 2)), 0.1, dt=0.05, theta=1.0)
+
+
+# default_dt's budget, on the 1-D bench system: coupled_family(1) on radius
+# 16 at spacing 1/16, the m kernel columns of source 0.5 and width 1/16.
+# Errors are relative to the column's max.  The time error of a step is
+# measured against dt = t / 1024 on the same grid; the space error is
+# (4/3) |u_h - u_{h/2}| on the shared nodes at dt = t / 1024, the
+# Richardson estimate of a second-order scheme.
+BUDGET_GRID = GridSpec(1, 16.0, 1 / 16)
+BUDGET_TIMES = (0.1, 0.25, 0.5)
+
+
+def budget_columns(grid, t, dt):
+    handle = OperatorHandle(coupled_family(1), grid, "P")
+    return np.stack(kernel_columns(handle, t, [(0.5, 0), (0.5, 1)], 1 / 16, dt), axis=-1)
+
+
+@pytest.fixture(scope="module")
+def step_errors():
+    """Per time: the space error, and the time error at the default step
+    and at t / n for n in 16, 32 and 64."""
+    fine = GridSpec(1, 16.0, 1 / 32)
+    errors = {}
+    for t in BUDGET_TIMES:
+        ref = budget_columns(BUDGET_GRID, t, t / 1024)
+        scale = float(np.abs(ref).max())
+        halved = budget_columns(fine, t, t / 1024)[1::2]
+        errors[t] = {"space": 4 / 3 * float(np.abs(ref - halved).max()) / scale}
+        for n in (None, 16, 32, 64):
+            dt = None if n is None else t / n
+            errors[t][n] = float(np.abs(budget_columns(BUDGET_GRID, t, dt) - ref).max()) / scale
+    return errors
+
+
+class TestStepBudget:
+    def test_default_step_is_the_one_rule(self):
+        assert solver.default_dt(1.0, 1.0) == 1.0 / solver.STEPS
+        assert solver.default_dt(1.0, 1e-3) == 1e-3
+
+    @pytest.mark.parametrize("t", BUDGET_TIMES)
+    def test_time_error_is_within_the_space_error(self, step_errors, t):
+        assert step_errors[t][None] <= step_errors[t]["space"]
+
+    @pytest.mark.parametrize("t", BUDGET_TIMES)
+    def test_crank_nicolson_is_second_order_in_time(self, step_errors, t):
+        assert math.log2(step_errors[t][32] / step_errors[t][64]) >= 1.8
+
+    def test_a_step_twice_as_long_breaks_the_budget(self, step_errors):
+        # negative control: the budget test can fail
+        assert step_errors[0.5][16] > step_errors[0.5]["space"]
+
+
+def signed_minima(d, radius, spacing, center, t, dt=None):
+    """Each theta = 1/2 kernel column's min over its max, P and P_adjoint,
+    for the m sources at center with width 1/16."""
+    g = GridSpec(d, radius, spacing)
+    forward = OperatorHandle(coupled_family(d), g, "P")
+    adjoint = OperatorHandle(coupled_family(d), g, "P_adjoint", forward=forward)
+    return [col.min() / col.max() for handle in (forward, adjoint)
+            for col in kernel_columns(handle, t, [(center, 0), (center, 1)], 1 / 16, dt)]
+
+
+@pytest.mark.parametrize("d, radius, spacing, center, t", [
+    (1, 16.0, 1 / 16, 0.5, 0.1), (1, 16.0, 1 / 16, 0.5, 0.25),
+    (1, 16.0, 1 / 16, 0.5, 0.5), (1, 16.0, 1 / 16, 0.5, 1.0),
+    (2, 6.0, 1 / 8, (0.5, 0.0), 1.0)])
+def test_default_step_keeps_crank_nicolson_columns_nonnegative(d, radius, spacing,
+                                                              center, t):
+    # theta = 1/2 keeps sign by measurement only: I + (dt/2) A has negative
+    # diagonal entries on these grids.  Each column's min is held to the
+    # domination tolerance, 1e-9 of its max, on the bench grids.
+    assert min(signed_minima(d, radius, spacing, center, t)) >= -1e-9
+
+
+def test_long_crank_nicolson_steps_turn_columns_negative():
+    # negative control: at t / 8 (dt / h^2 = 16) every column dips to about
+    # -0.25 of its max
+    assert max(signed_minima(1, 16.0, 1 / 16, 0.5, 0.5, 0.5 / 8)) < -0.1
 
 
 # The kernel store keys every field by SOLVER_VERSION.  A change that moves a

@@ -12,7 +12,7 @@ from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
-from kernelbound.solver import GridSpec, OperatorHandle
+from kernelbound.solver import STEPS, GridSpec, OperatorHandle, default_dt
 from kernelbound.verify import (
     CheckResult,
     Evolution,
@@ -267,7 +267,7 @@ class TestStoredColumns:
         fam = headline_family()
         sys_fp = system_fingerprint(fam)
         g = GridSpec(1, 2.0, 0.25)
-        t, w, step, theta = 0.1, 0.5, min(0.1 / 64.0, 0.25), 0.5
+        t, w, step, theta = 0.1, 0.5, default_dt(0.1, g.spacing), 0.5
         stale = np.full((g.n_nodes, 2), 123.0)
         # the key layout of kernel columns before keys carried a solver version
         old_key = verify._fingerprint("col", sys_fp, "P", g.d, g.radius, g.spacing,
@@ -407,7 +407,7 @@ class TestStoredEvolve:
             self.evolve(fam, g, *args, store)
         assert len(calls) == 4
         # unset and spelled-out default steps share their entries
-        self.evolve(fam, g, batch, 0.2, 0.2 / 64, 1.0, store)
+        self.evolve(fam, g, batch, 0.2, default_dt(0.2, g.spacing), 1.0, store)
         assert len(calls) == 4
 
     def test_partial_hit_recomputes_the_whole_batch(self, tmp_path, monkeypatch):
@@ -856,11 +856,15 @@ class TestPlan:
         g = GridSpec(1, 2.0, 0.125)
         data = np.arange(g.n_nodes * 2, dtype=float).reshape(g.n_nodes, 2)
         reqs = [Evolution.of_sources("P", g, 0.1, [(0.5, 1)], theta=1.0),
-                Evolution.of_values("P", g, data, 0.1, dt=0.01, theta=1.0)]
-        (((column, _),), values) = verify._plan(reqs, system_fingerprint(fam), 2)[1]
+                Evolution.of_values("P", g, data, 0.1, dt=0.01, theta=1.0),
+                Evolution.of_sources("P", g, 0.1, [(0.5, 1)], dt=0.1 / 64, theta=1.0)]
+        (((column, _),), values, ((old_step, _),)) = verify._plan(
+            reqs, system_fingerprint(fam), 2)[1]
         assert system_fingerprint(fam) == "b41f55060d35"
-        assert column.keys[1].digest == "861707116b65"
+        assert column.keys[1].digest == "f5c50f5bb169"
         assert values.keys[0].digest == "f0eea837a4d3"
+        # the column at the step of the former default keeps its key
+        assert old_step.keys[1].digest == "861707116b65"
 
     def test_a_lost_two_leg_field_is_rebuilt_with_its_bits(self, tmp_path, monkeypatch):
         fam = headline_family()
@@ -898,13 +902,15 @@ class TestPlan:
         # (variant, theta, dt) pairs, each factored once; P_adjoint takes
         # P's matrix, so two operators are assembled
         assert counts["factorizations"] == 12 and counts["assemblies"] == 2
+        # each batch takes the default step, t / STEPS here, STEPS times
+        assert counts["steps"] == 24 * STEPS
         # the run order is (variant, grid, theta, dt, t)
         assert calls == sorted(calls)
         del calls[:]
         # a rerun finds every field stored and builds nothing
         again = run_plan(fam, reqs, KernelStore(tmp_path))
         assert again["fields found in the store"] == 24
-        assert again["evolutions"] == again["factorizations"] == 0
+        assert again["evolutions"] == again["factorizations"] == again["steps"] == 0
         planned = evolve_all(fam, reqs, KernelStore(tmp_path))
         assert calls == []
         alone = evolve_all(fam, reqs)
