@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from typing import Optional
 
@@ -472,19 +473,34 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                 fam, grid, cfg.get("verify", "t_decay"), xs[0], components[0],
                 fwd.timed.weight(e_scale * fwd.timed.eps_T), dt, width,
                 slack=tol["decay"]))
+    plots = [verify.Evolution.of_sources("P", grid, t_single,
+                                         [(srcs[0], components[0])], width,
+                                         dt, theta)] \
+        if "svg" in cfg.get("output", "formats") else []
+
+    # the study's plan and the checks' share one operator handle per
+    # (variant, grid), and the study keeps alive the LUs the checks may
+    # step with, so each operator is built and each step factored once
+    wall = time.perf_counter()
+    handles, plan, radius = {}, Counter(), None
+    moved = [c for c in checks_run if isinstance(c, verify.WORKING_RADIUS_CHECKS)]
+    if moved:
+        reach = max(float(np.max(np.abs(p))) for p in srcs + xs)
+        study = verify.WorkingRadius(fam, radii, spacing,
+                                     max(c.horizon for c in moved), srcs[0],
+                                     width, dt, theta, reach)
+        radius, counts = study.choose(store, jobs, handles, [
+            req for check in checks_run if check not in moved
+            for req in check.requests] + plots)
+        plan.update(counts)
+        working = solver.GridSpec(d, radius.radius, spacing)
+        checks_run = [replace(check, grid=working) if check in moved else check
+                      for check in checks_run]
     # the plan and the checks share each declaration's requests, so the
     # data of each request is built and hashed once
-    requests = [req for check in checks_run for req in check.requests]
-    plot = None
-    if "svg" in cfg.get("output", "formats"):
-        plot = verify.Evolution.of_sources("P", grid, t_single,
-                                           [(srcs[0], components[0])], width,
-                                           dt, theta)
-        requests.append(plot)
-
-    wall = time.perf_counter()
+    requests = [req for check in checks_run for req in check.requests] + plots
     try:
-        plan = verify.run_plan(fam, requests, store, jobs=jobs)
+        plan.update(verify.run_plan(fam, requests, store, jobs, handles))
     except KernelBoundError:
         # the check, or the plot, that needs the failed evolution meets the
         # error again and reports it, after the checks before it ran, as
@@ -495,7 +511,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         _release_freed_memory()
         results.append(getattr(verify, check.name)(check, store=store))
 
-    summary = verify.summary_text(results)
+    summary = verify.summary_text(results, radius)
     _write(os.path.join(out, "verify_summary.txt"), summary)
     _write(os.path.join(out, "verify_results.csv"),
            verify.results_csv(results))
@@ -504,8 +520,8 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
             # written for the reader; no run reads it back
             _write(os.path.join(out, "calibration.txt"),
                    "C_cal = %.17g\n" % r.details["C_cal"])
-    if plot is not None:
-        _write_plots(out, fam, plot, store, results)
+    if plots:
+        _write_plots(out, fam, plots[0], store, results)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
     print("verify: %d check runs in %.3fs; plan: %s"
           % (len(results), time.perf_counter() - wall,

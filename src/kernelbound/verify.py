@@ -28,6 +28,18 @@ whether a check runs alone, in the plan, or in a thread.  Every evolution
 goes through a kernel store, one in memory for the call when none is
 given, so after run_plan the checks compute nothing.
 
+The paper bounds the kernel on R^d, and the solver sees it through the
+Dirichlet kernels of boxes.  Before the checks' plan, the verify command
+runs a WorkingRadius study through its own: the P kernel columns of one
+source on every radius and on the largest at twice the spacing.  It picks
+the working radius, the smallest whose truncation error, the kernel mass
+beyond it included, is at most TRUNCATION_SHARE of the Richardson estimate
+of the space error.  The checks in WORKING_RADIUS_CHECKS, which evolve P
+or plain columns and data at theta = 1, run on that radius; the others stay
+on the grids they declare.  The two plans share one operator handle per
+(variant, grid), and the study keeps alive the LUs a check may step with,
+so over both each operator is built and each step size factored once.
+
 The constants the weighted and integrability checks rest on go through the
 store too, as records, arrays of numbers read and written by the same
 get_or_compute as fields: the two grid sups of each Lyapunov certificate
@@ -76,6 +88,7 @@ __all__ = [
     "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
     "FIELD_FORMAT_VERSION", "save_field", "load_field",
     "stored_certificate", "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan",
+    "TRUNCATION_SHARE", "RadiusChoice", "WorkingRadius", "WORKING_RADIUS_CHECKS",
     "Domination", "MonotoneInR", "MassAndPositivity", "Support", "Duality",
     "ChapmanKolmogorov", "LyapunovIntegrability", "WeightedBound", "DecayShape",
     "check_domination", "check_monotone_in_R", "check_mass_and_positivity",
@@ -576,20 +589,35 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     return (np.stack(cols, axis=-1) if req.data.ndim == 3 else cols[0]), len(built)
 
 
+def _lu_key(req: Evolution) -> tuple:
+    """The (variant, grid, theta, dt) of the LU a request steps with."""
+    return req.variant, req.grid, float(req.theta), float(req.dt)
+
+
+_WORK = ("factorizations", "assemblies", "steps")
+
+
 def _execute(system, requests: Sequence[Evolution], store: KernelStore,
-             jobs: int, keep: bool, budget: int = DEFAULT_BUDGET) -> tuple:
+             jobs: int, keep_outputs: bool, budget: int = DEFAULT_BUDGET,
+             handles: Optional[dict] = None, keep: Optional[set] = None) -> tuple:
     """Run the plan of the requests; returns (outputs or None, counts).
 
     Batches of one (variant, grid) form a group with one OperatorHandle of
-    the given budget, made on the group's first store miss, so a group
-    whose every field is stored builds nothing.  A P_adjoint handle
-    transposes the matrix of its grid's P handle when that group is done and
-    made one.  When its last batch is done a group releases its
-    factorization and hands freed heap pages back, so with one job at most
-    one LU is alive.  With jobs > 1 the groups run in threads, each with its
-    own handle; an adjoint group that starts before its P group is done
-    assembles its own matrix.  Batches never depend on the order or the
-    thread they run in, so neither do the bits.
+    the given budget, kept in handles under (variant, grid) and made on the
+    group's first store miss, so a group whose every field is stored builds
+    nothing.  A P_adjoint handle transposes the matrix of its grid's P
+    handle when that group is done and made one.  A group that takes a
+    handle still holding an LU runs the batches that step with it first.
+    When its last batch is done a group releases its factorization, unless
+    keep names it by (variant, grid, theta, dt), and hands freed heap pages
+    back, so with one job and nothing kept at most one LU is alive.  Without
+    keep the group also drops its handle; with keep every handle stays in
+    handles for a later call, whose start drops the handles it does not
+    plan and releases every LU it does not step with.  With jobs > 1 the
+    groups run in threads, each with its own handle; an adjoint group that
+    starts before its P group is done assembles its own matrix.  Batches
+    never depend on the order or the thread they run in, so neither do the
+    bits.
     """
     m = operator_spec_of(system).dims.m
     batches, where = _plan(requests, system_fingerprint(system), m)
@@ -597,37 +625,54 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
                                                                    b.request.grid))]
     adjoint_grids = {b.request.grid for b in batches if b.request.variant == "P_adjoint"}
     forward: dict = {}  # grid -> done P handle whose matrix its adjoint group takes
+    if handles:
+        planned = {(b.request.variant, b.request.grid) for b in batches}
+        steps_with = {_lu_key(b.request) for b in batches}
+        for vg, handle in list(handles.items()):
+            if vg not in planned:
+                del handles[vg]
+                if vg[0] == "P" and vg[1] in adjoint_grids:
+                    forward[vg[1]] = handle
+            if handle.factored is not None and (vg not in planned
+                                                or vg + handle.factored not in steps_with):
+                handle.release()
+                release_freed_memory()
+    handles = {} if handles is None else handles
 
     def run_group(group: list) -> tuple:
-        variant, grid = group[0].request.variant, group[0].request.grid
-        handle = None
+        variant, grid = vg = group[0].request.variant, group[0].request.grid
+        before = {name: getattr(handles[vg], name) for name in _WORK} if vg in handles else {}
+        held = handles[vg].factored if vg in handles else None
+        if held is not None:
+            # a stable sort: the batches stepping with the held LU, then the rest
+            group.sort(key=lambda b: (b.request.theta, b.request.dt) != held)
 
         def handle_of() -> OperatorHandle:
-            nonlocal handle
-            if handle is None:
+            if vg not in handles:
                 fwd = forward.pop(grid, None) if variant == "P_adjoint" else None
-                handle = OperatorHandle(system, grid, variant, budget, forward=fwd)
-            return handle
+                handles[vg] = OperatorHandle(system, grid, variant, budget, forward=fwd)
+            return handles[vg]
 
         done, found, evolved = {}, 0, 0
         for b in group:
-            if not keep and all(map(store.holds, b.keys.values())):
+            if not keep_outputs and all(map(store.holds, b.keys.values())):
                 found += len(b.keys)  # nothing to compute, and no output wanted
                 continue
             out, built = _evolve_batch(b, store, m, handle_of)
             found += len(b.keys) - built
             evolved += built > 0
-            if keep:
+            if keep_outputs:
                 done[b] = out
         counts = Counter({"batches": len(group), "evolutions": evolved,
                           "fields found in the store": found})
+        handle = handles.get(vg) if keep is not None else handles.pop(vg, None)
         if handle is not None:
-            handle.release()
-            counts.update(factorizations=handle.factorizations,
-                          assemblies=handle.assemblies, steps=handle.steps)
+            if keep is None or vg + (handle.factored or ()) not in keep:
+                handle.release()
+            counts.update({name: getattr(handle, name) - before.get(name, 0)
+                           for name in _WORK})
             if variant == "P" and grid in adjoint_grids:
                 forward[grid] = handle
-            handle = None
             release_freed_memory()
         return done, counts
 
@@ -641,7 +686,7 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
     for done, counts in ran:
         outputs.update(done)
         total.update(counts)
-    if not keep:
+    if not keep_outputs:
         return None, total
     return [outputs[w] if isinstance(w, _Batch) else [outputs[b][k] for b, k in w]
             for w in where], total
@@ -660,35 +705,171 @@ def evolve_all(system, requests: Sequence[Evolution],
     unknowns of each operator, as in OperatorHandle.
     """
     store = KernelStore() if store is None else store
-    return _execute(system, requests, store, 1, keep=True, budget=budget)[0]
+    return _execute(system, requests, store, 1, keep_outputs=True, budget=budget)[0]
 
 
 def run_plan(system, requests: Sequence[Evolution], store: KernelStore,
-             jobs: int = 1) -> Counter:
+             jobs: int = 1, handles: Optional[dict] = None) -> Counter:
     """Run the requests of several checks into the store, keeping no output.
 
     Duplicates are dropped by store key and the rest run in plan order, so
     each operator is built once and each (variant, grid, theta, dt) is
     factored once; the checks then read every field from the store.
-    Returns the PLAN_COUNTS.
+    handles carries the operator handles an earlier plan left, as
+    WorkingRadius.choose does, with the LUs it kept; the plan takes them,
+    so no operator is built twice and no kept LU factored twice.  Returns
+    the PLAN_COUNTS of the work this call did.
     """
-    return _execute(system, requests, store, jobs, keep=False)[1]
+    return _execute(system, requests, store, jobs, keep_outputs=False, handles=handles)[1]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
-    """Node indices of the small grid inside the big one (same spacing)."""
-    if small.d != big.d or small.spacing != big.spacing:
-        raise DomainError("grids must share dimension and spacing")
+    """Node indices of the small grid inside the big one, whose spacing
+    divides the small grid's."""
+    if small.d != big.d:
+        raise DomainError("grids must share their dimension")
     if big.radius < small.radius:
         raise DomainError("second grid must be the larger one")
-    raw = (big.radius - small.radius) / small.spacing
-    off = int(round(raw))
-    if abs(off - raw) > 1e-9 * max(1.0, abs(raw)):
-        raise DomainError("grid radii differ by a non-integer number of cells")
-    idx = off + np.arange(small.n_per_axis)
+    stride, off = small.spacing / big.spacing, (big.radius - small.radius) / big.spacing
+    if any(abs(x - round(x)) > 1e-9 * max(1.0, abs(x)) for x in (stride, off)):
+        raise DomainError("grids differ by a non-integer number of cells")
+    idx = int(round(off)) + int(round(stride)) * (np.arange(small.n_per_axis) + 1) - 1
     if small.d == 1:
         return idx
     return (idx[:, None] * big.n_per_axis + idx[None, :]).ravel()
+
+
+# ---------------------------------------------------------------------------
+# the working radius: where the checks that step at theta = 1 run
+# ---------------------------------------------------------------------------
+
+# The working radius takes a truncation error of at most this share of the
+# space error, so the move adds at most half the discretization error the
+# checks carry on the largest radius anyway.  Measured on the bench configs
+# at t = 0.5: it moves poly2d from R = 6 to R = 4 (truncation 1.20e-3 against
+# a space error of 4.45e-3), and refuses R = 4 on poly1d (7.9e-4 against
+# 1.12e-3), where the kernel mass beyond the ball is as large as the space
+# error itself; every verdict of both configs stays what it was on R = 6 and
+# R = 16.
+TRUNCATION_SHARE = 0.5
+
+
+@dataclass(frozen=True)
+class RadiusChoice:
+    """The working radius and what chose it: the time t, the space error
+    e_h, and the truncation error of each radius, by radius: 0 for the
+    largest, the reference, and infinite for one that does not hold every
+    verify point.  e_h is None, and truncation empty, when no study ran and
+    radius is the largest."""
+
+    radius: float
+    t: float
+    e_h: Optional[float]
+    truncation: dict
+
+    def line(self) -> str:
+        head = f"working radius R = {self.radius:g}"
+        if self.e_h is None:
+            return head + ", the largest (no study)"
+        # the largest radius is the reference, so its truncation is unmeasured
+        if self.radius == max(self.truncation):
+            head, fits = head + ", the largest,", ""
+        else:
+            fits = f"truncation {self.truncation[self.radius]:.3e} <= {TRUNCATION_SHARE:g} x "
+        refused = "".join(f"; R = {R:g} refused at {tau:.3e}"
+                          for R, tau in self.truncation.items() if R < self.radius)
+        return f"{head} at t = {self.t:g}: {fits}space error {self.e_h:.3e}{refused}"
+
+
+@dataclass(frozen=True, eq=False)
+class WorkingRadius:
+    """The study that picks the working radius R_w from grid.radii.
+
+    It evolves the P kernel columns of every component at source to t, on
+    each radius R > reach at the verify spacing h, reach being the largest
+    |coordinate| of the verify points, and once more on the largest radius
+    R_max at 2h, all at one width and step.  From them:
+      tau(R) = max |p_Rmax - p_R| / max p_Rmax, with p_R extended by zero
+        outside B_R, so the kernel mass beyond R counts;
+      e_h = max |u_h - u_2h| / (3 max u_h) over the nodes both R_max grids
+        share, the Richardson estimate of the space error.
+    R_w is the smallest R with tau(R) <= TRUNCATION_SHARE * e_h, else R_max.
+    With one radius, or an R_max that is no multiple of 2h, R_w is R_max and
+    nothing is evolved.
+    """
+
+    system: object
+    radii: Sequence[float]
+    spacing: float
+    t: float
+    source: object
+    width: Optional[float]
+    dt: Optional[float]
+    theta: float
+    reach: float
+
+    @cached_property
+    def grids(self) -> list:
+        """The grids at h, ascending, then R_max at 2h; none without a study."""
+        d, R_max = self.system.dims.d, max(self.radii)
+        try:
+            coarse = GridSpec(d, R_max, 2.0 * self.spacing)
+        except DomainError:
+            return []
+        held = [GridSpec(d, R, self.spacing) for R in sorted(self.radii)
+                if self.reach < R < R_max]
+        return [] if len(self.radii) < 2 else \
+            held + [GridSpec(d, R_max, self.spacing), coarse]
+
+    @cached_property
+    def requests(self) -> list:
+        """One column batch per grid, at the width and step of the finest."""
+        m = self.system.dims.m
+        width = 2.0 * self.spacing if self.width is None else self.width
+        step = default_dt(self.t, self.spacing) if self.dt is None else self.dt
+        return [Evolution.of_sources("P", g, self.t, [(self.source, k) for k in range(m)],
+                                     width, step, self.theta)
+                for g in self.grids]
+
+    def kept(self, later: Sequence[Evolution]) -> set:
+        """The LUs of the study that a later plan may step with, by (variant,
+        grid, theta, dt): those a later request steps with and, at theta = 1,
+        those at the verify spacing, since the checks that move to R_w step
+        at theta = 1 on whichever radius that is."""
+        wanted = {_lu_key(r) for r in later}
+        return {key for key in map(_lu_key, self.requests)
+                if key in wanted or (key[2] == 1.0 and key[1].spacing == self.spacing)}
+
+    def choose(self, store: KernelStore, jobs: int, handles: dict,
+               later: Sequence[Evolution]) -> tuple:
+        """The RadiusChoice, and the PLAN_COUNTS of the study's plan.
+
+        The plan reads its columns as it runs them, so they are read once;
+        it leaves its operator handles in handles, with the LUs kept(later)
+        names, for the plan of later.
+        """
+        outputs, counts = _execute(self.system, self.requests, store, jobs, True,
+                                   handles=handles, keep=self.kept(later))
+        return self.measure(outputs), counts
+
+    def measure(self, outputs: list) -> RadiusChoice:
+        R_max = max(self.radii)
+        if not self.grids:
+            return RadiusChoice(R_max, self.t, None, {})
+        *fine, coarse = [np.stack(cols, axis=-1) for cols in outputs]
+        *small, big = self.grids[:-1]
+        ref = fine[-1]
+        scale = max(float(np.max(ref)), _TINY)
+        e_h = float(np.max(np.abs(ref[_embed_indices(self.grids[-1], big)] - coarse))) \
+            / (3.0 * scale)
+        truncation = {float(R): math.inf for R in sorted(self.radii) if R <= self.reach}
+        for g, p in zip(small, fine):
+            outside = ref.copy()
+            outside[_embed_indices(g, big)] -= p
+            truncation[g.radius] = float(np.max(np.abs(outside))) / scale
+        truncation[R_max] = 0.0
+        R_w = next(R for R, tau in truncation.items() if tau <= TRUNCATION_SHARE * e_h)
+        return RadiusChoice(R_w, self.t, e_h, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +941,11 @@ class Domination(_Check):
     tol: float = 1e-9
     n_random: int = 3
     seed: int = 0
+
+    @property
+    def horizon(self) -> float:
+        """The largest time the check evolves to."""
+        return self.t
 
     @cached_property
     def requests(self) -> list:
@@ -878,6 +1064,11 @@ class MassAndPositivity(_Check):
     sources: Sequence[tuple] = ()
     width: Optional[float] = None
 
+    @property
+    def horizon(self) -> float:
+        """The largest time the check evolves to."""
+        return max(self.t_values)
+
     @cached_property
     def requests(self) -> list:
         """The all-ones data at each time, then the source columns at the last
@@ -941,6 +1132,11 @@ class Support(_Check):
     @property
     def _at(self):
         return np.zeros(self.system.dims.d) if self.center is None else self.center
+
+    @property
+    def horizon(self) -> float:
+        """The largest time the check evolves to."""
+        return self.t
 
     @cached_property
     def requests(self) -> list:
@@ -1048,6 +1244,11 @@ class ChapmanKolmogorov(_Check):
     seed: int = 0
 
     @property
+    def horizon(self) -> float:
+        """The largest time the check evolves to, its legs included."""
+        return self.t + max(self.s, 0.0)
+
+    @property
     def step(self) -> Optional[float]:
         """The step of the split: by default the largest one that divides s
         and is at most min(t, s, default_dt(t + s, spacing))."""
@@ -1119,6 +1320,11 @@ class LyapunovIntegrability(_Check):
     dt: Optional[float] = None
     boundary_fraction: float = 0.01
     cert_radius: Optional[float] = None
+
+    @property
+    def horizon(self) -> float:
+        """The largest time the check evolves to."""
+        return max(self.t_values)
 
     @cached_property
     def requests(self) -> list:
@@ -1365,6 +1571,13 @@ class DecayShape(_Check):
                            {"samples": rows.samples, "weight": self.weight})
 
 
+# the checks that run on the working radius: they evolve P or plain columns
+# and data at theta = 1, whose truncation the study measures; the adjoint
+# checks, the weighted grids and the monotone sweep stay where they are
+WORKING_RADIUS_CHECKS = (Domination, MassAndPositivity, Support, ChapmanKolmogorov,
+                         LyapunovIntegrability)
+
+
 def _run(cls, args: tuple, kwargs: dict, store: Optional[KernelStore]) -> CheckResult:
     """The declaration given alone in args, or the one args and kwargs build,
     its requests evolved through the store and then measured."""
@@ -1438,8 +1651,12 @@ def results_csv(results: Sequence[CheckResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_text(results: Sequence[CheckResult]) -> str:
-    lines = ["verification summary", "--------------------"]
+def summary_text(results: Sequence[CheckResult],
+                 radius: Optional[RadiusChoice] = None) -> str:
+    """The summary of the results; its title names the working radius when
+    one was chosen."""
+    title = "verification summary" + (f", {radius.line()}" if radius is not None else "")
+    lines = [title, "--------------------"]
     for res in results:
         lines.append(res.line())
     if any(r.status == "fail" for r in results):

@@ -341,16 +341,56 @@ class TestSolveCommand:
 
 
 class TestVerifyCommand:
+    def test_exp1d_completes_on_its_working_radius(self, tmp_path):
+        # exp1d's kernel leaves no mass beyond R = 4, so the checks that step
+        # at theta = 1 run there, where exp(log nu) stays finite
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(BENCH_CONFIGS / "exp1d.cfg"),
+                         "--out", str(out)]) in (0, 1)
+        title, _, *lines, overall = \
+            (out / "verify_summary.txt").read_text().splitlines()
+        assert title.startswith("verification summary, working radius R = 4 at t = 0.5: ")
+        assert len(lines) == 10 and overall.startswith("overall: ")
+        for line in lines:
+            assert line.split(": ")[1].split()[0] in ("pass", "fail", "inconclusive")
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    def test_exp1d_stops_on_the_step_residual(self, tmp_path, capsys):
+    def test_exp1d_on_its_largest_radius_alone_stops_on_the_step_residual(
+            self, tmp_path, capsys):
         # ROADMAP item 2: the integrability check evolves exp(log nu), which
-        # overflows on exp1d's larger radii, so a step's residual reads NaN;
-        # until that item lands, the run must stop on the solver's message
-        assert cli.main(["verify", "--config", str(BENCH_CONFIGS / "exp1d.cfg"),
+        # overflows on R = 16, so a step's residual reads NaN; until that
+        # item lands, the run must stop on the solver's message
+        text = (BENCH_CONFIGS / "exp1d.cfg").read_text()
+        assert "radii = 4 8 16\n" in text
+        cfg = tmp_path / "exp1d.cfg"
+        cfg.write_text(text.replace("radii = 4 8 16\n", "radii = 16\n"))
+        assert cli.main(["verify", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.endswith(
             "error: step residual nan exceeds tolerance in column 0\n")
+
+    def test_checks_that_step_at_theta_one_run_on_the_working_radius(
+            self, tmp_path, monkeypatch):
+        radii = {}
+        for name in [n for n in verify.__all__ if n.startswith("check_")]:
+            def recorded(check, original=getattr(verify, name), **kwargs):
+                radii.setdefault(check.name, set()).update(
+                    req.grid.radius for req in check.requests)
+                return original(check, **kwargs)
+            monkeypatch.setattr(verify, name, recorded)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(BENCH_CONFIGS / "poly1d.cfg"),
+                         "--out", str(out)]) == 0
+        assert (out / "verify_summary.txt").read_text().startswith(
+            "verification summary, working radius R = 8 at t = 0.5: truncation ")
+        moved = ("check_domination", "check_mass_and_positivity", "check_support",
+                 "check_chapman_kolmogorov", "check_lyapunov_integrability")
+        # weighted's default coarse grid has half the largest radius
+        assert radii == dict({name: {8.0} for name in moved},
+                             check_monotone_in_R={4.0, 8.0, 16.0},
+                             check_duality={16.0}, check_decay_shape={16.0},
+                             check_weighted_bound={8.0, 16.0})
 
     def test_full_check_list_passes(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": ALL_CHECKS})
@@ -539,10 +579,13 @@ class TestVerifyCommand:
         # domination's two random batches, and chapman's direct path and
         # the two legs of its composed one
         ({"verify": {"seed": "8"}}, 5),
-        # duality's adjoint columns: the other checks step at theta = 1
-        # already, and at 1 duality's forward columns are domination's
-        ({"grid": {"theta": "1"}}, 1),
-    ])
+        # the checks that move step at theta = 1 already, and R = 4, the
+        # largest, stays the working radius.  The study evolves R = 2 and
+        # R = 4 at 2h again; its R = 4 columns at t = 0.5 are mass's.  At 1
+        # duality's forward columns are domination's, so its adjoint
+        # columns are the one more: 2 + 1
+        ({"grid": {"theta": "1"}}, 3),
+    ], ids=["verify.seed=8", "grid.theta=1"])
     def test_changed_inputs_miss_the_store(self, tmp_path, monkeypatch,
                                            update, recomputed):
         checks = {"checks": "domination mass duality chapman"}
@@ -589,24 +632,31 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--config", str(cfg), "--out",
                          str(out)]) == 0
         after = len(list((out / "store").iterdir()))
-        # duality reuses the two solved forward columns; adjoint and mass
-        # columns, mass's three all-ones runs and its row-sum record are the
-        # only additions
-        assert before == 2 and after == 10
+        # duality reuses the two solved forward columns; the adjoint and
+        # mass columns (2 + 2), mass's three all-ones runs, its row-sum
+        # record, and the working-radius study's columns at t = 0.5 of both
+        # components on R = 2, R = 4 and R = 4 at twice the spacing (6)
+        # are the only additions: 2 + 2 + 2 + 3 + 1 + 6
+        assert before == 2 and after == 16
 
 
 class TestVerifyPlan:
     @staticmethod
     def watch_solver_work(monkeypatch):
-        """Count solver work before and after run_plan returns.
+        """Count solver work inside and outside the two plans.
 
-        work["plan"] and work["checks"] count evolve, assemble_generator and
-        splu calls and store misses; work["factored"] lists the (variant,
-        grid, theta, dt) of every factorization, work["requests"] what the
-        plan was given.  Records, told by their keys, are not counted.
+        work["plan"] counts evolve, assemble_generator and splu calls and
+        store misses inside the working-radius study's plan
+        (WorkingRadius.choose) and the checks' (run_plan), and
+        work["checks"] the same outside them: before, between and after.
+        work["factored"] lists the (variant, grid, theta, dt) of every
+        factorization, work["assembled"] the (variant, grid) of every
+        assembly, work["requests"] what the plans were given and
+        work["plans"] how many there were.  Records, told by their keys,
+        are not counted.
         """
-        work = {"phase": "plan", "plan": Counter(), "checks": Counter(),
-                "factored": [], "requests": []}
+        work = {"phase": "checks", "plan": Counter(), "checks": Counter(),
+                "factored": [], "assembled": [], "requests": [], "plans": 0}
 
         def count(owner, name, what):
             original = getattr(owner, name)
@@ -619,6 +669,12 @@ class TestVerifyPlan:
         count(solver.OperatorHandle, "evolve", "evolve")
         count(solver, "assemble_generator", "assemble")
         count(solver.sparse_linalg, "splu", "splu")
+        assemble = solver.assemble_generator
+
+        def watched_assemble(system, grid, variant="P"):
+            work["assembled"].append((variant, grid))
+            return assemble(system, grid, variant)
+        monkeypatch.setattr(solver, "assemble_generator", watched_assemble)
         factor = solver.OperatorHandle._factor
 
         def watched_factor(handle, theta, dt):
@@ -643,32 +699,52 @@ class TestVerifyPlan:
             return get_or_compute(store, key, counted_build)
         monkeypatch.setattr(verify.KernelStore, "get_or_compute", watched_get)
 
-        run_plan = verify.run_plan
-
-        def watched_run_plan(system, requests, store, jobs=1):
-            work["requests"] = list(requests)
-            stats = run_plan(system, requests, store, jobs)
-            work["phase"] = "checks"
-            return stats
-        monkeypatch.setattr(verify, "run_plan", watched_run_plan)
+        def planning(run, requests_of):
+            def watched(*args, **kwargs):
+                work["requests"] += list(requests_of(*args))
+                work["plans"] += 1
+                work["phase"] = "plan"
+                out = run(*args, **kwargs)
+                work["phase"] = "checks"
+                return out
+            return watched
+        monkeypatch.setattr(verify, "run_plan", planning(
+            verify.run_plan, lambda system, requests, *rest: requests))
+        monkeypatch.setattr(verify.WorkingRadius, "choose", planning(
+            verify.WorkingRadius.choose, lambda study, *rest: study.requests))
         return work
 
-    @pytest.mark.parametrize("config", ["poly1d", "two_d"])
+    @pytest.mark.parametrize("config", [
+        "poly1d", "two_d", "two_d, grid.theta=1", "2 4 6 at 0.25, grid.theta=1"])
     def test_checks_build_nothing_once_the_plan_ran(self, tmp_path,
                                                      monkeypatch, config):
+        # with grid.theta = 1 the study steps with the LU the checks on the
+        # working radius take at t_max: R = 2, the largest, on two_d, and
+        # R = 4 below the largest on the 2 4 6 grid
+        two_d = dict(TWO_D, grid=dict(TWO_D["grid"], theta="1"))
+        if config.startswith("2 4 6"):
+            two_d.update(grid={"d": "2", "radii": "2 4 6", "spacing": "0.25",
+                               "theta": "1"},
+                         verify={"checks": ALL_CHECKS})
         cfg = BENCH_CONFIGS / "poly1d.cfg" if config == "poly1d" \
-            else make_config(tmp_path, **TWO_D)
+            else make_config(tmp_path, **(two_d if "theta" in config else TWO_D))
         work = self.watch_solver_work(monkeypatch)
         assert cli.main(["verify", "--config", str(cfg), "--out",
                          str(tmp_path / "out"), "--jobs", "1"]) == 0
-        assert work["phase"] == "checks"
+        # the study's plan, then the checks'
+        assert work["plans"] == 2
         assert work["checks"] == Counter()
-        # every (variant, grid, theta, dt) the checks step with is factored
-        # exactly once, and nothing else is
+        # over both calls, every (variant, grid, theta, dt) the study and
+        # the checks step with is factored exactly once, and nothing else is
         wanted = {(r.variant, r.grid, float(r.theta), float(r.dt))
                   for r in work["requests"]}
         assert sorted(work["factored"], key=repr) == sorted(wanted, key=repr)
         assert work["plan"]["splu"] == len(wanted)
+        # and every operator is assembled exactly once; an adjoint one is
+        # the transpose of its grid's P matrix
+        assembled = {(variant, grid) for variant, grid, _, _ in wanted
+                     if variant != "P_adjoint"}
+        assert sorted(work["assembled"], key=repr) == sorted(assembled, key=repr)
         assert work["plan"]["evolve"] > 0 and work["plan"]["miss"] > 0
 
     def test_checks_alone_give_the_planned_rows_and_fields(self, tmp_path,
@@ -682,6 +758,10 @@ class TestVerifyPlan:
                 calls.append((original, args, kwargs))
                 return original(*args, **kwargs)
             monkeypatch.setattr(verify, name, recorded)
+        chosen, measure = [], verify.WorkingRadius.measure
+        monkeypatch.setattr(verify.WorkingRadius, "measure",
+                            lambda study, outputs: chosen.append(
+                                (study, measure(study, outputs))) or chosen[-1][1])
         planned = tmp_path / "planned"
         assert cli.main(["verify", "--config", str(cfg), "--out",
                          str(planned), "--jobs", "1"]) == 0
@@ -693,9 +773,14 @@ class TestVerifyPlan:
             alone.append(tmp_path / ("alone%d" % i))
             store = verify.KernelStore(alone[-1])
             results.append(fn(*args, **dict(kwargs, store=store)))
+        # and the study alone, with a fresh store, chooses the same radius
+        (study, choice), = chosen
+        alone.append(tmp_path / "study")
+        assert measure(study, verify.evolve_all(
+            study.system, study.requests, verify.KernelStore(alone[-1]))) == choice
         assert verify.results_csv(results).encode() == \
             (planned / "verify_results.csv").read_bytes()
-        assert verify.summary_text(results).encode() == \
+        assert verify.summary_text(results, choice).encode() == \
             (planned / "verify_summary.txt").read_bytes()
         # and every field a check stored alone has the planned bits
         planned_fields = {p.name: p.read_bytes()
@@ -736,9 +821,9 @@ class TestVerifyPlan:
         monkeypatch.setattr(verify, "_data_digest",
                             lambda data: hashed.append(data.shape) or digest(data))
         monkeypatch.setattr(verify, "run_plan",
-                            lambda system, requests, store, jobs=1:
+                            lambda system, requests, store, *args, **kwargs:
                             planned.extend(requests)
-                            or run_plan(system, requests, store, jobs))
+                            or run_plan(system, requests, store, *args, **kwargs))
         assert cli.main(args) == 0
         # the checks get the planned requests, so each data request hashes its
         # data once, for the plan and the check, the two-leg composed path of
@@ -766,8 +851,13 @@ class TestVerifyPlan:
         assert cold["requests"] == rerun["requests"] > cold["batches"] \
             == rerun["batches"]
         assert cold["fields found in the store"] == 0
-        assert min(cold["evolutions"], cold["factorizations"],
-                   cold["assemblies"], cold["steps"]) > 0
+        # the checks' plan: 24 requests in 18 batches, 10 LUs on 4 operators
+        # and 578 steps; the working-radius study adds its 3 batches, on
+        # R = 1 and R = 2 and on R = 2 at twice the spacing, each with an
+        # LU at t = 0.5 that no check steps with and 32 steps.  Its R = 1
+        # and R = 2 operators are monotone's, and its coarse one weighted's
+        assert [cold[name] for name in verify.PLAN_COUNTS] == \
+            [24 + 3, 18 + 3, 18 + 3, 0, 10 + 3, 4, 578 + 3 * 32]
         # the rerun reads each stored field once and builds nothing; the
         # certificate, ledger and row-sum records are not fields
         fields = sorted(set(os.listdir(out / "store"))
@@ -998,7 +1088,9 @@ class TestAllCommand:
         lines = run_fresh(code, cfg, tmp_path / "out")
         plan = next(line for line in lines if "; plan: " in line)
         factored = int(plan.partition(" factorizations")[0].rpartition(" ")[2])
-        assert factored > 0
+        # the checks' 10 LUs, and the working-radius study's on R = 2, R = 4
+        # and R = 4 at twice the spacing, at t = 0.5, where no check steps
+        assert factored == 10 + 3
         assert lines[-1] == "0 False %d" % factored
 
     def test_stops_at_first_failing_stage(self, tmp_path):

@@ -978,3 +978,129 @@ class TestPlan:
         threads = sorted((tmp_path / "threads").iterdir())
         assert [p.name for p in serial] == [p.name for p in threads]
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(serial, threads))
+
+    def test_a_later_call_takes_the_handles_and_steps_first_with_the_kept_lu(
+            self, tmp_path):
+        fam, g = headline_family(), GridSpec(1, 2.0, 0.125)
+        study = Evolution.of_sources("P", g, 0.5, [(0.5, 0)], theta=1.0)
+        ones = np.ones((g.n_nodes, 2))
+        # by plan order the t = 0.25 batch, whose step is shorter, runs first
+        checks = [Evolution.of_values("P", g, ones, t, theta=1.0) for t in (0.25, 0.5)]
+        handles, store = {}, KernelStore(tmp_path)
+        first = verify._execute(fam, [study], store, 1, False, handles=handles,
+                                keep={("P", g, 1.0, study.dt)})[1]
+        assert handles[("P", g)].factored == (1.0, study.dt)
+        second = run_plan(fam, checks, store, handles=handles)
+        # one assembly over both calls; the second steps with the kept LU
+        # before it factors the t = 0.25 step, and drops the handle when done
+        assert (first["assemblies"], second["assemblies"]) == (1, 0)
+        assert (first["factorizations"], second["factorizations"]) == (1, 1)
+        assert handles == {}
+
+    def test_a_call_releases_what_it_does_not_keep_or_step_with(self, tmp_path):
+        fam = headline_family()
+        small, big = GridSpec(1, 1.0, 0.125), GridSpec(1, 2.0, 0.125)
+        reqs = [Evolution.of_sources("P", g, 0.5, [(0.5, 0)]) for g in (small, big)]
+        handles, store = {}, KernelStore(tmp_path)
+        verify._execute(fam, reqs, store, 1, False, handles=handles,
+                        keep={verify._lu_key(reqs[1])})
+        # every handle stays for a later call, with only the kept LU
+        assert handles[("P", small)].factored is None
+        assert handles[("P", big)].factored == (0.5, reqs[1].dt)
+        # a later call drops the handles it does not plan, and the LUs it
+        # does not step with, before it runs
+        later = Evolution.of_sources("P", big, 0.25, [(0.5, 0)])
+        released = []
+        kept = handles[("P", big)]
+        kept.release = lambda: released.append(kept.factored) or OperatorHandle.release(kept)
+        counts = verify._execute(fam, [later], store, 1, False, handles=handles,
+                                 keep=set())[1]
+        assert list(handles) == [("P", big)] and released[0] == (0.5, reqs[1].dt)
+        assert counts["assemblies"] == 0 and counts["factorizations"] == 1
+
+
+def poly_family(d):
+    # the bench configs' polynomial system, in one or two dimensions
+    return diagonal_family("polynomial", d, 2, beta=1.0,
+                           theta=[[1.0, 0.5], [0.5, 1.0]],
+                           gamma=[[2.0, 1.0], [1.0, 2.0]])
+
+
+# the bench poly1d grid, and a 2-D one a quarter of poly2d's size
+POLY1D = (1, (4.0, 8.0, 16.0), 0.0625)
+WIDE2D = (2, (2.0, 4.0, 6.0), 0.25)
+
+
+def study_of(grid, t, reach=0.5, dt=None, theta=0.5):
+    d, radii, spacing = grid
+    source = 0.5 if d == 1 else (0.5, 0.0)
+    return verify.WorkingRadius(poly_family(d), radii, spacing, t, source, 0.0625, dt,
+                                theta, reach)
+
+
+def choice_of(study):
+    return study.measure(evolve_all(study.system, study.requests))
+
+
+class TestWorkingRadius:
+    def test_the_mass_beyond_the_ball_counts(self):
+        # on poly1d at R = 4 the kernel differs from R = 16's by 1.3e-4 of
+        # its peak on the nodes B_4 holds, within half the space error,
+        # but the mass it leaves beyond R = 4 makes 7.9e-4, over it
+        choice = choice_of(study_of(POLY1D, 0.5))
+        assert choice.radius == 8.0
+        assert choice.e_h == pytest.approx(1.119e-3, rel=1e-3)
+        assert choice.truncation[4.0] == pytest.approx(7.919e-4, rel=1e-3)
+        assert choice.truncation[4.0] > verify.TRUNCATION_SHARE * choice.e_h
+        assert choice.truncation[8.0] < 1e-11
+        assert choice.line() == (
+            "working radius R = 8 at t = 0.5: truncation %.3e <= 0.5 x space error "
+            "1.119e-03; R = 4 refused at 7.919e-04" % choice.truncation[8.0])
+
+    def test_a_2d_grid_refuses_its_smallest_radius(self):
+        choice = choice_of(study_of(WIDE2D, 0.5))
+        assert choice.radius == 4.0
+        assert choice.truncation[2.0] == pytest.approx(0.2109, rel=1e-3)
+        assert choice.truncation[4.0] == pytest.approx(2.170e-3, rel=1e-3)
+        assert choice.e_h == pytest.approx(8.645e-3, rel=1e-3)
+
+    @pytest.mark.parametrize("grid", [POLY1D, WIDE2D], ids=["poly1d", "2-D"])
+    def test_the_truncation_fits_half_the_space_error_at_every_time(self, grid):
+        # the radius chosen at t_max = 0.5 holds at each verify.t of the
+        # bench configs, where the space error is larger and the kernel
+        # closer to its source
+        working = choice_of(study_of(grid, 0.5)).radius
+        for t in (0.1, 0.25, 0.5):
+            choice = choice_of(study_of(grid, t))
+            assert choice.radius <= working
+            assert choice.truncation[working] <= verify.TRUNCATION_SHARE * choice.e_h
+
+    @pytest.mark.parametrize("radii, spacing", [((4.0,), 0.0625), ((1.0, 1.875), 0.125)],
+                             ids=["one radius", "R_max no multiple of 2h"])
+    def test_without_a_study_the_largest_radius_works_and_nothing_evolves(
+            self, radii, spacing):
+        study = study_of((1, radii, spacing), 0.5)
+        assert study.requests == []
+        choice = study.measure([])
+        assert (choice.radius, choice.e_h, choice.truncation) == (radii[-1], None, {})
+        assert choice.line() == "working radius R = %g, the largest (no study)" % radii[-1]
+
+    def test_a_radius_without_every_verify_point_is_refused_unevolved(self):
+        study = study_of(POLY1D, 0.5, reach=4.0)
+        assert [g.radius for g in study.grids] == [8.0, 16.0, 16.0]
+        choice = choice_of(study)
+        assert choice.radius == 8.0 and choice.truncation[4.0] == math.inf
+
+    def test_the_largest_radius_names_no_truncation(self):
+        choice = choice_of(study_of((1, (2.0, 4.0), 0.125), 0.5))
+        assert choice.radius == 4.0
+        assert choice.line().startswith("working radius R = 4, the largest, at t = 0.5: "
+                                        "space error ")
+
+    def test_at_theta_one_it_keeps_the_lus_the_moved_checks_may_take(self):
+        # at theta = 1/2 only the LUs a later request steps with, at 1 every
+        # one at the verify spacing as well
+        half, one = study_of(POLY1D, 0.5), study_of(POLY1D, 0.5, theta=1.0)
+        assert half.kept([]) == set()
+        assert half.kept(half.requests[-2:-1]) == {verify._lu_key(half.requests[-2])}
+        assert one.kept([]) == {verify._lu_key(r) for r in one.requests[:-1]}
