@@ -478,20 +478,16 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                                          dt, theta)] \
         if "svg" in cfg.get("output", "formats") else []
 
-    # the study's plan and the checks' share one operator handle per
-    # (variant, grid), and the study keeps alive the LUs the checks may
-    # step with, so each operator is built and each step factored once
+    # the study's plan and the checks' share only the store
     wall = time.perf_counter()
-    handles, plan, radius = {}, Counter(), None
+    plan, radius = Counter(), None
     moved = [c for c in checks_run if isinstance(c, verify.WORKING_RADIUS_CHECKS)]
     if moved:
         reach = max(float(np.max(np.abs(p))) for p in srcs + xs)
         study = verify.WorkingRadius(fam, radii, spacing,
                                      max(c.horizon for c in moved), srcs[0],
                                      width, dt, theta, reach)
-        radius, counts = study.choose(store, jobs, handles, [
-            req for check in checks_run if check not in moved
-            for req in check.requests] + plots)
+        radius, counts = study.choose(store, jobs)
         plan.update(counts)
         working = solver.GridSpec(d, radius.radius, spacing)
         checks_run = [replace(check, grid=working) if check in moved else check
@@ -500,7 +496,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     # data of each request is built and hashed once
     requests = [req for check in checks_run for req in check.requests] + plots
     try:
-        plan.update(verify.run_plan(fam, requests, store, jobs, handles))
+        plan.update(verify.run_plan(fam, requests, store, jobs))
     except KernelBoundError:
         # the check, or the plot, that needs the failed evolution meets the
         # error again and reports it, after the checks before it ran, as

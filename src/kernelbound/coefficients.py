@@ -189,7 +189,7 @@ class _FamilyBase:
     # -- structural matrices ------------------------------------------------
 
     def Z(self, k: int) -> np.ndarray:
-        """Sign-adjusted diffusion coefficient matrix: diagonal kept, off-diagonal -|zeta|."""
+        """Sign-adjusted diffusion coefficient matrix: diagonal unchanged, off-diagonal -|zeta|."""
         Zk = -np.abs(self.zeta[k])
         idx = np.arange(self.dims.d)
         Zk[idx, idx] = self.zeta[k, idx, idx]

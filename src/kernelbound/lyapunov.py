@@ -171,7 +171,7 @@ _SHAPES = (_shape_S, _shape_dS, _shape_d2S)
 class RadialPoints:
     """A point set with r = 1 + |x|^2 and the radial shapes evaluated on it.
 
-    S(r), S'(r) and S''(r) are computed on first use and kept, per form and
+    S(r), S'(r) and S''(r) are computed on first use and cached, per form and
     rho, so weights of one shape evaluated at many times on the same points
     compute them once.  Every weight method takes one in place of points.
     """

@@ -32,9 +32,9 @@ assembling its own.  A handle keeps one factorization, for the latest
 and release() drops it for good, since each LU of a 2-D grid holds several
 megabytes.  That one LU is enough because verify's plan orders every
 evolution by (variant, grid, theta, dt), so no caller returns to an earlier
-LU, and a later plan that takes the handle steps first with the LU it still
-holds (factored); each handle counts its assemblies, factorizations and
-theta steps.
+LU, and each plan makes its own handles, so a plan assembles each operator
+once and factors each step size once; each handle counts its assemblies,
+factorizations and theta steps.
 Factorizations use SuperLU with the minimum-degree ordering of A^T + A
 (MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
 the 2-D grids it needs less than half the L+U fill of the default COLAMD
@@ -378,11 +378,6 @@ class OperatorHandle:
             self._matrix = assemble_generator(self._system, self.grid, self.variant)
             self.assemblies += 1
         return self._matrix
-
-    @property
-    def factored(self) -> Optional[tuple]:
-        """The (theta, dt) of the factorization the handle holds, or None."""
-        return None if self._lu is None else self._lu[0]
 
     def release(self):
         """Drop the factorization; the matrix stays for later steps."""

@@ -18,11 +18,11 @@ command first hands every check's requests to run_plan.
 The executor computes every store key when it plans, so it hashes no
 output.  It drops duplicate requests by store key, sorts the rest by
 (variant, grid, theta, dt), runs each (variant, grid) on one operator
-handle, made on the first store miss, so every operator is built once and
-every step size factored once, and releases the handle's LU when its last
-request is done.  Every batch takes one path through the store, whose
-first miss evolves it once over all its legs, and no batch reads another's
-output.  Requests are never merged into wider batches: each keeps the
+handle, made on the first store miss, so a plan assembles every operator
+once and factors every step size once, and releases the handle's LU when
+its last request is done.  Every batch takes one path through the store,
+whose first miss evolves it once over all its legs, and no batch reads
+another's output.  Requests are never merged into wider batches: each keeps the
 batch it had when its check ran alone, so every column has the same bits
 whether a check runs alone, in the plan, or in a thread.  Every evolution
 goes through a kernel store, one in memory for the call when none is
@@ -36,9 +36,9 @@ the working radius, the smallest whose truncation error, the kernel mass
 beyond it included, is at most TRUNCATION_SHARE of the Richardson estimate
 of the space error.  The checks in WORKING_RADIUS_CHECKS, which evolve P
 or plain columns and data at theta = 1, run on that radius; the others stay
-on the grids they declare.  The two plans share one operator handle per
-(variant, grid), and the study keeps alive the LUs a check may step with,
-so over both each operator is built and each step size factored once.
+on the grids they declare.  The two plans share only the store: each
+assembles each of its operators once and factors each of its step sizes
+once, so an operator or an LU that both need is built once in each.
 
 The constants the weighted and integrability checks rest on go through the
 store too, as records, arrays of numbers read and written by the same
@@ -234,7 +234,7 @@ class StoreKey:
     which another process can hand to another system, so their entries
     never go to disk.  shared is False for fields that a single check reads:
     when the store has a directory they are written through to it and not
-    kept in memory, so the store does not add to the peak memory of a run.
+    held in memory, so the store does not add to the peak memory of a run.
     """
 
     digest: str
@@ -255,7 +255,7 @@ class KernelStore:
     is a save_field file, .kbf.  len() counts every key loaded or built
     since the store was made, whichever tier holds it.  A file that does
     not load, or holds a NaN, is rebuilt, and a built array with a NaN is
-    handed back but never kept.  grids(system) keeps the certificate grids
+    handed back but never stored.  grids(system) keeps the certificate grids
     of each system the store sees, in memory only, so a command evaluates
     each grid once.
     """
@@ -312,8 +312,8 @@ class KernelStore:
 
     def get_or_compute(self, key: StoreKey, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The array under key, from memory, from its file, or from build, and
-        then kept in its file, if it has one, and in memory if key.shared or
-        it has no file."""
+        then written to its file, if it has one, and held in memory if
+        key.shared or it has no file."""
         if key.digest in self._memory:
             return self._memory[key.digest]
         path = self._path(key)
@@ -346,7 +346,7 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
                        radius: float = SAMPLE_RADIUS,
                        store: Optional[KernelStore] = None) -> CertificateReport:
     """verify_certificate(system, lyap, radius=radius) on the store's grids
-    of the system, with its two grid sups kept in the store as a record.
+    of the system, with its two grid sups held in the store as a record.
 
     The record key covers the system, every field of lyap, the radius and
     the grid's points per axis.  The report is rebuilt from the sups by
@@ -368,7 +368,7 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                    nu2: SpaceTimeWeight, s: float, window: tuple, adjoint: bool,
                    inner: tuple, store: KernelStore) -> ConstantsLedger:
     """estimate_ledger of the arguments, with its eight sups, their edge flags
-    and M kept in the store as a record.
+    and M held in the store as a record.
 
     The record key covers the system, every field of the three weights, s,
     the window, the sample plan and its points per axis, adjoint and inner.
@@ -388,7 +388,7 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
 
 def _stored_row_sum(system, radius: float, store: KernelStore) -> RowSumBound:
     """compute_row_sum_bound(system, radius=radius), with M and the tail verdict
-    kept in the store as a record.
+    held in the store as a record.
 
     The record key covers the system, the radius and the points per axis.
     The bound is rebuilt from the two numbers by row_sum_bound_of, as
@@ -589,35 +589,22 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     return (np.stack(cols, axis=-1) if req.data.ndim == 3 else cols[0]), len(built)
 
 
-def _lu_key(req: Evolution) -> tuple:
-    """The (variant, grid, theta, dt) of the LU a request steps with."""
-    return req.variant, req.grid, float(req.theta), float(req.dt)
-
-
-_WORK = ("factorizations", "assemblies", "steps")
-
-
 def _execute(system, requests: Sequence[Evolution], store: KernelStore,
-             jobs: int, keep_outputs: bool, budget: int = DEFAULT_BUDGET,
-             handles: Optional[dict] = None, keep: Optional[set] = None) -> tuple:
+             jobs: int, keep_outputs: bool, budget: int = DEFAULT_BUDGET) -> tuple:
     """Run the plan of the requests; returns (outputs or None, counts).
 
     Batches of one (variant, grid) form a group with one OperatorHandle of
-    the given budget, kept in handles under (variant, grid) and made on the
-    group's first store miss, so a group whose every field is stored builds
-    nothing.  A P_adjoint handle transposes the matrix of its grid's P
-    handle when that group is done and made one.  A group that takes a
-    handle still holding an LU runs the batches that step with it first.
-    When its last batch is done a group releases its factorization, unless
-    keep names it by (variant, grid, theta, dt), and hands freed heap pages
-    back, so with one job and nothing kept at most one LU is alive.  Without
-    keep the group also drops its handle; with keep every handle stays in
-    handles for a later call, whose start drops the handles it does not
-    plan and releases every LU it does not step with.  With jobs > 1 the
-    groups run in threads, each with its own handle; an adjoint group that
-    starts before its P group is done assembles its own matrix.  Batches
-    never depend on the order or the thread they run in, so neither do the
-    bits.
+    the given budget, made on the group's first store miss, so a group
+    whose every field is stored builds nothing, and the call assembles each
+    operator once and factors each (theta, dt) of it once.  A P_adjoint
+    handle transposes the matrix of its grid's P handle when that group is
+    done and made one.  When its last batch is done a group releases its
+    factorization, drops its handle and hands freed heap pages back, so
+    with one job at most one LU is alive.  A call shares nothing with
+    another but the store.  With jobs > 1 the groups run in threads, each
+    with its own handle; an adjoint group that starts before its P group is
+    done assembles its own matrix.  Batches never depend on the order or the
+    thread they run in, so neither do the bits.
     """
     m = operator_spec_of(system).dims.m
     batches, where = _plan(requests, system_fingerprint(system), m)
@@ -625,33 +612,17 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
                                                                    b.request.grid))]
     adjoint_grids = {b.request.grid for b in batches if b.request.variant == "P_adjoint"}
     forward: dict = {}  # grid -> done P handle whose matrix its adjoint group takes
-    if handles:
-        planned = {(b.request.variant, b.request.grid) for b in batches}
-        steps_with = {_lu_key(b.request) for b in batches}
-        for vg, handle in list(handles.items()):
-            if vg not in planned:
-                del handles[vg]
-                if vg[0] == "P" and vg[1] in adjoint_grids:
-                    forward[vg[1]] = handle
-            if handle.factored is not None and (vg not in planned
-                                                or vg + handle.factored not in steps_with):
-                handle.release()
-                release_freed_memory()
-    handles = {} if handles is None else handles
 
     def run_group(group: list) -> tuple:
-        variant, grid = vg = group[0].request.variant, group[0].request.grid
-        before = {name: getattr(handles[vg], name) for name in _WORK} if vg in handles else {}
-        held = handles[vg].factored if vg in handles else None
-        if held is not None:
-            # a stable sort: the batches stepping with the held LU, then the rest
-            group.sort(key=lambda b: (b.request.theta, b.request.dt) != held)
+        variant, grid = group[0].request.variant, group[0].request.grid
+        handle = None
 
         def handle_of() -> OperatorHandle:
-            if vg not in handles:
+            nonlocal handle
+            if handle is None:
                 fwd = forward.pop(grid, None) if variant == "P_adjoint" else None
-                handles[vg] = OperatorHandle(system, grid, variant, budget, forward=fwd)
-            return handles[vg]
+                handle = OperatorHandle(system, grid, variant, budget, forward=fwd)
+            return handle
 
         done, found, evolved = {}, 0, 0
         for b in group:
@@ -665,14 +636,13 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
                 done[b] = out
         counts = Counter({"batches": len(group), "evolutions": evolved,
                           "fields found in the store": found})
-        handle = handles.get(vg) if keep is not None else handles.pop(vg, None)
         if handle is not None:
-            if keep is None or vg + (handle.factored or ()) not in keep:
-                handle.release()
-            counts.update({name: getattr(handle, name) - before.get(name, 0)
-                           for name in _WORK})
+            handle.release()
+            counts.update(factorizations=handle.factorizations,
+                          assemblies=handle.assemblies, steps=handle.steps)
             if variant == "P" and grid in adjoint_grids:
                 forward[grid] = handle
+            handle = None
             release_freed_memory()
         return done, counts
 
@@ -709,18 +679,15 @@ def evolve_all(system, requests: Sequence[Evolution],
 
 
 def run_plan(system, requests: Sequence[Evolution], store: KernelStore,
-             jobs: int = 1, handles: Optional[dict] = None) -> Counter:
+             jobs: int = 1) -> Counter:
     """Run the requests of several checks into the store, keeping no output.
 
     Duplicates are dropped by store key and the rest run in plan order, so
-    each operator is built once and each (variant, grid, theta, dt) is
-    factored once; the checks then read every field from the store.
-    handles carries the operator handles an earlier plan left, as
-    WorkingRadius.choose does, with the LUs it kept; the plan takes them,
-    so no operator is built twice and no kept LU factored twice.  Returns
-    the PLAN_COUNTS of the work this call did.
+    the call assembles each operator once and factors each (variant, grid,
+    theta, dt) once; the checks then read every field from the store.
+    Returns the PLAN_COUNTS of the work this call did.
     """
-    return _execute(system, requests, store, jobs, keep_outputs=False, handles=handles)[1]
+    return _execute(system, requests, store, jobs, keep_outputs=False)[1]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
@@ -831,25 +798,14 @@ class WorkingRadius:
                                      width, step, self.theta)
                 for g in self.grids]
 
-    def kept(self, later: Sequence[Evolution]) -> set:
-        """The LUs of the study that a later plan may step with, by (variant,
-        grid, theta, dt): those a later request steps with and, at theta = 1,
-        those at the verify spacing, since the checks that move to R_w step
-        at theta = 1 on whichever radius that is."""
-        wanted = {_lu_key(r) for r in later}
-        return {key for key in map(_lu_key, self.requests)
-                if key in wanted or (key[2] == 1.0 and key[1].spacing == self.spacing)}
-
-    def choose(self, store: KernelStore, jobs: int, handles: dict,
-               later: Sequence[Evolution]) -> tuple:
+    def choose(self, store: KernelStore, jobs: int) -> tuple:
         """The RadiusChoice, and the PLAN_COUNTS of the study's plan.
 
-        The plan reads its columns as it runs them, so they are read once;
-        it leaves its operator handles in handles, with the LUs kept(later)
-        names, for the plan of later.
+        The study runs as a plan of its own, which reads its columns as it
+        runs them, so they are read once; it shares only the store with
+        the checks' plan.
         """
-        outputs, counts = _execute(self.system, self.requests, store, jobs, True,
-                                   handles=handles, keep=self.kept(later))
+        outputs, counts = _execute(self.system, self.requests, store, jobs, True)
         return self.measure(outputs), counts
 
     def measure(self, outputs: list) -> RadiusChoice:

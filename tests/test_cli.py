@@ -649,14 +649,13 @@ class TestVerifyPlan:
         store misses inside the working-radius study's plan
         (WorkingRadius.choose) and the checks' (run_plan), and
         work["checks"] the same outside them: before, between and after.
-        work["factored"] lists the (variant, grid, theta, dt) of every
-        factorization, work["assembled"] the (variant, grid) of every
-        assembly, work["requests"] what the plans were given and
-        work["plans"] how many there were.  Records, told by their keys,
-        are not counted.
+        work["plans"] has one entry per plan, in the order they ran: the
+        requests it was given, the (variant, grid, theta, dt) of every
+        factorization it made ("factored") and the (variant, grid) of every
+        assembly ("assembled").  Records, told by their keys, are not
+        counted.
         """
-        work = {"phase": "checks", "plan": Counter(), "checks": Counter(),
-                "factored": [], "assembled": [], "requests": [], "plans": 0}
+        work = {"phase": "checks", "plan": Counter(), "checks": Counter(), "plans": []}
 
         def count(owner, name, what):
             original = getattr(owner, name)
@@ -666,13 +665,17 @@ class TestVerifyPlan:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
+        def in_plan(what, item):
+            if work["phase"] == "plan":
+                work["plans"][-1][what].append(item)
+
         count(solver.OperatorHandle, "evolve", "evolve")
         count(solver, "assemble_generator", "assemble")
         count(solver.sparse_linalg, "splu", "splu")
         assemble = solver.assemble_generator
 
         def watched_assemble(system, grid, variant="P"):
-            work["assembled"].append((variant, grid))
+            in_plan("assembled", (variant, grid))
             return assemble(system, grid, variant)
         monkeypatch.setattr(solver, "assemble_generator", watched_assemble)
         factor = solver.OperatorHandle._factor
@@ -681,8 +684,7 @@ class TestVerifyPlan:
             before = work[work["phase"]]["splu"]
             out = factor(handle, theta, dt)
             if work[work["phase"]]["splu"] > before:
-                work["factored"].append((handle.variant, handle.grid,
-                                         float(theta), float(dt)))
+                in_plan("factored", (handle.variant, handle.grid, float(theta), float(dt)))
             return out
         monkeypatch.setattr(solver.OperatorHandle, "_factor", watched_factor)
 
@@ -701,8 +703,8 @@ class TestVerifyPlan:
 
         def planning(run, requests_of):
             def watched(*args, **kwargs):
-                work["requests"] += list(requests_of(*args))
-                work["plans"] += 1
+                work["plans"].append({"requests": list(requests_of(*args)),
+                                      "factored": [], "assembled": []})
                 work["phase"] = "plan"
                 out = run(*args, **kwargs)
                 work["phase"] = "checks"
@@ -714,37 +716,60 @@ class TestVerifyPlan:
             verify.WorkingRadius.choose, lambda study, *rest: study.requests))
         return work
 
-    @pytest.mark.parametrize("config", [
-        "poly1d", "two_d", "two_d, grid.theta=1", "2 4 6 at 0.25, grid.theta=1"])
-    def test_checks_build_nothing_once_the_plan_ran(self, tmp_path,
-                                                     monkeypatch, config):
-        # with grid.theta = 1 the study steps with the LU the checks on the
-        # working radius take at t_max: R = 2, the largest, on two_d, and
-        # R = 4 below the largest on the 2 4 6 grid
+    @staticmethod
+    def plan_config(tmp_path, config):
+        """poly1d's bench config, TWO_D, or a 2-D variant named by config."""
+        if config == "poly1d":
+            return BENCH_CONFIGS / "poly1d.cfg"
         two_d = dict(TWO_D, grid=dict(TWO_D["grid"], theta="1"))
         if config.startswith("2 4 6"):
             two_d.update(grid={"d": "2", "radii": "2 4 6", "spacing": "0.25",
                                "theta": "1"},
                          verify={"checks": ALL_CHECKS})
-        cfg = BENCH_CONFIGS / "poly1d.cfg" if config == "poly1d" \
-            else make_config(tmp_path, **(two_d if "theta" in config else TWO_D))
+        return make_config(tmp_path, **(two_d if "theta" in config else TWO_D))
+
+    # shared: the working radius, whose LU at t_max both plans factor at
+    # theta = 1; R_max on two_d, R = 4 below the largest on the 2 4 6 grid
+    @pytest.mark.parametrize("config, shared", [
+        ("poly1d", None), ("two_d", None), ("two_d, grid.theta=1", 2.0),
+        ("2 4 6 at 0.25, grid.theta=1", 4.0)],
+        ids=["poly1d", "two_d", "two_d, grid.theta=1", "2 4 6 at 0.25, grid.theta=1"])
+    def test_checks_build_nothing_once_the_plan_ran(self, tmp_path,
+                                                     monkeypatch, config, shared):
         work = self.watch_solver_work(monkeypatch)
-        assert cli.main(["verify", "--config", str(cfg), "--out",
-                         str(tmp_path / "out"), "--jobs", "1"]) == 0
-        # the study's plan, then the checks'
-        assert work["plans"] == 2
+        assert cli.main(["verify", "--config", str(self.plan_config(tmp_path, config)),
+                         "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
         assert work["checks"] == Counter()
-        # over both calls, every (variant, grid, theta, dt) the study and
-        # the checks step with is factored exactly once, and nothing else is
-        wanted = {(r.variant, r.grid, float(r.theta), float(r.dt))
-                  for r in work["requests"]}
-        assert sorted(work["factored"], key=repr) == sorted(wanted, key=repr)
-        assert work["plan"]["splu"] == len(wanted)
-        # and every operator is assembled exactly once; an adjoint one is
-        # the transpose of its grid's P matrix
-        assembled = {(variant, grid) for variant, grid, _, _ in wanted
+        # the study's plan, then the checks'.  Each factors every (variant,
+        # grid, theta, dt) its requests step with exactly once and nothing
+        # else, and assembles every operator it steps with exactly once; an
+        # adjoint one is the transpose of its grid's P matrix
+        steps, operators = [], []
+        for plan in work["plans"]:
+            wanted = {(r.variant, r.grid, float(r.theta), float(r.dt))
+                      for r in plan["requests"]}
+            assert sorted(plan["factored"], key=repr) == sorted(wanted, key=repr)
+            built = {(variant, grid) for variant, grid, _, _ in wanted
                      if variant != "P_adjoint"}
-        assert sorted(work["assembled"], key=repr) == sorted(assembled, key=repr)
+            assert sorted(plan["assembled"], key=repr) == sorted(built, key=repr)
+            steps.append(wanted)
+            operators.append(built)
+        study, checks = work["plans"]
+        # the plans share only the store, so the work both do is exactly
+        # what both need
+        factored = Counter(study["factored"] + checks["factored"])
+        assembled = Counter(study["assembled"] + checks["assembled"])
+        assert {key for key, n in factored.items() if n > 1} == steps[0] & steps[1]
+        assert {key for key, n in assembled.items() if n > 1} == operators[0] & operators[1]
+        # which at theta = 1/2 is no LU, and at theta = 1 the one the checks
+        # on the working radius step to t_max with, as the study did
+        if shared is None:
+            assert steps[0] & steps[1] == set()
+        else:
+            (variant, grid, theta, dt), = steps[0] & steps[1]
+            assert (variant, grid.radius, theta) == ("P", shared, 1.0)
+            assert dt == study["requests"][0].dt
+        assert work["plan"]["splu"] == sum(factored.values())
         assert work["plan"]["evolve"] > 0 and work["plan"]["miss"] > 0
 
     def test_checks_alone_give_the_planned_rows_and_fields(self, tmp_path,
@@ -812,6 +837,29 @@ class TestVerifyPlan:
                          str(tmp_path / "out"), "--jobs", "1"]) == 0
         assert len(most) > 1 and max(most) == 1
 
+    @pytest.mark.parametrize("config", ["poly1d", "2 4 6 at 0.25, grid.theta=1"])
+    def test_at_most_one_lu_is_held_in_a_whole_verify(self, tmp_path, monkeypatch,
+                                                       config):
+        # a handle holds an LU from its factorization to its release; the
+        # study's plan makes its handles as the checks' plan does
+        held, most = set(), []
+        factor, release = solver.OperatorHandle._factor, solver.OperatorHandle.release
+
+        def tracked_factor(handle, theta, dt):
+            out = factor(handle, theta, dt)
+            held.add(handle)
+            most.append(len(held))
+            return out
+
+        def tracked_release(handle):
+            held.discard(handle)
+            release(handle)
+        monkeypatch.setattr(solver.OperatorHandle, "_factor", tracked_factor)
+        monkeypatch.setattr(solver.OperatorHandle, "release", tracked_release)
+        assert cli.main(["verify", "--config", str(self.plan_config(tmp_path, config)),
+                         "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+        assert len(most) > 1 and max(most) == 1 and held == set()
+
     def test_rerun_hashes_each_data_request_once(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path, **TWO_D)
         args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
@@ -832,6 +880,26 @@ class TestVerifyPlan:
         assert len(hashed) == len(hashing) == 10
         assert [r.legs for r in planned if r.legs] == [(0.25,)]
 
+    def test_poly1d_bench_config_pins_its_solver_work(self, tmp_path, capsys):
+        # the bench traffic's solver work: a change to it re-pins this line
+        cfg, out = str(BENCH_CONFIGS / "poly1d.cfg"), str(tmp_path / "out")
+        plans = []
+        for command in ("all", "verify"):
+            assert cli.main([command, "--config", cfg, "--out", out]) == 0
+            head, _, plan = capsys.readouterr().out.splitlines()[-1].partition("; plan: ")
+            assert head.startswith("verify: 10 check runs in ")
+            plans.append(plan)
+        # solve stores the study's R = 16 columns at h = 1/16, so the 8
+        # assemblies are the study's P on R = 4 and R = 8 at h and on R = 16
+        # at 2h, then the checks' P on R = 4, 8 and 16 at h, plain on R = 8
+        # at h, and P on R = 8 at 2h (weighted's coarse grid); the rerun
+        # finds every field and builds nothing
+        assert plans == [
+            "29 requests, 23 batches, 21 evolutions, 4 fields found in the store, "
+            "13 factorizations, 8 assemblies, 674 steps",
+            "29 requests, 23 batches, 0 evolutions, 40 fields found in the store, "
+            "0 factorizations, 0 assemblies, 0 steps"]
+
     def test_closing_line_reports_the_plan(self, tmp_path, capsys,
                                            monkeypatch):
         cfg = make_config(tmp_path, **TWO_D)
@@ -851,13 +919,15 @@ class TestVerifyPlan:
         assert cold["requests"] == rerun["requests"] > cold["batches"] \
             == rerun["batches"]
         assert cold["fields found in the store"] == 0
-        # the checks' plan: 24 requests in 18 batches, 10 LUs on 4 operators
-        # and 578 steps; the working-radius study adds its 3 batches, on
-        # R = 1 and R = 2 and on R = 2 at twice the spacing, each with an
-        # LU at t = 0.5 that no check steps with and 32 steps.  Its R = 1
-        # and R = 2 operators are monotone's, and its coarse one weighted's
+        # the checks' plan: 24 requests in 18 batches, 10 LUs and 578 steps
+        # on 4 operators, P on R = 1 (monotone's), P and plain on R = 2 and P
+        # on R = 2 at twice the spacing (weighted's coarse grid).  The
+        # working-radius study adds its 3 batches, on R = 1 and R = 2 and on
+        # R = 2 at twice the spacing, each with an LU at t = 0.5 that no
+        # check steps with and 32 steps, on 3 P operators of its own: the
+        # plans share only the store, so those are assembled again
         assert [cold[name] for name in verify.PLAN_COUNTS] == \
-            [24 + 3, 18 + 3, 18 + 3, 0, 10 + 3, 4, 578 + 3 * 32]
+            [24 + 3, 18 + 3, 18 + 3, 0, 10 + 3, 4 + 3, 578 + 3 * 32]
         # the rerun reads each stored field once and builds nothing; the
         # certificate, ledger and row-sum records are not fields
         fields = sorted(set(os.listdir(out / "store"))

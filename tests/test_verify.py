@@ -979,45 +979,6 @@ class TestPlan:
         assert [p.name for p in serial] == [p.name for p in threads]
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(serial, threads))
 
-    def test_a_later_call_takes_the_handles_and_steps_first_with_the_kept_lu(
-            self, tmp_path):
-        fam, g = headline_family(), GridSpec(1, 2.0, 0.125)
-        study = Evolution.of_sources("P", g, 0.5, [(0.5, 0)], theta=1.0)
-        ones = np.ones((g.n_nodes, 2))
-        # by plan order the t = 0.25 batch, whose step is shorter, runs first
-        checks = [Evolution.of_values("P", g, ones, t, theta=1.0) for t in (0.25, 0.5)]
-        handles, store = {}, KernelStore(tmp_path)
-        first = verify._execute(fam, [study], store, 1, False, handles=handles,
-                                keep={("P", g, 1.0, study.dt)})[1]
-        assert handles[("P", g)].factored == (1.0, study.dt)
-        second = run_plan(fam, checks, store, handles=handles)
-        # one assembly over both calls; the second steps with the kept LU
-        # before it factors the t = 0.25 step, and drops the handle when done
-        assert (first["assemblies"], second["assemblies"]) == (1, 0)
-        assert (first["factorizations"], second["factorizations"]) == (1, 1)
-        assert handles == {}
-
-    def test_a_call_releases_what_it_does_not_keep_or_step_with(self, tmp_path):
-        fam = headline_family()
-        small, big = GridSpec(1, 1.0, 0.125), GridSpec(1, 2.0, 0.125)
-        reqs = [Evolution.of_sources("P", g, 0.5, [(0.5, 0)]) for g in (small, big)]
-        handles, store = {}, KernelStore(tmp_path)
-        verify._execute(fam, reqs, store, 1, False, handles=handles,
-                        keep={verify._lu_key(reqs[1])})
-        # every handle stays for a later call, with only the kept LU
-        assert handles[("P", small)].factored is None
-        assert handles[("P", big)].factored == (0.5, reqs[1].dt)
-        # a later call drops the handles it does not plan, and the LUs it
-        # does not step with, before it runs
-        later = Evolution.of_sources("P", big, 0.25, [(0.5, 0)])
-        released = []
-        kept = handles[("P", big)]
-        kept.release = lambda: released.append(kept.factored) or OperatorHandle.release(kept)
-        counts = verify._execute(fam, [later], store, 1, False, handles=handles,
-                                 keep=set())[1]
-        assert list(handles) == [("P", big)] and released[0] == (0.5, reqs[1].dt)
-        assert counts["assemblies"] == 0 and counts["factorizations"] == 1
-
 
 def poly_family(d):
     # the bench configs' polynomial system, in one or two dimensions
@@ -1096,11 +1057,3 @@ class TestWorkingRadius:
         assert choice.radius == 4.0
         assert choice.line().startswith("working radius R = 4, the largest, at t = 0.5: "
                                         "space error ")
-
-    def test_at_theta_one_it_keeps_the_lus_the_moved_checks_may_take(self):
-        # at theta = 1/2 only the LUs a later request steps with, at 1 every
-        # one at the verify spacing as well
-        half, one = study_of(POLY1D, 0.5), study_of(POLY1D, 0.5, theta=1.0)
-        assert half.kept([]) == set()
-        assert half.kept(half.requests[-2:-1]) == {verify._lu_key(half.requests[-2])}
-        assert one.kept([]) == {verify._lu_key(r) for r in one.requests[:-1]}
