@@ -27,6 +27,14 @@ growing coefficients:
 
 All family evaluators are vectorized over trailing point batches: x may be a
 single point of shape (d,) or a batch of shape (n, d).
+
+Both families are even in x, bit for bit: q, v and div b read x only through
+r = 1+|x|^2 and the squares x_i^2, and R and b are x_i times such a factor,
+so they are odd, and negating a float is exact.  Every ratio the
+certificates, the constants ledger and the row sums take a sup or inf of is
+built from even fields and products of two odd ones (b and R against the
+gradient 2 x S'(r) of a radial weight), so it is even too, and
+lyapunov._sample_points takes a family's sample box at half its points.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .lyapunov import (
     _cooperative_row_sums,
     _grid_points,
     _points_per_axis,
+    _sample_points,
     _signed_log_sum,
     time_blocks,
 )
@@ -82,14 +83,13 @@ class RowSumBound:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Sampling layout for numeric suprema: time count, box radius, axis points."""
+    """Sampling layout for numeric suprema: time count, box radius, axis
+    points.  The points are lyapunov._sample_points of the system: half the
+    box for a family, the whole box otherwise."""
 
     t_count: int = 9
     radius: float = SAMPLE_RADIUS
     per_axis: Optional[int] = None
-
-    def points(self, d: int) -> np.ndarray:
-        return _grid_points(d, self.radius, self.per_axis)
 
     def times(self, a0: float, b0: float) -> np.ndarray:
         return np.linspace(a0, b0, self.t_count)
@@ -204,14 +204,15 @@ def compute_row_sum_bound(system, adjoint: bool = False,
                           radius: float = SAMPLE_RADIUS) -> RowSumBound:
     """Grid infimum of the worst cooperative row sum, with a tail probe.
 
-    The infimum is taken over a box of the given radius; along each signed
-    axis (and in-plane diagonals for d = 2) the row sums are probed at
-    radii radius * {1, 1.25, 1.5, 2} and must be nondecreasing for the tail
-    to count as certified, otherwise the result is marked numeric-only.
+    The infimum is taken over a box of the given radius, half of it for a
+    family, whose row sums are even (lyapunov._sample_points).  Along each
+    signed axis (and in-plane diagonals for d = 2) the row sums are probed
+    at radii radius * {1, 1.25, 1.5, 2} and must be nondecreasing for the
+    tail to count as certified, otherwise the result is marked numeric-only.
     """
     d = system.dims.d
     n = _points_per_axis(d)
-    pts = _grid_points(d, radius, n)
+    pts = _sample_points(system, radius, n)
     sums = _cooperative_row_sums(system, pts, adjoint, with_divb=adjoint)
     M = float(np.min(sums))
 
@@ -403,18 +404,20 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
 
     w must decay relative to nu1 and nu2 (eps strictly increasing along
     w, nu1, nu2 and shared sigma, rho), otherwise the ratios blow up.  The
-    supremum runs over plan.times(a0, b0) x plan.points; every evaluation
+    supremum runs over plan.times(a0, b0) x the plan's box; every evaluation
     is a log-space combination, so family coefficients far beyond float64
     range still produce finite ratios.  adjoint=True computes the starred
     variant: the potential item additionally absorbs |div b|, and the
     resulting constants land in c with M from the adjoint row sums (use
     ConstantsLedger.with_adjoint to merge).  inner overrides the inner
-    window pair (a, b); the default sits at even quarters.  The
-    coefficients depend on x only, so their log-entries and the norms of
-    items 5-8 are evaluated once per grid (ledger_fields).  The window
-    times are evaluated in blocks (lyapunov.time_blocks), one vectorized
-    pass each; sups, argmaxes and the first non-finite ratio are taken in
-    time order.
+    window pair (a, b); the default sits at even quarters.  The points are
+    lyapunov._sample_points of the plan's box: half of it for a family,
+    whose ratios are even in x, which gives the whole box's sups, edge
+    flags and first non-finite point.  The coefficients depend on x only,
+    so their log-entries and the norms of items 5-8 are evaluated once per
+    grid (ledger_fields).  The window times are evaluated in blocks
+    (lyapunov.time_blocks), one vectorized pass each; sups, argmaxes and
+    the first non-finite ratio are taken in time order.
     """
     a0, b0 = window
     if not (0 < a0 < b0):
@@ -427,7 +430,7 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
             f"need eps(w) < eps(nu1) < eps(nu2), got {w.eps}, {nu1.eps}, {nu2.eps}")
     plan = plan or SamplePlan()
     d = system.dims.d
-    pts = plan.points(d)
+    pts = _sample_points(system, plan.radius, plan.per_axis)
     n = len(pts)
     at = RadialPoints(pts, d)  # the three weights share form and rho
     sups = np.zeros(8)

@@ -617,6 +617,24 @@ def _grid_points(d: int, radius: float, per_axis: Optional[int] = None) -> np.nd
     return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
 
+def _sample_points(system, radius: float, per_axis: Optional[int] = None) -> np.ndarray:
+    """The points of the sample box on which the sups and infs of system's
+    certificates, ledger and row sums are taken.
+
+    A family's ratios are even in x (see coefficients.py), and the box lists
+    its points in row-major order, so the mirror -x of its i-th point is its
+    point N-1-i when the box is its own mirror image bit for bit.  The leading
+    half, which ends at the center, then holds every value the whole box
+    holds, the first argmax of each sup and the first non-finite point, and
+    a family takes only that half.  An opaque OperatorSpec, or a box whose
+    linspace is not exactly symmetric, takes the whole box.
+    """
+    pts = _grid_points(system.dims.d, radius, per_axis)
+    if isinstance(system, _FamilyBase) and np.array_equal(pts, -pts[::-1]):
+        return pts[:(len(pts) + 1) // 2]
+    return pts
+
+
 def _signed_log_sum(logabs: np.ndarray, sign: np.ndarray, axis: int = 0):
     """Stable signed sum of terms given by (log|term|, sign); returns (log|sum|, sign)."""
     M = np.max(logabs, axis=axis, keepdims=True)
@@ -726,7 +744,7 @@ class CertificateGrids:
     def fields(self, radius: float, per_axis: Optional[int], adjoint: bool) -> GridFields:
         key = (radius, _points_per_axis(self.system.dims.d, per_axis), adjoint)
         if key not in self._fields:
-            pts = _grid_points(self.system.dims.d, radius, per_axis)
+            pts = _sample_points(self.system, radius, per_axis)
             self._fields[key] = grid_fields(self.system, pts, adjoint)
         return self._fields[key]
 
@@ -800,7 +818,9 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     geometric time ladder.  Fails with a certificate error when the sup
     grows by 10% or more under radius doubling (the function is then no
     Lyapunov function for this operator); passes when the two suprema agree
-    within tolerance * max(1, |sup|).  The coefficient fields depend on x
+    within tolerance * max(1, |sup|).  Each grid is _sample_points of its
+    radius: half the box for a family, whose generator ratio is even in x,
+    which gives the whole box's sups.  The coefficient fields depend on x
     only, so they are evaluated once per grid and reused at every ladder
     time; grids, when given, keeps them for the system's next certificate,
     which is how a command's kernel store evaluates each grid once.  The ladder is

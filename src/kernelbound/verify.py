@@ -200,29 +200,21 @@ def save_field(path, values):
         raise
 
 
-def _read_shape(fh, path) -> tuple:
-    """The shape the header of an open store file names, with fh left at the
-    payload, which is not read.  DomainError for a wrong magic or a file
-    whose length does not match the shape; struct.error for a file too short
-    to hold its first eight bytes."""
-    size = os.fstat(fh.fileno()).st_size
-    magic, ndim = struct.unpack("<4sI", fh.read(8))
-    if magic != _MAGIC:
-        raise DomainError(f"{path} is not a kernel store file")
-    start = 8 + 8 * ndim
-    # a foreign axis count is never unpacked: the file must hold its axes
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if start <= size else None
-    if shape is None or size - start != 8 * math.prod(shape):
-        raise DomainError(f"{path} does not hold the array its header names")
-    return shape
-
-
 def load_field(path) -> np.ndarray:
-    """The read-only array of a store file; _read_shape's errors for a file
-    that does not hold the array its header names."""
+    """The read-only array of a store file.  DomainError for a wrong magic or
+    a file whose length does not match the shape its header names;
+    struct.error for a file too short to hold its first eight bytes."""
     # unbuffered: the header is read in two small reads, the payload in one
     with open(path, "rb", buffering=0) as fh:
-        shape = _read_shape(fh, path)
+        size = os.fstat(fh.fileno()).st_size
+        magic, ndim = struct.unpack("<4sI", fh.read(8))
+        if magic != _MAGIC:
+            raise DomainError(f"{path} is not a kernel store file")
+        start = 8 + 8 * ndim
+        # a foreign axis count is never unpacked: the file must hold its axes
+        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if start <= size else None
+        if shape is None or size - start != 8 * math.prod(shape):
+            raise DomainError(f"{path} does not hold the array its header names")
         return np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
 
 
@@ -291,34 +283,25 @@ class KernelStore:
             self._grids[id(system)] = CertificateGrids(system)
         return self._grids[id(system)]
 
-    def holds(self, key: StoreKey) -> bool:
-        """Whether an entry sits under key, in memory or in a file whose
-        header names an array of the file's length.
-
-        Only the header is read, so a file holding a NaN still counts;
-        get_or_compute rebuilds it when it is read.
-        """
-        if key.digest in self._memory:
-            return True
-        path = self._path(key)
-        if path is None:
-            return False
-        try:
-            with open(path, "rb", buffering=0) as fh:
-                _read_shape(fh, path)
-        except _UNREADABLE:
-            return False
-        return True
-
     def get_or_compute(self, key: StoreKey, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The array under key, from memory, from its file, or from build, and
         then written to its file, if it has one, and held in memory if
-        key.shared or it has no file."""
-        if key.digest in self._memory:
-            return self._memory[key.digest]
+        key.shared or it has no file.
+
+        An unshared entry is read twice in a verify: by the plan, then by
+        its one check.  So one whose file the store finds at its first look
+        is held, as loaded or rebuilt, until the next look takes it: the
+        plan reads each file it finds and rebuilds a damaged one, and the
+        check reads no file.
+        """
         path = self._path(key)
-        values = None
+        kept = key.shared or path is None
+        values = self._memory.get(key.digest) if kept else self._memory.pop(key.digest, None)
+        if values is not None:
+            return values
+        held = kept
         if path is not None and os.path.exists(path):
+            held = held or key.digest not in self._seen
             try:
                 values = load_field(path)  # looked up at each call
             except _UNREADABLE:
@@ -330,7 +313,7 @@ class KernelStore:
             if path is not None:
                 save_field(path, values)
         self._seen.add(key.digest)
-        if key.shared or path is None:
+        if held:
             self._memory[key.digest] = values
         return values
 
@@ -556,7 +539,7 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
 
 
 def _evolve_batch(b: _Batch, store: KernelStore, m: int,
-                  handle_of: Callable[[], OperatorHandle]) -> tuple:
+                  handle_of: Callable[[], OperatorHandle], keep: bool) -> tuple:
     """The output of a batch, read through the store, and how many of its
     fields were built.
 
@@ -566,6 +549,7 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     leg.  So a field has the same bits whichever fields were stored before,
     and none is built unless the batch evolved.  A column batch gives a
     dict of columns by component, any other an array shaped like its data.
+    Without keep the output is None.
     """
     req = b.request
     built, evolved = [], []
@@ -583,6 +567,8 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
         return np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u)
 
     fields = {j: store.get_or_compute(key, lambda j=j: build(j)) for j, key in b.keys.items()}
+    if not keep:
+        return None, len(built)
     if b.center is not None:
         return fields, len(built)
     cols = list(fields.values())
@@ -626,10 +612,7 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
 
         done, found, evolved = {}, 0, 0
         for b in group:
-            if not keep_outputs and all(map(store.holds, b.keys.values())):
-                found += len(b.keys)  # nothing to compute, and no output wanted
-                continue
-            out, built = _evolve_batch(b, store, m, handle_of)
+            out, built = _evolve_batch(b, store, m, handle_of, keep_outputs)
             found += len(b.keys) - built
             evolved += built > 0
             if keep_outputs:
@@ -684,7 +667,10 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore,
 
     Duplicates are dropped by store key and the rest run in plan order, so
     the call assembles each operator once and factors each (variant, grid,
-    theta, dt) once; the checks then read every field from the store.
+    theta, dt) once; the checks then read every field from the store.  The
+    plan reads every field it finds, so a file that does not load, or holds
+    a NaN, is rebuilt here, and the store holds each unshared field it
+    found until its check reads it, so each file is read once.
     Returns the PLAN_COUNTS of the work this call did.
     """
     return _execute(system, requests, store, jobs, keep_outputs=False)[1]

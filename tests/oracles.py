@@ -284,10 +284,10 @@ def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                        nu2: SpaceTimeWeight, s: float, window: tuple, plan: SamplePlan,
                        adjoint: bool = False) -> tuple:
     """The eight ledger sups and their edge flags over plan.times(*window)
-    x plan.points, one time at a time; raises NonFiniteError at the first
-    time, item and point whose ratio is not finite."""
+    x the whole box of the plan, one time at a time; raises NonFiniteError
+    at the first time, item and point whose ratio is not finite."""
     d = system.dims.d
-    pts = plan.points(d)
+    pts = _grid_points(d, plan.radius, plan.per_axis)
     at = RadialPoints(pts, d)
     n = len(pts)
     sups = np.zeros(8)

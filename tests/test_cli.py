@@ -575,6 +575,37 @@ class TestVerifyCommand:
         for name, blob in cold.items():
             assert (out / name).read_bytes() == blob
 
+    def test_a_nan_in_a_field_file_is_rebuilt_by_the_plan(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the plan reads every field file it finds, so a NaN payload of the
+        # right length is rebuilt there, once, and still every file is read
+        # once per rerun
+        cfg = make_config(tmp_path, verify={"checks": "domination mass integrability"},
+                          output={"formats": "txt csv"})
+        out = tmp_path / "out"
+        args = ["verify", "--config", str(cfg), "--out", str(out), "--jobs", "1"]
+        keys = watch_record_keys(monkeypatch)
+        assert cli.main(args) == 0
+        cold = (out / "verify_summary.txt").read_bytes()
+        store = out / "store"
+        fields = sorted(set(os.listdir(store)) - record_files(store, keys))
+        assert len(fields) > 5
+        reads = Counter()
+        load = verify.load_field
+        monkeypatch.setattr(verify, "load_field",
+                            lambda path: reads.update([os.path.basename(path)]) or load(path))
+        for name in fields:
+            blob = (store / name).read_bytes()
+            (store / name).write_bytes(blob[:-8] + np.float64(np.nan).tobytes())
+            reads.clear()
+            capsys.readouterr()
+            assert cli.main(args) == 0
+            closing = capsys.readouterr().out.strip().splitlines()[-1]
+            assert " 1 evolutions, %d fields found" % (len(fields) - 1) in closing
+            assert (store / name).read_bytes() == blob
+            assert (out / "verify_summary.txt").read_bytes() == cold
+            assert set(reads) == set(os.listdir(store)) and set(reads.values()) == {1}
+
     @pytest.mark.parametrize("update, recomputed", [
         # domination's two random batches, and chapman's direct path and
         # the two legs of its composed one

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelbound import cli
+from kernelbound import cli, hypotheses
 from kernelbound import coefficients as co
 from kernelbound import lyapunov as ly
 from kernelbound import verify
@@ -361,6 +361,117 @@ def test_blocked_ledger_names_the_loop_first_non_finite_ratio(per_axis):
         ledger_window_sups(*args, plan=plan)
     assert str(blocked.value) == str(looped.value)
     assert "t=0.01," not in str(blocked.value)
+
+
+# ---------------------------------------------------------------------------
+# half boxes against the whole box
+# ---------------------------------------------------------------------------
+
+def skewed(kind):
+    """family(kind, 2) with off-diagonal diffusion and a drift that differs
+    from axis to axis: even in x, but not under the reflection of one axis."""
+    fam = family(kind, 2)
+    zeta = np.array([[[1.0, 0.3], [0.3, 1.0]], [[0.8, -0.2], [-0.2, 1.0]]])
+    eta = np.array([[1.0, 2.0], [1.5, 1.0]])
+    return type(fam)(fam.dims, zeta, fam.alpha, eta, fam.beta, fam.theta, fam.gamma)
+
+
+def whole_box(monkeypatch):
+    """Make every sampler take the whole box, as _grid_points lays it out."""
+    def whole(system, radius, per_axis=None):
+        return ly._grid_points(system.dims.d, radius, per_axis)
+
+    for module in (ly, hypotheses):
+        monkeypatch.setattr(module, "_sample_points", whole)
+
+
+def sampled_numbers(fam, target):
+    """Both certificates' sups, the ledger and the row-sum bound of fam, as
+    float.hex, with the ledger's edge flags and the row sums' tail verdict."""
+    res = synthesize(fam, target)
+    static = ly.verify_certificate(fam, res.static)
+    timed = ly.verify_certificate(fam, res.timed)
+    adjoint = target == "P_adjoint"
+    led = estimate_ledger(fam, *ledger_weights(timed.certified), s=5.0,
+                          window=(0.0625, 0.375), adjoint=adjoint)
+    row = compute_row_sum_bound(fam, adjoint=adjoint)
+    sups = [static.sup_coarse, static.sup_fine, timed.sup_coarse, timed.sup_fine,
+            *led.c, led.M, row.M]
+    return [float(v).hex() for v in sups], list(led.boundary_flags), row.certified_tail
+
+
+MIRROR_CASES = [(kind, d, skew, target) for kind in ("polynomial", "exponential")
+                for d, skew in ((1, False), (2, False), (2, True)) for target in ly.TARGETS]
+
+
+@pytest.mark.parametrize("kind,d,skew,target", MIRROR_CASES)
+def test_a_family_on_half_the_box_has_the_bits_of_the_whole_box(
+        kind, d, skew, target, monkeypatch):
+    fam = skewed(kind) if skew else family(kind, d)
+    n = ly._points_per_axis(d) ** d
+    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS)) == (n + 1) // 2
+    half = sampled_numbers(fam, target)
+    # the one-time-at-a-time loops of oracles.py sample the whole box
+    timed = synthesize(fam, target).timed
+    looped = [max(certificate_ladder_sups(fam, timed, R))
+              for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
+    calibrated = ly.verify_certificate(fam, timed).certified
+    sups, edge = ledger_window_sups(fam, *ledger_weights(calibrated), 5.0, (0.0625, 0.375),
+                                    SamplePlan(), adjoint=target == "P_adjoint")
+    assert half[0][2:12] == [float(v).hex() for v in looped + sups]
+    assert half[1] == edge
+    whole_box(monkeypatch)
+    assert sampled_numbers(fam, target) == half
+
+
+def test_an_opaque_spec_and_an_inexact_box_take_the_whole_box(monkeypatch):
+    fam = family("polynomial", 1)
+    assert len(ly._sample_points(fam.operator_spec(), ly.SAMPLE_RADIUS)) == 513
+    # the step 40/1999 is inexact, so this box is not its own mirror image
+    pts = ly._grid_points(1, ly.SAMPLE_RADIUS, 2000)
+    assert not np.array_equal(pts, -pts[::-1])
+    assert np.array_equal(ly._sample_points(fam, ly.SAMPLE_RADIUS, 2000), pts)
+    timed = synthesize(fam, "P").timed
+    rep = ly.verify_certificate(fam, timed, per_axis=2000)
+    looped = [max(certificate_ladder_sups(fam, timed, R, 2000))
+              for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
+    assert [rep.sup_coarse.hex(), rep.sup_fine.hex()] == [v.hex() for v in looped]
+    # its leading half, taken without the mirror check, misses those bits
+    monkeypatch.setattr(ly, "_sample_points", lambda system, radius, per_axis=None:
+                        ly._grid_points(1, radius, per_axis)[:per_axis // 2])
+    half = ly.verify_certificate(fam, timed, per_axis=2000)
+    assert [half.sup_coarse.hex(), half.sup_fine.hex()] != [v.hex() for v in looped]
+
+
+def test_a_drift_that_is_not_even_peaks_in_the_half_a_family_drops():
+    # b = +1 makes <b, grad S> odd in x: the generator ratio peaks at the
+    # box's last point, so the rule is sound for even families only
+    spec = operator_spec_from_callables(
+        co.SystemDims(1, 1),
+        Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1])[:, None, None],
+        b=lambda h, x: np.ones_like(np.atleast_2d(x)),
+        V=lambda x: np.zeros(np.atleast_2d(x).shape[:1])[:, None, None])
+    lyap = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.1)
+    pts = ly._grid_points(1, ly.SAMPLE_RADIUS)
+    ratio = ly._generator_ratio(spec, lyap, None, None, pts)[0]
+    kept = (len(pts) + 1) // 2
+    assert int(np.argmax(ratio)) >= kept and ratio[:kept].max() < ratio.max()
+    # and a spec's certificate grid is the whole box
+    grid = ly.CertificateGrids(spec).fields(ly.SAMPLE_RADIUS, None, adjoint=False)
+    assert np.array_equal(grid.points.pts, pts)
+
+
+def test_a_half_box_ledger_names_the_first_non_finite_ratio_of_the_whole_box(monkeypatch):
+    # e^{r^3} potentials leave float range inside the box
+    fam = co.diagonal_family("exponential", 2, 2, theta=[[1.0, 0.5], [0.5, 1.0]],
+                             gamma=[[3.0, 1.0], [1.0, 3.0]])
+    w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0) for eps in (1.0, 1.5, 2.0))
+    with pytest.raises(NonFiniteError) as half:
+        estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
+    whole_box(monkeypatch)
+    with pytest.raises(NonFiniteError) as whole:
+        estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
+    assert str(half.value) == str(whole.value)
 
 
 # ---------------------------------------------------------------------------
