@@ -487,7 +487,8 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         study = verify.WorkingRadius(fam, radii, spacing,
                                      max(c.horizon for c in moved), srcs[0],
                                      width, dt, theta, reach)
-        radius, counts = study.choose(store, jobs)
+        outputs, counts = verify.run_plan(fam, study.requests, store, jobs)
+        radius = study.measure(outputs)
         plan.update(counts)
         working = solver.GridSpec(d, radius.radius, spacing)
         checks_run = [replace(check, grid=working) if check in moved else check
@@ -496,7 +497,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     # data of each request is built and hashed once
     requests = [req for check in checks_run for req in check.requests] + plots
     try:
-        plan.update(verify.run_plan(fam, requests, store, jobs))
+        plan.update(verify.run_plan(fam, requests, store, jobs)[1])
     except KernelBoundError:
         # the check, or the plot, that needs the failed evolution meets the
         # error again and reports it, after the checks before it ran, as

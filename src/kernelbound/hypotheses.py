@@ -227,12 +227,13 @@ def compute_row_sum_bound(system, adjoint: bool = False,
                 v = np.zeros(d)
                 v[0], v[1] = si, sj
                 dirs.append(v / math.sqrt(2.0))
+    # one call over every probe point: each row sum reads its point alone
+    radii = radius * np.array([1.0, 1.25, 1.5, 2.0])
+    probe = np.stack([rr * v for v in dirs for rr in radii])
+    vals = _cooperative_row_sums(system, probe, adjoint, with_divb=adjoint).min(axis=0)
     certified = True
-    for v in dirs:
-        radii = radius * np.array([1.0, 1.25, 1.5, 2.0])
-        probe = np.stack([rr * v for rr in radii])
-        vals = _cooperative_row_sums(system, probe, adjoint, with_divb=adjoint).min(axis=0)
-        for lo, hi in zip(vals[:-1], vals[1:]):
+    for ray in vals.reshape(len(dirs), len(radii)):
+        for lo, hi in zip(ray[:-1], ray[1:]):
             if hi >= lo:
                 continue
             tol = 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0

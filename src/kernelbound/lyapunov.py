@@ -384,7 +384,6 @@ def growth_integral(c0: float, eps_T: float, sigma: float, delta: float, t) -> n
 class SynthesisResult:
     static: LyapunovSpec
     timed: TimeLyapunovSpec
-    notes: dict
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -475,7 +474,6 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
     if T <= 0:
         raise DomainError("need horizon T > 0")
     m = fam.dims.m
-    notes: dict = {"family": "polynomial", "target": target, "T": T}
 
     if target == "P":
         uppers = []
@@ -504,8 +502,6 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
         sigma_min = rho / (mstar - rho)
         sigma = sigma_min + 1.0
         delta = _delta_midpoint(sigma, (mstar - rho) / mstar)
-        notes.update(rho_interval=(0.0, U), eps_cap=cap, equality_indices=equality,
-                     damping=mstar, sigma_min=sigma_min)
     else:
         uppers = []
         for k in range(m):
@@ -532,13 +528,10 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
         sigma_min = rho / (gmin - rho)
         sigma = sigma_min + 1.0
         delta = _delta_midpoint(sigma, (gmin - rho) / gmin)
-        notes.update(rho_interval=(0.0, U), eps_cap=cap, equality_indices=equality,
-                     damping=gmin, sigma_min=sigma_min)
 
     static = LyapunovSpec(form="power", rho=rho, eps_hat=eps_hat, target=target)
     timed = TimeLyapunovSpec(base=static, T=T, sigma=sigma, delta=delta)
-    notes.update(rho=rho, eps_hat=eps_hat, sigma=sigma, delta=delta)
-    return SynthesisResult(static=static, timed=timed, notes=notes)
+    return SynthesisResult(static=static, timed=timed)
 
 
 def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisResult:
@@ -555,7 +548,6 @@ def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisR
     if T <= 0:
         raise DomainError("need horizon T > 0")
     m = fam.dims.m
-    notes: dict = {"family": "exponential", "target": target, "T": T}
 
     if target == "P":
         caps = [max(fam.beta_min(k), float(fam.gamma[k, k])) for k in range(m)]
@@ -568,7 +560,6 @@ def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisR
         eps_hat = 0.5
         sigma = 1.0  # free choice for the forward target, fixed for determinism
         delta = _midpoint(sigma / (sigma + 1.0), sigma)
-        notes.update(rho_interval=(0.0, U), sigma_choice="default 1 (forward target leaves sigma free)")
     else:
         gmin = fam.gamma_diag_min()
         if gmin <= 0:
@@ -578,12 +569,10 @@ def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisR
         sigma_min = rho / (gmin - rho)
         sigma = sigma_min + 1.0
         delta = _midpoint(sigma / (sigma + 1.0), sigma)
-        notes.update(rho_interval=(0.0, gmin), sigma_min=sigma_min)
 
     static = LyapunovSpec(form="integrated-exp", rho=rho, eps_hat=eps_hat, target=target)
     timed = TimeLyapunovSpec(base=static, T=T, sigma=sigma, delta=delta)
-    notes.update(rho=rho, eps_hat=eps_hat, sigma=sigma, delta=delta)
-    return SynthesisResult(static=static, timed=timed, notes=notes)
+    return SynthesisResult(static=static, timed=timed)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +586,6 @@ class CertificateReport:
     sup_fine: float
     radius: float
     passed: bool
-    message: str
 
 
 # default radius of the certificate, ledger and row-sum sample boxes, and
@@ -867,12 +855,10 @@ def certificate_report(lyap: LyapunovSpec | TimeLyapunovSpec, sup_c: float, sup_
             f"unbounded growth: certificate sup rose from {sup_c:.6g} (R={radius:g}) "
             f"to {sup_f:.6g} (R={2 * radius:g})")
     passed = abs(sup_f - sup_c) <= tolerance * scale
-    msg = (f"sup {sup_c:.6g} -> {sup_f:.6g} under radius doubling, "
-           f"{'stable' if passed else 'not stable'} at tolerance {tolerance:g}")
     # the doubled grid halves core resolution, so certify against both sups
     if timed:
         certified = replace(lyap, c0=max(0.0, sup_c, sup_f))
     else:
         certified = replace(lyap, lam=max(0.0, sup_c, sup_f))
     return CertificateReport(certified=certified, sup_coarse=sup_c, sup_fine=sup_f,
-                             radius=radius, passed=passed, message=msg)
+                             radius=radius, passed=passed)

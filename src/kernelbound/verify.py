@@ -13,11 +13,11 @@ grid, t, resolved step, theta, point sources or initial data, and any
 further time legs, as the composed path of the semigroup identity has),
 and whose measure method turns their outputs into a CheckResult, evolving
 nothing.  check_domination and its siblings run a declaration, or the one
-their arguments build, through the executor, evolve_all; the verify
-command first hands every check's requests to run_plan.
-The executor computes every store key when it plans, so it hashes no
-output.  It drops duplicate requests by store key, sorts the rest by
-(variant, grid, theta, dt), runs each (variant, grid) on one operator
+their arguments build, through evolve_all; the verify command first hands
+every check's requests to run_plan, the one executor, which evolve_all
+calls too.  The executor computes every store key when it plans, so it
+hashes no output.  It drops duplicate requests by store key, sorts the
+rest by (variant, grid, theta, dt), runs each (variant, grid) on one operator
 handle, made on the first store miss, so a plan assembles every operator
 once and factors every step size once, and releases the handle's LU when
 its last request is done.  Every batch takes one path through the store,
@@ -26,11 +26,14 @@ another's output.  Requests are never merged into wider batches: each keeps the
 batch it had when its check ran alone, so every column has the same bits
 whether a check runs alone, in the plan, or in a thread.  Every evolution
 goes through a kernel store, one in memory for the call when none is
-given, so after run_plan the checks compute nothing.
+given.  The store holds every entry it loads or builds for its life, and
+writes each one it builds to its file when its key has one, so after
+run_plan the checks compute nothing and read no file.
 
 The paper bounds the kernel on R^d, and the solver sees it through the
 Dirichlet kernels of boxes.  Before the checks' plan, the verify command
-runs a WorkingRadius study through its own: the P kernel columns of one
+runs the requests of a WorkingRadius study through run_plan as a plan of
+their own, and measures the outputs: the P kernel columns of one
 source on every radius and on the largest at twice the spacing.  It picks
 the working radius, the smallest whose truncation error, the kernel mass
 beyond it included, is at most TRUNCATION_SHARE of the Richardson estimate
@@ -220,49 +223,46 @@ def load_field(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StoreKey:
-    """Key of one store entry, and the tiers the entry may live in.
+    """Key of one store entry.
 
     persist is False for opaque systems: their fingerprint comes from id(),
     which another process can hand to another system, so their entries
-    never go to disk.  shared is False for fields that a single check reads:
-    when the store has a directory they are written through to it and not
-    held in memory, so the store does not add to the peak memory of a run.
+    never go to disk and live in the store's memory alone.
     """
 
     digest: str
     persist: bool = True
-    shared: bool = True
 
 
-def _store_key(kind: str, sys_fp: str, *parts, shared: bool = True) -> StoreKey:
+def _store_key(kind: str, sys_fp: str, *parts) -> StoreKey:
     digest = _fingerprint(kind, SOLVER_VERSION, FIELD_FORMAT_VERSION, sys_fp, *parts)
-    return StoreKey(digest, persist=not sys_fp.startswith(_OPAQUE), shared=shared)
+    return StoreKey(digest, persist=not sys_fp.startswith(_OPAQUE))
 
 
 class KernelStore:
     """Cache of computed arrays, in memory and optionally in a directory.
 
     Every entry is a float64 array, a field of shape (n_nodes, m) or a
-    record's numbers, and is read and written by get_or_compute; on disk it
-    is a save_field file, .kbf.  len() counts every key loaded or built
-    since the store was made, whichever tier holds it.  A file that does
-    not load, or holds a NaN, is rebuilt, and a built array with a NaN is
-    handed back but never stored.  grids(system) keeps the certificate grids
-    of each system the store sees, in memory only, so a command evaluates
-    each grid once.
+    record's numbers, and is read and written by get_or_compute under one
+    rule: every entry it loads or builds is held in memory for the life of
+    the store and, when its key has a file, is in that file, written by
+    save_field as .kbf.  So a command reads each file at most once, and
+    len() counts the entries held.  A file that does not load, or holds a NaN, is rebuilt,
+    and a built array with a NaN is handed back but neither held nor
+    written.  grids(system) keeps the certificate grids of each system the
+    store sees, in memory only, so a command evaluates each grid once.
     """
 
     def __init__(self, directory=None):
         self._memory: dict[str, np.ndarray] = {}
         self._grids: dict[int, CertificateGrids] = {}
-        self._seen: set[str] = set()
         # a plain string: every lookup builds a path, and pathlib is slow at it
         self._dir = os.fspath(directory) if directory is not None else None
         if self._dir is not None:
             os.makedirs(self._dir, exist_ok=True)
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return len(self._memory)
 
     def _path(self, key: StoreKey) -> Optional[str]:
         """The file of key's entry, or None when the entry lives in memory only."""
@@ -284,24 +284,14 @@ class KernelStore:
         return self._grids[id(system)]
 
     def get_or_compute(self, key: StoreKey, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The array under key, from memory, from its file, or from build, and
-        then written to its file, if it has one, and held in memory if
-        key.shared or it has no file.
-
-        An unshared entry is read twice in a verify: by the plan, then by
-        its one check.  So one whose file the store finds at its first look
-        is held, as loaded or rebuilt, until the next look takes it: the
-        plan reads each file it finds and rebuilds a damaged one, and the
-        check reads no file.
-        """
-        path = self._path(key)
-        kept = key.shared or path is None
-        values = self._memory.get(key.digest) if kept else self._memory.pop(key.digest, None)
+        """The array under key: from memory, else from its file, else from
+        build, which is then written to the file, if key has one; either
+        way it is then held in memory for the life of the store."""
+        values = self._memory.get(key.digest)
         if values is not None:
             return values
-        held = kept
+        path = self._path(key)
         if path is not None and os.path.exists(path):
-            held = held or key.digest not in self._seen
             try:
                 values = load_field(path)  # looked up at each call
             except _UNREADABLE:
@@ -312,9 +302,7 @@ class KernelStore:
                 return values
             if path is not None:
                 save_field(path, values)
-        self._seen.add(key.digest)
-        if held:
-            self._memory[key.digest] = values
+        self._memory[key.digest] = values
         return values
 
 
@@ -459,10 +447,9 @@ def _column_key(sys_fp: str, req: Evolution, center: tuple, k: int) -> StoreKey:
 
 
 def _data_key(sys_fp: str, req: Evolution, j: int) -> StoreKey:
-    # read by a single check, so not shared
     g = req.grid
     return _store_key("evolve", sys_fp, req.variant, g.d, g.radius, g.spacing, req.t,
-                      req.dt, req.theta, req.digest, j, *req.legs, shared=False)
+                      req.dt, req.theta, req.digest, j, *req.legs)
 
 
 def _data_digest(data: np.ndarray) -> str:
@@ -539,7 +526,7 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
 
 
 def _evolve_batch(b: _Batch, store: KernelStore, m: int,
-                  handle_of: Callable[[], OperatorHandle], keep: bool) -> tuple:
+                  handle_of: Callable[[], OperatorHandle]) -> tuple:
     """The output of a batch, read through the store, and how many of its
     fields were built.
 
@@ -549,7 +536,6 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     leg.  So a field has the same bits whichever fields were stored before,
     and none is built unless the batch evolved.  A column batch gives a
     dict of columns by component, any other an array shaped like its data.
-    Without keep the output is None.
     """
     req = b.request
     built, evolved = [], []
@@ -567,18 +553,21 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
         return np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u)
 
     fields = {j: store.get_or_compute(key, lambda j=j: build(j)) for j, key in b.keys.items()}
-    if not keep:
-        return None, len(built)
     if b.center is not None:
         return fields, len(built)
     cols = list(fields.values())
     return (np.stack(cols, axis=-1) if req.data.ndim == 3 else cols[0]), len(built)
 
 
-def _execute(system, requests: Sequence[Evolution], store: KernelStore,
-             jobs: int, keep_outputs: bool, budget: int = DEFAULT_BUDGET) -> tuple:
-    """Run the plan of the requests; returns (outputs or None, counts).
+def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: int = 1,
+             budget: int = DEFAULT_BUDGET) -> tuple:
+    """Outputs of the requests in their order, and the PLAN_COUNTS of the
+    work this call did.
 
+    Duplicates are dropped by store key and the rest run in plan order.
+    Every field goes through the store, which holds it for its life, so a
+    file that does not load, or holds a NaN, is rebuilt here, and the
+    checks that run these requests again read every field from memory.
     Batches of one (variant, grid) form a group with one OperatorHandle of
     the given budget, made on the group's first store miss, so a group
     whose every field is stored builds nothing, and the call assembles each
@@ -612,11 +601,9 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
 
         done, found, evolved = {}, 0, 0
         for b in group:
-            out, built = _evolve_batch(b, store, m, handle_of, keep_outputs)
+            done[b], built = _evolve_batch(b, store, m, handle_of)
             found += len(b.keys) - built
             evolved += built > 0
-            if keep_outputs:
-                done[b] = out
         counts = Counter({"batches": len(group), "evolutions": evolved,
                           "fields found in the store": found})
         if handle is not None:
@@ -639,8 +626,6 @@ def _execute(system, requests: Sequence[Evolution], store: KernelStore,
     for done, counts in ran:
         outputs.update(done)
         total.update(counts)
-    if not keep_outputs:
-        return None, total
     return [outputs[w] if isinstance(w, _Batch) else [outputs[b][k] for b, k in w]
             for w in where], total
 
@@ -658,22 +643,7 @@ def evolve_all(system, requests: Sequence[Evolution],
     unknowns of each operator, as in OperatorHandle.
     """
     store = KernelStore() if store is None else store
-    return _execute(system, requests, store, 1, keep_outputs=True, budget=budget)[0]
-
-
-def run_plan(system, requests: Sequence[Evolution], store: KernelStore,
-             jobs: int = 1) -> Counter:
-    """Run the requests of several checks into the store, keeping no output.
-
-    Duplicates are dropped by store key and the rest run in plan order, so
-    the call assembles each operator once and factors each (variant, grid,
-    theta, dt) once; the checks then read every field from the store.  The
-    plan reads every field it finds, so a file that does not load, or holds
-    a NaN, is rebuilt here, and the store holds each unshared field it
-    found until its check reads it, so each file is read once.
-    Returns the PLAN_COUNTS of the work this call did.
-    """
-    return _execute(system, requests, store, jobs, keep_outputs=False)[1]
+    return run_plan(system, requests, store, budget=budget)[0]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
@@ -776,25 +746,17 @@ class WorkingRadius:
 
     @cached_property
     def requests(self) -> list:
-        """One column batch per grid, at the width and step of the finest."""
-        m = self.system.dims.m
-        width = 2.0 * self.spacing if self.width is None else self.width
-        step = default_dt(self.t, self.spacing) if self.dt is None else self.dt
-        return [Evolution.of_sources("P", g, self.t, [(self.source, k) for k in range(m)],
-                                     width, step, self.theta)
-                for g in self.grids]
-
-    def choose(self, store: KernelStore, jobs: int) -> tuple:
-        """The RadiusChoice, and the PLAN_COUNTS of the study's plan.
-
-        The study runs as a plan of its own, which reads its columns as it
-        runs them, so they are read once; it shares only the store with
-        the checks' plan.
-        """
-        outputs, counts = _execute(self.system, self.requests, store, jobs, True)
-        return self.measure(outputs), counts
+        """One column batch per grid, all at the width and step that R_max at
+        h resolves."""
+        if not self.grids:
+            return []
+        sources = [(self.source, k) for k in range(self.system.dims.m)]
+        finest = Evolution.of_sources("P", self.grids[-2], self.t, sources, self.width,
+                                      self.dt, self.theta)
+        return [replace(finest, grid=g) for g in self.grids]
 
     def measure(self, outputs: list) -> RadiusChoice:
+        """The RadiusChoice, from the outputs of the requests in their order."""
         R_max = max(self.radii)
         if not self.grids:
             return RadiusChoice(R_max, self.t, None, {})

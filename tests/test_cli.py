@@ -671,15 +671,25 @@ class TestVerifyCommand:
         assert before == 2 and after == 16
 
 
+def from_cmd_verify() -> bool:
+    """Whether the function that calls this one was called by cmd_verify.
+
+    The plans are cmd_verify's run_plan calls, the working-radius study's
+    and the checks'; a check that runs its requests through evolve_all
+    calls run_plan too, but from evolve_all.
+    """
+    return sys._getframe(2).f_code is cli.cmd_verify.__code__
+
+
 class TestVerifyPlan:
     @staticmethod
     def watch_solver_work(monkeypatch):
         """Count solver work inside and outside the two plans.
 
         work["plan"] counts evolve, assemble_generator and splu calls and
-        store misses inside the working-radius study's plan
-        (WorkingRadius.choose) and the checks' (run_plan), and
-        work["checks"] the same outside them: before, between and after.
+        store misses inside the two run_plan calls of cmd_verify, the
+        working-radius study's plan and the checks', and work["checks"]
+        the same outside them: before, between and after.
         work["plans"] has one entry per plan, in the order they ran: the
         requests it was given, the (variant, grid, theta, dt) of every
         factorization it made ("factored") and the (variant, grid) of every
@@ -732,19 +742,17 @@ class TestVerifyPlan:
             return get_or_compute(store, key, counted_build)
         monkeypatch.setattr(verify.KernelStore, "get_or_compute", watched_get)
 
-        def planning(run, requests_of):
-            def watched(*args, **kwargs):
-                work["plans"].append({"requests": list(requests_of(*args)),
-                                      "factored": [], "assembled": []})
-                work["phase"] = "plan"
-                out = run(*args, **kwargs)
-                work["phase"] = "checks"
-                return out
-            return watched
-        monkeypatch.setattr(verify, "run_plan", planning(
-            verify.run_plan, lambda system, requests, *rest: requests))
-        monkeypatch.setattr(verify.WorkingRadius, "choose", planning(
-            verify.WorkingRadius.choose, lambda study, *rest: study.requests))
+        run_plan = verify.run_plan
+
+        def planning(system, requests, *args, **kwargs):
+            if not from_cmd_verify():
+                return run_plan(system, requests, *args, **kwargs)
+            work["plans"].append({"requests": list(requests), "factored": [], "assembled": []})
+            work["phase"] = "plan"
+            out = run_plan(system, requests, *args, **kwargs)
+            work["phase"] = "checks"
+            return out
+        monkeypatch.setattr(verify, "run_plan", planning)
         return work
 
     @staticmethod
@@ -901,7 +909,7 @@ class TestVerifyPlan:
                             lambda data: hashed.append(data.shape) or digest(data))
         monkeypatch.setattr(verify, "run_plan",
                             lambda system, requests, store, *args, **kwargs:
-                            planned.extend(requests)
+                            (from_cmd_verify() and planned.extend(requests))
                             or run_plan(system, requests, store, *args, **kwargs))
         assert cli.main(args) == 0
         # the checks get the planned requests, so each data request hashes its

@@ -35,11 +35,11 @@ def poly_headline():
 
 def test_synth_poly_single_equation_wide_interval():
     # gamma=2, beta=1, alpha=0: balance holds up to rho=2, no damping cap,
-    # so rho = 1; damping level max{2, 1+rho} = 2 makes sigma_min = 1
+    # so rho = 1; damping level max{2, 1+rho} = 2 makes sigma_min = 1, and
+    # sigma is sigma_min + 1
     fam = co.diagonal_family("polynomial", 1, 1, beta=1.0, theta=[[1.0]], gamma=[[2.0]])
     res = ly.synth_poly(fam, T=1.0)
     assert res.static.rho == pytest.approx(1.0)
-    assert res.notes["sigma_min"] == pytest.approx(1.0)
     assert res.timed.sigma == pytest.approx(2.0)
     # delta midpoint of (2/3, 2*(2-1)/2 = 1)
     assert res.timed.delta == pytest.approx((2.0 / 3.0 + 1.0) / 2.0)
@@ -100,8 +100,9 @@ def test_synth_poly_interval_monotone_in_gamma(gamma, bump):
     # enlarging the diagonal potential exponent never shrinks the rho interval
     fam1 = co.diagonal_family("polynomial", 1, 1, beta=0.0, theta=[[1.0]], gamma=[[gamma]])
     fam2 = co.diagonal_family("polynomial", 1, 1, beta=0.0, theta=[[1.0]], gamma=[[gamma + bump]])
-    u1 = ly.synth_poly(fam1, T=1.0).notes["rho_interval"][1]
-    u2 = ly.synth_poly(fam2, T=1.0).notes["rho_interval"][1]
+    # rho is the midpoint of the interval (0, U)
+    u1 = 2.0 * ly.synth_poly(fam1, T=1.0).static.rho
+    u2 = 2.0 * ly.synth_poly(fam2, T=1.0).static.rho
     assert u2 >= u1 - 1e-12
 
 
@@ -336,7 +337,7 @@ def test_certificate_static_headline():
     fam = poly_headline()
     res = ly.synth_poly(fam, T=1.0)
     rep = ly.verify_certificate(fam, res.static, radius=20.0, tolerance=0.01)
-    assert rep.passed, rep.message
+    assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     assert rep.certified.lam is not None and rep.certified.lam >= 0
     # hand computation: ratio_k(0) = a1 + a3 = (2 rho eps zeta) - (theta_kk - theta_off)
     # = 2*1*0.5*1 - (1 - 0.5) = 0.5 at x = 0, and the ratio decreases away from 0
@@ -380,7 +381,7 @@ def test_certificate_timed_calibrates_c0():
     fam = poly_headline()
     res = ly.synth_poly(fam, T=1.0)
     rep = ly.verify_certificate(fam, res.timed, radius=20.0, tolerance=0.01)
-    assert rep.passed, rep.message
+    assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     timed = rep.certified
     assert timed.c0 is not None and timed.c0 >= 0.0
     # calibrated residual inequality holds on a fresh sample grid
@@ -395,7 +396,7 @@ def test_certificate_timed_exponential_family():
     fam = exp_smoke()
     res = ly.synth_exp(fam, T=1.0)
     rep = ly.verify_certificate(fam, res.timed, radius=20.0, tolerance=0.01)
-    assert rep.passed, rep.message
+    assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     assert rep.certified.c0 >= 0.0
 
 
@@ -403,5 +404,5 @@ def test_certificate_adjoint_target():
     fam = poly_headline()
     res = ly.synth_poly(fam, T=1.0, target="P_adjoint")
     rep = ly.verify_certificate(fam, res.static, radius=20.0, tolerance=0.01)
-    assert rep.passed, rep.message
+    assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     assert rep.certified.lam is not None

@@ -22,6 +22,10 @@ methods, or by the check_* function that the class's name attribute spells.
 A dataclasses.replace call sets each field it names by keyword, and under **
 each field that a string in the unpacked expression spells.  A field whose
 setters the scan cannot resolve is listed in UNRESOLVED_FIELDS.
+
+Every field of a @dataclass of src/ is read as an attribute (obj.name)
+somewhere in src/, unless UNREAD_FIELDS lists it with its reason; a field
+that only the tests read goes.
 """
 
 import ast
@@ -409,3 +413,70 @@ def test_every_defaulted_dataclass_field_is_set():
              for cls, name in unset_fields(path.read_text(encoding="utf-8"), calls, replaced)}
     # an entry of UNRESOLVED_FIELDS that the scan resolves is stale
     assert unset == set(UNRESOLVED_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# dataclass fields that nothing reads
+# ---------------------------------------------------------------------------
+
+def declared_fields(source: str) -> list:
+    """(class, field) for each field of the @dataclass classes of source."""
+    return [(cls.name, node.target.id) for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) and any(
+                _named(dec.func if isinstance(dec, ast.Call) else dec, "dataclass")
+                for dec in cls.decorator_list)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def attribute_reads(sources: list) -> set:
+    """The attribute names that the sources read as obj.name.  No source of
+    src/ reads a dataclass field by getattr, so a string counts for
+    nothing: "ledger" names a record kind, not a read of a ledger field."""
+    return {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(source: str, reads: set) -> list:
+    """The (class, field) pairs of source's dataclass fields that reads
+    lacks, sorted."""
+    return sorted((cls, name) for cls, name in declared_fields(source) if name not in reads)
+
+
+def test_scan_finds_a_planted_unread_field():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class Report:\n"
+              "    value: float\n"
+              "    named: str\n"
+              "    planted: str = ''\n"
+              "    def line(self):\n        return f'{self.value}'\n"
+              "class Plain:\n"
+              "    unread: int\n"
+              "r = Report(1.0, 'a', planted='b')\n"
+              "print(r.named)\n")
+    # a keyword that sets a field, a local of the same name or a write reads
+    # nothing, and a class that is no dataclass has no fields
+    for other in ("planted = 1\n", "r.planted = 1\n"):
+        assert unread_fields(source, attribute_reads([source, other])) == [
+            ("Report", "planted")]
+    assert unread_fields(source, attribute_reads([source, "r.planted\n"])) == []
+
+
+# (module, class, field) triples of src/ whose field nothing in src/ reads,
+# each with why it stays
+UNREAD_FIELDS = {
+    ("bounds.py", "BoundCertificate", "ledger"): "the constants the certificate's majorant "
+                                                 "is built from; the pointwise check on the "
+                                                 "roadmap, BoundCertificate.eval, is to read "
+                                                 "it, or it goes",
+}
+
+
+def test_every_dataclass_field_is_read_in_src():
+    reads = attribute_reads([path.read_text(encoding="utf-8")
+                             for path in sorted(SRC.glob("*.py"))])
+    unread = {(path.name, cls, name) for path in sorted(SRC.glob("*.py"))
+              for cls, name in unread_fields(path.read_text(encoding="utf-8"), reads)}
+    # an entry of UNREAD_FIELDS that src/ reads is stale
+    assert unread == set(UNREAD_FIELDS)

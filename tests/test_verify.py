@@ -173,7 +173,7 @@ class TestStoreAndFingerprint:
     def test_threads_sharing_a_store(self, tmp_path, entry):
         # more threads than cores, each writing and reading the same keys
         store = KernelStore(tmp_path)
-        keys = [verify.StoreKey("key%d" % i, persist=i % 3 != 0, shared=i % 2 == 0)
+        keys = [verify.StoreKey("key%d" % i, persist=i % 3 != 0)
                 for i in range(12)]
         errors = []
 
@@ -378,22 +378,28 @@ class TestStoredEvolve:
         one = self.evolve(fam, g, batch[:, :, 1], 0.2, 0.05, 1.0, None)
         np.testing.assert_array_equal(one, one_expected)
 
-    def test_columns_are_written_through_not_kept(self, tmp_path, monkeypatch):
+    def test_every_entry_is_held_once_built_or_loaded(self, tmp_path, monkeypatch):
+        # a data field and a record: the first store builds them, the second
+        # loads them, and each then serves them from memory alone
         fam, g, batch = self.make()
-        store = KernelStore(tmp_path)
-        self.evolve(fam, g, batch, 0.2, None, 1.0, store)
-        assert len(list(tmp_path.glob("*.kbf"))) == 3 and len(store) == 3
-        loads = []
-        real_load = verify.load_field
+        loads, rows = [], []
+        real_load, real_row = verify.load_field, verify.compute_row_sum_bound
         monkeypatch.setattr(verify, "load_field",
                             lambda path: loads.append(path) or real_load(path))
+        monkeypatch.setattr(verify, "compute_row_sum_bound",
+                            lambda *a, **kw: rows.append(a) or real_row(*a, **kw))
         calls = self.counting(monkeypatch)
-        self.evolve(fam, g, batch, 0.2, None, 1.0, store)
-        assert len(loads) == 3 and calls == [] and len(store) == 3
-        # kernel columns, which several checks read, keep the memory tier
-        stored_column(fam, g, 0.2, 0, store, variant="plain")
-        stored_column(fam, g, 0.2, 0, store, variant="plain")
-        assert len(loads) == 3
+        expected = None
+        for store, loaded, built in ((KernelStore(tmp_path), 0, 1), (KernelStore(tmp_path), 4, 0)):
+            del loads[:], rows[:], calls[:]
+            for _ in range(3):
+                out = self.evolve(fam, g, batch, 0.2, None, 1.0, store)
+                row = verify._stored_row_sum(fam, 20.0, store)
+                assert len(loads) == loaded and len(rows) == len(calls) == built
+                # three columns and the record
+                assert len(store) == 4 and len(list(tmp_path.glob("*.kbf"))) == 4
+                expected = expected or (out.tobytes(), row)
+                assert (out.tobytes(), row) == expected
 
     def test_key_covers_data_step_and_theta(self, tmp_path, monkeypatch):
         fam, g, batch = self.make()
@@ -877,11 +883,11 @@ class TestPlan:
         calls = self.count_evolves(monkeypatch)
         path.unlink()
         # the batch evolves both legs again, with the old bits
-        assert run_plan(fam, reqs, KernelStore(tmp_path))["evolutions"] == 1
+        assert run_plan(fam, reqs, KernelStore(tmp_path))[1]["evolutions"] == 1
         assert calls == ["P", "P"] and path.read_bytes() == blob
         # a truncated file is not held, so the plan rebuilds it too
         path.write_bytes(blob[:len(blob) // 2])
-        assert run_plan(fam, reqs, KernelStore(tmp_path))["evolutions"] == 1
+        assert run_plan(fam, reqs, KernelStore(tmp_path))[1]["evolutions"] == 1
         assert calls == ["P"] * 4 and path.read_bytes() == blob
         (out,) = evolve_all(fam, reqs, KernelStore(tmp_path))
         assert calls == ["P"] * 4 and out.tobytes() == verify.load_field(path).tobytes()
@@ -894,7 +900,7 @@ class TestPlan:
                 for variant in ("P_adjoint", "plain", "P")
                 for t in (0.1, 0.2) for theta in (0.5, 1.0)]
         calls = self.count_evolves(monkeypatch)
-        counts = run_plan(fam, reqs, KernelStore(tmp_path))
+        _, counts = run_plan(fam, reqs, KernelStore(tmp_path))
         # two centers per request, nothing stored before
         assert len(calls) == counts["evolutions"] == counts["batches"] == 24
         assert counts["requests"] == 12
@@ -908,7 +914,7 @@ class TestPlan:
         assert calls == sorted(calls)
         del calls[:]
         # a rerun finds every field stored and builds nothing
-        again = run_plan(fam, reqs, KernelStore(tmp_path))
+        _, again = run_plan(fam, reqs, KernelStore(tmp_path))
         assert again["fields found in the store"] == 24
         assert again["evolutions"] == again["factorizations"] == again["steps"] == 0
         planned = evolve_all(fam, reqs, KernelStore(tmp_path))
@@ -968,8 +974,8 @@ class TestPlan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            counts = run_plan(fam, reqs, KernelStore(tmp_path / "threads"),
-                              jobs=(os.cpu_count() or 1) + 2)
+            _, counts = run_plan(fam, reqs, KernelStore(tmp_path / "threads"),
+                                 jobs=(os.cpu_count() or 1) + 2)
         finally:
             sys.setswitchinterval(interval)
         # every batch ran exactly once, in whichever thread, with serial bits
