@@ -333,6 +333,11 @@ def _column_name(variant: str, t: float, row, k: int) -> str:
     return "column_%s_t%g_y%s_k%d.csv" % (variant, t, coords, k)
 
 
+def _plan_line(counts: Counter) -> str:
+    """The PLAN_COUNTS of run_plan calls, as the closing lines print them."""
+    return ", ".join("%d %s" % (counts[name], name) for name in verify.PLAN_COUNTS)
+
+
 def cmd_solve(cfg: RunConfig, out: str) -> int:
     fam = family_from_config(cfg)
     d, radii, spacing, dt, theta = _grid_params(cfg)
@@ -350,7 +355,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     wall = time.perf_counter()
     runs = [(variant, t, center) for variant in cfg.get("solve", "variants")
             for t in times for center in sources]
-    columns = verify.evolve_all(
+    columns, plan = verify.run_plan(
         fam, [verify.Evolution.of_sources(variant, grid, t,
                                           [(center, k) for k in components],
                                           width, dt, theta)
@@ -365,8 +370,8 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
                   % (variant, t,
                      ",".join("%g" % v for v in np.atleast_1d(center)),
                      k, name))
-    print("solve: wrote %d columns in %.3fs (store size %d)"
-          % (written, time.perf_counter() - wall, len(store)))
+    print("solve: wrote %d columns in %.3fs (store size %d); plan: %s"
+          % (written, time.perf_counter() - wall, len(store), _plan_line(plan)))
     return EXIT_PASS
 
 
@@ -521,9 +526,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         _write_plots(out, fam, plots[0], store, results)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
     print("verify: %d check runs in %.3fs; plan: %s"
-          % (len(results), time.perf_counter() - wall,
-             ", ".join("%d %s" % (plan[name], name)
-                       for name in verify.PLAN_COUNTS)))
+          % (len(results), time.perf_counter() - wall, _plan_line(plan)))
     return EXIT_PASS if all(r.status == "pass" for r in results) else EXIT_MATH
 
 

@@ -17,12 +17,13 @@ their arguments build, through evolve_all; the verify command first hands
 every check's requests to run_plan, the one executor, which evolve_all
 calls too.  The executor computes every store key when it plans, so it
 hashes no output.  It drops duplicate requests by store key, sorts the
-rest by (variant, grid, theta, dt), runs each (variant, grid) on one operator
-handle, made on the first store miss, so a plan assembles every operator
-once and factors every step size once, and releases the handle's LU when
-its last request is done.  Every batch takes one path through the store,
-whose first miss evolves it once over all its legs, and no batch reads
-another's output.  Requests are never merged into wider batches: each keeps the
+rest by (variant, grid, theta, dt, fold), where a batch's fold is the axes
+its start values are mirror-even along (solver.even_axes), runs each
+(variant, grid) on one operator handle, made on the first store miss, so a
+plan assembles every operator once and factors every (fold, theta, dt)
+once, and releases the handle's LU when its last request is done.  Every
+batch takes one path through the store, whose first miss evolves it once
+over all its legs, and no batch reads another's output.  Requests are never merged into wider batches: each keeps the
 batch it had when its check ran alone, so every column has the same bits
 whether a check runs alone, in the plan, or in a thread.  Every evolution
 goes through a kernel store, one in memory for the call when none is
@@ -40,8 +41,8 @@ beyond it included, is at most TRUNCATION_SHARE of the Richardson estimate
 of the space error.  The checks in WORKING_RADIUS_CHECKS, which evolve P
 or plain columns and data at theta = 1, run on that radius; the others stay
 on the grids they declare.  The two plans share only the store: each
-assembles each of its operators once and factors each of its step sizes
-once, so an operator or an LU that both need is built once in each.
+assembles each of its operators once and factors each of its (fold, theta,
+dt) once, so an operator or an LU that both need is built once in each.
 
 The constants the weighted and integrability checks rest on go through the
 store too, as records, arrays of numbers read and written by the same
@@ -85,7 +86,7 @@ from .lyapunov import (SAMPLE_RADIUS, CertificateGrids, CertificateReport, Lyapu
                        RadialPoints, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
 from .solver import (DEFAULT_BUDGET, SOLVER_VERSION, GridSpec, OperatorHandle, default_dt,
-                     mollified_source, release_freed_memory)
+                     even_axes, mollified_source, release_freed_memory)
 
 __all__ = [
     "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
@@ -436,6 +437,11 @@ class Evolution:
         """_data_digest of the data, computed once per request."""
         return _data_digest(self.data)
 
+    @cached_property
+    def fold(self) -> tuple:
+        """solver.even_axes of the data, computed once per request."""
+        return even_axes(self.grid, self.data)
+
 
 # the legs come last in a key, so a request without legs is keyed by its
 # operator, step and start alone
@@ -480,16 +486,21 @@ class _Batch:
     column for data.  Column requests at one center share a batch, since
     all m components evolve together whichever of them are asked for.  A
     data request is a batch of its own, keyed by the digest of its data.
-    No batch reads another's output, so batches run in any order.
+    No batch reads another's output, so batches run in any order.  fold is
+    the axes its start is mirror-even along: solver.even_axes of a data
+    request's data, and for the m sources at a center, which are even
+    exactly where the center's coordinate is 0 on a grid of exact mirrors,
+    those axes, so a column batch builds no source to know its fold.
     """
 
     request: Evolution
     keys: dict
     center: Optional[tuple] = None
+    fold: tuple = ()
 
     def order(self) -> tuple:
         r, g = self.request, self.request.grid
-        return (r.variant, g.d, g.spacing, g.radius, r.theta, r.dt, r.t)
+        return (r.variant, g.d, g.spacing, g.radius, r.theta, r.dt, self.fold, r.t)
 
 
 def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
@@ -497,8 +508,9 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
 
     Every store key is computed here, once, and two requests share a batch
     exactly when they would share store entries.  The run order is
-    (variant, grid, theta, dt, t): one handle per (variant, grid) steps
-    through each (theta, dt) once.  A request's output lies in one batch,
+    (variant, grid, theta, dt, fold, t): one handle per (variant, grid)
+    steps through each (theta, dt) once, and within it through each fold
+    once, so it factors each (fold, theta, dt) once.  A request's output lies in one batch,
     or, for kernel columns, in a list of (batch, component) picks.
     """
     batches: dict = {}
@@ -512,7 +524,9 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
             for center, k in req.sources:
                 if not 0 <= k < m:
                     raise DomainError(f"component {k} outside 0..{m - 1}")
-                b = batches.setdefault((op, str(center)), _Batch(req, {}, center=center))
+                b = batches.setdefault((op, str(center)), _Batch(
+                    req, {}, center, tuple(a for a in range(g.d)
+                                           if center[a] == 0.0 and g.mirrored)))
                 if k not in b.keys:
                     b.keys[k] = _column_key(sys_fp, req, center, k)
                 picks.append((b, k))
@@ -521,7 +535,7 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
         columns = req.data.shape[2] if req.data.ndim == 3 else 1
         keys = {j: _data_key(sys_fp, req, j) for j in range(columns)}
         where.append(batches.setdefault(tuple(key.digest for key in keys.values()),
-                                        _Batch(req, keys)))
+                                        _Batch(req, keys, fold=req.fold)))
     return sorted(batches.values(), key=_Batch.order), where
 
 
@@ -571,7 +585,12 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
     Batches of one (variant, grid) form a group with one OperatorHandle of
     the given budget, made on the group's first store miss, so a group
     whose every field is stored builds nothing, and the call assembles each
-    operator once and factors each (theta, dt) of it once.  A P_adjoint
+    operator once and factors each (fold, theta, dt) of it once: a batch
+    whose start is mirror-even along some axes evolves on the half or
+    quarter grid (OperatorHandle.evolve), and the fold is read off the
+    batch's own start, so its fields have the same bits whatever ran
+    before it.  The factorizations count is per (variant, grid, fold,
+    theta, dt).  A P_adjoint
     handle transposes the matrix of its grid's P handle when that group is
     done and made one.  When its last batch is done a group releases its
     factorization, drops its handle and hands freed heap pages back, so
@@ -631,19 +650,17 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
 
 
 def evolve_all(system, requests: Sequence[Evolution],
-               store: Optional[KernelStore] = None,
-               budget: int = DEFAULT_BUDGET) -> list:
+               store: Optional[KernelStore] = None) -> list:
     """Outputs of the requests in their order, each batch run at most once.
 
     A column request gives a list of (n_nodes, m) arrays, one per source;
     a data request gives an array shaped like its data.
     Every check runs its own requests through here; after run_plan has run
     them, every field comes from the store.  Without a store the fields go
-    through a KernelStore in memory, made for the call.  budget caps the
-    unknowns of each operator, as in OperatorHandle.
+    through a KernelStore in memory, made for the call.
     """
     store = KernelStore() if store is None else store
-    return run_plan(system, requests, store, budget=budget)[0]
+    return run_plan(system, requests, store)[0]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:

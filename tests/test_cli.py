@@ -320,6 +320,23 @@ class TestSolveCommand:
         assert np.sum(np.abs(u - dens)) * 0.03125 <= 0.02
         assert (out / "store").is_dir() and any((out / "store").iterdir())
 
+    def test_closing_line_reports_the_plan(self, tmp_path, capsys):
+        # poly1d's bench solve: P columns of both components from y = 0.5 at
+        # t = 0.25 and 0.5, one batch and one step size each, 32 steps each
+        cfg, out = str(BENCH_CONFIGS / "poly1d.cfg"), str(tmp_path / "out")
+        plans = []
+        for _ in range(2):
+            assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
+            head, _, plan = capsys.readouterr().out.splitlines()[-1].partition("; plan: ")
+            assert head.startswith("solve: wrote 4 columns in ")
+            plans.append(plan)
+        # a second solve into the same directory finds every column
+        assert plans == [
+            "2 requests, 2 batches, 2 evolutions, 0 fields found in the store, "
+            "2 factorizations, 1 assemblies, 64 steps",
+            "2 requests, 2 batches, 0 evolutions, 4 fields found in the store, "
+            "0 factorizations, 0 assemblies, 0 steps"]
+
     def test_zero_sources_is_a_pass(self, tmp_path, capsys):
         cfg = make_config(tmp_path, solve={"sources": None})
         rc = cli.main(["solve", "--config", str(cfg), "--out",
@@ -533,6 +550,11 @@ class TestVerifyCommand:
                     for name in record_files(out / "store", keys)} for out in outs]
         # three certificates, the ledger and the mass check's row-sum bound
         assert len(records[0]) == 5 and records[0] == records[1]
+        # and every field, folded or not, has the same bits whichever
+        # thread evolved it
+        stores = [{path.name: path.read_bytes() for path in (out / "store").iterdir()}
+                  for out in outs]
+        assert len(stores[0]) > len(records[0]) and stores[0] == stores[1]
 
     def test_svg_artifacts_are_polyline_documents(self, tmp_path):
         cfg = make_config(tmp_path, verify={"checks": "mass"})
@@ -691,9 +713,10 @@ class TestVerifyPlan:
         working-radius study's plan and the checks', and work["checks"]
         the same outside them: before, between and after.
         work["plans"] has one entry per plan, in the order they ran: the
-        requests it was given, the (variant, grid, theta, dt) of every
-        factorization it made ("factored") and the (variant, grid) of every
-        assembly ("assembled").  Records, told by their keys, are not
+        requests it was given, the (variant, grid, fold, theta, dt) of every
+        factorization it made ("factored"), read from the handle's record,
+        the (variant, grid) of every assembly ("assembled") and the key of
+        every field it built ("missed").  Records, told by their keys, are not
         counted.
         """
         work = {"phase": "checks", "plan": Counter(), "checks": Counter(), "plans": []}
@@ -725,7 +748,7 @@ class TestVerifyPlan:
             before = work[work["phase"]]["splu"]
             out = factor(handle, theta, dt)
             if work[work["phase"]]["splu"] > before:
-                in_plan("factored", (handle.variant, handle.grid, float(theta), float(dt)))
+                in_plan("factored", (handle.variant, handle.grid, *handle.factored[-1]))
             return out
         monkeypatch.setattr(solver.OperatorHandle, "_factor", watched_factor)
 
@@ -738,6 +761,7 @@ class TestVerifyPlan:
                 # is a field's
                 if key not in records:
                     work[work["phase"]]["miss"] += 1
+                    in_plan("missed", key)
                 return build()
             return get_or_compute(store, key, counted_build)
         monkeypatch.setattr(verify.KernelStore, "get_or_compute", watched_get)
@@ -747,7 +771,8 @@ class TestVerifyPlan:
         def planning(system, requests, *args, **kwargs):
             if not from_cmd_verify():
                 return run_plan(system, requests, *args, **kwargs)
-            work["plans"].append({"requests": list(requests), "factored": [], "assembled": []})
+            work["plans"].append({"requests": list(requests), "factored": [], "assembled": [],
+                                  "missed": [], "system": system})
             work["phase"] = "plan"
             out = run_plan(system, requests, *args, **kwargs)
             work["phase"] = "checks"
@@ -767,8 +792,9 @@ class TestVerifyPlan:
                          verify={"checks": ALL_CHECKS})
         return make_config(tmp_path, **(two_d if "theta" in config else TWO_D))
 
-    # shared: the working radius, whose LU at t_max both plans factor at
-    # theta = 1; R_max on two_d, R = 4 below the largest on the 2 4 6 grid
+    # shared: the working radius, whose (theta, dt) at t_max both plans
+    # step with at theta = 1; R_max on two_d, R = 4 below the largest on
+    # the 2 4 6 grid
     @pytest.mark.parametrize("config, shared", [
         ("poly1d", None), ("two_d", None), ("two_d, grid.theta=1", 2.0),
         ("2 4 6 at 0.25, grid.theta=1", 4.0)],
@@ -780,15 +806,21 @@ class TestVerifyPlan:
                          "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
         assert work["checks"] == Counter()
         # the study's plan, then the checks'.  Each factors every (variant,
-        # grid, theta, dt) its requests step with exactly once and nothing
-        # else, and assembles every operator it steps with exactly once; an
-        # adjoint one is the transpose of its grid's P matrix
+        # grid, fold, theta, dt) the batches it evolves step with exactly
+        # once and nothing else, and assembles every operator it steps with
+        # exactly once; an adjoint one is the transpose of its grid's P
+        # matrix.  The bench family's operators commute with every axis
+        # reflection, so a batch folds along every axis its start is even
+        # along; every config here has m = 2
         steps, operators = [], []
         for plan in work["plans"]:
-            wanted = {(r.variant, r.grid, float(r.theta), float(r.dt))
-                      for r in plan["requests"]}
+            batches, _ = verify._plan(plan["requests"],
+                                      verify.system_fingerprint(plan["system"]), 2)
+            wanted = {(b.request.variant, b.request.grid, b.fold,
+                       float(b.request.theta), float(b.request.dt)) for b in batches
+                      if set(b.keys.values()) & set(plan["missed"])}
             assert sorted(plan["factored"], key=repr) == sorted(wanted, key=repr)
-            built = {(variant, grid) for variant, grid, _, _ in wanted
+            built = {(variant, grid) for variant, grid, *_ in wanted
                      if variant != "P_adjoint"}
             assert sorted(plan["assembled"], key=repr) == sorted(built, key=repr)
             steps.append(wanted)
@@ -800,12 +832,16 @@ class TestVerifyPlan:
         assembled = Counter(study["assembled"] + checks["assembled"])
         assert {key for key, n in factored.items() if n > 1} == steps[0] & steps[1]
         assert {key for key, n in assembled.items() if n > 1} == operators[0] & operators[1]
-        # which at theta = 1/2 is no LU, and at theta = 1 the one the checks
-        # on the working radius step to t_max with, as the study did
+        # which is no LU.  At theta = 1 the checks on the working radius step
+        # to t_max as the study did, but their batch of the study's fold is
+        # the study's, found in the store, so they factor that step only
+        # for other folds
+        assert steps[0] & steps[1] == set()
+        unfolded = [{(v, g, th, dt) for v, g, _, th, dt in s} for s in steps]
         if shared is None:
-            assert steps[0] & steps[1] == set()
+            assert unfolded[0] & unfolded[1] == set()
         else:
-            (variant, grid, theta, dt), = steps[0] & steps[1]
+            (variant, grid, theta, dt), = unfolded[0] & unfolded[1]
             assert (variant, grid.radius, theta) == ("P", shared, 1.0)
             assert dt == study["requests"][0].dt
         assert work["plan"]["splu"] == sum(factored.values())
@@ -931,11 +967,15 @@ class TestVerifyPlan:
         # solve stores the study's R = 16 columns at h = 1/16, so the 8
         # assemblies are the study's P on R = 4 and R = 8 at h and on R = 16
         # at 2h, then the checks' P on R = 4, 8 and 16 at h, plain on R = 8
-        # at h, and P on R = 8 at 2h (weighted's coarse grid); the rerun
-        # finds every field and builds nothing
+        # at h, and P on R = 8 at 2h (weighted's coarse grid); the 15 LUs
+        # are one per (variant, grid, fold, theta, dt), and the sources at
+        # 0.5 take the whole grid, so P on R = 8 at theta = 1 is factored on
+        # the half grid too at dt = 1/128 and 1/64, for the even data of the
+        # mass and integrability checks; the rerun finds every field and
+        # builds nothing
         assert plans == [
             "29 requests, 23 batches, 21 evolutions, 4 fields found in the store, "
-            "13 factorizations, 8 assemblies, 674 steps",
+            "15 factorizations, 8 assemblies, 674 steps",
             "29 requests, 23 batches, 0 evolutions, 40 fields found in the store, "
             "0 factorizations, 0 assemblies, 0 steps"]
 
@@ -958,15 +998,19 @@ class TestVerifyPlan:
         assert cold["requests"] == rerun["requests"] > cold["batches"] \
             == rerun["batches"]
         assert cold["fields found in the store"] == 0
-        # the checks' plan: 24 requests in 18 batches, 10 LUs and 578 steps
+        # the checks' plan: 24 requests in 18 batches, 14 LUs and 578 steps
         # on 4 operators, P on R = 1 (monotone's), P and plain on R = 2 and P
-        # on R = 2 at twice the spacing (weighted's coarse grid).  The
+        # on R = 2 at twice the spacing (weighted's coarse grid).  An LU is
+        # per (variant, grid, fold, theta, dt): on R = 2 at theta = 1, P
+        # steps data even along both axes, columns from y = (0.5, 0), even
+        # along the second, and uneven data at dt = 1/128, so that step is
+        # factored three times, and twice at dt = 1/64, as plain is at 1/128.  The
         # working-radius study adds its 3 batches, on R = 1 and R = 2 and on
         # R = 2 at twice the spacing, each with an LU at t = 0.5 that no
         # check steps with and 32 steps, on 3 P operators of its own: the
         # plans share only the store, so those are assembled again
         assert [cold[name] for name in verify.PLAN_COUNTS] == \
-            [24 + 3, 18 + 3, 18 + 3, 0, 10 + 3, 4 + 3, 578 + 3 * 32]
+            [24 + 3, 18 + 3, 18 + 3, 0, 14 + 3, 4 + 3, 578 + 3 * 32]
         # the rerun reads each stored field once and builds nothing; the
         # certificate, ledger and row-sum records are not fields
         fields = sorted(set(os.listdir(out / "store"))
@@ -1197,9 +1241,13 @@ class TestAllCommand:
         lines = run_fresh(code, cfg, tmp_path / "out")
         plan = next(line for line in lines if "; plan: " in line)
         factored = int(plan.partition(" factorizations")[0].rpartition(" ")[2])
-        # the checks' 10 LUs, and the working-radius study's on R = 2, R = 4
-        # and R = 4 at twice the spacing, at t = 0.5, where no check steps
-        assert factored == 10 + 3
+        # the checks' 12 LUs, one per (variant, grid, fold, theta, dt): P on
+        # R = 4 at theta = 1 steps the even all-ones data of the mass check
+        # and the columns off the origin at dt = 1/128 and 1/64, so each of
+        # those is factored on the half grid and on the whole one; and the
+        # working-radius study's on R = 2, R = 4 and R = 4 at twice the
+        # spacing, at t = 0.5, where no check steps
+        assert factored == 12 + 3
         assert lines[-1] == "0 False %d" % factored
 
     def test_stops_at_first_failing_stage(self, tmp_path):

@@ -318,11 +318,11 @@ class TestEvolve:
         u0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
         first, _ = handle.evolve(u0, 0.5, dt=0.05)
         handle.evolve(u0, 0.5, dt=0.1)
-        assert len(factored) == 2 and handle._lu[0] == (0.5, 0.1)
+        assert len(factored) == 2 and handle._lu[0] == ((), 0.5, 0.1)
         handle.evolve(u0, 0.3, dt=0.1)
         assert len(factored) == 2
         again, _ = handle.evolve(u0, 0.5, dt=0.05)
-        assert len(factored) == 3 and handle._lu[0] == (0.5, 0.05)
+        assert len(factored) == 3 and handle._lu[0] == ((), 0.5, 0.05)
         np.testing.assert_array_equal(again, first)
 
     def test_argument_validation(self):
@@ -401,7 +401,10 @@ class TestBatchedEvolve:
                                theta=1.0)
         assert np.all(np.isfinite(out))
 
-    def test_fill_reducing_ordering_on_2d_grid(self, monkeypatch):
+    @staticmethod
+    def fill_shares(monkeypatch, even: bool) -> tuple:
+        """The fold of one factorization on a 2-D grid, and its L+U fill
+        over the fill of the same matrix under COLAMD."""
         real_splu = sparse_linalg.splu
         factored = []
 
@@ -413,10 +416,23 @@ class TestBatchedEvolve:
         monkeypatch.setattr(sparse_linalg, "splu", spy)
         g = GridSpec(2, 3.0, 0.125)
         handle = OperatorHandle(coupled_family(2), g, "P")
-        handle.evolve(np.ones((g.n_nodes, 2)), 0.01, dt=0.01)
+        u0 = np.ones((g.n_nodes, 2)) if even else \
+            np.random.default_rng(2).uniform(0.5, 1.0, size=(g.n_nodes, 2))
+        handle.evolve(u0, 0.01, dt=0.01)
         ((matrix, lu),) = factored
         colamd = real_splu(matrix, permc_spec="COLAMD")
-        assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+        (fold, _, _), = handle.factored
+        return fold, (lu.L.nnz + lu.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
+
+    def test_fill_reducing_ordering_on_2d_grid(self, monkeypatch):
+        # uneven data factor the whole grid: 0.52 of COLAMD's fill
+        fold, share = self.fill_shares(monkeypatch, even=False)
+        assert fold == () and share <= 0.6
+
+    def test_fill_reducing_ordering_on_the_folded_2d_grid(self, monkeypatch):
+        # ones fold onto the quarter grid, where the saving is smaller: 0.62
+        fold, share = self.fill_shares(monkeypatch, even=True)
+        assert fold == (0, 1) and share <= 0.65
 
     def test_bad_batch_shape_rejected(self):
         g = GridSpec(1, 2.0, 0.5)
@@ -476,7 +492,8 @@ class TestThetaSteps:
         handle = OperatorHandle(coupled_family(1), g, "P")
         _, meta = handle.evolve(np.ones((g.n_nodes, 2, 3)), 0.3, dt=0.04, theta=theta)
         assert meta["steps"] == 8 and meta["final_step"] == pytest.approx(0.02)
-        assert calls == [(2 * g.n_nodes, 3)] * 8
+        # ones are even, so they evolve on the half grid, center included
+        assert calls == [(2 * (g.n_nodes // 2 + 1), 3)] * 8
 
     def test_nan_in_a_column_names_the_column(self, monkeypatch):
         self.patch_solve(monkeypatch, column=1)
@@ -578,7 +595,7 @@ def test_long_crank_nicolson_steps_turn_columns_negative():
 # back; the theta-loop oracle above sees such a move in the steps, and the
 # stencil pin below one in the assembled generator.
 def test_solver_version_is_pinned():
-    assert solver.SOLVER_VERSION == 3
+    assert solver.SOLVER_VERSION == 4
 
 
 def test_mixed_diffusion_stencil_bits_are_pinned():
@@ -818,3 +835,70 @@ def test_handle_counts_its_work_and_releases_its_factorization():
     handle.release()
     handle.evolve(u, 0.1, dt=0.02)
     assert (handle.assemblies, handle.factorizations) == (1, 3)
+
+
+def even_data(grid: GridSpec, axes: tuple, seed: int = 4) -> np.ndarray:
+    """Random (n_nodes, 2, 2) values, mirror-even bit for bit along axes:
+    u + its reflection has the same sums at a node and at its mirror."""
+    u = np.random.default_rng(seed).uniform(0.5, 1.0, size=(grid.n_per_axis,) * grid.d + (2, 2))
+    for a in axes:
+        u = u + np.flip(u, axis=a)
+    return u.reshape(grid.n_nodes, 2, 2)
+
+
+class TestMirrorFold:
+    """Values even along axes the matrix commutes with evolve on S A E."""
+
+    T, DT = 0.1, 0.04  # two full steps and a trailing one of 0.02
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["P", "plain", "P_adjoint"])
+    @pytest.mark.parametrize("d, axes", [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1))],
+                             ids=["1d-half", "2d-half-0", "2d-half-1", "2d-quarter"])
+    def test_folded_evolution_is_the_whole_grid_evolution(self, d, axes, variant, theta):
+        # the 1-D grid is poly1d's; the unfolded oracle steps the whole grid
+        g = GridSpec(1, 16.0, 1 / 16) if d == 1 else GridSpec(2, 1.5, 0.125)
+        handle = OperatorHandle(coupled_family(d), g, variant)
+        u0 = even_data(g, axes)
+        out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=theta)
+        assert handle.factored == [(axes, theta, self.DT), (axes, theta, self.T - 2 * self.DT)]
+        whole = theta_steps(handle, u0, theta, [self.DT, self.DT, self.T - 2 * self.DT])
+        assert np.abs(out - whole).max() <= 1e-13 * np.abs(whole).max()
+        nodes = out.reshape((g.n_per_axis,) * d + (-1,))
+        assert all(np.array_equal(nodes, np.flip(nodes, axis=a)) for a in axes)
+
+    def test_one_ulp_off_even_takes_the_whole_grid(self):
+        g = GridSpec(2, 1.5, 0.125)
+        u0 = even_data(g, (0, 1))
+        u0[3, 1, 0] = np.nextafter(u0[3, 1, 0], np.inf)
+        handle = OperatorHandle(coupled_family(2), g, "P")
+        handle.evolve(u0, self.T, dt=self.DT, theta=1.0)
+        assert solver.even_axes(g, u0) == ()
+        assert [fold for fold, _, _ in handle.factored] == [(), ()]
+
+    def test_a_grid_of_inexact_mirrors_takes_the_whole_grid(self):
+        # -2 + 0.1 k is not the negative of -2 + 0.1 (40 - k) for every k.
+        # Constant coefficients give a matrix that commutes with the index
+        # reflection all the same, so only the grid's coordinates refuse
+        g = GridSpec(1, 2.0, 0.1)
+        assert not g.mirrored
+        handle = OperatorHandle(const_spec(), g, "P")
+        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
+        assert handle.mirror_axes() == ()
+        assert [fold for fold, _, _ in handle.factored] == [(), ()]
+
+    def test_a_drift_that_is_not_odd_takes_the_whole_grid(self):
+        base = const_spec()
+        spec = OperatorSpec(dims=base.dims, Q=base.Q, V=base.V, R=base.R, divb=base.divb,
+                            b=lambda h, x: -(np.atleast_2d(np.asarray(x, dtype=float)) - 0.25))
+        g = GridSpec(1, 2.0, 0.125)
+        handle = OperatorHandle(spec, g, "P")
+        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
+        assert g.mirrored and handle.mirror_axes() == ()
+        assert [fold for fold, _, _ in handle.factored] == [(), ()]
+        # the same data on the odd drift -x folds
+        odd = OperatorSpec(dims=base.dims, Q=base.Q, V=base.V, R=base.R, divb=base.divb,
+                           b=lambda h, x: -np.atleast_2d(np.asarray(x, dtype=float)))
+        handle = OperatorHandle(odd, g, "P")
+        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
+        assert [fold for fold, _, _ in handle.factored] == [(0,), (0,)]

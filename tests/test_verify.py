@@ -12,7 +12,8 @@ from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
-from kernelbound.solver import STEPS, GridSpec, OperatorHandle, default_dt
+from kernelbound.solver import (STEPS, GridSpec, OperatorHandle, default_dt, even_axes,
+                                mollified_source)
 from kernelbound.verify import (
     CheckResult,
     Evolution,
@@ -856,6 +857,22 @@ class TestPlan:
         # a leg leaves the request it extends as it was
         assert first.legs == () and first.then(0.05).legs == (0.05,)
 
+    @pytest.mark.parametrize("spacing", [0.125, 0.1])
+    def test_a_column_batch_knows_its_fold_from_its_center(self, spacing):
+        # the plan orders batches by fold without building their sources:
+        # the sources at a center are even where its coordinate is 0, on a
+        # grid of exact mirrors; spacing 0.1 gives none
+        g = GridSpec(2, 1.5, spacing)
+        centers = [(0.0, 0.0), (0.5, 0.0), (0.0, -0.5), (0.5, 0.25)]
+        reqs = [Evolution.of_sources("P", g, 0.1, [(c, 0)]) for c in centers]
+        batches, _ = verify._plan(reqs, "fingerprint", 2)
+        for b in batches:
+            start = np.stack([mollified_source(g, 2, b.center, h, b.request.width)
+                              for h in range(2)], axis=-1)
+            assert b.fold == even_axes(g, start)
+        assert sorted(b.fold for b in batches) == \
+            ([(), (0,), (0, 1), (1,)] if spacing == 0.125 else [()] * 4)
+
     def test_store_keys_without_legs_are_pinned(self):
         # a change that renames every store entry shows up here
         fam = headline_family()
@@ -867,10 +884,10 @@ class TestPlan:
         (((column, _),), values, ((old_step, _),)) = verify._plan(
             reqs, system_fingerprint(fam), 2)[1]
         assert system_fingerprint(fam) == "b41f55060d35"
-        assert column.keys[1].digest == "f5c50f5bb169"
-        assert values.keys[0].digest == "f0eea837a4d3"
+        assert column.keys[1].digest == "67be7ee6328f"
+        assert values.keys[0].digest == "679c53edea54"
         # the column at the step of the former default keeps its key
-        assert old_step.keys[1].digest == "861707116b65"
+        assert old_step.keys[1].digest == "de30945fbef6"
 
     def test_a_lost_two_leg_field_is_rebuilt_with_its_bits(self, tmp_path, monkeypatch):
         fam = headline_family()
@@ -905,12 +922,13 @@ class TestPlan:
         assert len(calls) == counts["evolutions"] == counts["batches"] == 24
         assert counts["requests"] == 12
         assert counts["fields found in the store"] == 0
-        # (variant, theta, dt) pairs, each factored once; P_adjoint takes
-        # P's matrix, so two operators are assembled
-        assert counts["factorizations"] == 12 and counts["assemblies"] == 2
+        # (variant, fold, theta, dt), each factored once: the sources at 0
+        # are even and evolve on the half grid, those at 0.5 on the whole
+        # one; P_adjoint takes P's matrix, so two operators are assembled
+        assert counts["factorizations"] == 24 and counts["assemblies"] == 2
         # each batch takes the default step, t / STEPS here, STEPS times
         assert counts["steps"] == 24 * STEPS
-        # the run order is (variant, grid, theta, dt, t)
+        # the run order is (variant, grid, theta, dt, fold, t)
         assert calls == sorted(calls)
         del calls[:]
         # a rerun finds every field stored and builds nothing
