@@ -29,19 +29,23 @@ every field comes from a store builds nothing; an adjoint handle given the
 forward handle of its grid transposes that handle's matrix instead of
 assembling its own.
 
-Values that are mirror-even along some axes stay even under an operator
-that commutes with those axis reflections (Bossavit 1986, "Symmetry,
-groups, and boundary value problems"), so they evolve on the folded
-operator S A E: S keeps the nodes at or past the center index along each
-folded axis, and E copies each kept node to its mirror images.  An
-evolution folds along the axes where its own start values are even bit for
-bit (even_axes), the grid's coordinates are exact mirrors (GridSpec
-.mirrored: spacing 1/8 is, 0.1 is not) and the matrix equals its reflected
-permutation bit for bit, checked once per handle (mirror_axes).  Folding
-along one axis halves the unknowns, along two quarters them; the unfolded
-evolution is the fold along no axis, S = E = identity, on the same path.
-The residual check stays per column, on the folded rows.  The result is
-copied back through E, so it is even bit for bit.
+On a grid whose coordinates are exact mirrors (GridSpec.mirrored: spacing
+1/8 is, 0.1 is not), a matrix equal bit for bit to its reflection along an
+axis (mirror_axes, checked once per handle) keeps the even and odd parts
+(v +- flip v) / 2 along it apart, so evolutions run on parity blocks
+(Bossavit 1986, "Symmetry, groups, and boundary value problems").  The
+fold is the mirror axes the start is even along bit for bit (even_axes):
+there only the even part is kept, and in 2-D along every other mirror axis
+both; a 1-D operator is banded, so its LU has no fill for a split to save.
+Each part evolves on its block S_p A E_p: S_p keeps the nodes at or past
+the center index along each even axis and past it along each odd one, E_p
+copies them to their mirror images, negated through odd reflections.  The
+parts step as one stacked vector on the blocks' block-diagonal, one solve
+and one residual per column a step, and their images sum to the result.
+A start even along every mirror axis thus has one block, the fold S A E,
+and an even result bit for bit; with no mirror axis the block is A.  Split
+parts move fields at roundoff, and where a kernel's tail lies decades below
+its mirror image, their sum cancels to about eps times the image.
 
 A handle keeps one factorization, for the latest (fold, theta, dt): a new
 key drops the old LU before the new one is built, and release() drops it
@@ -58,7 +62,7 @@ again.  Both coefficient families commute with every reflection.)
 Factorizations use SuperLU with the minimum-degree ordering of A^T + A
 (MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
 the whole 2-D grids it needs about half the L+U fill of the default COLAMD
-ordering, and 0.55 to 0.62 of it on the folded ones.  A step can carry
+ordering, and 0.54 to 0.62 of it on the parity blocks.  A step can carry
 several columns at once (values of shape (n_nodes, m, c)).  An evolution looks its factorization up once per step
 size; each step then makes one triangular solve for all columns, and one
 residual per column, formed in place and held to a tolerance scaled by that
@@ -76,6 +80,7 @@ import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -92,7 +97,7 @@ DEFAULT_BUDGET = 4_000_000
 _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
-SOLVER_VERSION = 4
+SOLVER_VERSION = 5
 # an evolution over t at the default step takes STEPS theta steps, or more
 # where the spacing caps the step (default_dt)
 STEPS = 32
@@ -381,36 +386,54 @@ def even_axes(grid: GridSpec, values: np.ndarray) -> tuple:
     return tuple(a for a in range(grid.d) if np.array_equal(v, np.flip(v, axis=a)))
 
 
-def _fold_indices(grid: GridSpec, m: int, axes: tuple) -> tuple:
-    """S and E of the fold along axes, as unknown indices (keep, image).
-
-    keep lists the unknowns of the kept nodes, those whose index along each
-    folded axis is at least the center index, in folded node-major order;
-    image gives, for every unknown of the grid, the folded unknown it
-    copies: its own, or its mirror image's.  The trivial fold, along no
-    axis, keeps every unknown in place.
-    """
-    n1 = grid.n_per_axis
-    center, whole = n1 // 2, np.arange(n1)
-    keep = image = np.zeros(1, dtype=np.intp)
-    for a in range(grid.d):
-        kept = whole[center:] if a in axes else whole
-        copies = np.abs(whole - center) if a in axes else whole
-        keep = (keep[:, None] * n1 + kept).ravel()
-        image = (image[:, None] * len(kept) + copies).ravel()
-    return tuple((nodes[:, None] * m + np.arange(m)).ravel() for nodes in (keep, image))
-
-
-def _gather(A, rows: np.ndarray, columns: np.ndarray):
-    """The rows of A listed in rows, each entry of column c moved to column
-    columns[c] and entries that meet summed: S A E for a fold's keep and
-    image, and R A R for a reflection R."""
+def _parity_blocks(grid: GridSpec, m: int, fold: tuple, split: tuple) -> tuple:
+    """S_p and E_p of each parity block, even along fold and even or odd along
+    each axis of split, in _project's order, as (keep, image, sign): keep
+    lists the block's unknowns, at or past the center index along each even
+    axis and past it along each odd one; image maps every unknown of the
+    grid to the stacked unknown it copies, and sign is -1 through an odd
+    number of odd reflections and 0 on an odd axis's center plane; then the
+    sum of the E_p, one block's image or a sparse matrix (cheaper to apply)."""
     from scipy import sparse
 
-    sub = A[rows]
-    out = sparse.csr_matrix((sub.data, columns[sub.indices], sub.indptr),
-                            shape=(len(rows),) * 2)
+    n1 = grid.n_per_axis
+    center, whole = n1 // 2, np.arange(n1)
+    blocks, offset = [], 0
+    for odd in (sum(o, ()) for o in product(*[((), (a,)) for a in split])):
+        keep = image = np.zeros(1, dtype=np.intp)
+        sign = np.ones(1)
+        for a in range(grid.d):
+            kept = whole[center + (a in odd):] if a in fold + split else whole
+            copies = np.abs(whole - center) - (a in odd) if a in fold + split else whole
+            keep = (keep[:, None] * n1 + kept).ravel()
+            image = (image[:, None] * len(kept) + np.maximum(copies, 0)).ravel()
+            sign = (sign[:, None] * (np.sign(whole - center) if a in odd else np.ones(n1))).ravel()
+        keep, image = ((nodes[:, None] * m + np.arange(m)).ravel() for nodes in (keep, image))
+        blocks.append((keep, image + offset, np.repeat(sign, m)))
+        offset += len(keep)
+    if len(blocks) == 1:
+        return blocks, blocks[0][1]
+    image, sign = (np.stack(maps, axis=1).ravel() for maps in list(zip(*blocks))[1:])
+    return blocks, sparse.csr_matrix((sign, image, np.arange(0, len(image) + 1, len(blocks))),
+                                     shape=(len(blocks[0][1]), offset))
+
+
+def _gather(A, blocks: list):
+    """The block-diagonal of S_p A E_p over blocks of (keep, image, sign): the
+    rows of A in each keep, column c moved to image[c] times sign[c], entries
+    that meet summed and, over several blocks, zeros dropped.  R A R for a
+    reflection R is the one block (R, R, ones)."""
+    from scipy import sparse
+
+    sub = A[np.concatenate([keep for keep, _, _ in blocks])]
+    ends = sub.indptr[np.cumsum([0] + [len(keep) for keep, _, _ in blocks])]
+    image, sign = (np.concatenate(maps) for maps in zip(*(
+        (im[sub.indices[lo:hi]], sg[sub.indices[lo:hi]])
+        for (_, im, sg), lo, hi in zip(blocks, ends, ends[1:]))))
+    out = sparse.csr_matrix((sub.data * sign, image, sub.indptr), shape=(sub.shape[0],) * 2)
     out.sum_duplicates()
+    if len(blocks) > 1:
+        out.eliminate_zeros()
     return out
 
 
@@ -446,7 +469,7 @@ class OperatorHandle:
         self._matrix: Optional[sparse.csr_matrix] = (
             None if forward is None else forward.matrix.T.tocsr())
         self._mirrors: Optional[tuple] = None if forward is None else forward._mirrors
-        self._folds: dict = {}  # axes -> keep, image and S A E of that fold
+        self._folds: dict = {}  # fold -> its expansion and blocks' S_p A E_p
         self._fold: tuple = ()  # the axes of the evolution in progress
         self._lu: Optional[tuple] = None  # ((axes, theta, dt), (lu, M1, M0))
 
@@ -462,20 +485,22 @@ class OperatorHandle:
         return self._matrix
 
     def mirror_axes(self) -> tuple:
-        """Axes whose reflection the matrix commutes with, bit for bit;
-        checked once per handle, and none on a grid that is no exact mirror.
-        An adjoint handle takes its forward handle's axes when that one has
-        checked them, since a reflection commutes with A exactly when it
-        commutes with A^T."""
+        """Axes whose reflection R the matrix commutes with, bit for bit: the
+        sorted arrays of R A R and A are equal.  Checked once per handle, and
+        none on a grid that is no exact mirror.  An adjoint handle takes its
+        forward handle's axes when that one has checked them, since a
+        reflection commutes with A exactly when it commutes with A^T."""
         if self._mirrors is None:
             A, g = self.matrix, self.grid
             unknowns = np.arange(A.shape[0]).reshape((g.n_per_axis,) * g.d + (self.m,))
             flips = [(a, np.flip(unknowns, axis=a).ravel()) for a in range(g.d) if g.mirrored]
-            self._mirrors = tuple(a for a, p in flips if (_gather(A, p, p) != A).nnz == 0)
+            reflected = [(a, _gather(A, [(p, p, np.ones(len(p)))])) for a, p in flips]
+            self._mirrors = tuple(a for a, R in reflected if all(
+                np.array_equal(getattr(R, k), getattr(A, k)) for k in ("indptr", "indices", "data")))
         return self._mirrors
 
     def release(self):
-        """Drop the factorization and the folded matrices; the matrix stays
+        """Drop the factorization and the block matrices; the matrix stays
         for later steps."""
         self._lu = None
         self._folds.clear()
@@ -489,6 +514,17 @@ class OperatorHandle:
                 f"({self.grid.n_nodes}, {self.m}, columns), got {v.shape}")
         return v.reshape(-1) if v.ndim == 2 else v.reshape(-1, v.shape[2])
 
+    def _project(self, u: np.ndarray, fold: tuple, split: tuple) -> np.ndarray:
+        """Node-major values stacked as the parity blocks take them: the kept half
+        along each fold axis, split into (p +- flip p) / 2 along each of split."""
+        g, center = self.grid, self.grid.n_per_axis // 2
+        parts = [u.reshape((g.n_per_axis,) * g.d + (self.m,) + u.shape[1:])[tuple(
+            slice(center, None) if a in fold else slice(None) for a in range(g.d))]]
+        for a in split:
+            parts = [(p + s * np.flip(p, a))[(slice(None),) * a + (slice(center + (s < 0), None),)]
+                     / 2 for p in parts for s in (1, -1)]
+        return np.concatenate([p.reshape((-1,) + u.shape[1:]) for p in parts])
+
     def _factor(self, theta: float, dt: float):
         key = (self._fold, float(theta), float(dt))
         if self._lu is not None and self._lu[0] == key:
@@ -497,7 +533,7 @@ class OperatorHandle:
         from scipy import sparse
         from scipy.sparse import linalg as sparse_linalg
 
-        A = self._folds[self._fold][2]
+        A = self._folds[self._fold][1]
         eye = sparse.identity(A.shape[0], format="csr")
         M1 = (eye - theta * dt * A).tocsc()
         try:
@@ -545,11 +581,9 @@ class OperatorHandle:
         values has shape (n_nodes, m), or (n_nodes, m, c) to evolve c columns
         together; the result has the same shape.  dt defaults to
         default_dt(t, spacing); whatever does not divide t evenly is taken as
-        one trailing shorter step, recorded in the step record.  Values
-        that are even along axes the matrix commutes with (even_axes,
-        mirror_axes) evolve on the folded system S A E, the kept unknowns
-        alone, and are copied back to their mirror images at the end, so
-        the result is even along those axes.
+        one trailing shorter step, recorded in the step record.  The values
+        evolve on the parity blocks of their fold (module docstring), so the
+        result is even along the fold's axes bit for bit.
         """
         if t <= 0:
             raise DomainError(f"evolve needs t > 0, got {t}")
@@ -565,13 +599,13 @@ class OperatorHandle:
         if rem <= 1e-12 * max(1.0, t):
             rem = 0.0
         u = self._flat(values)
-        axes = even_axes(self.grid, u)
-        self._fold = axes = tuple(a for a in axes if a in self.mirror_axes()) if axes else ()
-        if axes not in self._folds:
-            keep, image = _fold_indices(self.grid, self.m, axes)
-            self._folds[axes] = (keep, image, _gather(self.matrix, keep, image))
-        keep, image, _ = self._folds[axes]
-        u = self._steps(u[keep], theta, dt, full)
+        self._fold = fold = tuple(a for a in even_axes(self.grid, u) if a in self.mirror_axes())
+        split = tuple(a for a in self.mirror_axes() if a not in fold) if self.grid.d > 1 else ()
+        if fold not in self._folds:
+            blocks, expand = _parity_blocks(self.grid, self.m, fold, split)
+            self._folds[fold] = (expand, _gather(self.matrix, blocks))
+        expand, _ = self._folds[fold]
+        u = self._steps(self._project(u, fold, split), theta, dt, full)
         if rem > 0.0:
             u = self._steps(u, theta, rem, 1)
         if not np.all(np.isfinite(u)):
@@ -579,7 +613,10 @@ class OperatorHandle:
         record = {"variant": self.variant, "theta": theta, "dt": dt,
                   "steps": full + (1 if rem else 0), "final_step": rem if rem else dt,
                   "t": t}
-        return u[image].reshape(np.shape(values)), record
+        # one block is copied through its image, so an even start keeps its bits
+        w = u.reshape(len(u), -1)
+        out = w[expand] if isinstance(expand, np.ndarray) else expand @ w
+        return out.reshape(np.shape(values)), record
 
 
 # ---------------------------------------------------------------------------

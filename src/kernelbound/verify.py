@@ -16,15 +16,16 @@ nothing.  check_domination and its siblings run a declaration, or the one
 their arguments build, through evolve_all; the verify command first hands
 every check's requests to run_plan, the one executor, which evolve_all
 calls too.  The executor computes every store key when it plans, so it
-hashes no output.  It drops duplicate requests by store key, sorts the
-rest by (variant, grid, theta, dt, fold), where a batch's fold is the axes
-its start values are mirror-even along (solver.even_axes), runs each
-(variant, grid) on one operator handle, made on the first store miss, so a
-plan assembles every operator once and factors every (fold, theta, dt)
-once, and releases the handle's LU when its last request is done.  Every
-batch takes one path through the store, whose first miss evolves it once
-over all its legs, and no batch reads another's output.  Requests are never merged into wider batches: each keeps the
-batch it had when its check ran alone, so every column has the same bits
+hashes no output.  It drops duplicate requests by store key, sorts the rest
+by (variant, grid, theta, dt, fold), where a batch's fold is the axes its
+start values are mirror-even along (solver.even_axes), which names the
+parity blocks it evolves on, runs each (variant, grid) on one operator
+handle, made on the first store miss, so a plan assembles every operator
+once and factors every (fold, theta, dt) once, and releases the handle's LU
+when its last request is done.  Every batch takes one path through the
+store, whose first miss evolves it once over all its legs, and no batch
+reads another's output.  Requests are never merged into wider batches: each
+keeps the batch it had when its check ran alone, so every column has the same bits
 whether a check runs alone, in the plan, or in a thread.  Every evolution
 goes through a kernel store, one in memory for the call when none is
 given.  The store holds every entry it loads or builds for its life, and
@@ -486,11 +487,11 @@ class _Batch:
     column for data.  Column requests at one center share a batch, since
     all m components evolve together whichever of them are asked for.  A
     data request is a batch of its own, keyed by the digest of its data.
-    No batch reads another's output, so batches run in any order.  fold is
-    the axes its start is mirror-even along: solver.even_axes of a data
-    request's data, and for the m sources at a center, which are even
-    exactly where the center's coordinate is 0 on a grid of exact mirrors,
-    those axes, so a column batch builds no source to know its fold.
+    No batch reads another's output, so batches run in any order.  fold, the
+    axes its start is mirror-even along, fixes its parity blocks:
+    solver.even_axes of a data request's data, and for the m sources at a
+    center, even where its coordinate is 0 on a grid of exact mirrors, those
+    axes, so a column batch builds no source to know its fold.
     """
 
     request: Evolution
@@ -586,8 +587,8 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
     the given budget, made on the group's first store miss, so a group
     whose every field is stored builds nothing, and the call assembles each
     operator once and factors each (fold, theta, dt) of it once: a batch
-    whose start is mirror-even along some axes evolves on the half or
-    quarter grid (OperatorHandle.evolve), and the fold is read off the
+    evolves on the parity blocks of its fold, the axes its start is
+    mirror-even along (OperatorHandle.evolve), and the fold is read off the
     batch's own start, so its fields have the same bits whatever ran
     before it.  The factorizations count is per (variant, grid, fold,
     theta, dt).  A P_adjoint

@@ -6,8 +6,11 @@ the Lyapunov certificates compute.  kernel_matrix evolves the whole kernel
 ensemble of a small validation grid, and apply_kernel_to_function applies
 the semigroup to sampled initial data.  kernel_columns and kernel_column
 evolve mollified point sources on a handle directly, outside verify's plan
-and store.  theta_steps is the plain theta loop whose bits
-OperatorHandle.evolve must reproduce, and discrete_inner and discrete_mass
+and store.  theta_steps is the plain theta loop on the whole grid, whose
+bits OperatorHandle.evolve reproduces where it takes one whole block and
+which its parity blocks match to roundoff; folded_theta_steps is the same
+loop on the fold S A E, whose bits a start even along every mirror axis
+keeps.  discrete_inner and discrete_mass
 are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
 operator_spec_from_callables wraps bare coefficient callables into an
@@ -227,17 +230,47 @@ def theta_steps(handle: OperatorHandle, values: np.ndarray, theta: float,
     """The values after theta steps of the given sizes: per step a
     multi-vector product with I + (1 - theta) dt A and one SuperLU solve with
     I - theta dt A, factored as the handle factors it, with no checks."""
+    u = np.asarray(values, dtype=float)
+    return _theta_loop(handle.matrix, u.reshape((-1,) + u.shape[2:]), theta,
+                       steps).reshape(np.shape(values))
+
+
+def folded_theta_steps(handle: OperatorHandle, values: np.ndarray, theta: float,
+                       steps: Sequence[float], axes: tuple) -> np.ndarray:
+    """theta_steps on the fold S A E along axes, the path of values even
+    along those axes: S keeps the nodes at or past the center index along
+    each axis, E copies each kept node to its mirror images, S A E is one
+    gather of A's kept rows with its columns moved through E and summed,
+    and the result is copied back through E."""
+    from scipy import sparse
+
+    g, m = handle.grid, handle.m
+    center, whole = g.n_per_axis // 2, np.arange(g.n_per_axis)
+    keep = image = np.zeros(1, dtype=np.intp)
+    for a in range(g.d):
+        kept = whole[center:] if a in axes else whole
+        keep = (keep[:, None] * g.n_per_axis + kept).ravel()
+        image = (image[:, None] * len(kept)
+                 + (np.abs(whole - center) if a in axes else whole)).ravel()
+    keep, image = ((nodes[:, None] * m + np.arange(m)).ravel() for nodes in (keep, image))
+    rows = handle.matrix[keep]
+    folded = sparse.csr_matrix((rows.data, image[rows.indices], rows.indptr),
+                               shape=(len(keep),) * 2)
+    folded.sum_duplicates()
+    u = np.asarray(values, dtype=float)
+    u = u.reshape((-1,) + u.shape[2:])[keep]
+    return _theta_loop(folded, u, theta, steps)[image].reshape(np.shape(values))
+
+
+def _theta_loop(A, u: np.ndarray, theta: float, steps: Sequence[float]) -> np.ndarray:
     from scipy import sparse
     from scipy.sparse import linalg as sparse_linalg
 
-    A = handle.matrix
     eye = sparse.identity(A.shape[0], format="csr")
-    u = np.asarray(values, dtype=float)
-    u = u.reshape((A.shape[0],) + u.shape[2:])
     for dt in steps:
         lu = sparse_linalg.splu((eye - theta * dt * A).tocsc(), permc_spec="MMD_AT_PLUS_A")
         u = lu.solve(u if theta == 1.0 else (eye + (1.0 - theta) * dt * A).tocsr() @ u)
-    return u.reshape(np.shape(values))
+    return u
 
 
 def discrete_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:

@@ -935,6 +935,34 @@ class TestVerifyPlan:
                          "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
         assert len(most) > 1 and max(most) == 1 and held == set()
 
+    def test_no_factorization_spans_the_whole_or_the_half_grid(self, tmp_path,
+                                                             monkeypatch):
+        # every LU of a 2-D verify is of parity blocks, and none of its
+        # blocks, the connected parts of the matrix, has more nodes than a
+        # quarter grid, center rows included
+        from scipy.sparse.csgraph import connected_components
+        grids, sizes = [], []
+        factor, splu = solver.OperatorHandle._factor, solver.sparse_linalg.splu
+
+        def tracked_factor(handle, theta, dt):
+            grids.append(handle.grid)
+            return factor(handle, theta, dt)
+
+        def tracked_splu(matrix, **kwargs):
+            g = grids[-1]
+            largest = np.bincount(connected_components(matrix)[1]).max()
+            sizes.append((largest, 2 * ((g.n_per_axis + 1) // 2) ** 2,
+                          matrix.shape[0] == 2 * g.n_nodes))
+            return splu(matrix, **kwargs)
+        monkeypatch.setattr(solver.OperatorHandle, "_factor", tracked_factor)
+        monkeypatch.setattr(solver.sparse_linalg, "splu", tracked_splu)
+        cfg = make_config(tmp_path, **TWO_D)
+        assert cli.main(["verify", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--jobs", "1"]) == 0
+        assert all(largest <= quarter for largest, quarter, _ in sizes)
+        # uneven data still step the whole grid's unknowns, on four blocks
+        assert any(whole for _, _, whole in sizes)
+
     def test_rerun_hashes_each_data_request_once(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path, **TWO_D)
         args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
@@ -1244,7 +1272,8 @@ class TestAllCommand:
         # the checks' 12 LUs, one per (variant, grid, fold, theta, dt): P on
         # R = 4 at theta = 1 steps the even all-ones data of the mass check
         # and the columns off the origin at dt = 1/128 and 1/64, so each of
-        # those is factored on the half grid and on the whole one; and the
+        # those is factored on the quarter grid and on the even and odd
+        # blocks of the first axis; and the
         # working-radius study's on R = 2, R = 4 and R = 4 at twice the
         # spacing, at t = 0.5, where no check steps
         assert factored == 12 + 3

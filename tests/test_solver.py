@@ -1,11 +1,14 @@
 import hashlib
 import math
 import os
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import identity
 from scipy.sparse import linalg as sparse_linalg
+from scipy.sparse.csgraph import connected_components
 
 from kernelbound.coefficients import (
     OperatorSpec,
@@ -25,8 +28,8 @@ from kernelbound.solver import (
 from kernelbound.verify import load_field, save_field
 
 from oracles import (FieldJet, apply_kernel_to_function, discrete_inner, discrete_mass,
-                     eval_operator, kernel_column, kernel_columns, kernel_matrix,
-                     theta_steps)
+                     eval_operator, folded_theta_steps, kernel_column, kernel_columns,
+                     kernel_matrix, theta_steps)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
@@ -402,37 +405,47 @@ class TestBatchedEvolve:
         assert np.all(np.isfinite(out))
 
     @staticmethod
-    def fill_shares(monkeypatch, even: bool) -> tuple:
-        """The fold of one factorization on a 2-D grid, and its L+U fill
-        over the fill of the same matrix under COLAMD."""
+    def fill_share(matrix) -> float:
+        """L+U fill of a matrix under the handle's ordering over its fill
+        under COLAMD."""
+        mmd, colamd = (sparse_linalg.splu(matrix.tocsc(), permc_spec=order)
+                       for order in ("MMD_AT_PLUS_A", "COLAMD"))
+        return (mmd.L.nnz + mmd.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
+
+    def factored(self, monkeypatch, grid: GridSpec, even: bool) -> tuple:
+        """The fold and the matrix of the one factorization of a step on a
+        2-D grid, from ones or from uneven data."""
         real_splu = sparse_linalg.splu
         factored = []
-
-        def spy(matrix, **kw):
-            lu = real_splu(matrix, **kw)
-            factored.append((matrix, lu))
-            return lu
-
-        monkeypatch.setattr(sparse_linalg, "splu", spy)
-        g = GridSpec(2, 3.0, 0.125)
-        handle = OperatorHandle(coupled_family(2), g, "P")
-        u0 = np.ones((g.n_nodes, 2)) if even else \
-            np.random.default_rng(2).uniform(0.5, 1.0, size=(g.n_nodes, 2))
+        monkeypatch.setattr(sparse_linalg, "splu",
+                            lambda matrix, **kw: factored.append(matrix)
+                            or real_splu(matrix, **kw))
+        handle = OperatorHandle(coupled_family(2), grid, "P")
+        u0 = np.ones((grid.n_nodes, 2)) if even else \
+            np.random.default_rng(2).uniform(0.5, 1.0, size=(grid.n_nodes, 2))
         handle.evolve(u0, 0.01, dt=0.01)
-        ((matrix, lu),) = factored
-        colamd = real_splu(matrix, permc_spec="COLAMD")
-        (fold, _, _), = handle.factored
-        return fold, (lu.L.nnz + lu.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
+        (matrix,), ((fold, _, _),) = factored, handle.factored
+        return fold, matrix
 
-    def test_fill_reducing_ordering_on_2d_grid(self, monkeypatch):
-        # uneven data factor the whole grid: 0.52 of COLAMD's fill
-        fold, share = self.fill_shares(monkeypatch, even=False)
-        assert fold == () and share <= 0.6
+    def test_fill_reducing_ordering_on_2d_grid(self):
+        # the whole grid's I - dt/2 A: 0.52 of COLAMD's fill
+        handle = OperatorHandle(coupled_family(2), GridSpec(2, 3.0, 0.125), "P")
+        M1 = identity(handle.matrix.shape[0], format="csr") - 0.005 * handle.matrix
+        assert self.fill_share(M1) <= 0.6
 
     def test_fill_reducing_ordering_on_the_folded_2d_grid(self, monkeypatch):
         # ones fold onto the quarter grid, where the saving is smaller: 0.62
-        fold, share = self.fill_shares(monkeypatch, even=True)
-        assert fold == (0, 1) and share <= 0.65
+        fold, matrix = self.factored(monkeypatch, GridSpec(2, 3.0, 0.125), even=True)
+        assert fold == (0, 1) and self.fill_share(matrix) <= 0.65
+
+    def test_fill_reducing_ordering_on_the_parity_blocks(self, monkeypatch):
+        # uneven data factor the block-diagonal of the four parity blocks;
+        # on poly2d's R = 4 grid that takes 0.571 of COLAMD's fill
+        g = GridSpec(2, 4.0, 0.125)
+        fold, matrix = self.factored(monkeypatch, g, even=False)
+        assert fold == () and matrix.shape[0] == 2 * g.n_nodes
+        assert connected_components(matrix)[0] == 4
+        assert self.fill_share(matrix) <= 0.58
 
     def test_bad_batch_shape_rejected(self):
         g = GridSpec(1, 2.0, 0.5)
@@ -473,7 +486,9 @@ class TestThetaSteps:
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     @pytest.mark.parametrize("columns", [1, 3])
     def test_evolve_has_the_bits_of_the_plain_theta_loop(self, d, theta, columns):
-        g = GridSpec(d, 1.5, 0.125)
+        # spacing 0.1 gives no exact mirrors, so the evolution is one whole
+        # block; TestParityBlocks holds the mirrored grids to this loop
+        g = GridSpec(d, 1.5, 0.1)
         handle = OperatorHandle(coupled_family(d), g, "P")
         shape = (g.n_nodes, 2) + ((columns,) if columns > 1 else ())
         u0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=shape)
@@ -595,7 +610,7 @@ def test_long_crank_nicolson_steps_turn_columns_negative():
 # back; the theta-loop oracle above sees such a move in the steps, and the
 # stencil pin below one in the assembled generator.
 def test_solver_version_is_pinned():
-    assert solver.SOLVER_VERSION == 4
+    assert solver.SOLVER_VERSION == 5
 
 
 def test_mixed_diffusion_stencil_bits_are_pinned():
@@ -837,68 +852,152 @@ def test_handle_counts_its_work_and_releases_its_factorization():
     assert (handle.assemblies, handle.factorizations) == (1, 3)
 
 
-def even_data(grid: GridSpec, axes: tuple, seed: int = 4) -> np.ndarray:
-    """Random (n_nodes, 2, 2) values, mirror-even bit for bit along axes:
-    u + its reflection has the same sums at a node and at its mirror."""
+def even_data(grid: GridSpec, axes: tuple, odd: tuple = (), seed: int = 4) -> np.ndarray:
+    """Random (n_nodes, 2, 2) values, mirror-even bit for bit along axes and
+    odd along odd: u + its reflection has the same sums at a node and at
+    its mirror, and u - its reflection the negated differences."""
     u = np.random.default_rng(seed).uniform(0.5, 1.0, size=(grid.n_per_axis,) * grid.d + (2, 2))
     for a in axes:
         u = u + np.flip(u, axis=a)
+    for a in odd:
+        u = u - np.flip(u, axis=a)
     return u.reshape(grid.n_nodes, 2, 2)
 
 
-class TestMirrorFold:
-    """Values even along axes the matrix commutes with evolve on S A E."""
+class TestParityBlocks:
+    """Every start evolves on the block-diagonal of its parity blocks: even
+    only along the axes where it is even, and in 2-D even and odd along
+    every other axis the matrix commutes with."""
 
     T, DT = 0.1, 0.04  # two full steps and a trailing one of 0.02
+    STEPS = [DT, DT, T - 2 * DT]
+
+    @staticmethod
+    def grid(d: int) -> GridSpec:
+        # the 1-D grid is poly1d's
+        return GridSpec(1, 16.0, 1 / 16) if d == 1 else GridSpec(2, 1.5, 0.125)
+
+    @staticmethod
+    def blocks(monkeypatch) -> list:
+        """Patches splu to record the unknowns of each factored matrix's
+        blocks, its connected components, largest first."""
+        real_splu = sparse_linalg.splu
+        sizes = []
+
+        def spy(matrix, **kw):
+            labels = connected_components(matrix)[1]
+            sizes.append(sorted(np.bincount(labels), reverse=True))
+            return real_splu(matrix, **kw)
+
+        monkeypatch.setattr(sparse_linalg, "splu", spy)
+        return sizes
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("variant", ["P", "plain", "P_adjoint"])
-    @pytest.mark.parametrize("d, axes", [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1))],
-                             ids=["1d-half", "2d-half-0", "2d-half-1", "2d-quarter"])
-    def test_folded_evolution_is_the_whole_grid_evolution(self, d, axes, variant, theta):
-        # the 1-D grid is poly1d's; the unfolded oracle steps the whole grid
-        g = GridSpec(1, 16.0, 1 / 16) if d == 1 else GridSpec(2, 1.5, 0.125)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_uneven_data_evolve_as_on_the_whole_grid(self, monkeypatch, d, variant, theta):
+        g = self.grid(d)
+        sizes = self.blocks(monkeypatch)
+        handle = OperatorHandle(coupled_family(d), g, variant)
+        u0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(g.n_nodes, 2, 3))
+        out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=theta)
+        assert handle.factored == [((), theta, self.DT), ((), theta, self.T - 2 * self.DT)]
+        # in 2-D an even and an odd block per axis, the odd ones without the
+        # center; a 1-D operator is banded, so it keeps its one whole block
+        half = g.n_per_axis // 2
+        blocks = [2 * math.prod(n) for n in product((half + 1, half), repeat=d)]
+        assert sizes[0] == (blocks if d > 1 else [2 * g.n_nodes])
+        whole = theta_steps(handle, u0, theta, self.STEPS)
+        assert np.abs(out - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["P", "plain", "P_adjoint"])
+    def test_data_even_along_one_axis_and_odd_along_the_other(self, variant, theta):
+        g = self.grid(2)
+        handle = OperatorHandle(coupled_family(2), g, variant)
+        u0 = even_data(g, (0,), odd=(1,))
+        out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=theta)
+        # folded along the first axis, split along the second
+        assert [fold for fold, _, _ in handle.factored] == [(0,), (0,)]
+        whole = theta_steps(handle, u0, theta, self.STEPS)
+        assert np.abs(out - whole).max() <= 1e-13 * np.abs(whole).max()
+        nodes = out.reshape((g.n_per_axis,) * 2 + (-1,))
+        assert np.array_equal(nodes, np.flip(nodes, axis=0))
+        assert np.array_equal(nodes, -np.flip(nodes, axis=1))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["P", "plain", "P_adjoint"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_an_even_start_keeps_the_bits_of_the_fold(self, d, variant, theta):
+        # even along every mirror axis: one block, S A E, as before parity
+        # blocks, and the whole-grid loop to roundoff
+        g = self.grid(d)
+        axes = tuple(range(d))
         handle = OperatorHandle(coupled_family(d), g, variant)
         u0 = even_data(g, axes)
         out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=theta)
-        assert handle.factored == [(axes, theta, self.DT), (axes, theta, self.T - 2 * self.DT)]
-        whole = theta_steps(handle, u0, theta, [self.DT, self.DT, self.T - 2 * self.DT])
+        assert [fold for fold, _, _ in handle.factored] == [axes, axes]
+        folded = folded_theta_steps(handle, u0, theta, self.STEPS, axes)
+        assert out.tobytes() == folded.tobytes()
+        whole = theta_steps(handle, u0, theta, self.STEPS)
         assert np.abs(out - whole).max() <= 1e-13 * np.abs(whole).max()
-        nodes = out.reshape((g.n_per_axis,) * d + (-1,))
-        assert all(np.array_equal(nodes, np.flip(nodes, axis=a)) for a in axes)
 
-    def test_one_ulp_off_even_takes_the_whole_grid(self):
+    def test_one_ulp_off_even_takes_the_whole_grid(self, monkeypatch):
         g = GridSpec(2, 1.5, 0.125)
         u0 = even_data(g, (0, 1))
         u0[3, 1, 0] = np.nextafter(u0[3, 1, 0], np.inf)
+        sizes = self.blocks(monkeypatch)
         handle = OperatorHandle(coupled_family(2), g, "P")
-        handle.evolve(u0, self.T, dt=self.DT, theta=1.0)
+        out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=1.0)
         assert solver.even_axes(g, u0) == ()
+        # the fold of no axis: all four parity blocks, the whole grid's unknowns
         assert [fold for fold, _, _ in handle.factored] == [(), ()]
+        assert [len(s) for s in sizes] == [4, 4] and sum(sizes[0]) == 2 * g.n_nodes
+        whole = theta_steps(handle, u0, 1.0, self.STEPS)
+        assert np.abs(out - whole).max() <= 1e-13 * np.abs(whole).max()
 
-    def test_a_grid_of_inexact_mirrors_takes_the_whole_grid(self):
+    @staticmethod
+    def ones_and_uneven(grid: GridSpec) -> list:
+        return [np.ones((grid.n_nodes, 1)),
+                np.random.default_rng(8).uniform(0.5, 1.0, size=(grid.n_nodes, 1))]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_grid_of_inexact_mirrors_takes_one_whole_block(self, monkeypatch, d):
         # -2 + 0.1 k is not the negative of -2 + 0.1 (40 - k) for every k.
         # Constant coefficients give a matrix that commutes with the index
         # reflection all the same, so only the grid's coordinates refuse
-        g = GridSpec(1, 2.0, 0.1)
+        g = GridSpec(d, 2.0, 0.1)
         assert not g.mirrored
-        handle = OperatorHandle(const_spec(), g, "P")
-        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
+        sizes = self.blocks(monkeypatch)
+        handle = OperatorHandle(const_spec(d), g, "P")
+        for u0 in self.ones_and_uneven(g):
+            handle.evolve(u0, self.T, dt=self.DT)
         assert handle.mirror_axes() == ()
-        assert [fold for fold, _, _ in handle.factored] == [(), ()]
+        assert [fold for fold, _, _ in handle.factored] == [()] * 4
+        assert sizes == [[g.n_nodes]] * 4
 
-    def test_a_drift_that_is_not_odd_takes_the_whole_grid(self):
-        base = const_spec()
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_drift_that_is_not_odd_takes_one_whole_block(self, monkeypatch, d):
+        base = const_spec(d)
         spec = OperatorSpec(dims=base.dims, Q=base.Q, V=base.V, R=base.R, divb=base.divb,
                             b=lambda h, x: -(np.atleast_2d(np.asarray(x, dtype=float)) - 0.25))
-        g = GridSpec(1, 2.0, 0.125)
+        g = GridSpec(d, 2.0, 0.125)
+        sizes = self.blocks(monkeypatch)
         handle = OperatorHandle(spec, g, "P")
-        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
+        for u0 in self.ones_and_uneven(g):
+            handle.evolve(u0, self.T, dt=self.DT)
         assert g.mirrored and handle.mirror_axes() == ()
-        assert [fold for fold, _, _ in handle.factored] == [(), ()]
-        # the same data on the odd drift -x folds
+        assert [fold for fold, _, _ in handle.factored] == [()] * 4
+        assert sizes == [[g.n_nodes]] * 4
+        # on the odd drift -x, ones fold and, in 2-D, uneven data split
         odd = OperatorSpec(dims=base.dims, Q=base.Q, V=base.V, R=base.R, divb=base.divb,
                            b=lambda h, x: -np.atleast_2d(np.asarray(x, dtype=float)))
         handle = OperatorHandle(odd, g, "P")
-        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
-        assert [fold for fold, _, _ in handle.factored] == [(0,), (0,)]
+        for u0 in self.ones_and_uneven(g):
+            handle.evolve(u0, self.T, dt=self.DT)
+        axes = tuple(range(d))
+        assert [fold for fold, _, _ in handle.factored] == [axes, axes, (), ()]
+        half = g.n_per_axis // 2
+        assert sizes[4] == [(half + 1) ** d]
+        assert sizes[6] == ([g.n_nodes] if d == 1 else
+                            [math.prod(n) for n in product((half + 1, half), repeat=d)])

@@ -884,10 +884,10 @@ class TestPlan:
         (((column, _),), values, ((old_step, _),)) = verify._plan(
             reqs, system_fingerprint(fam), 2)[1]
         assert system_fingerprint(fam) == "b41f55060d35"
-        assert column.keys[1].digest == "67be7ee6328f"
-        assert values.keys[0].digest == "679c53edea54"
+        assert column.keys[1].digest == "8bf7b9d3d0cd"
+        assert values.keys[0].digest == "35c262410453"
         # the column at the step of the former default keeps its key
-        assert old_step.keys[1].digest == "de30945fbef6"
+        assert old_step.keys[1].digest == "709bf6a158fe"
 
     def test_a_lost_two_leg_field_is_rebuilt_with_its_bits(self, tmp_path, monkeypatch):
         fam = headline_family()
