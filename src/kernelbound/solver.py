@@ -71,7 +71,9 @@ point sources (mollified_source: discrete Gaussians with unit discrete
 mass); verify's plan evolves the m sources of a center as one batch, through
 its store, which is the only way the package evolves them.  Fields are
 plain (n_nodes, m) arrays; save_field_csv writes one with its node
-coordinates, byte-stable for identical inputs.
+coordinates, byte-stable for identical inputs: a value row that mirror
+nodes share bit for bit (-0.0 is not 0.0 there) is formatted once, and the
+coordinates once per axis, with the bytes of formatting each float alone.
 """
 
 from __future__ import annotations
@@ -649,13 +651,35 @@ def mollified_source(grid: GridSpec, m: int, center, component: int,
 # ---------------------------------------------------------------------------
 
 def field_to_csv(grid: GridSpec, values: np.ndarray) -> str:
-    """One row per node: its coordinates, then the (n_nodes, m) values, %.17g."""
-    cols = [f"x{a}" for a in range(grid.d)] + [f"u{k}" for k in range(values.shape[1])]
-    # one % over a template of every row formats each float as %.17g
-    row = ",".join(["%.17g"] * len(cols))
-    data = np.concatenate([grid.points(), values], axis=1)
-    body = "\n".join([row] * grid.n_nodes) % tuple(data.ravel().tolist())
-    return ",".join(cols) + "\n" + body + "\n"
+    """One row per node: its coordinates, then the (n_nodes, m) values, %.17g.
+
+    Along an axis where the values are even bit for bit (their uint64 view
+    equals its flip, so 0.0 and -0.0 differ, unlike even_axes), only the
+    value rows at or past the center index are formatted, and every node
+    takes the string of its mirror image; coordinates are then formatted
+    once per axis.  Values even along no axis take one % over a template of
+    every row.  Both give the bytes of formatting each float alone.
+    """
+    m = values.shape[1]
+    header = ",".join([f"x{a}" for a in range(grid.d)] + [f"u{k}" for k in range(m)])
+    v = np.ascontiguousarray(values, dtype=float).reshape((grid.n_per_axis,) * grid.d + (m,))
+    fold = [a for a in range(grid.d)
+            if np.array_equal(v.view(np.uint64), np.flip(v.view(np.uint64), axis=a))]
+    if not fold:
+        # one % over a template of every row formats each float as %.17g
+        row = ",".join(["%.17g"] * (grid.d + m))
+        data = np.concatenate([grid.points(), values], axis=1)
+        return "%s\n%s\n" % (header, "\n".join([row] * grid.n_nodes) % tuple(data.ravel().tolist()))
+    center = grid.n_per_axis // 2
+    kept = v[tuple(slice(center if a in fold else 0, None) for a in range(grid.d))]
+    row = ",".join(["%.17g"] * m)
+    rows = np.array(("\n".join([row] * (kept.size // m)) % tuple(kept.ravel().tolist()))
+                    .split("\n"), dtype=object).reshape(kept.shape[:-1])
+    for a in fold:
+        rows = np.take(rows, np.abs(np.arange(grid.n_per_axis) - center), axis=a)
+    coords = ["%.17g" % x for x in grid.axis_coords().tolist()]
+    return "\n".join([header] + [",".join(node + (text,)) for node, text in
+                                 zip(product(coords, repeat=grid.d), rows.ravel())]) + "\n"
 
 
 def save_field_csv(path, grid: GridSpec, values: np.ndarray):

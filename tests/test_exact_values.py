@@ -511,3 +511,48 @@ def test_synth_artifacts_are_pinned(workload, tmp_path):
                          "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in SYNTH_SHA256[workload]} == SYNTH_SHA256[workload]
+
+
+# ---------------------------------------------------------------------------
+# solve's kernel columns on a small 2-D config
+# ---------------------------------------------------------------------------
+
+# poly2d on the R = 2 grid, with a source on the axis x1 = 0 (its columns are
+# even along axis 1), one at the origin (even along both) and one off both
+# axes (even along neither).  Recorded before the CSV writer formatted mirror
+# rows once, so they pin that it writes the same bytes.
+SOLVE_SOURCES = "0.5 0; 0 0; 0.5 0.25"
+SOLVE_SHA256 = {
+    "column_P_t0.25_y0.5_0.25_k0.csv": "69751f4d938b843f0595ac9a20251b3e8b841dd1c4679d10335c5dadc45ab6c8",
+    "column_P_t0.25_y0.5_0.25_k1.csv": "c1086362896cb40486ae48f5dbbebe87a4c2b6732b60793108609bca7ce86f51",
+    "column_P_t0.25_y0.5_0_k0.csv": "3c1b3148d32d93e4cda2dd547853536d373d7f599483842dd9b69ce4cae075a8",
+    "column_P_t0.25_y0.5_0_k1.csv": "6583442597326c8478b657f4e0e72bad9871590195a8652af8b87425e0eb15c9",
+    "column_P_t0.25_y0_0_k0.csv": "a4dc9b23ff6d758209244d20627ebf8bfbd469fc9c256b9c16b28f9fc0b9f791",
+    "column_P_t0.25_y0_0_k1.csv": "372edbf2bda9e173e6e7aa70e0235278cc530ac8d6576932e39d4a6e1bbf60b6",
+    "column_P_t0.5_y0.5_0.25_k0.csv": "0408039f4517e5cbc620c0c0d470c1e545c47289e680456af138765b3fedf711",
+    "column_P_t0.5_y0.5_0.25_k1.csv": "27901c9eacee974194d40f6a1ab7afacff63cea00f555b916f6e4061b30a367d",
+    "column_P_t0.5_y0.5_0_k0.csv": "b221ad25c5620fbd536a3b7996a7619eae66b536bec683e75f74cead296cf42e",
+    "column_P_t0.5_y0.5_0_k1.csv": "b6b11270f810c0958923d60259007a3df59faa872e48bcf3d2f5a5e31013ee39",
+    "column_P_t0.5_y0_0_k0.csv": "8c26b3027644cae1ad9321d5ab84276b590fb7d6c56223fb82b277442bb08e04",
+    "column_P_t0.5_y0_0_k1.csv": "9d3ae3519c4b91f911875130caa088a265fc0c7c729930d7dee0b0ca693a033e",
+}
+
+
+def small_solve_config(tmp_path) -> Path:
+    text = (BENCH_CONFIGS / "poly2d.cfg").read_text()
+    for old, new in (("radii = 2 4 6", "radii = 2"),
+                     ("sources = 0.5 0", "sources = " + SOLVE_SOURCES)):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "small2d.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_solve_columns_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", "--config", str(small_solve_config(tmp_path)),
+                         "--out", str(out)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("column_*.csv"))} == SOLVE_SHA256

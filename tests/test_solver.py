@@ -810,13 +810,78 @@ class TestSerialization:
                    0.1, -1.0 / 3.0, 1e16, 123456789.0]
         vals = np.resize(np.array(special), (g.n_nodes, 3))
         vals[:, 1] = vals[::-1, 0]
-        pts = g.points()
-        lines = [",".join([f"x{a}" for a in range(d)] + ["u0", "u1", "u2"])]
-        for i in range(g.n_nodes):
-            row = [f"{pts[i, a]:.17g}" for a in range(d)]
-            row += [f"{vals[i, k]:.17g}" for k in range(3)]
-            lines.append(",".join(row))
-        assert field_to_csv(g, vals) == "\n".join(lines) + "\n"
+        assert field_to_csv(g, vals) == per_row_csv(g, vals)
+
+
+def per_row_csv(grid, vals):
+    """field_to_csv's text, formatting every float of every row on its own."""
+    pts = grid.points()
+    lines = [",".join([f"x{a}" for a in range(grid.d)]
+                      + [f"u{k}" for k in range(vals.shape[1])])]
+    for i in range(grid.n_nodes):
+        lines.append(",".join([f"{pts[i, a]:.17g}" for a in range(grid.d)]
+                              + [f"{vals[i, k]:.17g}" for k in range(vals.shape[1])]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvMirrorRows:
+    """field_to_csv formats a value row shared bit for bit by mirror nodes
+    once; every case must read as if each float were formatted alone."""
+
+    grid = GridSpec(2, 1.0, 0.25)
+
+    def uneven(self):
+        n1 = self.grid.n_per_axis
+        return np.random.default_rng(17).uniform(-1.0, 1.0, size=(n1, n1, 3))
+
+    def check(self, v, grid=None):
+        grid = self.grid if grid is None else grid
+        vals = v.reshape(grid.n_nodes, -1)
+        text = field_to_csv(grid, vals)
+        assert text == per_row_csv(grid, vals)
+        return text
+
+    def test_even_along_axis_1(self):
+        v = self.uneven()
+        self.check(v + np.flip(v, axis=1))
+
+    def test_even_along_both_axes(self):
+        v = self.uneven()
+        v = v + np.flip(v, axis=1)
+        self.check(v + np.flip(v, axis=0))
+
+    def test_even_along_neither_axis(self):
+        self.check(self.uneven())
+
+    def test_a_negative_zero_keeps_its_sign_at_its_own_node(self):
+        v = self.uneven()
+        v = v + np.flip(v, axis=1)
+        v[1, 2, 0], v[1, 4, 0] = -0.0, 0.0
+        # np.array_equal calls this even along axis 1; %.17g does not
+        assert solver.even_axes(self.grid, v.reshape(self.grid.n_nodes, -1)) == (1,)
+        lines = self.check(v).splitlines()
+        n1 = self.grid.n_per_axis
+        assert lines[1 + n1 + 2].split(",")[2] == "-0"
+        assert lines[1 + n1 + 4].split(",")[2] == "0"
+
+    def test_a_one_ulp_asymmetry(self):
+        v = self.uneven()
+        v = v + np.flip(v, axis=1)
+        v[5, 0, 2] = np.nextafter(v[5, 0, 2], math.inf)
+        assert v[5, 0, 2] != v[5, -1, 2]
+        self.check(v)
+
+    def test_a_mirror_pair_of_nans_with_equal_bits(self):
+        v = self.uneven()
+        v = v + np.flip(v, axis=1)
+        v[2, 1, 1] = v[2, 5, 1] = -math.nan
+        assert v[2, 1:2, 1].tobytes() == v[2, 5:6, 1].tobytes()
+        assert "nan" in self.check(v)
+
+    def test_a_1d_even_field(self):
+        g = GridSpec(1, 2.0, 0.25)
+        v = np.random.default_rng(19).uniform(-1.0, 1.0, size=(g.n_nodes, 2))
+        self.check(v + v[::-1], g)
 
 
 def test_adjoint_handle_transposes_its_forward_matrix(monkeypatch):

@@ -450,6 +450,16 @@ class TestDomination:
                                0.25, sources=[(0.0, 0)])
         assert res.passed
 
+    def test_domination_fails_with_plain_and_cooperative_columns_swapped(self):
+        # a negative control through measure: the cooperative kernels put
+        # where the signed ones belong exceed them in absolute value
+        check = verify.Domination(headline_family(), GridSpec(1, 4.0, 1.0 / 8), 0.3,
+                                  [(0.0, 0), (0.5, 1)], n_random=0)
+        coop, plain = evolve_all(check.system, check.requests)
+        assert check.measure([coop, plain]).passed
+        res = check.measure([plain, coop])
+        assert res.status == "fail" and res.worst > 1e3 * res.tolerance
+
 
 class TestMonotoneInR:
     def test_dirichlet_interval_matches_image_sum(self):
@@ -565,6 +575,18 @@ class TestDuality:
         pairs = [(0.5, 0, -0.5, 1), (0.0, 1, 0.25, 0)]
         res = check_duality(fam, g, 0.4, pairs, dt=1.0 / 64)
         assert res.passed
+
+    def test_duality_fails_on_an_adjoint_evolved_with_A_not_its_transpose(self):
+        # a negative control through measure: P columns fed where the
+        # P_adjoint columns belong, as an adjoint assembled from A would give
+        g = GridSpec(1, 8.0, 1.0 / 32)
+        pairs = [(0.5, 0, -0.25, 0), (1.0, 0, 0.0, 0), (-0.5, 0, 0.75, 0)]
+        check = verify.Duality(ou_family(), g, 0.5, pairs, dt=1.0 / 128)
+        forward, adjoint = check.requests
+        assert adjoint.variant == "P_adjoint"
+        assert check.measure(evolve_all(check.system, check.requests)).passed
+        res = check.measure(evolve_all(check.system, [forward, replace(adjoint, variant="P")]))
+        assert res.status == "fail" and res.worst > 10 * res.tolerance
 
 
 class TestChapmanKolmogorov:
