@@ -73,7 +73,7 @@ its store, which is the only way the package evolves them.  Fields are
 plain (n_nodes, m) arrays; save_field_csv writes one with its node
 coordinates, byte-stable for identical inputs: a value row that mirror
 nodes share bit for bit (-0.0 is not 0.0 there) is formatted once, and the
-coordinates once per axis, with the bytes of formatting each float alone.
+coordinates once per grid, with the bytes of formatting each float alone.
 """
 
 from __future__ import annotations
@@ -160,6 +160,11 @@ class GridSpec:
 
     def axis_coords(self) -> np.ndarray:
         return -self.radius + self.spacing * np.arange(1, self.cells_per_axis)
+
+    @cached_property
+    def axis_text(self) -> tuple:
+        """The axis coordinates as %.17g strings, formatted once per grid."""
+        return tuple("%.17g" % x for x in self.axis_coords().tolist())
 
     @cached_property
     def mirrored(self) -> bool:
@@ -655,21 +660,17 @@ def field_to_csv(grid: GridSpec, values: np.ndarray) -> str:
 
     Along an axis where the values are even bit for bit (their uint64 view
     equals its flip, so 0.0 and -0.0 differ, unlike even_axes), only the
-    value rows at or past the center index are formatted, and every node
-    takes the string of its mirror image; coordinates are then formatted
-    once per axis.  Values even along no axis take one % over a template of
-    every row.  Both give the bytes of formatting each float alone.
+    value rows at or past the center index are formatted, with one % over a
+    template, and every node takes the string of its mirror image; a field
+    even along no axis formats every row.  Coordinates are formatted once per
+    grid (GridSpec.axis_text), so the files of one grid share them.  This
+    gives the bytes of formatting each float alone.
     """
     m = values.shape[1]
     header = ",".join([f"x{a}" for a in range(grid.d)] + [f"u{k}" for k in range(m)])
     v = np.ascontiguousarray(values, dtype=float).reshape((grid.n_per_axis,) * grid.d + (m,))
     fold = [a for a in range(grid.d)
             if np.array_equal(v.view(np.uint64), np.flip(v.view(np.uint64), axis=a))]
-    if not fold:
-        # one % over a template of every row formats each float as %.17g
-        row = ",".join(["%.17g"] * (grid.d + m))
-        data = np.concatenate([grid.points(), values], axis=1)
-        return "%s\n%s\n" % (header, "\n".join([row] * grid.n_nodes) % tuple(data.ravel().tolist()))
     center = grid.n_per_axis // 2
     kept = v[tuple(slice(center if a in fold else 0, None) for a in range(grid.d))]
     row = ",".join(["%.17g"] * m)
@@ -677,9 +678,9 @@ def field_to_csv(grid: GridSpec, values: np.ndarray) -> str:
                     .split("\n"), dtype=object).reshape(kept.shape[:-1])
     for a in fold:
         rows = np.take(rows, np.abs(np.arange(grid.n_per_axis) - center), axis=a)
-    coords = ["%.17g" % x for x in grid.axis_coords().tolist()]
-    return "\n".join([header] + [",".join(node + (text,)) for node, text in
-                                 zip(product(coords, repeat=grid.d), rows.ravel())]) + "\n"
+    nodes = product(grid.axis_text, repeat=grid.d)
+    return "\n".join([header] + [",".join(node + (text,))
+                                 for node, text in zip(nodes, rows.ravel().tolist())]) + "\n"
 
 
 def save_field_csv(path, grid: GridSpec, values: np.ndarray):
