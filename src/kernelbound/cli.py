@@ -328,9 +328,16 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
+def _name_number(x) -> str:
+    """%g of x when it reads back as x, else repr, so two numbers that agree
+    to six digits still name two files."""
+    text = "%g" % float(x)
+    return text if float(text) == float(x) else repr(float(x))
+
+
 def _column_name(variant: str, t: float, row, k: int) -> str:
-    coords = "_".join("%g" % float(v) for v in np.atleast_1d(row))
-    return "column_%s_t%g_y%s_k%d.csv" % (variant, t, coords, k)
+    coords = "_".join(_name_number(v) for v in np.atleast_1d(row))
+    return "column_%s_t%s_y%s_k%d.csv" % (variant, _name_number(t), coords, k)
 
 
 def _plan_line(counts: Counter) -> str:
@@ -492,26 +499,25 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
         study = verify.WorkingRadius(fam, radii, spacing,
                                      max(c.horizon for c in moved), srcs[0],
                                      width, dt, theta, reach)
-        outputs, counts = verify.run_plan(fam, study.requests, store, jobs)
+        outputs, counts = verify.run_plan(fam, study.requests, store, jobs) \
+            if study.requests else ([], Counter())
         radius = study.measure(outputs)
         plan.update(counts)
         working = solver.GridSpec(d, radius.radius, spacing)
         checks_run = [replace(check, grid=working) if check in moved else check
                       for check in checks_run]
     # the plan and the checks share each declaration's requests, so the
-    # data of each request is built and hashed once
+    # data of each request is built and hashed once, and each check
+    # measures its own slice of the outputs, which are in request order
     requests = [req for check in checks_run for req in check.requests] + plots
-    try:
-        plan.update(verify.run_plan(fam, requests, store, jobs)[1])
-    except KernelBoundError:
-        # the check, or the plot, that needs the failed evolution meets the
-        # error again and reports it, after the checks before it ran, as
-        # without a plan; so the closing line below is never reached
-        plan = None
-    results = []
+    outputs, counts = verify.run_plan(fam, requests, store, jobs)
+    plan.update(counts)
+    results, start = [], 0
     for check in checks_run:
         _release_freed_memory()
-        results.append(getattr(verify, check.name)(check, store=store))
+        stop = start + len(check.requests)
+        results.append(getattr(verify, check.name)(check, outputs[start:stop], store))
+        start = stop
 
     summary = verify.summary_text(results, radius)
     _write(os.path.join(out, "verify_summary.txt"), summary)
@@ -523,16 +529,17 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
             _write(os.path.join(out, "calibration.txt"),
                    "C_cal = %.17g\n" % r.details["C_cal"])
     if plots:
-        _write_plots(out, fam, plots[0], store, results)
+        _write_plots(out, fam, plots[0], outputs[-1], results)
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
     print("verify: %d check runs in %.3fs; plan: %s"
           % (len(results), time.perf_counter() - wall, _plan_line(plan)))
     return EXIT_PASS if all(r.status == "pass" for r in results) else EXIT_MATH
 
 
-def _write_plots(out, fam, column, store, results):
-    """SVG plots: the planned kernel column, mass decay, weighted ratios."""
-    (field,), = verify.evolve_all(fam, [column], store)
+def _write_plots(out, fam, column, fields, results):
+    """SVG plots: the planned kernel column, given its output, mass decay,
+    weighted ratios."""
+    field, = fields
     grid, t_plot = column.grid, column.t
     pts = grid.points()
     if grid.d == 1:

@@ -12,10 +12,9 @@ Domination, whose requests are the Evolution requests it reads (variant,
 grid, t, resolved step, theta, point sources or initial data, and any
 further time legs, as the composed path of the semigroup identity has),
 and whose measure method turns their outputs into a CheckResult, evolving
-nothing.  check_domination and its siblings run a declaration, or the one
-their arguments build, through evolve_all; the verify command first hands
-every check's requests to run_plan, the one executor, which evolve_all
-calls too.  The executor computes every store key when it plans, so it
+nothing.  The verify command hands every check's requests, in order, to
+run_plan, the one executor, and measures each declaration on its own slice
+of the outputs.  The executor computes every store key when it plans, so it
 hashes no output.  It drops duplicate requests by store key, sorts the rest
 by (variant, grid, theta, dt, fold), where a batch's fold is the axes its
 start values are mirror-even along (solver.even_axes), which names the
@@ -25,12 +24,10 @@ once and factors every (fold, theta, dt) once, and releases the handle's LU
 when its last request is done.  Every batch takes one path through the
 store, whose first miss evolves it once over all its legs, and no batch
 reads another's output.  Requests are never merged into wider batches: each
-keeps the batch it had when its check ran alone, so every column has the same bits
-whether a check runs alone, in the plan, or in a thread.  Every evolution
-goes through a kernel store, one in memory for the call when none is
-given.  The store holds every entry it loads or builds for its life, and
-writes each one it builds to its file when its key has one, so after
-run_plan the checks compute nothing and read no file.
+keeps the batch it has in a plan of its check's requests alone, so every
+column has the same bits whether its check is planned alone, with the
+others, or in a thread.  The store holds every entry it loads or builds for
+its life, and writes each one it builds to its file when its key has one.
 
 The paper bounds the kernel on R^d, and the solver sees it through the
 Dirichlet kernels of boxes.  Before the checks' plan, the verify command
@@ -92,7 +89,7 @@ from .solver import (DEFAULT_BUDGET, SOLVER_VERSION, GridSpec, OperatorHandle, d
 __all__ = [
     "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
     "FIELD_FORMAT_VERSION", "save_field", "load_field",
-    "stored_certificate", "Evolution", "PLAN_COUNTS", "evolve_all", "run_plan",
+    "stored_certificate", "Evolution", "PLAN_COUNTS", "run_plan",
     "TRUNCATION_SHARE", "RadiusChoice", "WorkingRadius", "WORKING_RADIUS_CHECKS",
     "Domination", "MonotoneInR", "MassAndPositivity", "Support", "Duality",
     "ChapmanKolmogorov", "LyapunovIntegrability", "WeightedBound", "DecayShape",
@@ -581,8 +578,7 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
 
     Duplicates are dropped by store key and the rest run in plan order.
     Every field goes through the store, which holds it for its life, so a
-    file that does not load, or holds a NaN, is rebuilt here, and the
-    checks that run these requests again read every field from memory.
+    file that does not load, or holds a NaN, is rebuilt here.
     Batches of one (variant, grid) form a group with one OperatorHandle of
     the given budget, made on the group's first store miss, so a group
     whose every field is stored builds nothing, and the call assembles each
@@ -648,20 +644,6 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
         total.update(counts)
     return [outputs[w] if isinstance(w, _Batch) else [outputs[b][k] for b, k in w]
             for w in where], total
-
-
-def evolve_all(system, requests: Sequence[Evolution],
-               store: Optional[KernelStore] = None) -> list:
-    """Outputs of the requests in their order, each batch run at most once.
-
-    A column request gives a list of (n_nodes, m) arrays, one per source;
-    a data request gives an array shaped like its data.
-    Every check runs its own requests through here; after run_plan has run
-    them, every field comes from the store.  Without a store the fields go
-    through a KernelStore in memory, made for the call.
-    """
-    store = KernelStore() if store is None else store
-    return run_plan(system, requests, store)[0]
 
 
 def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
@@ -1500,51 +1482,45 @@ WORKING_RADIUS_CHECKS = (Domination, MassAndPositivity, Support, ChapmanKolmogor
                          LyapunovIntegrability)
 
 
-def _run(cls, args: tuple, kwargs: dict, store: Optional[KernelStore]) -> CheckResult:
-    """The declaration given alone in args, or the one args and kwargs build,
-    its requests evolved through the store and then measured."""
-    check = args[0] if len(args) == 1 and not kwargs and isinstance(args[0], cls) \
-        else cls(*args, **kwargs)
-    return check.measure(evolve_all(check.system, check.requests, store), store)
+# the public checks: each measures its declaration on the outputs of its
+# requests.  They are no more than measure, and stay as functions because
+# the bench tracer times each check, and the bench tests replace one, by
+# the function of its name
+
+def check_domination(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-# the public checks: each runs a declaration of the class it names, given
-# alone or built from the same arguments
-
-def check_domination(*args, store=None, **kwargs) -> CheckResult:
-    return _run(Domination, args, kwargs, store)
+def check_monotone_in_R(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_monotone_in_R(*args, store=None, **kwargs) -> CheckResult:
-    return _run(MonotoneInR, args, kwargs, store)
+def check_mass_and_positivity(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_mass_and_positivity(*args, store=None, **kwargs) -> CheckResult:
-    return _run(MassAndPositivity, args, kwargs, store)
+def check_support(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_support(*args, store=None, **kwargs) -> CheckResult:
-    return _run(Support, args, kwargs, store)
+def check_duality(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_duality(*args, store=None, **kwargs) -> CheckResult:
-    return _run(Duality, args, kwargs, store)
+def check_chapman_kolmogorov(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_chapman_kolmogorov(*args, store=None, **kwargs) -> CheckResult:
-    return _run(ChapmanKolmogorov, args, kwargs, store)
+def check_lyapunov_integrability(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_lyapunov_integrability(*args, store=None, **kwargs) -> CheckResult:
-    return _run(LyapunovIntegrability, args, kwargs, store)
+def check_weighted_bound(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
-def check_weighted_bound(*args, store=None, **kwargs) -> CheckResult:
-    return _run(WeightedBound, args, kwargs, store)
-
-
-def check_decay_shape(*args, store=None, **kwargs) -> CheckResult:
-    return _run(DecayShape, args, kwargs, store)
+def check_decay_shape(check, outputs: list, store: KernelStore) -> CheckResult:
+    return check.measure(outputs, store)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ OperatorSpec, differencing Q and b where no derivatives are given.
 certificate_ladder_sups and ledger_window_sups evaluate the timed
 certificate's ladder and the ledger's window one time at a time, the loops
 whose bits the blocked passes of verify_certificate and estimate_ledger must
-reproduce.  watch_record_keys and record_files tell a store's records from
+reproduce.  evolve_all runs requests as a plan of their own, and run_alone
+runs one check so: its requests through verify.run_plan, then its measure,
+the path the verify command takes for all checks at once.  watch_record_keys and record_files tell a store's records from
 its fields, which a file's name does not.
 """
 
@@ -393,3 +395,18 @@ def watch_record_keys(monkeypatch) -> list:
 def record_files(folder, keys) -> set:
     """The names of the files of the record keys in a store folder."""
     return {os.path.basename(verify.KernelStore(folder)._path(key)) for key in keys}
+
+
+def evolve_all(system, requests: Sequence[verify.Evolution],
+               store: Optional[verify.KernelStore] = None) -> list:
+    """Outputs of the requests in their order, through verify.run_plan on
+    store, a fresh KernelStore in memory when none is given."""
+    store = verify.KernelStore() if store is None else store
+    return verify.run_plan(system, requests, store)[0]
+
+
+def run_alone(check, store: Optional[verify.KernelStore] = None) -> verify.CheckResult:
+    """A check declaration run alone: its requests planned on store, a fresh
+    KernelStore in memory when none is given, then measured there."""
+    store = verify.KernelStore() if store is None else store
+    return check.measure(evolve_all(check.system, check.requests, store), store)

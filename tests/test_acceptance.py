@@ -21,17 +21,16 @@ from kernelbound.hypotheses import check_base
 from kernelbound.lyapunov import synth_exp, synth_poly, verify_certificate
 from kernelbound.solver import GridSpec, OperatorHandle
 from kernelbound.verify import (
-    check_decay_shape,
-    check_domination,
-    check_duality,
-    check_lyapunov_integrability,
-    check_mass_and_positivity,
-    check_monotone_in_R,
-    check_support,
-    check_weighted_bound,
+    DecayShape,
+    Duality,
+    LyapunovIntegrability,
+    MassAndPositivity,
+    MonotoneInR,
+    Support,
+    WeightedBound,
 )
 
-from oracles import heat_weight_image, kernel_column
+from oracles import heat_weight_image, kernel_column, run_alone
 
 
 def conclude(num: int, title: str, ok: bool, detail: str):
@@ -167,17 +166,17 @@ def test_criterion_03_mehler_oracle():
     y = g.points()[:, 0]
     oracle = gaussian(y, x0 * math.exp(-t), 1.0 - math.exp(-2.0 * t))
     err = g.spacing * float(np.sum(np.abs(col[:, 0] - oracle)))
-    dual = check_duality(fam, g, t, pairs=[(0.5, 0, -0.3125, 0),
-                                           (-1.0, 0, 0.25, 0)],
-                         dt=1.0 / 128, width=1.0 / 16)
+    dual = run_alone(Duality(fam, g, t, pairs=[(0.5, 0, -0.3125, 0),
+                                               (-1.0, 0, 0.25, 0)],
+                             dt=1.0 / 128, width=1.0 / 16))
     ok = err <= 0.02 and dual.passed
     conclude(3, "drifted-kernel oracle", ok,
              "L1 %.3e, duality worst %.3e" % (err, dual.worst))
 
 
 def test_criterion_04_monotone_in_domain():
-    res = check_monotone_in_R(headline_family(), (4.0, 8.0, 16.0), 1.0 / 8,
-                              t=0.3, source=(0.25, 0))
+    res = run_alone(MonotoneInR(headline_family(), (4.0, 8.0, 16.0), 1.0 / 8,
+                                t=0.3, source=(0.25, 0)))
     inc = res.details["increments"]
     ok = res.passed and inc[1] <= inc[0] / 4.0
     conclude(4, "domain monotonicity", ok,
@@ -194,7 +193,7 @@ def test_criterion_05_coupling_support():
     g = GridSpec(1, 2.0, 1.0 / 8)
     worst = 0.0
     for k in range(3):
-        res = check_support(chain, k, g, t=0.2)
+        res = run_alone(Support(chain, k, g, t=0.2))
         worst = max(worst, res.worst)
         if not res.passed:
             conclude(5, "coupling support", False, res.line())
@@ -209,7 +208,7 @@ def test_criterion_05_coupling_support():
         np.fill_diagonal(theta, 1.0)
         fam = diagonal_family("polynomial", 1, m, theta=theta,
                               gamma=2.0 * np.eye(m) + mask)
-        res = check_support(fam, int(rng.integers(m)), g, t=0.2)
+        res = run_alone(Support(fam, int(rng.integers(m)), g, t=0.2))
         random_ok = random_ok and res.passed
         worst = max(worst, res.worst)
     ok = random_ok and worst <= 1e-10
@@ -230,7 +229,7 @@ def test_criterion_06_mass_bound():
     for name, fam, grid in configs:
         reports, _ = check_base(fam)
         assert all(r.ok for r in reports), "%s fails its hypotheses" % name
-        res = check_mass_and_positivity(fam, grid, (0.1, 0.5, 1.0))
+        res = run_alone(MassAndPositivity(fam, grid, (0.1, 0.5, 1.0)))
         worst = max(worst, res.worst)
         if not res.passed:
             conclude(6, "mass decay bound", False,
@@ -273,10 +272,10 @@ def test_criterion_08_lyapunov_integrability(headline_synthesis):
         exact = float(heat_weight_image(eps, t, x))
         closed = max(closed, abs(out[g.node_of([x]), 0] / exact - 1.0))
 
-    res = check_lyapunov_integrability(
+    res = run_alone(LyapunovIntegrability(
         headline_synthesis["family"], headline_synthesis["forward"].timed,
         GridSpec(1, 8.0, 1.0 / 16), t_values=(0.05, 0.1, 0.5),
-        x_points=(0.0, 2.0, -2.0), tol=0.05)
+        x_points=(0.0, 2.0, -2.0), tol=0.05))
     ok = closed <= 0.02 and res.passed
     conclude(8, "weighted integrability", ok,
              "closed-form gap %.3e, envelope worst %.3e" % (closed, res.worst))
@@ -310,12 +309,12 @@ def test_criterion_09_root_ceiling_contract():
 
 def test_criterion_10_weighted_kernel_bound(headline_synthesis):
     start = time.perf_counter()
-    res = check_weighted_bound(
+    res = run_alone(WeightedBound(
         headline_synthesis["family"], headline_synthesis["forward"], s=4.0,
         t_values=(0.25,), sources=(0.0, 0.5),
         coarse=(1.0 / 32, 8.0), fine=(1.0 / 64, 16.0),
         width=1.0 / 32, tol=0.10,
-        adjoint_synthesis=headline_synthesis["adjoint"])
+        adjoint_synthesis=headline_synthesis["adjoint"]))
     elapsed = time.perf_counter() - start
     d = res.details
     stable = d["sup_fine"] <= 1.10 * d["C_cal"]
@@ -331,10 +330,10 @@ def test_criterion_10_weighted_kernel_bound(headline_synthesis):
 def test_criterion_11_decay_shape(headline_synthesis):
     timed = headline_synthesis["forward"].timed
     worsts = []
-    res = check_decay_shape(headline_synthesis["family"],
-                            GridSpec(1, 6.0, 1.0 / 16),
-                            t_values=(0.25, 0.5), x0=0.0, component=0,
-                            weight=timed.weight(0.5 * timed.eps_T))
+    res = run_alone(DecayShape(headline_synthesis["family"],
+                               GridSpec(1, 6.0, 1.0 / 16),
+                               t_values=(0.25, 0.5), x0=0.0, component=0,
+                               weight=timed.weight(0.5 * timed.eps_T)))
     worsts.append(res.worst)
     ok = res.passed
     conclude(11, "tail decay shape", ok,
@@ -351,21 +350,21 @@ def test_criterion_12_exponential_smoke(smoke_synthesis):
                 and fwd.timed.delta == pytest.approx(0.75)
                 and adj.timed.sigma == pytest.approx(2.0))
 
-    mono = check_monotone_in_R(fam, (2.0, 4.0, 8.0), 1.0 / 8, t=0.3,
-                               source=(0.25, 0))
-    supp = [check_support(fam, k, GridSpec(1, 2.0, 1.0 / 8), t=0.2)
+    mono = run_alone(MonotoneInR(fam, (2.0, 4.0, 8.0), 1.0 / 8, t=0.3,
+                                 source=(0.25, 0)))
+    supp = [run_alone(Support(fam, k, GridSpec(1, 2.0, 1.0 / 8), t=0.2))
             for k in range(2)]
-    mass = check_mass_and_positivity(fam, GridSpec(1, 4.0, 1.0 / 8),
-                                     (0.1, 0.5, 1.0), row=row)
+    mass = run_alone(MassAndPositivity(fam, GridSpec(1, 4.0, 1.0 / 8),
+                                       (0.1, 0.5, 1.0), row=row))
     static_rep = verify_certificate(fam, fwd.static, radius=20.0)
     timed_rep = verify_certificate(fam, fwd.timed, radius=20.0)
     timed = timed_rep.certified
     num, _ = quad(lambda u: float(timed.g(u)), 0.0, 0.5, epsabs=1e-12,
                   limit=200)
     quad_ok = abs(num - float(timed.G(0.5))) <= 1e-8
-    integ = check_lyapunov_integrability(fam, timed, GridSpec(1, 3.0, 1.0 / 16),
-                                         t_values=(0.05, 0.1, 0.5),
-                                         x_points=(0.0, 2.0, -2.0), tol=0.05)
+    integ = run_alone(LyapunovIntegrability(fam, timed, GridSpec(1, 3.0, 1.0 / 16),
+                                            t_values=(0.05, 0.1, 0.5),
+                                            x_points=(0.0, 2.0, -2.0), tol=0.05))
 
     checks_ok = (mono.passed and all(r.passed for r in supp) and mass.passed
                  and static_rep.passed and timed_rep.passed and quad_ok

@@ -15,7 +15,7 @@ from kernelbound import cli, hypotheses, lyapunov, solver, verify
 from kernelbound.config import parse_config_text
 from kernelbound.errors import ConfigError
 
-from oracles import record_files, watch_record_keys
+from oracles import evolve_all, record_files, run_alone, watch_record_keys
 
 BASE = {
     "family": {"kind": "polynomial", "m": "2", "zeta": "1", "alpha": "0",
@@ -337,6 +337,26 @@ class TestSolveCommand:
             "2 requests, 2 batches, 0 evolutions, 4 fields found in the store, "
             "0 factorizations, 0 assemblies, 0 steps"]
 
+    def test_times_that_agree_to_six_digits_write_their_own_files(self, tmp_path,
+                                                                  capsys):
+        # %g writes both times as 0.123457; a name that would not read back
+        # as its number spells it with repr
+        text = (BENCH_CONFIGS / "poly1d.cfg").read_text()
+        assert "times = 0.25 0.5\n" in text
+        cfg = tmp_path / "poly1d.cfg"
+        cfg.write_text(text.replace("times = 0.25 0.5\n", "times = 0.1234567 0.1234568\n"))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "solve: wrote 4 columns in ")
+        assert sorted(p.name for p in out.glob("column_*.csv")) == [
+            "column_P_t%s_y0.5_k%d.csv" % (t, k)
+            for t in ("0.1234567", "0.1234568") for k in (0, 1)]
+        # the names the bench configs write keep their %g spelling
+        assert cli._column_name("P", 0.25, 0.5, 1) == "column_P_t0.25_y0.5_k1.csv"
+        assert cli._column_name("P", 0.5, np.array([0.5, 0.0]), 0) == \
+            "column_P_t0.5_y0.5_0_k0.csv"
+
     def test_zero_sources_is_a_pass(self, tmp_path, capsys):
         cfg = make_config(tmp_path, solve={"sources": None})
         rc = cli.main(["solve", "--config", str(cfg), "--out",
@@ -391,10 +411,10 @@ class TestVerifyCommand:
             self, tmp_path, monkeypatch):
         radii = {}
         for name in [n for n in verify.__all__ if n.startswith("check_")]:
-            def recorded(check, original=getattr(verify, name), **kwargs):
+            def recorded(check, outputs, store, original=getattr(verify, name)):
                 radii.setdefault(check.name, set()).update(
                     req.grid.radius for req in check.requests)
-                return original(check, **kwargs)
+                return original(check, outputs, store)
             monkeypatch.setattr(verify, name, recorded)
         out = tmp_path / "out"
         assert cli.main(["verify", "--config", str(BENCH_CONFIGS / "poly1d.cfg"),
@@ -693,16 +713,6 @@ class TestVerifyCommand:
         assert before == 2 and after == 16
 
 
-def from_cmd_verify() -> bool:
-    """Whether the function that calls this one was called by cmd_verify.
-
-    The plans are cmd_verify's run_plan calls, the working-radius study's
-    and the checks'; a check that runs its requests through evolve_all
-    calls run_plan too, but from evolve_all.
-    """
-    return sys._getframe(2).f_code is cli.cmd_verify.__code__
-
-
 class TestVerifyPlan:
     @staticmethod
     def watch_solver_work(monkeypatch):
@@ -769,8 +779,6 @@ class TestVerifyPlan:
         run_plan = verify.run_plan
 
         def planning(system, requests, *args, **kwargs):
-            if not from_cmd_verify():
-                return run_plan(system, requests, *args, **kwargs)
             work["plans"].append({"requests": list(requests), "factored": [], "assembled": [],
                                   "missed": [], "system": system})
             work["phase"] = "plan"
@@ -850,13 +858,11 @@ class TestVerifyPlan:
     def test_checks_alone_give_the_planned_rows_and_fields(self, tmp_path,
                                                             monkeypatch):
         cfg = make_config(tmp_path, **TWO_D)
-        calls = []
+        checks = []
         for name in [n for n in verify.__all__ if n.startswith("check_")]:
-            original = getattr(verify, name)
-
-            def recorded(*args, original=original, **kwargs):
-                calls.append((original, args, kwargs))
-                return original(*args, **kwargs)
+            def recorded(check, outputs, store, original=getattr(verify, name)):
+                checks.append(check)
+                return original(check, outputs, store)
             monkeypatch.setattr(verify, name, recorded)
         chosen, measure = [], verify.WorkingRadius.measure
         monkeypatch.setattr(verify.WorkingRadius, "measure",
@@ -865,18 +871,16 @@ class TestVerifyPlan:
         planned = tmp_path / "planned"
         assert cli.main(["verify", "--config", str(cfg), "--out",
                          str(planned), "--jobs", "1"]) == 0
-        assert len({fn for fn, _, _ in calls}) == 9
-        # each check alone, in the order verify ran them, each with its own
-        # fresh store, so every one computes its own fields
-        results, alone = [], []
-        for i, (fn, args, kwargs) in enumerate(calls):
-            alone.append(tmp_path / ("alone%d" % i))
-            store = verify.KernelStore(alone[-1])
-            results.append(fn(*args, **dict(kwargs, store=store)))
+        assert len({check.name for check in checks}) == 9
+        # each check alone, in the order verify measured them, each planned
+        # on its own fresh store, so every one computes its own fields
+        alone = [tmp_path / ("alone%d" % i) for i in range(len(checks))]
+        results = [run_alone(check, verify.KernelStore(folder))
+                   for check, folder in zip(checks, alone)]
         # and the study alone, with a fresh store, chooses the same radius
         (study, choice), = chosen
         alone.append(tmp_path / "study")
-        assert measure(study, verify.evolve_all(
+        assert measure(study, evolve_all(
             study.system, study.requests, verify.KernelStore(alone[-1]))) == choice
         assert verify.results_csv(results).encode() == \
             (planned / "verify_results.csv").read_bytes()
@@ -888,6 +892,26 @@ class TestVerifyPlan:
         for folder in alone:
             for path in folder.iterdir():
                 assert planned_fields[path.name] == path.read_bytes()
+
+    @pytest.mark.parametrize("radii, plans", [("4 8 16", 2), ("16", 1)])
+    def test_verify_runs_the_study_then_one_plan(self, tmp_path, monkeypatch,
+                                                 radii, plans):
+        # the working-radius study's plan, then one plan of every check's
+        # requests and the kernel plot's; one radius needs no study
+        text = (BENCH_CONFIGS / "poly1d.cfg").read_text()
+        assert "radii = 4 8 16\n" in text and "formats = txt csv svg\n" in text
+        cfg = tmp_path / "poly1d.cfg"
+        cfg.write_text(text.replace("radii = 4 8 16\n", "radii = %s\n" % radii))
+        calls, run_plan = [], verify.run_plan
+        monkeypatch.setattr(verify, "run_plan",
+                            lambda *args, **kwargs: calls.append(args[1])
+                            or run_plan(*args, **kwargs))
+        out = tmp_path / "out"
+        for _ in ("cold", "rerun"):
+            del calls[:]
+            assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+            assert len(calls) == plans and all(calls)
+            assert (out / "kernel_section.svg").is_file()
 
     def test_one_factorization_is_alive_at_a_time(self, tmp_path,
                                                   monkeypatch):
@@ -973,7 +997,7 @@ class TestVerifyPlan:
                             lambda data: hashed.append(data.shape) or digest(data))
         monkeypatch.setattr(verify, "run_plan",
                             lambda system, requests, store, *args, **kwargs:
-                            (from_cmd_verify() and planned.extend(requests))
+                            planned.extend(requests)
                             or run_plan(system, requests, store, *args, **kwargs))
         assert cli.main(args) == 0
         # the checks get the planned requests, so each data request hashes its

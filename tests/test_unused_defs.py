@@ -17,8 +17,8 @@ as an attribute, and __init__ by the name of its class.  A parameter whose
 calls the scan cannot resolve is listed in UNRESOLVED with the reason.
 
 A defaulted field of a @dataclass counts as set the same way, by a call of
-the class by name or as an attribute, by cls(...) in one of the class's own
-methods, or by the check_* function that the class's name attribute spells.
+the class by name or as an attribute, or by cls(...) in one of the class's
+own methods.
 A dataclasses.replace call sets each field it names by keyword, and under **
 each field that a string in the unpacked expression spells.  A field whose
 setters the scan cannot resolve is listed in UNRESOLVED_FIELDS.
@@ -264,11 +264,6 @@ def test_a_method_parameter_needs_an_attribute_call():
 # (module, def, parameter) triples that no call the scan resolves passes,
 # each with where it is passed or why it stays
 UNRESOLVED = {
-    **{("verify.py", name, "store"): "cmd_verify runs each check as "
-                                     "getattr(verify, check.name)(check, store=store)"
-       for name in ("check_domination", "check_monotone_in_R", "check_duality",
-                    "check_chapman_kolmogorov", "check_lyapunov_integrability",
-                    "check_decay_shape")},
     ("bounds.py", "eval", "x"): "BoundCertificate.eval is TEST_ONLY above; x asks it for "
                                 "the two-sided bound, which the pointwise check is to read",
 }
@@ -296,24 +291,18 @@ def _named(node: ast.AST, name: str) -> bool:
 
 
 def dataclass_fields(source: str) -> list:
-    """(class, field, position, setters) for each defaulted field of the
-    @dataclass classes of source.  position is the index of the call argument
-    that fills the field; setters are the callees that build the class, its
-    own name and the check function its name attribute spells."""
+    """(class, field, position) for each defaulted field of the @dataclass
+    classes of source.  position is the index of the call argument that
+    fills the field."""
     fields = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef) or not any(
                 _named(dec.func if isinstance(dec, ast.Call) else dec, "dataclass")
                 for dec in cls.decorator_list):
             continue
-        setters = {cls.name}
-        setters.update(node.value.value for node in cls.body
-                       if isinstance(node, ast.Assign) and any(_named(t, "name")
-                                                               for t in node.targets)
-                       and isinstance(node.value, ast.Constant) and node.value.value)
         declared = [node for node in cls.body
                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
-        fields += [(cls.name, node.target.id, i, setters)
+        fields += [(cls.name, node.target.id, i)
                    for i, node in enumerate(declared) if node.value is not None]
     return fields
 
@@ -352,9 +341,9 @@ def unset_fields(source: str, calls: dict, replaced: set) -> list:
     call sets, sorted."""
     own = own_cls_calls(source)
     unset = set()
-    for cls, name, position, setters in dataclass_fields(source):
-        made = [c for setter in setters for attr in (False, True)
-                for c in calls.get((setter, attr), ())] + own.get(cls, [])
+    for cls, name, position in dataclass_fields(source):
+        made = [c for attr in (False, True) for c in calls.get((cls, attr), ())] \
+            + own.get(cls, [])
         if name not in replaced and not any(None in keywords or name in keywords
                                             or position < count
                                             for count, keywords in made):
@@ -366,7 +355,6 @@ def test_scan_finds_a_planted_unset_field():
     source = ("from dataclasses import dataclass, field, replace\n"
               "@dataclass(frozen=True)\n"
               "class Check:\n"
-              "    name = 'check_it'\n"
               "    a: int\n"
               "    b: int = 0\n"
               "    c: int = 1\n"
@@ -379,10 +367,8 @@ def test_scan_finds_a_planted_unset_field():
               "class Other:\n"
               "    f: int = 0\n"
               "    g: int = 0\n"
-              "def check_it(*args, **kwargs):\n    return run(Check, args, kwargs)\n"
-              "def run(cls, args, kwargs):\n    return cls(*args, planted=1, **kwargs)\n"
-              "Check(0, 1)\n"
-              "check_it(0, 1, 2)\n"
+              "def run(cls, args):\n    return cls(*args, planted=1)\n"
+              "Check(0, 1, 2)\n"
               "replace(Check.make(), **{k: 1 for k in ('e',)})\n"
               "mod.Other(g=1)\n")
     calls = call_arguments([source])

@@ -15,26 +15,25 @@ from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
 from kernelbound.solver import (STEPS, GridSpec, OperatorHandle, default_dt, even_axes,
                                 mollified_source)
 from kernelbound.verify import (
+    ChapmanKolmogorov,
     CheckResult,
+    DecayShape,
+    Domination,
+    Duality,
     Evolution,
     KernelStore,
-    check_chapman_kolmogorov,
-    check_decay_shape,
-    check_domination,
-    check_duality,
-    check_lyapunov_integrability,
-    check_mass_and_positivity,
-    check_monotone_in_R,
-    check_support,
-    check_weighted_bound,
-    evolve_all,
+    LyapunovIntegrability,
+    MassAndPositivity,
+    MonotoneInR,
+    Support,
+    WeightedBound,
     results_csv,
     run_plan,
     summary_text,
     system_fingerprint,
 )
 
-from oracles import heat_weight_image, kernel_column
+from oracles import evolve_all, heat_weight_image, kernel_column, run_alone
 
 
 def headline_family():
@@ -253,8 +252,7 @@ class TestStoredColumns:
         g = GridSpec(1, 2.0, 0.25)
         store = KernelStore()
         with pytest.raises(TypeError):
-            evolve_all(requests=[Evolution.of_sources("P", g, 0.1, [(0.0, 0)])],
-                       store=store)
+            run_plan(requests=[Evolution.of_sources("P", g, 0.1, [(0.0, 0)])], store=store)
         assert len(store) == 0
 
     def test_distinct_systems_get_their_own_fields(self):
@@ -431,7 +429,7 @@ class TestDomination:
     def test_headline_kernel_and_function_level(self):
         fam = headline_family()
         g = GridSpec(1, 4.0, 1.0 / 8)
-        res = check_domination(fam, g, 0.3, sources=[(0.0, 0), (0.5, 1)])
+        res = run_alone(Domination(fam, g, 0.3, sources=[(0.0, 0), (0.5, 1)]))
         assert res.passed
         assert res.worst <= 1e-9
 
@@ -440,14 +438,14 @@ class TestDomination:
                               theta=[[1.0, -0.5], [-0.5, 1.0]],
                               gamma=[[2.0, 1.0], [1.0, 2.0]])
         g = GridSpec(1, 4.0, 1.0 / 8)
-        res = check_domination(fam, g, 0.3, sources=[(0.0, 0)])
+        res = run_alone(Domination(fam, g, 0.3, sources=[(0.0, 0)]))
         assert res.passed
         # the cooperative potential coincides with the signed one here
         assert res.worst < 1e-12
 
     def test_single_component_reduces_to_positivity(self):
-        res = check_domination(heat_family(), GridSpec(1, 4.0, 1.0 / 8),
-                               0.25, sources=[(0.0, 0)])
+        res = run_alone(Domination(heat_family(), GridSpec(1, 4.0, 1.0 / 8),
+                                   0.25, sources=[(0.0, 0)]))
         assert res.passed
 
     def test_domination_fails_with_plain_and_cooperative_columns_swapped(self):
@@ -477,54 +475,54 @@ class TestMonotoneInR:
         assert err <= 0.01
 
     def test_family_ladder_is_monotone(self):
-        res = check_monotone_in_R(headline_family(), radii=(2.0, 4.0, 8.0),
-                                  spacing=1.0 / 8, t=0.3, source=(0.25, 0))
+        res = run_alone(MonotoneInR(headline_family(), radii=(2.0, 4.0, 8.0),
+                                    spacing=1.0 / 8, t=0.3, source=(0.25, 0)))
         assert res.passed
         assert max(res.details["violations"]) <= 1e-8
         inc = res.details["increments"]
         assert len(inc) == 2 and inc[1] < inc[0]
 
     def test_single_radius_is_trivially_monotone(self):
-        res = check_monotone_in_R(headline_family(), radii=(4.0,),
-                                  spacing=1.0 / 8, t=0.3, source=(0.0, 0))
+        res = run_alone(MonotoneInR(headline_family(), radii=(4.0,),
+                                    spacing=1.0 / 8, t=0.3, source=(0.0, 0)))
         assert res.passed and res.worst == 0.0
 
 
 class TestMassAndPositivity:
     def test_headline_decay_rate(self):
-        res = check_mass_and_positivity(headline_family(), GridSpec(1, 6.0, 1.0 / 8),
-                                        t_values=(0.1, 0.5, 1.0),
-                                        sources=[(0.0, 0)])
+        res = run_alone(MassAndPositivity(headline_family(), GridSpec(1, 6.0, 1.0 / 8),
+                                          t_values=(0.1, 0.5, 1.0),
+                                          sources=[(0.0, 0)]))
         assert res.passed
         assert res.details["M"] == pytest.approx(0.5, abs=1e-6)
         assert res.details["positivity_ratio"] <= 1.0
 
     def test_overstated_rate_fails(self):
         fake = RowSumBound(M=3.0, method="manual", certified_tail=False)
-        res = check_mass_and_positivity(headline_family(), GridSpec(1, 6.0, 1.0 / 8),
-                                        t_values=(1.0,), row=fake)
+        res = run_alone(MassAndPositivity(headline_family(), GridSpec(1, 6.0, 1.0 / 8),
+                                          t_values=(1.0,), row=fake))
         assert res.status == "fail"
         assert res.worst > res.tolerance
 
     def test_explicit_row_wins_over_the_stored_bound(self):
         fam, g, store = headline_family(), GridSpec(1, 6.0, 1.0 / 8), KernelStore()
-        stored = check_mass_and_positivity(fam, g, t_values=(1.0,), store=store)
+        stored = run_alone(MassAndPositivity(fam, g, t_values=(1.0,)), store)
         assert stored.passed and stored.details["M"] == pytest.approx(0.5, abs=1e-6)
         fake = RowSumBound(M=3.0, method="manual", certified_tail=False)
-        res = check_mass_and_positivity(fam, g, t_values=(1.0,), row=fake, store=store)
+        res = run_alone(MassAndPositivity(fam, g, t_values=(1.0,), row=fake), store)
         assert res.status == "fail" and res.details["M"] == 3.0
 
 
 class TestSupport:
     def test_chain_start_stays_confined(self):
-        res = check_support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3)
+        res = run_alone(Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3))
         assert res.passed
         assert res.details["reachable"] == [0]
         assert res.details["relative_maxima"][1] <= 1e-10
         assert res.details["relative_maxima"][2] <= 1e-10
 
     def test_chain_end_reaches_everything(self):
-        res = check_support(chain_family(), 2, GridSpec(1, 4.0, 1.0 / 8), 0.3)
+        res = run_alone(Support(chain_family(), 2, GridSpec(1, 4.0, 1.0 / 8), 0.3))
         assert res.passed
         assert res.details["reachable"] == [0, 1, 2]
         assert min(res.details["relative_maxima"]) >= 1e-12
@@ -532,8 +530,8 @@ class TestSupport:
     def test_wrong_support_prediction_fails(self):
         wrong = CouplingSupport(k=0, levels=(frozenset({1, 2}),),
                                 reachable=frozenset({0, 1, 2}))
-        res = check_support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3,
-                            support=wrong)
+        res = run_alone(Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3,
+                                support=wrong))
         assert res.status == "fail"
 
     def test_random_patterns_match_graph_prediction(self):
@@ -545,7 +543,7 @@ class TestSupport:
             fam = diagonal_family("polynomial", 1, 3, theta=theta,
                                   gamma=np.ones((3, 3)))
             for k in range(3):
-                res = check_support(fam, k, GridSpec(1, 4.0, 1.0 / 8), 0.3)
+                res = run_alone(Support(fam, k, GridSpec(1, 4.0, 1.0 / 8), 0.3))
                 assert res.passed, res.line()
 
 
@@ -563,7 +561,7 @@ class TestDuality:
     def test_drifted_pairs_agree(self):
         g = GridSpec(1, 8.0, 1.0 / 32)
         pairs = [(0.5, 0, -0.25, 0), (1.0, 0, 0.0, 0), (-0.5, 0, 0.75, 0)]
-        res = check_duality(ou_family(), g, 0.5, pairs, dt=1.0 / 128)
+        res = run_alone(Duality(ou_family(), g, 0.5, pairs, dt=1.0 / 128))
         assert res.passed
         assert res.worst <= 0.02
 
@@ -573,7 +571,7 @@ class TestDuality:
                               gamma=[[2.0, 1.0], [1.0, 2.0]])
         g = GridSpec(1, 4.0, 1.0 / 16)
         pairs = [(0.5, 0, -0.5, 1), (0.0, 1, 0.25, 0)]
-        res = check_duality(fam, g, 0.4, pairs, dt=1.0 / 64)
+        res = run_alone(Duality(fam, g, 0.4, pairs, dt=1.0 / 64))
         assert res.passed
 
     def test_duality_fails_on_an_adjoint_evolved_with_A_not_its_transpose(self):
@@ -591,8 +589,8 @@ class TestDuality:
 
 class TestChapmanKolmogorov:
     def test_exact_split(self):
-        res = check_chapman_kolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
-                                       t=0.2, s=0.3)
+        res = run_alone(ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
+                                          t=0.2, s=0.3))
         assert res.passed
         assert res.worst <= 1e-9
         # the chosen step divides the first leg exactly
@@ -600,13 +598,13 @@ class TestChapmanKolmogorov:
         assert abs(ratio - round(ratio)) < 1e-9
 
     def test_zero_second_leg_is_identity(self):
-        res = check_chapman_kolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
-                                       t=0.2, s=0.0)
+        res = run_alone(ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
+                                          t=0.2, s=0.0))
         assert res.passed and res.worst == 0.0
 
     def test_signed_variant(self):
-        res = check_chapman_kolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
-                                       t=0.2, s=0.2, variant="plain")
+        res = run_alone(ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
+                                          t=0.2, s=0.2, variant="plain"))
         assert res.passed
 
 
@@ -630,9 +628,9 @@ class TestLyapunovIntegrability:
     def test_headline_envelope_holds(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
-        res = check_lyapunov_integrability(fam, syn.timed, GridSpec(1, 8.0, 1.0 / 16),
-                                           t_values=(0.05, 0.1, 0.5),
-                                           x_points=(0.0, 2.0, -2.0))
+        res = run_alone(LyapunovIntegrability(fam, syn.timed, GridSpec(1, 8.0, 1.0 / 16),
+                                              t_values=(0.05, 0.1, 0.5),
+                                              x_points=(0.0, 2.0, -2.0)))
         assert res.passed, res.line()
         assert res.details["c0"] >= 0.0
         assert res.details["eps"] == pytest.approx(syn.timed.eps_T / 4.0)
@@ -651,9 +649,9 @@ class TestLyapunovIntegrability:
     def test_boundary_heavy_run_is_inconclusive(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
-        res = check_lyapunov_integrability(fam, syn.timed, GridSpec(1, 2.0, 1.0 / 8),
-                                           t_values=(0.1,), x_points=(0.0,),
-                                           boundary_fraction=1e-9)
+        res = run_alone(LyapunovIntegrability(fam, syn.timed, GridSpec(1, 2.0, 1.0 / 8),
+                                              t_values=(0.1,), x_points=(0.0,),
+                                              boundary_fraction=1e-9))
         assert res.status == "inconclusive"
         assert res.details["boundary_fraction"] > 1e-9
 
@@ -663,10 +661,10 @@ class TestWeightedBound:
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
         adj = synth_poly(fam, 1.0, target="P_adjoint")
-        res = check_weighted_bound(fam, syn, s=4.0, t_values=(0.25,),
-                                   sources=(0.0, 1.0, -1.0),
-                                   coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
-                                   width=1.0 / 16, adjoint_synthesis=adj)
+        res = run_alone(WeightedBound(fam, syn, s=4.0, t_values=(0.25,),
+                                      sources=(0.0, 1.0, -1.0),
+                                      coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
+                                      width=1.0 / 16, adjoint_synthesis=adj))
         assert res.passed, res.line()
         assert res.details["C_cal"] > 0.0
         assert res.details["sup_fine"] <= 1.10 * res.details["C_cal"]
@@ -676,10 +674,10 @@ class TestWeightedBound:
     def test_broken_majorant_fails(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
-        res = check_weighted_bound(
+        res = run_alone(WeightedBound(
             fam, syn, s=4.0, t_values=(0.25,), sources=(0.0,),
             coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 8.0), width=1.0 / 16,
-            majorant_scale=1e-6)
+            majorant_scale=1e-6))
         assert res.status == "fail"
 
     @pytest.mark.parametrize("f", [0.5, 2.0])
@@ -701,10 +699,10 @@ class TestWeightedBound:
         syn = synth_poly(fam, 1.0)
         args = dict(s=4.0, t_values=(0.25,), sources=(0.0,),
                     coarse=(1.0 / 8, 4.0), fine=(1.0 / 8, 8.0), width=1.0 / 16)
-        one = check_weighted_bound(fam, syn, **args).details
+        one = run_alone(WeightedBound(fam, syn, **args)).details
         assert one["sup2_coarse"] == one["sup2_fine"] == 0.0
-        two = check_weighted_bound(fam, syn, adjoint_synthesis=synth_poly(
-            fam, 1.0, target="P_adjoint"), **args).details
+        two = run_alone(WeightedBound(fam, syn, adjoint_synthesis=synth_poly(
+            fam, 1.0, target="P_adjoint"), **args)).details
         assert two["sup2_coarse"] > 0.0 and two["sup2_fine"] > 0.0
         assert two["sup_fine"] == one["sup_fine"]
 
@@ -722,9 +720,9 @@ class TestWeightedBound:
             return real(*a, **kw)
 
         monkeypatch.setattr(verify, "verify_certificate", counted)
-        check_weighted_bound(fam, syn, t_values=(0.25,), **args)
+        run_alone(WeightedBound(fam, syn, t_values=(0.25,), **args))
         one_time = len(calls)
-        res = check_weighted_bound(fam, syn, t_values=(0.1, 0.25, 0.5), **args)
+        res = run_alone(WeightedBound(fam, syn, t_values=(0.1, 0.25, 0.5), **args))
         assert len(calls) == 2 * one_time == 8
         monkeypatch.undo()
         # the same majorants as calibrating afresh at every time
@@ -736,26 +734,26 @@ class TestWeightedBound:
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
         with pytest.raises(DomainError):
-            check_weighted_bound(fam, syn, s=4.0, t_values=(0.25,), sources=(0.0,),
-                                 coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
-                                 eps_scales=(0.75, 0.5, 1.0))
+            run_alone(WeightedBound(fam, syn, s=4.0, t_values=(0.25,), sources=(0.0,),
+                                    coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
+                                    eps_scales=(0.75, 0.5, 1.0)))
 
 
 class TestDecayShape:
     def test_headline_tail_stays_below_core(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
-        res = check_decay_shape(fam, GridSpec(1, 6.0, 1.0 / 16),
-                                t_values=(0.25, 0.5), x0=0.5, component=0,
-                                weight=syn.timed.weight(0.5 * syn.timed.eps_T))
+        res = run_alone(DecayShape(fam, GridSpec(1, 6.0, 1.0 / 16),
+                                   t_values=(0.25, 0.5), x0=0.5, component=0,
+                                   weight=syn.timed.weight(0.5 * syn.timed.eps_T)))
         assert res.passed, res.line()
 
     def test_excessive_decay_claim_fails(self):
         fam = headline_family()
         syn = synth_poly(fam, 1.0)
-        res = check_decay_shape(fam, GridSpec(1, 6.0, 1.0 / 16),
-                                t_values=(0.5,), x0=0.5, component=0,
-                                weight=syn.timed.weight(50.0))
+        res = run_alone(DecayShape(fam, GridSpec(1, 6.0, 1.0 / 16),
+                                   t_values=(0.5,), x0=0.5, component=0,
+                                   weight=syn.timed.weight(50.0)))
         assert res.status == "fail"
 
     def test_exponential_family_is_compensated_by_its_own_profile(self):
@@ -765,7 +763,7 @@ class TestDecayShape:
         w = synth_exp(fam, 1.0).timed.weight()
         assert w.form == "integrated-exp"
         grid, t = GridSpec(1, 6.0, 1.0 / 16), 0.5
-        res = check_decay_shape(fam, grid, t_values=(t,), x0=0.0, component=0, weight=w)
+        res = run_alone(DecayShape(fam, grid, t_values=(t,), x0=0.0, component=0, weight=w))
         # the rise from the adjoint column, compensated by the integrated-exp
         # shape and, for contrast, by the power shape (1 + |y|^2)^rho
         col = kernel_column(OperatorHandle(fam, grid, "P_adjoint"), t, 0.0, 0)
@@ -786,9 +784,9 @@ class TestDecayShape:
 
 class TestReporting:
     def _two_results(self):
-        first = check_support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3)
-        second = check_chapman_kolmogorov(headline_family(),
-                                          GridSpec(1, 4.0, 1.0 / 8), t=0.2, s=0.0)
+        first = run_alone(Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3))
+        second = run_alone(ChapmanKolmogorov(headline_family(),
+                                             GridSpec(1, 4.0, 1.0 / 8), t=0.2, s=0.0))
         return [first, second]
 
     def test_csv_shape_and_determinism(self):
@@ -973,15 +971,14 @@ class TestPlan:
         assert [r.theta for r in decay.requests] == [0.5, 0.5]
         # a declaration builds its requests once, for the plan and the check
         assert support.requests is support.requests
-        for misspelled in (verify.Support, check_support):
-            with pytest.raises(TypeError):
-                misspelled(fam, k=0, grid=g, t=0.1, thetta=0.5)
-        # the check then finds every field the plan stored, given the
-        # declaration or the same arguments
+        with pytest.raises(TypeError):
+            Support(fam, k=0, grid=g, t=0.1, thetta=0.5)
+        # the check, planned alone, then finds every field the plan stored,
+        # as does a declaration built from the same arguments
         run_plan(fam, support.requests, KernelStore(tmp_path))
         calls = self.count_evolves(monkeypatch)
-        declared = check_support(support, store=KernelStore(tmp_path))
-        assert check_support(fam, 0, g, 0.1, store=KernelStore(tmp_path)) == declared
+        declared = run_alone(support, KernelStore(tmp_path))
+        assert run_alone(Support(fam, 0, g, 0.1), KernelStore(tmp_path)) == declared
         assert calls == []
 
     def test_a_measurement_fails_on_a_field_mutated_by_hand(self, monkeypatch):
