@@ -33,8 +33,13 @@ r = 1+|x|^2 and the squares x_i^2, and R and b are x_i times such a factor,
 so they are odd, and negating a float is exact.  Every ratio the
 certificates, the constants ledger and the row sums take a sup or inf of is
 built from even fields and products of two odd ones (b and R against the
-gradient 2 x S'(r) of a radial weight), so it is even too, and
-lyapunov._sample_points takes a family's sample box at half its points.
+gradient 2 x S'(r) of a radial weight), so it is even too.  A family is
+radial (_FamilyBase.radial) when, for each equation, zeta is a multiple of
+the identity, the diagonal of alpha is constant, and eta and beta are
+constant across axes, as diagonal_family builds it: Q = zeta g(r, alpha) I,
+b = -eta x g(r, beta) and V = theta g(r, gamma).  Those ratios then depend
+on x only through |x|, and lyapunov._sample_points takes one point of the
+sample box per radius.
 """
 
 from __future__ import annotations
@@ -232,6 +237,17 @@ class _FamilyBase:
 
     def gamma_diag_min(self) -> float:
         return float(np.diag(self.gamma).min())
+
+    @property
+    def radial(self) -> bool:
+        """Whether every equation's diffusion is zeta_k g(r, alpha_k) I and its
+        drift -eta_k x g(r, beta_k): zeta a multiple of the identity, the
+        diagonal of alpha constant, and eta and beta constant across axes."""
+        alpha_diag = np.diagonal(self.alpha, axis1=1, axis2=2)
+        return bool(np.array_equal(self.zeta, self.zeta[:, :1, :1] * np.eye(self.dims.d))
+                    and np.all(alpha_diag == alpha_diag[:, :1])
+                    and np.all(self.eta == self.eta[:, :1])
+                    and np.all(self.beta == self.beta[:, :1]))
 
     def operator_spec(self) -> OperatorSpec:
         return OperatorSpec(dims=self.dims, Q=self.Q, b=self.b, V=self.V,

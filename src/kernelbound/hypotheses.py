@@ -84,8 +84,8 @@ class RowSumBound:
 @dataclass(frozen=True)
 class SamplePlan:
     """Sampling layout for numeric suprema: time count, box radius, axis
-    points.  The points are lyapunov._sample_points of the system: half the
-    box for a family, the whole box otherwise."""
+    points.  The points are lyapunov._sample_points of the system: one point
+    per radius for a radial family, the whole box otherwise."""
 
     t_count: int = 9
     radius: float = SAMPLE_RADIUS
@@ -204,11 +204,12 @@ def compute_row_sum_bound(system, adjoint: bool = False,
                           radius: float = SAMPLE_RADIUS) -> RowSumBound:
     """Grid infimum of the worst cooperative row sum, with a tail probe.
 
-    The infimum is taken over a box of the given radius, half of it for a
-    family, whose row sums are even (lyapunov._sample_points).  Along each
-    signed axis (and in-plane diagonals for d = 2) the row sums are probed
-    at radii radius * {1, 1.25, 1.5, 2} and must be nondecreasing for the
-    tail to count as certified, otherwise the result is marked numeric-only.
+    The infimum is taken over a box of the given radius, at one point per
+    radius for a radial family, whose row sums depend on x only through |x|
+    (lyapunov._sample_points).  Along each signed axis (and in-plane
+    diagonals for d = 2) the row sums are probed at radii radius * {1, 1.25,
+    1.5, 2} and must be nondecreasing for the tail to count as certified,
+    otherwise the result is marked numeric-only.
     """
     d = system.dims.d
     n = _points_per_axis(d)
@@ -412,11 +413,12 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     resulting constants land in c with M from the adjoint row sums (use
     ConstantsLedger.with_adjoint to merge).  inner overrides the inner
     window pair (a, b); the default sits at even quarters.  The points are
-    lyapunov._sample_points of the plan's box: half of it for a family,
-    whose ratios are even in x, which gives the whole box's sups, edge
-    flags and first non-finite point.  The coefficients depend on x only,
-    so their log-entries and the norms of items 5-8 are evaluated once per
-    grid (ledger_fields).  The window times are evaluated in blocks
+    lyapunov._sample_points of the plan's box: one point per radius for a
+    radial family, whose ratios depend on x only through |x|, the first of
+    each radius in row-major order, which keeps the whole box's first
+    argmaxes, so their edge flags, and its first non-finite point.  The
+    coefficients depend on x only, so their log-entries and the norms of
+    items 5-8 are evaluated once per grid (ledger_fields).  The window times are evaluated in blocks
     (lyapunov.time_blocks), one vectorized pass each; sups, argmaxes and
     the first non-finite ratio are taken in time order.
     """

@@ -34,6 +34,7 @@ a system's certificate grids, so that a command evaluates each grid once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -605,22 +606,39 @@ def _grid_points(d: int, radius: float, per_axis: Optional[int] = None) -> np.nd
     return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
 
+@functools.cache
+def _radius_classes(d: int, radius: float, per_axis: int) -> np.ndarray:
+    """The first point, in row-major order, of each distinct sum of squares
+    of the sample box, listed in row-major order.
+
+    The table depends only on its arguments, so a process builds it once per
+    key and every caller reads the one array, which is read-only.
+    """
+    pts = _grid_points(d, radius, per_axis)
+    _, first = np.unique(np.sum(pts * pts, axis=-1), return_index=True)
+    classes = pts[np.sort(first)]
+    classes.flags.writeable = False
+    return classes
+
+
 def _sample_points(system, radius: float, per_axis: Optional[int] = None) -> np.ndarray:
     """The points of the sample box on which the sups and infs of system's
     certificates, ledger and row sums are taken.
 
-    A family's ratios are even in x (see coefficients.py), and the box lists
-    its points in row-major order, so the mirror -x of its i-th point is its
-    point N-1-i when the box is its own mirror image bit for bit.  The leading
-    half, which ends at the center, then holds every value the whole box
-    holds, the first argmax of each sup and the first non-finite point, and
-    a family takes only that half.  An opaque OperatorSpec, or a box whose
-    linspace is not exactly symmetric, takes the whole box.
+    A radial family's ratios depend on x only through |x| (see
+    coefficients.py), so it takes one point per radius: the first box point,
+    in row-major order, of each distinct sum of squares (_radius_classes).
+    Where the points of one radius give one value bit for bit, the first
+    argmax of a sup over the box and its first non-finite point open their
+    radius class, so the classes keep them.  In 1-D the classes are the
+    box's leading half; a 2-D box of 65^2 points holds 457 radii, and a 3-D
+    box of 33^3 points 464.  Every other system takes the whole box.
     """
-    pts = _grid_points(system.dims.d, radius, per_axis)
-    if isinstance(system, _FamilyBase) and np.array_equal(pts, -pts[::-1]):
-        return pts[:(len(pts) + 1) // 2]
-    return pts
+    d = system.dims.d
+    n = _points_per_axis(d, per_axis)
+    if isinstance(system, _FamilyBase) and system.radial:
+        return _radius_classes(d, float(radius), n)
+    return _grid_points(d, radius, n)
 
 
 def _signed_log_sum(logabs: np.ndarray, sign: np.ndarray, axis: int = 0):
@@ -739,7 +757,8 @@ class CertificateGrids:
 
 # elements of the (times, points, d, d) curvature block that one vectorized
 # pass over a sample grid takes: 1-D grids take a certificate ladder or a
-# ledger window in one block, 2-D grids one time per block
+# ledger window in one block, the 457 radius classes of a 2-D family's
+# grid 8 times per block, and a whole 2-D box one time per block
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -807,13 +826,14 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     grows by 10% or more under radius doubling (the function is then no
     Lyapunov function for this operator); passes when the two suprema agree
     within tolerance * max(1, |sup|).  Each grid is _sample_points of its
-    radius: half the box for a family, whose generator ratio is even in x,
-    which gives the whole box's sups.  The coefficient fields depend on x
-    only, so they are evaluated once per grid and reused at every ladder
-    time; grids, when given, keeps them for the system's next certificate,
-    which is how a command's kernel store evaluates each grid once.  The ladder is
-    evaluated in blocks of times (time_blocks), one vectorized pass each,
-    and each time's sup is taken in ladder order.
+    radius: one point per radius for a radial family, whose generator ratio
+    depends on x only through |x|, and the whole box otherwise.  The
+    coefficient fields depend on x only, so they are evaluated once per grid
+    and reused at every ladder time; grids, when given, keeps them for the
+    system's next certificate, which is how a command's kernel store
+    evaluates each grid once.  The ladder is evaluated in blocks of times
+    (time_blocks), one vectorized pass each, and each time's sup is taken in
+    ladder order.
     """
     d = system.dims.d
     timed = isinstance(lyap, TimeLyapunovSpec)

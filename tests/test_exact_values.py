@@ -51,7 +51,7 @@ def ledger_weights(timed):
 # by RECORD_VERSION among other things.  A change that moves a pinned value
 # must bump verify.RECORD_VERSION, and the pin below, in the same diff, so
 # records written before it are recomputed rather than read back.
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 
 def test_record_version_is_pinned():
@@ -364,88 +364,160 @@ def test_blocked_ledger_names_the_loop_first_non_finite_ratio(per_axis):
 
 
 # ---------------------------------------------------------------------------
-# half boxes against the whole box
+# radius classes against the whole box
 # ---------------------------------------------------------------------------
 
 def skewed(kind):
     """family(kind, 2) with off-diagonal diffusion and a drift that differs
-    from axis to axis: even in x, but not under the reflection of one axis."""
+    from axis to axis: even in x, but not radial."""
     fam = family(kind, 2)
     zeta = np.array([[[1.0, 0.3], [0.3, 1.0]], [[0.8, -0.2], [-0.2, 1.0]]])
     eta = np.array([[1.0, 2.0], [1.5, 1.0]])
     return type(fam)(fam.dims, zeta, fam.alpha, eta, fam.beta, fam.theta, fam.gamma)
 
 
-def whole_box(monkeypatch):
-    """Make every sampler take the whole box, as _grid_points lays it out."""
-    def whole(system, radius, per_axis=None):
-        return ly._grid_points(system.dims.d, radius, per_axis)
-
+def sample_with(monkeypatch, sampler):
+    """Make the certificates, the ledger and the row sums sample with sampler."""
     for module in (ly, hypotheses):
-        monkeypatch.setattr(module, "_sample_points", whole)
+        monkeypatch.setattr(module, "_sample_points", sampler)
 
 
-def sampled_numbers(fam, target):
-    """Both certificates' sups, the ledger and the row-sum bound of fam, as
-    float.hex, with the ledger's edge flags and the row sums' tail verdict."""
+def whole_box(system, radius, per_axis=None):
+    return ly._grid_points(system.dims.d, radius, per_axis)
+
+
+def radius_classes(system, radius, per_axis=None):
+    d = system.dims.d
+    return ly._radius_classes(d, float(radius), ly._points_per_axis(d, per_axis))
+
+
+def sampled_values(fam, target, per_axis=None, s=5.0):
+    """Both certificates' sups, the ledger and the row-sum bound of fam, with
+    the ledger's edge flags and the row sums' tail verdict."""
     res = synthesize(fam, target)
-    static = ly.verify_certificate(fam, res.static)
-    timed = ly.verify_certificate(fam, res.timed)
+    static = ly.verify_certificate(fam, res.static, per_axis=per_axis)
+    timed = ly.verify_certificate(fam, res.timed, per_axis=per_axis)
     adjoint = target == "P_adjoint"
-    led = estimate_ledger(fam, *ledger_weights(timed.certified), s=5.0,
-                          window=(0.0625, 0.375), adjoint=adjoint)
+    led = estimate_ledger(fam, *ledger_weights(timed.certified), s=s,
+                          window=(0.0625, 0.375), plan=SamplePlan(per_axis=per_axis),
+                          adjoint=adjoint)
     row = compute_row_sum_bound(fam, adjoint=adjoint)
     sups = [static.sup_coarse, static.sup_fine, timed.sup_coarse, timed.sup_fine,
             *led.c, led.M, row.M]
-    return [float(v).hex() for v in sups], list(led.boundary_flags), row.certified_tail
+    return sups, list(led.boundary_flags), row.certified_tail
 
 
-MIRROR_CASES = [(kind, d, skew, target) for kind in ("polynomial", "exponential")
-                for d, skew in ((1, False), (2, False), (2, True)) for target in ly.TARGETS]
+def sampled_numbers(fam, target):
+    """sampled_values with every number as float.hex."""
+    sups, edge, tail = sampled_values(fam, target)
+    return [float(v).hex() for v in sups], edge, tail
 
 
-@pytest.mark.parametrize("kind,d,skew,target", MIRROR_CASES)
-def test_a_family_on_half_the_box_has_the_bits_of_the_whole_box(
-        kind, d, skew, target, monkeypatch):
-    fam = skewed(kind) if skew else family(kind, d)
-    n = ly._points_per_axis(d) ** d
-    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS)) == (n + 1) // 2
-    half = sampled_numbers(fam, target)
-    # the one-time-at-a-time loops of oracles.py sample the whole box
+def looped_numbers(fam, target):
+    """The timed certificate's two sups and the eight ledger sups, as
+    float.hex, with the ledger's edge flags, from the one-time-at-a-time
+    loops of oracles.py, which sample the whole box."""
     timed = synthesize(fam, target).timed
     looped = [max(certificate_ladder_sups(fam, timed, R))
               for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
     calibrated = ly.verify_certificate(fam, timed).certified
     sups, edge = ledger_window_sups(fam, *ledger_weights(calibrated), 5.0, (0.0625, 0.375),
                                     SamplePlan(), adjoint=target == "P_adjoint")
-    assert half[0][2:12] == [float(v).hex() for v in looped + sups]
-    assert half[1] == edge
-    whole_box(monkeypatch)
-    assert sampled_numbers(fam, target) == half
+    return [float(v).hex() for v in looped + sups], edge
 
 
-def test_an_opaque_spec_and_an_inexact_box_take_the_whole_box(monkeypatch):
+RADIAL_CASES = [(kind, d, target) for kind in ("polynomial", "exponential")
+                for d in (1, 2) for target in ly.TARGETS]
+
+
+@pytest.mark.parametrize("kind,d,target", RADIAL_CASES)
+def test_a_radial_family_on_radius_classes_has_the_bits_of_the_whole_box(
+        kind, d, target, monkeypatch):
+    fam = family(kind, d)
+    assert fam.radial
+    # 1-D keeps the leading half of its 513 points; 457 radii of 65^2 in 2-D
+    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS)) == {1: 257, 2: 457}[d]
+    classes = sampled_numbers(fam, target)
+    sups, edge = looped_numbers(fam, target)
+    assert classes[0][2:12] == sups
+    assert classes[1] == edge
+    sample_with(monkeypatch, whole_box)
+    assert sampled_numbers(fam, target) == classes
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "exponential"])
+@pytest.mark.parametrize("target", ly.TARGETS)
+def test_a_skewed_family_takes_the_whole_box(kind, target, monkeypatch):
+    fam = skewed(kind)
+    assert not fam.radial
+    assert np.array_equal(ly._sample_points(fam, ly.SAMPLE_RADIUS),
+                          ly._grid_points(2, ly.SAMPLE_RADIUS))
+    numbers = sampled_numbers(fam, target)
+    sups, edge = looped_numbers(fam, target)
+    assert numbers[0][2:12] == sups
+    assert numbers[1] == edge
+    # negative control: one point per radius misses the whole box's numbers
+    sample_with(monkeypatch, radius_classes)
+    forced = sampled_numbers(fam, target)
+    assert forced[0] != numbers[0]
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "exponential"])
+@pytest.mark.parametrize("target", ly.TARGETS)
+def test_a_3d_radial_family_on_radius_classes_matches_the_whole_box(
+        kind, target, monkeypatch):
+    fam = family(kind, 3)
+    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS)) == 464  # of 33^3 points
+    # 17 points per axis keep the whole box's reference near 0.2 s a case
+    classes = sampled_values(fam, target, per_axis=17, s=6.0)
+    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS, 17)) == 116
+    sample_with(monkeypatch, whole_box)
+    whole = sampled_values(fam, target, per_axis=17, s=6.0)
+    assert classes[0] == pytest.approx(whole[0], rel=1e-13, abs=0.0)
+    assert classes[1:] == whole[1:]
+
+
+def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch):
+    fam = family("polynomial", 2)
+    built = Counter()
+    grid_points = ly._grid_points
+
+    def counted(d, radius, per_axis=None):
+        built[(d, radius, per_axis)] += 1
+        return grid_points(d, radius, per_axis)
+
+    monkeypatch.setattr(ly, "_grid_points", counted)
+    ly._radius_classes.cache_clear()
+    for target in ly.TARGETS:
+        sampled_numbers(fam, target)
+    # the certificates', the ledger's and the row sums' boxes of radius 20,
+    # and the certificates' doubled boxes
+    assert built == Counter({(2, 20.0, 65): 1, (2, 40.0, 65): 1})
+    table = ly._sample_points(fam, ly.SAMPLE_RADIUS)
+    assert table is ly._sample_points(fam, 20, 65)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_an_opaque_spec_takes_the_whole_box_and_an_inexact_box_keeps_its_sups():
     fam = family("polynomial", 1)
     assert len(ly._sample_points(fam.operator_spec(), ly.SAMPLE_RADIUS)) == 513
-    # the step 40/1999 is inexact, so this box is not its own mirror image
+    # the step 40/1999 is inexact, so mirror points differ in their squares,
+    # and each is a radius of its own
     pts = ly._grid_points(1, ly.SAMPLE_RADIUS, 2000)
     assert not np.array_equal(pts, -pts[::-1])
-    assert np.array_equal(ly._sample_points(fam, ly.SAMPLE_RADIUS, 2000), pts)
+    assert 1000 < len(ly._sample_points(fam, ly.SAMPLE_RADIUS, 2000)) < 2000
     timed = synthesize(fam, "P").timed
     rep = ly.verify_certificate(fam, timed, per_axis=2000)
     looped = [max(certificate_ladder_sups(fam, timed, R, 2000))
               for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
     assert [rep.sup_coarse.hex(), rep.sup_fine.hex()] == [v.hex() for v in looped]
-    # its leading half, taken without the mirror check, misses those bits
-    monkeypatch.setattr(ly, "_sample_points", lambda system, radius, per_axis=None:
-                        ly._grid_points(1, radius, per_axis)[:per_axis // 2])
-    half = ly.verify_certificate(fam, timed, per_axis=2000)
-    assert [half.sup_coarse.hex(), half.sup_fine.hex()] != [v.hex() for v in looped]
 
 
-def test_a_drift_that_is_not_even_peaks_in_the_half_a_family_drops():
+def test_a_drift_that_is_not_radial_peaks_off_the_radius_classes():
     # b = +1 makes <b, grad S> odd in x: the generator ratio peaks at the
-    # box's last point, so the rule is sound for even families only
+    # box's last point, which shares its radius with the first, so the
+    # classes are sound for radial families only
     spec = operator_spec_from_callables(
         co.SystemDims(1, 1),
         Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1])[:, None, None],
@@ -454,24 +526,24 @@ def test_a_drift_that_is_not_even_peaks_in_the_half_a_family_drops():
     lyap = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.1)
     pts = ly._grid_points(1, ly.SAMPLE_RADIUS)
     ratio = ly._generator_ratio(spec, lyap, None, None, pts)[0]
-    kept = (len(pts) + 1) // 2
+    kept = len(ly._radius_classes(1, ly.SAMPLE_RADIUS, len(pts)))
     assert int(np.argmax(ratio)) >= kept and ratio[:kept].max() < ratio.max()
     # and a spec's certificate grid is the whole box
     grid = ly.CertificateGrids(spec).fields(ly.SAMPLE_RADIUS, None, adjoint=False)
     assert np.array_equal(grid.points.pts, pts)
 
 
-def test_a_half_box_ledger_names_the_first_non_finite_ratio_of_the_whole_box(monkeypatch):
+def test_radius_classes_name_the_first_non_finite_ratio_of_the_whole_box(monkeypatch):
     # e^{r^3} potentials leave float range inside the box
     fam = co.diagonal_family("exponential", 2, 2, theta=[[1.0, 0.5], [0.5, 1.0]],
                              gamma=[[3.0, 1.0], [1.0, 3.0]])
     w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0) for eps in (1.0, 1.5, 2.0))
-    with pytest.raises(NonFiniteError) as half:
+    with pytest.raises(NonFiniteError) as classes:
         estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
-    whole_box(monkeypatch)
+    sample_with(monkeypatch, whole_box)
     with pytest.raises(NonFiniteError) as whole:
         estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
-    assert str(half.value) == str(whole.value)
+    assert str(classes.value) == str(whole.value)
 
 
 # ---------------------------------------------------------------------------
