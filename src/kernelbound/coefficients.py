@@ -30,16 +30,15 @@ single point of shape (d,) or a batch of shape (n, d).
 
 Both families are even in x, bit for bit: q, v and div b read x only through
 r = 1+|x|^2 and the squares x_i^2, and R and b are x_i times such a factor,
-so they are odd, and negating a float is exact.  Every ratio the
+so they are odd, and negating a float is exact.  A family is radial
+(_FamilyBase.radial) when, for each equation, zeta is a multiple of the
+identity, the diagonal of alpha is constant, and eta and beta are constant
+across axes, as diagonal_family builds it: Q = zeta g(r, alpha) I,
+b = -eta x g(r, beta) and V = theta g(r, gamma).  Every ratio the
 certificates, the constants ledger and the row sums take a sup or inf of is
-built from even fields and products of two odd ones (b and R against the
-gradient 2 x S'(r) of a radial weight), so it is even too.  A family is
-radial (_FamilyBase.radial) when, for each equation, zeta is a multiple of
-the identity, the diagonal of alpha is constant, and eta and beta are
-constant across axes, as diagonal_family builds it: Q = zeta g(r, alpha) I,
-b = -eta x g(r, beta) and V = theta g(r, gamma).  Those ratios then depend
-on x only through |x|, and lyapunov._sample_points takes one point of the
-sample box per radius.
+then a function of r alone, which they evaluate on the sample box's
+distinct radii (lyapunov._sample_points) from radial_coefficients and
+radial_divb.
 """
 
 from __future__ import annotations
@@ -280,10 +279,19 @@ class _FamilyBase:
         """The factor 1 + 2 x_i^2 (d/dr log g)(r, beta_i) of D_i b^k_i, shape (n, d)."""
         return 1.0 + self._chain(2.0 * self.beta[k] * pts * pts, r[:, None], self.beta[k])
 
-    def _log_abs_divb_terms(self, k: int, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """log |D_i b^k_i| per axis, shape (d, n); every such term is negative."""
-        return (np.log(self.eta[k])[None, :] + self._log_grow(r[:, None], self.beta[k])
-                + np.log(self._divb_factor(k, pts, r))).T
+    def radial_coefficients(self, k: int) -> tuple:
+        """(zeta, alpha, eta, beta) of equation k of a radial family, whose
+        diffusion is zeta g(r, alpha) I and drift -eta x g(r, beta)."""
+        return self.zeta[k, 0, 0], self.alpha[k, 0, 0], self.eta[k, 0], self.beta[k, 0]
+
+    def radial_divb(self, k: int, r: np.ndarray, log: bool = False) -> np.ndarray:
+        """div b^k of a radial family at r = 1+|x|^2, or log |div b^k| when log:
+        -eta g(r, beta) (d + 2 (r - 1) (d/dr log g)(r, beta)), never positive."""
+        _, _, eta, beta = self.radial_coefficients(k)
+        factor = self.dims.d + self._chain(2.0 * beta * (r - 1.0), r, beta)
+        if log:
+            return np.log(eta) + self._log_grow(r, beta) + np.log(factor)
+        return -eta * self._grow(r, beta) * factor
 
     def divb(self, k: int, x: np.ndarray) -> np.ndarray:
         pts, r, scalar = _radial(x, self.dims.d)

@@ -6,9 +6,9 @@ Three layers of scrutiny, in increasing numeric weight:
    growth of the potential dominating the couplings, diffusion diagonal
    dominating off-diagonal growth, and the growth balance that makes
    Lyapunov synthesis feasible);
-2. the row-sum lower bound M of the cooperative potential, measured as a
-   grid infimum plus a directional tail probe, which feeds the mass decay
-   e^{-Mt} of the semigroup;
+2. the row-sum lower bound M of the cooperative potential, measured as an
+   infimum over the sample radii plus a tail probe, which feeds the mass
+   decay e^{-Mt} of the semigroup;
 3. the eight weight-compatibility ratios tying a decaying space-time weight
    w to a pair of growing comparison functions nu1, nu2: c_i is the
    supremum over a time window and a spatial sample box of ratio_i, e.g.
@@ -30,24 +30,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import LEDGER_ITEMS, ConstantsLedger
-from .coefficients import (
-    ExponentialFamily,
-    PolynomialFamily,
-    _FamilyBase,
-    min_ellipticity,
-    operator_spec_of,
-)
+from .coefficients import ExponentialFamily, PolynomialFamily, _FamilyBase, min_ellipticity
 from .errors import DomainError, HypothesisViolationError, NonFiniteError
 from .lyapunov import (
     SAMPLE_RADIUS,
     RadialPoints,
     SpaceTimeWeight,
     _cooperative_row_sums,
-    _grid_points,
     _points_per_axis,
     _sample_points,
     _signed_log_sum,
-    time_blocks,
 )
 
 
@@ -84,8 +76,8 @@ class RowSumBound:
 @dataclass(frozen=True)
 class SamplePlan:
     """Sampling layout for numeric suprema: time count, box radius, axis
-    points.  The points are lyapunov._sample_points of the system: one point
-    per radius for a radial family, the whole box otherwise."""
+    points.  The ledger and its row-sum bound M read the box's distinct
+    radii, lyapunov._sample_points of the system."""
 
     t_count: int = 9
     radius: float = SAMPLE_RADIUS
@@ -200,47 +192,24 @@ def check_exponential(fam: ExponentialFamily) -> list[HypothesisReport]:
 # row-sum lower bound
 # ---------------------------------------------------------------------------
 
-def compute_row_sum_bound(system, adjoint: bool = False,
-                          radius: float = SAMPLE_RADIUS) -> RowSumBound:
-    """Grid infimum of the worst cooperative row sum, with a tail probe.
+def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_RADIUS,
+                          per_axis: Optional[int] = None) -> RowSumBound:
+    """Infimum of the worst cooperative row sum over a sample box, with a
+    tail probe.
 
-    The infimum is taken over a box of the given radius, at one point per
-    radius for a radial family, whose row sums depend on x only through |x|
-    (lyapunov._sample_points).  Along each signed axis (and in-plane
-    diagonals for d = 2) the row sums are probed at radii radius * {1, 1.25,
-    1.5, 2} and must be nondecreasing for the tail to count as certified,
-    otherwise the result is marked numeric-only.
+    A radial family's row sums are functions of r = 1 + |x|^2 alone, so the
+    infimum is taken over the box's distinct radii (lyapunov._sample_points),
+    and the tail is probed on one ray, at radii radius * {1, 1.25, 1.5, 2}.
+    The row sums there must be nondecreasing for the tail to count as
+    certified, otherwise the result is marked numeric-only.
     """
-    d = system.dims.d
-    n = _points_per_axis(d)
-    pts = _sample_points(system, radius, n)
-    sums = _cooperative_row_sums(system, pts, adjoint, with_divb=adjoint)
-    M = float(np.min(sums))
-
-    dirs = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        dirs += [e, -e]
-    if d >= 2:
-        for si in (1.0, -1.0):
-            for sj in (1.0, -1.0):
-                v = np.zeros(d)
-                v[0], v[1] = si, sj
-                dirs.append(v / math.sqrt(2.0))
-    # one call over every probe point: each row sum reads its point alone
-    radii = radius * np.array([1.0, 1.25, 1.5, 2.0])
-    probe = np.stack([rr * v for v in dirs for rr in radii])
-    vals = _cooperative_row_sums(system, probe, adjoint, with_divb=adjoint).min(axis=0)
-    certified = True
-    for ray in vals.reshape(len(dirs), len(radii)):
-        for lo, hi in zip(ray[:-1], ray[1:]):
-            if hi >= lo:
-                continue
-            tol = 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0
-            if not (hi >= lo - tol):
-                certified = False
-    return row_sum_bound_of(M, certified, radius, n)
+    at = _sample_points(system, radius, per_axis)
+    M = float(np.min(_cooperative_row_sums(system, at.r, adjoint, with_divb=adjoint)))
+    ray = radius * np.array([1.0, 1.25, 1.5, 2.0])
+    vals = _cooperative_row_sums(system, 1.0 + ray * ray, adjoint, with_divb=adjoint).min(axis=0)
+    certified = all(hi >= lo - (1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0)
+                    for lo, hi in zip(vals[:-1], vals[1:]))
+    return row_sum_bound_of(M, certified, radius, _points_per_axis(system.dims.d, per_axis))
 
 
 def row_sum_bound_of(M: float, certified: bool, radius: float, per_axis: int) -> RowSumBound:
@@ -255,54 +224,38 @@ def row_sum_bound_of(M: float, certified: bool, radius: float, per_axis: int) ->
 
 
 def check_base(system, radius: float = SAMPLE_RADIUS) -> tuple[list[HypothesisReport], RowSumBound]:
-    """Every hypothesis report of a coefficient system, and its row-sum bound.
+    """Every hypothesis report of a radial family, and its row-sum bound.
 
-    A family's reports open with its exponent table (check_polynomial or
+    The reports open with its exponent table (check_polynomial or
     check_exponential).  Its ellipticity is then certified by the Z^k
     eigenvalues of diffusion-diagonal-dominance, and the row-sum status
     takes potential-row-dominance from the table, so each is computed once
-    and reported under one id.  Generic specs sample their ellipticity.
-    Regularity is assumed (reported as a note), the Lyapunov existence
-    requirement is deferred to the synthesis and certificate machinery,
-    and the row-sum lower bound of the cooperative potential is measured.
+    and reported under one id.  Regularity is assumed (reported as a note),
+    the Lyapunov existence requirement is deferred to the synthesis and
+    certificate machinery, and the row-sum lower bound of the cooperative
+    potential is measured; a system that is not a radial family raises
+    DomainError there.
     """
-    spec = operator_spec_of(system)
-    m, d = spec.dims.m, spec.dims.d
+    m = system.dims.m
     row = compute_row_sum_bound(system, radius=radius)
-    if isinstance(system, _FamilyBase):
-        table = (check_polynomial if isinstance(system, PolynomialFamily)
-                 else check_exponential)(system)
-        by_id = {rep.hypothesis_id: rep for rep in table}
-        eigs = by_id["diffusion-diagonal-dominance"].margins
-        bad = [k for k in range(m) if not eigs[f"min_eig_Z[{k}]"] > 0]
-        ellipticity = HypothesisReport(
-            "ellipticity", "fails" if bad else "holds", witness=(bad[-1],) if bad else None,
-            note="every Z^k positive definite, by min_eig_Z of diffusion-diagonal-dominance")
-        dom = by_id["potential-row-dominance"]
-        status = "fails" if not dom.ok else "holds" if row.certified_tail else "numeric-only"
-        witness, regularity = dom.witness, "holds"
-    else:
-        table, status, witness, regularity = [], "numeric-only", None, "numeric-only"
-        pts = _grid_points(d, radius)
-        worst = math.inf
-        arg = None
-        for k in range(m):
-            Q = np.asarray(spec.Q(k, pts), dtype=float)
-            eigs = np.linalg.eigvalsh(0.5 * (Q + np.swapaxes(Q, -1, -2)))
-            lo = float(eigs[:, 0].min())
-            if lo < worst:
-                worst, arg = lo, (k, tuple(pts[int(np.argmin(eigs[:, 0]))]))
-        ellipticity = HypothesisReport(
-            "ellipticity", "numeric-only" if worst > 0 else "fails",
-            witness=None if worst > 0 else arg, margins={"min_eig_Q_sampled": worst})
+    table = (check_polynomial if isinstance(system, PolynomialFamily)
+             else check_exponential)(system)
+    by_id = {rep.hypothesis_id: rep for rep in table}
+    eigs = by_id["diffusion-diagonal-dominance"].margins
+    bad = [k for k in range(m) if not eigs[f"min_eig_Z[{k}]"] > 0]
+    ellipticity = HypothesisReport(
+        "ellipticity", "fails" if bad else "holds", witness=(bad[-1],) if bad else None,
+        note="every Z^k positive definite, by min_eig_Z of diffusion-diagonal-dominance")
+    dom = by_id["potential-row-dominance"]
+    status = "fails" if not dom.ok else "holds" if row.certified_tail else "numeric-only"
     return table + [
-        HypothesisReport("regularity", regularity,
+        HypothesisReport("regularity", "holds",
                          note="families are smooth by construction; generic coefficients "
                               "are assumed locally Hoelder continuous"),
         ellipticity,
         HypothesisReport("lyapunov-existence", "numeric-only",
                          note="certified separately by synthesis and grid certificates"),
-        HypothesisReport("row-sum-lower-bound", status, witness=witness,
+        HypothesisReport("row-sum-lower-bound", status, witness=dom.witness,
                          margins={"M": row.M}, note=row.method),
     ], row
 
@@ -319,24 +272,6 @@ def _log_norm_from_entries(logabs: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.squeeze(M, axis=axis) + 0.5 * np.log(np.maximum(ssq, 1e-300))
 
 
-def _family_log_entries(fam: _FamilyBase, k: int, pts: np.ndarray):
-    """Log-magnitudes and signs of the Q, R and b entries of a family."""
-    r = 1.0 + np.sum(pts * pts, axis=-1)
-    r3, a = r[:, None, None], fam.alpha[k]
-    logx = np.log(np.maximum(np.abs(pts), 1e-300))
-    with np.errstate(divide="ignore"):
-        grow = fam._log_grow(r3, a)
-        logQ = np.log(np.abs(fam.zeta[k]))[None, :, :] + grow
-        signQ = np.broadcast_to(np.sign(fam.zeta[k]), logQ.shape)
-        # R_ij = 2 zeta_ij x_i g'(r, alpha_ij), as in the family's R
-        logR = np.log(2.0 * np.abs(fam.zeta[k]) * a)[None, :, :] + grow \
-            + np.log(fam._chain(1.0, r3, a)) + logx[:, :, None]
-        signR = np.sign(fam.zeta[k])[None, :, :] * np.sign(pts)[:, :, None]
-        logb = np.log(fam.eta[k])[None, :] + logx + fam._log_grow(r[:, None], fam.beta[k])
-        signb = -np.sign(pts)
-    return logQ, signQ, logR, signR, logb, signb
-
-
 def _family_log_V_row(fam: _FamilyBase, h: int, r: np.ndarray) -> np.ndarray:
     """log of the Euclidean norm of row h of V."""
     m = fam.dims.m
@@ -347,54 +282,34 @@ def _family_log_V_row(fam: _FamilyBase, h: int, r: np.ndarray) -> np.ndarray:
     return _log_norm_from_entries(rows, axis=0)
 
 
-def ledger_fields(system, at: RadialPoints, adjoint: bool) -> list:
-    """The time-invariant part of the ledger ratios on the points, per component k:
-    the log-magnitudes and signs of Q_k and R_k, and the log-norms of items
-    5-8 (|V row| with |div b| for the adjoint, |b|, |Q|_F, |R|_F) before
-    their weight factors."""
-    spec = operator_spec_of(system)
-    pts, r = at.pts, at.r
-    n = len(r)
-    is_family = isinstance(system, _FamilyBase)
+def _log_abs(v: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(np.abs(v), 1e-300))
+
+
+def ledger_fields(fam, at: RadialPoints, adjoint: bool) -> list:
+    """The time-invariant part of the ledger ratios on the radii of at, per
+    component k of a radial family, with Q_k = q I, R_k = 2 q' diag(x) and
+    b_k = -x p: log|q|, the sign of q, log|2 q'|, and the log-norms of items
+    5-8 before their weight factors: |V row| (with |div b| for the adjoint),
+    |b| = p |x|, |Q|_F = sqrt(d) |q| and |R|_F = 2 |q'| |x|.  A norm of
+    entries that all vanish is 1e-150, as _log_norm_from_entries takes it."""
+    r, d = at.r, fam.dims.d
+    log_x = _log_abs(np.sqrt(r - 1.0))
     fields = []
-    if not is_family:
-        V = np.asarray(spec.V(pts), dtype=float)
-    for k in range(spec.dims.m):
-        if is_family:
-            logQ, signQ, logR, signR, logb, _ = _family_log_entries(system, k, pts)
-            logVrow = _family_log_V_row(system, k, r)
-        else:
-            Q = np.asarray(spec.Q(k, pts), dtype=float)
-            R = np.asarray(spec.R(k, pts), dtype=float)
-            bv = np.asarray(spec.b(k, pts), dtype=float)
-            logQ = np.log(np.maximum(np.abs(Q), 1e-300))
-            signQ = np.sign(Q)
-            logR = np.log(np.maximum(np.abs(R), 1e-300))
-            signR = np.sign(R)
-            logb = np.log(np.maximum(np.abs(bv), 1e-300))
-            logVrow = _log_norm_from_entries(
-                np.log(np.maximum(np.abs(V[:, k, :]), 1e-300)).T, axis=0)
-        # item 5: |V row| (+ |div b| in the starred variant)
+    for k in range(fam.dims.m):
+        zeta, alpha, eta, beta = fam.radial_coefficients(k)
+        with np.errstate(divide="ignore"):
+            logq = np.log(abs(zeta)) + fam._log_grow(r, alpha)
+            logdq = np.log(2.0 * abs(zeta) * alpha) + fam._log_grow(r, alpha) \
+                + np.log(fam._chain(1.0, r, alpha))
+        pot = _family_log_V_row(fam, k, r)  # item 5: |V row| (+ |div b| in the starred variant)
         if adjoint:
-            db = np.asarray(spec.divb(k, pts), dtype=float)
-            pot = np.logaddexp(logVrow, np.log(np.maximum(np.abs(db), 1e-300)))
-        else:
-            pot = logVrow
-        fields.append((
-            logQ, signQ, logR, signR, pot,
-            _log_norm_from_entries(logb.T, axis=0),                  # item 6: |b|
-            _log_norm_from_entries(logQ.reshape(n, -1).T, axis=0),   # item 7: |Q|_F
-            _log_norm_from_entries(logR.reshape(n, -1).T, axis=0),   # item 8: |R|_F
-        ))
+            pot = np.logaddexp(pot, fam.radial_divb(k, r, log=True))
+        log_b = np.log(eta) + fam._log_grow(r, beta) + log_x
+        # items 6-8: |b|, |Q|_F and |R|_F
+        fields.append((logq, np.sign(zeta), logdq, pot, _log_norm_from_entries(log_b[None]),
+                       logq + 0.5 * np.log(d), _log_norm_from_entries((logdq + log_x)[None])))
     return fields
-
-
-def _joined_terms(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Two (B, n, d, d) blocks of terms as one (B, 2 d^2, n) array, the
-    terms of each point along axis -2."""
-    B, n = first.shape[:2]
-    return np.swapaxes(np.concatenate([first.reshape(B, n, -1), second.reshape(B, n, -1)],
-                                      axis=-1), -1, -2)
 
 
 def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
@@ -412,15 +327,13 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     variant: the potential item additionally absorbs |div b|, and the
     resulting constants land in c with M from the adjoint row sums (use
     ConstantsLedger.with_adjoint to merge).  inner overrides the inner
-    window pair (a, b); the default sits at even quarters.  The points are
-    lyapunov._sample_points of the plan's box: one point per radius for a
-    radial family, whose ratios depend on x only through |x|, the first of
-    each radius in row-major order, which keeps the whole box's first
-    argmaxes, so their edge flags, and its first non-finite point.  The
-    coefficients depend on x only, so their log-entries and the norms of
-    items 5-8 are evaluated once per grid (ledger_fields).  The window times are evaluated in blocks
-    (lyapunov.time_blocks), one vectorized pass each; sups, argmaxes and
-    the first non-finite ratio are taken in time order.
+    window pair (a, b); the default sits at even quarters.  A radial
+    family's ratios are functions of r = 1 + |x|^2 alone, so they are
+    evaluated on the box's distinct radii (lyapunov._sample_points), the
+    whole window in one (times, radii) pass, and M is the infimum of the
+    row sums on the same radii.  Each radius stands at the first box point
+    of its class in row-major order, which gives the edge flags and the x
+    of the first non-finite ratio, taken in time, item and radius order.
     """
     a0, b0 = window
     if not (0 < a0 < b0):
@@ -433,70 +346,57 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
             f"need eps(w) < eps(nu1) < eps(nu2), got {w.eps}, {nu1.eps}, {nu2.eps}")
     plan = plan or SamplePlan()
     d = system.dims.d
-    pts = _sample_points(system, plan.radius, plan.per_axis)
-    n = len(pts)
-    at = RadialPoints(pts, d)  # the three weights share form and rho
-    sups = np.zeros(8)
-    arg_edge = [False] * 8
+    at = _sample_points(system, plan.radius, plan.per_axis)  # the weights share form and rho
+    pts, rm1 = at.pts, at.r - 1.0
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
     fields = ledger_fields(system, at, adjoint)
 
-    # each (times, points) temporary is dropped after its last use
-    for ts in time_blocks(plan.times(a0, b0), n, d):
-        Sw = w.log_value(ts, at, d)             # (B, n)
-        d1 = (Sw - nu1.log_value(ts, at, d)) / s
-        d2 = (Sw - nu2.log_value(ts, at, d)) / s
-        del Sw
-        gw = w.grad_log(ts, at, d)              # (B, n, d)
-        curv = gw[..., :, None] * gw[..., None, :] + w.hess_log(ts, at, d)  # (B, n, d, d)
-        log_curv, sign_curv = np.log(np.maximum(np.abs(curv), 1e-300)), np.sign(curv)
-        del curv
-        log_gw, sign_gw = np.log(np.maximum(np.abs(gw), 1e-300)), np.sign(gw)
-        del gw
-        log_ratios = np.full((len(ts), 8, n), -np.inf)
-        log_ratios[:, 0] = 2.0 * d1  # (w/nu1)^(2/s)
-        log_ratios[:, 3] = (np.log(np.maximum(np.abs(w.dt_log(ts, at, d)), 1e-300))
-                            + 2.0 * d1)  # item 4
+    ts = plan.times(a0, b0)
+    Sw = w.log_value(ts, at, d)             # (times, radii)
+    d1 = (Sw - nu1.log_value(ts, at, d)) / s
+    d2 = (Sw - nu2.log_value(ts, at, d)) / s
+    u, u2 = w.r_log(ts, at, d)              # grad log w = 2 u x
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = 2.0 * np.abs(u) * np.sqrt(rm1)                   # |grad log w|
+        xgrad = 2.0 * u * rm1                                   # <x, grad log w>
+        curv = grad * grad + 2.0 * d * u + 4.0 * rm1 * u2      # |grad log w|^2 + Lap log w
+    log_grad, log_xgrad, log_curv = _log_abs(grad), _log_abs(xgrad), _log_abs(curv)
+    log_ratios = np.full((len(ts), 8, len(rm1)), -np.inf)
+    log_ratios[:, 0] = 2.0 * d1  # (w/nu1)^(2/s)
+    log_ratios[:, 3] = _log_abs(w.dt_log(ts, at, d)) + 2.0 * d1  # item 4
 
-        for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:
-            # item 2: |Q grad w| / (w^((s-1)/s) nu1^(1/s)) = |Q grad Sw| e^(d1)
-            comp_log, _ = _signed_log_sum(logQ + log_gw[..., None, :],
-                                          signQ * sign_gw[..., None, :], axis=-1)  # (B, n, d)
-            log_ratios[:, 1] = np.maximum(
-                log_ratios[:, 1],
-                _log_norm_from_entries(np.swapaxes(comp_log, -1, -2), axis=-2) + d1)
-            del comp_log
+    for logq, sign_q, logdq, pot, norm_b, norm_Q, norm_R in fields:
+        # item 2: |Q grad w| / (w^((s-1)/s) nu1^(1/s)) = |q| |grad log w| e^(d1)
+        log_ratios[:, 1] = np.maximum(log_ratios[:, 1], logq + log_grad + d1)
+        # item 3: |div(Q grad w)|/w e^(2 d1)
+        #       = |q (|grad log w|^2 + Lap log w) + 2 q' <x, grad log w>| e^(2 d1)
+        div_log, _ = _signed_log_sum(
+            np.stack([logq + log_curv, logdq + log_xgrad]),
+            np.stack([sign_q * np.sign(curv), sign_q * np.sign(xgrad)]), axis=0)
+        log_ratios[:, 2] = np.maximum(log_ratios[:, 2], div_log + 2.0 * d1)
+        # items 5-8: the time-invariant norms against nu2 and nu1
+        log_ratios[:, 4] = np.maximum(log_ratios[:, 4], pot + 2.0 * d2)
+        log_ratios[:, 5] = np.maximum(log_ratios[:, 5], norm_b + d2)
+        log_ratios[:, 6] = np.maximum(log_ratios[:, 6], norm_Q + d1)
+        log_ratios[:, 7] = np.maximum(log_ratios[:, 7], norm_R + 2.0 * d1)
 
-            # item 3: |div(Q grad w)|/w * e^(2 d1)
-            #       = |sum_ij q_ij (gSg + hess)_ij + sum_ij R_ij gS_j| e^(2 d1)
-            div_log, _ = _signed_log_sum(
-                _joined_terms(logQ + log_curv, logR + log_gw[..., None, :]),
-                _joined_terms(signQ * sign_curv, signR * sign_gw[..., None, :]), axis=-2)
-            log_ratios[:, 2] = np.maximum(log_ratios[:, 2], div_log + 2.0 * d1)
-            del div_log
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_ratios, out=log_ratios)
+    if not np.all(np.isfinite(ratios)):
+        # the first time, item and radius, in that order
+        b, item, pt = (int(v) for v in np.argwhere(~np.isfinite(ratios))[0])
+        raise NonFiniteError(
+            f"ledger item '{LEDGER_ITEMS[item]}' non-finite at t={ts[b]:.6g}, "
+            f"x={pts[pt]!r}")
+    sups = np.zeros(8)
+    arg_edge = [False] * 8
+    for t_sup, t_arg in zip(ratios.max(axis=-1), ratios.argmax(axis=-1)):
+        for i in range(8):
+            if t_sup[i] > sups[i]:
+                sups[i] = t_sup[i]
+                arg_edge[i] = bool(edge[t_arg[i]])
 
-            # items 5-8: the time-invariant norms against nu2 and nu1
-            log_ratios[:, 4] = np.maximum(log_ratios[:, 4], pot + 2.0 * d2)
-            log_ratios[:, 5] = np.maximum(log_ratios[:, 5], norm_b + d2)
-            log_ratios[:, 6] = np.maximum(log_ratios[:, 6], norm_Q + d1)
-            log_ratios[:, 7] = np.maximum(log_ratios[:, 7], norm_R + 2.0 * d1)
-        del d1, d2, log_gw, sign_gw, log_curv, sign_curv
-
-        with np.errstate(over="ignore"):
-            ratios = np.exp(log_ratios, out=log_ratios)
-        if not np.all(np.isfinite(ratios)):
-            # the first time, item and point, in that order
-            b, item, pt = (int(v) for v in np.argwhere(~np.isfinite(ratios))[0])
-            raise NonFiniteError(
-                f"ledger item '{LEDGER_ITEMS[item]}' non-finite at t={ts[b]:.6g}, "
-                f"x={pts[pt]!r}")
-        for t_sup, t_arg in zip(ratios.max(axis=-1), ratios.argmax(axis=-1)):
-            for i in range(8):
-                if t_sup[i] > sups[i]:
-                    sups[i] = t_sup[i]
-                    arg_edge[i] = bool(edge[t_arg[i]])
-
-    row = compute_row_sum_bound(system, adjoint=adjoint, radius=plan.radius)
+    row = compute_row_sum_bound(system, adjoint, plan.radius, plan.per_axis)
     return ledger_of(d, s, window, inner, sups, arg_edge, row.M)
 
 

@@ -107,7 +107,7 @@ __all__ = [
 _TINY = 1e-300
 # Part of every record key: bump it whenever a change can move a recorded
 # certificate sup or ledger number, as SOLVER_VERSION for fields.
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 # Part of every store key, fields and records alike: bump it whenever the
 # store file format changes, so no file of an older format is read.
 FIELD_FORMAT_VERSION = 2

@@ -15,10 +15,10 @@ are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
 operator_spec_from_callables wraps bare coefficient callables into an
 OperatorSpec, differencing Q and b where no derivatives are given.
-certificate_ladder_sups and ledger_window_sups evaluate the timed
-certificate's ladder and the ledger's window one time at a time, the loops
-whose bits the blocked passes of verify_certificate and estimate_ledger must
-reproduce.  evolve_all runs requests as a plan of their own, and run_alone
+certificate_sup, ledger_window_sups and box_row_sum_bound evaluate the
+certificates, the ledger and the row sums on d-dimensional points of the
+whole sample box, one time at a time: the reference that the package's
+evaluation in r alone must match.  evolve_all runs requests as a plan of their own, and run_alone
 runs one check so: its requests through verify.run_plan, then its measure,
 the path the verify command takes for all checks at once.  watch_record_keys and record_files tell a store's records from
 its fields, which a file's name does not.
@@ -34,13 +34,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from kernelbound.bounds import LEDGER_ITEMS
-from kernelbound.coefficients import VARIANTS, OperatorSpec, SystemDims, eval_VP
-from kernelbound.errors import (BudgetError, DimensionMismatchError, DomainError,
-                                NonFiniteError)
-from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries, ledger_fields
-from kernelbound.lyapunov import (RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
-                                  _generator_ratio, _grid_points, _signed_log_sum,
-                                  grid_fields)
+from kernelbound.coefficients import (VARIANTS, OperatorSpec, SystemDims, _FamilyBase,
+                                      eval_VP, operator_spec_of)
+from kernelbound.errors import (BudgetError, CertificateError, DimensionMismatchError,
+                                DomainError, NonFiniteError)
+from kernelbound.hypotheses import SamplePlan, _family_log_V_row, _log_norm_from_entries
+from kernelbound.lyapunov import (_LOG_MAX, RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
+                                  _grid_points, _signed_log_sum)
 from kernelbound import verify
 from kernelbound.solver import GridSpec, OperatorHandle, mollified_source
 
@@ -299,64 +299,224 @@ def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
     return np.exp(eps * t + a * x * x / denom) / math.sqrt(denom)
 
 
-def certificate_ladder_sups(system, timed: TimeLyapunovSpec, radius: float,
-                            per_axis: Optional[int] = None) -> list:
-    """Per time of the 11-time ladder T 2^-j, taken one time at a time, the
-    timed certificate's sup of the g-free residual on the grid of one radius;
-    the certificate's grid sup is the first largest of them."""
-    pts = _grid_points(system.dims.d, radius, per_axis)
-    fields = grid_fields(system, pts, adjoint=timed.base.target == "P_adjoint")
-    p = timed.sigma * (timed.delta - 1.0) / timed.delta
-    sups = []
-    for t in [timed.T * 2.0 ** (-j) for j in range(0, 11)]:
-        ratio = _generator_ratio(system, timed.base, timed, t, pts, fields)
-        resid = ratio - timed.eps_T * timed.delta * t ** p
-        sups.append(float(np.max(resid)))
-    return sups
+# ---------------------------------------------------------------------------
+# the box reference of the certificates, the ledger and the row sums
+# ---------------------------------------------------------------------------
+#
+# The package evaluates every certificate, ledger and row-sum ratio of a
+# radial family in r = 1 + |x|^2 alone, on the distinct radii of its sample
+# box.  The functions below take them the way they were taken before that:
+# on d-dimensional points, from the coefficient callables' (n, d, d) fields
+# (a family's ledger and row sums from the log-magnitudes of its entries),
+# with the weight's gradient and Hessian, one time at a time.  pts defaults
+# to the whole box of the given radius and points per axis.
+
+
+def box(d: int, radius: float, per_axis: Optional[int] = None) -> np.ndarray:
+    """The whole sample box."""
+    return _grid_points(d, radius, per_axis)
+
+
+def grad_log(w: SpaceTimeWeight, t: float, x: np.ndarray, d: int) -> np.ndarray:
+    """grad log w at one time on points x of shape (n, d)."""
+    at = RadialPoints(x, d)
+    return 2.0 * w.eps * t ** w.sigma * at.shape(1, w.form, w.rho)[:, None] * at.pts
+
+
+def hess_log(w: SpaceTimeWeight, t: float, x: np.ndarray, d: int) -> np.ndarray:
+    """D^2 log w at one time on points x of shape (n, d)."""
+    at = RadialPoints(x, d)
+    c = w.eps * t ** w.sigma
+    dS, d2S = at.shape(1, w.form, w.rho), at.shape(2, w.form, w.rho)
+    return 2.0 * c * dS[:, None, None] * np.eye(d) \
+        + 4.0 * c * d2S[:, None, None] * at.pts[:, :, None] * at.pts[:, None, :]
+
+
+def box_row_sums(system, pts: np.ndarray, adjoint: bool, with_divb: bool = False) -> np.ndarray:
+    """Row sums of the cooperative potential on points, shape (m, n), summed
+    in log space: a family's from log|v_hl| and the per-axis log|D_i b_i|,
+    an opaque spec's from its V and div b."""
+    spec = operator_spec_of(system)
+    m, n = spec.dims.m, len(pts)
+    fam = system if isinstance(system, _FamilyBase) else None
+    r = 1.0 + np.sum(pts * pts, axis=-1)
+    V = None if fam is not None else np.asarray(spec.V(pts), dtype=float)
+    out = np.empty((m, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        for k in range(m):
+            logs, signs = [], []
+            for l in [k] + [l for l in range(m) if l != k]:
+                h, c = (l, k) if adjoint else (k, l)
+                if fam is None:
+                    logs.append(np.log(np.abs(V[:, h, c])))
+                    signs.append(np.sign(V[:, h, c]) if l == k else np.full(n, -1.0))
+                elif fam.theta[h, c] != 0.0:
+                    logs.append(fam.log_growth_V(h, c, r))
+                    signs.append(np.full(n, 1.0 if l == k else -1.0))
+            if with_divb and fam is None:
+                db = np.asarray(spec.divb(k, pts), dtype=float)
+                logs.append(np.log(np.abs(db)))
+                signs.append(np.sign(db))
+            elif with_divb:
+                terms = (np.log(fam.eta[k])[None, :] + fam._log_grow(r[:, None], fam.beta[k])
+                         + np.log(fam._divb_factor(k, pts, r))).T
+                logs.extend(terms)
+                signs.extend(np.full(terms.shape, -1.0))
+            mag, sign = _signed_log_sum(np.array(logs), np.array(signs), axis=0)
+            vals = sign * np.exp(np.minimum(mag, _LOG_MAX))
+            vals[mag > _LOG_MAX] = np.inf * sign[mag > _LOG_MAX]
+            out[k] = vals
+    return out
+
+
+def box_row_sum_bound(system, adjoint: bool, radius: float, per_axis: Optional[int] = None,
+                      pts: Optional[np.ndarray] = None) -> tuple:
+    """The infimum M of the worst row sum on the points and the tail verdict,
+    probed along each signed axis (and the in-plane diagonals in d >= 2) at
+    radius * {1, 1.25, 1.5, 2}."""
+    d = system.dims.d
+    pts = box(d, radius, per_axis) if pts is None else pts
+    M = float(np.min(box_row_sums(system, pts, adjoint, with_divb=adjoint)))
+    dirs = [sign * e for e in np.eye(d) for sign in (1.0, -1.0)]
+    if d >= 2:
+        dirs += [np.r_[si, sj, np.zeros(d - 2)] / math.sqrt(2.0)
+                 for si in (1.0, -1.0) for sj in (1.0, -1.0)]
+    certified = True
+    for v in dirs:
+        ray = np.stack([rr * v for rr in radius * np.array([1.0, 1.25, 1.5, 2.0])])
+        vals = box_row_sums(system, ray, adjoint, with_divb=adjoint).min(axis=0)
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            tol = 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0
+            certified &= bool(hi >= lo - tol)
+    return M, certified
+
+
+def box_generator_ratio(system, lyap, t: Optional[float], pts: np.ndarray) -> np.ndarray:
+    """(D_t +) generator applied to the (time-)Lyapunov function lyap, over
+    its value, at one time (none for a static function), shape (m, n):
+    tr(Q_k (grad S grad S^T + D^2 S)) + <g_k + s b_k, grad S> - (V^P row
+    sums)_k, with s = -1, less div b_k, for the adjoint."""
+    spec = operator_spec_of(system)
+    d, m = spec.dims.d, spec.dims.m
+    timed = isinstance(lyap, TimeLyapunovSpec)
+    base = lyap.base if timed else lyap
+    adjoint = base.target == "P_adjoint"
+    w = lyap.weight() if timed else SpaceTimeWeight(base.form, base.eps_hat, 1.0, base.rho)
+    tt = float(t) if timed else 1.0
+    grad, hess = grad_log(w, tt, pts, d), hess_log(w, tt, pts, d)
+    vp = box_row_sums(system, pts, adjoint)
+    out = np.empty((m, len(pts)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        curv = grad[:, :, None] * grad[:, None, :] + hess
+        for k in range(m):
+            Q = np.asarray(spec.Q(k, pts), dtype=float)
+            drift = np.asarray(spec.R(k, pts), dtype=float).sum(axis=-2)
+            bvec = np.asarray(spec.b(k, pts), dtype=float)
+            drift = drift + (-bvec if adjoint else bvec)
+            val = np.einsum("nij,nij->n", Q, curv) + np.einsum("nj,nj->n", drift, grad) - vp[k]
+            if adjoint:
+                val = val - np.asarray(spec.divb(k, pts), dtype=float)
+            if timed:
+                val = val + w.dt_log(tt, pts, d)
+            out[k] = val
+    if np.any(np.isnan(out)) or np.any(np.isposinf(out)):
+        raise CertificateError("generator ratio produced NaN/+inf on the certificate grid")
+    return out
+
+
+def certificate_sup(system, lyap, radius: float, per_axis: Optional[int] = None,
+                    pts: Optional[np.ndarray] = None) -> float:
+    """The certificate's grid sup on the points: of the generator ratio for
+    a static function, and for a timed one of the g-free residual over the
+    11-time ladder T 2^-j, one time at a time."""
+    pts = box(system.dims.d, radius, per_axis) if pts is None else pts
+    if not isinstance(lyap, TimeLyapunovSpec):
+        return float(np.max(box_generator_ratio(system, lyap, None, pts)))
+    p = lyap.sigma * (lyap.delta - 1.0) / lyap.delta
+    return max(float(np.max(box_generator_ratio(system, lyap, t, pts)
+                            - lyap.eps_T * lyap.delta * t ** p))
+               for t in [lyap.T * 2.0 ** (-j) for j in range(0, 11)])
+
+
+def box_ledger_fields(system, pts: np.ndarray, adjoint: bool) -> list:
+    """Per component k, log|entries| and signs of Q_k and R_k on the points,
+    and the log-norms of items 5-8 before their weight factors: a family's
+    from the log-magnitudes of its entries, an opaque spec's from its
+    fields."""
+    spec = operator_spec_of(system)
+    n = len(pts)
+    r = 1.0 + np.sum(pts * pts, axis=-1)
+    fam = system if isinstance(system, _FamilyBase) else None
+    V = None if fam is not None else np.asarray(spec.V(pts), dtype=float)
+    logx = np.log(np.maximum(np.abs(pts), 1e-300))
+    fields = []
+    for k in range(spec.dims.m):
+        with np.errstate(divide="ignore"):
+            if fam is not None:
+                r3, a = r[:, None, None], fam.alpha[k]
+                grow = fam._log_grow(r3, a)
+                logQ = np.log(np.abs(fam.zeta[k]))[None, :, :] + grow
+                signQ = np.broadcast_to(np.sign(fam.zeta[k]), logQ.shape)
+                # R_ij = 2 zeta_ij x_i g'(r, alpha_ij)
+                logR = np.log(2.0 * np.abs(fam.zeta[k]) * a)[None, :, :] + grow \
+                    + np.log(fam._chain(1.0, r3, a)) + logx[:, :, None]
+                signR = np.sign(fam.zeta[k])[None, :, :] * np.sign(pts)[:, :, None]
+                logb = np.log(fam.eta[k])[None, :] + logx + fam._log_grow(r[:, None], fam.beta[k])
+                logVrow = _family_log_V_row(fam, k, r)
+            else:
+                Q = np.asarray(spec.Q(k, pts), dtype=float)
+                R = np.asarray(spec.R(k, pts), dtype=float)
+                logQ, signQ = np.log(np.maximum(np.abs(Q), 1e-300)), np.sign(Q)
+                logR, signR = np.log(np.maximum(np.abs(R), 1e-300)), np.sign(R)
+                logb = np.log(np.maximum(np.abs(np.asarray(spec.b(k, pts), dtype=float)), 1e-300))
+                logVrow = _log_norm_from_entries(
+                    np.log(np.maximum(np.abs(V[:, k, :]), 1e-300)).T, axis=0)
+        pot = logVrow
+        if adjoint:
+            db = np.asarray(spec.divb(k, pts), dtype=float)
+            pot = np.logaddexp(logVrow, np.log(np.maximum(np.abs(db), 1e-300)))
+        fields.append((logQ, signQ, logR, signR, pot,
+                       _log_norm_from_entries(logb.T, axis=0),
+                       _log_norm_from_entries(logQ.reshape(n, -1).T, axis=0),
+                       _log_norm_from_entries(logR.reshape(n, -1).T, axis=0)))
+    return fields
 
 
 def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                        nu2: SpaceTimeWeight, s: float, window: tuple, plan: SamplePlan,
-                       adjoint: bool = False) -> tuple:
+                       adjoint: bool = False, pts: Optional[np.ndarray] = None) -> tuple:
     """The eight ledger sups and their edge flags over plan.times(*window)
-    x the whole box of the plan, one time at a time; raises NonFiniteError
-    at the first time, item and point whose ratio is not finite."""
+    x the points, one time at a time; raises NonFiniteError at the first
+    time, item and point whose ratio is not finite."""
     d = system.dims.d
-    pts = _grid_points(d, plan.radius, plan.per_axis)
-    at = RadialPoints(pts, d)
+    pts = box(d, plan.radius, plan.per_axis) if pts is None else pts
     n = len(pts)
     sups = np.zeros(8)
     arg_edge = [False] * 8
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
-    fields = ledger_fields(system, at, adjoint)
+    fields = box_ledger_fields(system, pts, adjoint)
     for t in plan.times(*window):
-        Sw = w.log_value(t, at, d)
-        S1 = nu1.log_value(t, at, d)
-        S2 = nu2.log_value(t, at, d)
-        gw = w.grad_log(t, at, d)
-        hw = w.hess_log(t, at, d)
-        dtw = w.dt_log(t, at, d)
-        curv = gw[:, :, None] * gw[:, None, :] + hw
-        d1 = (Sw - S1) / s
-        d2 = (Sw - S2) / s
+        gw = grad_log(w, t, pts, d)
+        curv = gw[:, :, None] * gw[:, None, :] + hess_log(w, t, pts, d)
+        Sw = w.log_value(t, pts, d)
+        d1 = (Sw - nu1.log_value(t, pts, d)) / s
+        d2 = (Sw - nu2.log_value(t, pts, d)) / s
         log_ratios = np.full((8, n), -np.inf)
         log_ratios[0] = 2.0 * d1
-        log_ratios[3] = np.log(np.maximum(np.abs(dtw), 1e-300)) + 2.0 * d1
-        log_gw = np.log(np.maximum(np.abs(gw), 1e-300))
-        sign_gw = np.sign(gw)
-        log_curv = np.log(np.maximum(np.abs(curv), 1e-300))
-        sign_curv = np.sign(curv)
+        log_ratios[3] = np.log(np.maximum(np.abs(w.dt_log(t, pts, d)), 1e-300)) + 2.0 * d1
+        log_gw, sign_gw = np.log(np.maximum(np.abs(gw), 1e-300)), np.sign(gw)
+        log_curv, sign_curv = np.log(np.maximum(np.abs(curv), 1e-300)), np.sign(curv)
         for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:
+            # item 2: |Q grad w| e^(d1); item 3: |div(Q grad w)|/w e^(2 d1)
             comp_log, _ = _signed_log_sum(logQ + log_gw[:, None, :],
                                           signQ * sign_gw[:, None, :], axis=2)
             log_ratios[1] = np.maximum(log_ratios[1],
                                        _log_norm_from_entries(comp_log.T, axis=0) + d1)
-            t1 = (logQ + log_curv).reshape(n, -1)
-            s1 = (signQ * sign_curv).reshape(n, -1)
-            t2 = (logR + log_gw[:, None, :]).reshape(n, -1)
-            s2 = (signR * sign_gw[:, None, :]).reshape(n, -1)
-            div_log, _ = _signed_log_sum(np.concatenate([t1, t2], axis=1).T,
-                                         np.concatenate([s1, s2], axis=1).T, axis=0)
+            terms = np.concatenate([(logQ + log_curv).reshape(n, -1),
+                                    (logR + log_gw[:, None, :]).reshape(n, -1)], axis=1)
+            signs = np.concatenate([(signQ * sign_curv).reshape(n, -1),
+                                    (signR * sign_gw[:, None, :]).reshape(n, -1)], axis=1)
+            div_log, _ = _signed_log_sum(terms.T, signs.T, axis=0)
             log_ratios[2] = np.maximum(log_ratios[2], div_log + 2.0 * d1)
             log_ratios[4] = np.maximum(log_ratios[4], pot + 2.0 * d2)
             log_ratios[5] = np.maximum(log_ratios[5], norm_b + d2)
@@ -365,17 +525,14 @@ def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
         with np.errstate(over="ignore"):
             ratios = np.exp(log_ratios)
         if not np.all(np.isfinite(ratios)):
-            bad = np.argwhere(~np.isfinite(ratios))
-            item, pt = int(bad[0][0]), int(bad[0][1])
+            item, pt = (int(v) for v in np.argwhere(~np.isfinite(ratios))[0])
             raise NonFiniteError(
                 f"ledger item '{LEDGER_ITEMS[item]}' non-finite at t={t:.6g}, "
                 f"x={pts[pt]!r}")
-        t_sup = ratios.max(axis=1)
-        t_arg = ratios.argmax(axis=1)
         for i in range(8):
-            if t_sup[i] > sups[i]:
-                sups[i] = t_sup[i]
-                arg_edge[i] = bool(edge[t_arg[i]])
+            if ratios[i].max() > sups[i]:
+                sups[i] = ratios[i].max()
+                arg_edge[i] = bool(edge[ratios[i].argmax()])
     return list(sups), arg_edge
 
 

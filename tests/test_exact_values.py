@@ -1,11 +1,12 @@
-"""Certificate and ledger values pinned bit for bit, and evaluation counts.
+"""Certificate and ledger values pinned bit for bit, evaluation counts, and
+the radial core against the box reference.
 
 The coefficients depend on x only, so certificates and the ledger evaluate
 them once per grid and reuse them at every time.  The pinned values below
-(float.hex) were computed when the fields were still evaluated afresh at
-every time; moving where they are computed must not move a single bit.
-Certificate ladders and ledger windows are evaluated in blocks of times,
-and must have the bits of the one-time-at-a-time loops in oracles.py.
+(float.hex) are those of the evaluation in r alone; a change that moves
+one of their bits re-pins it.  The certificates, the ledger and the row
+sums of a radial family must match, to 1e-13 relative, the box reference of
+oracles.py, which takes them on d-dimensional points one time at a time.
 synth's artifacts on the bench configs are pinned by their sha256.
 """
 
@@ -22,10 +23,11 @@ from kernelbound import cli, hypotheses
 from kernelbound import coefficients as co
 from kernelbound import lyapunov as ly
 from kernelbound import verify
-from kernelbound.errors import CertificateError, NonFiniteError
+from kernelbound.errors import CertificateError, DomainError, NonFiniteError
 from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_ledger
 
-from oracles import certificate_ladder_sups, ledger_window_sups, operator_spec_from_callables
+from oracles import (box, box_generator_ratio, box_row_sum_bound, certificate_sup,
+                     ledger_window_sups, operator_spec_from_callables)
 
 
 def family(kind, d):
@@ -51,7 +53,7 @@ def ledger_weights(timed):
 # by RECORD_VERSION among other things.  A change that moves a pinned value
 # must bump verify.RECORD_VERSION, and the pin below, in the same diff, so
 # records written before it are recomputed rather than read back.
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 
 
 def test_record_version_is_pinned():
@@ -77,11 +79,11 @@ PINNED = {
         '0x1.0000000000000p-1',
     ],
     ('polynomial', 1, 'P_adjoint'): [
-        '0x1.051030d63d37dp+1',
-        '0x1.051030d63d37dp+1',
+        '0x1.051030d63d37ep+1',
+        '0x1.051030d63d37ep+1',
         '0x1.52de5c82deca5p+1',
         '0x1.52de5c82deca5p+1',
-        '0x1.513d930cc82cdp+1',
+        '0x1.513d930cc82cep+1',
         '0x1.ff5d8d06c109cp-1',
         '0x1.065e39445fc2bp-4',
         '0x1.1131662e7f444p-4',
@@ -103,7 +105,7 @@ PINNED = {
         '0x1.413fdcb9efe98p-2',
         '0x1.ae91ba9c22b80p+4',
         '0x1.ca39856f51940p+18',
-        '0x1.2ebaa7a9dd689p+14',
+        '0x1.2ebaa7a9dd692p+14',
         '0x1.6a00d978c10cap+0',
         '0x1.a2e9840a82d5ap-499',
         '0x1.0000000000000p-1',
@@ -119,17 +121,17 @@ PINNED = {
         '0x1.1131662e7f445p-3',
         '0x1.30a650f2311e6p+2',
         '0x1.25807309ba507p+19',
-        '0x1.55c938afbb3ffp+14',
+        '0x1.55c938afbb409p+14',
         '0x1.69d072a1c8440p+0',
         '0x1.a2798609cec0dp-499',
         '-0x1.7b80000000004p+1',
     ],
     ('exponential', 1, 'P'): [
-        '0x1.458969c1eab1bp+2',
-        '0x1.458969c1eab1bp+2',
-        '0x1.8db15ab9feb0ep+2',
-        '0x1.8db15ab9feb0ep+2',
-        '0x1.8db15ab9feb0ep+2',
+        '0x1.458969c1eab17p+2',
+        '0x1.458969c1eab17p+2',
+        '0x1.8db15ab9feb0ap+2',
+        '0x1.8db15ab9feb0ap+2',
+        '0x1.8db15ab9feb0ap+2',
         '0x1.fdc1ba06ba61ap-1',
         '0x1.03b12c748a9e9p+3',
         '0x1.ab873f3ad5da6p+4',
@@ -141,10 +143,10 @@ PINNED = {
         '0x1.5bf0a8b145769p+0',
     ],
     ('exponential', 1, 'P_adjoint'): [
-        '0x1.d23832a1091f5p+6',
+        '0x1.d23832a1091f7p+6',
         '0x1.ca28f8eb5eac2p+6',
-        '0x1.f8dcd15f71d86p+6',
-        '0x1.f8dcd15f71d86p+6',
+        '0x1.f8dcd15f71d88p+6',
+        '0x1.f8dcd15f71d88p+6',
         '0x1.ed47d3a90c1e1p+6',
         '0x1.ffdc08b3ccee1p-1',
         '0x1.d539966dba1cap+2',
@@ -157,13 +159,13 @@ PINNED = {
         '-0x1.056a264d13a54p+1',
     ],
     ('exponential', 2, 'P'): [
-        '0x1.4c8708281b3d4p+3',
-        '0x1.0c14d00ee37afp+3',
-        '0x1.6d884ad4198f5p+3',
-        '0x1.6d884ad4198f5p+3',
-        '0x1.47324d3b7113fp+3',
+        '0x1.4c8708281b3d5p+3',
+        '0x1.0c14d00ee37adp+3',
+        '0x1.6d884ad4198f6p+3',
+        '0x1.6d884ad4198f6p+3',
+        '0x1.47324d3b7113dp+3',
         '0x1.fdc1ba06ba61ap-1',
-        '0x1.033680ead30ddp+3',
+        '0x1.033680ead30dfp+3',
         '0x1.b913722464200p+4',
         '0x1.d6d5f25f85095p+4',
         '0x1.72b47fc9c0e07p+101',
@@ -183,10 +185,10 @@ PINNED = {
         '0x1.64a1708210009p+4',
         '0x1.d6e0af4a6df1fp+5',
         '0x1.4a92a054a2e21p+276',
-        '0x1.ca2ed94816d7fp+16',
+        '0x1.ca2ed94816d70p+16',
         '0x1.ebfe7a7b0edbap+1',
         '0x1.a2e107debf4fap-499',
-        '-0x1.7219cadb6e0b4p+2',
+        '-0x1.7219cadb6e0b3p+2',
     ],
 }
 
@@ -204,167 +206,197 @@ def test_certificates_and_ledger_are_bit_identical(kind, d, target):
     assert [float(v).hex() for v in got] == PINNED[(kind, d, target)]
 
 
-class CountingSpec:
-    """An opaque OperatorSpec over a family that counts coefficient calls."""
-
-    def __init__(self, fam):
-        self.calls = {}
-        inner = fam.operator_spec()
-
-        def counted(name):
-            def call(*args):
-                self.calls[name] = self.calls.get(name, 0) + 1
-                return getattr(inner, name)(*args)
-            return call
-
-        self.spec = co.OperatorSpec(dims=fam.dims, **{
-            name: counted(name) for name in ("Q", "b", "V", "R", "divb")})
+def count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
 
 
 @pytest.mark.parametrize("target", ["P", "P_adjoint"])
-def test_timed_certificate_evaluates_coefficients_once_per_grid(target):
+def test_timed_certificate_evaluates_coefficients_once_per_grid(target, monkeypatch):
     fam = family("polynomial", 1)
-    counting = CountingSpec(fam)
-    res = synthesize(fam, target)
-    ly.verify_certificate(counting.spec, res.timed)
-    m = fam.dims.m
-    # two radii, m components each, however many ladder times
-    expected = {"Q": 2 * m, "R": 2 * m, "b": 2 * m, "V": 2}
-    if target == "P_adjoint":
-        expected["divb"] = 2 * m
-    assert counting.calls == expected
+    calls = count_calls(monkeypatch, ly, "grid_fields")
+    ly.verify_certificate(fam, synthesize(fam, target).timed)
+    # two radii, however many ladder times
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
-def test_ledger_evaluates_coefficients_once_per_component(adjoint):
+def test_ledger_evaluates_coefficients_once_per_component(adjoint, monkeypatch):
     fam = family("polynomial", 1)
     timed = ly.verify_certificate(fam, synthesize(fam, "P").timed).certified
-    ledger_spec, row_spec = CountingSpec(fam), CountingSpec(fam)
-    estimate_ledger(ledger_spec.spec, *ledger_weights(timed), s=5.0,
-                    window=(0.0625, 0.375), adjoint=adjoint)
-    # the ledger ends with the row-sum bound, which has grids of its own
-    compute_row_sum_bound(row_spec.spec, adjoint=adjoint)
-    m = fam.dims.m
-    expected = Counter({"Q": m, "R": m, "b": m, "V": 1})
-    if adjoint:
-        expected["divb"] = m
-    assert Counter(ledger_spec.calls) - Counter(row_spec.calls) == expected
+    calls = count_calls(monkeypatch, hypotheses, "ledger_fields")
+    read = Counter()
+    real = fam.radial_coefficients
+    monkeypatch.setattr(fam, "radial_coefficients", lambda k: read.update([k]) or real(k))
+    estimate_ledger(fam, *ledger_weights(timed), s=5.0, window=(0.0625, 0.375),
+                    adjoint=adjoint)
+    # one evaluation of the fields for the nine window times; the adjoint
+    # also reads each div b, the ledger's and the row sums' on the sample
+    # radii and on the tail ray
+    assert len(calls) == 1
+    assert read == Counter({k: 4 if adjoint else 1 for k in range(fam.dims.m)})
 
 
 # ---------------------------------------------------------------------------
-# blocks of times against the one-time-at-a-time loops
+# the radial core against the box reference
 # ---------------------------------------------------------------------------
 
-# points per axis, with the block lengths they cut the 11-time certificate
-# ladder and the 9-time ledger window into: the default grid, a split into
-# two blocks, and a split that leaves a block of a single time
-BLOCKINGS = {
-    1: [(None, [11], [9]), (2000, [8, 3], [8, 1]), (3000, [5, 5, 1], [5, 4])],
-    2: [(None, [1] * 11, [1] * 9), (25, [6, 5], [6, 3]), (40, [2] * 5 + [1], [2] * 4 + [1])],
-}
-BLOCK_CASES = [(kind, d, target, per_axis, ladder, window)
-               for kind in ("polynomial", "exponential") for d in (1, 2)
-               for target in ly.TARGETS
-               for per_axis, ladder, window in BLOCKINGS[d]]
+# d with the points per axis of the sample box: the default boxes, a 1-D box
+# of 2,000 points, whose step 40/1999 is inexact, so that mirror points
+# differ in their squares, and coarser 2-D and 3-D boxes, which keep the
+# whole 3-D reference near 0.2 s a case
+BOXES = [(1, None), (1, 2000), (2, None), (2, 25), (3, 17)]
+CORE_CASES = [(kind, d, target, per_axis) for kind in ("polynomial", "exponential")
+              for target in ly.TARGETS for d, per_axis in BOXES]
 
 
-def block_lengths(count, per_axis, d):
-    n = ly._points_per_axis(d, per_axis) ** d
-    return [len(block) for block in ly.time_blocks(list(range(count)), n, d)]
+def ledger_s(d):
+    return 5.0 if d < 3 else 6.0
 
 
-@pytest.mark.parametrize("kind,d,target,per_axis,ladder,window", BLOCK_CASES)
-def test_blocked_certificate_ladder_has_the_bits_of_the_time_loop(
-        kind, d, target, per_axis, ladder, window):
-    assert block_lengths(11, per_axis, d) == ladder
+def core_certificates(fam, target, per_axis=None):
+    """The static and the timed certificate's two grid sups."""
+    res = synthesize(fam, target)
+    return [sup for spec in (res.static, res.timed)
+            for rep in [ly.verify_certificate(fam, spec, per_axis=per_axis)]
+            for sup in (rep.sup_coarse, rep.sup_fine)]
+
+
+def reference_certificates(fam, target, per_axis=None, sample=box):
+    res = synthesize(fam, target)
+    return [certificate_sup(fam, spec, R, pts=sample(fam.dims.d, R, per_axis))
+            for spec in (res.static, res.timed)
+            for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
+
+
+def ledger_args(fam, target):
+    """A ledger's weights: the timed function's scales, which calibration
+    does not change."""
+    return ledger_weights(synthesize(fam, target).timed)
+
+
+def core_ledger(fam, target, per_axis=None):
+    """The eight sups, their edge flags and M."""
+    led = estimate_ledger(fam, *ledger_args(fam, target), s=ledger_s(fam.dims.d),
+                          window=(0.0625, 0.375), plan=SamplePlan(per_axis=per_axis),
+                          adjoint=target == "P_adjoint")
+    return list(led.c), list(led.boundary_flags), led.M
+
+
+def reference_ledger(fam, target, per_axis=None, sample=box):
+    plan, adjoint = SamplePlan(per_axis=per_axis), target == "P_adjoint"
+    pts = sample(fam.dims.d, plan.radius, per_axis)
+    sups, edge = ledger_window_sups(fam, *ledger_args(fam, target), ledger_s(fam.dims.d),
+                                    (0.0625, 0.375), plan, adjoint=adjoint, pts=pts)
+    return sups, edge, box_row_sum_bound(fam, adjoint, plan.radius, per_axis, pts=pts)[0]
+
+
+@pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
+def test_certificates_in_r_match_the_box_reference(kind, d, target, per_axis):
     fam = family(kind, d)
-    timed = synthesize(fam, target).timed
-    rep = ly.verify_certificate(fam, timed, per_axis=per_axis)
-    looped = [max(certificate_ladder_sups(fam, timed, R, per_axis))
-              for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
-    assert [rep.sup_coarse.hex(), rep.sup_fine.hex()] == [v.hex() for v in looped]
+    assert core_certificates(fam, target, per_axis) == pytest.approx(
+        reference_certificates(fam, target, per_axis), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
+def test_the_ledger_in_r_matches_the_box_reference(kind, d, target, per_axis):
+    fam = family(kind, d)
+    sups, edge, M = core_ledger(fam, target, per_axis)
+    ref_sups, ref_edge, ref_M = reference_ledger(fam, target, per_axis)
+    assert sups == pytest.approx(ref_sups, rel=1e-13, abs=0.0)
+    assert edge == ref_edge
+    assert M == pytest.approx(ref_M, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
+def test_row_sums_in_r_match_the_box_reference(kind, d, target, per_axis):
+    fam = family(kind, d)
+    adjoint = target == "P_adjoint"
+    row = compute_row_sum_bound(fam, adjoint, per_axis=per_axis)
+    M, certified = box_row_sum_bound(fam, adjoint, ly.SAMPLE_RADIUS, per_axis)
+    assert row.M == pytest.approx(M, rel=1e-13, abs=0.0)
+    assert row.certified_tail == certified
+
+
+@pytest.mark.parametrize("d,per_axis,radii", [(1, None, 257), (2, None, 457), (3, None, 464),
+                                              (3, 17, 116)])
+def test_the_sample_radii_of_a_box(d, per_axis, radii):
+    # 1-D keeps the leading half of its 513 points; 65^2 and 33^3 points
+    # hold 457 and 464 radii
+    at = ly._sample_points(family("polynomial", d), ly.SAMPLE_RADIUS, per_axis)
+    assert len(at.r) == radii
+    pts = box(d, ly.SAMPLE_RADIUS, per_axis)
+    assert len(np.unique(np.sum(pts * pts, axis=-1))) == radii
+
+
+def test_a_ledger_reads_m_from_its_own_sample():
+    # the row-sum bound of the plan's 17-per-axis box, not of the default
+    # 33-per-axis one, which reads -5.527
+    fam = family("polynomial", 3)
+    M = core_ledger(fam, "P_adjoint", per_axis=17)[2]
+    assert M == pytest.approx(-2.5, rel=1e-13)
+    assert M == compute_row_sum_bound(fam, True, per_axis=17).M
+    assert compute_row_sum_bound(fam, True).M == pytest.approx(-5.527, abs=1e-3)
 
 
 @pytest.mark.parametrize("form", ly.FORMS)
 def test_a_block_of_times_has_the_bits_of_each_time(form):
     w = ly.SpaceTimeWeight(form, eps=0.37, sigma=1.3, rho=0.5)
-    at = ly.RadialPoints(ly._grid_points(2, 20.0, 9), 2)
+    at = ly._sample_points(family("polynomial", 2), 20.0, 9)
     ts = np.linspace(0.013, 0.97, 37)
-    for method in (w.log_value, w.dt_log, w.grad_log, w.hess_log):
+    methods = {"log_value": w.log_value, "dt_log": w.dt_log,
+               "r_log[0]": lambda t, x, d: w.r_log(t, x, d)[0],
+               "r_log[1]": lambda t, x, d: w.r_log(t, x, d)[1]}
+    for name, method in methods.items():
         assert method(ts, at, 2).tobytes() == \
-            np.stack([method(t, at, 2) for t in ts]).tobytes(), method.__name__
+            np.stack([method(t, at, 2) for t in ts]).tobytes(), name
 
 
-def heat_like(q: float = 1.0):
-    """A one-component 1-D spec with diffusion q, and nothing else."""
-    zeros = lambda x: np.zeros(np.atleast_2d(x).shape[:1])
-    return operator_spec_from_callables(
-        co.SystemDims(1, 1),
-        Q=lambda h, x: np.full(np.atleast_2d(x).shape[:1], q)[:, None, None],
-        b=lambda h, x: np.zeros_like(np.atleast_2d(x)),
-        V=lambda x: zeros(x)[:, None, None],
-        R=lambda h, x: zeros(x)[:, None, None],
-        divb=lambda h, x: zeros(x))
-
-
-def test_a_late_ladder_sup_is_found_in_the_last_block():
-    # with sigma < 1 the t^(sigma-1) growth of D_t log nu outruns the
-    # subtracted g part as t -> 0, so the sup sits at the smallest time,
-    # alone in the last block of a 3000-point grid
-    static = ly.LyapunovSpec(form="power", rho=0.001, eps_hat=1.0)
-    timed = ly.TimeLyapunovSpec(base=static, T=1.0, sigma=0.5, delta=0.4999)
-    assert block_lengths(11, 3000, 1) == [5, 5, 1]
-    rep = ly.verify_certificate(heat_like(), timed, per_axis=3000)
-    for R, sup in ((ly.SAMPLE_RADIUS, rep.sup_coarse), (2.0 * ly.SAMPLE_RADIUS, rep.sup_fine)):
-        looped = certificate_ladder_sups(heat_like(), timed, R, 3000)
-        assert int(np.argmax(looped)) == 10
-        assert sup.hex() == looped[10].hex()
-
-
-@pytest.mark.parametrize("kind,d,target,per_axis,ladder,window", BLOCK_CASES)
-def test_blocked_ledger_window_has_the_bits_of_the_time_loop(
-        kind, d, target, per_axis, ladder, window):
-    assert block_lengths(9, per_axis, d) == window
-    fam = family(kind, d)
-    timed = ly.verify_certificate(fam, synthesize(fam, target).timed).certified
-    plan = SamplePlan(per_axis=per_axis)
-    args = (fam, *ledger_weights(timed), 5.0, (0.0625, 0.375))
-    led = estimate_ledger(*args, plan=plan, adjoint=target == "P_adjoint")
-    sups, edge = ledger_window_sups(*args, plan=plan, adjoint=target == "P_adjoint")
-    assert [float(c).hex() for c in led.c] == [float(c).hex() for c in sups]
-    assert list(led.boundary_flags) == edge
-
-
-def test_blocked_certificate_raises_the_loop_error():
+def test_an_overflowing_certificate_raises_the_reference_error():
     # Q (grad S)^2 overflows at the ladder's larger times
+    fam = co.diagonal_family("polynomial", 1, 1, zeta_diag=1e306)
     static = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=1.0)
     timed = ly.TimeLyapunovSpec(base=static, T=1.0, sigma=1.0, delta=0.75)
-    spec = heat_like(1e306)
-    with pytest.raises(CertificateError) as blocked:
-        ly.verify_certificate(spec, timed)
-    with pytest.raises(CertificateError) as looped:
-        certificate_ladder_sups(spec, timed, ly.SAMPLE_RADIUS)
-    assert str(blocked.value) == str(looped.value)
+    with pytest.raises(CertificateError) as core:
+        ly.verify_certificate(fam, timed)
+    with pytest.raises(CertificateError) as reference:
+        certificate_sup(fam, timed, ly.SAMPLE_RADIUS)
+    assert str(core.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("per_axis", [None, 3000])
-def test_blocked_ledger_names_the_loop_first_non_finite_ratio(per_axis):
+def test_the_ledger_names_the_reference_first_non_finite_ratio(per_axis):
     # the divergence item |Q| |grad w|^2 crosses float range inside the
-    # window, at a time that is not the first of its block
+    # window, at a time that is not its first
+    fam = co.diagonal_family("polynomial", 1, 1, zeta_diag=1e307)
     w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0)
                    for eps in (1.0, 1.0 + 1e-9, 1.0 + 2e-9))
-    args = (heat_like(1e308), w, nu1, nu2, 4.0, (0.01, 0.1))
+    args = (fam, w, nu1, nu2, 4.0, (0.01, 0.5))
     plan = SamplePlan(per_axis=per_axis)
-    with pytest.raises(NonFiniteError) as blocked:
+    with pytest.raises(NonFiniteError) as core:
         estimate_ledger(*args, plan=plan)
-    with pytest.raises(NonFiniteError) as looped:
+    with pytest.raises(NonFiniteError) as reference:
         ledger_window_sups(*args, plan=plan)
-    assert str(blocked.value) == str(looped.value)
-    assert "t=0.01," not in str(blocked.value)
+    assert str(core.value) == str(reference.value)
+    assert "t=0.01," not in str(core.value)
+
+
+def test_the_ledger_names_the_first_non_finite_ratio_of_the_whole_box():
+    # e^{r^3} potentials leave float range inside the box
+    fam = co.diagonal_family("exponential", 2, 2, theta=[[1.0, 0.5], [0.5, 1.0]],
+                             gamma=[[3.0, 1.0], [1.0, 3.0]])
+    w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0) for eps in (1.0, 1.5, 2.0))
+    with pytest.raises(NonFiniteError) as core:
+        estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
+    with pytest.raises(NonFiniteError) as reference:
+        ledger_window_sups(fam, w, nu1, nu2, 4.0, (0.1, 0.2), SamplePlan())
+    assert str(core.value) == str(reference.value)
 
 
 # ---------------------------------------------------------------------------
-# radius classes against the whole box
+# systems that are not radial
 # ---------------------------------------------------------------------------
 
 def skewed(kind):
@@ -376,105 +408,42 @@ def skewed(kind):
     return type(fam)(fam.dims, zeta, fam.alpha, eta, fam.beta, fam.theta, fam.gamma)
 
 
-def sample_with(monkeypatch, sampler):
-    """Make the certificates, the ledger and the row sums sample with sampler."""
-    for module in (ly, hypotheses):
-        monkeypatch.setattr(module, "_sample_points", sampler)
-
-
-def whole_box(system, radius, per_axis=None):
-    return ly._grid_points(system.dims.d, radius, per_axis)
-
-
-def radius_classes(system, radius, per_axis=None):
-    d = system.dims.d
+def radius_classes(d, radius, per_axis=None):
+    """The first box point of each distinct |x|^2, the points whose radii
+    the package samples."""
     return ly._radius_classes(d, float(radius), ly._points_per_axis(d, per_axis))
 
 
-def sampled_values(fam, target, per_axis=None, s=5.0):
-    """Both certificates' sups, the ledger and the row-sum bound of fam, with
-    the ledger's edge flags and the row sums' tail verdict."""
+def refusals(system, target="P"):
+    """The DomainError messages of the certificates, the ledger and the row sums."""
+    fam = family("polynomial", system.dims.d)
     res = synthesize(fam, target)
-    static = ly.verify_certificate(fam, res.static, per_axis=per_axis)
-    timed = ly.verify_certificate(fam, res.timed, per_axis=per_axis)
-    adjoint = target == "P_adjoint"
-    led = estimate_ledger(fam, *ledger_weights(timed.certified), s=s,
-                          window=(0.0625, 0.375), plan=SamplePlan(per_axis=per_axis),
-                          adjoint=adjoint)
-    row = compute_row_sum_bound(fam, adjoint=adjoint)
-    sups = [static.sup_coarse, static.sup_fine, timed.sup_coarse, timed.sup_fine,
-            *led.c, led.M, row.M]
-    return sups, list(led.boundary_flags), row.certified_tail
-
-
-def sampled_numbers(fam, target):
-    """sampled_values with every number as float.hex."""
-    sups, edge, tail = sampled_values(fam, target)
-    return [float(v).hex() for v in sups], edge, tail
-
-
-def looped_numbers(fam, target):
-    """The timed certificate's two sups and the eight ledger sups, as
-    float.hex, with the ledger's edge flags, from the one-time-at-a-time
-    loops of oracles.py, which sample the whole box."""
-    timed = synthesize(fam, target).timed
-    looped = [max(certificate_ladder_sups(fam, timed, R))
-              for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
-    calibrated = ly.verify_certificate(fam, timed).certified
-    sups, edge = ledger_window_sups(fam, *ledger_weights(calibrated), 5.0, (0.0625, 0.375),
-                                    SamplePlan(), adjoint=target == "P_adjoint")
-    return [float(v).hex() for v in looped + sups], edge
-
-
-RADIAL_CASES = [(kind, d, target) for kind in ("polynomial", "exponential")
-                for d in (1, 2) for target in ly.TARGETS]
-
-
-@pytest.mark.parametrize("kind,d,target", RADIAL_CASES)
-def test_a_radial_family_on_radius_classes_has_the_bits_of_the_whole_box(
-        kind, d, target, monkeypatch):
-    fam = family(kind, d)
-    assert fam.radial
-    # 1-D keeps the leading half of its 513 points; 457 radii of 65^2 in 2-D
-    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS)) == {1: 257, 2: 457}[d]
-    classes = sampled_numbers(fam, target)
-    sups, edge = looped_numbers(fam, target)
-    assert classes[0][2:12] == sups
-    assert classes[1] == edge
-    sample_with(monkeypatch, whole_box)
-    assert sampled_numbers(fam, target) == classes
+    calls = [lambda: ly.verify_certificate(system, res.timed),
+             lambda: estimate_ledger(system, *ledger_weights(res.timed), s=5.0,
+                                     window=(0.0625, 0.375)),
+             lambda: compute_row_sum_bound(system, target == "P_adjoint"),
+             lambda: hypotheses.check_base(system)]
+    messages = []
+    for call in calls:
+        with pytest.raises(DomainError) as refused:
+            call()
+        messages.append(str(refused.value))
+    return messages
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "exponential"])
 @pytest.mark.parametrize("target", ly.TARGETS)
-def test_a_skewed_family_takes_the_whole_box(kind, target, monkeypatch):
+def test_a_skewed_family_is_refused_and_its_reference_sups_differ(kind, target):
     fam = skewed(kind)
     assert not fam.radial
-    assert np.array_equal(ly._sample_points(fam, ly.SAMPLE_RADIUS),
-                          ly._grid_points(2, ly.SAMPLE_RADIUS))
-    numbers = sampled_numbers(fam, target)
-    sups, edge = looped_numbers(fam, target)
-    assert numbers[0][2:12] == sups
-    assert numbers[1] == edge
-    # negative control: one point per radius misses the whole box's numbers
-    sample_with(monkeypatch, radius_classes)
-    forced = sampled_numbers(fam, target)
-    assert forced[0] != numbers[0]
-
-
-@pytest.mark.parametrize("kind", ["polynomial", "exponential"])
-@pytest.mark.parametrize("target", ly.TARGETS)
-def test_a_3d_radial_family_on_radius_classes_matches_the_whole_box(
-        kind, target, monkeypatch):
-    fam = family(kind, 3)
-    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS)) == 464  # of 33^3 points
-    # 17 points per axis keep the whole box's reference near 0.2 s a case
-    classes = sampled_values(fam, target, per_axis=17, s=6.0)
-    assert len(ly._sample_points(fam, ly.SAMPLE_RADIUS, 17)) == 116
-    sample_with(monkeypatch, whole_box)
-    whole = sampled_values(fam, target, per_axis=17, s=6.0)
-    assert classes[0] == pytest.approx(whole[0], rel=1e-13, abs=0.0)
-    assert classes[1:] == whole[1:]
+    assert set(refusals(fam, target)) == {
+        f"{type(fam).__name__} (d=2, m=2) is not a radial family: certificates, ledger "
+        "and row sums evaluate in r = 1 + |x|^2 alone"}
+    # negative control: one point per radius misses the whole box's sups
+    whole = reference_certificates(fam, target) + reference_ledger(fam, target)[0]
+    classes = reference_certificates(fam, target, sample=radius_classes) \
+        + reference_ledger(fam, target, sample=radius_classes)[0]
+    assert whole != classes
 
 
 def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch):
@@ -489,61 +458,40 @@ def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch)
     monkeypatch.setattr(ly, "_grid_points", counted)
     ly._radius_classes.cache_clear()
     for target in ly.TARGETS:
-        sampled_numbers(fam, target)
+        core_certificates(fam, target)
+        core_ledger(fam, target)
     # the certificates', the ledger's and the row sums' boxes of radius 20,
     # and the certificates' doubled boxes
     assert built == Counter({(2, 20.0, 65): 1, (2, 40.0, 65): 1})
-    table = ly._sample_points(fam, ly.SAMPLE_RADIUS)
-    assert table is ly._sample_points(fam, 20, 65)
+    table = ly._sample_points(fam, ly.SAMPLE_RADIUS).pts
+    assert table is ly._sample_points(fam, 20, 65).pts
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
 
 
-def test_an_opaque_spec_takes_the_whole_box_and_an_inexact_box_keeps_its_sups():
-    fam = family("polynomial", 1)
-    assert len(ly._sample_points(fam.operator_spec(), ly.SAMPLE_RADIUS)) == 513
-    # the step 40/1999 is inexact, so mirror points differ in their squares,
-    # and each is a radius of its own
-    pts = ly._grid_points(1, ly.SAMPLE_RADIUS, 2000)
-    assert not np.array_equal(pts, -pts[::-1])
-    assert 1000 < len(ly._sample_points(fam, ly.SAMPLE_RADIUS, 2000)) < 2000
-    timed = synthesize(fam, "P").timed
-    rep = ly.verify_certificate(fam, timed, per_axis=2000)
-    looped = [max(certificate_ladder_sups(fam, timed, R, 2000))
-              for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
-    assert [rep.sup_coarse.hex(), rep.sup_fine.hex()] == [v.hex() for v in looped]
+def test_an_opaque_spec_is_refused_by_name():
+    spec = family("polynomial", 1).operator_spec()
+    assert set(refusals(spec)) == {
+        "OperatorSpec (d=1, m=2) is not a radial family: certificates, ledger and row "
+        "sums evaluate in r = 1 + |x|^2 alone"}
 
 
 def test_a_drift_that_is_not_radial_peaks_off_the_radius_classes():
     # b = +1 makes <b, grad S> odd in x: the generator ratio peaks at the
     # box's last point, which shares its radius with the first, so the
-    # classes are sound for radial families only
+    # radii are sound for radial families only
     spec = operator_spec_from_callables(
         co.SystemDims(1, 1),
         Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1])[:, None, None],
         b=lambda h, x: np.ones_like(np.atleast_2d(x)),
         V=lambda x: np.zeros(np.atleast_2d(x).shape[:1])[:, None, None])
     lyap = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.1)
-    pts = ly._grid_points(1, ly.SAMPLE_RADIUS)
-    ratio = ly._generator_ratio(spec, lyap, None, None, pts)[0]
-    kept = len(ly._radius_classes(1, ly.SAMPLE_RADIUS, len(pts)))
+    pts = box(1, ly.SAMPLE_RADIUS)
+    ratio = box_generator_ratio(spec, lyap, None, pts)[0]
+    kept = len(radius_classes(1, ly.SAMPLE_RADIUS))
     assert int(np.argmax(ratio)) >= kept and ratio[:kept].max() < ratio.max()
-    # and a spec's certificate grid is the whole box
-    grid = ly.CertificateGrids(spec).fields(ly.SAMPLE_RADIUS, None, adjoint=False)
-    assert np.array_equal(grid.points.pts, pts)
-
-
-def test_radius_classes_name_the_first_non_finite_ratio_of_the_whole_box(monkeypatch):
-    # e^{r^3} potentials leave float range inside the box
-    fam = co.diagonal_family("exponential", 2, 2, theta=[[1.0, 0.5], [0.5, 1.0]],
-                             gamma=[[3.0, 1.0], [1.0, 3.0]])
-    w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0) for eps in (1.0, 1.5, 2.0))
-    with pytest.raises(NonFiniteError) as classes:
-        estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
-    sample_with(monkeypatch, whole_box)
-    with pytest.raises(NonFiniteError) as whole:
-        estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
-    assert str(classes.value) == str(whole.value)
+    with pytest.raises(DomainError, match="not a radial family"):
+        ly.verify_certificate(spec, lyap)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from kernelbound.coefficients import (
     ExponentialFamily,
-    OperatorSpec,
     PolynomialFamily,
     SystemDims,
     diagonal_family,
@@ -15,16 +14,16 @@ from kernelbound.coefficients import (
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import (
     SamplePlan,
-    _family_log_entries,
     check_base,
     check_exponential,
     check_polynomial,
     compute_row_sum_bound,
     estimate_ledger,
+    ledger_fields,
     margins_csv,
     report_text,
 )
-from kernelbound.lyapunov import SpaceTimeWeight, _cooperative_row_sums
+from kernelbound.lyapunov import RadialPoints, SpaceTimeWeight, _cooperative_row_sums
 
 
 def headline_family():
@@ -39,21 +38,9 @@ def smoke_exp_family():
                            gamma=[[1.0, 0.5], [0.5, 1.0]])
 
 
-def trivial_spec(d=1, m=1):
-    """Heat-equation-shaped system: identity diffusion, no drift, no coupling."""
-    dims = SystemDims(d, m)
-
-    def npoints(x):
-        return np.atleast_2d(np.asarray(x, dtype=float)).shape[0]
-
-    return OperatorSpec(
-        dims=dims,
-        Q=lambda h, x: np.tile(np.eye(d), (npoints(x), 1, 1)),
-        b=lambda h, x: np.zeros((npoints(x), d)),
-        V=lambda x: np.zeros((npoints(x), m, m)),
-        R=lambda h, x: np.zeros((npoints(x), d, d)),
-        divb=lambda h, x: np.zeros(npoints(x)),
-    )
+def quiet_family(d=1, m=1):
+    """Identity diffusion and potential, with the unit restoring drift -x."""
+    return diagonal_family("polynomial", d, m)
 
 
 def report_by_id(reports, hid):
@@ -125,31 +112,34 @@ class TestRowSumBound:
         assert adj.M == pytest.approx(-0.5 * math.e, rel=1e-9)
         assert row.certified_tail and adj.certified_tail
 
-    def test_zero_potential_spec(self):
-        row = compute_row_sum_bound(trivial_spec(m=2))
-        assert row.M == pytest.approx(0.0, abs=1e-14)
+    def test_unit_potential_family(self):
+        row = compute_row_sum_bound(quiet_family(m=2))
+        assert row.M == 1.0
         assert row.certified_tail
+
+    def test_an_opaque_spec_is_refused(self):
+        with pytest.raises(DomainError, match="OperatorSpec .* is not a radial family"):
+            compute_row_sum_bound(quiet_family(m=2).operator_spec())
 
     @pytest.mark.parametrize("kind, gamma", [
         ("polynomial", [[2.0, 1.0], [1.0, 2.0]]),
         ("exponential", [[1.0, 0.5], [0.5, 1.0]]),
     ])
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("opaque", [False, True])
-    def test_row_sums_where_an_offdiagonal_entry_dominates(self, kind, gamma, adjoint, opaque):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_row_sums_where_an_offdiagonal_entry_dominates(self, kind, gamma, adjoint, d):
         # |theta_hk| > theta_kk: near the origin every cooperative row and
         # column sum is negative, led by an off-diagonal entry
-        fam = diagonal_family(kind, 2, 2, beta=1.0, theta=[[1.0, -3.0], [2.0, 1.0]],
+        fam = diagonal_family(kind, d, 2, beta=1.0, theta=[[1.0, -3.0], [2.0, 1.0]],
                               gamma=gamma)
         ax = np.linspace(-0.5, 0.5, 5)
-        pts = np.stack([a.ravel() for a in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
+        pts = np.stack([a.ravel() for a in np.meshgrid(*[ax] * d, indexing="ij")], axis=-1)
         VP = eval_VP(fam.V(pts))
         expected = VP.sum(axis=-2).T if adjoint else VP.sum(axis=-1).T
         if adjoint:
             expected = expected + np.stack([fam.divb(k, pts) for k in range(2)])
         assert np.all(expected < 0)
-        system = fam.operator_spec() if opaque else fam
-        got = _cooperative_row_sums(system, pts, adjoint, with_divb=adjoint)
+        got = _cooperative_row_sums(fam, RadialPoints(pts, d).r, adjoint, with_divb=adjoint)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -160,24 +150,14 @@ class TestBaseChecks:
         assert report_by_id(reports, "row-sum-lower-bound").status == "holds"
         assert row.M == pytest.approx(0.5, abs=1e-12)
 
-    def test_generic_spec_is_numeric_only(self):
-        reports, row = check_base(trivial_spec(m=2))
-        by_status = {r.hypothesis_id: r.status for r in reports}
-        assert by_status["ellipticity"] == "numeric-only"
-        assert by_status["row-sum-lower-bound"] == "numeric-only"
-        assert row.M == pytest.approx(0.0, abs=1e-14)
+    def test_a_generic_spec_is_refused(self):
+        with pytest.raises(DomainError, match="OperatorSpec .* is not a radial family"):
+            check_base(quiet_family(m=2).operator_spec())
 
-    @pytest.mark.parametrize("family", [False, True], ids=["opaque", "family"])
-    def test_indefinite_diffusion_fails(self, family):
-        spec = trivial_spec()
-        bad = OperatorSpec(dims=spec.dims,
-                           Q=lambda h, x: -np.asarray(spec.Q(h, x)),
-                           b=spec.b, V=spec.V, R=spec.R, divb=spec.divb)
-        if family:
-            # Z = [[1, -2], [-2, 1]] has the eigenvalue -1
-            bad = PolynomialFamily(SystemDims(2, 1), np.array([[[1.0, 2.0], [2.0, 1.0]]]),
-                                   np.zeros((1, 2, 2)), np.ones((1, 2)), np.zeros((1, 2)),
-                                   np.array([[1.0]]), np.zeros((1, 1)))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_indefinite_diffusion_fails(self, d):
+        # Z = -I has the eigenvalue -1
+        bad = diagonal_family("polynomial", d, 1, zeta_diag=-1.0)
         reports, _ = check_base(bad)
         rep = report_by_id(reports, "ellipticity")
         assert rep.status == "fails"
@@ -191,21 +171,21 @@ def power_weights(eps_scale=(0.5, 0.75, 1.0), eps_T=1.0, sigma=1.0, rho=1.0):
 class TestLedger:
     def test_trivial_coefficients_pin_the_constants(self):
         w, nu1, nu2 = power_weights()
-        led = estimate_ledger(trivial_spec(m=2), w, nu1, nu2, s=4.0,
+        led = estimate_ledger(quiet_family(m=2), w, nu1, nu2, s=4.0,
                               window=(0.5, 1.5))
-        # no potential, no drift, no diffusion derivative
-        assert led.c[4] < 1e-200
-        assert led.c[5] < 1e-200
-        assert led.c[7] < 1e-200
-        # weight-vs-nu1 and |Q|_F peak at t = a0, x = 0 where S(r) = 1
+        # no diffusion derivative: |R|_F is the 1e-150 of a norm of zeros
+        assert led.c[7] < 1e-100
+        # weight-vs-nu1, |Q|_F and the unit potential against nu2 peak at
+        # t = a0, x = 0 where S(r) = 1
         assert led.c[0] == pytest.approx(math.exp(2 * (0.5 - 0.75) * 0.5 / 4.0), rel=1e-12)
         assert led.c[6] == pytest.approx(math.exp((0.5 - 0.75) * 0.5 / 4.0), rel=1e-12)
-        assert led.c[1] > 1e-6 and led.c[2] > 1e-6 and led.c[3] > 1e-6
-        assert led.M == pytest.approx(0.0, abs=1e-14)
+        assert led.c[4] == pytest.approx(math.exp(2 * (0.5 - 1.0) * 0.5 / 4.0), rel=1e-12)
+        assert led.c[1] > 1e-6 and led.c[2] > 1e-6 and led.c[3] > 1e-6 and led.c[5] > 1e-6
+        assert led.M == 1.0
 
     def test_frobenius_scaling_with_dimension(self):
         w, nu1, nu2 = power_weights()
-        led = estimate_ledger(trivial_spec(d=2, m=1), w, nu1, nu2, s=5.0,
+        led = estimate_ledger(quiet_family(d=2, m=1), w, nu1, nu2, s=5.0,
                               window=(0.5, 1.5))
         expected = math.sqrt(2.0) * math.exp((0.5 - 0.75) * 0.5 / 5.0)
         assert led.c[6] == pytest.approx(expected, rel=1e-12)
@@ -214,7 +194,7 @@ class TestLedger:
         # ratio_4 = A u e^{-B u} in u = S(r) with A = eps_w and
         # B = 2 (eps_1 - eps_w) t / s; its max A/(eB) is largest at t = a0
         w, nu1, nu2 = power_weights()
-        led = estimate_ledger(trivial_spec(), w, nu1, nu2, s=4.0,
+        led = estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0,
                               window=(0.5, 1.5))
         assert led.c[3] == pytest.approx(8.0 / math.e, rel=1e-3)
 
@@ -238,9 +218,8 @@ class TestLedger:
         assert merged.M_star == pytest.approx(-1.0625, abs=2e-3)
 
     def test_a_blocked_ledger_drops_its_temporaries(self):
-        # the nine window times take one pass on the 1-D grid; with every
-        # (times, points) temporary dropped after its last use the ledger
-        # peaks near 0.97 MB, against 1.57 MB when they lived to the end
+        # the nine window times take one (times, radii) pass on the 257
+        # radii of the 1-D box, and the ledger peaks near 0.6 MB
         fam = headline_family()
         w, nu1, nu2 = power_weights(eps_T=0.5, sigma=2.0)
         estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
@@ -262,39 +241,51 @@ class TestLedger:
         assert led.M == pytest.approx(0.5 * math.e, rel=1e-9)
 
     @pytest.mark.parametrize("cls", [PolynomialFamily, ExponentialFamily])
-    def test_family_log_entries_match_the_fields(self, cls):
-        # off-diagonal diffusion and nonzero exponents, off the coordinate axes
-        fam = cls(SystemDims(2, 2), zeta=[[[2.0, 0.3], [0.3, 1.5]], [[1.0, -0.2], [-0.2, 1.0]]],
-                  alpha=[[[0.5, 0.25], [0.25, 0.75]], [[0.0, 0.5], [0.5, 1.0]]],
-                  eta=[[1.0, 2.0], [0.5, 0.5]], beta=[[1.0, 0.5], [0.0, 0.25]],
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_the_ledger_fields_in_r_match_the_fields(self, cls, adjoint):
+        # nonzero exponents and a coupled potential, off the coordinate axes
+        d, m = 2, 2
+        fam = cls(SystemDims(d, m), zeta=[np.eye(d) * 2.0, np.eye(d) * 1.5],
+                  alpha=[np.full((d, d), 0.5), np.full((d, d), 0.25)],
+                  eta=[[1.0, 1.0], [0.5, 0.5]], beta=[[1.0, 1.0], [0.25, 0.25]],
                   theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
+        assert fam.radial
         pts = np.array([[0.3, -1.2], [2.0, 0.7], [-1.5, -0.4]])
-        for k in range(2):
-            logQ, signQ, logR, signR, logb, signb = _family_log_entries(fam, k, pts)
-            for log, sign, field in ((logQ, signQ, fam.Q), (logR, signR, fam.R),
-                                     (logb, signb, fam.b)):
-                np.testing.assert_allclose(sign * np.exp(log), field(k, pts), rtol=1e-12)
+        fields = ledger_fields(fam, RadialPoints(pts, d), adjoint)
+        for k, (logq, sign_q, logdq, pot, norm_b, norm_Q, norm_R) in enumerate(fields):
+            Q, R, b = fam.Q(k, pts), fam.R(k, pts), fam.b(k, pts)
+            np.testing.assert_allclose(sign_q * np.exp(logq), Q[:, 0, 0], rtol=1e-12)
+            np.testing.assert_allclose(np.exp(logdq)[:, None] * pts, np.diagonal(R, axis1=1, axis2=2),
+                                       rtol=1e-12)
+            row = np.linalg.norm(fam.V(pts)[:, k], axis=-1)
+            if adjoint:
+                row = row + np.abs(fam.divb(k, pts))
+            np.testing.assert_allclose(np.exp(pot), row, rtol=1e-12)
+            for norm, field in ((norm_b, b), (norm_Q, Q), (norm_R, R)):
+                np.testing.assert_allclose(
+                    np.exp(norm), np.linalg.norm(field.reshape(len(pts), -1), axis=-1),
+                    rtol=1e-12)
 
     def test_inner_window_override(self):
         w, nu1, nu2 = power_weights()
-        led = estimate_ledger(trivial_spec(), w, nu1, nu2, s=4.0,
+        led = estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0,
                               window=(0.5, 1.5), inner=(0.6, 1.4))
         assert led.window == (0.5, 0.6, 1.4, 1.5)
 
     def test_degenerate_windows_rejected(self):
         w, nu1, nu2 = power_weights()
         with pytest.raises(DomainError):
-            estimate_ledger(trivial_spec(), w, nu1, nu2, s=4.0, window=(0.0, 1.0))
+            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=(0.0, 1.0))
         with pytest.raises(DomainError):
-            estimate_ledger(trivial_spec(), w, nu1, nu2, s=4.0, window=(2.0, 1.0))
+            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=(2.0, 1.0))
 
     def test_weight_ordering_enforced(self):
         w, nu1, nu2 = power_weights()
         with pytest.raises(DomainError):
-            estimate_ledger(trivial_spec(), nu2, nu1, w, s=4.0, window=(0.5, 1.5))
+            estimate_ledger(quiet_family(), nu2, nu1, w, s=4.0, window=(0.5, 1.5))
         mixed = SpaceTimeWeight("power", 0.75, 2.0, 1.0)  # sigma mismatch
         with pytest.raises(DomainError):
-            estimate_ledger(trivial_spec(), w, mixed, nu2, s=4.0, window=(0.5, 1.5))
+            estimate_ledger(quiet_family(), w, mixed, nu2, s=4.0, window=(0.5, 1.5))
 
     def test_coarse_plan_is_cheap_and_consistent(self):
         fam = headline_family()
@@ -317,8 +308,8 @@ class TestReporting:
         assert text == report_text(reports)
 
     @pytest.mark.parametrize("system", [headline_family(), smoke_exp_family(),
-                                        trivial_spec(m=2)],
-                             ids=["polynomial", "exponential", "opaque"])
+                                        quiet_family(d=2, m=2)],
+                             ids=["polynomial", "exponential", "2-D"])
     def test_each_hypothesis_and_margin_is_reported_once(self, system):
         # a family's table holds row dominance and the Z^k eigenvalues, which
         # its ellipticity and row-sum verdicts read instead of repeating

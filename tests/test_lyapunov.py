@@ -19,7 +19,7 @@ from kernelbound.errors import (
 )
 from kernelbound.hypotheses import estimate_ledger
 
-from oracles import FieldJet, eval_operator, operator_spec_from_callables
+from oracles import FieldJet, eval_operator, grad_log, hess_log
 
 
 def poly_headline():
@@ -254,8 +254,13 @@ def test_weight_log_derivatives_match_fd():
         lv = lambda tt, xx: w.log_value(tt, xx, 2)
         dt_fd = (lv(t + step, x) - lv(t - step, x)) / (2 * step)
         assert w.dt_log(t, x, 2) == pytest.approx(dt_fd, rel=1e-6)
-        grad = w.grad_log(t, x, 2)
-        hess = w.hess_log(t, x, 2)
+        grad = grad_log(w, t, x[None], 2)[0]
+        hess = hess_log(w, t, x[None], 2)[0]
+        # and in r: grad log w = 2 u x, D^2 log w = 2 u I + 4 u2 x x^T
+        u, u2 = w.r_log(t, x, 2)
+        np.testing.assert_allclose(grad, 2.0 * u * x, rtol=1e-15)
+        np.testing.assert_allclose(hess, 2.0 * u * np.eye(2) + 4.0 * u2 * np.outer(x, x),
+                                   rtol=1e-15)
         for i in range(2):
             ei = np.zeros(2)
             ei[i] = step
@@ -356,25 +361,17 @@ def test_certificate_static_matches_fd_operator_route():
         jet = FieldJet.from_callables([phi, phi], np.array([xv]), step=1e-5)
         for k in range(2):
             direct = eval_operator(spec, "P", jet, k, np.array([xv])) / phi(xv)
-            pts = np.array([[xv]])
-            analytic = ly._generator_ratio(fam, static, None, None, pts)[k, 0]
+            fields = ly.grid_fields(fam, ly.RadialPoints(np.array([[xv]]), 1), adjoint=False)
+            analytic = ly._generator_ratio(fields, static)[k, 0]
             assert direct == pytest.approx(analytic, rel=1e-5, abs=1e-5)
 
 
 def test_certificate_rejects_heat_equation_blowup():
-    # V = 0, b = 0: exp(eps (1+x^2)^rho) grows under the Laplacian, sup explodes with R
-    dims = co.SystemDims(1, 1)
-    spec = operator_spec_from_callables(
-        dims,
-        Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1])[:, None, None],
-        b=lambda h, x: np.zeros_like(np.atleast_2d(x)),
-        V=lambda x: np.zeros((np.atleast_2d(x).shape[0], 1, 1)),
-        R=lambda h, x: np.zeros(np.atleast_2d(x).shape[:1])[:, None, None],
-        divb=lambda h, x: np.zeros(np.atleast_2d(x).shape[:1]),
-    )
+    # V and b near 0: exp(eps (1+x^2)^rho) grows under the Laplacian, sup explodes with R
+    fam = co.diagonal_family("polynomial", 1, 1, eta=1e-9, theta=[[1e-9]])
     lyap = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.5)
     with pytest.raises(CertificateError, match="growth"):
-        ly.verify_certificate(spec, lyap, radius=10.0)
+        ly.verify_certificate(fam, lyap, radius=10.0)
 
 
 def test_certificate_timed_calibrates_c0():
@@ -385,9 +382,10 @@ def test_certificate_timed_calibrates_c0():
     timed = rep.certified
     assert timed.c0 is not None and timed.c0 >= 0.0
     # calibrated residual inequality holds on a fresh sample grid
-    pts = np.linspace(-15.0, 15.0, 401)[:, None]
+    fields = ly.grid_fields(fam, ly.RadialPoints(np.linspace(-15.0, 15.0, 401)[:, None], 1),
+                            adjoint=False)
     for t in (0.05, 0.3, 0.9):
-        ratio = ly._generator_ratio(fam, timed.base, timed, t, pts)
+        ratio = ly._generator_ratio(fields, timed, t)
         lhs = np.max(ratio)
         assert lhs <= float(timed.g(t)) + 1e-9
 

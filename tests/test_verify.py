@@ -334,14 +334,12 @@ class TestStoredColumns:
         assert stored_column(spec, g, 0.1, 0, store) is col
         np.testing.assert_array_equal(evolve_all(spec, [ones], store)[0], u)
         assert len(store) == 2
-        # and so do its records
+        # its records are refused: certificates and ledgers take radial
+        # families, and nothing reaches the store
         syn = synth_poly(headline_family(), 1.0)
-        calls = count_calls(monkeypatch)
-        first = verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store)
-        assert verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store) == first
-        # the ledger and the nu1 and nu2 calibrations, once each
-        assert sorted(calls) == ["estimate_ledger"] + ["verify_certificate"] * 2
-        assert list(tmp_path.iterdir()) == [] and len(store) == 5
+        with pytest.raises(DomainError, match="OperatorSpec .* is not a radial family"):
+            verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store)
+        assert list(tmp_path.iterdir()) == [] and len(store) == 2
 
 
 class TestStoredEvolve:
