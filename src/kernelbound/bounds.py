@@ -164,8 +164,8 @@ def eval_lambda_poly(family: PolynomialFamily, sigma: float, rho: float) -> floa
     (sigma/2rho)(abar + bbar) when abar > 1/2; the final kernel bound decays
     (or blows up) like t^(1 - lambda s).
     """
-    abar = family.abar()
-    bbar = family.bbar()
+    abar = float(family.alpha.max())
+    bbar = float(family.beta.max())
     gmax = float(family.gamma.max())
     lam = max(0.5, (sigma / rho) * abar, (sigma / (2 * rho)) * gmax,
               (sigma / (2 * rho)) * (2 * bbar + 1.0))

@@ -19,26 +19,25 @@ drive everything downstream:
 
 Besides generic coefficient containers the module ships the two concrete
 families used throughout the artifact, with polynomially and exponentially
-growing coefficients:
+growing coefficients.  Each equation k carries one diffusion scale zeta_k
+and exponent alpha_k and one drift scale eta_k and exponent beta_k, which
+may differ from equation to equation:
 
-    q^k_ij = zeta^k_ij (1+|x|^2)^alpha^k_ij      q^k_ij = zeta^k_ij e^{(1+|x|^2)^alpha^k_ij}
-    b^k_i  = -eta^k_i x_i (1+|x|^2)^beta^k_i     b^k_i  = -eta^k_i x_i e^{(1+|x|^2)^beta^k_i}
-    v_hk   = theta_hk (1+|x|^2)^gamma_hk         v_hk   = theta_hk e^{(1+|x|^2)^gamma_hk}
+    Q^k = zeta_k (1+|x|^2)^alpha_k I          Q^k = zeta_k e^{(1+|x|^2)^alpha_k} I
+    b^k = -eta_k x (1+|x|^2)^beta_k           b^k = -eta_k x e^{(1+|x|^2)^beta_k}
+    v_hk = theta_hk (1+|x|^2)^gamma_hk        v_hk = theta_hk e^{(1+|x|^2)^gamma_hk}
+
+A family is therefore radial by construction: it reads x only through
+r = 1+|x|^2, apart from the factor x of b and of the diffusion derivatives
+R, so q, v and div b are even in x bit for bit and b and R odd (negating a
+float is exact).  Every ratio the certificates, the constants ledger and
+the row sums take a sup or inf of is a function of r alone, which they
+evaluate on the sample box's distinct radii (lyapunov._sample_points) from
+the per-equation values and radial_divb.  Any other system, such as an
+OperatorSpec, is refused there.
 
 All family evaluators are vectorized over trailing point batches: x may be a
 single point of shape (d,) or a batch of shape (n, d).
-
-Both families are even in x, bit for bit: q, v and div b read x only through
-r = 1+|x|^2 and the squares x_i^2, and R and b are x_i times such a factor,
-so they are odd, and negating a float is exact.  A family is radial
-(_FamilyBase.radial) when, for each equation, zeta is a multiple of the
-identity, the diagonal of alpha is constant, and eta and beta are constant
-across axes, as diagonal_family builds it: Q = zeta g(r, alpha) I,
-b = -eta x g(r, beta) and V = theta g(r, gamma).  Every ratio the
-certificates, the constants ledger and the row sums take a sup or inf of is
-then a function of r alone, which they evaluate on the sample box's
-distinct radii (lyapunov._sample_points) from radial_coefficients and
-radial_divb.
 """
 
 from __future__ import annotations
@@ -175,22 +174,19 @@ def _radial(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
 class _FamilyBase:
     """Validation, coefficient fields and derived quantities of both families.
 
+    zeta, alpha, eta and beta hold one value per equation, shape (m,), a
+    scalar standing for every equation; theta and gamma are (m, m).
     Subclasses define only the growth law: _grow, _log_grow and _chain.
     """
 
     def __init__(self, dims: SystemDims, zeta, alpha, eta, beta, theta, gamma):
-        d, m = dims.d, dims.m
+        m = dims.m
         self.dims = dims
-        self.zeta = _as_array("zeta", zeta, (m, d, d))
-        self.alpha = _as_array("alpha", alpha, (m, d, d))
-        self.eta = _as_array("eta", eta, (m, d))
-        self.beta = _as_array("beta", beta, (m, d))
+        self.zeta, self.alpha, self.eta, self.beta = (
+            _as_array(name, np.full(m, value) if np.ndim(value) == 0 else value, (m,))
+            for name, value in (("zeta", zeta), ("alpha", alpha), ("eta", eta), ("beta", beta)))
         self.theta = _as_array("theta", theta, (m, m))
         self.gamma = _as_array("gamma", gamma, (m, m))
-        if not np.allclose(self.alpha, np.swapaxes(self.alpha, 1, 2)):
-            raise DimensionMismatchError("alpha exponents must be symmetric in i, j")
-        if not np.allclose(self.zeta, np.swapaxes(self.zeta, 1, 2)):
-            raise DimensionMismatchError("zeta coefficients must be symmetric in i, j")
         if np.any(self.alpha < 0) or np.any(self.beta < 0) or np.any(self.gamma < 0):
             raise HypothesisViolationError("exponents alpha, beta, gamma must be nonnegative")
         if np.any(self.eta <= 0):
@@ -198,55 +194,11 @@ class _FamilyBase:
         if np.any(np.diag(self.theta) <= 0):
             raise HypothesisViolationError("diagonal potential coefficients theta_kk must be positive")
 
-    # -- structural matrices ------------------------------------------------
-
-    def Z(self, k: int) -> np.ndarray:
-        """Sign-adjusted diffusion coefficient matrix: diagonal unchanged, off-diagonal -|zeta|."""
-        Zk = -np.abs(self.zeta[k])
-        idx = np.arange(self.dims.d)
-        Zk[idx, idx] = self.zeta[k, idx, idx]
-        return Zk
-
     def vp_nonzero(self, h: int, l: int) -> bool:
         return self.theta[h, l] != 0.0
 
     def support(self, k: int) -> CouplingSupport:
         return coupling_support(self.dims.m, k, self.vp_nonzero)
-
-    # -- per-equation exponent summaries ------------------------------------
-
-    def alpha_max(self, k: int) -> float:
-        return float(self.alpha[k].max())
-
-    def alpha_min(self, k: int) -> float:
-        # smallest diagonal growth exponent of Q^k
-        return float(self.alpha[k].diagonal().min())
-
-    def beta_min(self, k: int) -> float:
-        return float(self.beta[k].min())
-
-    def beta_max(self, k: int) -> float:
-        return float(self.beta[k].max())
-
-    def abar(self) -> float:
-        return float(self.alpha.max())
-
-    def bbar(self) -> float:
-        return float(self.beta.max())
-
-    def gamma_diag_min(self) -> float:
-        return float(np.diag(self.gamma).min())
-
-    @property
-    def radial(self) -> bool:
-        """Whether every equation's diffusion is zeta_k g(r, alpha_k) I and its
-        drift -eta_k x g(r, beta_k): zeta a multiple of the identity, the
-        diagonal of alpha constant, and eta and beta constant across axes."""
-        alpha_diag = np.diagonal(self.alpha, axis1=1, axis2=2)
-        return bool(np.array_equal(self.zeta, self.zeta[:, :1, :1] * np.eye(self.dims.d))
-                    and np.all(alpha_diag == alpha_diag[:, :1])
-                    and np.all(self.eta == self.eta[:, :1])
-                    and np.all(self.beta == self.beta[:, :1]))
 
     def operator_spec(self) -> OperatorSpec:
         return OperatorSpec(dims=self.dims, Q=self.Q, b=self.b, V=self.V,
@@ -260,34 +212,26 @@ class _FamilyBase:
 
     def Q(self, k: int, x: np.ndarray) -> np.ndarray:
         pts, r, scalar = _radial(x, self.dims.d)
-        out = self.zeta[k] * self._grow(r[:, None, None], self.alpha[k])
+        out = (self.zeta[k] * self._grow(r, self.alpha[k]))[:, None, None] * np.eye(self.dims.d)
         return out[0] if scalar else out
 
     def R(self, k: int, x: np.ndarray) -> np.ndarray:
-        # (R^k)_ij = D_i q^k_ij = 2 x_i zeta_ij g'(r, alpha_ij)
+        # (R^k)_ij = D_i q^k_ij = 2 x_i q'(r) on the diagonal
         pts, r, scalar = _radial(x, self.dims.d)
-        r3, a = r[:, None, None], self.alpha[k]
-        out = self._chain(2.0 * self.zeta[k] * a * self._grow(r3, a), r3, a) * pts[:, :, None]
+        a = self.alpha[k]
+        dq = self._chain(2.0 * self.zeta[k] * a * self._grow(r, a), r, a)
+        out = (dq[:, None] * pts)[:, :, None] * np.eye(self.dims.d)
         return out[0] if scalar else out
 
     def b(self, k: int, x: np.ndarray) -> np.ndarray:
         pts, r, scalar = _radial(x, self.dims.d)
-        out = -self.eta[k] * pts * self._grow(r[:, None], self.beta[k])
+        out = -self.eta[k] * pts * self._grow(r, self.beta[k])[:, None]
         return out[0] if scalar else out
 
-    def _divb_factor(self, k: int, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The factor 1 + 2 x_i^2 (d/dr log g)(r, beta_i) of D_i b^k_i, shape (n, d)."""
-        return 1.0 + self._chain(2.0 * self.beta[k] * pts * pts, r[:, None], self.beta[k])
-
-    def radial_coefficients(self, k: int) -> tuple:
-        """(zeta, alpha, eta, beta) of equation k of a radial family, whose
-        diffusion is zeta g(r, alpha) I and drift -eta x g(r, beta)."""
-        return self.zeta[k, 0, 0], self.alpha[k, 0, 0], self.eta[k, 0], self.beta[k, 0]
-
     def radial_divb(self, k: int, r: np.ndarray, log: bool = False) -> np.ndarray:
-        """div b^k of a radial family at r = 1+|x|^2, or log |div b^k| when log:
+        """div b^k at r = 1+|x|^2, or log |div b^k| when log:
         -eta g(r, beta) (d + 2 (r - 1) (d/dr log g)(r, beta)), never positive."""
-        _, _, eta, beta = self.radial_coefficients(k)
+        eta, beta = self.eta[k], self.beta[k]
         factor = self.dims.d + self._chain(2.0 * beta * (r - 1.0), r, beta)
         if log:
             return np.log(eta) + self._log_grow(r, beta) + np.log(factor)
@@ -295,8 +239,7 @@ class _FamilyBase:
 
     def divb(self, k: int, x: np.ndarray) -> np.ndarray:
         pts, r, scalar = _radial(x, self.dims.d)
-        terms = -self.eta[k] * self._grow(r[:, None], self.beta[k]) * self._divb_factor(k, pts, r)
-        out = terms.sum(axis=-1)
+        out = self.radial_divb(k, r)
         return out[0] if scalar else out
 
     def V(self, x: np.ndarray) -> np.ndarray:
@@ -312,24 +255,6 @@ class _FamilyBase:
 def operator_spec_of(system) -> OperatorSpec:
     """The coefficient callables of a family or of an opaque OperatorSpec."""
     return system.operator_spec() if isinstance(system, _FamilyBase) else system
-
-
-def min_ellipticity(family: "_FamilyBase", k: int) -> float:
-    """Smallest eigenvalue of the sign-adjusted coefficient matrix Z^k.
-
-    For both families the diffusion satisfies <Q^k(x) xi, xi> >=
-    lambda_min(Z^k) * growth(alpha^k_min at x) * |xi|^2 whenever the
-    diagonal growth exponents dominate the off-diagonal ones, so positive
-    definiteness of Z^k is the ellipticity witness.  Raises when Z^k is not
-    positive definite.
-    """
-    Zk = family.Z(k)
-    lam = float(np.linalg.eigvalsh(0.5 * (Zk + Zk.T)).min())
-    if lam <= 0:
-        raise HypothesisViolationError(
-            f"equation {k}: sign-adjusted diffusion matrix is not positive definite "
-            f"(min eigenvalue {lam:.6g})")
-    return lam
 
 
 class PolynomialFamily(_FamilyBase):
@@ -370,17 +295,10 @@ class ExponentialFamily(_FamilyBase):
 
 def diagonal_family(kind: str, d: int, m: int, *, zeta_diag=1.0, alpha=0.0,
                     eta=1.0, beta=0.0, theta=None, gamma=None):
-    """Convenience constructor: scalar-per-equation diffusion, shared exponents.
-
-    theta and gamma must be (m, m) arrays (or None for the identity-like
-    defaults theta = I, gamma = 0).
-    """
-    dims = SystemDims(d, m)
-    zeta = np.tile(np.eye(d) * zeta_diag, (m, 1, 1))
-    alpha_arr = np.full((m, d, d), float(alpha))
-    eta_arr = np.full((m, d), float(eta))
-    beta_arr = np.full((m, d), float(beta))
-    theta_arr = np.eye(m) if theta is None else np.asarray(theta, dtype=float)
-    gamma_arr = np.zeros((m, m)) if gamma is None else np.asarray(gamma, dtype=float)
+    """The family of the given kind: zeta_diag, alpha, eta and beta one value
+    per equation or a scalar for all; theta and gamma (m, m) arrays, or None
+    for the identity-like defaults theta = I, gamma = 0."""
+    theta_arr = np.eye(m) if theta is None else theta
+    gamma_arr = np.zeros((m, m)) if gamma is None else gamma
     cls = PolynomialFamily if kind == "polynomial" else ExponentialFamily
-    return cls(dims, zeta, alpha_arr, eta_arr, beta_arr, theta_arr, gamma_arr)
+    return cls(SystemDims(d, m), zeta_diag, alpha, eta, beta, theta_arr, gamma_arr)

@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import LEDGER_ITEMS, ConstantsLedger
-from .coefficients import ExponentialFamily, PolynomialFamily, _FamilyBase, min_ellipticity
-from .errors import DomainError, HypothesisViolationError, NonFiniteError
+from .coefficients import ExponentialFamily, PolynomialFamily, _FamilyBase
+from .errors import DomainError, NonFiniteError
 from .lyapunov import (
     SAMPLE_RADIUS,
     RadialPoints,
@@ -111,28 +111,12 @@ def _offdiag_dominance(fam: _FamilyBase) -> HypothesisReport:
 
 
 def _diffusion_dominance(fam: _FamilyBase) -> HypothesisReport:
-    """Diagonal diffusion growth above off-diagonal growth, Z^k positive definite."""
-    m, d = fam.dims.m, fam.dims.d
-    margins = {}
-    witness = None
-    status = "holds"
-    for k in range(m):
-        amin = fam.alpha_min(k)
-        for i in range(d):
-            for j in range(d):
-                if i == j or fam.zeta[k, i, j] == 0.0:
-                    continue
-                slack = float(amin - fam.alpha[k, i, j])
-                margins[f"alpha_min[{k}]-alpha[{k}][{i}][{j}]"] = slack
-                if slack <= 0 and witness is None:
-                    status, witness = "fails", (k, i, j)
-        try:
-            margins[f"min_eig_Z[{k}]"] = min_ellipticity(fam, k)
-        except HypothesisViolationError:
-            status, witness = "fails", (k,)
-            margins[f"min_eig_Z[{k}]"] = float(np.linalg.eigvalsh(fam.Z(k)).min())
-    return HypothesisReport("diffusion-diagonal-dominance", status, witness=witness,
-                            margins=margins)
+    """Q^k = zeta_k g(r, alpha_k) I is positive definite exactly when zeta_k > 0,
+    so min_eig_Z[k] is zeta_k; the witness is the last k where it fails."""
+    margins = {f"min_eig_Z[{k}]": float(zeta) for k, zeta in enumerate(fam.zeta)}
+    bad = [k for k, zeta in enumerate(fam.zeta) if not zeta > 0]
+    return HypothesisReport("diffusion-diagonal-dominance", "fails" if bad else "holds",
+                            witness=(bad[-1],) if bad else None, margins=margins)
 
 
 def _slack_report(hypothesis_id: str, label: str, slacks: Sequence[float]) -> HypothesisReport:
@@ -147,10 +131,10 @@ def _slack_report(hypothesis_id: str, label: str, slacks: Sequence[float]) -> Hy
 def _exponent_table(fam: _FamilyBase, lag: float) -> list[HypothesisReport]:
     """Exponent hypotheses shared by both families.
 
-    Covers sign/symmetry conventions (enforced at construction), row and
-    diffusion dominance, the growth balance max{gamma_kk, beta_min} >
-    alpha_max - lag needed for forward synthesis, the stronger diagonal
-    dominance needed for the adjoint, and the two-sided combination.  The
+    Covers sign conventions (enforced at construction), row and diffusion
+    dominance, the growth balance max{gamma_kk, beta_k} > alpha_k - lag
+    needed for forward synthesis, the stronger diagonal dominance needed
+    for the adjoint, and the two-sided combination.  The
     diffusion lag is 1 for power growth, whose derivative loses one power
     of r, and 0 when growth is compared inside exp.
     """
@@ -168,8 +152,8 @@ def _exponent_table(fam: _FamilyBase, lag: float) -> list[HypothesisReport]:
         g = fam.gamma[k, k]
         col = [float(fam.gamma[h, k]) for h in range(m) if h != k and fam.theta[h, k] != 0.0]
         row = [float(fam.gamma[k, h]) for h in range(m) if h != k and fam.theta[k, h] != 0.0]
-        rivals = [fam.beta_max(k), fam.alpha_max(k) - lag] + col
-        balance.append(float(max(g, fam.beta_min(k)) - (fam.alpha_max(k) - lag)))
+        rivals = [float(fam.beta[k]), float(fam.alpha[k]) - lag] + col
+        balance.append(float(max(g, fam.beta[k]) - (fam.alpha[k] - lag)))
         adjoint.append(float(g - max(rivals)))
         two_sided.append(float(g - max(rivals + row)))
     reports.append(_slack_report("growth-balance", "balance", balance))
@@ -227,31 +211,29 @@ def check_base(system, radius: float = SAMPLE_RADIUS) -> tuple[list[HypothesisRe
     """Every hypothesis report of a radial family, and its row-sum bound.
 
     The reports open with its exponent table (check_polynomial or
-    check_exponential).  Its ellipticity is then certified by the Z^k
-    eigenvalues of diffusion-diagonal-dominance, and the row-sum status
-    takes potential-row-dominance from the table, so each is computed once
-    and reported under one id.  Regularity is assumed (reported as a note),
+    check_exponential).  Its ellipticity then takes the verdict of
+    diffusion-diagonal-dominance, whose min_eig_Z[k] is zeta_k, and the
+    row-sum status takes potential-row-dominance from the table, so each is
+    computed once and reported under one id.  Regularity is assumed (reported as a note),
     the Lyapunov existence requirement is deferred to the synthesis and
     certificate machinery, and the row-sum lower bound of the cooperative
-    potential is measured; a system that is not a radial family raises
+    potential is measured; a system that is not a family raises
     DomainError there.
     """
-    m = system.dims.m
     row = compute_row_sum_bound(system, radius=radius)
     table = (check_polynomial if isinstance(system, PolynomialFamily)
              else check_exponential)(system)
     by_id = {rep.hypothesis_id: rep for rep in table}
-    eigs = by_id["diffusion-diagonal-dominance"].margins
-    bad = [k for k in range(m) if not eigs[f"min_eig_Z[{k}]"] > 0]
+    diffusion = by_id["diffusion-diagonal-dominance"]
     ellipticity = HypothesisReport(
-        "ellipticity", "fails" if bad else "holds", witness=(bad[-1],) if bad else None,
+        "ellipticity", diffusion.status, witness=diffusion.witness,
         note="every Z^k positive definite, by min_eig_Z of diffusion-diagonal-dominance")
     dom = by_id["potential-row-dominance"]
     status = "fails" if not dom.ok else "holds" if row.certified_tail else "numeric-only"
     return table + [
         HypothesisReport("regularity", "holds",
-                         note="families are smooth by construction; generic coefficients "
-                              "are assumed locally Hoelder continuous"),
+                         note="families are smooth by construction; any other system "
+                              "is refused"),
         ellipticity,
         HypothesisReport("lyapunov-existence", "numeric-only",
                          note="certified separately by synthesis and grid certificates"),
@@ -265,11 +247,13 @@ def check_base(system, radius: float = SAMPLE_RADIUS) -> tuple[list[HypothesisRe
 # ---------------------------------------------------------------------------
 
 def _log_norm_from_entries(logabs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """log of the Euclidean/Frobenius norm from log|entries|."""
+    """log of the Euclidean/Frobenius norm from log|entries|; -inf where
+    every entry is -inf, so a norm of entries that all vanish is 0."""
     M = np.max(logabs, axis=axis, keepdims=True)
     M = np.where(np.isfinite(M), M, 0.0)
     ssq = np.sum(np.exp(2.0 * (logabs - M)), axis=axis)
-    return np.squeeze(M, axis=axis) + 0.5 * np.log(np.maximum(ssq, 1e-300))
+    with np.errstate(divide="ignore"):
+        return np.squeeze(M, axis=axis) + 0.5 * np.log(ssq)
 
 
 def _family_log_V_row(fam: _FamilyBase, h: int, r: np.ndarray) -> np.ndarray:
@@ -292,15 +276,17 @@ def ledger_fields(fam, at: RadialPoints, adjoint: bool) -> list:
     b_k = -x p: log|q|, the sign of q, log|2 q'|, and the log-norms of items
     5-8 before their weight factors: |V row| (with |div b| for the adjoint),
     |b| = p |x|, |Q|_F = sqrt(d) |q| and |R|_F = 2 |q'| |x|.  A norm of
-    entries that all vanish is 1e-150, as _log_norm_from_entries takes it."""
+    entries that all vanish is 0: with alpha = 0, log|2 q'| is -inf and
+    so is item 8's log-norm."""
     r, d = at.r, fam.dims.d
     log_x = _log_abs(np.sqrt(r - 1.0))
     fields = []
     for k in range(fam.dims.m):
-        zeta, alpha, eta, beta = fam.radial_coefficients(k)
+        zeta, alpha, eta, beta = fam.zeta[k], fam.alpha[k], fam.eta[k], fam.beta[k]
         with np.errstate(divide="ignore"):
             logq = np.log(abs(zeta)) + fam._log_grow(r, alpha)
-            logdq = np.log(2.0 * abs(zeta) * alpha) + fam._log_grow(r, alpha) \
+            # |zeta| (2 alpha): with alpha = 0 a zeta near the float max gives log 0, not log(inf * 0)
+            logdq = np.log(abs(zeta) * (2.0 * alpha)) + fam._log_grow(r, alpha) \
                 + np.log(fam._chain(1.0, r, alpha))
         pot = _family_log_V_row(fam, k, r)  # item 5: |V row| (+ |div b| in the starred variant)
         if adjoint:

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import ExponentialFamily, PolynomialFamily
+from .coefficients import ExponentialFamily, PolynomialFamily, _FamilyBase
 from .errors import (
     CertificateError,
     DomainError,
@@ -381,18 +381,16 @@ def _midpoint(lo: float, hi: float) -> float:
 
 
 def _poly_rho_upper(fam: PolynomialFamily, k: int) -> float:
-    """Root of max{gamma_kk, beta_min + rho} + 1 - 2 rho - alpha_max in rho.
+    """Root of max{gamma_kk, beta_k + rho} + 1 - 2 rho - alpha_k in rho.
 
     The left side is piecewise linear and strictly decreasing, so the root
     is unique; which branch holds it depends on the sign of
-    gamma_kk - (2 beta_min + 1 - alpha_max).
+    gamma_kk - (2 beta_k + 1 - alpha_k).
     """
-    g = float(fam.gamma[k, k])
-    bmin = fam.beta_min(k)
-    amax = fam.alpha_max(k)
-    if g <= 2.0 * bmin + 1.0 - amax:
-        return bmin + 1.0 - amax
-    return 0.5 * (g + 1.0 - amax)
+    g, beta, alpha = float(fam.gamma[k, k]), float(fam.beta[k]), float(fam.alpha[k])
+    if g <= 2.0 * beta + 1.0 - alpha:
+        return beta + 1.0 - alpha
+    return 0.5 * (g + 1.0 - alpha)
 
 
 def _poly_eps_cap(fam: PolynomialFamily, rho: float, equality: list[int]) -> float:
@@ -405,10 +403,9 @@ def _poly_eps_cap(fam: PolynomialFamily, rho: float, equality: list[int]) -> flo
     """
     cap = 1.0
     for k in equality:
-        zmax = float(fam.zeta[k].diagonal().max())
-        emin = float(fam.eta[k].min())
+        zmax, emin = float(fam.zeta[k]), float(fam.eta[k])
         th = float(fam.theta[k, k])
-        diff = float(fam.gamma[k, k]) - (2.0 * fam.beta_min(k) + 1.0 - fam.alpha_max(k))
+        diff = float(fam.gamma[k, k]) - (2.0 * float(fam.beta[k]) + 1.0 - float(fam.alpha[k]))
         if diff > 0:
             cap_k = math.sqrt(th / (4.0 * rho ** 2 * zmax))
         elif diff < 0:
@@ -422,10 +419,9 @@ def _poly_eps_cap(fam: PolynomialFamily, rho: float, equality: list[int]) -> flo
 def _poly_eps_cap_adjoint(fam: PolynomialFamily, rho: float, equality: list[int]) -> float:
     cap = 1.0
     for k in equality:
-        zmax = float(fam.zeta[k].diagonal().max())
-        emax = float(fam.eta[k].max())
+        zmax, emax = float(fam.zeta[k]), float(fam.eta[k])
         th = float(fam.theta[k, k])
-        diff = float(fam.gamma[k, k]) - (2.0 * fam.beta_max(k) - fam.alpha_max(k) + 1.0)
+        diff = float(fam.gamma[k, k]) - (2.0 * float(fam.beta[k]) - float(fam.alpha[k]) + 1.0)
         if diff > 0:
             cap_k = math.sqrt(th / (4.0 * rho ** 2 * zmax))
         elif diff < 0:
@@ -450,12 +446,12 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
     """Deterministic Lyapunov synthesis for the polynomial family.
 
     Forward target: rho must satisfy, for every equation k,
-    max{gamma_kk, beta_min + rho} + 1 >= 2 rho + alpha_max (growth balance)
-    and max{gamma_kk, beta_min + rho} > rho (damping wins); the interval is
+    max{gamma_kk, beta_k + rho} + 1 >= 2 rho + alpha_k (growth balance)
+    and max{gamma_kk, beta_k + rho} > rho (damping wins); the interval is
     (0, U) and rho = U/2.  sigma sits above rho/(m* - rho) with
-    m* = min_k max{gamma_kk, beta_min + rho}; delta inside
+    m* = min_k max{gamma_kk, beta_k + rho}; delta inside
     (sigma/(sigma+1), sigma (m*-rho)/m*).  The adjoint target replaces the
-    balance by gamma_kk >= max{alpha_max + 2 rho - 1, beta_max + rho} with
+    balance by gamma_kk >= max{alpha_k + 2 rho - 1, beta_k + rho} with
     gamma_kk > rho, and its sigma constraint uses min_k gamma_kk alone
     because the flipped drift no longer damps.
     """
@@ -469,7 +465,7 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
         uppers = []
         for k in range(m):
             u = _poly_rho_upper(fam, k)
-            if fam.beta_min(k) == 0.0:
+            if fam.beta[k] == 0.0:
                 u = min(u, float(fam.gamma[k, k]))
             uppers.append(u)
         U = min(uppers)
@@ -477,17 +473,17 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
             k_bad = int(np.argmin(uppers))
             raise SynthesisError(
                 f"equation {k_bad}: no admissible rho, growth balance "
-                f"max{{gamma_kk, beta_min}} + 1 > alpha_max fails "
+                f"max{{gamma_kk, beta_k}} + 1 > alpha_k fails "
                 f"(upper endpoint {U:.6g} <= 0)")
         rho = U / 2.0
         equality = [k for k in range(m)
-                    if abs(max(float(fam.gamma[k, k]), fam.beta_min(k) + rho)
-                           + 1.0 - 2.0 * rho - fam.alpha_max(k)) < 1e-12]
+                    if abs(max(fam.gamma[k, k], fam.beta[k] + rho)
+                           + 1.0 - 2.0 * rho - fam.alpha[k]) < 1e-12]
         cap = _poly_eps_cap(fam, rho, equality)
         eps_hat = cap / 2.0
-        mstar = min(max(float(fam.gamma[k, k]), fam.beta_min(k) + rho) for k in range(m))
+        mstar = min(max(float(fam.gamma[k, k]), float(fam.beta[k]) + rho) for k in range(m))
         if mstar <= rho:
-            raise SynthesisError(f"damping max{{gamma_kk, beta_min + rho}} = {mstar:.6g} "
+            raise SynthesisError(f"damping max{{gamma_kk, beta_k + rho}} = {mstar:.6g} "
                                  f"does not exceed rho = {rho:.6g}")
         sigma_min = rho / (mstar - rho)
         sigma = sigma_min + 1.0
@@ -496,22 +492,22 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
         uppers = []
         for k in range(m):
             g = float(fam.gamma[k, k])
-            u = min(0.5 * (g + 1.0 - fam.alpha_max(k)), g - fam.beta_max(k), g)
+            u = min(0.5 * (g + 1.0 - float(fam.alpha[k])), g - float(fam.beta[k]), g)
             uppers.append(u)
         U = min(uppers)
         if U <= 0:
             k_bad = int(np.argmin(uppers))
             raise SynthesisError(
                 f"equation {k_bad}: no admissible adjoint rho, need gamma_kk above "
-                f"max{{alpha_max + 2 rho - 1, beta_max + rho, rho}} (upper endpoint {U:.6g} <= 0)")
+                f"max{{alpha_k + 2 rho - 1, beta_k + rho, rho}} (upper endpoint {U:.6g} <= 0)")
         rho = U / 2.0
         equality = [k for k in range(m)
                     if abs(float(fam.gamma[k, k])
-                           - max(fam.alpha_max(k) + 2.0 * rho - 1.0,
-                                 fam.beta_max(k) + rho)) < 1e-12]
+                           - max(fam.alpha[k] + 2.0 * rho - 1.0,
+                                 fam.beta[k] + rho)) < 1e-12]
         cap = _poly_eps_cap_adjoint(fam, rho, equality)
         eps_hat = cap / 2.0
-        gmin = fam.gamma_diag_min()
+        gmin = float(np.diag(fam.gamma).min())
         if gmin <= rho:
             raise SynthesisError(f"adjoint damping gamma_min = {gmin:.6g} "
                                  f"does not exceed rho = {rho:.6g}")
@@ -528,7 +524,7 @@ def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisR
     """Deterministic Lyapunov synthesis for the exponential family.
 
     Forward target: the integrated-exp shape works for every
-    rho < max{beta_min, gamma_kk} per equation (midpoint chosen), any
+    rho < max{beta_k, gamma_kk} per equation (midpoint chosen), any
     eps_hat > 0 (0.5 chosen), and any sigma > 0; the artifact fixes
     sigma = 1 and the usual delta midpoint.  The adjoint target needs
     rho < min_k gamma_kk and sigma above rho/(gamma_min - rho).
@@ -540,18 +536,18 @@ def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisR
     m = fam.dims.m
 
     if target == "P":
-        caps = [max(fam.beta_min(k), float(fam.gamma[k, k])) for k in range(m)]
+        caps = [max(float(fam.beta[k]), float(fam.gamma[k, k])) for k in range(m)]
         U = min(caps)
         if U <= 0:
             k_bad = int(np.argmin(caps))
             raise SynthesisError(
-                f"equation {k_bad}: no admissible rho, need max{{beta_min, gamma_kk}} > 0")
+                f"equation {k_bad}: no admissible rho, need max{{beta_k, gamma_kk}} > 0")
         rho = U / 2.0
         eps_hat = 0.5
         sigma = 1.0  # free choice for the forward target, fixed for determinism
         delta = _midpoint(sigma / (sigma + 1.0), sigma)
     else:
-        gmin = fam.gamma_diag_min()
+        gmin = float(np.diag(fam.gamma).min())
         if gmin <= 0:
             raise SynthesisError("adjoint synthesis needs gamma_kk > 0 for every k")
         rho = gmin / 2.0
@@ -616,13 +612,13 @@ def _sample_points(system, radius: float, per_axis: Optional[int] = None) -> Rad
     row-major order, of each distinct sum of squares (_radius_classes).
 
     Every ratio they take a sup or inf of is a function of r alone for a
-    radial family (see coefficients.py), so they evaluate it on this one
-    array of radii; the points stay for the edge flags and for the x of a
-    non-finite error.  In 1-D the radii are those of the box's leading half;
-    a 2-D box of 65^2 points holds 457 radii, and a 3-D box of 33^3 points
-    464.  Any other system raises DomainError.
+    family, which is radial by construction (see coefficients.py), so they
+    evaluate it on this one array of radii; the points stay for the edge
+    flags and for the x of a non-finite error.  In 1-D the radii are those
+    of the box's leading half; a 2-D box of 65^2 points holds 457 radii, and
+    a 3-D box of 33^3 points 464.  Any other system raises DomainError.
     """
-    if not (hasattr(system, "radial") and system.radial):
+    if not isinstance(system, _FamilyBase):
         raise DomainError(
             f"{type(system).__name__} (d={system.dims.d}, m={system.dims.m}) is not a radial "
             "family: certificates, ledger and row sums evaluate in r = 1 + |x|^2 alone")
@@ -699,7 +695,7 @@ def grid_fields(fam, at: RadialPoints, adjoint: bool) -> GridFields:
     q, drift = np.empty((2, fam.dims.m, len(r)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(fam.dims.m):
-            zeta, alpha, eta, beta = fam.radial_coefficients(k)
+            zeta, alpha, eta, beta = fam.zeta[k], fam.alpha[k], fam.eta[k], fam.beta[k]
             q[k] = zeta * fam._grow(r, alpha)
             dq = fam._chain(alpha * q[k], r, alpha)
             p = eta * fam._grow(r, beta)

@@ -80,7 +80,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bounds import ConstantsLedger, eval_H
-from .coefficients import CouplingSupport, _FamilyBase, operator_spec_of
+from .coefficients import CouplingSupport, _FamilyBase
 from .errors import DomainError, KernelBoundError
 from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimate_ledger,
                          ledger_of, row_sum_bound_of)
@@ -91,7 +91,7 @@ from .solver import (DEFAULT_BUDGET, SOLVER_VERSION, GridSpec, OperatorHandle, d
                      even_axes, mollified_source, release_freed_memory)
 
 __all__ = [
-    "CheckResult", "KernelStore", "StoreKey", "system_fingerprint", "RECORD_VERSION",
+    "CheckResult", "KernelStore", "system_fingerprint", "RECORD_VERSION",
     "FIELD_FORMAT_VERSION", "save_field", "load_field",
     "stored_certificate", "Evolution", "PLAN_COUNTS", "run_plan",
     "TRUNCATION_SHARE", "RadiusChoice", "WorkingRadius", "WORKING_RADIUS_CHECKS",
@@ -107,13 +107,10 @@ __all__ = [
 _TINY = 1e-300
 # Part of every record key: bump it whenever a change can move a recorded
 # certificate sup or ledger number, as SOLVER_VERSION for fields.
-RECORD_VERSION = 3
+RECORD_VERSION = 4
 # Part of every store key, fields and records alike: bump it whenever the
 # store file format changes, so no file of an older format is read.
 FIELD_FORMAT_VERSION = 2
-# prefix of the id()-based fingerprints of opaque systems; family
-# fingerprints are hex digests, so they never start with it
-_OPAQUE = "spec"
 
 
 @dataclass(frozen=True)
@@ -159,16 +156,18 @@ def _fingerprint(*parts) -> str:
 
 
 def system_fingerprint(system) -> str:
-    """Stable identifier for family systems; id-based for opaque callables."""
-    if isinstance(system, _FamilyBase):
-        digest = hashlib.sha1(system.__class__.__name__.encode())
-        digest.update(repr((system.dims.d, system.dims.m)).encode())
-        for arr in (system.zeta, system.alpha, system.eta, system.beta,
-                    system.theta, system.gamma):
-            digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        return digest.hexdigest()[:12]
-    # opaque coefficient callables cannot be hashed by content
-    return f"{_OPAQUE}{id(system):x}"
+    """Stable identifier of a family, from its kind, dimensions and values.
+    Any other system raises DomainError: coefficient callables cannot be
+    hashed by content."""
+    if not isinstance(system, _FamilyBase):
+        raise DomainError(f"{type(system).__name__} is not a family: the kernel store "
+                          "keys systems by their coefficient values")
+    digest = hashlib.sha1(system.__class__.__name__.encode())
+    digest.update(repr((system.dims.d, system.dims.m)).encode())
+    for arr in (system.zeta, system.alpha, system.eta, system.beta,
+                system.theta, system.gamma):
+        digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return digest.hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +223,8 @@ def load_field(path) -> np.ndarray:
         return np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
 
 
-@dataclass(frozen=True)
-class StoreKey:
-    """Key of one store entry.
-
-    persist is False for opaque systems: their fingerprint comes from id(),
-    which another process can hand to another system, so their entries
-    never go to disk and live in the store's memory alone.
-    """
-
-    digest: str
-    persist: bool = True
-
-
-def _store_key(kind: str, sys_fp: str, *parts) -> StoreKey:
-    digest = _fingerprint(kind, SOLVER_VERSION, FIELD_FORMAT_VERSION, sys_fp, *parts)
-    return StoreKey(digest, persist=not sys_fp.startswith(_OPAQUE))
+def _store_key(kind: str, sys_fp: str, *parts) -> str:
+    return _fingerprint(kind, SOLVER_VERSION, FIELD_FORMAT_VERSION, sys_fp, *parts)
 
 
 class KernelStore:
@@ -267,11 +252,11 @@ class KernelStore:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def _path(self, key: StoreKey) -> Optional[str]:
-        """The file of key's entry, or None when the entry lives in memory only."""
-        if self._dir is None or not key.persist:
+    def _path(self, key: str) -> Optional[str]:
+        """The file of key's entry, or None for a store in memory only."""
+        if self._dir is None:
             return None
-        name = hashlib.sha1(key.digest.encode()).hexdigest()[:16]
+        name = hashlib.sha1(key.encode()).hexdigest()[:16]
         return os.path.join(self._dir, name + ".kbf")
 
     def grids(self, system) -> CertificateGrids:
@@ -286,11 +271,12 @@ class KernelStore:
             self._grids[id(system)] = CertificateGrids(system)
         return self._grids[id(system)]
 
-    def get_or_compute(self, key: StoreKey, build: Callable[[], np.ndarray]) -> np.ndarray:
+    def get_or_compute(self, key: str, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The array under key: from memory, else from its file, else from
-        build, which is then written to the file, if key has one; either
-        way it is then held in memory for the life of the store."""
-        values = self._memory.get(key.digest)
+        build, which is then written to the file, if the store has a
+        directory; either way it is then held in memory for the life of the
+        store."""
+        values = self._memory.get(key)
         if values is not None:
             return values
         path = self._path(key)
@@ -305,15 +291,13 @@ class KernelStore:
                 return values
             if path is not None:
                 save_field(path, values)
-        self._memory[key.digest] = values
+        self._memory[key] = values
         return values
 
 
-def _record_key(kind: str, system, *parts) -> StoreKey:
-    sys_fp = system_fingerprint(system)
-    return StoreKey(_fingerprint("record", kind, RECORD_VERSION, FIELD_FORMAT_VERSION, sys_fp,
-                                 *parts),
-                    persist=not sys_fp.startswith(_OPAQUE))
+def _record_key(kind: str, system, *parts) -> str:
+    return _fingerprint("record", kind, RECORD_VERSION, FIELD_FORMAT_VERSION,
+                        system_fingerprint(system), *parts)
 
 
 def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
@@ -448,13 +432,13 @@ class Evolution:
 # the legs come last in a key, so a request without legs is keyed by its
 # operator, step and start alone
 
-def _column_key(sys_fp: str, req: Evolution, center: tuple, k: int) -> StoreKey:
+def _column_key(sys_fp: str, req: Evolution, center: tuple, k: int) -> str:
     g = req.grid
     return _store_key("col", sys_fp, req.variant, g.d, g.radius, g.spacing, req.t, center,
                       k, req.width, req.dt, req.theta, *req.legs)
 
 
-def _data_key(sys_fp: str, req: Evolution, j: int) -> StoreKey:
+def _data_key(sys_fp: str, req: Evolution, j: int) -> str:
     g = req.grid
     return _store_key("evolve", sys_fp, req.variant, g.d, g.radius, g.spacing, req.t,
                       req.dt, req.theta, req.digest, j, *req.legs)
@@ -536,7 +520,7 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
             continue
         columns = req.data.shape[2] if req.data.ndim == 3 else 1
         keys = {j: _data_key(sys_fp, req, j) for j in range(columns)}
-        where.append(batches.setdefault(tuple(key.digest for key in keys.values()),
+        where.append(batches.setdefault(tuple(keys.values()),
                                         _Batch(req, keys, fold=req.fold)))
     return sorted(batches.values(), key=_Batch.order), where
 
@@ -601,7 +585,7 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
     done assembles its own matrix.  Batches never depend on the order or the
     thread they run in, so neither do the bits.
     """
-    m = operator_spec_of(system).dims.m
+    m = system.dims.m
     batches, where = _plan(requests, system_fingerprint(system), m)
     groups = [list(g) for _, g in groupby(batches, key=lambda b: (b.request.variant,
                                                                    b.request.grid))]
@@ -1032,10 +1016,6 @@ class Support(_Check):
     width: Optional[float] = None
     tol_null: float = 1e-10
     support: Optional[CouplingSupport] = None
-
-    def __post_init__(self):
-        if self.support is None and not isinstance(self.system, _FamilyBase):
-            raise DomainError("non-family systems need an explicit coupling support")
 
     @property
     def _at(self):

@@ -15,6 +15,9 @@ are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
 operator_spec_from_callables wraps bare coefficient callables into an
 OperatorSpec, differencing Q and b where no derivatives are given.
+tensor_spec is the general form with per-entry tensors (zeta and alpha
+d x d per equation, eta and beta one per axis), and tensors_of spells a
+family's per-equation values so.
 certificate_sup, ledger_window_sups and box_row_sum_bound evaluate the
 certificates, the ledger and the row sums on d-dimensional points of the
 whole sample box, one time at a time: the reference that the package's
@@ -35,10 +38,10 @@ import numpy as np
 
 from kernelbound.bounds import LEDGER_ITEMS
 from kernelbound.coefficients import (VARIANTS, OperatorSpec, SystemDims, _FamilyBase,
-                                      eval_VP, operator_spec_of)
+                                      _radial, eval_VP)
 from kernelbound.errors import (BudgetError, CertificateError, DimensionMismatchError,
                                 DomainError, NonFiniteError)
-from kernelbound.hypotheses import SamplePlan, _family_log_V_row, _log_norm_from_entries
+from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries
 from kernelbound.lyapunov import (_LOG_MAX, RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
                                   _grid_points, _signed_log_sum)
 from kernelbound import verify
@@ -179,6 +182,97 @@ def operator_spec_from_callables(dims: SystemDims, Q, b, V, R=None, divb=None) -
     )
 
 
+@dataclass(frozen=True)
+class Tensors:
+    """Per-entry coefficients of the general form: zeta and alpha of shape
+    (m, d, d), eta and beta (m, d), theta and gamma (m, m)."""
+
+    zeta: np.ndarray
+    alpha: np.ndarray
+    eta: np.ndarray
+    beta: np.ndarray
+    theta: np.ndarray
+    gamma: np.ndarray
+
+
+def tensors_of(fam) -> Tensors:
+    """A family's per-equation values spelt entry by entry: zeta_k I, alpha_k
+    on every entry, eta_k and beta_k on every axis."""
+    d = fam.dims.d
+    return Tensors(zeta=fam.zeta[:, None, None] * np.eye(d),
+                   alpha=fam.alpha[:, None, None] * np.ones((d, d)),
+                   eta=fam.eta[:, None] * np.ones(d), beta=fam.beta[:, None] * np.ones(d),
+                   theta=fam.theta, gamma=fam.gamma)
+
+
+def _divb_factors(law, beta: np.ndarray, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """1 + 2 x_i^2 (d/dr log g)(r, beta_i), the factor of D_i b_i, shape (n, d)."""
+    return 1.0 + law._chain(2.0 * beta * pts * pts, r[:, None], beta)
+
+
+@dataclass(frozen=True)
+class TensorSpec(OperatorSpec):
+    """An OperatorSpec of the general form that keeps its growth law (a
+    family class) and its Tensors, so the box reference can take the
+    log-magnitudes of its entries, as it does for a family."""
+
+    law: type
+    tensors: Tensors
+
+    def log_V(self, h: int, k: int, r: np.ndarray) -> np.ndarray:
+        """log |v_hk| at r = 1 + |x|^2."""
+        t = self.tensors
+        return np.log(np.abs(t.theta[h, k])) + self.law._log_grow(r, t.gamma[h, k])
+
+    def log_V_row(self, h: int, r: np.ndarray) -> np.ndarray:
+        """log of the Euclidean norm of row h of V."""
+        rows = np.full((self.dims.m, len(r)), -np.inf)
+        for k in range(self.dims.m):
+            if self.tensors.theta[h, k] != 0.0:
+                rows[k] = self.log_V(h, k, r)
+        return _log_norm_from_entries(rows, axis=0)
+
+
+def tensor_spec(law, dims: SystemDims, t: Tensors) -> TensorSpec:
+    """The coefficient callables of the general form, entry by entry, with the
+    growth law g of the family class law:
+
+        q^k_ij = zeta^k_ij g(r, alpha^k_ij),   b^k_i = -eta^k_i x_i g(r, beta^k_i),
+        v_hk = theta_hk g(r, gamma_hk),
+
+    R^k_ij = D_i q^k_ij and div b^k = sum_i D_i b^k_i by the chain rule."""
+
+    def at(x, field):
+        pts, r, scalar = _radial(x, dims.d)
+        out = field(pts, r)
+        return out[0] if scalar else out
+
+    def R(k, x):
+        def field(pts, r):
+            r3, a = r[:, None, None], t.alpha[k]
+            return law._chain(2.0 * t.zeta[k] * a * law._grow(r3, a), r3, a) * pts[:, :, None]
+        return at(x, field)
+
+    def divb(k, x):
+        return at(x, lambda pts, r: (-t.eta[k] * law._grow(r[:, None], t.beta[k])
+                                     * _divb_factors(law, t.beta[k], pts, r)).sum(axis=-1))
+
+    return TensorSpec(
+        dims=dims,
+        Q=lambda k, x: at(x, lambda pts, r: t.zeta[k] * law._grow(r[:, None, None], t.alpha[k])),
+        b=lambda k, x: at(x, lambda pts, r: -t.eta[k] * pts * law._grow(r[:, None], t.beta[k])),
+        V=lambda x: at(x, lambda pts, r: t.theta * law._grow(r[:, None, None], t.gamma)),
+        R=R, divb=divb, law=law, tensors=t)
+
+
+def reference_spec(system) -> OperatorSpec:
+    """The coefficient callables the box reference reads: a family's
+    tensor_spec, any other system's own."""
+    if isinstance(system, _FamilyBase):
+        return tensor_spec(type(system), system.dims, tensors_of(system))
+    return system
+
+
 def kernel_matrix(handle: OperatorHandle, t: float, width: Optional[float] = None,
                   dt: Optional[float] = None, theta: float = 0.5,
                   max_columns: int = 8192) -> np.ndarray:
@@ -306,9 +400,10 @@ def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
 # The package evaluates every certificate, ledger and row-sum ratio of a
 # radial family in r = 1 + |x|^2 alone, on the distinct radii of its sample
 # box.  The functions below take them the way they were taken before that:
-# on d-dimensional points, from the coefficient callables' (n, d, d) fields
-# (a family's ledger and row sums from the log-magnitudes of its entries),
-# with the weight's gradient and Hessian, one time at a time.  pts defaults
+# on d-dimensional points, from the (n, d, d) fields of reference_spec, which
+# spells a family's per-equation values entry by entry (a family's ledger and
+# row sums from the log-magnitudes of those entries), with the weight's
+# gradient and Hessian, one time at a time.  pts defaults
 # to the whole box of the given radius and points per axis.
 
 
@@ -334,32 +429,33 @@ def hess_log(w: SpaceTimeWeight, t: float, x: np.ndarray, d: int) -> np.ndarray:
 
 def box_row_sums(system, pts: np.ndarray, adjoint: bool, with_divb: bool = False) -> np.ndarray:
     """Row sums of the cooperative potential on points, shape (m, n), summed
-    in log space: a family's from log|v_hl| and the per-axis log|D_i b_i|,
-    an opaque spec's from its V and div b."""
-    spec = operator_spec_of(system)
+    in log space: a family's or a TensorSpec's from log|v_hl| and the
+    per-axis log|D_i b_i|, any other spec's from its V and div b."""
+    spec = reference_spec(system)
     m, n = spec.dims.m, len(pts)
-    fam = system if isinstance(system, _FamilyBase) else None
+    tensor = isinstance(spec, TensorSpec)
     r = 1.0 + np.sum(pts * pts, axis=-1)
-    V = None if fam is not None else np.asarray(spec.V(pts), dtype=float)
+    V = None if tensor else np.asarray(spec.V(pts), dtype=float)
     out = np.empty((m, n))
     with np.errstate(over="ignore", divide="ignore"):
         for k in range(m):
             logs, signs = [], []
             for l in [k] + [l for l in range(m) if l != k]:
                 h, c = (l, k) if adjoint else (k, l)
-                if fam is None:
+                if not tensor:
                     logs.append(np.log(np.abs(V[:, h, c])))
                     signs.append(np.sign(V[:, h, c]) if l == k else np.full(n, -1.0))
-                elif fam.theta[h, c] != 0.0:
-                    logs.append(fam.log_growth_V(h, c, r))
+                elif spec.tensors.theta[h, c] != 0.0:
+                    logs.append(spec.log_V(h, c, r))
                     signs.append(np.full(n, 1.0 if l == k else -1.0))
-            if with_divb and fam is None:
+            if with_divb and not tensor:
                 db = np.asarray(spec.divb(k, pts), dtype=float)
                 logs.append(np.log(np.abs(db)))
                 signs.append(np.sign(db))
             elif with_divb:
-                terms = (np.log(fam.eta[k])[None, :] + fam._log_grow(r[:, None], fam.beta[k])
-                         + np.log(fam._divb_factor(k, pts, r))).T
+                eta, beta = spec.tensors.eta[k], spec.tensors.beta[k]
+                terms = (np.log(eta)[None, :] + spec.law._log_grow(r[:, None], beta)
+                         + np.log(_divb_factors(spec.law, beta, pts, r))).T
                 logs.extend(terms)
                 signs.extend(np.full(terms.shape, -1.0))
             mag, sign = _signed_log_sum(np.array(logs), np.array(signs), axis=0)
@@ -396,7 +492,7 @@ def box_generator_ratio(system, lyap, t: Optional[float], pts: np.ndarray) -> np
     its value, at one time (none for a static function), shape (m, n):
     tr(Q_k (grad S grad S^T + D^2 S)) + <g_k + s b_k, grad S> - (V^P row
     sums)_k, with s = -1, less div b_k, for the adjoint."""
-    spec = operator_spec_of(system)
+    spec = reference_spec(system)
     d, m = spec.dims.d, spec.dims.m
     timed = isinstance(lyap, TimeLyapunovSpec)
     base = lyap.base if timed else lyap
@@ -441,28 +537,29 @@ def certificate_sup(system, lyap, radius: float, per_axis: Optional[int] = None,
 def box_ledger_fields(system, pts: np.ndarray, adjoint: bool) -> list:
     """Per component k, log|entries| and signs of Q_k and R_k on the points,
     and the log-norms of items 5-8 before their weight factors: a family's
-    from the log-magnitudes of its entries, an opaque spec's from its
-    fields."""
-    spec = operator_spec_of(system)
+    or a TensorSpec's from the log-magnitudes of its entries, any other
+    spec's from its fields."""
+    spec = reference_spec(system)
     n = len(pts)
     r = 1.0 + np.sum(pts * pts, axis=-1)
-    fam = system if isinstance(system, _FamilyBase) else None
-    V = None if fam is not None else np.asarray(spec.V(pts), dtype=float)
+    tensor = isinstance(spec, TensorSpec)
+    V = None if tensor else np.asarray(spec.V(pts), dtype=float)
     logx = np.log(np.maximum(np.abs(pts), 1e-300))
     fields = []
     for k in range(spec.dims.m):
         with np.errstate(divide="ignore"):
-            if fam is not None:
-                r3, a = r[:, None, None], fam.alpha[k]
-                grow = fam._log_grow(r3, a)
-                logQ = np.log(np.abs(fam.zeta[k]))[None, :, :] + grow
-                signQ = np.broadcast_to(np.sign(fam.zeta[k]), logQ.shape)
+            if tensor:
+                t, law = spec.tensors, spec.law
+                r3, a = r[:, None, None], t.alpha[k]
+                grow = law._log_grow(r3, a)
+                logQ = np.log(np.abs(t.zeta[k]))[None, :, :] + grow
+                signQ = np.broadcast_to(np.sign(t.zeta[k]), logQ.shape)
                 # R_ij = 2 zeta_ij x_i g'(r, alpha_ij)
-                logR = np.log(2.0 * np.abs(fam.zeta[k]) * a)[None, :, :] + grow \
-                    + np.log(fam._chain(1.0, r3, a)) + logx[:, :, None]
-                signR = np.sign(fam.zeta[k])[None, :, :] * np.sign(pts)[:, :, None]
-                logb = np.log(fam.eta[k])[None, :] + logx + fam._log_grow(r[:, None], fam.beta[k])
-                logVrow = _family_log_V_row(fam, k, r)
+                logR = np.log(np.abs(t.zeta[k]) * (2.0 * a))[None, :, :] + grow \
+                    + np.log(law._chain(1.0, r3, a)) + logx[:, :, None]
+                signR = np.sign(t.zeta[k])[None, :, :] * np.sign(pts)[:, :, None]
+                logb = np.log(t.eta[k])[None, :] + logx + law._log_grow(r[:, None], t.beta[k])
+                logVrow = spec.log_V_row(k, r)
             else:
                 Q = np.asarray(spec.Q(k, pts), dtype=float)
                 R = np.asarray(spec.R(k, pts), dtype=float)

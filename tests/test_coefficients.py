@@ -207,40 +207,23 @@ def test_support_monotone_under_added_edges(m, seed):
 # families
 # ---------------------------------------------------------------------------
 
-def test_min_ellipticity_identity():
-    fam = co.diagonal_family("polynomial", 2, 1)
-    assert co.min_ellipticity(fam, 0) == pytest.approx(1.0)
-
-
-def test_min_ellipticity_offdiagonal_pull():
-    dims = co.SystemDims(2, 1)
-    zeta = np.array([[[2.0, 0.5], [0.5, 2.0]]])
-    fam = co.PolynomialFamily(dims, zeta, np.zeros((1, 2, 2)), np.ones((1, 2)),
-                              np.zeros((1, 2)), np.array([[1.0]]), np.zeros((1, 1)))
-    # Z = [[2,-0.5],[-0.5,2]] has eigenvalues 1.5 and 2.5
-    assert co.min_ellipticity(fam, 0) == pytest.approx(1.5)
-
-
-def test_min_ellipticity_rejects_indefinite():
-    dims = co.SystemDims(2, 1)
-    zeta = np.array([[[1.0, 2.0], [2.0, 1.0]]])
-    fam = co.PolynomialFamily(dims, zeta, np.zeros((1, 2, 2)), np.ones((1, 2)),
-                              np.zeros((1, 2)), np.array([[1.0]]), np.zeros((1, 1)))
-    with pytest.raises(HypothesisViolationError, match="0"):
-        co.min_ellipticity(fam, 0)
-
-
 def test_family_field_validation():
     with pytest.raises(HypothesisViolationError):
         co.diagonal_family("polynomial", 1, 1, eta=-1.0)
     with pytest.raises(HypothesisViolationError):
         co.diagonal_family("polynomial", 1, 2, theta=[[0.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(DimensionMismatchError):
-        dims = co.SystemDims(2, 1)
-        co.PolynomialFamily(dims, np.tile(np.eye(2), (1, 1, 1)),
-                            np.array([[[0.0, 1.0], [2.0, 0.0]]]),  # asymmetric alpha
-                            np.ones((1, 2)), np.zeros((1, 2)),
+    with pytest.raises(DimensionMismatchError, match=r"zeta must have shape \(1,\)"):
+        # one value per equation, not a d x d matrix
+        co.PolynomialFamily(co.SystemDims(2, 1), np.eye(2)[None], 0.0, 1.0, 0.0,
                             np.array([[1.0]]), np.zeros((1, 1)))
+    with pytest.raises(DimensionMismatchError, match=r"eta must have shape \(2,\)"):
+        co.diagonal_family("polynomial", 1, 2, eta=[1.0, 1.0, 1.0])
+
+
+def test_a_scalar_stands_for_every_equation():
+    fam = co.diagonal_family("exponential", 2, 3, zeta_diag=2.0, alpha=[0.0, 0.5, 1.0])
+    assert fam.zeta.tolist() == [2.0] * 3 and fam.alpha.tolist() == [0.0, 0.5, 1.0]
+    assert fam.eta.tolist() == [1.0] * 3 and fam.beta.tolist() == [0.0] * 3
 
 
 def test_polynomial_growth_values():
@@ -313,18 +296,13 @@ def test_family_vectorized_evaluation_matches_scalar():
 
 
 def test_ellipticity_lower_bound_on_samples():
-    # <Q(x) xi, xi> >= lambda_min(Z) (1+|x|^2)^alpha_min |xi|^2 under diagonal dominance
-    dims = co.SystemDims(2, 1)
-    zeta = np.array([[[2.0, 0.4], [0.4, 1.5]]])
-    alpha = np.array([[[1.0, 0.25], [0.25, 1.0]]])
-    fam = co.PolynomialFamily(dims, zeta, alpha, np.ones((1, 2)), np.zeros((1, 2)),
-                              np.array([[1.0]]), np.zeros((1, 1)))
-    lam = co.min_ellipticity(fam, 0)
+    # <Q^k(x) xi, xi> = zeta_k (1+|x|^2)^alpha_k |xi|^2, equation by equation
+    fam = co.diagonal_family("polynomial", 2, 2, zeta_diag=[2.0, 1.5], alpha=[1.0, 0.25])
     rng = np.random.default_rng(0)
     for _ in range(200):
         x = rng.normal(size=2) * 3
         xi = rng.normal(size=2)
         r = 1 + x @ x
-        quad = xi @ fam.Q(0, x) @ xi
-        floor = lam * r ** fam.alpha_min(0) * (xi @ xi)
-        assert quad >= floor - 1e-9 * abs(quad)
+        for k in range(2):
+            quad = xi @ fam.Q(k, x) @ xi
+            assert quad == pytest.approx(fam.zeta[k] * r ** fam.alpha[k] * (xi @ xi), rel=1e-12)

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,11 @@ from kernelbound import lyapunov as ly
 from kernelbound import verify
 from kernelbound.errors import CertificateError, DomainError, NonFiniteError
 from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_ledger
+from kernelbound.solver import GridSpec, assemble_generator
 
 from oracles import (box, box_generator_ratio, box_row_sum_bound, certificate_sup,
-                     ledger_window_sups, operator_spec_from_callables)
+                     ledger_window_sups, operator_spec_from_callables, tensor_spec,
+                     tensors_of)
 
 
 def family(kind, d):
@@ -53,7 +56,7 @@ def ledger_weights(timed):
 # by RECORD_VERSION among other things.  A change that moves a pinned value
 # must bump verify.RECORD_VERSION, and the pin below, in the same diff, so
 # records written before it are recomputed rather than read back.
-RECORD_VERSION = 3
+RECORD_VERSION = 4
 
 
 def test_record_version_is_pinned():
@@ -75,7 +78,7 @@ PINNED = {
         '0x1.0c876327274c4p+17',
         '0x1.cf7d6c46943e1p+12',
         '0x1.fff3335c289e6p-1',
-        '0x1.a2e9840a82d5ap-499',
+        '0x0.0p+0',
         '0x1.0000000000000p-1',
     ],
     ('polynomial', 1, 'P_adjoint'): [
@@ -91,7 +94,7 @@ PINNED = {
         '0x1.2d1428e11f4abp+17',
         '0x1.e8f487703c49dp+12',
         '0x1.ffaec010ff376p-1',
-        '0x1.a2798609cec0dp-499',
+        '0x0.0p+0',
         '-0x1.0ff75effffffep+0',
     ],
     ('polynomial', 2, 'P'): [
@@ -107,7 +110,7 @@ PINNED = {
         '0x1.ca39856f51940p+18',
         '0x1.2ebaa7a9dd692p+14',
         '0x1.6a00d978c10cap+0',
-        '0x1.a2e9840a82d5ap-499',
+        '0x0.0p+0',
         '0x1.0000000000000p-1',
     ],
     ('polynomial', 2, 'P_adjoint'): [
@@ -123,7 +126,7 @@ PINNED = {
         '0x1.25807309ba507p+19',
         '0x1.55c938afbb409p+14',
         '0x1.69d072a1c8440p+0',
-        '0x1.a2798609cec0dp-499',
+        '0x0.0p+0',
         '-0x1.7b80000000004p+1',
     ],
     ('exponential', 1, 'P'): [
@@ -139,7 +142,7 @@ PINNED = {
         '0x1.71c40fac13336p+101',
         '0x1.ec5886c278756p+9',
         '0x1.5b2d50ae0f9e0p+1',
-        '0x1.a1288219aec4bp-499',
+        '0x0.0p+0',
         '0x1.5bf0a8b145769p+0',
     ],
     ('exponential', 1, 'P_adjoint'): [
@@ -155,7 +158,7 @@ PINNED = {
         '0x1.46c5bde093b26p+276',
         '0x1.ca6b8bbe070bfp+16',
         '0x1.5be46ff95d98ap+1',
-        '0x1.a2e107debf4fap-499',
+        '0x0.0p+0',
         '-0x1.056a264d13a54p+1',
     ],
     ('exponential', 2, 'P'): [
@@ -171,7 +174,7 @@ PINNED = {
         '0x1.72b47fc9c0e07p+101',
         '0x1.ebf3f6cfc0bfdp+9',
         '0x1.eafb8125a877dp+1',
-        '0x1.a1288219aec4bp-499',
+        '0x0.0p+0',
         '0x1.5bf0a8b145769p+0',
     ],
     ('exponential', 2, 'P_adjoint'): [
@@ -187,7 +190,7 @@ PINNED = {
         '0x1.4a92a054a2e21p+276',
         '0x1.ca2ed94816d70p+16',
         '0x1.ebfe7a7b0edbap+1',
-        '0x1.a2e107debf4fap-499',
+        '0x0.0p+0',
         '-0x1.7219cadb6e0b3p+2',
     ],
 }
@@ -228,15 +231,15 @@ def test_ledger_evaluates_coefficients_once_per_component(adjoint, monkeypatch):
     timed = ly.verify_certificate(fam, synthesize(fam, "P").timed).certified
     calls = count_calls(monkeypatch, hypotheses, "ledger_fields")
     read = Counter()
-    real = fam.radial_coefficients
-    monkeypatch.setattr(fam, "radial_coefficients", lambda k: read.update([k]) or real(k))
+    real = fam.radial_divb
+    monkeypatch.setattr(fam, "radial_divb", lambda k, r, log=False: read.update([k]) or real(k, r, log))
     estimate_ledger(fam, *ledger_weights(timed), s=5.0, window=(0.0625, 0.375),
                     adjoint=adjoint)
     # one evaluation of the fields for the nine window times; the adjoint
-    # also reads each div b, the ledger's and the row sums' on the sample
-    # radii and on the tail ray
+    # reads each div b once for the ledger and once for each of the row
+    # sums' sample radii and tail ray
     assert len(calls) == 1
-    assert read == Counter({k: 4 if adjoint else 1 for k in range(fam.dims.m)})
+    assert read == Counter({k: 3 for k in range(fam.dims.m)} if adjoint else {})
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +267,10 @@ def core_certificates(fam, target, per_axis=None):
             for sup in (rep.sup_coarse, rep.sup_fine)]
 
 
-def reference_certificates(fam, target, per_axis=None, sample=box):
+def reference_certificates(fam, target, per_axis=None, sample=box, system=None):
+    """The box reference of fam's certificates, on system when one is given."""
     res = synthesize(fam, target)
-    return [certificate_sup(fam, spec, R, pts=sample(fam.dims.d, R, per_axis))
+    return [certificate_sup(system or fam, spec, R, pts=sample(fam.dims.d, R, per_axis))
             for spec in (res.static, res.timed)
             for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
 
@@ -285,12 +289,14 @@ def core_ledger(fam, target, per_axis=None):
     return list(led.c), list(led.boundary_flags), led.M
 
 
-def reference_ledger(fam, target, per_axis=None, sample=box):
+def reference_ledger(fam, target, per_axis=None, sample=box, system=None):
+    """The box reference of fam's ledger, on system when one is given."""
     plan, adjoint = SamplePlan(per_axis=per_axis), target == "P_adjoint"
     pts = sample(fam.dims.d, plan.radius, per_axis)
-    sups, edge = ledger_window_sups(fam, *ledger_args(fam, target), ledger_s(fam.dims.d),
+    system = system or fam
+    sups, edge = ledger_window_sups(system, *ledger_args(fam, target), ledger_s(fam.dims.d),
                                     (0.0625, 0.375), plan, adjoint=adjoint, pts=pts)
-    return sups, edge, box_row_sum_bound(fam, adjoint, plan.radius, per_axis, pts=pts)[0]
+    return sups, edge, box_row_sum_bound(system, adjoint, plan.radius, per_axis, pts=pts)[0]
 
 
 @pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
@@ -318,6 +324,44 @@ def test_row_sums_in_r_match_the_box_reference(kind, d, target, per_axis):
     M, certified = box_row_sum_bound(fam, adjoint, ly.SAMPLE_RADIUS, per_axis)
     assert row.M == pytest.approx(M, rel=1e-13, abs=0.0)
     assert row.certified_tail == certified
+
+
+def per_equation_family(kind, d):
+    """A two-component family whose zeta, alpha, eta and beta all differ
+    between its equations."""
+    if kind == "polynomial":
+        alpha, beta, gamma = [0.0, 0.5], [1.0, 0.5], [[2.0, 1.0], [1.0, 2.0]]
+    else:
+        alpha, beta, gamma = [0.0, 0.25], [0.5, 0.25], [[1.0, 0.5], [0.5, 1.0]]
+    return co.diagonal_family(kind, d, 2, zeta_diag=[1.0, 2.0], alpha=alpha, eta=[1.0, 0.5],
+                              beta=beta, theta=[[1.0, 0.5], [0.5, 1.0]], gamma=gamma)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "exponential"])
+@pytest.mark.parametrize("target", ly.TARGETS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_per_equation_values_are_not_collapsed(kind, target, d):
+    fam = per_equation_family(kind, d)
+    adjoint = target == "P_adjoint"
+    assert core_certificates(fam, target) == pytest.approx(
+        reference_certificates(fam, target), rel=1e-13, abs=0.0)
+    sups, edge, M = core_ledger(fam, target)
+    ref_sups, ref_edge, ref_M = reference_ledger(fam, target)
+    assert sups == pytest.approx(ref_sups, rel=1e-13, abs=0.0) and edge == ref_edge
+    assert M == pytest.approx(ref_M, rel=1e-13, abs=0.0)
+    row = compute_row_sum_bound(fam, adjoint)
+    assert (row.M, row.certified_tail) == pytest.approx(
+        box_row_sum_bound(fam, adjoint, ly.SAMPLE_RADIUS), rel=1e-13, abs=0.0)
+    # negative control: the second equation's values are not the first's
+    first = co.diagonal_family(kind, d, 2, zeta_diag=fam.zeta[0], alpha=fam.alpha[0],
+                               eta=fam.eta[0], beta=fam.beta[0], theta=fam.theta,
+                               gamma=fam.gamma)
+    assert core_ledger(first, target)[0] != sups
+    # the family's generator is that of its values spelt entry by entry
+    grid = GridSpec(d, 2.0, 0.25)
+    spelt = tensor_spec(type(fam), fam.dims, tensors_of(fam))
+    A, B = (assemble_generator(system, grid, target) for system in (fam, spelt))
+    assert A.shape == B.shape and (A != B).nnz == 0
 
 
 @pytest.mark.parametrize("d,per_axis,radii", [(1, None, 257), (2, None, 457), (3, None, 464),
@@ -368,9 +412,9 @@ def test_an_overflowing_certificate_raises_the_reference_error():
 
 @pytest.mark.parametrize("per_axis", [None, 3000])
 def test_the_ledger_names_the_reference_first_non_finite_ratio(per_axis):
-    # the divergence item |Q| |grad w|^2 crosses float range inside the
-    # window, at a time that is not its first
-    fam = co.diagonal_family("polynomial", 1, 1, zeta_diag=1e307)
+    # |Q grad w| crosses float range inside the window, at a time that is
+    # not its first; with alpha = 0, |2 q'| is 0 although 2 zeta overflows
+    fam = co.diagonal_family("polynomial", 1, 1, zeta_diag=1e308)
     w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0)
                    for eps in (1.0, 1.0 + 1e-9, 1.0 + 2e-9))
     args = (fam, w, nu1, nu2, 4.0, (0.01, 0.5))
@@ -401,11 +445,11 @@ def test_the_ledger_names_the_first_non_finite_ratio_of_the_whole_box():
 
 def skewed(kind):
     """family(kind, 2) with off-diagonal diffusion and a drift that differs
-    from axis to axis: even in x, but not radial."""
+    from axis to axis, as coefficient callables: even in x, but not radial."""
     fam = family(kind, 2)
     zeta = np.array([[[1.0, 0.3], [0.3, 1.0]], [[0.8, -0.2], [-0.2, 1.0]]])
     eta = np.array([[1.0, 2.0], [1.5, 1.0]])
-    return type(fam)(fam.dims, zeta, fam.alpha, eta, fam.beta, fam.theta, fam.gamma)
+    return tensor_spec(type(fam), fam.dims, replace(tensors_of(fam), zeta=zeta, eta=eta))
 
 
 def radius_classes(d, radius, per_axis=None):
@@ -434,15 +478,15 @@ def refusals(system, target="P"):
 @pytest.mark.parametrize("kind", ["polynomial", "exponential"])
 @pytest.mark.parametrize("target", ly.TARGETS)
 def test_a_skewed_family_is_refused_and_its_reference_sups_differ(kind, target):
-    fam = skewed(kind)
-    assert not fam.radial
-    assert set(refusals(fam, target)) == {
-        f"{type(fam).__name__} (d=2, m=2) is not a radial family: certificates, ledger "
+    fam, spec = family(kind, 2), skewed(kind)
+    assert set(refusals(spec, target)) == {
+        "TensorSpec (d=2, m=2) is not a radial family: certificates, ledger "
         "and row sums evaluate in r = 1 + |x|^2 alone"}
     # negative control: one point per radius misses the whole box's sups
-    whole = reference_certificates(fam, target) + reference_ledger(fam, target)[0]
-    classes = reference_certificates(fam, target, sample=radius_classes) \
-        + reference_ledger(fam, target, sample=radius_classes)[0]
+    whole = reference_certificates(fam, target, system=spec) \
+        + reference_ledger(fam, target, system=spec)[0]
+    classes = reference_certificates(fam, target, sample=radius_classes, system=spec) \
+        + reference_ledger(fam, target, sample=radius_classes, system=spec)[0]
     assert whole != classes
 
 
@@ -504,33 +548,79 @@ SYNTH_SHA256 = {
     "poly1d": {
         "lyapunov_certificate.txt": "a2fd83a94511b9968c94f97de282adfef82f7dffa3cd7e41765b14b9071f5730",
         "time_spec.txt": "fa35e14243302c7f156691a6d35c3b3e016769f40870692e8e693773a0f58d54",
-        "ledger.txt": "1c74bbd50a6354c6d3a5882ffb843fc61b1d46a42c9ee4d61e70b22e814d37f6",
+        "ledger.txt": "0c559ad55a1d36ab0a28c77a856712d817fee1b1af18bb7f8e6f912ac8668330",
         "certificate.txt": "39d5ca672a06ca667f83dba9016b565f100d8c1eece60b858f80b33e145e3ee5",
     },
     "poly2d": {
         "lyapunov_certificate.txt": "aeac739f588d19ba9993a9bf4c3ea36511fa4de245e42fb8d45b19cf321488cc",
         "time_spec.txt": "c4c9afba303122d8405d0ad024e7d2bb249503bc859fb8057e9a5078801e7c70",
-        "ledger.txt": "704ba9a9280ebbe2c68d1c0fe9426749d8718989fc8ca51f574a2a5dcdec86c3",
+        "ledger.txt": "1cbbfad5a23a68166c032b08b62105b59a31c90141ef45bb6d5f14f3ee6ac766",
         "certificate.txt": "de7aebbeccf662e3b24444bc1ce5e70d7d7b4ae2095ec8d72039dd7ac3f10744",
     },
     "exp1d": {
         "lyapunov_certificate.txt": "74e32c722b00124ee4b3de5540eb9642be954ed1761fe9a92076bcce7e066a1e",
         "time_spec.txt": "d0c5e05ccc1bdb5331450d71afcc041695aa4b708d2d313c40bb9cde08fa0d6c",
-        "ledger.txt": "65f12e51bb7ccc63472bc9536453fc757f7c846c4e3fa1d13a125f1a48532f11",
+        "ledger.txt": "ed9cfe4061fde81131219401d2aa2ed17aca7539e4c326a15546fd7698f282a1",
         "certificate.txt": "00e84bd7598b8a67be3257630d2da7c59fbb6adfbc18524615d8e6d6e10523d5",
+    },
+}
+
+CHECK_SHA256 = {
+    "poly1d": {
+        "hypotheses.txt": "c06307681814a81fc4e4c42755e03f13f68d7b8ead138809b9097edab2535405",
+        "hypotheses.csv": "12335874ac10fd15f5af79b998e97c4e477a87e39d8e9ea766d786dc94bc9be0",
+    },
+    "poly2d": {
+        "hypotheses.txt": "a94e23b91672b71557f0fdeee19ab920b5567668713aa560298cdb1ebe3a0a2f",
+        "hypotheses.csv": "12335874ac10fd15f5af79b998e97c4e477a87e39d8e9ea766d786dc94bc9be0",
+    },
+    "exp1d": {
+        "hypotheses.txt": "4e8a78e1cb77378e85e8dfba9791726cfb1a1891ad2cc3d09cfb61aa35eb6020",
+        "hypotheses.csv": "dd300fd6d9b82e7d9a7ca76d3699b2a9fef524bc8a6e980265b10bc0b6213d35",
+    },
+}
+
+# verify's artifacts after `all`, which runs every check on the store solve
+# filled.
+VERIFY_SHA256 = {
+    "poly1d": {
+        "verify_summary.txt": "2ea4983f1fe74a13208021a8988f5d0ab4524930c0df796cd5cdadb5a6c21980",
+        "verify_results.csv": "e8b587063dfddaaed362761acf74f97bde6d453ac0313c10ae3e1f61e792d403",
+    },
+    "poly2d": {
+        "verify_summary.txt": "f6b62d8697b89079de8622cbb9366dc14e3b7d7f3da25dc943db1305d09456fd",
+        "verify_results.csv": "6fd8e8a72fac8734e412c5c146e22e26cf93f97fb43b6a1e24257a93cfbfdf1d",
+    },
+    "exp1d": {
+        "verify_summary.txt": "6db75342d05ecf1799357ec28104a3965e88583a13ec59d277c384ecf509545f",
+        "verify_results.csv": "1a490b0f90e75b13f6ed79e7d58deee4754e7ae3cae6564cd8109a1c0c5cfcb0",
     },
 }
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
+def run_and_hash(command, workload, out, pins):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--config", str(BENCH_CONFIGS / (workload + ".cfg")),
+                         "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in pins[workload]}
+
+
 @pytest.mark.parametrize("workload", sorted(SYNTH_SHA256))
 def test_synth_artifacts_are_pinned(workload, tmp_path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["synth", "--config", str(BENCH_CONFIGS / (workload + ".cfg")),
-                         "--out", str(tmp_path)]) == 0
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in SYNTH_SHA256[workload]} == SYNTH_SHA256[workload]
+    assert run_and_hash("synth", workload, tmp_path, SYNTH_SHA256) == SYNTH_SHA256[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(CHECK_SHA256))
+def test_check_artifacts_are_pinned(workload, tmp_path):
+    assert run_and_hash("check", workload, tmp_path, CHECK_SHA256) == CHECK_SHA256[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(VERIFY_SHA256))
+def test_verify_artifacts_are_pinned(workload, tmp_path):
+    assert run_and_hash("all", workload, tmp_path, VERIFY_SHA256) == VERIFY_SHA256[workload]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_synth_poly_headline_values():
 
 
 def test_synth_poly_infeasible_growth():
-    # alpha_max = 3 makes max{gamma, beta_min} + 1 = 2 < alpha_max + ... infeasible
+    # alpha_k = 3 makes max{gamma, beta_k} + 1 = 2 < alpha_k + ... infeasible
     fam = co.diagonal_family("polynomial", 1, 1, alpha=3.0, beta=0.0,
                              theta=[[1.0]], gamma=[[1.0]])
     with pytest.raises(SynthesisError, match="rho"):
@@ -71,7 +71,7 @@ def test_synth_poly_infeasible_growth():
 
 
 def test_synth_poly_adjoint_requires_strong_diagonal():
-    # forward feasible but adjoint needs gamma_kk > beta_max + rho
+    # forward feasible but adjoint needs gamma_kk > beta_k + rho
     fam = co.diagonal_family("polynomial", 1, 1, beta=2.0, theta=[[1.0]], gamma=[[1.0]])
     res = ly.synth_poly(fam, T=1.0)  # forward fine
     assert res.static.rho > 0
@@ -80,7 +80,7 @@ def test_synth_poly_adjoint_requires_strong_diagonal():
 
 
 def test_synth_poly_adjoint_headline():
-    # gamma_kk=2, beta_max=1, alpha_max=0: upper = min(1.5, 1, 2) = 1, rho*=0.5
+    # gamma_kk=2, beta_k=1, alpha_k=0: upper = min(1.5, 1, 2) = 1, rho*=0.5
     res = ly.synth_poly(poly_headline(), T=1.0, target="P_adjoint")
     assert res.static.rho == pytest.approx(0.5)
     assert res.static.target == "P_adjoint"
@@ -117,7 +117,7 @@ def exp_smoke():
 
 
 def test_synth_exp_forward():
-    # beta_min=0, gamma_kk=1 -> rho interval (0,1), midpoint 0.5; sigma fixed at 1
+    # beta_k=0, gamma_kk=1 -> rho interval (0,1), midpoint 0.5; sigma fixed at 1
     res = ly.synth_exp(exp_smoke(), T=1.0)
     assert res.static.form == "integrated-exp"
     assert res.static.rho == pytest.approx(0.5)

@@ -27,9 +27,9 @@ from kernelbound.solver import (
 )
 from kernelbound.verify import load_field, save_field
 
-from oracles import (FieldJet, apply_kernel_to_function, discrete_inner, discrete_mass,
-                     eval_operator, folded_theta_steps, kernel_column, kernel_columns,
-                     kernel_matrix, theta_steps)
+from oracles import (FieldJet, Tensors, apply_kernel_to_function, discrete_inner,
+                     discrete_mass, eval_operator, folded_theta_steps, kernel_column,
+                     kernel_columns, kernel_matrix, tensor_spec, theta_steps)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
@@ -203,21 +203,16 @@ class TestAssembly:
 
 class TestConsistency2D:
     def evaluate_errors(self, spacing):
-        fam = PolynomialFamily(
-            SystemDims(2, 1),
-            zeta=[[[1.0, 0.2], [0.2, 1.0]]],
-            alpha=np.zeros((1, 2, 2)),
-            eta=np.ones((1, 2)),
-            beta=np.zeros((1, 2)),
-            theta=[[1.0]],
-            gamma=[[1.0]],
-        )
+        # off-diagonal diffusion, which no family has
+        spec = tensor_spec(PolynomialFamily, SystemDims(2, 1), Tensors(
+            zeta=np.array([[[1.0, 0.2], [0.2, 1.0]]]), alpha=np.zeros((1, 2, 2)),
+            eta=np.ones((1, 2)), beta=np.zeros((1, 2)), theta=np.array([[1.0]]),
+            gamma=np.array([[1.0]])))
         g = GridSpec(2, 3.0, spacing)
-        A = assemble_generator(fam, g, "P")
+        A = assemble_generator(spec, g, "P")
         pts = g.points()
         u = np.exp(-np.sum(pts ** 2, axis=-1))
         Au = np.asarray(A @ u)
-        spec = fam.operator_spec()
         errs = []
         for i in range(g.n_nodes):
             x = pts[i]
@@ -617,12 +612,11 @@ def test_mixed_diffusion_stencil_bits_are_pinned():
     # spacing 0.1 puts the faces off binary fractions, and the off-diagonal
     # zeta runs the mixed-diffusion couplings; exponents 0 and 1 keep every
     # coefficient exact, so only the stencil's own arithmetic moves the digest
-    fam = PolynomialFamily(SystemDims(2, 2),
-                           zeta=[[[1.0, 0.3], [0.3, 1.0]], [[1.0, -0.2], [-0.2, 0.8]]],
-                           alpha=np.ones((2, 2, 2)), eta=np.ones((2, 2)),
-                           beta=np.zeros((2, 2)), theta=[[1.0, 0.5], [0.5, 1.0]],
-                           gamma=np.ones((2, 2)))
-    A = assemble_generator(fam, GridSpec(2, 2.0, 0.1), "P")
+    spec = tensor_spec(PolynomialFamily, SystemDims(2, 2), Tensors(
+        zeta=np.array([[[1.0, 0.3], [0.3, 1.0]], [[1.0, -0.2], [-0.2, 0.8]]]),
+        alpha=np.ones((2, 2, 2)), eta=np.ones((2, 2)), beta=np.zeros((2, 2)),
+        theta=np.array([[1.0, 0.5], [0.5, 1.0]]), gamma=np.ones((2, 2))))
+    A = assemble_generator(spec, GridSpec(2, 2.0, 0.1), "P")
     digest = hashlib.sha1()
     for arr, dtype in ((A.indptr, "<i8"), (A.indices, "<i8"), (A.data, "<f8")):
         digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())

@@ -87,6 +87,20 @@ def same_bits(stored, entry) -> bool:
     return stored.tobytes() == np.asarray(entry(), dtype=float).tobytes()
 
 
+@pytest.fixture
+def no_evolve(monkeypatch):
+    """Checks measured on hand-made outputs must not evolve anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure evolved a field")
+
+    monkeypatch.setattr(OperatorHandle, "evolve", refuse)
+
+
+def bump(grid: GridSpec, m: int, height: float = 1.0) -> np.ndarray:
+    """A positive (n_nodes, m) field peaked at the origin, equal on shared nodes."""
+    return height * np.exp(-np.sum(grid.points() ** 2, axis=-1))[:, None] * np.ones(m)
+
+
 class TestStoreAndFingerprint:
     @ENTRIES
     def test_memory_cache_computes_once(self, entry):
@@ -97,14 +111,14 @@ class TestStoreAndFingerprint:
             calls.append(1)
             return entry()
 
-        a = store.get_or_compute(verify.StoreKey("key"), build)
-        b = store.get_or_compute(verify.StoreKey("key"), build)
+        a = store.get_or_compute("key", build)
+        b = store.get_or_compute("key", build)
         assert a is b and len(calls) == 1 and len(store) == 1
 
     @ENTRIES
     def test_disk_persistence_across_instances(self, tmp_path, entry):
         first = KernelStore(tmp_path)
-        first.get_or_compute(verify.StoreKey("key"), entry)
+        first.get_or_compute("key", entry)
         (path,) = tmp_path.iterdir()
         assert path.suffix == ".kbf"
 
@@ -112,7 +126,7 @@ class TestStoreAndFingerprint:
             raise AssertionError("should have loaded from disk")
 
         second = KernelStore(tmp_path)
-        loaded = second.get_or_compute(verify.StoreKey("key"), explode)
+        loaded = second.get_or_compute("key", explode)
         assert loaded.shape == np.shape(entry()) and same_bits(loaded, entry)
 
     @ENTRIES
@@ -127,7 +141,7 @@ class TestStoreAndFingerprint:
         lambda blob: blob[:4] + (2 ** 32 - 1).to_bytes(4, "little") + blob[8:],  # axes
     ], ids=["junk", "empty", "truncated-header", "truncated", "nan", "magic", "shape", "axes"])
     def test_corrupt_file_is_recomputed(self, tmp_path, damage, entry):
-        key = verify.StoreKey("key")
+        key = "key"
         store = KernelStore(tmp_path)
         store.get_or_compute(key, entry)
         (blob,) = list(tmp_path.glob("*.kbf"))
@@ -155,7 +169,7 @@ class TestStoreAndFingerprint:
             return values
 
         for _ in range(2):
-            got = store.get_or_compute(verify.StoreKey("key"), build)
+            got = store.get_or_compute("key", build)
             assert got.flat[0] == np.asarray(entry()).flat[0] and math.isnan(got.flat[1])
         assert calls == [1, 1] and list(tmp_path.iterdir()) == [] and len(store) == 0
 
@@ -166,15 +180,14 @@ class TestStoreAndFingerprint:
 
         monkeypatch.setattr(os, "replace", fail_rename)
         with pytest.raises(OSError, match="rename failed"):
-            KernelStore(tmp_path).get_or_compute(verify.StoreKey("key"), entry)
+            KernelStore(tmp_path).get_or_compute("key", entry)
         assert list(tmp_path.iterdir()) == []
 
     @ENTRIES
     def test_threads_sharing_a_store(self, tmp_path, entry):
         # more threads than cores, each writing and reading the same keys
         store = KernelStore(tmp_path)
-        keys = [verify.StoreKey("key%d" % i, persist=i % 3 != 0)
-                for i in range(12)]
+        keys = ["key%d" % i for i in range(12)]
         errors = []
 
         def work():
@@ -196,11 +209,10 @@ class TestStoreAndFingerprint:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads) and errors == []
         assert len(store) == len(keys)
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf"] * 8
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".kbf"] * len(keys)
         fresh = KernelStore(tmp_path)
         for key in keys:
-            if key.persist:
-                assert same_bits(fresh.get_or_compute(key, lambda: 1 / 0), entry)
+            assert same_bits(fresh.get_or_compute(key, lambda: 1 / 0), entry)
 
     def test_family_fingerprint_tracks_content(self):
         assert system_fingerprint(headline_family()) == system_fingerprint(headline_family())
@@ -271,7 +283,7 @@ class TestStoredColumns:
         # the key layout of kernel columns before keys carried a solver version
         old_key = verify._fingerprint("col", sys_fp, "P", g.d, g.radius, g.spacing,
                                       t, tuple(np.zeros(1)), 0, w, step, theta)
-        KernelStore(tmp_path).get_or_compute(verify.StoreKey(old_key), lambda: stale)
+        KernelStore(tmp_path).get_or_compute(old_key, lambda: stale)
         col = stored_column(fam, g, t, 0, KernelStore(tmp_path))
         fresh = kernel_column(OperatorHandle(fam, g, "P"), t, 0.0, 0)
         np.testing.assert_allclose(col, fresh, rtol=0, atol=1e-12 * np.max(fresh))
@@ -322,24 +334,24 @@ class TestStoredColumns:
                                 verify.FIELD_FORMAT_VERSION + 1)
         assert len(list(tmp_path.glob("*.kbf"))) == 4
 
-    def test_opaque_systems_stay_in_memory(self, tmp_path, monkeypatch):
-        # an id()-based fingerprint can name another system in another process
+    def test_an_opaque_system_is_refused_before_any_work(self, tmp_path, monkeypatch):
+        # coefficient callables cannot be hashed by content, so the store
+        # has no key for them: every entry point refuses them, and nothing
+        # is evolved or stored
         spec = headline_family().operator_spec()
         g = GridSpec(1, 2.0, 0.25)
         store = KernelStore(tmp_path)
-        col = stored_column(spec, g, 0.1, 0, store)
+        evolved = []
+        monkeypatch.setattr(OperatorHandle, "evolve", lambda *a, **kw: evolved.append(a))
         ones = Evolution.of_values("P", g, np.ones((g.n_nodes, 2)), 0.1, theta=1.0)
-        u, = evolve_all(spec, [ones], store)
-        assert list(tmp_path.iterdir()) == [] and len(store) == 2
-        assert stored_column(spec, g, 0.1, 0, store) is col
-        np.testing.assert_array_equal(evolve_all(spec, [ones], store)[0], u)
-        assert len(store) == 2
-        # its records are refused: certificates and ledgers take radial
-        # families, and nothing reaches the store
         syn = synth_poly(headline_family(), 1.0)
-        with pytest.raises(DomainError, match="OperatorSpec .* is not a radial family"):
-            verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store)
-        assert list(tmp_path.iterdir()) == [] and len(store) == 2
+        for call in (lambda: stored_column(spec, g, 0.1, 0, store),
+                     lambda: evolve_all(spec, [ones], store),
+                     lambda: verify.weighted_majorant(spec, syn, 4.0, 0.25, store=store),
+                     lambda: system_fingerprint(spec)):
+            with pytest.raises(DomainError, match="OperatorSpec is not a family"):
+                call()
+        assert evolved == [] and list(tmp_path.iterdir()) == [] and len(store) == 0
 
 
 class TestStoredEvolve:
@@ -480,6 +492,21 @@ class TestMonotoneInR:
         inc = res.details["increments"]
         assert len(inc) == 2 and inc[1] < inc[0]
 
+    def test_the_small_box_above_the_large_one_fails(self, no_evolve):
+        # a negative control through measure on hand-made columns: the large
+        # box's kernel dips below the small box's at one shared node
+        check = MonotoneInR(headline_family(), radii=(2.0, 4.0), spacing=1.0 / 8, t=0.3,
+                            source=(0.0, 0))
+        small, big = (req.grid for req in check.requests)
+        healthy = [[0.9 * bump(small, 2)], [bump(big, 2)]]
+        assert check.measure(healthy).passed
+        dipped = bump(big, 2)
+        node = verify._embed_indices(small, big)[3]
+        dipped[node, 1] = 0.0
+        res = check.measure([healthy[0], [dipped]])
+        assert res.status == "fail"
+        assert res.location[1] == verify._loc_pt(big.points()[node], 1) and res.location[3] == 1
+
     def test_single_radius_is_trivially_monotone(self):
         res = run_alone(MonotoneInR(headline_family(), radii=(4.0,),
                                     spacing=1.0 / 8, t=0.3, source=(0.0, 0)))
@@ -501,6 +528,21 @@ class TestMassAndPositivity:
                                           t_values=(1.0,), row=fake))
         assert res.status == "fail"
         assert res.worst > res.tolerance
+
+    def test_one_negative_kernel_entry_fails(self, no_evolve):
+        # a negative control through measure on hand-made outputs: one column
+        # entry below -1e-10 of its column's scale, under a mass that decays
+        check = MassAndPositivity(headline_family(), GridSpec(1, 2.0, 1.0 / 8), t_values=(1.0,),
+                                  row=RowSumBound(M=0.5, method="given", certified_tail=True),
+                                  sources=[(0.0, 0)])
+        g = check.grid
+        mass, col = 0.5 * np.ones((g.n_nodes, 2)), bump(g, 2, height=4.0)
+        col[5, 1] = -0.5e-10 * 4.0
+        assert check.measure([mass, [col]]).passed
+        col[5, 1] = -2e-10 * 4.0
+        res = check.measure([mass, [col]])
+        assert res.status == "fail"
+        assert res.details["positivity_ratio"] == pytest.approx(2.0, rel=1e-12)
 
     def test_explicit_row_wins_over_the_stored_bound(self):
         fam, g, store = headline_family(), GridSpec(1, 6.0, 1.0 / 8), KernelStore()
@@ -594,6 +636,19 @@ class TestChapmanKolmogorov:
         # the chosen step divides the first leg exactly
         ratio = 0.3 / res.details["dt"]
         assert abs(ratio - round(ratio)) < 1e-9
+
+    def test_a_composed_path_off_at_one_node_fails(self, no_evolve):
+        # a negative control through measure on hand-made outputs: the
+        # composed path differs from the direct one at one node
+        check = ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8), t=0.2, s=0.3)
+        g, scale = check.grid, float(np.max(np.abs(check.requests[0].data)))
+        direct = bump(g, 2)
+        assert check.measure([direct, direct.copy()]).passed
+        composed = direct.copy()
+        composed[7, 0] += 1e-6 * scale
+        res = check.measure([direct, composed])
+        assert res.status == "fail" and res.worst == pytest.approx(1e-6, rel=1e-9)
+        assert res.location[1] == verify._loc_pt(g.points()[7], 1) and res.location[3] == 0
 
     def test_zero_second_leg_is_identity(self):
         res = run_alone(ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
@@ -870,7 +925,7 @@ class TestPlan:
         batches, where = verify._plan(reqs, system_fingerprint(fam), 2)
         # the same legs share a batch, any other legs do not
         assert len(batches) == 6 and where[1] is where[2]
-        digests = [key.digest for b in batches for key in b.keys.values()]
+        digests = [key for b in batches for key in b.keys.values()]
         assert len(set(digests)) == len(digests) == 6
         # a leg leaves the request it extends as it was
         assert first.legs == () and first.then(0.05).legs == (0.05,)
@@ -902,10 +957,10 @@ class TestPlan:
         (((column, _),), values, ((old_step, _),)) = verify._plan(
             reqs, system_fingerprint(fam), 2)[1]
         assert system_fingerprint(fam) == "b41f55060d35"
-        assert column.keys[1].digest == "8bf7b9d3d0cd"
-        assert values.keys[0].digest == "35c262410453"
+        assert column.keys[1] == "8bf7b9d3d0cd"
+        assert values.keys[0] == "35c262410453"
         # the column at the step of the former default keeps its key
-        assert old_step.keys[1].digest == "709bf6a158fe"
+        assert old_step.keys[1] == "709bf6a158fe"
 
     def test_a_lost_two_leg_field_is_rebuilt_with_its_bits(self, tmp_path, monkeypatch):
         fam = headline_family()
