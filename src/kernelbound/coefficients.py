@@ -4,9 +4,10 @@ The systems treated here have the form
 
     D_t f_h = div(Q^h grad f_h) + <b^h, grad f_h> - (V f)_h,   h = 1..m,
 
-on R^d: each scalar equation carries its own diffusion matrix Q^h and drift
-b^h (both allowed to be unbounded in x), and the coupling between equations
-happens only through the zero-order matrix potential V.  Two derived objects
+on R^d: each scalar equation carries its own diffusion Q^h = q_h I, a
+scalar field q_h times the identity, and its own drift b^h (both allowed to
+be unbounded in x), and the coupling between equations happens only
+through the zero-order matrix potential V.  Two derived objects
 drive everything downstream:
 
 * the cooperative modification V^P, which keeps the diagonal of V and flips
@@ -28,13 +29,13 @@ may differ from equation to equation:
     v_hk = theta_hk (1+|x|^2)^gamma_hk        v_hk = theta_hk e^{(1+|x|^2)^gamma_hk}
 
 A family is therefore radial by construction: it reads x only through
-r = 1+|x|^2, apart from the factor x of b and of the diffusion derivatives
-R, so q, v and div b are even in x bit for bit and b and R odd (negating a
-float is exact).  Every ratio the certificates, the constants ledger and
-the row sums take a sup or inf of is a function of r alone, which they
-evaluate on the sample box's distinct radii (lyapunov._sample_points) from
-the per-equation values and radial_divb.  Any other system, such as an
-OperatorSpec, is refused there.
+r = 1+|x|^2, apart from the factor x of b, so q and v are even in x bit
+for bit and b odd (negating a float is exact).  Every ratio the
+certificates, the constants ledger and the row sums take a sup or inf of
+is a function of r alone, which they evaluate on the sample box's
+distinct radii (lyapunov._sample_points) from the per-equation values and
+radial_divb.  Any other system, such as an OperatorSpec of bare
+callables, is refused there; the solver takes both.
 
 All family evaluators are vectorized over trailing point batches: x may be a
 single point of shape (d,) or a batch of shape (n, d).
@@ -86,21 +87,17 @@ def eval_VP(V: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Bundle of coefficient callables defining one coupled system.
+    """Coefficient callables of one coupled system, as the solver reads them.
 
     Each callable is vectorized over a leading batch of points: for x of
-    shape (n, d), Q(h, x) returns (n, d, d), b(h, x) returns (n, d), V(x)
-    returns (n, m, m), R(h, x) returns the matrix of diffusion derivatives
-    (R^h)_ij = D_i q^h_ij with shape (n, d, d), and divb(h, x) returns (n,).
-    Scalar points of shape (d,) are accepted too.
+    shape (n, d), q(h, x) returns the scalar diffusion of equation h, (n,),
+    b(h, x) returns (n, d) and V(x) returns (n, m, m).
     """
 
     dims: SystemDims
-    Q: Callable[[int, np.ndarray], np.ndarray]
+    q: Callable[[int, np.ndarray], np.ndarray]
     b: Callable[[int, np.ndarray], np.ndarray]
     V: Callable[[np.ndarray], np.ndarray]
-    R: Callable[[int, np.ndarray], np.ndarray]
-    divb: Callable[[int, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +197,16 @@ class _FamilyBase:
     def support(self, k: int) -> CouplingSupport:
         return coupling_support(self.dims.m, k, self.vp_nonzero)
 
-    def operator_spec(self) -> OperatorSpec:
-        return OperatorSpec(dims=self.dims, Q=self.Q, b=self.b, V=self.V,
-                            R=self.R, divb=self.divb)
-
     # -- coefficient fields ---------------------------------------------------
     #
     # Written once against the growth law g(r, p) of the family, r = 1+|x|^2:
     # each subclass supplies _grow (g), _log_grow (log g) and _chain, which
     # multiplies u by the chain-rule factor (d/dr log g) / p.
 
-    def Q(self, k: int, x: np.ndarray) -> np.ndarray:
+    def q(self, k: int, x: np.ndarray) -> np.ndarray:
+        """The scalar diffusion of equation k: Q^k = q_k I, q_k = zeta_k g(r, alpha_k)."""
         pts, r, scalar = _radial(x, self.dims.d)
-        out = (self.zeta[k] * self._grow(r, self.alpha[k]))[:, None, None] * np.eye(self.dims.d)
-        return out[0] if scalar else out
-
-    def R(self, k: int, x: np.ndarray) -> np.ndarray:
-        # (R^k)_ij = D_i q^k_ij = 2 x_i q'(r) on the diagonal
-        pts, r, scalar = _radial(x, self.dims.d)
-        a = self.alpha[k]
-        dq = self._chain(2.0 * self.zeta[k] * a * self._grow(r, a), r, a)
-        out = (dq[:, None] * pts)[:, :, None] * np.eye(self.dims.d)
+        out = self.zeta[k] * self._grow(r, self.alpha[k])
         return out[0] if scalar else out
 
     def b(self, k: int, x: np.ndarray) -> np.ndarray:
@@ -237,11 +223,6 @@ class _FamilyBase:
             return np.log(eta) + self._log_grow(r, beta) + np.log(factor)
         return -eta * self._grow(r, beta) * factor
 
-    def divb(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.radial_divb(k, r)
-        return out[0] if scalar else out
-
     def V(self, x: np.ndarray) -> np.ndarray:
         pts, r, scalar = _radial(x, self.dims.d)
         out = self.theta * self._grow(r[:, None, None], self.gamma)
@@ -250,11 +231,6 @@ class _FamilyBase:
     def log_growth_V(self, h: int, k: int, r: np.ndarray) -> np.ndarray:
         """log |v_hk| at radius variable r = 1+|x|^2 (for overflow-safe work)."""
         return np.log(np.abs(self.theta[h, k])) + self._log_grow(r, self.gamma[h, k])
-
-
-def operator_spec_of(system) -> OperatorSpec:
-    """The coefficient callables of a family or of an opaque OperatorSpec."""
-    return system.operator_spec() if isinstance(system, _FamilyBase) else system
 
 
 class PolynomialFamily(_FamilyBase):

@@ -4,15 +4,16 @@ The whole-space kernels are limits of Dirichlet kernels on [-R, R]^d, so
 everything numeric happens on a uniform interior grid of such a box:
 
 * the generator is assembled in flux form by one stencil that loops over
-  the axes.  Diffusion uses face-centered coefficients (exact local
-  conservation): along each axis the faces sit at -R + (i + 1/2) h, Q is
-  evaluated once per face, and the two nodes that share a face read the
-  same value, so the diffusion part is exactly symmetric.  Drift is
-  centered but switches to upwind differences wherever the cell Peclet
-  number |b| h / (2 q) exceeds 1, and the potential couples the m
-  components of each node through a dense m x m block.  Unknowns are
-  ordered node-major (index = node * m + component), keeping the coupling
-  bandwidth at m;
+  the axes.  Each equation's diffusion is one scalar q_k times the
+  identity (coefficients.OperatorSpec), read at nodes and at faces.
+  Diffusion uses face-centered coefficients (exact local conservation):
+  along each axis the faces sit at -R + (i + 1/2) h, q is evaluated once
+  per face, and the two nodes that share a face read the same value, so
+  the diffusion part is exactly symmetric.  Drift is centered but
+  switches to upwind differences wherever the cell Peclet number
+  |b| h / (2 q) exceeds 1, and the potential couples the m components of
+  each node through a dense m x m block.  Unknowns are ordered node-major
+  (index = node * m + component), keeping the coupling bandwidth at m;
 * the adjoint variant is the exact transpose of the cooperative matrix.
   The transpose of centered/upwind drift is the matching discretization of
   -div(b u), so discrete duality holds to solver precision, not just to
@@ -87,7 +88,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import VARIANTS, eval_VP, operator_spec_of
+from .coefficients import VARIANTS, eval_VP
 from .errors import (
     AssemblyError,
     BudgetError,
@@ -203,11 +204,11 @@ def _check_coefficient_block(name: str, arr: np.ndarray):
         raise AssemblyError(f"{name} evaluates non-finite on the grid")
 
 
-def _component_stencil(spec, grid: GridSpec, k: int):
+def _component_stencil(system, grid: GridSpec, k: int):
     """Rows, columns and values of equation k's diffusion and drift, any d.
 
     Along axis a, node i has the faces i and i + 1 of that axis around it,
-    face f sitting at -R + (f + 1/2) h; Q is evaluated once per face, so the
+    face f sitting at -R + (f + 1/2) h; q is evaluated once per face, so the
     two nodes that share a face read the same coefficient.
     """
     d, h, n1 = grid.d, grid.spacing, grid.n_per_axis
@@ -219,12 +220,11 @@ def _component_stencil(spec, grid: GridSpec, k: int):
     has = {(a, s): index[a] < n1 - 1 if s > 0 else index[a] > 0
            for a in range(d) for s in (1, -1)}
 
-    Qn = np.asarray(spec.Q(k, pts), dtype=float).reshape(n, d, d)
-    bn = np.asarray(spec.b(k, pts), dtype=float).reshape(n, d)
-    _check_coefficient_block("Q", Qn)
+    qn = np.asarray(system.q(k, pts), dtype=float).reshape(n)
+    bn = np.asarray(system.b(k, pts), dtype=float).reshape(n, d)
+    _check_coefficient_block("q", qn)
     _check_coefficient_block("b", bn)
-    eigs = np.linalg.eigvalsh(0.5 * (Qn + np.swapaxes(Qn, 1, 2)))
-    if float(eigs[:, 0].min()) <= 0:
+    if np.any(qn <= 0):
         raise AssemblyError(f"equation {k}: diffusion not positive definite on the grid")
 
     ax = grid.axis_coords()
@@ -238,20 +238,19 @@ def _component_stencil(spec, grid: GridSpec, k: int):
         vals.append(value[mask])
 
     for a in range(d):
-        # Q on every face of axis a, then on the minus and plus face of each node
+        # q on every face of axis a, then on the minus and plus face of each node
         axes = [faces if c == a else ax for c in range(d)]
         fpts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        qf = np.asarray(spec.Q(k, fpts), dtype=float).reshape([len(x) for x in axes] + [d, d])
-        _check_coefficient_block("Q", qf)
-        Qm, Qp = (qf[(slice(None),) * a + (s,)].reshape(n, d, d)
+        qf = np.asarray(system.q(k, fpts), dtype=float).reshape([len(x) for x in axes])
+        _check_coefficient_block("q", qf)
+        qm, qp = (qf[(slice(None),) * a + (s,)].reshape(n)
                   for s in (slice(None, -1), slice(1, None)))
-        qm, qp = Qm[:, a, a], Qp[:, a, a]
         if np.any(qp <= 0) or np.any(qm <= 0):
             raise AssemblyError(f"equation {k}: diffusion must be positive on faces")
 
         # drift: centered, upwind where the cell Peclet number exceeds 1
         ba = bn[:, a]
-        pe = np.abs(ba) * h / (2.0 * Qn[:, a, a])
+        pe = np.abs(ba) * h / (2.0 * qn)
         centered = pe <= 1.0
         up_pos = (~centered) & (ba > 0)
         up_neg = (~centered) & (ba < 0)
@@ -261,19 +260,6 @@ def _component_stencil(spec, grid: GridSpec, k: int):
                + np.where(centered, ba / (2 * h), np.where(up_pos, ba / h, 0.0)))
         couple(has[(a, -1)], P - stride[a], qm / h ** 2
                + np.where(centered, -ba / (2 * h), np.where(up_neg, -ba / h, 0.0)))
-
-        # mixed diffusion D_a(q_ao D_o u), only where present
-        for o in range(d):
-            if o == a or not np.any(Qn[:, a, o] != 0.0):
-                continue
-            qm, qp = Qm[:, a, o], Qp[:, a, o]
-            c = 1.0 / (4.0 * h ** 2)
-            couple(has[(o, 1)], P + stride[o], (qp - qm) * c)
-            couple(has[(o, -1)], P - stride[o], -(qp - qm) * c)
-            couple(has[(a, 1)] & has[(o, 1)], P + stride[a] + stride[o], qp * c)
-            couple(has[(a, 1)] & has[(o, -1)], P + stride[a] - stride[o], -qp * c)
-            couple(has[(a, -1)] & has[(o, 1)], P - stride[a] + stride[o], -qm * c)
-            couple(has[(a, -1)] & has[(o, -1)], P - stride[a] - stride[o], qm * c)
 
     rows.append(P)
     cols.append(P)
@@ -294,20 +280,19 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
         return assemble_generator(system, grid, "P").T.tocsr()
     from scipy import sparse
 
-    spec = operator_spec_of(system)
-    if spec.dims.d != grid.d:
-        raise AssemblyError(f"system dimension {spec.dims.d} != grid dimension {grid.d}")
-    m = spec.dims.m
+    if system.dims.d != grid.d:
+        raise AssemblyError(f"system dimension {system.dims.d} != grid dimension {grid.d}")
+    m = system.dims.m
     n = grid.n_nodes
     pts = grid.points()
 
-    Vmat = np.asarray(spec.V(pts), dtype=float)
+    Vmat = np.asarray(system.V(pts), dtype=float)
     _check_coefficient_block("V", Vmat)
     pot = eval_VP(Vmat) if variant == "P" else Vmat
 
     rows_all, cols_all, vals_all = [], [], []
     for k in range(m):
-        for r, c, v in zip(*_component_stencil(spec, grid, k)):
+        for r, c, v in zip(*_component_stencil(system, grid, k)):
             rows_all.append(r * m + k)
             cols_all.append(c * m + k)
             vals_all.append(v)
@@ -458,8 +443,7 @@ class OperatorHandle:
     def __init__(self, system, grid: GridSpec, variant: str = "P",
                  budget: int = DEFAULT_BUDGET,
                  forward: Optional["OperatorHandle"] = None):
-        spec = operator_spec_of(system)
-        dof = grid.n_nodes * spec.dims.m
+        dof = grid.n_nodes * system.dims.m
         if dof > budget:
             raise BudgetError(
                 f"grid needs {dof} unknowns, over the budget of {budget}; "
@@ -469,7 +453,7 @@ class OperatorHandle:
             raise DomainError("only a P_adjoint handle takes the P handle of its grid")
         self.grid = grid
         self.variant = variant
-        self.m = spec.dims.m
+        self.m = system.dims.m
         self.assemblies = self.steps = 0
         self.factored: list = []
         self._system = system

@@ -13,8 +13,10 @@ loop on the fold S A E, whose bits a start even along every mirror axis
 keeps.  discrete_inner and discrete_mass
 are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
-operator_spec_from_callables wraps bare coefficient callables into an
-OperatorSpec, differencing Q and b where no derivatives are given.
+FieldSpec holds the general form's coefficient callables, a diffusion
+tensor per equation with its derivatives, which eval_operator and the box
+reference read; reference_spec gives the FieldSpec of any system, an
+OperatorSpec's scalar q as q I with R and div b by central differences.
 tensor_spec is the general form with per-entry tensors (zeta and alpha
 d x d per equation, eta and beta one per axis), and tensors_of spells a
 family's per-equation values so.
@@ -87,8 +89,9 @@ class FieldJet:
         return cls(vals, grads, hesses)
 
 
-def eval_operator(spec: OperatorSpec, variant: str, jet: FieldJet, h: int, x: np.ndarray) -> float:
-    """Pointwise action of the system operator on a smooth vector field.
+def eval_operator(system, variant: str, jet: FieldJet, h: int, x: np.ndarray) -> float:
+    """Pointwise action of the system operator on a smooth vector field,
+    read from reference_spec(system).
 
     variant selects between the original potential ("plain"), its
     cooperative modification ("P"), and the formal adjoint of the latter
@@ -98,6 +101,7 @@ def eval_operator(spec: OperatorSpec, variant: str, jet: FieldJet, h: int, x: np
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    spec = reference_spec(system)
     m, d = spec.dims.m, spec.dims.d
     if not (0 <= h < m):
         raise DimensionMismatchError(f"component index {h} outside 0..{m - 1}")
@@ -129,7 +133,7 @@ def eval_operator(spec: OperatorSpec, variant: str, jet: FieldJet, h: int, x: np
 
 
 def _fd_jacobian_of_Q(Q: Callable[[int, np.ndarray], np.ndarray], d: int):
-    """Finite-difference fallback for R^h when no analytic derivative is given."""
+    """R^h by central differences of Q."""
 
     def R(h: int, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -166,20 +170,20 @@ def _fd_div_of_b(b: Callable[[int, np.ndarray], np.ndarray], d: int):
     return divb
 
 
-def operator_spec_from_callables(dims: SystemDims, Q, b, V, R=None, divb=None) -> OperatorSpec:
-    """Wrap plain callables into an OperatorSpec.
+@dataclass(frozen=True)
+class FieldSpec:
+    """Coefficient callables of the general form, vectorized over a leading
+    batch of points: for x of shape (n, d), Q(h, x) returns (n, d, d), b(h, x)
+    (n, d), V(x) (n, m, m), R(h, x) the diffusion derivatives
+    (R^h)_ij = D_i q^h_ij, (n, d, d), and divb(h, x) (n,).  Scalar points of
+    shape (d,) are accepted too."""
 
-    Missing derivative data (R, divb) is filled with central finite
-    differences; families provide analytic versions.
-    """
-    return OperatorSpec(
-        dims=dims,
-        Q=Q,
-        b=b,
-        V=V,
-        R=R if R is not None else _fd_jacobian_of_Q(Q, dims.d),
-        divb=divb if divb is not None else _fd_div_of_b(b, dims.d),
-    )
+    dims: SystemDims
+    Q: Callable[[int, np.ndarray], np.ndarray]
+    b: Callable[[int, np.ndarray], np.ndarray]
+    V: Callable[[np.ndarray], np.ndarray]
+    R: Callable[[int, np.ndarray], np.ndarray]
+    divb: Callable[[int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -211,10 +215,10 @@ def _divb_factors(law, beta: np.ndarray, pts: np.ndarray, r: np.ndarray) -> np.n
 
 
 @dataclass(frozen=True)
-class TensorSpec(OperatorSpec):
-    """An OperatorSpec of the general form that keeps its growth law (a
-    family class) and its Tensors, so the box reference can take the
-    log-magnitudes of its entries, as it does for a family."""
+class TensorSpec(FieldSpec):
+    """A FieldSpec that keeps its growth law (a family class) and its
+    Tensors, so the box reference can take the log-magnitudes of its
+    entries, as it does for a family."""
 
     law: type
     tensors: Tensors
@@ -265,11 +269,20 @@ def tensor_spec(law, dims: SystemDims, t: Tensors) -> TensorSpec:
         R=R, divb=divb, law=law, tensors=t)
 
 
-def reference_spec(system) -> OperatorSpec:
-    """The coefficient callables the box reference reads: a family's
-    tensor_spec, any other system's own."""
+def reference_spec(system) -> FieldSpec:
+    """The coefficient callables the reference reads: a family's
+    tensor_spec, an OperatorSpec's scalar q times the identity with R and
+    div b differenced, a FieldSpec itself."""
     if isinstance(system, _FamilyBase):
         return tensor_spec(type(system), system.dims, tensors_of(system))
+    if isinstance(system, OperatorSpec):
+        d = system.dims.d
+
+        def Q(h, x):
+            return np.multiply.outer(system.q(h, x), np.eye(d))
+
+        return FieldSpec(system.dims, Q, system.b, system.V, _fd_jacobian_of_Q(Q, d),
+                         _fd_div_of_b(system.b, d))
     return system
 
 

@@ -76,11 +76,9 @@ def const_coupled_spec(V):
 
     return OperatorSpec(
         dims=dims,
-        Q=lambda h, x: np.tile(np.eye(1), (npts(x), 1, 1)),
+        q=lambda h, x: np.ones(npts(x)),
         b=lambda h, x: np.zeros((npts(x), 1)),
         V=lambda x: np.tile(Vm, (npts(x), 1, 1)),
-        R=lambda h, x: np.zeros((npts(x), 1, 1)),
-        divb=lambda h, x: np.zeros(npts(x)),
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kernelbound import coefficients as co
 from kernelbound.errors import DimensionMismatchError, HypothesisViolationError
 
-from oracles import FieldJet, eval_operator, operator_spec_from_callables
+from oracles import FieldJet, eval_operator, reference_spec
 
 
 # ---------------------------------------------------------------------------
@@ -53,28 +53,23 @@ def test_vp_rejects_nonsquare():
 # ---------------------------------------------------------------------------
 
 def _laplacian_spec():
-    dims = co.SystemDims(d=1, m=1)
-    return operator_spec_from_callables(
-        dims,
-        Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1] + (1, 1))
-        if np.asarray(x).ndim > 1 else np.eye(1),
-        b=lambda h, x: np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float))),
-        V=lambda x: np.zeros((1, 1)),
-        R=lambda h, x: np.zeros((1, 1)),
-        divb=lambda h, x: 0.0,
-    )
+    return co.OperatorSpec(co.SystemDims(d=1, m=1), q=lambda h, x: 1.0,
+                           b=lambda h, x: np.zeros(1), V=lambda x: np.zeros((1, 1)))
 
 
 def test_finite_difference_derivatives_match_a_family():
-    # without R and divb the spec differentiates Q and b numerically
+    # the reference differentiates an OperatorSpec's q I and b numerically,
+    # and a family's by the chain rule; radial_divb is the package's div b
     fam = co.diagonal_family("polynomial", 2, 2, alpha=0.5, beta=0.5,
                              theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
-    exact = fam.operator_spec()
-    spec = operator_spec_from_callables(fam.dims, exact.Q, exact.b, exact.V)
+    exact = reference_spec(fam)
+    spec = reference_spec(co.OperatorSpec(fam.dims, fam.q, fam.b, fam.V))
     x = np.array([[0.3, -1.2], [2.0, 0.5], [0.0, 0.0]])
+    r = 1.0 + np.sum(x * x, axis=-1)
     for h in range(2):
         assert np.allclose(spec.R(h, x), exact.R(h, x), rtol=1e-6, atol=1e-8)
         assert np.allclose(spec.divb(h, x), exact.divb(h, x), rtol=1e-6, atol=1e-8)
+        assert np.allclose(spec.divb(h, x), fam.radial_divb(h, r), rtol=1e-6, atol=1e-8)
 
 
 def test_operator_on_square_is_second_derivative():
@@ -87,16 +82,9 @@ def test_operator_on_square_is_second_derivative():
 
 def test_operator_constant_potential_coupling():
     # d=1, m=2, Q=I, b=0, V=[[2,3],[-1,4]]: (A u)_0 = u0'' - 2 u0 - 3 u1
-    dims = co.SystemDims(d=1, m=2)
     V = np.array([[2.0, 3.0], [-1.0, 4.0]])
-    spec = operator_spec_from_callables(
-        dims,
-        Q=lambda h, x: np.eye(1),
-        b=lambda h, x: np.zeros(1),
-        V=lambda x: V,
-        R=lambda h, x: np.zeros((1, 1)),
-        divb=lambda h, x: 0.0,
-    )
+    spec = co.OperatorSpec(co.SystemDims(d=1, m=2), q=lambda h, x: 1.0,
+                           b=lambda h, x: np.zeros(1), V=lambda x: V)
     jet = FieldJet(values=np.array([1.0, 2.0]),
                    gradients=np.zeros((2, 1)),
                    hessians=np.array([[[5.0]], [[7.0]]]))
@@ -111,12 +99,11 @@ def test_operator_constant_potential_coupling():
 def test_operator_variable_diffusion_expansion():
     # Q = 1+x^2, u = sin x: div(Q u') = 2x cos x - (1+x^2) sin x
     fam = co.diagonal_family("polynomial", 1, 1, alpha=1.0, theta=[[1.0]], gamma=[[0.0]])
-    spec = fam.operator_spec()
     xv = 0.7
     jet = FieldJet(values=np.array([np.sin(xv)]),
                    gradients=np.array([[np.cos(xv)]]),
                    hessians=np.array([[[-np.sin(xv)]]]))
-    got = eval_operator(spec, "plain", jet, 0, np.array([xv]))
+    got = eval_operator(fam, "plain", jet, 0, np.array([xv]))
     # family also has drift -x(1+x^2)^0 = -x and potential 1: subtract x cos x + sin x
     expected = 2 * xv * np.cos(xv) - (1 + xv ** 2) * np.sin(xv) - xv * np.cos(xv) - np.sin(xv)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -126,7 +113,6 @@ def test_operator_matches_finite_difference_jet():
     # independent route: analytic jet vs FieldJet.from_callables on smooth funcs
     fam = co.diagonal_family("polynomial", 2, 2, alpha=0.5, beta=1.0,
                              theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
-    spec = fam.operator_spec()
     funcs = [lambda x: float(np.exp(-x @ x)), lambda x: float(np.cos(x[0]) * np.sin(x[1]))]
     x = np.array([0.4, -0.3])
     jet_fd = FieldJet.from_callables(funcs, x, step=1e-5)
@@ -141,8 +127,8 @@ def test_operator_matches_finite_difference_jet():
                          hessians=np.stack([h0, h1]))
     for variant in co.VARIANTS:
         for h in range(2):
-            a = eval_operator(spec, variant, jet_fd, h, x)
-            b = eval_operator(spec, variant, jet_exact, h, x)
+            a = eval_operator(fam, variant, jet_fd, h, x)
+            b = eval_operator(fam, variant, jet_exact, h, x)
             assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
 
 
@@ -231,7 +217,7 @@ def test_polynomial_growth_values():
                              theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
     x = np.array([2.0])
     r = 5.0
-    assert fam.Q(0, x)[0, 0] == pytest.approx(2.0 * r ** 1.5)
+    assert fam.q(0, x) == pytest.approx(2.0 * r ** 1.5)
     assert fam.b(1, x)[0] == pytest.approx(-3.0 * 2.0 * r ** 0.5)
     V = fam.V(x)
     assert V[0, 0] == pytest.approx(r ** 2)
@@ -241,58 +227,44 @@ def test_polynomial_growth_values():
 def test_polynomial_derivative_fields_match_fd():
     fam = co.diagonal_family("polynomial", 2, 1, zeta_diag=1.5, alpha=1.0, eta=2.0, beta=1.0,
                              theta=[[1.0]], gamma=[[1.0]])
-    x = np.array([0.6, -1.1])
-    step = 1e-6
-    # R entries vs central differences of Q
-    R = fam.R(0, x)
-    for i in range(2):
-        ei = np.zeros(2)
-        ei[i] = step
-        dQ = (fam.Q(0, x + ei) - fam.Q(0, x - ei)) / (2 * step)
-        for j in range(2):
-            assert R[i, j] == pytest.approx(dQ[i, j], rel=1e-6, abs=1e-8)
-    # divb vs central differences of b
-    acc = 0.0
-    for i in range(2):
-        ei = np.zeros(2)
-        ei[i] = step
-        acc += (fam.b(0, x + ei)[i] - fam.b(0, x - ei)[i]) / (2 * step)
-    assert fam.divb(0, x) == pytest.approx(acc, rel=1e-6)
+    _assert_derivatives_match_fd(fam, np.array([0.6, -1.1]))
 
 
 def test_exponential_derivative_fields_match_fd():
     fam = co.diagonal_family("exponential", 2, 1, zeta_diag=0.8, alpha=0.5, eta=1.2, beta=0.5,
                              theta=[[1.0]], gamma=[[1.0]])
-    x = np.array([0.9, 0.2])
-    step = 1e-6
-    R = fam.R(0, x)
+    _assert_derivatives_match_fd(fam, np.array([0.9, 0.2]))
+
+
+def _assert_derivatives_match_fd(fam, x, step=1e-6):
+    # the reference's R entries vs central differences of q I, and
+    # radial_divb vs central differences of b
+    R = reference_spec(fam).R(0, x)
     for i in range(2):
         ei = np.zeros(2)
         ei[i] = step
-        dQ = (fam.Q(0, x + ei) - fam.Q(0, x - ei)) / (2 * step)
+        dq = (fam.q(0, x + ei) - fam.q(0, x - ei)) / (2 * step)
         for j in range(2):
-            assert R[i, j] == pytest.approx(dQ[i, j], rel=1e-6, abs=1e-8)
+            assert R[i, j] == pytest.approx(dq * (i == j), rel=1e-6, abs=1e-8)
     acc = 0.0
     for i in range(2):
         ei = np.zeros(2)
         ei[i] = step
         acc += (fam.b(0, x + ei)[i] - fam.b(0, x - ei)[i]) / (2 * step)
-    assert fam.divb(0, x) == pytest.approx(acc, rel=1e-6)
+    assert fam.radial_divb(0, 1.0 + x @ x) == pytest.approx(acc, rel=1e-6)
 
 
 def test_family_vectorized_evaluation_matches_scalar():
     fam = co.diagonal_family("exponential", 2, 2, alpha=0.3, beta=0.7,
                              theta=[[1.0, 0.2], [0.2, 1.0]], gamma=[[1.0, 0.5], [0.5, 1.0]])
     pts = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.4]])
-    Qb = fam.Q(1, pts)
+    qb = fam.q(1, pts)
     bb = fam.b(1, pts)
     Vb = fam.V(pts)
-    db = fam.divb(1, pts)
     for p in range(3):
-        assert np.allclose(Qb[p], fam.Q(1, pts[p]))
+        assert np.allclose(qb[p], fam.q(1, pts[p]))
         assert np.allclose(bb[p], fam.b(1, pts[p]))
         assert np.allclose(Vb[p], fam.V(pts[p]))
-        assert np.allclose(db[p], fam.divb(1, pts[p]))
 
 
 def test_ellipticity_lower_bound_on_samples():
@@ -304,5 +276,5 @@ def test_ellipticity_lower_bound_on_samples():
         xi = rng.normal(size=2)
         r = 1 + x @ x
         for k in range(2):
-            quad = xi @ fam.Q(k, x) @ xi
+            quad = fam.q(k, x) * (xi @ xi)
             assert quad == pytest.approx(fam.zeta[k] * r ** fam.alpha[k] * (xi @ xi), rel=1e-12)

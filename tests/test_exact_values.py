@@ -29,8 +29,7 @@ from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_l
 from kernelbound.solver import GridSpec, assemble_generator
 
 from oracles import (box, box_generator_ratio, box_row_sum_bound, certificate_sup,
-                     ledger_window_sups, operator_spec_from_callables, tensor_spec,
-                     tensors_of)
+                     ledger_window_sups, tensor_spec, tensors_of)
 
 
 def family(kind, d):
@@ -357,10 +356,15 @@ def test_per_equation_values_are_not_collapsed(kind, target, d):
                                eta=fam.eta[0], beta=fam.beta[0], theta=fam.theta,
                                gamma=fam.gamma)
     assert core_ledger(first, target)[0] != sups
-    # the family's generator is that of its values spelt entry by entry
+    # the family's generator is that of its values spelt entry by entry,
+    # whose diffusion tensors are q_k I
     grid = GridSpec(d, 2.0, 0.25)
     spelt = tensor_spec(type(fam), fam.dims, tensors_of(fam))
-    A, B = (assemble_generator(system, grid, target) for system in (fam, spelt))
+    for k in range(2):
+        Q = spelt.Q(k, grid.points())
+        assert np.array_equal(Q, Q[:, :1, :1] * np.eye(d))
+    scalar = co.OperatorSpec(fam.dims, lambda k, x: spelt.Q(k, x)[..., 0, 0], spelt.b, spelt.V)
+    A, B = (assemble_generator(system, grid, target) for system in (fam, scalar))
     assert A.shape == B.shape and (A != B).nnz == 0
 
 
@@ -514,7 +518,8 @@ def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch)
 
 
 def test_an_opaque_spec_is_refused_by_name():
-    spec = family("polynomial", 1).operator_spec()
+    fam = family("polynomial", 1)
+    spec = co.OperatorSpec(fam.dims, fam.q, fam.b, fam.V)
     assert set(refusals(spec)) == {
         "OperatorSpec (d=1, m=2) is not a radial family: certificates, ledger and row "
         "sums evaluate in r = 1 + |x|^2 alone"}
@@ -524,9 +529,9 @@ def test_a_drift_that_is_not_radial_peaks_off_the_radius_classes():
     # b = +1 makes <b, grad S> odd in x: the generator ratio peaks at the
     # box's last point, which shares its radius with the first, so the
     # radii are sound for radial families only
-    spec = operator_spec_from_callables(
+    spec = co.OperatorSpec(
         co.SystemDims(1, 1),
-        Q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1])[:, None, None],
+        q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1]),
         b=lambda h, x: np.ones_like(np.atleast_2d(x)),
         V=lambda x: np.zeros(np.atleast_2d(x).shape[:1])[:, None, None])
     lyap = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.1)
@@ -567,16 +572,16 @@ SYNTH_SHA256 = {
 
 CHECK_SHA256 = {
     "poly1d": {
-        "hypotheses.txt": "c06307681814a81fc4e4c42755e03f13f68d7b8ead138809b9097edab2535405",
-        "hypotheses.csv": "12335874ac10fd15f5af79b998e97c4e477a87e39d8e9ea766d786dc94bc9be0",
+        "hypotheses.txt": "ebad04afa0d9bff97887e7297dcc1af3b310ca521aa5e0497d8eec9e9b96efbe",
+        "hypotheses.csv": "53ca69c215c32b6738dfee7fbdfba6a5b9f879ab6a0eb46ebb8e89b4167d1346",
     },
     "poly2d": {
-        "hypotheses.txt": "a94e23b91672b71557f0fdeee19ab920b5567668713aa560298cdb1ebe3a0a2f",
-        "hypotheses.csv": "12335874ac10fd15f5af79b998e97c4e477a87e39d8e9ea766d786dc94bc9be0",
+        "hypotheses.txt": "cd22d4ec53dac482ccecc4c0f4a232a2fafc0c84048b8f69ac389660b1744487",
+        "hypotheses.csv": "53ca69c215c32b6738dfee7fbdfba6a5b9f879ab6a0eb46ebb8e89b4167d1346",
     },
     "exp1d": {
-        "hypotheses.txt": "4e8a78e1cb77378e85e8dfba9791726cfb1a1891ad2cc3d09cfb61aa35eb6020",
-        "hypotheses.csv": "dd300fd6d9b82e7d9a7ca76d3699b2a9fef524bc8a6e980265b10bc0b6213d35",
+        "hypotheses.txt": "2d45a73d4ca38855613abb4ea2a364d21f475bc68d67a67131e5162e3cbe5bb6",
+        "hypotheses.csv": "9a3c3497de8ff91b3d8983d35a98c934f3da3900ca54578bc048c84929208c8c",
     },
 }
 

@@ -12,7 +12,6 @@ from scipy.sparse.csgraph import connected_components
 
 from kernelbound.coefficients import (
     OperatorSpec,
-    PolynomialFamily,
     SystemDims,
     diagonal_family,
 )
@@ -27,9 +26,9 @@ from kernelbound.solver import (
 )
 from kernelbound.verify import load_field, save_field
 
-from oracles import (FieldJet, Tensors, apply_kernel_to_function, discrete_inner,
-                     discrete_mass, eval_operator, folded_theta_steps, kernel_column,
-                     kernel_columns, kernel_matrix, tensor_spec, theta_steps)
+from oracles import (FieldJet, apply_kernel_to_function, discrete_inner, discrete_mass,
+                     eval_operator, folded_theta_steps, kernel_column, kernel_columns,
+                     kernel_matrix, theta_steps)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
@@ -42,11 +41,9 @@ def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
 
     return OperatorSpec(
         dims=dims,
-        Q=lambda h, x: np.tile(q * np.eye(d), (npts(x), 1, 1)),
+        q=lambda h, x: np.full(npts(x), q),
         b=lambda h, x: np.full((npts(x), d), b),
         V=lambda x: np.tile(Vm, (npts(x), 1, 1)),
-        R=lambda h, x: np.zeros((npts(x), d, d)),
-        divb=lambda h, x: np.zeros(npts(x)),
     )
 
 
@@ -110,8 +107,7 @@ class TestAssembly:
                               theta=[[1e-30]], gamma=[[0.0]])
         # drift and potential negligible; flux rows annihilate constants
         spec = const_spec()
-        varspec = OperatorSpec(dims=spec.dims, Q=fam.Q, b=spec.b, V=spec.V,
-                               R=fam.R, divb=spec.divb)
+        varspec = OperatorSpec(dims=spec.dims, q=fam.q, b=spec.b, V=spec.V)
         g = GridSpec(1, 2.0, 0.125)
         A = assemble_generator(varspec, g, "P")
         ones = np.ones(A.shape[0])
@@ -178,12 +174,11 @@ class TestAssembly:
         """q(x) = 1 + |x|^2 on the diagonal, no drift, no potential."""
         base = const_spec(d=d)
 
-        def Q(h, x):
+        def q(h, x):
             x = np.atleast_2d(np.asarray(x, dtype=float))
-            return (1.0 + np.sum(x * x, axis=-1))[:, None, None] * np.eye(d)
+            return 1.0 + np.sum(x * x, axis=-1)
 
-        return OperatorSpec(dims=base.dims, Q=Q, b=base.b, V=base.V, R=base.R,
-                            divb=base.divb)
+        return OperatorSpec(dims=base.dims, q=q, b=base.b, V=base.V)
 
     def test_2d_diffusion_is_exactly_symmetric_on_a_non_dyadic_grid(self):
         # both nodes of a face read one coefficient, evaluated at the face
@@ -203,11 +198,15 @@ class TestAssembly:
 
 class TestConsistency2D:
     def evaluate_errors(self, spacing):
-        # off-diagonal diffusion, which no family has
-        spec = tensor_spec(PolynomialFamily, SystemDims(2, 1), Tensors(
-            zeta=np.array([[[1.0, 0.2], [0.2, 1.0]]]), alpha=np.zeros((1, 2, 2)),
-            eta=np.ones((1, 2)), beta=np.zeros((1, 2)), theta=np.array([[1.0]]),
-            gamma=np.array([[1.0]])))
+        # variable diffusion q = 1 + |x|^2 and a drift that is not odd, so no
+        # reflection maps the operator to itself
+        def r(x):
+            return 1.0 + np.sum(np.atleast_2d(np.asarray(x, dtype=float)) ** 2, axis=-1)
+
+        spec = OperatorSpec(
+            dims=SystemDims(2, 1), q=lambda h, x: r(x),
+            b=lambda h, x: -(np.atleast_2d(np.asarray(x, dtype=float)) - np.array([0.25, -0.5])),
+            V=lambda x: r(x)[:, None, None])
         g = GridSpec(2, 3.0, spacing)
         A = assemble_generator(spec, g, "P")
         pts = g.points()
@@ -608,20 +607,18 @@ def test_solver_version_is_pinned():
     assert solver.SOLVER_VERSION == 5
 
 
-def test_mixed_diffusion_stencil_bits_are_pinned():
-    # spacing 0.1 puts the faces off binary fractions, and the off-diagonal
-    # zeta runs the mixed-diffusion couplings; exponents 0 and 1 keep every
-    # coefficient exact, so only the stencil's own arithmetic moves the digest
-    spec = tensor_spec(PolynomialFamily, SystemDims(2, 2), Tensors(
-        zeta=np.array([[[1.0, 0.3], [0.3, 1.0]], [[1.0, -0.2], [-0.2, 0.8]]]),
-        alpha=np.ones((2, 2, 2)), eta=np.ones((2, 2)), beta=np.zeros((2, 2)),
-        theta=np.array([[1.0, 0.5], [0.5, 1.0]]), gamma=np.ones((2, 2))))
-    A = assemble_generator(spec, GridSpec(2, 2.0, 0.1), "P")
+def test_per_equation_diffusion_stencil_bits_are_pinned():
+    # spacing 0.1 puts the faces off binary fractions, and zeta differs from
+    # equation to equation; exponents 0 and 1 keep every coefficient exact,
+    # so only the stencil's own arithmetic moves the digest
+    fam = diagonal_family("polynomial", 2, 2, zeta_diag=[1.0, 0.8], alpha=1.0, eta=1.0,
+                          beta=0.0, theta=[[1.0, 0.5], [0.5, 1.0]], gamma=np.ones((2, 2)))
+    A = assemble_generator(fam, GridSpec(2, 2.0, 0.1), "P")
     digest = hashlib.sha1()
     for arr, dtype in ((A.indptr, "<i8"), (A.indices, "<i8"), (A.data, "<f8")):
         digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    assert A.nnz == 29492
-    assert digest.hexdigest() == "ead796bd059e461d9ca6cbf15e0af6455e3f69e7"
+    assert A.nnz == 17940
+    assert digest.hexdigest() == "c95c9f581c73c8c9ec19d5e2899b6fc20535cb06"
 
 
 class TestDuality:
@@ -1038,7 +1035,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("d", [1, 2])
     def test_a_drift_that_is_not_odd_takes_one_whole_block(self, monkeypatch, d):
         base = const_spec(d)
-        spec = OperatorSpec(dims=base.dims, Q=base.Q, V=base.V, R=base.R, divb=base.divb,
+        spec = OperatorSpec(dims=base.dims, q=base.q, V=base.V,
                             b=lambda h, x: -(np.atleast_2d(np.asarray(x, dtype=float)) - 0.25))
         g = GridSpec(d, 2.0, 0.125)
         sizes = self.blocks(monkeypatch)
@@ -1049,7 +1046,7 @@ class TestParityBlocks:
         assert [fold for fold, _, _ in handle.factored] == [()] * 4
         assert sizes == [[g.n_nodes]] * 4
         # on the odd drift -x, ones fold and, in 2-D, uneven data split
-        odd = OperatorSpec(dims=base.dims, Q=base.Q, V=base.V, R=base.R, divb=base.divb,
+        odd = OperatorSpec(dims=base.dims, q=base.q, V=base.V,
                            b=lambda h, x: -np.atleast_2d(np.asarray(x, dtype=float)))
         handle = OperatorHandle(odd, g, "P")
         for u0 in self.ones_and_uneven(g):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kernelbound import verify
-from kernelbound.coefficients import CouplingSupport, diagonal_family
+from kernelbound.coefficients import CouplingSupport, OperatorSpec, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
@@ -338,7 +338,8 @@ class TestStoredColumns:
         # coefficient callables cannot be hashed by content, so the store
         # has no key for them: every entry point refuses them, and nothing
         # is evolved or stored
-        spec = headline_family().operator_spec()
+        fam = headline_family()
+        spec = OperatorSpec(fam.dims, fam.q, fam.b, fam.V)
         g = GridSpec(1, 2.0, 0.25)
         store = KernelStore(tmp_path)
         evolved = []
@@ -573,6 +574,19 @@ class TestSupport:
         res = run_alone(Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3,
                                 support=wrong))
         assert res.status == "fail"
+
+    def test_mass_on_an_unreachable_component_fails(self, no_evolve):
+        # a negative control through measure on a hand-made column: mass on
+        # component 2, which column 0 of the chain family cannot reach
+        check = Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3)
+        g = check.grid
+        col = np.zeros((g.n_nodes, 3))
+        col[:, 0] = bump(g, 1)[:, 0]
+        assert check.measure([[col]]).passed
+        col[7, 2] = 1e-6
+        res = check.measure([[col]])
+        assert res.status == "fail" and res.worst == pytest.approx(1e-6, rel=1e-12)
+        assert res.location[1] == verify._loc_pt(g.points()[7], 1) and res.location[3] == 2
 
     def test_random_patterns_match_graph_prediction(self):
         rng = np.random.default_rng(7)
