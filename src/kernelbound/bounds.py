@@ -14,10 +14,12 @@ weight-compatibility constants c_1..c_8, the inner/outer time window
          + [c1^(s/4) c6^(s/2) + c2^(s/2) c6^(s/2) + c5^(s/2) + c6^s]
             * nu2(0, x) * int_a0^b0 e^{G2},
 
-with ^ denoting min.  Specializing the weights to the concrete coefficient
-families turns C * H into explicit decay profiles: a power of t times a
-stretched-exponential factor in the second spatial argument (and, for the
-two-sided form, in both arguments).
+with ^ denoting min.  The time-dependent weights equal 1 at t = 0, so
+nu1(0, x) = nu2(0, x) = 1 and H is one number, which eval_H returns.
+Specializing the weights to the concrete coefficient families turns C * H
+into explicit decay profiles: a power of t times a stretched-exponential
+factor in the second spatial argument (and, for the two-sided form, in
+both arguments).
 
 The reduction from the iterated kernel estimates to H passes through one
 piece of scalar algebra, exposed as solve_X0: any X >= 0 satisfying
@@ -97,20 +99,16 @@ class ConstantsLedger:
             c_star=star.c, M_star=star.M, boundary_flags=self.boundary_flags)
 
 
-def eval_H(ledger: ConstantsLedger,
-           nu1_at_zero: Callable[[np.ndarray], np.ndarray],
-           nu2_at_zero: Callable[[np.ndarray], np.ndarray],
-           G1: Callable[[np.ndarray], np.ndarray],
-           G2: Callable[[np.ndarray], np.ndarray],
-           x: np.ndarray) -> np.ndarray:
-    """Majorant H(x) built from a ledger, initial weights, and growth integrals.
+def eval_H(ledger: ConstantsLedger, G1: Callable[[np.ndarray], np.ndarray],
+           G2: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The majorant H, one number, from a ledger and two growth integrals.
 
-    nu1_at_zero / nu2_at_zero take points of shape (n, d) or (d,); G1, G2
-    are the cumulated growth rates of the two comparison Lyapunov functions,
-    called with an array of times (a G returning one scalar is a constant).
-    The constants are the ledger's c, so an adjoint ledger gives H*.  The
-    time integrals of e^{G1} and e^{G2} over [a0, b0] come from the adaptive
-    Gauss-Legendre quadrature lyapunov._quad, bisected until its
+    The weights nu1 and nu2 equal 1 at t = 0, so H is constant in x.  G1
+    and G2 are the cumulated growth rates of the two comparison Lyapunov
+    functions, called with an array of times (a G returning one scalar is a
+    constant).  The constants are the ledger's c, so an adjoint ledger gives
+    H*.  The time integrals of e^{G1} and e^{G2} over [a0, b0] come from the
+    adaptive Gauss-Legendre quadrature lyapunov._quad, bisected until its
     panel-halving error estimate is at most 1e-9 relative.  Raises
     NonFiniteError when e^G overflows on the window, when that estimate
     misses 1e-9 after 200 bisections, or when H is not finite.
@@ -131,14 +129,10 @@ def eval_H(ledger: ConstantsLedger,
         raise NonFiniteError(f"majorant brackets overflow: {bracket1}, {bracket2}")
     I1 = _quad(lambda t: np.exp(G1(t)), a0, b0, epsrel=1e-9)
     I2 = _quad(lambda t: np.exp(G2(t)), a0, b0, epsrel=1e-9)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    out = bracket1 * np.asarray(nu1_at_zero(pts), dtype=float) * I1 \
-        + bracket2 * np.asarray(nu2_at_zero(pts), dtype=float) * I2
-    if not np.all(np.isfinite(out)):
+    H = float(bracket1 * I1 + bracket2 * I2)
+    if not math.isfinite(H):
         raise NonFiniteError("majorant evaluated non-finite")
-    return float(out[0]) if scalar else out
+    return H
 
 
 def solve_X0(alpha: float, beta: float, gamma: float, s: float) -> float:
@@ -174,9 +168,13 @@ def eval_lambda_poly(family: PolynomialFamily, sigma: float, rho: float) -> floa
     return lam
 
 
-def default_c_hat(d: int) -> float:
-    """Default singular-prefactor constant for the exponential-family bound."""
-    return (d + 3) / 4.0
+def checked_c_hat(d: int, c_hat: Optional[float] = None) -> float:
+    """The singular-prefactor constant of the exponential-family bound: c_hat,
+    by default (d + 3)/4; DomainError unless it exceeds (d + 2)/4."""
+    ch = (d + 3) / 4.0 if c_hat is None else c_hat
+    if ch <= (d + 2) / 4.0:
+        raise DomainError(f"c_hat must exceed (d+2)/4 = {(d + 2) / 4.0}, got {ch}")
+    return ch
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,7 @@ class BoundCertificate:
         if self.kind == "polynomial" and self.lam is None:
             raise DomainError("polynomial certificate needs lam")
         if self.kind == "exponential":
-            ch = self.c_hat if self.c_hat is not None else default_c_hat(self.d)
-            if ch <= (self.d + 2) / 4.0:
-                raise DomainError(
-                    f"c_hat must exceed (d+2)/4 = {(self.d + 2) / 4.0}, got {ch}")
-            object.__setattr__(self, "c_hat", ch)
+            object.__setattr__(self, "c_hat", checked_c_hat(self.d, self.c_hat))
 
     @property
     def two_sided(self) -> bool:

@@ -65,22 +65,27 @@ def _resolve_out(cfg: RunConfig, cli_out) -> str:
     return cfg.get("output", "directory")
 
 
-def _check_grid_rule(cfg: RunConfig, section: str, key: str, d: int,
-                     radius: float, spacing: float):
-    """A (radius, spacing) pair that GridSpec rejects exits 2 and names
-    section.key, which set it."""
+def _key_rule(cfg: RunConfig, section: str, key: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs), the library's own check of a value that
+    section.key set: its DomainError exits 2 and names the key and its line."""
     try:
-        solver.GridSpec(d, radius, spacing)
+        return rule(*args, **kwargs)
     except DomainError as exc:
-        raise ConfigError("%s: %s.%s does not fit the grid rule: %s"
+        raise ConfigError("%s: %s.%s is rejected: %s"
                           % (cfg._where(section, key), section, key, exc))
 
 
 def _grid_params(cfg: RunConfig):
     d, radii, spacing = (cfg.get("grid", key) for key in ("d", "radii", "spacing"))
     for radius in radii:
-        _check_grid_rule(cfg, "grid", "spacing", d, radius, spacing)
+        _key_rule(cfg, "grid", "spacing", solver.GridSpec, d, radius, spacing)
     return d, radii, spacing, cfg.get("grid", "dt"), cfg.get("grid", "theta")
+
+
+def _key_or(cfg: RunConfig, section: str, key: str, default):
+    """section.key, or default where it is unset and worked out from others."""
+    value = cfg.get(section, key)
+    return default if value is None else value
 
 
 def _point(row, d: int):
@@ -138,17 +143,17 @@ def _apply_overrides(cfg: RunConfig, result):
         return result
     static = replace(result.static, **{key: given[key] for key in
                                        ("rho", "eps_hat") if key in given})
-    timed = replace(result.timed, base=static, c0=None,
-                    **{key: given[key] for key in ("sigma", "delta")
-                       if key in given})
+    # the domains of rho and eps_hat are the spec's; delta's interval is
+    # sigma's, so a rejected delta is named, or else the sigma that moved it
+    timed = _key_rule(cfg, "lyapunov", "delta" if "delta" in given else "sigma",
+                      replace, result.timed, base=static, c0=None,
+                      **{key: given[key] for key in ("sigma", "delta") if key in given})
     return replace(result, static=static, timed=timed)
 
 
 def _bounds_params(cfg: RunConfig, d: int):
     """s, the fixed window or None, t_ref and eps_scales from [bounds]."""
-    s = cfg.get("bounds", "s")
-    if s is None:
-        s = float(d + 3)
+    s = _key_or(cfg, "bounds", "s", float(d + 3))
     if s <= d + 2:
         raise ConfigError("%s: bounds.s must exceed d + 2 = %d, got %s"
                           % (cfg._where("bounds", "s"), d + 2, _g(s)))
@@ -174,20 +179,21 @@ def cmd_check(cfg: RunConfig, out: str) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
+def _timed_lines(label: str, timed) -> list:
+    """The certified time-dependent weight's parameters, one line each."""
+    return ["%s.%s: %s" % (label, key, _g(getattr(timed, key)))
+            for key in ("T", "sigma", "delta", "eps_T", "c0")]
+
+
 def _spec_lines(label: str, result, static_rep, timed_rep) -> list:
-    st, ti = result.static, result.timed
+    st = result.static
     lines = [
         "%s.form: %s" % (label, st.form),
         "%s.target: %s" % (label, st.target),
         "%s.rho: %s" % (label, _g(st.rho)),
         "%s.eps_hat: %s" % (label, _g(st.eps_hat)),
         "%s.lam: %s" % (label, _g(st.lam) if st.lam is not None else "-"),
-        "%s.T: %s" % (label, _g(ti.T)),
-        "%s.sigma: %s" % (label, _g(ti.sigma)),
-        "%s.delta: %s" % (label, _g(ti.delta)),
-        "%s.eps_T: %s" % (label, _g(ti.eps_T)),
-        "%s.c0: %s" % (label, _g(ti.c0) if ti.c0 is not None else "-"),
-    ]
+    ] + _timed_lines(label, result.timed)
     for tag, rep in (("static", static_rep), ("timed", timed_rep)):
         if rep is None:
             continue
@@ -219,23 +225,12 @@ def _ledger_text(ledger, H: float, H_star: float) -> str:
 
 
 def _certificate_text(cert, H: float, H_star: float) -> str:
-    lines = ["bound certificate",
-             "kind: %s" % cert.kind,
-             "d: %d" % cert.d,
-             "s: %s" % _g(cert.s),
-             "eps: %s" % _g(cert.eps),
-             "sigma: %s" % _g(cert.sigma),
-             "rho: %s" % _g(cert.rho)]
-    if cert.lam is not None:
-        lines.append("lam: %s" % _g(cert.lam))
-    if cert.c_hat is not None:
-        lines.append("c_hat: %s" % _g(cert.c_hat))
-    for name, val in (("eps_star", cert.eps_star),
-                      ("sigma_star", cert.sigma_star),
-                      ("rho_star", cert.rho_star),
-                      ("lam_star", cert.lam_star)):
-        if val is not None:
-            lines.append("%s: %s" % (name, _g(val)))
+    lines = ["bound certificate", "kind: %s" % cert.kind, "d: %d" % cert.d]
+    # the parameters the certificate's kind leaves unset are left out
+    for name in ("s", "eps", "sigma", "rho", "lam", "c_hat",
+                 "eps_star", "sigma_star", "rho_star", "lam_star"):
+        if getattr(cert, name) is not None:
+            lines.append("%s: %s" % (name, _g(getattr(cert, name))))
     lines.append("majorant: %s" % _g(H))
     lines.append("majorant_star: %s" % _g(H_star))
     lines.append("C_cal: %s"
@@ -248,6 +243,9 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     d = fam.dims.d
     s, window, t_ref, eps_scales = _bounds_params(cfg, d)
     radius = cfg.get("lyapunov", "radius")
+    # only the exponential bound has a singular prefactor
+    c_hat = None if isinstance(fam, PolynomialFamily) else _key_rule(
+        cfg, "bounds", "c_hat", bounds.checked_c_hat, d, cfg.get("bounds", "c_hat"))
     # in memory: the static, timed and nu1 certificates of a target share
     # its two grids, each evaluated once, and synth writes no store files
     store = verify.KernelStore()
@@ -278,13 +276,9 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
                                       forward.static.rho)
         lam_star = bounds.eval_lambda_poly(fam, adjoint.timed.sigma,
                                            adjoint.static.rho)
-        c_hat = None
     else:
         kind = "exponential"
         lam = lam_star = None
-        c_hat = cfg.get("bounds", "c_hat")
-        if c_hat is None:
-            c_hat = bounds.default_c_hat(d)
     cert = bounds.BoundCertificate(
         kind=kind, d=d, s=s, ledger=ledger,
         eps=forward.timed.eps_T, sigma=forward.timed.sigma,
@@ -301,12 +295,7 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     time_lines = ["time-dependent weight"]
     for label, res in (("forward", forward), ("adjoint", adjoint)):
         ti = res.timed
-        time_lines += ["%s.T: %s" % (label, _g(ti.T)),
-                       "%s.sigma: %s" % (label, _g(ti.sigma)),
-                       "%s.delta: %s" % (label, _g(ti.delta)),
-                       "%s.eps_T: %s" % (label, _g(ti.eps_T)),
-                       "%s.c0: %s" % (label, _g(ti.c0)),
-                       "%s.G_at_T: %s" % (label, _g(ti.G(ti.T)))]
+        time_lines += _timed_lines(label, ti) + ["%s.G_at_T: %s" % (label, _g(ti.G(ti.T)))]
     _write(os.path.join(out, "time_spec.txt"), "\n".join(time_lines) + "\n")
 
     _write(os.path.join(out, "ledger.txt"), _ledger_text(ledger, H, H_star))
@@ -354,6 +343,8 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     if sources is None:
         print("solve: no sources requested; store left empty")
         return EXIT_PASS
+    for y in sources:
+        _key_rule(cfg, "solve", "sources", grid.source_point, y)
     components = _components(cfg, "solve", fam.dims.m)
     times, width, budget = (cfg.get("solve", key)
                             for key in ("times", "width", "budget"))
@@ -401,17 +392,22 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     jobs = _flag_or_key(cfg, "jobs", jobs, 1)
 
     tset = cfg.get("verify", "t")
-    t_single = cfg.get("verify", "t_single")
-    if t_single is None:
-        t_single = sorted(tset)[len(tset) // 2]
+    t_single = _key_or(cfg, "verify", "t_single", sorted(tset)[len(tset) // 2])
     origin = [_point(np.zeros(d), d)]
     xs = _points_key(cfg, "verify", "x", d, origin)
     srcs = _points_key(cfg, "verify", "sources", d,
                        _points_key(cfg, "solve", "sources", d, origin))
+    # the key that set the sources; the origin is a node of every grid
+    src_key = "verify" if cfg.get("verify", "sources") is not None else "solve"
+
+    def held(section: str, key: str, rule, points):
+        # rule must hold at each point, else the key that set it exits 2
+        for p in points:
+            _key_rule(cfg, section, key, rule, p)
+
+    held(src_key, "sources", grid.source_point, srcs)
     components = _components(cfg, "verify", fam.dims.m)
-    width = cfg.get("verify", "width")
-    if width is None:
-        width = cfg.get("solve", "width")
+    width = _key_or(cfg, "verify", "width", cfg.get("solve", "width"))
     cert_radius = cfg.get("lyapunov", "radius")
     tol = {name: cfg.get("verify", "tol_" + name) for name in checks}
     store = verify.KernelStore(os.path.join(out, "store"))
@@ -433,6 +429,8 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
             checks_run.append(verify.Domination(fam, grid, t_single, src_pairs, dt,
                                                 width, tol["domination"], seed=seed))
         elif name == "monotone":
+            held(src_key, "sources", solver.GridSpec(d, min(radii), spacing).source_point,
+                 srcs[:1])
             checks_run.append(verify.MonotoneInR(fam, radii, spacing, t_single,
                                                  (srcs[0], components[0]), dt,
                                                  width, tol["monotone"]))
@@ -445,41 +443,37 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
                                           width, tol["support"])
                            for k in components]
         elif name == "duality":
+            held("verify", "x", grid.node_of, xs[:1])
+            held(src_key, "sources", grid.node_of, srcs[:1])
             pairs = [(xs[0], h, srcs[0], k)
                      for h in components for k in components]
             checks_run.append(verify.Duality(fam, grid, t_single, pairs, dt,
                                              width, tol["duality"], theta))
         elif name == "chapman":
-            s_split = cfg.get("verify", "chapman_s")
-            if s_split is None:
-                s_split = t_single / 2.0
+            s_split = _key_or(cfg, "verify", "chapman_s", t_single / 2.0)
             checks_run.append(verify.ChapmanKolmogorov(
                 fam, grid, t_single, s_split, dt=dt, tol=tol["chapman"],
                 seed=seed))
         elif name == "integrability":
-            t_int = cfg.get("verify", "t_integrability")
-            if t_int is None:
-                t_int = tset
+            held("verify", "x", grid.node_of, xs)
+            t_int = _key_or(cfg, "verify", "t_integrability", tset)
             checks_run.append(verify.LyapunovIntegrability(
                 fam, fwd.timed, grid, t_int, xs, tol=tol["integrability"],
                 dt=dt, cert_radius=cert_radius))
         elif name == "weighted":
             s, _, t_ref, eps_scales = _bounds_params(cfg, d)
-            t_w, coarse, fine = (cfg.get("verify", key) for key in
-                                 ("t_weighted", "coarse", "fine"))
-            if t_w is None:
-                t_w = [t_ref]
-            if coarse is None:
-                coarse = [2.0 * spacing, radii[-1] / 2.0]
-            if fine is None:
-                fine = [spacing, radii[-1]]
+            t_w = _key_or(cfg, "verify", "t_weighted", [t_ref])
+            coarse = _key_or(cfg, "verify", "coarse", [2.0 * spacing, radii[-1] / 2.0])
+            fine = _key_or(cfg, "verify", "fine", [spacing, radii[-1]])
             for key, (sp, radius) in (("coarse", coarse), ("fine", fine)):
-                _check_grid_rule(cfg, "verify", key, d, radius, sp)
+                pair = _key_rule(cfg, "verify", key, solver.GridSpec, d, radius, sp)
+                held(src_key, "sources", pair.source_point, srcs)
             checks_run.append(verify.WeightedBound(
                 fam, fwd, s, t_w, srcs, tuple(coarse), tuple(fine), eps_scales,
                 tol["weighted"], dt, width, theta, adj,
                 cfg.get("verify", "majorant_scale"), cert_radius))
         elif name == "decay":
+            held("verify", "x", grid.source_point, xs[:1])
             e_scale = cfg.get("verify", "decay_eps_scale")
             checks_run.append(verify.DecayShape(
                 fam, grid, cfg.get("verify", "t_decay"), xs[0], components[0],

@@ -34,8 +34,11 @@ for bit and b odd (negating a float is exact).  Every ratio the
 certificates, the constants ledger and the row sums take a sup or inf of
 is a function of r alone, which they evaluate on the sample box's
 distinct radii (lyapunov._sample_points) from the per-equation values and
-radial_divb.  Any other system, such as an OperatorSpec of bare
-callables, is refused there; the solver takes both.
+radial_divb.  Any other system, such as one of bare coefficient
+callables, is refused there.  The solver takes any object with dims and
+the callables q, b and V, vectorized over a leading batch of points: for x
+of shape (n, d), q(h, x) is the scalar diffusion of equation h, (n,),
+b(h, x) is (n, d) and V(x) is (n, m, m).
 
 All family evaluators are vectorized over trailing point batches: x may be a
 single point of shape (d,) or a batch of shape (n, d).
@@ -83,21 +86,6 @@ def eval_VP(V: np.ndarray) -> np.ndarray:
     diag = np.arange(V.shape[-1])
     out[..., diag, diag] = V[..., diag, diag]
     return out
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Coefficient callables of one coupled system, as the solver reads them.
-
-    Each callable is vectorized over a leading batch of points: for x of
-    shape (n, d), q(h, x) returns the scalar diffusion of equation h, (n,),
-    b(h, x) returns (n, d) and V(x) returns (n, m, m).
-    """
-
-    dims: SystemDims
-    q: Callable[[int, np.ndarray], np.ndarray]
-    b: Callable[[int, np.ndarray], np.ndarray]
-    V: Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------

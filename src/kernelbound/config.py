@@ -7,7 +7,9 @@ appear before the first section.  Matrices are written row-major with ';'
 between rows ("1 0.5; 0.5 1"), lists as whitespace-separated scalars.
 
 SCHEMA declares every section and key, with its type, its default and the
-values it allows.  Values are checked while the file is parsed, so an
+values it allows.  A key that sets a check parameter (a tolerance,
+majorant_scale, bounds.eps_scales) reads its default off the check's
+declaration in verify.  Values are checked while the file is parsed, so an
 unknown section or key, a malformed value or a disallowed one (one outside
 its choices or its domain, a list of the wrong length) is an error that
 names the file, the line and the offending section.key.
@@ -22,6 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import verify
 from .coefficients import VARIANTS, diagonal_family
 from .errors import ConfigError, KernelBoundError
 from .lyapunov import SAMPLE_RADIUS
@@ -95,7 +98,7 @@ SCHEMA = {
         "s": Key("float", None),
         "window": Key("floats", None, length=4, domain=INCREASING),
         "t_ref": Key("float", 0.25, domain=POSITIVE),
-        "eps_scales": Key("floats", (0.5, 0.75, 1.0), length=3,
+        "eps_scales": Key("floats", verify.WeightedBound.eps_scales, length=3,
                           domain=INCREASING_IN_UNIT),
         "c_hat": Key("float", None),
     },
@@ -126,18 +129,19 @@ SCHEMA = {
         "t_weighted": Key("floats", None, domain=POSITIVE),
         "coarse": Key("floats", None, length=2),
         "fine": Key("floats", None, length=2),
-        "majorant_scale": Key("float", 1.0, domain=POSITIVE),
+        "majorant_scale": Key("float", verify.WeightedBound.majorant_scale, domain=POSITIVE),
         "t_decay": Key("floats", (0.25, 0.5), domain=POSITIVE),
         "decay_eps_scale": Key("float", 0.5, domain=POSITIVE),
-        "tol_domination": Key("float", 1e-9),
-        "tol_monotone": Key("float", 1e-8),
-        "tol_mass": Key("float", 0.01),
-        "tol_support": Key("float", 1e-10),
-        "tol_duality": Key("float", 0.02),
-        "tol_chapman": Key("float", 1e-9),
-        "tol_integrability": Key("float", 0.05),
-        "tol_weighted": Key("float", 0.10),
-        "tol_decay": Key("float", 0.5),
+        # each tolerance defaults to the one its check declares
+        "tol_domination": Key("float", verify.Domination.tol),
+        "tol_monotone": Key("float", verify.MonotoneInR.tol),
+        "tol_mass": Key("float", verify.MassAndPositivity.tol),
+        "tol_support": Key("float", verify.Support.tol_null),
+        "tol_duality": Key("float", verify.Duality.tol),
+        "tol_chapman": Key("float", verify.ChapmanKolmogorov.tol),
+        "tol_integrability": Key("float", verify.LyapunovIntegrability.tol),
+        "tol_weighted": Key("float", verify.WeightedBound.tol),
+        "tol_decay": Key("float", verify.DecayShape.slack),
     },
     "output": {
         "directory": Key("str", "."),

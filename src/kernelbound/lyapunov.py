@@ -337,12 +337,15 @@ class TimeLyapunovSpec:
             raise SaturationError(top)
         return np.exp(lv)
 
+    def rate(self, t):
+        """The t-dependent part of g, eps_T delta t^p with p = sigma(delta-1)/delta;
+        a float t gives a float."""
+        return self.eps_T * self.delta * t ** (self.sigma * (self.delta - 1.0) / self.delta)
+
     def g(self, t) -> np.ndarray:
         if self.c0 is None:
             raise CertificateError("g requested before the certificate calibrated c0")
-        t = np.asarray(t, dtype=float)
-        p = self.sigma * (self.delta - 1.0) / self.delta
-        return self.c0 + self.eps_T * self.delta * t ** p
+        return self.c0 + self.rate(np.asarray(t, dtype=float))
 
     def G(self, t) -> np.ndarray:
         if self.c0 is None:
@@ -577,6 +580,9 @@ class CertificateReport:
 # default radius of the certificate, ledger and row-sum sample boxes, and
 # their default points per axis
 SAMPLE_RADIUS = 20.0
+# a certificate is stable when its two grid sups agree within this share of
+# max(1, |sup|)
+STABLE_TOLERANCE = 0.01
 _GRID_POINTS = {1: 513, 2: 65}
 
 
@@ -765,7 +771,7 @@ def _generator_ratio(fields: GridFields, lyap: LyapunovSpec | TimeLyapunovSpec,
 
 
 def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
-                       radius: float = SAMPLE_RADIUS, tolerance: float = 0.01,
+                       radius: float = SAMPLE_RADIUS, tolerance: float = STABLE_TOLERANCE,
                        per_axis: Optional[int] = None,
                        grids: Optional[CertificateGrids] = None) -> CertificateReport:
     """Validate a Lyapunov certificate on a grid and its radius-doubled version.
@@ -794,8 +800,7 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
         if not timed:
             return float(np.max(_generator_ratio(fields, lyap)))
         tgrid = [lyap.T * 2.0 ** (-j) for j in range(0, 11)]
-        p = lyap.sigma * (lyap.delta - 1.0) / lyap.delta
-        shift = np.array([lyap.eps_T * lyap.delta * t ** p for t in tgrid])
+        shift = np.array([lyap.rate(t) for t in tgrid])
         return float(np.max(_generator_ratio(fields, lyap, tgrid) - shift[:, None, None]))
 
     return certificate_report(lyap, grid_sup(radius), grid_sup(2.0 * radius), radius,
@@ -803,7 +808,7 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
 
 
 def certificate_report(lyap: LyapunovSpec | TimeLyapunovSpec, sup_c: float, sup_f: float,
-                       radius: float, tolerance: float = 0.01) -> CertificateReport:
+                       radius: float, tolerance: float = STABLE_TOLERANCE) -> CertificateReport:
     """The report of verify_certificate, from its grid sups at radius and 2 radius.
 
     A store that keeps only the two sups rebuilds the report here.

@@ -5,7 +5,8 @@ everything numeric happens on a uniform interior grid of such a box:
 
 * the generator is assembled in flux form by one stencil that loops over
   the axes.  Each equation's diffusion is one scalar q_k times the
-  identity (coefficients.OperatorSpec), read at nodes and at faces.
+  identity, read at nodes and at faces; the system is any object with
+  dims and the callables q, b and V that coefficients.py describes.
   Diffusion uses face-centered coefficients (exact local conservation):
   along each axis the faces sit at -R + (i + 1/2) h, q is evaluated once
   per face, and the two nodes that share a face read the same value, so
@@ -122,6 +123,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def is_whole(x: float) -> bool:
+    """Whether x, a length in cells, is whole to within 1e-9 max(1, |x|)."""
+    return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform interior grid of the box [-radius, radius]^d.
@@ -142,7 +148,7 @@ class GridSpec:
         if self.spacing <= 0 or self.radius <= 0:
             raise DomainError("radius and spacing must be positive")
         ratio = self.radius / self.spacing
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 2:
+        if not is_whole(ratio) or round(ratio) < 2:
             raise DomainError(
                 f"radius must be an integer multiple (>= 2) of the spacing, "
                 f"got radius={self.radius}, spacing={self.spacing}")
@@ -193,6 +199,14 @@ class GridSpec:
         for a in range(self.d):
             flat = flat * self.n_per_axis + int(near[a])
         return flat
+
+    def source_point(self, center) -> np.ndarray:
+        """center as a point of the grid's dimension, where a point source
+        may sit: DomainError unless it lies in the open box."""
+        c = np.asarray(center, dtype=float).reshape(self.d)
+        if np.any(np.abs(c) >= self.radius):
+            raise DomainError(f"source {c!r} lies outside the open box of radius {self.radius}")
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +629,12 @@ class OperatorHandle:
 # ---------------------------------------------------------------------------
 
 def mollified_source(grid: GridSpec, m: int, center, component: int,
-                     width: Optional[float] = None) -> np.ndarray:
+                     width: float) -> np.ndarray:
     """Discrete Gaussian of the given width in one component, unit discrete mass."""
     if not 0 <= component < m:
         raise DomainError(f"component {component} outside 0..{m - 1}")
-    c = np.asarray(center, dtype=float).reshape(grid.d)
-    if np.any(np.abs(c) >= grid.radius):
-        raise DomainError(f"source {c!r} lies outside the open box of radius {grid.radius}")
-    w = 2.0 * grid.spacing if width is None else float(width)
+    c = grid.source_point(center)
+    w = float(width)
     if w <= 0:
         raise DomainError("mollifier width must be positive")
     pts = grid.points()

@@ -88,7 +88,7 @@ from .lyapunov import (SAMPLE_RADIUS, CertificateGrids, CertificateReport, Lyapu
                        RadialPoints, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
 from .solver import (DEFAULT_BUDGET, SOLVER_VERSION, GridSpec, OperatorHandle, default_dt,
-                     even_axes, mollified_source, release_freed_memory)
+                     even_axes, is_whole, mollified_source, release_freed_memory)
 
 __all__ = [
     "CheckResult", "KernelStore", "system_fingerprint", "RECORD_VERSION",
@@ -111,6 +111,8 @@ RECORD_VERSION = 4
 # Part of every store key, fields and records alike: bump it whenever the
 # store file format changes, so no file of an older format is read.
 FIELD_FORMAT_VERSION = 2
+# the amplitudes of the majorant's three weights, as shares of eps_T
+EPS_SCALES = (0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -642,7 +644,7 @@ def _embed_indices(small: GridSpec, big: GridSpec) -> np.ndarray:
     if big.radius < small.radius:
         raise DomainError("second grid must be the larger one")
     stride, off = small.spacing / big.spacing, (big.radius - small.radius) / big.spacing
-    if any(abs(x - round(x)) > 1e-9 * max(1.0, abs(x)) for x in (stride, off)):
+    if not (is_whole(stride) and is_whole(off)):
         raise DomainError("grids differ by a non-integer number of cells")
     idx = int(round(off)) + int(round(stride)) * (np.arange(small.n_per_axis) + 1) - 1
     if small.d == 1:
@@ -800,6 +802,11 @@ class _Rows:
         score = value if score is None else score
         if score > self.worst:
             self.worst, self.loc = score, (t, x, y, h, k)
+
+
+def _sample_radius(grid: GridSpec) -> float:
+    """The radius of the sample box of the constants a check reads on grid."""
+    return max(SAMPLE_RADIUS, 2.0 * grid.radius)
 
 
 def _peak(values: np.ndarray, pts: np.ndarray, d: int) -> tuple:
@@ -973,7 +980,7 @@ class MassAndPositivity(_Check):
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         grid, m, tol, pos_tol = self.grid, self.system.dims.m, self.tol, 1e-10
-        row = self.row or _stored_row_sum(self.system, max(SAMPLE_RADIUS, 2.0 * grid.radius),
+        row = self.row or _stored_row_sum(self.system, _sample_radius(grid),
                                           KernelStore() if store is None else store)
         sqm = math.sqrt(m)
         pts = grid.points()
@@ -1195,10 +1202,12 @@ class LyapunovIntegrability(_Check):
     restricted to the outer shell measures how much of the integral lives
     near the boundary; when that exceeds boundary_fraction the verdict is
     inconclusive (enlarge the box) rather than a pass.  The weight is the
-    one of amplitude eps_T / 4, and the runs take backward Euler steps.
+    one of amplitude eps_scale * eps_T, and the runs take backward Euler
+    steps.
     """
 
     name = "check_lyapunov_integrability"
+    eps_scale = 0.25
     system: object
     timed: TimeLyapunovSpec
     grid: GridSpec
@@ -1220,7 +1229,7 @@ class LyapunovIntegrability(_Check):
         batch.  The weight is the one of the rescaled spec, which calibration
         does not change, so no calibration runs here."""
         grid = self.grid
-        w = _scaled(self.timed, 0.25).weight()
+        w = _scaled(self.timed, self.eps_scale).weight()
         pts = grid.points()
         at = RadialPoints(pts, grid.d)
         shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
@@ -1233,11 +1242,10 @@ class LyapunovIntegrability(_Check):
         return reqs
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
-        grid, eps = self.grid, self.timed.eps_T / 4.0
+        grid, eps = self.grid, self.timed.eps_T * self.eps_scale
         d = grid.d
-        radius = self.cert_radius if self.cert_radius is not None \
-            else max(SAMPLE_RADIUS, 2.0 * grid.radius)
-        spec_used = _calibrated_scaled(self.system, self.timed, 0.25, radius, store)
+        radius = self.cert_radius if self.cert_radius is not None else _sample_radius(grid)
+        spec_used = _calibrated_scaled(self.system, self.timed, self.eps_scale, radius, store)
         tail_worst = 0.0
         rows = _Rows()
         for t, both in zip(self.t_values, outputs):
@@ -1264,7 +1272,7 @@ def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
 
 def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                       t: Optional[float] = None,
-                      eps_scales: Sequence[float] = (0.5, 0.75, 1.0),
+                      eps_scales: Sequence[float] = EPS_SCALES,
                       adjoint: bool = False, cert_radius: float = SAMPLE_RADIUS,
                       window: Optional[Sequence[float]] = None,
                       store: Optional[KernelStore] = None) -> tuple:
@@ -1296,11 +1304,9 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
                             (window[1], window[2]), store)
     spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store)
     spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store)
-    ones = lambda pts: np.ones(pts.shape[0])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure
-    H = eval_H(ledger, ones, ones, spec1.G, spec2.G, np.zeros(system.dims.d))
-    return ledger, float(H)
+    return ledger, eval_H(ledger, spec1.G, spec2.G)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1325,7 +1331,7 @@ class WeightedBound(_Check):
     sources: Sequence
     coarse: tuple
     fine: tuple
-    eps_scales: Sequence[float] = (0.5, 0.75, 1.0)
+    eps_scales: Sequence[float] = EPS_SCALES
     tol: float = 0.10
     dt: Optional[float] = None
     width: Optional[float] = None
@@ -1541,11 +1547,7 @@ def summary_text(results: Sequence[CheckResult],
     lines = [title, "--------------------"]
     for res in results:
         lines.append(res.line())
-    if any(r.status == "fail" for r in results):
-        overall = "fail"
-    elif any(r.status == "inconclusive" for r in results):
-        overall = "inconclusive"
-    else:
-        overall = "pass"
+    overall = next((status for status in ("fail", "inconclusive")
+                    if any(r.status == status for r in results)), "pass")
     lines.append(f"overall: {overall}")
     return "\n".join(lines) + "\n"

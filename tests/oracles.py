@@ -13,6 +13,8 @@ loop on the fold S A E, whose bits a start even along every mirror axis
 keeps.  discrete_inner and discrete_mass
 are the h^d-weighted sums the duality and mollifier tests compare.
 heat_weight_image is the closed-form heat image of a time-dependent weight.
+OperatorSpec holds a system as bare coefficient callables, which the solver
+takes and the evaluations in r alone refuse; only tests build one.
 FieldSpec holds the general form's coefficient callables, a diffusion
 tensor per equation with its derivatives, which eval_operator and the box
 reference read; reference_spec gives the FieldSpec of any system, an
@@ -39,8 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from kernelbound.bounds import LEDGER_ITEMS
-from kernelbound.coefficients import (VARIANTS, OperatorSpec, SystemDims, _FamilyBase,
-                                      _radial, eval_VP)
+from kernelbound.coefficients import VARIANTS, SystemDims, _FamilyBase, _radial, eval_VP
 from kernelbound.errors import (BudgetError, CertificateError, DimensionMismatchError,
                                 DomainError, NonFiniteError)
 from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries
@@ -48,6 +49,21 @@ from kernelbound.lyapunov import (_LOG_MAX, RadialPoints, SpaceTimeWeight, TimeL
                                   _grid_points, _signed_log_sum)
 from kernelbound import verify
 from kernelbound.solver import GridSpec, OperatorHandle, mollified_source
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """Coefficient callables of one coupled system, as the solver reads them.
+
+    Each callable is vectorized over a leading batch of points: for x of
+    shape (n, d), q(h, x) returns the scalar diffusion of equation h, (n,),
+    b(h, x) returns (n, d) and V(x) returns (n, m, m).
+    """
+
+    dims: SystemDims
+    q: Callable[[int, np.ndarray], np.ndarray]
+    b: Callable[[int, np.ndarray], np.ndarray]
+    V: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -292,13 +308,14 @@ def kernel_matrix(handle: OperatorHandle, t: float, width: Optional[float] = Non
     """Full kernel ensemble K[i*m+h, j*m+k] ~ p_hk(t, x_i, y_j).
 
     All columns evolve as one batch; intended for small validation grids,
-    hence the column cap.
+    hence the column cap.  An unset width is two cells.
     """
     n, m = handle.grid.n_nodes, handle.m
     if n * m > max_columns:
         raise BudgetError(f"ensemble kernel needs {n * m} columns, cap is {max_columns}")
     pts = handle.grid.points()
-    srcs = np.stack([mollified_source(handle.grid, m, pts[j], k, width)
+    w = 2.0 * handle.grid.spacing if width is None else float(width)
+    srcs = np.stack([mollified_source(handle.grid, m, pts[j], k, w)
                      for j in range(n) for k in range(m)], axis=-1)
     vals, _ = handle.evolve(srcs, t, dt=dt, theta=theta)
     return vals.reshape(n * m, n * m)

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from kernelbound.bounds import solve_X0
-from kernelbound.coefficients import OperatorSpec, SystemDims, diagonal_family
+from kernelbound.coefficients import SystemDims, diagonal_family
 from kernelbound.hypotheses import check_base
 from kernelbound.lyapunov import synth_exp, synth_poly, verify_certificate
 from kernelbound.solver import GridSpec, OperatorHandle
@@ -30,7 +30,7 @@ from kernelbound.verify import (
     WeightedBound,
 )
 
-from oracles import heat_weight_image, kernel_column, run_alone
+from oracles import OperatorSpec, heat_weight_image, kernel_column, run_alone
 
 
 def conclude(num: int, title: str, ok: bool, detail: str):

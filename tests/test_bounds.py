@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kernelbound.bounds import (
     BoundCertificate,
     ConstantsLedger,
-    default_c_hat,
+    checked_c_hat,
     eval_H,
     eval_lambda_poly,
     solve_X0,
@@ -21,52 +21,48 @@ def make_ledger(c, s=4.0, d=1, window=(1.0, 2.0, 3.0, 4.0), M=0.0, **kw):
     return ConstantsLedger(d=d, s=s, window=window, c=tuple(c), M=M, **kw)
 
 
-ONES_AT = lambda x: np.ones(np.atleast_2d(x).shape[0])
-
-
 class TestMajorant:
     def test_single_constant_window_example(self):
         # c1 = 1, everything else 0, unit gaps, flat growth: bracket1 = 2,
         # bracket2 = 0, time integral = 3, so H = 6 everywhere
         led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0])
-        H = eval_H(led, ONES_AT, ONES_AT, lambda t: 0.0, lambda t: 0.0, np.array([0.5]))
+        H = eval_H(led, lambda t: 0.0, lambda t: 0.0)
         assert H == pytest.approx(6.0, rel=1e-9)
 
     def test_scalar_point_returns_scalar(self):
+        # the weights equal 1 at t = 0, so H is one number
         led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0])
-        H = eval_H(led, ONES_AT, ONES_AT, lambda t: 0.0, lambda t: 0.0, np.array([0.5]))
-        assert isinstance(float(H[0] if np.ndim(H) else H), float)
+        assert isinstance(eval_H(led, lambda t: 0.0, lambda t: 0.0), float)
 
     def test_second_bracket_routes_through_nu2(self):
-        # only c5 nonzero: H = c5^(s/2) * nu2 * integral
+        # only c5 nonzero: H = c5^(s/2) * integral of e^G2, with G2 = log 5
         led = make_ledger([0, 0, 0, 0, 2.0, 0, 0, 0])
-        H = eval_H(led, ONES_AT, lambda x: 5.0 * ONES_AT(x),
-                   lambda t: 0.0, lambda t: 0.0, np.array([0.0]))
+        H = eval_H(led, lambda t: 0.0, lambda t: math.log(5.0))
         assert H == pytest.approx(2.0 ** 2 * 5.0 * 3.0, rel=1e-9)
 
     def test_growth_integral_feeds_exponential(self):
         led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0])
-        H = eval_H(led, ONES_AT, ONES_AT, lambda t: t, lambda t: 0.0, np.array([0.0]))
+        H = eval_H(led, lambda t: t, lambda t: 0.0)
         assert H == pytest.approx(2.0 * (math.e ** 4 - math.e), rel=1e-7)
 
     def test_asymmetric_gap_uses_smaller_side(self):
         led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0], window=(1.0, 1.5, 3.0, 4.0))
         # gap = min(0.5, 1.0) = 0.5, bracket1 = 1 + 0.5^-2 = 5
-        H = eval_H(led, ONES_AT, ONES_AT, lambda t: 0.0, lambda t: 0.0, np.array([0.0]))
+        H = eval_H(led, lambda t: 0.0, lambda t: 0.0)
         assert H == pytest.approx(5.0 * 3.0, rel=1e-9)
 
     def test_overflowing_constants_rejected(self):
         led = make_ledger([0, 1e300, 0, 0, 0, 0, 0, 0])
         with pytest.raises(NonFiniteError):
-            eval_H(led, ONES_AT, ONES_AT, lambda t: 0.0, lambda t: 0.0, np.array([0.0]))
+            eval_H(led, lambda t: 0.0, lambda t: 0.0)
 
     def test_growth_overflow_is_a_non_finite_error(self):
         # e^G passes float64's range inside the window: exit 1, not a crash
         led = make_ledger([1] * 8, window=(0.03125, 0.0625, 0.125, 0.1875))
-        H = eval_H(led, ONES_AT, ONES_AT, lambda t: 1000 * t, lambda t: 0.0, np.array([0.0]))
+        H = eval_H(led, lambda t: 1000 * t, lambda t: 0.0)
         assert math.isfinite(H)
         with pytest.raises(NonFiniteError, match="not finite"):
-            eval_H(led, ONES_AT, ONES_AT, lambda t: 5000 * t, lambda t: 0.0, np.array([0.0]))
+            eval_H(led, lambda t: 5000 * t, lambda t: 0.0)
 
 
 class TestLedgerValidation:
@@ -201,7 +197,7 @@ class TestCertificate:
             BoundCertificate(kind="exponential", d=1, s=4.0,
                              ledger=make_ledger([0] * 8),
                              eps=0.5, sigma=1.0, rho=0.5, c_hat=(1 + 2) / 4.0)
-        assert default_c_hat(1) == pytest.approx(1.0)
+        assert checked_c_hat(1) == pytest.approx(1.0)
 
     def test_polynomial_needs_lambda(self):
         with pytest.raises(DomainError):

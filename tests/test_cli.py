@@ -215,6 +215,31 @@ class TestConfigParsing:
         assert rc == 2
         assert re.search(r"run\.cfg:\d+: " + re.escape(named) + " ", err), err
 
+    @pytest.mark.parametrize("config, command, old, new, named, cause", [
+        ("exp1d", "synth", "s = 4", "s = 4\nc_hat = 0.5", "bounds.c_hat",
+         "c_hat must exceed (d+2)/4 = 0.75"),
+        ("poly1d", "synth", "T = 1", "T = 1\ndelta = 5", "lyapunov.delta",
+         "delta must lie in (sigma/(sigma+1), sigma)"),
+        ("poly1d", "verify", "t_single = 0.25", "t_single = 0.25\nx = 0.03", "verify.x",
+         "is not an interior grid node"),
+        ("poly1d", "solve", "sources = 0.5", "sources = 40", "solve.sources",
+         "lies outside the open box of radius 16.0"),
+    ], ids=["bounds.c_hat", "lyapunov.delta", "verify.x", "solve.sources"])
+    def test_value_the_library_rejects_exits_2_and_names_the_key(
+            self, tmp_path, capsys, config, command, old, new, named, cause):
+        # each rule is the library's own, checked where the command reads
+        # the key, so verify.x fails before any plan runs
+        text = (BENCH_CONFIGS / (config + ".cfg")).read_text()
+        assert text.count(old) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace(old, new))
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert re.search(r"run\.cfg:\d+: " + re.escape(named) + " is rejected: .*"
+                         + re.escape(cause), captured.err), captured.err
+        assert "plan:" not in captured.out
+
 
 class TestCheckCommand:
     def test_passes_and_writes_reports(self, tmp_path, capsys):

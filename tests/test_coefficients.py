@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kernelbound import coefficients as co
 from kernelbound.errors import DimensionMismatchError, HypothesisViolationError
 
-from oracles import FieldJet, eval_operator, reference_spec
+from oracles import FieldJet, OperatorSpec, eval_operator, reference_spec
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_vp_rejects_nonsquare():
 # ---------------------------------------------------------------------------
 
 def _laplacian_spec():
-    return co.OperatorSpec(co.SystemDims(d=1, m=1), q=lambda h, x: 1.0,
+    return OperatorSpec(co.SystemDims(d=1, m=1), q=lambda h, x: 1.0,
                            b=lambda h, x: np.zeros(1), V=lambda x: np.zeros((1, 1)))
 
 
@@ -63,7 +63,7 @@ def test_finite_difference_derivatives_match_a_family():
     fam = co.diagonal_family("polynomial", 2, 2, alpha=0.5, beta=0.5,
                              theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
     exact = reference_spec(fam)
-    spec = reference_spec(co.OperatorSpec(fam.dims, fam.q, fam.b, fam.V))
+    spec = reference_spec(OperatorSpec(fam.dims, fam.q, fam.b, fam.V))
     x = np.array([[0.3, -1.2], [2.0, 0.5], [0.0, 0.0]])
     r = 1.0 + np.sum(x * x, axis=-1)
     for h in range(2):
@@ -83,7 +83,7 @@ def test_operator_on_square_is_second_derivative():
 def test_operator_constant_potential_coupling():
     # d=1, m=2, Q=I, b=0, V=[[2,3],[-1,4]]: (A u)_0 = u0'' - 2 u0 - 3 u1
     V = np.array([[2.0, 3.0], [-1.0, 4.0]])
-    spec = co.OperatorSpec(co.SystemDims(d=1, m=2), q=lambda h, x: 1.0,
+    spec = OperatorSpec(co.SystemDims(d=1, m=2), q=lambda h, x: 1.0,
                            b=lambda h, x: np.zeros(1), V=lambda x: V)
     jet = FieldJet(values=np.array([1.0, 2.0]),
                    gradients=np.zeros((2, 1)),

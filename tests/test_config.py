@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelbound import config, solver
+from kernelbound import config, solver, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -63,6 +63,30 @@ def test_readme_key_table_matches_schema_both_ways():
         if row.domain is not None:
             limits.append(row.domain.text)
         assert allowed == ", ".join(limits), (section, key)
+
+
+# each key that sets a check parameter, and the default its declaration holds
+DECLARED = [
+    ("verify", "tol_domination", verify.Domination.tol),
+    ("verify", "tol_monotone", verify.MonotoneInR.tol),
+    ("verify", "tol_mass", verify.MassAndPositivity.tol),
+    ("verify", "tol_support", verify.Support.tol_null),
+    ("verify", "tol_duality", verify.Duality.tol),
+    ("verify", "tol_chapman", verify.ChapmanKolmogorov.tol),
+    ("verify", "tol_integrability", verify.LyapunovIntegrability.tol),
+    ("verify", "tol_weighted", verify.WeightedBound.tol),
+    ("verify", "tol_decay", verify.DecayShape.slack),
+    ("verify", "majorant_scale", verify.WeightedBound.majorant_scale),
+    ("bounds", "eps_scales", verify.WeightedBound.eps_scales),
+]
+
+
+@pytest.mark.parametrize("section, key, declared", DECLARED,
+                         ids=["%s.%s" % row[:2] for row in DECLARED])
+def test_check_defaults_are_the_declarations_own(section, key, declared):
+    # the very object the declaration holds, so a literal written back into
+    # SCHEMA fails here even when it equals the declared value
+    assert config.SCHEMA[section][key].default is declared
 
 
 def test_readme_states_the_step_rule():

@@ -28,8 +28,8 @@ from kernelbound.errors import CertificateError, DomainError, NonFiniteError
 from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_ledger
 from kernelbound.solver import GridSpec, assemble_generator
 
-from oracles import (box, box_generator_ratio, box_row_sum_bound, certificate_sup,
-                     ledger_window_sups, tensor_spec, tensors_of)
+from oracles import (OperatorSpec, box, box_generator_ratio, box_row_sum_bound,
+                     certificate_sup, ledger_window_sups, tensor_spec, tensors_of)
 
 
 def family(kind, d):
@@ -363,7 +363,7 @@ def test_per_equation_values_are_not_collapsed(kind, target, d):
     for k in range(2):
         Q = spelt.Q(k, grid.points())
         assert np.array_equal(Q, Q[:, :1, :1] * np.eye(d))
-    scalar = co.OperatorSpec(fam.dims, lambda k, x: spelt.Q(k, x)[..., 0, 0], spelt.b, spelt.V)
+    scalar = OperatorSpec(fam.dims, lambda k, x: spelt.Q(k, x)[..., 0, 0], spelt.b, spelt.V)
     A, B = (assemble_generator(system, grid, target) for system in (fam, scalar))
     assert A.shape == B.shape and (A != B).nnz == 0
 
@@ -519,7 +519,7 @@ def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch)
 
 def test_an_opaque_spec_is_refused_by_name():
     fam = family("polynomial", 1)
-    spec = co.OperatorSpec(fam.dims, fam.q, fam.b, fam.V)
+    spec = OperatorSpec(fam.dims, fam.q, fam.b, fam.V)
     assert set(refusals(spec)) == {
         "OperatorSpec (d=1, m=2) is not a radial family: certificates, ledger and row "
         "sums evaluate in r = 1 + |x|^2 alone"}
@@ -529,7 +529,7 @@ def test_a_drift_that_is_not_radial_peaks_off_the_radius_classes():
     # b = +1 makes <b, grad S> odd in x: the generator ratio peaks at the
     # box's last point, which shares its radius with the first, so the
     # radii are sound for radial families only
-    spec = co.OperatorSpec(
+    spec = OperatorSpec(
         co.SystemDims(1, 1),
         q=lambda h, x: np.ones(np.atleast_2d(x).shape[:1]),
         b=lambda h, x: np.ones_like(np.atleast_2d(x)),

@@ -6,7 +6,6 @@ import pytest
 
 from kernelbound.coefficients import (
     ExponentialFamily,
-    OperatorSpec,
     PolynomialFamily,
     SystemDims,
     diagonal_family,
@@ -26,7 +25,7 @@ from kernelbound.hypotheses import (
 )
 from kernelbound.lyapunov import RadialPoints, SpaceTimeWeight, _cooperative_row_sums
 
-from oracles import reference_spec
+from oracles import OperatorSpec, reference_spec
 
 
 def headline_family():

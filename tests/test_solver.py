@@ -10,11 +10,7 @@ from scipy.sparse import identity
 from scipy.sparse import linalg as sparse_linalg
 from scipy.sparse.csgraph import connected_components
 
-from kernelbound.coefficients import (
-    OperatorSpec,
-    SystemDims,
-    diagonal_family,
-)
+from kernelbound.coefficients import SystemDims, diagonal_family
 from kernelbound import solver
 from kernelbound.errors import AssemblyError, BudgetError, DomainError, SolveError
 from kernelbound.solver import (
@@ -26,9 +22,9 @@ from kernelbound.solver import (
 )
 from kernelbound.verify import load_field, save_field
 
-from oracles import (FieldJet, apply_kernel_to_function, discrete_inner, discrete_mass,
-                     eval_operator, folded_theta_steps, kernel_column, kernel_columns,
-                     kernel_matrix, theta_steps)
+from oracles import (FieldJet, OperatorSpec, apply_kernel_to_function, discrete_inner,
+                     discrete_mass, eval_operator, folded_theta_steps, kernel_column,
+                     kernel_columns, kernel_matrix, theta_steps)
 
 
 def const_spec(d=1, m=1, q=1.0, b=0.0, V=None):
@@ -649,8 +645,9 @@ class TestDuality:
         for h, k in [(0, 0), (0, 1), (1, 0)]:
             col_f = kernel_column(fwd, t, yj, k, dt=0.01)
             col_a = kernel_column(adj, t, xi, h, dt=0.01)
-            moll_x = mollified_source(g, 2, xi, h)
-            moll_y = mollified_source(g, 2, yj, k)
+            # kernel_column's width, two cells
+            moll_x = mollified_source(g, 2, xi, h, 2.0 * g.spacing)
+            moll_y = mollified_source(g, 2, yj, k, 2.0 * g.spacing)
             lhs = discrete_inner(g, moll_x, col_f)
             rhs = discrete_inner(g, moll_y, col_a)
             assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -688,7 +685,7 @@ class TestEnsemble:
 class TestMollifier:
     def test_unit_discrete_mass(self):
         g = GridSpec(1, 4.0, 0.125)
-        src = mollified_source(g, 2, [0.5], 1)
+        src = mollified_source(g, 2, [0.5], 1, 0.25)
         assert discrete_mass(g, src)[1] == pytest.approx(1.0, abs=1e-12)
         assert discrete_mass(g, src)[0] == 0.0
 
@@ -700,9 +697,9 @@ class TestMollifier:
     def test_out_of_box_center_rejected(self):
         g = GridSpec(1, 4.0, 0.5)
         with pytest.raises(DomainError):
-            mollified_source(g, 1, [4.5], 0)
+            mollified_source(g, 1, [4.5], 0, 1.0)
         with pytest.raises(DomainError):
-            mollified_source(g, 1, [0.0], 2)
+            mollified_source(g, 1, [0.0], 2, 1.0)
 
 
 class TestSerialization:

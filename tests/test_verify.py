@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kernelbound import verify
-from kernelbound.coefficients import CouplingSupport, OperatorSpec, diagonal_family
+from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
@@ -33,7 +33,7 @@ from kernelbound.verify import (
     system_fingerprint,
 )
 
-from oracles import evolve_all, heat_weight_image, kernel_column, run_alone
+from oracles import OperatorSpec, evolve_all, heat_weight_image, kernel_column, run_alone
 
 
 def headline_family():
@@ -822,6 +822,18 @@ class TestDecayShape:
                                    t_values=(0.5,), x0=0.5, component=0,
                                    weight=syn.timed.weight(50.0)))
         assert res.status == "fail"
+
+    @pytest.mark.parametrize("scale, status", [(0.5, "pass"), (40.0, "fail")])
+    def test_bench_weight_passes_and_forty_times_it_fails(self, scale, status):
+        # poly1d's bench decay check with the weight at scale x eps_T: the
+        # default decay_eps_scale 0.5 passes at worst -7.70, and 40 fails at
+        # +11.3; 2 and 8 still pass, at -6.95 and -3.95
+        fam = headline_family()
+        timed = synth_poly(fam, 1.0).timed
+        res = run_alone(DecayShape(fam, GridSpec(1, 16.0, 0.0625), t_values=(0.25, 0.5),
+                                   x0=0.0, component=0,
+                                   weight=timed.weight(scale * timed.eps_T), width=0.0625))
+        assert res.status == status, res.line()
 
     def test_exponential_family_is_compensated_by_its_own_profile(self):
         fam = diagonal_family("exponential", 1, 2, beta=0.5,
