@@ -47,7 +47,8 @@ class Domain(NamedTuple):
 
 
 POSITIVE = Domain("> 0", lambda vals: all(v > 0 for v in vals))
-UNIT = Domain("in [0, 1]", lambda vals: all(0 <= v <= 1 for v in vals))
+# theta below 1/2 is only conditionally stable
+IMPLICIT = Domain("in [0.5, 1]", lambda vals: all(0.5 <= v <= 1 for v in vals))
 INCREASING = Domain("increasing, > 0", lambda vals: 0 < vals[0] and all(
     a < b for a, b in zip(vals, vals[1:])))
 INCREASING_IN_UNIT = Domain("increasing in (0, 1]", lambda vals: INCREASING.holds(vals)
@@ -84,7 +85,7 @@ SCHEMA = {
         "radii": Key("floats", domain=INCREASING),
         "spacing": Key("float", domain=POSITIVE),
         "dt": Key("float", None, domain=POSITIVE),
-        "theta": Key("float", 0.5, domain=UNIT),
+        "theta": Key("float", 0.5, domain=IMPLICIT),
     },
     "lyapunov": {
         "T": Key("float", 1.0, domain=POSITIVE),
@@ -133,15 +134,15 @@ SCHEMA = {
         "t_decay": Key("floats", (0.25, 0.5), domain=POSITIVE),
         "decay_eps_scale": Key("float", 0.5, domain=POSITIVE),
         # each tolerance defaults to the one its check declares
-        "tol_domination": Key("float", verify.Domination.tol),
-        "tol_monotone": Key("float", verify.MonotoneInR.tol),
-        "tol_mass": Key("float", verify.MassAndPositivity.tol),
-        "tol_support": Key("float", verify.Support.tol_null),
-        "tol_duality": Key("float", verify.Duality.tol),
-        "tol_chapman": Key("float", verify.ChapmanKolmogorov.tol),
-        "tol_integrability": Key("float", verify.LyapunovIntegrability.tol),
-        "tol_weighted": Key("float", verify.WeightedBound.tol),
-        "tol_decay": Key("float", verify.DecayShape.slack),
+        "tol_domination": Key("float", verify.Domination.tol, domain=POSITIVE),
+        "tol_monotone": Key("float", verify.MonotoneInR.tol, domain=POSITIVE),
+        "tol_mass": Key("float", verify.MassAndPositivity.tol, domain=POSITIVE),
+        "tol_support": Key("float", verify.Support.tol_null, domain=POSITIVE),
+        "tol_duality": Key("float", verify.Duality.tol, domain=POSITIVE),
+        "tol_chapman": Key("float", verify.ChapmanKolmogorov.tol, domain=POSITIVE),
+        "tol_integrability": Key("float", verify.LyapunovIntegrability.tol, domain=POSITIVE),
+        "tol_weighted": Key("float", verify.WeightedBound.tol, domain=POSITIVE),
+        "tol_decay": Key("float", verify.DecayShape.slack, domain=POSITIVE),
     },
     "output": {
         "directory": Key("str", "."),

@@ -45,9 +45,14 @@ copies them to their mirror images, negated through odd reflections.  The
 parts step as one stacked vector on the blocks' block-diagonal, one solve
 and one residual per column a step, and their images sum to the result.
 A start even along every mirror axis thus has one block, the fold S A E,
-and an even result bit for bit; with no mirror axis the block is A.  Split
-parts move fields at roundoff, and where a kernel's tail lies decades below
-its mirror image, their sum cancels to about eps times the image.
+and an even result bit for bit; with no mirror axis the block is A.  In
+2-D, a start that is also its own transpose, under a matrix that commutes
+with the swap of the axes too (commutes(DIAGONAL); every radial family's
+does), folds further onto the wedge of S A E at or below its diagonal
+(symmetries, fold DIAGONAL): 1,056 of the quarter's 2,048 unknowns at
+R = 4, h = 1/8.  Split parts move fields at roundoff, and where a kernel's
+tail lies decades below its mirror image, their sum cancels to about eps
+times the image; a fold cancels nothing.
 
 A handle keeps one factorization, for the latest (fold, theta, dt): a new
 key drops the old LU before the new one is built, and release() drops it
@@ -60,13 +65,16 @@ and records the key of every factorization it made.  (The plan reads the
 fold off the start values alone; a 2-D operator that commuted with the
 reflection of its first axis but not of its second would fold batches of
 one step in an order that comes back to an earlier fold, and factor it
-again.  Both coefficient families commute with every reflection.)
+again.  Both coefficient families commute with every reflection; an
+operator that does not commute with the swap factors the quarter once for
+the folds (0, 1) and (0, 1, DIAGONAL), which the plan orders side by side.)
 Factorizations use SuperLU with the minimum-degree ordering of A^T + A
 (MMD_AT_PLUS_A), which suits the structurally symmetric stencils here: on
 the whole 2-D grids it needs about half the L+U fill of the default COLAMD
-ordering, and 0.54 to 0.62 of it on the parity blocks.  A step can carry
-several columns at once (values of shape (n_nodes, m, c)).  An evolution looks its factorization up once per step
-size; each step then makes one triangular solve for all columns, and one
+ordering, 0.54 to 0.62 of it on the parity blocks and 0.65 on the wedge.
+A step can carry several columns at once (values of shape (n_nodes, m,
+c)).  An evolution looks its factorization up once per step size; each
+step then makes one triangular solve for all columns, and one
 residual per column, formed in place and held to a tolerance scaled by that
 column's right-hand side.  Kernel columns are semigroup images of mollified
 point sources (mollified_source: discrete Gaussians with unit discrete
@@ -101,10 +109,12 @@ DEFAULT_BUDGET = 4_000_000
 _RESIDUAL_TOL = 1e-10
 # Part of every kernel-store key: bump it whenever a solver change can alter
 # the computed fields, so columns stored by an older solver are recomputed.
-SOLVER_VERSION = 5
+SOLVER_VERSION = 6
 # an evolution over t at the default step takes STEPS theta steps, or more
 # where the spacing caps the step (default_dt)
 STEPS = 32
+# in a fold, after both axes of a 2-D grid: the swap of x0 and x1
+DIAGONAL = "diagonal"
 
 
 # scipy.sparse and scipy.sparse.linalg take about half the start-up time of
@@ -321,11 +331,11 @@ def assemble_generator(system, grid: GridSpec, variant: str = "P") -> sparse.csr
             cols_all.append(node_idx * m + kk)
             vals_all.append(-col)
 
-    A = sparse.coo_matrix(
+    # tocsr sums the duplicates, at most a stencil and a potential diagonal
+    # per entry, so in either order
+    return sparse.coo_matrix(
         (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n * m, n * m))
-    A.sum_duplicates()
-    return A.tocsr()
+        shape=(n * m, n * m)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +402,15 @@ def even_axes(grid: GridSpec, values: np.ndarray) -> tuple:
     return tuple(a for a in range(grid.d) if np.array_equal(v, np.flip(v, axis=a)))
 
 
+def symmetries(grid: GridSpec, values: np.ndarray) -> tuple:
+    """even_axes of node-major values, then DIAGONAL if they are even along
+    both axes of a 2-D grid and equal bit for bit to their transpose."""
+    axes = even_axes(grid, values)
+    v = np.asarray(values).reshape((grid.n_per_axis,) * grid.d + (-1,))
+    swapped = len(axes) == 2 and np.array_equal(v, v.transpose(1, 0, 2))
+    return axes + (DIAGONAL,) if swapped else axes
+
+
 def _parity_blocks(grid: GridSpec, m: int, fold: tuple, split: tuple) -> tuple:
     """S_p and E_p of each parity block, even along fold and even or odd along
     each axis of split, in _project's order, as (keep, image, sign): keep
@@ -414,6 +433,11 @@ def _parity_blocks(grid: GridSpec, m: int, fold: tuple, split: tuple) -> tuple:
             keep = (keep[:, None] * n1 + kept).ravel()
             image = (image[:, None] * len(kept) + np.maximum(copies, 0)).ravel()
             sign = (sign[:, None] * (np.sign(whole - center) if a in odd else np.ones(n1))).ravel()
+        if DIAGONAL in fold:  # the quarter's nodes at or below its diagonal
+            wedge = np.tril_indices(n1 - center)
+            rank = np.zeros((n1 - center,) * 2, dtype=np.intp)
+            rank[wedge] = np.arange(len(wedge[0]))
+            keep, image = keep.reshape(rank.shape)[wedge], np.maximum(rank, rank.T).flat[image]
         keep, image = ((nodes[:, None] * m + np.arange(m)).ravel() for nodes in (keep, image))
         blocks.append((keep, image + offset, np.repeat(sign, m)))
         offset += len(keep)
@@ -473,10 +497,10 @@ class OperatorHandle:
         self._system = system
         self._matrix: Optional[sparse.csr_matrix] = (
             None if forward is None else forward.matrix.T.tocsr())
-        self._mirrors: Optional[tuple] = None if forward is None else forward._mirrors
+        self._commutes: dict = {} if forward is None else dict(forward._commutes)
         self._folds: dict = {}  # fold -> its expansion and blocks' S_p A E_p
-        self._fold: tuple = ()  # the axes of the evolution in progress
-        self._lu: Optional[tuple] = None  # ((axes, theta, dt), (lu, M1, M0))
+        self._fold: tuple = ()  # the fold of the evolution in progress
+        self._lu: Optional[tuple] = None  # ((fold, theta, dt), (lu, M1, M0))
 
     @property
     def factorizations(self) -> int:
@@ -489,20 +513,26 @@ class OperatorHandle:
             self.assemblies += 1
         return self._matrix
 
-    def mirror_axes(self) -> tuple:
-        """Axes whose reflection R the matrix commutes with, bit for bit: the
-        sorted arrays of R A R and A are equal.  Checked once per handle, and
-        none on a grid that is no exact mirror.  An adjoint handle takes its
-        forward handle's axes when that one has checked them, since a
-        reflection commutes with A exactly when it commutes with A^T."""
-        if self._mirrors is None:
+    def commutes(self, symmetry) -> bool:
+        """Whether the matrix commutes bit for bit with a permutation R of
+        the grid, the reflection along an axis or the swap of the axes
+        (DIAGONAL): the sorted arrays of R A R and A are equal.  Each is
+        checked once per handle, when first asked, and an adjoint handle takes
+        what its forward handle checked, since R commutes with A exactly when
+        it commutes with A^T."""
+        if symmetry not in self._commutes:
             A, g = self.matrix, self.grid
             unknowns = np.arange(A.shape[0]).reshape((g.n_per_axis,) * g.d + (self.m,))
-            flips = [(a, np.flip(unknowns, axis=a).ravel()) for a in range(g.d) if g.mirrored]
-            reflected = [(a, _gather(A, [(p, p, np.ones(len(p)))])) for a, p in flips]
-            self._mirrors = tuple(a for a, R in reflected if all(
-                np.array_equal(getattr(R, k), getattr(A, k)) for k in ("indptr", "indices", "data")))
-        return self._mirrors
+            p = (unknowns.transpose(1, 0, 2) if symmetry == DIAGONAL
+                 else np.flip(unknowns, axis=symmetry)).ravel()
+            R = _gather(A, [(p, p, np.ones(len(p)))])
+            self._commutes[symmetry] = all(np.array_equal(getattr(R, k), getattr(A, k))
+                                           for k in ("indptr", "indices", "data"))
+        return self._commutes[symmetry]
+
+    def mirror_axes(self) -> tuple:
+        """Axes whose reflection commutes with the matrix, on a grid of exact mirrors."""
+        return tuple(a for a in range(self.grid.d) if self.grid.mirrored and self.commutes(a))
 
     def release(self):
         """Drop the factorization and the block matrices; the matrix stays
@@ -525,6 +555,8 @@ class OperatorHandle:
         g, center = self.grid, self.grid.n_per_axis // 2
         parts = [u.reshape((g.n_per_axis,) * g.d + (self.m,) + u.shape[1:])[tuple(
             slice(center, None) if a in fold else slice(None) for a in range(g.d))]]
+        if DIAGONAL in fold:
+            parts = [parts[0][np.tril_indices(g.n_per_axis - center)]]
         for a in split:
             parts = [(p + s * np.flip(p, a))[(slice(None),) * a + (slice(center + (s < 0), None),)]
                      / 2 for p in parts for s in (1, -1)]
@@ -588,7 +620,7 @@ class OperatorHandle:
         default_dt(t, spacing); whatever does not divide t evenly is taken as
         one trailing shorter step, recorded in the step record.  The values
         evolve on the parity blocks of their fold (module docstring), so the
-        result is even along the fold's axes bit for bit.
+        result keeps the symmetries of the fold bit for bit.
         """
         if t <= 0:
             raise DomainError(f"evolve needs t > 0, got {t}")
@@ -604,8 +636,10 @@ class OperatorHandle:
         if rem <= 1e-12 * max(1.0, t):
             rem = 0.0
         u = self._flat(values)
-        self._fold = fold = tuple(a for a in even_axes(self.grid, u) if a in self.mirror_axes())
-        split = tuple(a for a in self.mirror_axes() if a not in fold) if self.grid.d > 1 else ()
+        mirrors = self.mirror_axes()
+        self._fold = fold = tuple(s for s in symmetries(self.grid, u) if s in mirrors
+                                  or s == DIAGONAL and len(mirrors) == 2 and self.commutes(s))
+        split = tuple(a for a in mirrors if a not in fold) if self.grid.d > 1 else ()
         if fold not in self._folds:
             blocks, expand = _parity_blocks(self.grid, self.m, fold, split)
             self._folds[fold] = (expand, _gather(self.matrix, blocks))

@@ -16,12 +16,13 @@ nothing.  The verify command hands every check's requests, in order, to
 run_plan, the one executor, and measures each declaration on its own slice
 of the outputs.  The executor computes every store key when it plans, so it
 hashes no output.  It drops duplicate requests by store key, sorts the rest
-by (variant, grid, theta, dt, fold), where a batch's fold is the axes its
-start values are mirror-even along (solver.even_axes), which names the
-parity blocks it evolves on, runs each (variant, grid) on one operator
-handle, made on the first store miss, so a plan assembles every operator
-once and factors every (fold, theta, dt) once, and releases the handle's LU
-when its last request is done.  Every batch takes one path through the
+by (variant, grid, theta, dt, fold), where a batch's fold is the symmetries
+its start values keep (solver.symmetries: the axes they are mirror-even
+along, and in 2-D the diagonal), which names the parity blocks it evolves
+on, runs each (variant, grid) on one operator handle, made on the first
+store miss, so a plan assembles every operator once and factors every
+(fold, theta, dt) once, and releases the handle's LU when its last request
+is done.  Every batch takes one path through the
 store, whose first miss evolves it once over all its legs, and no batch
 reads another's output.  Requests are never merged into wider batches: each
 keeps the batch it has in a plan of its check's requests alone, so every
@@ -87,8 +88,8 @@ from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimat
 from .lyapunov import (SAMPLE_RADIUS, CertificateGrids, CertificateReport, LyapunovSpec,
                        RadialPoints, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
                        certificate_report, verify_certificate)
-from .solver import (DEFAULT_BUDGET, SOLVER_VERSION, GridSpec, OperatorHandle, default_dt,
-                     even_axes, is_whole, mollified_source, release_freed_memory)
+from .solver import (DEFAULT_BUDGET, DIAGONAL, SOLVER_VERSION, GridSpec, OperatorHandle,
+                     default_dt, is_whole, mollified_source, release_freed_memory, symmetries)
 
 __all__ = [
     "CheckResult", "KernelStore", "system_fingerprint", "RECORD_VERSION",
@@ -427,8 +428,8 @@ class Evolution:
 
     @cached_property
     def fold(self) -> tuple:
-        """solver.even_axes of the data, computed once per request."""
-        return even_axes(self.grid, self.data)
+        """solver.symmetries of the data, computed once per request."""
+        return symmetries(self.grid, self.data)
 
 
 # the legs come last in a key, so a request without legs is keyed by its
@@ -475,10 +476,11 @@ class _Batch:
     all m components evolve together whichever of them are asked for.  A
     data request is a batch of its own, keyed by the digest of its data.
     No batch reads another's output, so batches run in any order.  fold, the
-    axes its start is mirror-even along, fixes its parity blocks:
-    solver.even_axes of a data request's data, and for the m sources at a
-    center, even where its coordinate is 0 on a grid of exact mirrors, those
-    axes, so a column batch builds no source to know its fold.
+    symmetries its start keeps, fixes its parity blocks: solver.symmetries
+    of a data request's data, and for the m sources at a center the axes
+    where its coordinate is 0 on a grid of exact mirrors, with DIAGONAL at a
+    2-D origin, since a Gaussian of x0^2 + x1^2 is its own transpose bit for
+    bit; so a column batch builds no source to know its fold.
     """
 
     request: Evolution
@@ -512,9 +514,9 @@ def _plan(requests: Sequence[Evolution], sys_fp: str, m: int) -> tuple:
             for center, k in req.sources:
                 if not 0 <= k < m:
                     raise DomainError(f"component {k} outside 0..{m - 1}")
+                axes = tuple(a for a in range(g.d) if center[a] == 0.0 and g.mirrored)
                 b = batches.setdefault((op, str(center)), _Batch(
-                    req, {}, center, tuple(a for a in range(g.d)
-                                           if center[a] == 0.0 and g.mirrored)))
+                    req, {}, center, axes + (DIAGONAL,) if len(axes) == 2 else axes))
                 if k not in b.keys:
                     b.keys[k] = _column_key(sys_fp, req, center, k)
                 picks.append((b, k))
@@ -545,11 +547,12 @@ def _evolve_batch(b: _Batch, store: KernelStore, m: int,
     def build(j: int) -> np.ndarray:
         built.append(j)
         if not evolved:
+            handle = handle_of()  # its budget check precedes any grid-sized array
             u = req.data if b.center is None else np.stack(
                 [mollified_source(req.grid, m, b.center, h, req.width) for h in range(m)],
                 axis=-1)
             for t in (req.t, *req.legs):
-                u = handle_of().evolve(u, t, dt=req.dt, theta=req.theta)[0]
+                u = handle.evolve(u, t, dt=req.dt, theta=req.theta)[0]
             evolved.append(u)
         u = evolved[0]
         return np.ascontiguousarray(u[:, :, j] if u.ndim == 3 else u)
@@ -573,13 +576,12 @@ def run_plan(system, requests: Sequence[Evolution], store: KernelStore, jobs: in
     the given budget, made on the group's first store miss, so a group
     whose every field is stored builds nothing, and the call assembles each
     operator once and factors each (fold, theta, dt) of it once: a batch
-    evolves on the parity blocks of its fold, the axes its start is
-    mirror-even along (OperatorHandle.evolve), and the fold is read off the
-    batch's own start, so its fields have the same bits whatever ran
-    before it.  The factorizations count is per (variant, grid, fold,
-    theta, dt).  A P_adjoint
-    handle transposes the matrix of its grid's P handle when that group is
-    done and made one.  When its last batch is done a group releases its
+    evolves on the parity blocks of its fold, the symmetries its start
+    keeps (OperatorHandle.evolve), and the fold is read off the batch's own
+    start, so its fields have the same bits whatever ran before it.  The
+    factorizations count is per (variant, grid, fold, theta, dt).  A
+    P_adjoint handle transposes the matrix of its grid's P handle when that
+    group is done and made one.  When its last batch is done a group releases its
     factorization, drops its handle and hands freed heap pages back, so
     with one job at most one LU is alive.  A call shares nothing with
     another but the store.  With jobs > 1 the groups run in threads, each

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kernelbound import cli, hypotheses, lyapunov, solver, verify
-from kernelbound.config import parse_config_text
+from kernelbound.config import SCHEMA, parse_config_text
 from kernelbound.errors import ConfigError
 
 from oracles import evolve_all, record_files, run_alone, watch_record_keys
@@ -35,6 +35,7 @@ ALL_CHECKS = ("domination monotone mass support duality chapman "
               "integrability weighted decay")
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+TOLERANCES = [key for key in SCHEMA["verify"] if key.startswith("tol_")]
 
 # a small 2-D grid with every check
 TWO_D = {"grid": {"d": "2", "radii": "1 2", "spacing": "0.125"},
@@ -200,12 +201,17 @@ class TestConfigParsing:
         ("synth", {"lyapunov": {"eps_hat": "0"}}, "lyapunov.eps_hat"),
         ("synth", {"lyapunov": {"sigma": "-0.5"}}, "lyapunov.sigma"),
         ("synth", {"lyapunov": {"delta": "0"}}, "lyapunov.delta"),
+        # explicit Euler at dt / h^2 = 16 would read fail
+        ("check", {"grid": {"theta": "0"}}, "grid.theta"),
+        # a tolerance at or below 0 reads fail on any kernel
+        *[("verify", {"verify": {key: "-1"}}, "verify." + key) for key in TOLERANCES],
     ], ids=["grid.theta", "grid.spacing", "solve.times", "solve.width",
             "verify.t", "verify.t_single", "lyapunov.T", "bounds.eps_scales",
             "grid.radii", "lyapunov.radius", "bounds.window", "verify.radius",
             "verify.chapman_s", "verify.coarse", "verify.fine",
             "verify.majorant_scale", "verify.decay_eps_scale", "lyapunov.rho",
-            "lyapunov.eps_hat", "lyapunov.sigma", "lyapunov.delta"])
+            "lyapunov.eps_hat", "lyapunov.sigma", "lyapunov.delta", "grid.theta=0",
+            *["verify." + key for key in TOLERANCES]])
     def test_out_of_domain_value_exits_2_and_names_the_key(
             self, tmp_path, capsys, command, updates, named):
         cfg = make_config(tmp_path, **updates)
@@ -395,6 +401,18 @@ class TestSolveCommand:
                        str(tmp_path / "out")])
         assert rc == 3
         assert "resource limit" in capsys.readouterr().err
+
+    def test_a_grid_over_the_budget_exits_before_any_grid_sized_array(self, tmp_path, capsys):
+        # 3.2e10 nodes at spacing 1e-9 on poly1d's R = 16: the budget is
+        # checked before the sources, whose coordinates alone take 238 GiB
+        text = (BENCH_CONFIGS / "poly1d.cfg").read_text()
+        assert text.count("spacing = 0.0625") == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("spacing = 0.0625", "spacing = 1e-9"))
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "resource limit" in err and "Traceback" not in err
 
     def test_unknown_variant_is_config_error(self, tmp_path):
         cfg = make_config(tmp_path, solve={"variants": "Q"})

@@ -594,7 +594,7 @@ VERIFY_SHA256 = {
     },
     "poly2d": {
         "verify_summary.txt": "f6b62d8697b89079de8622cbb9366dc14e3b7d7f3da25dc943db1305d09456fd",
-        "verify_results.csv": "6fd8e8a72fac8734e412c5c146e22e26cf93f97fb43b6a1e24257a93cfbfdf1d",
+        "verify_results.csv": "091654ace249cfcfa2d09da00e83f4628d4e5dfc9057813c185b5315d20687ec",
     },
     "exp1d": {
         "verify_summary.txt": "6db75342d05ecf1799357ec28104a3965e88583a13ec59d277c384ecf509545f",
@@ -633,8 +633,9 @@ def test_verify_artifacts_are_pinned(workload, tmp_path):
 # ---------------------------------------------------------------------------
 
 # poly2d on the R = 2 grid, with a source on the axis x1 = 0 (its columns are
-# even along axis 1), one at the origin (even along both) and one off both
-# axes (even along neither).  Recorded before the CSV writer formatted mirror
+# even along axis 1), one at the origin (even along both and their own
+# transpose, so they evolve on the wedge) and one off both axes (even along
+# neither).  Recorded before the CSV writer formatted mirror
 # rows once, so they pin that it writes the same bytes.
 SOLVE_SOURCES = "0.5 0; 0 0; 0.5 0.25"
 SOLVE_SHA256 = {
@@ -642,14 +643,14 @@ SOLVE_SHA256 = {
     "column_P_t0.25_y0.5_0.25_k1.csv": "c1086362896cb40486ae48f5dbbebe87a4c2b6732b60793108609bca7ce86f51",
     "column_P_t0.25_y0.5_0_k0.csv": "3c1b3148d32d93e4cda2dd547853536d373d7f599483842dd9b69ce4cae075a8",
     "column_P_t0.25_y0.5_0_k1.csv": "6583442597326c8478b657f4e0e72bad9871590195a8652af8b87425e0eb15c9",
-    "column_P_t0.25_y0_0_k0.csv": "a4dc9b23ff6d758209244d20627ebf8bfbd469fc9c256b9c16b28f9fc0b9f791",
-    "column_P_t0.25_y0_0_k1.csv": "372edbf2bda9e173e6e7aa70e0235278cc530ac8d6576932e39d4a6e1bbf60b6",
+    "column_P_t0.25_y0_0_k0.csv": "02ed8c3132b19e532f53b8de02434ae0f94f0b5e33484924b1a92ba7642af266",
+    "column_P_t0.25_y0_0_k1.csv": "08ad49f44da805e0f6cd6f2aa081e668531376cb50e5a19f5795f05718aeb692",
     "column_P_t0.5_y0.5_0.25_k0.csv": "0408039f4517e5cbc620c0c0d470c1e545c47289e680456af138765b3fedf711",
     "column_P_t0.5_y0.5_0.25_k1.csv": "27901c9eacee974194d40f6a1ab7afacff63cea00f555b916f6e4061b30a367d",
     "column_P_t0.5_y0.5_0_k0.csv": "b221ad25c5620fbd536a3b7996a7619eae66b536bec683e75f74cead296cf42e",
     "column_P_t0.5_y0.5_0_k1.csv": "b6b11270f810c0958923d60259007a3df59faa872e48bcf3d2f5a5e31013ee39",
-    "column_P_t0.5_y0_0_k0.csv": "8c26b3027644cae1ad9321d5ab84276b590fb7d6c56223fb82b277442bb08e04",
-    "column_P_t0.5_y0_0_k1.csv": "9d3ae3519c4b91f911875130caa088a265fc0c7c729930d7dee0b0ca693a033e",
+    "column_P_t0.5_y0_0_k0.csv": "00b2be82e626b5100a7bc7449bd4d0fd690d49e6b1aed518406125083b63f9f5",
+    "column_P_t0.5_y0_0_k1.csv": "d45af8d88d6c605829cdbffee67e190d3b27e6177f4207af669f15f55b848bbe",
 }
 
 

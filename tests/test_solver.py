@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from scipy.sparse import linalg as sparse_linalg
 from scipy.sparse.csgraph import connected_components
 
 from kernelbound.coefficients import SystemDims, diagonal_family
-from kernelbound import solver
+from kernelbound import cli, solver
 from kernelbound.errors import AssemblyError, BudgetError, DomainError, SolveError
 from kernelbound.solver import (
     GridSpec,
@@ -402,17 +405,15 @@ class TestBatchedEvolve:
                        for order in ("MMD_AT_PLUS_A", "COLAMD"))
         return (mmd.L.nnz + mmd.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
 
-    def factored(self, monkeypatch, grid: GridSpec, even: bool) -> tuple:
-        """The fold and the matrix of the one factorization of a step on a
-        2-D grid, from ones or from uneven data."""
+    def factored(self, monkeypatch, grid: GridSpec, u0: np.ndarray) -> tuple:
+        """The fold and the matrix of the one factorization of a step from u0
+        on a 2-D grid."""
         real_splu = sparse_linalg.splu
         factored = []
         monkeypatch.setattr(sparse_linalg, "splu",
                             lambda matrix, **kw: factored.append(matrix)
                             or real_splu(matrix, **kw))
         handle = OperatorHandle(coupled_family(2), grid, "P")
-        u0 = np.ones((grid.n_nodes, 2)) if even else \
-            np.random.default_rng(2).uniform(0.5, 1.0, size=(grid.n_nodes, 2))
         handle.evolve(u0, 0.01, dt=0.01)
         (matrix,), ((fold, _, _),) = factored, handle.factored
         return fold, matrix
@@ -424,15 +425,26 @@ class TestBatchedEvolve:
         assert self.fill_share(M1) <= 0.6
 
     def test_fill_reducing_ordering_on_the_folded_2d_grid(self, monkeypatch):
-        # ones fold onto the quarter grid, where the saving is smaller: 0.62
-        fold, matrix = self.factored(monkeypatch, GridSpec(2, 3.0, 0.125), even=True)
+        # 1 + x0^2 is even along both axes but not its own transpose, so it
+        # folds onto the quarter grid, where the saving is smaller: 0.62
+        g = GridSpec(2, 3.0, 0.125)
+        quarter = np.repeat(1.0 + g.points()[:, :1] ** 2, 2, axis=1)
+        fold, matrix = self.factored(monkeypatch, g, quarter)
         assert fold == (0, 1) and self.fill_share(matrix) <= 0.65
+        # ones fold onto the wedge at or below the quarter's diagonal, with
+        # 0.66 of COLAMD's fill there and 0.36 of the quarter's L+U
+        fold, wedge = self.factored(monkeypatch, g, np.ones((g.n_nodes, 2)))
+        assert fold == (0, 1, solver.DIAGONAL) and self.fill_share(wedge) <= 0.67
+        lu_nnz = [sum(x.nnz for x in (lu.L, lu.U)) for lu in (
+            sparse_linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A") for mat in (wedge, matrix))]
+        assert lu_nnz[0] <= 0.4 * lu_nnz[1]
 
     def test_fill_reducing_ordering_on_the_parity_blocks(self, monkeypatch):
         # uneven data factor the block-diagonal of the four parity blocks;
         # on poly2d's R = 4 grid that takes 0.571 of COLAMD's fill
         g = GridSpec(2, 4.0, 0.125)
-        fold, matrix = self.factored(monkeypatch, g, even=False)
+        fold, matrix = self.factored(monkeypatch, g, np.random.default_rng(2).uniform(
+            0.5, 1.0, size=(g.n_nodes, 2)))
         assert fold == () and matrix.shape[0] == 2 * g.n_nodes
         assert connected_components(matrix)[0] == 4
         assert self.fill_share(matrix) <= 0.58
@@ -600,7 +612,7 @@ def test_long_crank_nicolson_steps_turn_columns_negative():
 # back; the theta-loop oracle above sees such a move in the steps, and the
 # stencil pin below one in the assembled generator.
 def test_solver_version_is_pinned():
-    assert solver.SOLVER_VERSION == 5
+    assert solver.SOLVER_VERSION == 6
 
 
 def test_per_equation_diffusion_stencil_bits_are_pinned():
@@ -1042,15 +1054,115 @@ class TestParityBlocks:
         assert g.mirrored and handle.mirror_axes() == ()
         assert [fold for fold, _, _ in handle.factored] == [()] * 4
         assert sizes == [[g.n_nodes]] * 4
-        # on the odd drift -x, ones fold and, in 2-D, uneven data split
+        # on the odd drift -x, ones fold and, in 2-D, uneven data split; the
+        # 2-D operator commutes with the swap of the axes too, so there ones
+        # fold onto the wedge at or below the quarter's diagonal
         odd = OperatorSpec(dims=base.dims, q=base.q, V=base.V,
                            b=lambda h, x: -np.atleast_2d(np.asarray(x, dtype=float)))
         handle = OperatorHandle(odd, g, "P")
         for u0 in self.ones_and_uneven(g):
             handle.evolve(u0, self.T, dt=self.DT)
-        axes = tuple(range(d))
+        axes = (0,) if d == 1 else (0, 1, solver.DIAGONAL)
         assert [fold for fold, _, _ in handle.factored] == [axes, axes, (), ()]
         half = g.n_per_axis // 2
-        assert sizes[4] == [(half + 1) ** d]
+        assert sizes[4] == [half + 1 if d == 1 else (half + 1) * (half + 2) // 2]
         assert sizes[6] == ([g.n_nodes] if d == 1 else
                             [math.prod(n) for n in product((half + 1, half), repeat=d)])
+
+
+class TestWedge:
+    """A start that every symmetry of the square leaves unchanged evolves on
+    the wedge 0 <= a1 <= a0 of offsets from the center, when the operator
+    commutes bit for bit with the swap of the axes as well as with both
+    reflections."""
+
+    GRID = GridSpec(2, 4.0, 0.125)  # poly2d's R = 4 grid
+    WEDGE = (0, 1, solver.DIAGONAL)
+    T, DT = 0.1, 0.04
+    STEPS = [DT, DT, T - 2 * DT]
+
+    @staticmethod
+    def gathers(monkeypatch) -> list:
+        """Patches the solver's gather to record each call's blocks."""
+        calls, real = [], solver._gather
+        monkeypatch.setattr(solver, "_gather", lambda A, blocks: calls.append(blocks)
+                            or real(A, blocks))
+        return calls
+
+    def start(self, name: str) -> np.ndarray:
+        pts = self.GRID.points()
+        r2 = np.sum(pts ** 2, axis=-1)
+        if name == "sources":  # the two point sources at the origin, as verify builds them
+            return np.stack([mollified_source(self.GRID, 2, (0.0, 0.0), h, 0.25)
+                             for h in range(2)], axis=-1)
+        if name == "radial":
+            return np.stack([1.0 / (1.0 + r2), np.exp(-r2 / 4)], axis=-1)
+        # even along both axes, but not its own transpose
+        return np.stack([pts[:, 0] ** 2 * np.exp(-r2 / 2)] * 2, axis=-1)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["P", "P_adjoint"])
+    @pytest.mark.parametrize("name", ["sources", "radial"])
+    def test_a_start_every_symmetry_keeps_evolves_on_the_wedge(self, monkeypatch, name,
+                                                                variant, theta):
+        g, u0 = self.GRID, self.start(name)
+        sizes = TestParityBlocks.blocks(monkeypatch)
+        handle = OperatorHandle(coupled_family(2), g, variant)
+        out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=theta)
+        assert solver.symmetries(g, u0) == self.WEDGE
+        assert [fold for fold, _, _ in handle.factored] == [self.WEDGE] * 2
+        # 528 of the quarter's 1,024 nodes, two unknowns each
+        assert sizes == [[1056]] * 2
+        nodes = out.reshape((g.n_per_axis,) * 2 + (-1,))
+        for image in (nodes.transpose(1, 0, 2), np.flip(nodes, 0), np.flip(nodes, 1)):
+            assert image.tobytes() == nodes.tobytes()
+        quarter = folded_theta_steps(handle, u0, theta, self.STEPS, (0, 1))
+        assert np.abs(out - quarter).max() <= 1e-13 * np.abs(quarter).max()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_an_even_start_the_swap_moves_keeps_the_quarter_and_its_bits(self, monkeypatch,
+                                                                         theta):
+        g, u0 = self.GRID, self.start("x0^2 gaussian")
+        calls = self.gathers(monkeypatch)
+        handle = OperatorHandle(coupled_family(2), g, "P")
+        out, _ = handle.evolve(u0, self.T, dt=self.DT, theta=theta)
+        assert solver.symmetries(g, u0) == (0, 1)
+        assert [fold for fold, _, _ in handle.factored] == [(0, 1)] * 2
+        assert out.tobytes() == folded_theta_steps(handle, u0, theta, self.STEPS,
+                                                   (0, 1)).tobytes()
+        # the two reflection tests and the quarter's S A E, and no swap test
+        assert len(calls) == 3
+
+    def test_an_operator_the_swap_moves_never_takes_the_wedge(self, monkeypatch):
+        # q = 1 + x0^2 commutes with both reflections, not with the swap
+        g, base = GridSpec(2, 2.0, 0.125), const_spec(2)
+        spec = OperatorSpec(dims=base.dims, b=base.b, V=base.V,
+                            q=lambda h, x: 1.0 + np.atleast_2d(x)[:, 0] ** 2)
+        sizes = TestParityBlocks.blocks(monkeypatch)
+        handle = OperatorHandle(spec, g, "P")
+        handle.evolve(np.ones((g.n_nodes, 1)), self.T, dt=self.DT)
+        assert handle.mirror_axes() == (0, 1) and not handle.commutes(solver.DIAGONAL)
+        assert [fold for fold, _, _ in handle.factored] == [(0, 1)] * 2
+        assert sizes == [[(g.n_per_axis // 2 + 1) ** 2]] * 2
+
+    def test_an_adjoint_handle_takes_the_swap_test_of_its_forward_handle(self, monkeypatch):
+        g, u0 = self.GRID, self.start("radial")
+        forward = OperatorHandle(coupled_family(2), g, "P")
+        forward.evolve(u0, self.T, dt=self.DT)
+        calls = self.gathers(monkeypatch)
+        adjoint = OperatorHandle(coupled_family(2), g, "P_adjoint", forward=forward)
+        adjoint.evolve(u0, self.T, dt=self.DT)
+        assert [fold for fold, _, _ in adjoint.factored] == [self.WEDGE] * 2
+        # the wedge's S A E alone: no reflection test and no swap test
+        assert len(calls) == 1
+
+    def test_solve_on_poly2d_runs_no_swap_test(self, tmp_path, monkeypatch):
+        # its sources sit at (0.5, 0), so no start is even along both axes
+        asked, real = [], OperatorHandle.commutes
+        monkeypatch.setattr(OperatorHandle, "commutes",
+                            lambda handle, symmetry: asked.append(symmetry)
+                            or real(handle, symmetry))
+        config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "poly2d.cfg"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert asked and solver.DIAGONAL not in asked

@@ -12,8 +12,8 @@ from kernelbound.coefficients import CouplingSupport, diagonal_family
 from kernelbound.errors import DomainError
 from kernelbound.hypotheses import RowSumBound
 from kernelbound.lyapunov import integrated_exp, synth_exp, synth_poly
-from kernelbound.solver import (STEPS, GridSpec, OperatorHandle, default_dt, even_axes,
-                                mollified_source)
+from kernelbound.solver import (DIAGONAL, STEPS, GridSpec, OperatorHandle, default_dt,
+                                mollified_source, symmetries)
 from kernelbound.verify import (
     ChapmanKolmogorov,
     CheckResult,
@@ -960,7 +960,8 @@ class TestPlan:
     def test_a_column_batch_knows_its_fold_from_its_center(self, spacing):
         # the plan orders batches by fold without building their sources:
         # the sources at a center are even where its coordinate is 0, on a
-        # grid of exact mirrors; spacing 0.1 gives none
+        # grid of exact mirrors, and at the origin their own transpose too;
+        # spacing 0.1 gives none
         g = GridSpec(2, 1.5, spacing)
         centers = [(0.0, 0.0), (0.5, 0.0), (0.0, -0.5), (0.5, 0.25)]
         reqs = [Evolution.of_sources("P", g, 0.1, [(c, 0)]) for c in centers]
@@ -968,9 +969,9 @@ class TestPlan:
         for b in batches:
             start = np.stack([mollified_source(g, 2, b.center, h, b.request.width)
                               for h in range(2)], axis=-1)
-            assert b.fold == even_axes(g, start)
+            assert b.fold == symmetries(g, start)
         assert sorted(b.fold for b in batches) == \
-            ([(), (0,), (0, 1), (1,)] if spacing == 0.125 else [()] * 4)
+            ([(), (0,), (0, 1, DIAGONAL), (1,)] if spacing == 0.125 else [()] * 4)
 
     def test_store_keys_without_legs_are_pinned(self):
         # a change that renames every store entry shows up here
@@ -983,10 +984,10 @@ class TestPlan:
         (((column, _),), values, ((old_step, _),)) = verify._plan(
             reqs, system_fingerprint(fam), 2)[1]
         assert system_fingerprint(fam) == "b41f55060d35"
-        assert column.keys[1] == "8bf7b9d3d0cd"
-        assert values.keys[0] == "35c262410453"
+        assert column.keys[1] == "abdfe3508d63"
+        assert values.keys[0] == "8d4d261521ad"
         # the column at the step of the former default keeps its key
-        assert old_step.keys[1] == "709bf6a158fe"
+        assert old_step.keys[1] == "f5dc73b801c6"
 
     def test_a_lost_two_leg_field_is_rebuilt_with_its_bits(self, tmp_path, monkeypatch):
         fam = headline_family()
