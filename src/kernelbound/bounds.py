@@ -19,7 +19,9 @@ nu1(0, x) = nu2(0, x) = 1 and H is one number, which eval_H returns.
 Specializing the weights to the concrete coefficient families turns C * H
 into explicit decay profiles: a power of t times a stretched-exponential
 factor in the second spatial argument (and, for the two-sided form, in
-both arguments).
+both arguments).  BoundCertificate holds that factor as the forward
+synthesis's SpaceTimeWeight, and the two-sided one's as the adjoint's; its
+profile reads their log values, and its kind is the forward weight's form.
 
 The reduction from the iterated kernel estimates to H passes through one
 piece of scalar algebra, exposed as solve_X0: any X >= 0 satisfying
@@ -39,7 +41,7 @@ import numpy as np
 
 from .coefficients import PolynomialFamily
 from .errors import DomainError, NonFiniteError
-from .lyapunov import _quad, integrated_exp
+from .lyapunov import SpaceTimeWeight, _quad
 
 LEDGER_ITEMS = (
     "weight-vs-nu1",
@@ -181,75 +183,55 @@ def checked_c_hat(d: int, c_hat: Optional[float] = None) -> float:
 class BoundCertificate:
     """Everything needed to evaluate the certified decay profile.
 
-    kind selects the family shape.  (eps, sigma, rho) parametrize the decay
-    in the second spatial argument; the starred triple, when present,
-    parametrizes the two-sided decay in the first argument.  lam (and
-    lam_star) fix the t-power; C_cal is the measured calibration constant
-    (None until a verification run sets it).
+    weight is the decay in the second spatial argument, and its form names
+    the family shape (kind); weight_star, when present, is the two-sided
+    decay in the first argument.  lam (and lam_star) fix the t-power; C_cal
+    is the measured calibration constant (None until a verification run
+    sets it).
     """
 
-    kind: str  # "polynomial" | "exponential"
     d: int
     s: float
     ledger: ConstantsLedger
-    eps: float
-    sigma: float
-    rho: float
+    weight: SpaceTimeWeight
     lam: Optional[float] = None          # polynomial kind only
     c_hat: Optional[float] = None        # exponential kind only
-    eps_star: Optional[float] = None
-    sigma_star: Optional[float] = None
-    rho_star: Optional[float] = None
+    weight_star: Optional[SpaceTimeWeight] = None
     lam_star: Optional[float] = None
     C_cal: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "exponential"):
-            raise DomainError(f"unknown certificate kind {self.kind!r}")
-        if self.eps <= 0 or self.sigma <= 0 or self.rho <= 0:
-            raise DomainError("decay parameters eps, sigma, rho must be positive")
         if self.kind == "polynomial" and self.lam is None:
             raise DomainError("polynomial certificate needs lam")
         if self.kind == "exponential":
             object.__setattr__(self, "c_hat", checked_c_hat(self.d, self.c_hat))
 
     @property
-    def two_sided(self) -> bool:
-        return self.eps_star is not None
+    def kind(self) -> str:
+        """The family shape: polynomial for a power-form weight, else exponential."""
+        return "polynomial" if self.weight.form == "power" else "exponential"
 
     def log_decay(self, t: float, y: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """log of the decay profile (excluding C_cal) at time t.
 
         One-sided: evaluated at y, uniform in the unseen first argument.
-        Passing x switches to the two-sided profile; requires the starred
-        parameters.
+        Passing x switches to the two-sided profile; requires weight_star.
         """
         if t <= 0:
             raise DomainError(f"decay profile needs t > 0, got {t}")
-        y = np.asarray(y, dtype=float)
-        ry = 1.0 + np.sum(np.atleast_2d(y) ** 2, axis=-1)
-        two = x is not None
-        if two and not self.two_sided:
-            raise DomainError("two-sided profile requested but no starred parameters present")
+        if x is not None and self.weight_star is None:
+            raise DomainError("two-sided profile requested but no starred weight present")
+        w, d = self.weight, self.d
         if self.kind == "polynomial":
-            if two:
-                rx = 1.0 + np.sum(np.atleast_2d(x) ** 2, axis=-1)
-                power = 1.0 - (self.lam + self.lam_star) * self.s / 2.0
-                out = power * math.log(t) \
-                    - 0.5 * self.eps * t ** self.sigma * ry ** self.rho \
-                    - 0.5 * self.eps_star * t ** self.sigma_star * rx ** self.rho_star
-            else:
-                out = (1.0 - self.lam * self.s) * math.log(t) \
-                    - self.eps * t ** self.sigma * ry ** self.rho
-        else:
-            head = math.log(t) + self.c_hat * t ** (-self.sigma)
-            if two:
-                rx = 1.0 + np.sum(np.atleast_2d(x) ** 2, axis=-1)
-                out = head - 0.5 * self.eps * t ** self.sigma * (
-                    integrated_exp(ry, self.rho) + integrated_exp(rx, self.rho))
-            else:
-                out = head - self.eps * t ** self.sigma * integrated_exp(ry, self.rho)
-        return out[0] if y.ndim == 1 else out
+            if x is None:
+                return (1.0 - self.lam * self.s) * math.log(t) - w.log_value(t, y, d)
+            power = 1.0 - (self.lam + self.lam_star) * self.s / 2.0
+            return power * math.log(t) - 0.5 * w.log_value(t, y, d) \
+                - 0.5 * self.weight_star.log_value(t, x, d)
+        head = math.log(t) + self.c_hat * t ** (-w.sigma)
+        if x is None:
+            return head - w.log_value(t, y, d)
+        return head - 0.5 * (w.log_value(t, y, d) + w.log_value(t, x, d))
 
     def eval(self, t: float, y: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """Certified bound value C_cal * decay(t, x, y); may overflow to inf."""

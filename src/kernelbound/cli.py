@@ -88,10 +88,6 @@ def _key_or(cfg: RunConfig, section: str, key: str, default):
     return default if value is None else value
 
 
-def _point(row, d: int):
-    return float(row[0]) if d == 1 else tuple(float(v) for v in row)
-
-
 def _points_key(cfg: RunConfig, section: str, key: str, d: int,
                 default=None) -> Optional[list]:
     mat = cfg.get(section, key)
@@ -100,7 +96,7 @@ def _points_key(cfg: RunConfig, section: str, key: str, d: int,
     if mat.shape[1] != d:
         raise ConfigError("%s: %s.%s rows must have d = %d coordinates"
                           % (cfg._where(section, key), section, key, d))
-    return [_point(row, d) for row in mat]
+    return [verify._loc_pt(row, d) for row in mat]
 
 
 def _components(cfg: RunConfig, section: str, m: int) -> list:
@@ -152,13 +148,15 @@ def _apply_overrides(cfg: RunConfig, result):
 
 
 def _bounds_params(cfg: RunConfig, d: int):
-    """s, the fixed window or None, t_ref and eps_scales from [bounds]."""
+    """s, the fixed window or None, t_ref and eps_scales from [bounds]; the
+    eps scales obey the majorant's own rule."""
     s = _key_or(cfg, "bounds", "s", float(d + 3))
     if s <= d + 2:
         raise ConfigError("%s: bounds.s must exceed d + 2 = %d, got %s"
                           % (cfg._where("bounds", "s"), d + 2, _g(s)))
     return (s, cfg.get("bounds", "window"), cfg.get("bounds", "t_ref"),
-            tuple(cfg.get("bounds", "eps_scales")))
+            _key_rule(cfg, "bounds", "eps_scales", verify.checked_eps_scales,
+                      tuple(cfg.get("bounds", "eps_scales"))))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +224,17 @@ def _ledger_text(ledger, H: float, H_star: float) -> str:
 
 def _certificate_text(cert, H: float, H_star: float) -> str:
     lines = ["bound certificate", "kind: %s" % cert.kind, "d: %d" % cert.d]
+
+    def shape(w, tag: str) -> list:
+        return [] if w is None else [(name + tag, getattr(w, name))
+                                     for name in ("eps", "sigma", "rho")]
+
     # the parameters the certificate's kind leaves unset are left out
-    for name in ("s", "eps", "sigma", "rho", "lam", "c_hat",
-                 "eps_star", "sigma_star", "rho_star", "lam_star"):
-        if getattr(cert, name) is not None:
-            lines.append("%s: %s" % (name, _g(getattr(cert, name))))
+    for name, value in [("s", cert.s), *shape(cert.weight, ""), ("lam", cert.lam),
+                        ("c_hat", cert.c_hat), *shape(cert.weight_star, "_star"),
+                        ("lam_star", cert.lam_star)]:
+        if value is not None:
+            lines.append("%s: %s" % (name, _g(value)))
     lines.append("majorant: %s" % _g(H))
     lines.append("majorant_star: %s" % _g(H_star))
     lines.append("C_cal: %s"
@@ -271,20 +275,15 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     ledger = led_f.with_adjoint(led_a)
 
     if isinstance(fam, PolynomialFamily):
-        kind = "polynomial"
         lam = bounds.eval_lambda_poly(fam, forward.timed.sigma,
                                       forward.static.rho)
         lam_star = bounds.eval_lambda_poly(fam, adjoint.timed.sigma,
                                            adjoint.static.rho)
     else:
-        kind = "exponential"
         lam = lam_star = None
     cert = bounds.BoundCertificate(
-        kind=kind, d=d, s=s, ledger=ledger,
-        eps=forward.timed.eps_T, sigma=forward.timed.sigma,
-        rho=forward.static.rho, lam=lam, c_hat=c_hat,
-        eps_star=adjoint.timed.eps_T, sigma_star=adjoint.timed.sigma,
-        rho_star=adjoint.static.rho, lam_star=lam_star)
+        d=d, s=s, ledger=ledger, weight=forward.timed.weight(), lam=lam, c_hat=c_hat,
+        weight_star=adjoint.timed.weight(), lam_star=lam_star)
 
     lyap_lines = ["lyapunov certificate"]
     lyap_lines += _spec_lines("forward", forward, rep_fs, rep_ft)
@@ -393,7 +392,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
 
     tset = cfg.get("verify", "t")
     t_single = _key_or(cfg, "verify", "t_single", sorted(tset)[len(tset) // 2])
-    origin = [_point(np.zeros(d), d)]
+    origin = [verify._loc_pt(np.zeros(d), d)]
     xs = _points_key(cfg, "verify", "x", d, origin)
     srcs = _points_key(cfg, "verify", "sources", d,
                        _points_key(cfg, "solve", "sources", d, origin))
@@ -477,7 +476,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
             e_scale = cfg.get("verify", "decay_eps_scale")
             checks_run.append(verify.DecayShape(
                 fam, grid, cfg.get("verify", "t_decay"), xs[0], components[0],
-                fwd.timed.weight(e_scale * fwd.timed.eps_T), dt, width,
+                fwd.timed.scaled(e_scale).weight(), dt, width,
                 slack=tol["decay"]))
     plots = [verify.Evolution.of_sources("P", grid, t_single,
                                          [(srcs[0], components[0])], width,

@@ -51,8 +51,6 @@ POSITIVE = Domain("> 0", lambda vals: all(v > 0 for v in vals))
 IMPLICIT = Domain("in [0.5, 1]", lambda vals: all(0.5 <= v <= 1 for v in vals))
 INCREASING = Domain("increasing, > 0", lambda vals: 0 < vals[0] and all(
     a < b for a, b in zip(vals, vals[1:])))
-INCREASING_IN_UNIT = Domain("increasing in (0, 1]", lambda vals: INCREASING.holds(vals)
-                            and vals[-1] <= 1)
 
 
 class Key(NamedTuple):
@@ -99,8 +97,7 @@ SCHEMA = {
         "s": Key("float", None),
         "window": Key("floats", None, length=4, domain=INCREASING),
         "t_ref": Key("float", 0.25, domain=POSITIVE),
-        "eps_scales": Key("floats", verify.WeightedBound.eps_scales, length=3,
-                          domain=INCREASING_IN_UNIT),
+        "eps_scales": Key("floats", verify.WeightedBound.eps_scales, length=3),
         "c_hat": Key("float", None),
     },
     "solve": {

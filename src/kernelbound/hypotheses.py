@@ -40,6 +40,7 @@ from .lyapunov import (
     _points_per_axis,
     _sample_points,
     _signed_log_sum,
+    log_curvature,
 )
 
 
@@ -338,7 +339,7 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     with np.errstate(over="ignore", invalid="ignore"):
         grad = 2.0 * np.abs(u) * np.sqrt(rm1)                   # |grad log w|
         xgrad = 2.0 * u * rm1                                   # <x, grad log w>
-        curv = grad * grad + 2.0 * d * u + 4.0 * rm1 * u2      # |grad log w|^2 + Lap log w
+        curv = log_curvature(u, u2, rm1, d)                     # |grad log w|^2 + Lap log w
     log_grad, log_xgrad, log_curv = _log_abs(grad), _log_abs(xgrad), _log_abs(curv)
     log_ratios = np.full((len(ts), 8, len(rm1)), -np.inf)
     log_ratios[:, 0] = 2.0 * d1  # (w/nu1)^(2/s)

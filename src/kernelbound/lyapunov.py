@@ -21,6 +21,14 @@ integral G(t) = int_0^t g closes the loop: the Dirichlet semigroups obey
 T(t) nu(t, .) <= e^{G(t)} nu(0, .), which is the integrability input of the
 kernel bounds.
 
+Every such function is one SpaceTimeWeight exp(eps t^sigma S(r)), reached
+through its spec and spelled nowhere else: LyapunovSpec.weight() is phi,
+with sigma = 1 and read at t = 1, and TimeLyapunovSpec.weight() is nu, of
+amplitude eps_T.  TimeLyapunovSpec.scaled(f) is the spec of amplitude
+f eps_hat, its c0 left to calibrate, so the weight of f eps_T that a check
+or the ledger reads and the certificate that calibrates its growth come
+from one spec.  A weight's value guards float range (SaturationError).
+
 Synthesis picks (rho, eps_hat, sigma, delta) deterministically as midpoints
 of the feasible intervals dictated by the growth exponents of the chosen
 coefficient family (sigma, whose interval is one-sided, is set to its lower
@@ -42,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import ExponentialFamily, PolynomialFamily, _FamilyBase
+from .coefficients import ExponentialFamily, PolynomialFamily, _FamilyBase, _radial
 from .errors import (
     CertificateError,
     DomainError,
@@ -174,12 +182,7 @@ class RadialPoints:
     """
 
     def __init__(self, x: np.ndarray, d: int):
-        x = np.asarray(x, dtype=float)
-        self.scalar = x.ndim == 1
-        self.pts = np.atleast_2d(x)
-        if self.pts.shape[-1] != d:
-            raise DomainError(f"points must have last axis {d}, got shape {x.shape}")
-        self.r = 1.0 + np.sum(self.pts * self.pts, axis=-1)
+        self.pts, self.r, self.scalar = _radial(x, d)
         self._shapes: dict = {}
 
     def shape(self, order: int, form: str, rho: float) -> np.ndarray:
@@ -247,6 +250,16 @@ class SpaceTimeWeight:
             * p.shape(0, self.form, self.rho)
         return _at_points(p, out, t)
 
+    def value(self, t, x, d: int) -> np.ndarray:
+        """w itself; SaturationError, carrying log w, where it leaves float range."""
+        if np.any(np.asarray(t) < 0):
+            raise DomainError("weight needs t >= 0")
+        lv = self.log_value(t, x, d)
+        top = float(np.max(lv))
+        if top > _LOG_MAX:
+            raise SaturationError(top)
+        return np.exp(lv)
+
     def r_log(self, t, x, d: int) -> tuple:
         """The first and second derivatives of log w in r, eps t^sigma S'(r)
         and eps t^sigma S''(r).  With u and u2 these, grad log w = 2 u x and
@@ -255,6 +268,12 @@ class SpaceTimeWeight:
         c = self.eps * _power(t, self.sigma)
         return tuple(_at_points(p, c * p.shape(order, self.form, self.rho), t)
                      for order in (1, 2))
+
+
+def log_curvature(u: np.ndarray, u2: np.ndarray, rm1: np.ndarray, d: int) -> np.ndarray:
+    """|grad log w|^2 + Lap log w = 4 (r - 1) u^2 + 2 d u + 4 (r - 1) u2 of a
+    radial weight, from the r-derivatives u, u2 of log w (r_log) at r - 1 = rm1."""
+    return 4.0 * rm1 * u * u + 2.0 * d * u + 4.0 * rm1 * u2
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +300,9 @@ class LyapunovSpec:
         if self.lam is not None and self.lam < 0:
             raise DomainError("certified growth bound must be >= 0")
 
-    def log_value(self, x: np.ndarray, d: int) -> np.ndarray:
-        p = _points(x, d)
-        out = self.eps_hat * p.shape(0, self.form, self.rho)
-        return out[0] if p.scalar else out
-
-    def value(self, x: np.ndarray, d: int) -> np.ndarray:
-        lv = self.log_value(x, d)
-        top = float(np.max(lv))
-        if top > _LOG_MAX:
-            raise SaturationError(top)
-        return np.exp(lv)
+    def weight(self) -> SpaceTimeWeight:
+        """The function as a weight with t^sigma frozen at 1: sigma = 1, read at t = 1."""
+        return SpaceTimeWeight(form=self.form, eps=self.eps_hat, sigma=1.0, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -317,30 +328,20 @@ class TimeLyapunovSpec:
     def eps_T(self) -> float:
         return self.base.eps_hat * self.T ** (-self.sigma)
 
-    def weight(self, eps: Optional[float] = None) -> SpaceTimeWeight:
-        """Space-time weight with the same shape; eps defaults to eps_T."""
-        return SpaceTimeWeight(form=self.base.form, eps=self.eps_T if eps is None else eps,
-                               sigma=self.sigma, rho=self.base.rho)
+    def weight(self) -> SpaceTimeWeight:
+        """The function as a space-time weight, of amplitude eps_T."""
+        return SpaceTimeWeight(form=self.base.form, eps=self.eps_T, sigma=self.sigma,
+                               rho=self.base.rho)
 
-    def log_value(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
-        if t < 0:
-            raise DomainError("need t >= 0")
-        if t == 0:
-            p = _points(x, d)
-            return 0.0 if p.scalar else np.zeros_like(p.r)
-        return self.weight().log_value(t, x, d)
-
-    def value(self, t: float, x: np.ndarray, d: int) -> np.ndarray:
-        lv = self.log_value(t, x, d)
-        top = float(np.max(lv))
-        if top > _LOG_MAX:
-            raise SaturationError(top)
-        return np.exp(lv)
+    def scaled(self, f: float) -> TimeLyapunovSpec:
+        """The spec of amplitude f eps_hat, its growth constant c0 still to calibrate."""
+        return replace(self, base=replace(self.base, eps_hat=self.base.eps_hat * float(f)),
+                       c0=None)
 
     def rate(self, t):
-        """The t-dependent part of g, eps_T delta t^p with p = sigma(delta-1)/delta;
-        a float t gives a float."""
-        return self.eps_T * self.delta * t ** (self.sigma * (self.delta - 1.0) / self.delta)
+        """The t-dependent part of g, eps_T delta t^p (growth_exponent); a float
+        t gives a float."""
+        return self.eps_T * self.delta * t ** growth_exponent(self.sigma, self.delta)
 
     def g(self, t) -> np.ndarray:
         if self.c0 is None:
@@ -353,17 +354,21 @@ class TimeLyapunovSpec:
         return growth_integral(self.c0, self.eps_T, self.sigma, self.delta, t)
 
 
-def growth_integral(c0: float, eps_T: float, sigma: float, delta: float, t) -> np.ndarray:
-    """Closed form of int_0^t (c0 + eps_T delta s^(sigma(delta-1)/delta)) ds.
+def growth_exponent(sigma: float, delta: float) -> float:
+    """The power p = sigma(delta-1)/delta of t in the growth rate g."""
+    return sigma * (delta - 1.0) / delta
 
-    The exponent p = sigma(delta-1)/delta satisfies p > -1 exactly when
-    delta > sigma/(sigma+1), so the integral is finite; delta = sigma is
-    accepted here to cover limit cases.
+
+def growth_integral(c0: float, eps_T: float, sigma: float, delta: float, t) -> np.ndarray:
+    """Closed form of int_0^t (c0 + eps_T delta s^p) ds, p = growth_exponent.
+
+    p > -1 exactly when delta > sigma/(sigma+1), so the integral is finite;
+    delta = sigma is accepted here to cover limit cases.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("growth integral needs t >= 0")
-    p = sigma * (delta - 1.0) / delta
+    p = growth_exponent(sigma, delta)
     if p <= -1.0:
         raise DomainError(f"exponent p = {p:.6g} <= -1, integral diverges")
     return c0 * t + eps_T * delta * t ** (p + 1.0) / (p + 1.0)
@@ -435,6 +440,11 @@ def _poly_eps_cap_adjoint(fam: PolynomialFamily, rho: float, equality: list[int]
     return cap
 
 
+def _sigma_above(rho: float, damping: float) -> float:
+    # sigma sits one above its lower endpoint rho/(damping - rho)
+    return rho / (damping - rho) + 1.0
+
+
 def _delta_midpoint(sigma: float, cap_ratio: float) -> float:
     # feasible delta interval is (sigma/(sigma+1), sigma * cap_ratio)
     lo = sigma / (sigma + 1.0)
@@ -488,8 +498,7 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
         if mstar <= rho:
             raise SynthesisError(f"damping max{{gamma_kk, beta_k + rho}} = {mstar:.6g} "
                                  f"does not exceed rho = {rho:.6g}")
-        sigma_min = rho / (mstar - rho)
-        sigma = sigma_min + 1.0
+        sigma = _sigma_above(rho, mstar)
         delta = _delta_midpoint(sigma, (mstar - rho) / mstar)
     else:
         uppers = []
@@ -514,8 +523,7 @@ def synth_poly(fam: PolynomialFamily, T: float, target: str = "P") -> SynthesisR
         if gmin <= rho:
             raise SynthesisError(f"adjoint damping gamma_min = {gmin:.6g} "
                                  f"does not exceed rho = {rho:.6g}")
-        sigma_min = rho / (gmin - rho)
-        sigma = sigma_min + 1.0
+        sigma = _sigma_above(rho, gmin)
         delta = _delta_midpoint(sigma, (gmin - rho) / gmin)
 
     static = LyapunovSpec(form="power", rho=rho, eps_hat=eps_hat, target=target)
@@ -546,20 +554,16 @@ def synth_exp(fam: ExponentialFamily, T: float, target: str = "P") -> SynthesisR
             raise SynthesisError(
                 f"equation {k_bad}: no admissible rho, need max{{beta_k, gamma_kk}} > 0")
         rho = U / 2.0
-        eps_hat = 0.5
         sigma = 1.0  # free choice for the forward target, fixed for determinism
-        delta = _midpoint(sigma / (sigma + 1.0), sigma)
     else:
         gmin = float(np.diag(fam.gamma).min())
         if gmin <= 0:
             raise SynthesisError("adjoint synthesis needs gamma_kk > 0 for every k")
         rho = gmin / 2.0
-        eps_hat = 0.5
-        sigma_min = rho / (gmin - rho)
-        sigma = sigma_min + 1.0
-        delta = _midpoint(sigma / (sigma + 1.0), sigma)
+        sigma = _sigma_above(rho, gmin)
 
-    static = LyapunovSpec(form="integrated-exp", rho=rho, eps_hat=eps_hat, target=target)
+    delta = _delta_midpoint(sigma, 1.0)
+    static = LyapunovSpec(form="integrated-exp", rho=rho, eps_hat=0.5, target=target)
     timed = TimeLyapunovSpec(base=static, T=T, sigma=sigma, delta=delta)
     return SynthesisResult(static=static, timed=timed)
 
@@ -749,16 +753,13 @@ def _generator_ratio(fields: GridFields, lyap: LyapunovSpec | TimeLyapunovSpec,
     at = fields.points
     d = at.pts.shape[-1]
     timed = isinstance(lyap, TimeLyapunovSpec)
-    if timed:
-        w = lyap.weight()
-        tt = t if np.ndim(t) else float(t)
-    else:
-        w = SpaceTimeWeight(form=lyap.form, eps=lyap.eps_hat, sigma=1.0, rho=lyap.rho)
-        tt = 1.0  # static function: t^sigma frozen at 1
+    w = lyap.weight()
+    if not timed:
+        t = 1.0  # the static function is read at t = 1
+    tt = t if np.ndim(t) else float(t)
     u, u2 = w.r_log(tt, at, d)
-    rm1 = at.r - 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = 4.0 * rm1 * u * u + 2.0 * d * u + 4.0 * rm1 * u2
+        trace = log_curvature(u, u2, at.r - 1.0, d)
         out = fields.q * trace[..., None, :] + fields.drift * u[..., None, :] - fields.vp_sums
         if fields.divb is not None:
             out = out - fields.divb

@@ -202,7 +202,7 @@ class GridSpec:
         p = np.asarray(point, dtype=float).reshape(self.d)
         idx = (p + self.radius) / self.spacing - 1.0
         near = np.round(idx)
-        if np.any(np.abs(idx - near) > 1e-9) or np.any(near < 0) \
+        if not all(is_whole(v) for v in idx) or np.any(near < 0) \
                 or np.any(near > self.n_per_axis - 1):
             raise DomainError(f"point {p!r} is not an interior grid node")
         flat = 0

@@ -1181,19 +1181,6 @@ class ChapmanKolmogorov(_Check):
 # weight checks
 # ---------------------------------------------------------------------------
 
-def _scaled(timed: TimeLyapunovSpec, scale: float) -> TimeLyapunovSpec:
-    """The weight amplitude rescaled; its growth constant still to calibrate."""
-    base = replace(timed.base, eps_hat=timed.base.eps_hat * float(scale))
-    return replace(timed, base=base, c0=None)
-
-
-def _calibrated_scaled(system, timed: TimeLyapunovSpec, scale: float, radius: float,
-                       store: Optional[KernelStore] = None) -> TimeLyapunovSpec:
-    """Rescale the weight amplitude and recalibrate its growth constant,
-    through the store's certificate records when given one."""
-    return stored_certificate(system, _scaled(timed, scale), radius, store).certified
-
-
 @dataclass(frozen=True, eq=False)
 class LyapunovIntegrability(_Check):
     """Weighted kernel integrals stay below the certified growth envelope.
@@ -1231,7 +1218,7 @@ class LyapunovIntegrability(_Check):
         batch.  The weight is the one of the rescaled spec, which calibration
         does not change, so no calibration runs here."""
         grid = self.grid
-        w = _scaled(self.timed, self.eps_scale).weight()
+        w = self.timed.scaled(self.eps_scale).weight()
         pts = grid.points()
         at = RadialPoints(pts, grid.d)
         shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
@@ -1244,10 +1231,11 @@ class LyapunovIntegrability(_Check):
         return reqs
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
-        grid, eps = self.grid, self.timed.eps_T * self.eps_scale
+        grid = self.grid
         d = grid.d
         radius = self.cert_radius if self.cert_radius is not None else _sample_radius(grid)
-        spec_used = _calibrated_scaled(self.system, self.timed, self.eps_scale, radius, store)
+        spec_used = stored_certificate(self.system, self.timed.scaled(self.eps_scale), radius,
+                                       store).certified
         tail_worst = 0.0
         rows = _Rows()
         for t, both in zip(self.t_values, outputs):
@@ -1260,12 +1248,14 @@ class LyapunovIntegrability(_Check):
                 rows.add(t, _loc_pt(x, d), None, int(np.argmax(out[node])), None, val, bound,
                          score=val / bound - 1.0)
         return self.result(rows.worst, self.tol, rows.loc,
-                           {"samples": rows.samples, "eps": eps, "c0": spec_used.c0,
+                           {"samples": rows.samples, "eps": spec_used.eps_T, "c0": spec_used.c0,
                             "boundary_fraction": tail_worst},
                            inconclusive=tail_worst > self.boundary_fraction)
 
 
-def _checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
+def checked_eps_scales(eps_scales: Sequence[float]) -> tuple:
+    """The majorant's three shares of eps_T; DomainError unless they increase
+    within (0, 1]."""
     s0, s1, s2 = eps_scales
     if not 0.0 < s0 < s1 < s2 <= 1.0:
         raise DomainError(f"eps scales must increase within (0, 1], got {eps_scales}")
@@ -1282,33 +1272,30 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
 
     The window defaults to (t/8, t/4, t/2, 3t/4), proportional to the
     evaluation time; an explicit 4-tuple overrides it.  The three weights
-    share the synthesized shape at eps_scales times the certified
-    amplitude.  Because the comparison weights equal one at time zero, the
-    majorant is constant in space; the value is returned along with the
-    estimated ledger.  The ledger and the certificates of nu1 and nu2 are
+    w, nu1 and nu2 are those of the synthesized spec scaled by eps_scales,
+    and G1 and G2 the growth integrals of the certificates of the last two,
+    so the ledger reads the very weights whose growth H integrates.
+    Because the comparison weights equal one at time zero, the majorant is
+    constant in space; the value is returned along with the estimated
+    ledger.  The ledger and the certificates of nu1 and nu2 are
     records in the store, or, without one, in a KernelStore in memory, made
     for the call; so calls at several times calibrate nu1 and nu2 once.
     """
     store = KernelStore() if store is None else store
-    timed = synthesis.timed
-    s0, s1, s2 = _checked_eps_scales(eps_scales)
+    specs = [synthesis.timed.scaled(f) for f in checked_eps_scales(eps_scales)]
     if window is None:
         if t is None:
             raise DomainError("need an evaluation time or an explicit window")
         window = (t / 8.0, t / 4.0, t / 2.0, 3.0 * t / 4.0)
     elif len(window) != 4:
         raise DomainError(f"window needs 4 entries, got {len(window)}")
-    eps_T = timed.eps_T
-    w = timed.weight(s0 * eps_T)
-    nu1 = timed.weight(s1 * eps_T)
-    nu2 = timed.weight(s2 * eps_T)
-    ledger = _stored_ledger(system, w, nu1, nu2, s, (window[0], window[3]), adjoint,
-                            (window[1], window[2]), store)
-    spec1 = _calibrated_scaled(system, timed, s1, cert_radius, store)
-    spec2 = _calibrated_scaled(system, timed, s2, cert_radius, store)
+    ledger = _stored_ledger(system, *(spec.weight() for spec in specs), s,
+                            (window[0], window[3]), adjoint, (window[1], window[2]), store)
+    G1, G2 = (stored_certificate(system, spec, cert_radius, store).certified.G
+              for spec in specs[1:])
     # adjoint estimates land in the plain constant slots until merged, and
     # the starred majorant uses the same bracket structure
-    return ledger, eval_H(ledger, spec1.G, spec2.G)
+    return ledger, eval_H(ledger, G1, G2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1357,9 +1344,8 @@ class WeightedBound(_Check):
         store = KernelStore() if store is None else store
         d, m = self.system.dims.d, self.system.dims.m
         adj, scale0 = self.adjoint_synthesis, self.eps_scales[0]
-        timed = self.synthesis.timed
-        w = timed.weight(scale0 * timed.eps_T)
-        wstar = adj.timed.weight(scale0 * adj.timed.eps_T) if adj is not None else None
+        w = self.synthesis.timed.scaled(scale0).weight()
+        wstar = adj.timed.scaled(scale0).weight() if adj is not None else None
 
         def majorants(synthesis, adjoint):
             # the healthy H, or H*, at each time; every time after the first

@@ -527,7 +527,7 @@ def box_generator_ratio(system, lyap, t: Optional[float], pts: np.ndarray) -> np
     timed = isinstance(lyap, TimeLyapunovSpec)
     base = lyap.base if timed else lyap
     adjoint = base.target == "P_adjoint"
-    w = lyap.weight() if timed else SpaceTimeWeight(base.form, base.eps_hat, 1.0, base.rho)
+    w = lyap.weight()
     tt = float(t) if timed else 1.0
     grad, hess = grad_log(w, tt, pts, d), hess_log(w, tt, pts, d)
     vp = box_row_sums(system, pts, adjoint)

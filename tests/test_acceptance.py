@@ -331,7 +331,7 @@ def test_criterion_11_decay_shape(headline_synthesis):
     res = run_alone(DecayShape(headline_synthesis["family"],
                                GridSpec(1, 6.0, 1.0 / 16),
                                t_values=(0.25, 0.5), x0=0.0, component=0,
-                               weight=timed.weight(0.5 * timed.eps_T)))
+                               weight=timed.scaled(0.5).weight()))
     worsts.append(res.worst)
     ok = res.passed
     conclude(11, "tail decay shape", ok,

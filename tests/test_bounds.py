@@ -15,6 +15,7 @@ from kernelbound.bounds import (
 )
 from kernelbound.coefficients import diagonal_family
 from kernelbound.errors import DomainError, NonFiniteError
+from kernelbound.lyapunov import SpaceTimeWeight
 
 
 def make_ledger(c, s=4.0, d=1, window=(1.0, 2.0, 3.0, 4.0), M=0.0, **kw):
@@ -152,8 +153,8 @@ class TestDecayExponent:
 
 def poly_cert(**kw):
     led = make_ledger([1, 0, 0, 0, 0, 0, 0, 0])
-    base = dict(kind="polynomial", d=1, s=4.0, ledger=led, eps=0.5, sigma=2.0,
-                rho=1.0, lam=3.0)
+    base = dict(d=1, s=4.0, ledger=led, weight=SpaceTimeWeight("power", 0.5, 2.0, 1.0),
+                lam=3.0)
     base.update(kw)
     return BoundCertificate(**base)
 
@@ -164,8 +165,9 @@ class TestCertificate:
         y = np.array([1.5])
         ry = 1.0 + 1.5 ** 2
         for t1, t2 in [(0.1, 0.2), (0.5, 2.0)]:
-            v1 = cert.log_decay(t1, y) + cert.eps * t1 ** cert.sigma * ry ** cert.rho
-            v2 = cert.log_decay(t2, y) + cert.eps * t2 ** cert.sigma * ry ** cert.rho
+            w = cert.weight
+            v1 = cert.log_decay(t1, y) + w.eps * t1 ** w.sigma * ry ** w.rho
+            v2 = cert.log_decay(t2, y) + w.eps * t2 ** w.sigma * ry ** w.rho
             slope = (v2 - v1) / (math.log(t2) - math.log(t1))
             assert slope == pytest.approx(1.0 - cert.lam * cert.s, abs=1e-10)
 
@@ -176,7 +178,7 @@ class TestCertificate:
         assert np.all(np.diff(vals) < 0)
 
     def test_two_sided_symmetric_when_parameters_match(self):
-        cert = poly_cert(eps_star=0.5, sigma_star=2.0, rho_star=1.0, lam_star=3.0)
+        cert = poly_cert(weight_star=SpaceTimeWeight("power", 0.5, 2.0, 1.0), lam_star=3.0)
         a, b = np.array([0.3]), np.array([-2.0])
         assert cert.log_decay(0.4, a, b) == pytest.approx(cert.log_decay(0.4, b, a))
 
@@ -186,17 +188,16 @@ class TestCertificate:
             cert.log_decay(0.4, np.array([0.0]), np.array([1.0]))
 
     def test_exponential_short_time_blowup(self):
-        cert = BoundCertificate(kind="exponential", d=1, s=4.0,
-                                ledger=make_ledger([1, 0, 0, 0, 0, 0, 0, 0]),
-                                eps=0.5, sigma=1.0, rho=0.5)
+        cert = BoundCertificate(d=1, s=4.0, ledger=make_ledger([1, 0, 0, 0, 0, 0, 0, 0]),
+                                weight=SpaceTimeWeight("integrated-exp", 0.5, 1.0, 0.5))
         y = np.array([0.0])
         assert cert.log_decay(1e-4, y) > cert.log_decay(1.0, y) + 1e3
 
     def test_exponential_prefactor_floor_enforced(self):
         with pytest.raises(DomainError):
-            BoundCertificate(kind="exponential", d=1, s=4.0,
-                             ledger=make_ledger([0] * 8),
-                             eps=0.5, sigma=1.0, rho=0.5, c_hat=(1 + 2) / 4.0)
+            BoundCertificate(d=1, s=4.0, ledger=make_ledger([0] * 8),
+                             weight=SpaceTimeWeight("integrated-exp", 0.5, 1.0, 0.5),
+                             c_hat=(1 + 2) / 4.0)
         assert checked_c_hat(1) == pytest.approx(1.0)
 
     def test_polynomial_needs_lambda(self):

@@ -414,6 +414,19 @@ class TestSolveCommand:
         assert rc == 3
         assert "resource limit" in err and "Traceback" not in err
 
+    def test_verify_on_a_grid_over_the_budget_exits_3(self, tmp_path, capsys):
+        # at spacing 1e-9 the origin's node index, 1.6e10 - 1, is whole only
+        # to within a share of it, so verify.x is a node and the node budget
+        # is what stops the run
+        text = (BENCH_CONFIGS / "poly1d.cfg").read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("spacing = 0.0625", "spacing = 1e-9"))
+        rc = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "resource limit: grid needs 15999999998 unknowns" in err
+        assert "Traceback" not in err
+
     def test_unknown_variant_is_config_error(self, tmp_path):
         cfg = make_config(tmp_path, solve={"variants": "Q"})
         assert cli.main(["solve", "--config", str(cfg), "--out",

@@ -48,7 +48,7 @@ def synthesize(fam, target):
 
 
 def ledger_weights(timed):
-    return [timed.weight(f * timed.eps_T) for f in (0.5, 0.75, 1.0)]
+    return [timed.scaled(f).weight() for f in (0.5, 0.75, 1.0)]
 
 
 # The verify command keeps these numbers in its kernel store as records, keyed

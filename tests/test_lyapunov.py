@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,21 +151,36 @@ def test_synth_exp_infeasible():
 
 def test_eval_power_form():
     spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=1.0)
-    assert spec.value(np.array([0.0]), 1) == pytest.approx(math.e)
-    assert spec.value(np.array([1.0]), 1) == pytest.approx(math.exp(2.0))
+    assert spec.weight().value(1.0, np.array([0.0]), 1) == pytest.approx(math.e)
+    assert spec.weight().value(1.0, np.array([1.0]), 1) == pytest.approx(math.exp(2.0))
 
 
 def test_eval_timed_at_zero_is_one():
     spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.5)
     timed = ly.TimeLyapunovSpec(base=spec, T=1.0, sigma=2.0, delta=5.0 / 6.0)
-    assert timed.value(0.0, np.array([3.0]), 1) == pytest.approx(1.0)
-    assert timed.value(1.0, np.array([0.0]), 1) == pytest.approx(math.exp(0.5))
+    assert timed.weight().value(0.0, np.array([3.0]), 1) == pytest.approx(1.0)
+    assert timed.weight().value(1.0, np.array([0.0]), 1) == pytest.approx(math.exp(0.5))
+
+
+def test_a_weight_before_time_zero_is_rejected():
+    spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.5)
+    timed = ly.TimeLyapunovSpec(base=spec, T=1.0, sigma=2.0, delta=5.0 / 6.0)
+    with pytest.raises(DomainError):
+        timed.weight().value(-0.5, np.array([0.0]), 1)
+
+
+def test_a_scaled_spec_has_the_amplitude_and_no_growth_constant():
+    spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.3)
+    timed = replace(ly.TimeLyapunovSpec(base=spec, T=0.7, sigma=2.0, delta=5.0 / 6.0), c0=1.5)
+    half = timed.scaled(0.5)
+    assert half.base == replace(spec, eps_hat=0.15) and half.c0 is None
+    assert half.weight() == replace(timed.weight(), eps=0.15 * 0.7 ** -2.0)
 
 
 def test_eval_saturation_error_carries_log_value():
     spec = ly.LyapunovSpec(form="power", rho=2.0, eps_hat=1.0)
     with pytest.raises(SaturationError) as exc:
-        spec.value(np.array([100.0]), 1)
+        spec.weight().value(1.0, np.array([100.0]), 1)
     assert exc.value.log_value == pytest.approx((1 + 100.0 ** 2) ** 2)
 
 
@@ -289,7 +305,7 @@ def test_each_radial_shape_is_computed_once_per_grid(monkeypatch):
     assert calls == {0: 2, 1: 2, 2: 2}
     calls.clear()
     # three weights of one shape, nine sample times
-    estimate_ledger(fam, *[timed.weight(f * timed.eps_T) for f in (0.5, 0.75, 1.0)],
+    estimate_ledger(fam, *[timed.scaled(f).weight() for f in (0.5, 0.75, 1.0)],
                     s=5.0, window=(0.0625, 0.375))
     assert calls == {0: 1, 1: 1, 2: 1}
 
@@ -356,7 +372,7 @@ def test_certificate_static_matches_fd_operator_route():
     res = ly.synth_poly(fam, T=1.0)
     static = res.static
     for xv in (0.0, 0.9, -1.7):
-        phi = lambda x: float(np.exp(static.log_value(np.atleast_1d(x), 1)))
+        phi = lambda x: float(static.weight().value(1.0, np.atleast_1d(x), 1))
         jet = FieldJet.from_callables([phi, phi], np.array([xv]), step=1e-5)
         for k in range(2):
             direct = eval_operator(fam, "P", jet, k, np.array([xv])) / phi(xv)

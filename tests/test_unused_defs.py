@@ -135,8 +135,8 @@ TEST_ONLY = {
                            "the pointwise check on the roadmap is to read it, or it goes",
     ("bounds.py", "solve_X0"): "the scalar step of the reduction to H, stated in the "
                                "module docstring; acceptance criterion 9 is its contract",
-    ("lyapunov.py", "value"): "LyapunovSpec.value and TimeLyapunovSpec.value, the "
-                              "Lyapunov functions themselves with their overflow guard",
+    ("lyapunov.py", "value"): "SpaceTimeWeight.value, a spec's Lyapunov function itself "
+                              "(spec.weight().value) with its overflow guard",
     ("lyapunov.py", "g"): "TimeLyapunovSpec.g, the growth rate g(t) of the paper, whose "
                           "closed-form integral G the package uses",
 }

@@ -805,6 +805,26 @@ class TestWeightedBound:
                                     coarse=(1.0 / 8, 4.0), fine=(1.0 / 16, 8.0),
                                     eps_scales=(0.75, 0.5, 1.0)))
 
+    def test_the_ledger_reads_the_weights_whose_growth_G_integrates(self, monkeypatch):
+        # at eps_hat = 0.3 and T = 0.7, 0.75 eps_T rounds to 0.45918367346938777,
+        # one bit above the eps_T of the spec of amplitude 0.75 eps_hat; nu1
+        # must be the weight of that spec, whose certificate calibrates G1
+        fam = headline_family()
+        syn = synth_poly(fam, 1.0)
+        timed = replace(syn.timed, base=replace(syn.static, eps_hat=0.3), T=0.7)
+        assert timed.sigma == 2.0 and timed.delta == pytest.approx(5.0 / 6.0)
+        weights, specs = [], []
+        ledger, certificate = verify.estimate_ledger, verify.stored_certificate
+        monkeypatch.setattr(verify, "estimate_ledger", lambda system, *a, **kw:
+                            weights.append(a[:3]) or ledger(system, *a, **kw))
+        monkeypatch.setattr(verify, "stored_certificate", lambda system, spec, *a, **kw:
+                            specs.append(spec) or certificate(system, spec, *a, **kw))
+        verify.weighted_majorant(fam, replace(syn, timed=timed), 4.0, 0.25)
+        (w, nu1, nu2), = weights
+        spec1, spec2 = specs
+        assert nu1 == spec1.weight() and nu2 == spec2.weight()
+        assert nu1.eps == 0.4591836734693877
+
 
 class TestDecayShape:
     def test_headline_tail_stays_below_core(self):
@@ -812,7 +832,7 @@ class TestDecayShape:
         syn = synth_poly(fam, 1.0)
         res = run_alone(DecayShape(fam, GridSpec(1, 6.0, 1.0 / 16),
                                    t_values=(0.25, 0.5), x0=0.5, component=0,
-                                   weight=syn.timed.weight(0.5 * syn.timed.eps_T)))
+                                   weight=syn.timed.scaled(0.5).weight()))
         assert res.passed, res.line()
 
     def test_excessive_decay_claim_fails(self):
@@ -820,7 +840,7 @@ class TestDecayShape:
         syn = synth_poly(fam, 1.0)
         res = run_alone(DecayShape(fam, GridSpec(1, 6.0, 1.0 / 16),
                                    t_values=(0.5,), x0=0.5, component=0,
-                                   weight=syn.timed.weight(50.0)))
+                                   weight=replace(syn.timed.weight(), eps=50.0)))
         assert res.status == "fail"
 
     @pytest.mark.parametrize("scale, status", [(0.5, "pass"), (40.0, "fail")])
@@ -832,7 +852,7 @@ class TestDecayShape:
         timed = synth_poly(fam, 1.0).timed
         res = run_alone(DecayShape(fam, GridSpec(1, 16.0, 0.0625), t_values=(0.25, 0.5),
                                    x0=0.0, component=0,
-                                   weight=timed.weight(scale * timed.eps_T), width=0.0625))
+                                   weight=timed.scaled(scale).weight(), width=0.0625))
         assert res.status == status, res.line()
 
     def test_exponential_family_is_compensated_by_its_own_profile(self):
