@@ -1,4 +1,4 @@
-"""Kernel-bound majorant, calibrated constants, and decay evaluators.
+"""Kernel-bound majorant, the constants ledger, and the decay profile's exponents.
 
 The weighted kernel estimate has the shape
 
@@ -19,9 +19,8 @@ nu1(0, x) = nu2(0, x) = 1 and H is one number, which eval_H returns.
 Specializing the weights to the concrete coefficient families turns C * H
 into explicit decay profiles: a power of t times a stretched-exponential
 factor in the second spatial argument (and, for the two-sided form, in
-both arguments).  BoundCertificate holds that factor as the forward
-synthesis's SpaceTimeWeight, and the two-sided one's as the adjoint's; its
-profile reads their log values, and its kind is the forward weight's form.
+both arguments).  eval_lambda_poly gives the polynomial family's t-power,
+checked_c_hat the exponential family's singular-prefactor constant.
 
 The reduction from the iterated kernel estimates to H passes through one
 piece of scalar algebra, exposed as solve_X0: any X >= 0 satisfying
@@ -41,7 +40,7 @@ import numpy as np
 
 from .coefficients import PolynomialFamily
 from .errors import DomainError, NonFiniteError
-from .lyapunov import SpaceTimeWeight, _quad
+from .lyapunov import _quad
 
 LEDGER_ITEMS = (
     "weight-vs-nu1",
@@ -63,7 +62,6 @@ class ConstantsLedger:
     suprema over [a0, b0] x R^d, the bound itself lives on (a, b).
     boundary_flags marks items whose numeric argmax sat on the sample-box
     boundary, i.e. whose supremum may not be converged in the radius.
-    Starred fields repeat the story for the adjoint problem.
     """
 
     d: int
@@ -71,9 +69,7 @@ class ConstantsLedger:
     window: tuple[float, float, float, float]
     c: tuple[float, ...]
     M: float
-    c_star: Optional[tuple[float, ...]] = None
-    M_star: Optional[float] = None
-    boundary_flags: Optional[tuple[bool, ...]] = None
+    boundary_flags: tuple[bool, ...]
 
     def __post_init__(self):
         if self.s <= self.d + 2:
@@ -81,24 +77,13 @@ class ConstantsLedger:
         a0, a, b, b0 = self.window
         if not (0 < a0 < a < b < b0):
             raise DomainError(f"window must satisfy 0 < a0 < a < b < b0, got {self.window}")
-        for name, vals in (("c", self.c), ("c_star", self.c_star)):
-            if vals is None:
-                continue
-            if len(vals) != 8:
-                raise DomainError(f"{name} must have 8 entries, got {len(vals)}")
-            arr = np.asarray(vals, dtype=float)
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise NonFiniteError(f"{name} entries must be finite and >= 0: {vals}")
+        if len(self.c) != 8:
+            raise DomainError(f"c must have 8 entries, got {len(self.c)}")
+        arr = np.asarray(self.c, dtype=float)
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise NonFiniteError(f"c entries must be finite and >= 0: {self.c}")
         if not math.isfinite(self.M):
             raise NonFiniteError(f"row-sum bound M must be finite, got {self.M}")
-
-    def with_adjoint(self, star: "ConstantsLedger") -> "ConstantsLedger":
-        """Merge a forward ledger with the ledger of the adjoint problem."""
-        if star.window != self.window or star.s != self.s:
-            raise DomainError("adjoint ledger must share the window and s")
-        return ConstantsLedger(
-            d=self.d, s=self.s, window=self.window, c=self.c, M=self.M,
-            c_star=star.c, M_star=star.M, boundary_flags=self.boundary_flags)
 
 
 def eval_H(ledger: ConstantsLedger, G1: Callable[[np.ndarray], np.ndarray],
@@ -177,65 +162,3 @@ def checked_c_hat(d: int, c_hat: Optional[float] = None) -> float:
     if ch <= (d + 2) / 4.0:
         raise DomainError(f"c_hat must exceed (d+2)/4 = {(d + 2) / 4.0}, got {ch}")
     return ch
-
-
-@dataclass(frozen=True)
-class BoundCertificate:
-    """Everything needed to evaluate the certified decay profile.
-
-    weight is the decay in the second spatial argument, and its form names
-    the family shape (kind); weight_star, when present, is the two-sided
-    decay in the first argument.  lam (and lam_star) fix the t-power; C_cal
-    is the measured calibration constant (None until a verification run
-    sets it).
-    """
-
-    d: int
-    s: float
-    ledger: ConstantsLedger
-    weight: SpaceTimeWeight
-    lam: Optional[float] = None          # polynomial kind only
-    c_hat: Optional[float] = None        # exponential kind only
-    weight_star: Optional[SpaceTimeWeight] = None
-    lam_star: Optional[float] = None
-    C_cal: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "polynomial" and self.lam is None:
-            raise DomainError("polynomial certificate needs lam")
-        if self.kind == "exponential":
-            object.__setattr__(self, "c_hat", checked_c_hat(self.d, self.c_hat))
-
-    @property
-    def kind(self) -> str:
-        """The family shape: polynomial for a power-form weight, else exponential."""
-        return "polynomial" if self.weight.form == "power" else "exponential"
-
-    def log_decay(self, t: float, y: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
-        """log of the decay profile (excluding C_cal) at time t.
-
-        One-sided: evaluated at y, uniform in the unseen first argument.
-        Passing x switches to the two-sided profile; requires weight_star.
-        """
-        if t <= 0:
-            raise DomainError(f"decay profile needs t > 0, got {t}")
-        if x is not None and self.weight_star is None:
-            raise DomainError("two-sided profile requested but no starred weight present")
-        w, d = self.weight, self.d
-        if self.kind == "polynomial":
-            if x is None:
-                return (1.0 - self.lam * self.s) * math.log(t) - w.log_value(t, y, d)
-            power = 1.0 - (self.lam + self.lam_star) * self.s / 2.0
-            return power * math.log(t) - 0.5 * w.log_value(t, y, d) \
-                - 0.5 * self.weight_star.log_value(t, x, d)
-        head = math.log(t) + self.c_hat * t ** (-w.sigma)
-        if x is None:
-            return head - w.log_value(t, y, d)
-        return head - 0.5 * (w.log_value(t, y, d) + w.log_value(t, x, d))
-
-    def eval(self, t: float, y: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
-        """Certified bound value C_cal * decay(t, x, y); may overflow to inf."""
-        if self.C_cal is None:
-            raise DomainError("certificate not calibrated: C_cal unset")
-        with np.errstate(over="ignore"):
-            return np.exp(np.log(self.C_cal) + self.log_decay(t, y, x))

@@ -190,55 +190,48 @@ def _spec_lines(label: str, result, static_rep, timed_rep) -> list:
         "%s.target: %s" % (label, st.target),
         "%s.rho: %s" % (label, _g(st.rho)),
         "%s.eps_hat: %s" % (label, _g(st.eps_hat)),
-        "%s.lam: %s" % (label, _g(st.lam) if st.lam is not None else "-"),
+        "%s.lam: %s" % (label, _g(st.lam)),
     ] + _timed_lines(label, result.timed)
     for tag, rep in (("static", static_rep), ("timed", timed_rep)):
-        if rep is None:
-            continue
         lines.append("%s.%s_sup: %s -> %s (radius %s, %s)"
                      % (label, tag, _g(rep.sup_coarse), _g(rep.sup_fine),
                         _g(rep.radius), "stable" if rep.passed else "drifting"))
     return lines
 
 
-def _ledger_text(ledger, H: float, H_star: float) -> str:
-    a0, a, b, b0 = ledger.window
+def _ledger_text(forward, adjoint, H: float, H_star: float) -> str:
+    a0, a, b, b0 = forward.window
     lines = ["constants ledger",
-             "d: %d" % ledger.d,
-             "s: %s" % _g(ledger.s),
+             "d: %d" % forward.d,
+             "s: %s" % _g(forward.s),
              "window: %s %s %s %s" % (_g(a0), _g(a), _g(b), _g(b0)),
-             "M: %s" % _g(ledger.M),
-             "M_star: %s" % (_g(ledger.M_star)
-                             if ledger.M_star is not None else "-"),
+             "M: %s" % _g(forward.M),
+             "M_star: %s" % _g(adjoint.M),
              "item forward adjoint boundary"]
-    flags = ledger.boundary_flags or (False,) * 8
-    star = ledger.c_star or (None,) * 8
-    for name, c, cs, fb in zip(bounds.LEDGER_ITEMS, ledger.c, star, flags):
+    for name, c, cs, fb in zip(bounds.LEDGER_ITEMS, forward.c, adjoint.c,
+                               forward.boundary_flags):
         lines.append("%s %s %s %s"
-                     % (name, _g(c), _g(cs) if cs is not None else "-",
-                        "edge" if fb else "interior"))
+                     % (name, _g(c), _g(cs), "edge" if fb else "interior"))
     lines.append("majorant: %s" % _g(H))
     lines.append("majorant_star: %s" % _g(H_star))
     return "\n".join(lines) + "\n"
 
 
-def _certificate_text(cert, H: float, H_star: float) -> str:
-    lines = ["bound certificate", "kind: %s" % cert.kind, "d: %d" % cert.d]
+def _certificate_text(d: int, s: float, weight, weight_star, lam, c_hat, lam_star,
+                      H: float, H_star: float) -> str:
+    kind = "polynomial" if weight.form == "power" else "exponential"
+    lines = ["bound certificate", "kind: %s" % kind, "d: %d" % d]
 
     def shape(w, tag: str) -> list:
-        return [] if w is None else [(name + tag, getattr(w, name))
-                                     for name in ("eps", "sigma", "rho")]
+        return [(name + tag, getattr(w, name)) for name in ("eps", "sigma", "rho")]
 
-    # the parameters the certificate's kind leaves unset are left out
-    for name, value in [("s", cert.s), *shape(cert.weight, ""), ("lam", cert.lam),
-                        ("c_hat", cert.c_hat), *shape(cert.weight_star, "_star"),
-                        ("lam_star", cert.lam_star)]:
+    # the parameters the family's kind leaves unset are left out
+    for name, value in [("s", s), *shape(weight, ""), ("lam", lam), ("c_hat", c_hat),
+                        *shape(weight_star, "_star"), ("lam_star", lam_star)]:
         if value is not None:
             lines.append("%s: %s" % (name, _g(value)))
     lines.append("majorant: %s" % _g(H))
     lines.append("majorant_star: %s" % _g(H_star))
-    lines.append("C_cal: %s"
-                 % (_g(cert.C_cal) if cert.C_cal is not None else "-"))
     return "\n".join(lines) + "\n"
 
 
@@ -272,7 +265,6 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
                                              eps_scales=eps_scales,
                                              adjoint=True, cert_radius=radius,
                                              window=window, store=store)
-    ledger = led_f.with_adjoint(led_a)
 
     if isinstance(fam, PolynomialFamily):
         lam = bounds.eval_lambda_poly(fam, forward.timed.sigma,
@@ -281,9 +273,6 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
                                            adjoint.static.rho)
     else:
         lam = lam_star = None
-    cert = bounds.BoundCertificate(
-        d=d, s=s, ledger=ledger, weight=forward.timed.weight(), lam=lam, c_hat=c_hat,
-        weight_star=adjoint.timed.weight(), lam_star=lam_star)
 
     lyap_lines = ["lyapunov certificate"]
     lyap_lines += _spec_lines("forward", forward, rep_fs, rep_ft)
@@ -297,9 +286,10 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
         time_lines += _timed_lines(label, ti) + ["%s.G_at_T: %s" % (label, _g(ti.G(ti.T)))]
     _write(os.path.join(out, "time_spec.txt"), "\n".join(time_lines) + "\n")
 
-    _write(os.path.join(out, "ledger.txt"), _ledger_text(ledger, H, H_star))
+    _write(os.path.join(out, "ledger.txt"), _ledger_text(led_f, led_a, H, H_star))
     _write(os.path.join(out, "certificate.txt"),
-           _certificate_text(cert, H, H_star))
+           _certificate_text(d, s, forward.timed.weight(), adjoint.timed.weight(),
+                             lam, c_hat, lam_star, H, H_star))
 
     print("synth: rho=%s sigma=%s delta=%s c0=%s"
           % (_g(forward.static.rho), _g(forward.timed.sigma),

@@ -305,15 +305,15 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     is a log-space combination, so family coefficients far beyond float64
     range still produce finite ratios.  adjoint=True computes the starred
     variant: the potential item additionally absorbs |div b|, and the
-    resulting constants land in c with M from the adjoint row sums (use
-    ConstantsLedger.with_adjoint to merge).  inner overrides the inner
-    window pair (a, b); the default sits at even quarters.  A radial
-    family's ratios are functions of r = 1 + |x|^2 alone, so they are
-    evaluated on the box's distinct radii (lyapunov._sample_points), the
-    whole window in one (times, radii) pass, and M is the infimum of the
-    row sums on the same radii.  Each radius stands at the first box point
-    of its class in row-major order, which gives the edge flags and the x
-    of the first non-finite ratio, taken in time, item and radius order.
+    resulting constants land in c with M from the adjoint row sums.  inner
+    overrides the inner window pair (a, b); the default sits at even
+    quarters.  A radial family's ratios are functions of r = 1 + |x|^2
+    alone, so they are evaluated on the box's distinct radii
+    (lyapunov._sample_points), the whole window in one (times, radii) pass,
+    and M is the infimum of the row sums on the same radii.  Each radius
+    stands at the first box point of its class in row-major order, which
+    gives the edge flags and the x of the first non-finite ratio, taken in
+    time, item and radius order.
     """
     a0, b0 = window
     if not (0 < a0 < b0):

@@ -280,7 +280,43 @@ class TestCheckCommand:
         assert "bad.cfg:3" in capsys.readouterr().err
 
 
+SYNTH_FILES = ("lyapunov_certificate.txt", "time_spec.txt", "ledger.txt",
+               "certificate.txt")
+
+
+@pytest.fixture(scope="module", params=["poly1d", "poly2d", "exp1d"])
+def bench_synth(request, tmp_path_factory):
+    """The four synth artifacts of a bench config, name -> list of lines."""
+    out = tmp_path_factory.mktemp(request.param)
+    assert cli.main(["synth", "--config", str(BENCH_CONFIGS / (request.param + ".cfg")),
+                     "--out", str(out)]) == 0
+    return {name: (out / name).read_text().splitlines() for name in SYNTH_FILES}
+
+
+def keyed(lines):
+    """key -> value of each 'key: value' line."""
+    return dict(line.split(": ", 1) for line in lines if ": " in line)
+
+
 class TestSynthCommand:
+    def test_no_artifact_value_is_a_placeholder(self, bench_synth):
+        # synth prints what it computed, so no value of any line reads "-"
+        for name, lines in bench_synth.items():
+            for line in lines:
+                assert "-" not in line.split(), (name, line)
+
+    def test_the_certificate_agrees_with_the_other_artifacts(self, bench_synth):
+        files = {name: keyed(lines) for name, lines in bench_synth.items()}
+        cert, timed = files["certificate.txt"], files["time_spec.txt"]
+        lyap, ledger = files["lyapunov_certificate.txt"], files["ledger.txt"]
+        kind = "polynomial" if lyap["forward.form"] == "power" else "exponential"
+        assert cert["kind"] == kind
+        for tag, label in (("", "forward"), ("_star", "adjoint")):
+            assert cert["eps" + tag] == timed[label + ".eps_T"]
+            assert cert["sigma" + tag] == timed[label + ".sigma"]
+            assert cert["rho" + tag] == lyap[label + ".rho"]
+            assert cert["majorant" + tag] == ledger["majorant" + tag]
+
     def test_writes_four_artifacts(self, tmp_path):
         cfg = make_config(tmp_path)
         out = tmp_path / "out"

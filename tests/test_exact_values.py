@@ -554,19 +554,19 @@ SYNTH_SHA256 = {
         "lyapunov_certificate.txt": "a2fd83a94511b9968c94f97de282adfef82f7dffa3cd7e41765b14b9071f5730",
         "time_spec.txt": "fa35e14243302c7f156691a6d35c3b3e016769f40870692e8e693773a0f58d54",
         "ledger.txt": "0c559ad55a1d36ab0a28c77a856712d817fee1b1af18bb7f8e6f912ac8668330",
-        "certificate.txt": "39d5ca672a06ca667f83dba9016b565f100d8c1eece60b858f80b33e145e3ee5",
+        "certificate.txt": "f3d08750efa1e2b001253082354065c5eef4f9c236424a822568cac6377de337",
     },
     "poly2d": {
         "lyapunov_certificate.txt": "aeac739f588d19ba9993a9bf4c3ea36511fa4de245e42fb8d45b19cf321488cc",
         "time_spec.txt": "c4c9afba303122d8405d0ad024e7d2bb249503bc859fb8057e9a5078801e7c70",
         "ledger.txt": "1cbbfad5a23a68166c032b08b62105b59a31c90141ef45bb6d5f14f3ee6ac766",
-        "certificate.txt": "de7aebbeccf662e3b24444bc1ce5e70d7d7b4ae2095ec8d72039dd7ac3f10744",
+        "certificate.txt": "6d8ab75ec51a05e31c8fbfc825f5483f4e00ea83ba7f4b7f12391f600a0990c5",
     },
     "exp1d": {
         "lyapunov_certificate.txt": "74e32c722b00124ee4b3de5540eb9642be954ed1761fe9a92076bcce7e066a1e",
         "time_spec.txt": "d0c5e05ccc1bdb5331450d71afcc041695aa4b708d2d313c40bb9cde08fa0d6c",
         "ledger.txt": "ed9cfe4061fde81131219401d2aa2ed17aca7539e4c326a15546fd7698f282a1",
-        "certificate.txt": "00e84bd7598b8a67be3257630d2da7c59fbb6adfbc18524615d8e6d6e10523d5",
+        "certificate.txt": "6356a52b61c5cc0c97506b01c62dd1970e35b0984e1fd0f93627086e097f5cc6",
     },
 }
 

@@ -230,7 +230,7 @@ class TestLedger:
         led = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
         assert led.window == (0.5, 0.75, 1.25, 1.5)
         assert led.M == pytest.approx(0.5, abs=1e-12)
-        assert led.boundary_flags is not None and not any(led.boundary_flags)
+        assert len(led.boundary_flags) == 8 and not any(led.boundary_flags)
         assert all(np.isfinite(led.c))
 
     def test_adjoint_potential_item_absorbs_divergence(self):
@@ -239,9 +239,7 @@ class TestLedger:
         fwd = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
         adj = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5), adjoint=True)
         assert adj.c[4] > fwd.c[4]
-        merged = fwd.with_adjoint(adj)
-        assert merged.c_star == adj.c
-        assert merged.M_star == pytest.approx(-1.0625, abs=2e-3)
+        assert adj.M == pytest.approx(-1.0625, abs=2e-3)
 
     def test_a_blocked_ledger_drops_its_temporaries(self):
         # the nine window times take one (times, radii) pass on the 257

@@ -131,8 +131,6 @@ def test_a_string_names_a_function_but_not_a_method():
 
 # (module, def) pairs of src/ that only tests/ use, each with why it stays
 TEST_ONLY = {
-    ("bounds.py", "eval"): "BoundCertificate.eval, the paper's pointwise kernel bound; "
-                           "the pointwise check on the roadmap is to read it, or it goes",
     ("bounds.py", "solve_X0"): "the scalar step of the reduction to H, stated in the "
                                "module docstring; acceptance criterion 9 is its contract",
     ("lyapunov.py", "value"): "SpaceTimeWeight.value, a spec's Lyapunov function itself "
@@ -263,10 +261,7 @@ def test_a_method_parameter_needs_an_attribute_call():
 
 # (module, def, parameter) triples that no call the scan resolves passes,
 # each with where it is passed or why it stays
-UNRESOLVED = {
-    ("bounds.py", "eval", "x"): "BoundCertificate.eval is TEST_ONLY above; x asks it for "
-                                "the two-sided bound, which the pointwise check is to read",
-}
+UNRESOLVED = {}
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -451,12 +446,7 @@ def test_scan_finds_a_planted_unread_field():
 
 # (module, class, field) triples of src/ whose field nothing in src/ reads,
 # each with why it stays
-UNREAD_FIELDS = {
-    ("bounds.py", "BoundCertificate", "ledger"): "the constants the certificate's majorant "
-                                                 "is built from; the pointwise check on the "
-                                                 "roadmap, BoundCertificate.eval, is to read "
-                                                 "it, or it goes",
-}
+UNREAD_FIELDS = {}
 
 
 def test_every_dataclass_field_is_read_in_src():

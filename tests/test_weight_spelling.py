@@ -1,10 +1,12 @@
-"""src/ spells a weight one way.
+"""src/ spells a weight one way, and a constants ledger one way.
 
 SpaceTimeWeight is constructed only in the weight methods of lyapunov.py's
 two specs, and no call of .weight() passes an argument, so a weight of
 amplitude f eps_T is reached as spec.scaled(f).weight() alone: the weight a
 check or the ledger reads is then the weight of the certificate that
-calibrates its growth.
+calibrates its growth.  ConstantsLedger is constructed only in
+hypotheses.ledger_of, so a ledger rebuilt from the store and one just
+estimated have the same window and the same bits.
 """
 
 import ast
@@ -40,9 +42,9 @@ def called(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
-def constructions(source: str) -> set:
-    """(class, def) of each SpaceTimeWeight construction of source."""
-    return {(cls, fn) for cls, fn, call in calls(source) if called(call) == "SpaceTimeWeight"}
+def constructions(source: str, name: str) -> set:
+    """(class, def) of each construction of the class name in source."""
+    return {(cls, fn) for cls, fn, call in calls(source) if called(call) == name}
 
 
 def weight_calls_with_arguments(source: str) -> list:
@@ -59,14 +61,30 @@ def sources() -> dict:
 def test_the_scan_sees_a_construction_and_an_argument():
     source = ("class A:\n    def f(self, spec):\n"
               "        return spec.weight(0.5), ly.SpaceTimeWeight('power', 1.0, 1.0, 1.0)\n")
-    assert constructions(source) == {("A", "f")}
+    assert constructions(source, "SpaceTimeWeight") == {("A", "f")}
     assert weight_calls_with_arguments(source) == [3]
 
 
+def test_the_scan_sees_a_ledger_construction():
+    source = ("def ledger_of(d):\n    return ConstantsLedger(d=d)\n"
+              "class A:\n    def merge(self, led):\n"
+              "        return bounds.ConstantsLedger(d=led.d)\n")
+    assert constructions(source, "ConstantsLedger") == {(None, "ledger_of"), ("A", "merge")}
+
+
+def constructed(name: str) -> set:
+    """(module, class, def) of each construction of the class name in src/."""
+    return {(module, *site) for module, text in sources().items()
+            for site in constructions(text, name)}
+
+
 def test_only_the_specs_weight_methods_construct_a_weight():
-    found = {(name, *site) for name, text in sources().items() for site in constructions(text)}
-    assert found == {("lyapunov.py", "LyapunovSpec", "weight"),
-                     ("lyapunov.py", "TimeLyapunovSpec", "weight")}
+    assert constructed("SpaceTimeWeight") == {("lyapunov.py", "LyapunovSpec", "weight"),
+                                              ("lyapunov.py", "TimeLyapunovSpec", "weight")}
+
+
+def test_only_ledger_of_constructs_a_ledger():
+    assert constructed("ConstantsLedger") == {("hypotheses.py", None, "ledger_of")}
 
 
 def test_no_weight_call_passes_an_argument():
