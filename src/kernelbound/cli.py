@@ -207,11 +207,11 @@ def _ledger_text(forward, adjoint, H: float, H_star: float) -> str:
              "window: %s %s %s %s" % (_g(a0), _g(a), _g(b), _g(b0)),
              "M: %s" % _g(forward.M),
              "M_star: %s" % _g(adjoint.M),
-             "item forward adjoint boundary"]
-    for name, c, cs, fb in zip(bounds.LEDGER_ITEMS, forward.c, adjoint.c,
-                               forward.boundary_flags):
-        lines.append("%s %s %s %s"
-                     % (name, _g(c), _g(cs), "edge" if fb else "interior"))
+             "item forward adjoint boundary boundary_star"]
+    for name, c, cs, fb, ab in zip(bounds.LEDGER_ITEMS, forward.c, adjoint.c,
+                                   forward.boundary_flags, adjoint.boundary_flags):
+        lines.append("%s %s %s %s %s" % (name, _g(c), _g(cs), "edge" if fb else "interior",
+                                         "edge" if ab else "interior"))
     lines.append("majorant: %s" % _g(H))
     lines.append("majorant_star: %s" % _g(H_star))
     return "\n".join(lines) + "\n"
@@ -243,8 +243,8 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     # only the exponential bound has a singular prefactor
     c_hat = None if isinstance(fam, PolynomialFamily) else _key_rule(
         cfg, "bounds", "c_hat", bounds.checked_c_hat, d, cfg.get("bounds", "c_hat"))
-    # in memory: the static, timed and nu1 certificates of a target share
-    # its two grids, each evaluated once, and synth writes no store files
+    # in memory, so synth writes no store files; the static, timed and nu1
+    # certificates of a target share the family's two grids of that target
     store = verify.KernelStore()
 
     def certified(target: str) -> tuple:

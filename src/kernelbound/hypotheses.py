@@ -11,13 +11,17 @@ Three layers of scrutiny, in increasing numeric weight:
    decay e^{-Mt} of the semigroup;
 3. the eight weight-compatibility ratios tying a decaying space-time weight
    w to a pair of growing comparison functions nu1, nu2: c_i is the
-   supremum over a time window and a spatial sample box of ratio_i, e.g.
+   supremum of ratio_i over LEDGER_TIMES times of a window and the sample
+   box, e.g.
 
        c_2 = sup |Q^h grad w| / (w^{(s-1)/s} nu1^{1/s}),
        c_5 = sup |V_(h,.)| / (w^{-2/s} nu2^{2/s}),    and so on.
 
-All ratio work happens in log space: coefficients and weights may overflow
-float64 individually, their combinations never should.
+The sample box is the one of the dimension (lyapunov._sample_points):
+radius SAMPLE_RADIUS, which the row sums may change, and
+lyapunov._points_per_axis(d) points per axis.  All ratio work happens in
+log space: coefficients and weights may overflow float64 individually,
+their combinations never should.
 """
 
 from __future__ import annotations
@@ -74,18 +78,8 @@ class RowSumBound:
     certified_tail: bool
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Sampling layout for numeric suprema: time count, box radius, axis
-    points.  The ledger and its row-sum bound M read the box's distinct
-    radii, lyapunov._sample_points of the system."""
-
-    t_count: int = 9
-    radius: float = SAMPLE_RADIUS
-    per_axis: Optional[int] = None
-
-    def times(self, a0: float, b0: float) -> np.ndarray:
-        return np.linspace(a0, b0, self.t_count)
+# the ledger's sups run over this many equally spaced times of its window
+LEDGER_TIMES = 9
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +164,8 @@ def check_exponential(fam: ExponentialFamily) -> list[HypothesisReport]:
 # row-sum lower bound
 # ---------------------------------------------------------------------------
 
-def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_RADIUS,
-                          per_axis: Optional[int] = None) -> RowSumBound:
+def compute_row_sum_bound(system, adjoint: bool = False,
+                          radius: float = SAMPLE_RADIUS) -> RowSumBound:
     """Infimum of the worst cooperative row sum over a sample box, with a
     tail probe.
 
@@ -181,22 +175,22 @@ def compute_row_sum_bound(system, adjoint: bool = False, radius: float = SAMPLE_
     The row sums there must be nondecreasing for the tail to count as
     certified, otherwise the result is marked numeric-only.
     """
-    at = _sample_points(system, radius, per_axis)
+    at = _sample_points(system, radius)
     M = float(np.min(_cooperative_row_sums(system, at.r, adjoint, with_divb=adjoint)))
     ray = radius * np.array([1.0, 1.25, 1.5, 2.0])
     vals = _cooperative_row_sums(system, 1.0 + ray * ray, adjoint, with_divb=adjoint).min(axis=0)
     certified = all(hi >= lo - (1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0)
                     for lo, hi in zip(vals[:-1], vals[1:]))
-    return row_sum_bound_of(M, certified, radius, _points_per_axis(system.dims.d, per_axis))
+    return row_sum_bound_of(M, certified, radius, system.dims.d)
 
 
-def row_sum_bound_of(M: float, certified: bool, radius: float, per_axis: int) -> RowSumBound:
-    """The bound compute_row_sum_bound returns for its radius and points per
-    axis, from the infimum M and the tail verdict it measured.
+def row_sum_bound_of(M: float, certified: bool, radius: float, d: int) -> RowSumBound:
+    """The bound compute_row_sum_bound returns for its radius in dimension d,
+    from the infimum M and the tail verdict it measured.
 
     A store that keeps only those two numbers rebuilds the bound here.
     """
-    method = f"grid-infimum(radius={radius:g}, per_axis={per_axis})" \
+    method = f"grid-infimum(radius={radius:g}, per_axis={_points_per_axis(d)})" \
         + (", tail certified nondecreasing" if certified else ", tail NOT certified")
     return RowSumBound(M=M, method=method, certified_tail=certified)
 
@@ -294,16 +288,16 @@ def ledger_fields(fam, at: RadialPoints, adjoint: bool) -> list:
 
 def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
                     s: float, window: tuple[float, float],
-                    plan: Optional[SamplePlan] = None,
                     adjoint: bool = False,
                     inner: Optional[tuple[float, float]] = None) -> ConstantsLedger:
     """Numeric suprema of the eight weight-compatibility ratios.
 
     w must decay relative to nu1 and nu2 (eps strictly increasing along
     w, nu1, nu2 and shared sigma, rho), otherwise the ratios blow up.  The
-    supremum runs over plan.times(a0, b0) x the plan's box; every evaluation
-    is a log-space combination, so family coefficients far beyond float64
-    range still produce finite ratios.  adjoint=True computes the starred
+    supremum runs over LEDGER_TIMES equally spaced times of [a0, b0] x the
+    sample box of radius SAMPLE_RADIUS; every evaluation is a log-space
+    combination, so family coefficients far beyond float64 range still
+    produce finite ratios.  adjoint=True computes the starred
     variant: the potential item additionally absorbs |div b|, and the
     resulting constants land in c with M from the adjoint row sums.  inner
     overrides the inner window pair (a, b); the default sits at even
@@ -324,14 +318,13 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     if not (w.eps < nu1.eps < nu2.eps):
         raise DomainError(
             f"need eps(w) < eps(nu1) < eps(nu2), got {w.eps}, {nu1.eps}, {nu2.eps}")
-    plan = plan or SamplePlan()
     d = system.dims.d
-    at = _sample_points(system, plan.radius, plan.per_axis)  # the weights share form and rho
+    at = _sample_points(system, SAMPLE_RADIUS)  # the weights share form and rho
     pts, rm1 = at.pts, at.r - 1.0
-    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
+    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * SAMPLE_RADIUS
     fields = ledger_fields(system, at, adjoint)
 
-    ts = plan.times(a0, b0)
+    ts = np.linspace(a0, b0, LEDGER_TIMES)
     Sw = w.log_value(ts, at, d)             # (times, radii)
     d1 = (Sw - nu1.log_value(ts, at, d)) / s
     d2 = (Sw - nu2.log_value(ts, at, d)) / s
@@ -376,7 +369,7 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
                 sups[i] = t_sup[i]
                 arg_edge[i] = bool(edge[t_arg[i]])
 
-    row = compute_row_sum_bound(system, adjoint, plan.radius, plan.per_axis)
+    row = compute_row_sum_bound(system, adjoint)
     return ledger_of(d, s, window, inner, sups, arg_edge, row.M)
 
 

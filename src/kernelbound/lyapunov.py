@@ -36,15 +36,16 @@ endpoint plus one).  Certificates are validated numerically: grid suprema
 of the generator ratio, stability under radius doubling, and calibration of
 the constant part c0 of g.  For a radial family the generator ratio is a
 function of r alone, evaluated on the distinct radii of the sample box
-(_sample_points), with a whole ladder of times in one pass;
-CertificateGrids keeps a system's certificate grids, so that a command
-evaluates each grid once.
+(_sample_points), with a whole ladder of times in one pass.  A family
+keeps its certificate grids for as long as it lives, so a command, which
+makes its family once, evaluates each grid once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -581,8 +582,8 @@ class CertificateReport:
     passed: bool
 
 
-# default radius of the certificate, ledger and row-sum sample boxes, and
-# their default points per axis
+# radius of the ledger's sample box, and the default one of the certificates
+# and row sums; a box of dimension d has _points_per_axis(d) points per axis
 SAMPLE_RADIUS = 20.0
 # a certificate is stable when its two grid sups agree within this share of
 # max(1, |sup|)
@@ -590,33 +591,33 @@ STABLE_TOLERANCE = 0.01
 _GRID_POINTS = {1: 513, 2: 65}
 
 
-def _points_per_axis(d: int, per_axis: Optional[int] = None) -> int:
-    return per_axis or _GRID_POINTS.get(d, 33)
+def _points_per_axis(d: int) -> int:
+    return _GRID_POINTS.get(d, 33)
 
 
-def _grid_points(d: int, radius: float, per_axis: Optional[int] = None) -> np.ndarray:
-    n = _points_per_axis(d, per_axis)
+def _grid_points(d: int, radius: float) -> np.ndarray:
+    n = _points_per_axis(d)
     axes = [np.linspace(-radius, radius, n) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
 
 @functools.cache
-def _radius_classes(d: int, radius: float, per_axis: int) -> np.ndarray:
+def _radius_classes(d: int, radius: float) -> np.ndarray:
     """The first point, in row-major order, of each distinct sum of squares
     of the sample box, listed in row-major order.
 
     The table depends only on its arguments, so a process builds it once per
     key and every caller reads the one array, which is read-only.
     """
-    pts = _grid_points(d, radius, per_axis)
+    pts = _grid_points(d, radius)
     _, first = np.unique(np.sum(pts * pts, axis=-1), return_index=True)
     classes = pts[np.sort(first)]
     classes.flags.writeable = False
     return classes
 
 
-def _sample_points(system, radius: float, per_axis: Optional[int] = None) -> RadialPoints:
+def _sample_points(system, radius: float) -> RadialPoints:
     """The sample radii of system's certificates, ledger and row sums in the
     box of the given radius: r = 1 + |x|^2 at the first box point, in
     row-major order, of each distinct sum of squares (_radius_classes).
@@ -632,8 +633,7 @@ def _sample_points(system, radius: float, per_axis: Optional[int] = None) -> Rad
         raise DomainError(
             f"{type(system).__name__} (d={system.dims.d}, m={system.dims.m}) is not a radial "
             "family: certificates, ledger and row sums evaluate in r = 1 + |x|^2 alone")
-    d = system.dims.d
-    return RadialPoints(_radius_classes(d, float(radius), _points_per_axis(d, per_axis)), d)
+    return RadialPoints(_radius_classes(system.dims.d, float(radius)), system.dims.d)
 
 
 def _signed_log_sum(logabs: np.ndarray, sign: np.ndarray, axis: int = 0):
@@ -715,25 +715,18 @@ def grid_fields(fam, at: RadialPoints, adjoint: bool) -> GridFields:
                       vp_sums=_cooperative_row_sums(fam, r, adjoint), points=at)
 
 
-class CertificateGrids:
-    """The GridFields of one system's certificate grids, by radius, points
-    per axis and target, each evaluated on first use.
+# each family's GridFields by (radius, adjoint); an entry dies with its family
+_FAMILY_FIELDS = weakref.WeakKeyDictionary()
 
-    A command that certifies several functions of one system hands one to
-    every verify_certificate, so each grid's coefficients and radial shapes
-    are evaluated once; they go when the command drops it.
-    """
 
-    def __init__(self, system):
-        self.system = system
-        self._fields: dict = {}
-
-    def fields(self, radius: float, per_axis: Optional[int], adjoint: bool) -> GridFields:
-        key = (radius, _points_per_axis(self.system.dims.d, per_axis), adjoint)
-        if key not in self._fields:
-            at = _sample_points(self.system, radius, per_axis)
-            self._fields[key] = grid_fields(self.system, at, adjoint)
-        return self._fields[key]
+def _family_fields(system, radius: float, adjoint: bool) -> GridFields:
+    """The GridFields of system's certificate grid of the given radius,
+    evaluated on first use and kept while the family lives."""
+    at = _sample_points(system, radius)
+    fields = _FAMILY_FIELDS.setdefault(system, {})
+    if (radius, adjoint) not in fields:
+        fields[radius, adjoint] = grid_fields(system, at, adjoint)
+    return fields[radius, adjoint]
 
 
 def _generator_ratio(fields: GridFields, lyap: LyapunovSpec | TimeLyapunovSpec,
@@ -772,9 +765,7 @@ def _generator_ratio(fields: GridFields, lyap: LyapunovSpec | TimeLyapunovSpec,
 
 
 def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
-                       radius: float = SAMPLE_RADIUS, tolerance: float = STABLE_TOLERANCE,
-                       per_axis: Optional[int] = None,
-                       grids: Optional[CertificateGrids] = None) -> CertificateReport:
+                       radius: float = SAMPLE_RADIUS) -> CertificateReport:
     """Validate a Lyapunov certificate on a grid and its radius-doubled version.
 
     Static specs: certifies lam = max(0, sup_k,x (A psi)_k / psi).  Timed
@@ -782,34 +773,29 @@ def verify_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     geometric time ladder.  Fails with a certificate error when the sup
     grows by 10% or more under radius doubling (the function is then no
     Lyapunov function for this operator); passes when the two suprema agree
-    within tolerance * max(1, |sup|).  Each grid is the sample radii of its
-    box (_sample_points), on which the generator ratio of a radial family
-    is evaluated in r alone.  The coefficient fields depend on x only, so
-    they are evaluated once per grid and reused at every ladder time; grids,
-    when given, keeps them for the system's next certificate, which is how
-    a command's kernel store evaluates each grid once.  The ladder takes one
-    (times, radii) pass.
+    within STABLE_TOLERANCE * max(1, |sup|).  Each grid is the sample radii
+    of its box (_sample_points), on which the generator ratio of a radial
+    family is evaluated in r alone.  The coefficient fields depend on x
+    only, so they are evaluated once per grid and reused at every ladder
+    time, and the family keeps them for its next certificate.  The ladder
+    takes one (times, radii) pass.
     """
     timed = isinstance(lyap, TimeLyapunovSpec)
     target = lyap.base.target if timed else lyap.target
-    grids = CertificateGrids(system) if grids is None else grids
-    if grids.system is not system:
-        raise DomainError("certificate grids belong to another system")
 
     def grid_sup(R: float) -> float:
-        fields = grids.fields(R, per_axis, adjoint=target == "P_adjoint")
+        fields = _family_fields(system, R, adjoint=target == "P_adjoint")
         if not timed:
             return float(np.max(_generator_ratio(fields, lyap)))
         tgrid = [lyap.T * 2.0 ** (-j) for j in range(0, 11)]
         shift = np.array([lyap.rate(t) for t in tgrid])
         return float(np.max(_generator_ratio(fields, lyap, tgrid) - shift[:, None, None]))
 
-    return certificate_report(lyap, grid_sup(radius), grid_sup(2.0 * radius), radius,
-                              tolerance)
+    return certificate_report(lyap, grid_sup(radius), grid_sup(2.0 * radius), radius)
 
 
 def certificate_report(lyap: LyapunovSpec | TimeLyapunovSpec, sup_c: float, sup_f: float,
-                       radius: float, tolerance: float = STABLE_TOLERANCE) -> CertificateReport:
+                       radius: float) -> CertificateReport:
     """The report of verify_certificate, from its grid sups at radius and 2 radius.
 
     A store that keeps only the two sups rebuilds the report here.
@@ -820,7 +806,7 @@ def certificate_report(lyap: LyapunovSpec | TimeLyapunovSpec, sup_c: float, sup_
         raise CertificateError(
             f"unbounded growth: certificate sup rose from {sup_c:.6g} (R={radius:g}) "
             f"to {sup_f:.6g} (R={2 * radius:g})")
-    passed = abs(sup_f - sup_c) <= tolerance * scale
+    passed = abs(sup_f - sup_c) <= STABLE_TOLERANCE * scale
     # the doubled grid halves core resolution, so certify against both sups
     if timed:
         certified = replace(lyap, c0=max(0.0, sup_c, sup_f))

@@ -55,11 +55,12 @@ ledger (weighted_majorant), and the row-sum bound M and its tail verdict,
 by which the mass check bounds the decay, rebuilt by the functions
 verify_certificate, estimate_ledger and compute_row_sum_bound build them
 with, so a stored constant has the bits of a computed one.  A record's key
-covers the system, every field of the specs and weights, the radius and
-points per axis, s, the window, the sample plan, adjoint, the inner window
-and RECORD_VERSION.  So a rerun against the same store recomputes nothing,
-and a certificate the store lacks is computed on the store's grids of the
-system, so a command evaluates each grid once.  Every store entry reaches
+covers the system, every field of the specs and weights, the radius, s,
+the window, adjoint, the inner window and RECORD_VERSION, but not the
+sample box, a function of d, nor the ledger's LEDGER_TIMES.  So a
+rerun against the same store recomputes nothing, and a certificate the
+store lacks is computed on the family's own grids, so a command evaluates
+each grid once.  Every store entry reaches
 the disk in one binary format, a float64 array behind a magic and its
 shape, which save_field writes and load_field reads.
 """
@@ -83,11 +84,11 @@ import numpy as np
 from .bounds import ConstantsLedger, eval_H
 from .coefficients import CouplingSupport, _FamilyBase
 from .errors import DomainError, KernelBoundError
-from .hypotheses import (RowSumBound, SamplePlan, compute_row_sum_bound, estimate_ledger,
-                         ledger_of, row_sum_bound_of)
-from .lyapunov import (SAMPLE_RADIUS, CertificateGrids, CertificateReport, LyapunovSpec,
-                       RadialPoints, SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, _points_per_axis,
-                       certificate_report, verify_certificate)
+from .hypotheses import (RowSumBound, compute_row_sum_bound, estimate_ledger, ledger_of,
+                         row_sum_bound_of)
+from .lyapunov import (SAMPLE_RADIUS, CertificateReport, LyapunovSpec, RadialPoints,
+                       SpaceTimeWeight, SynthesisResult, TimeLyapunovSpec, certificate_report,
+                       verify_certificate)
 from .solver import (DEFAULT_BUDGET, DIAGONAL, SOLVER_VERSION, GridSpec, OperatorHandle,
                      default_dt, is_whole, mollified_source, release_freed_memory, symmetries)
 
@@ -107,7 +108,10 @@ __all__ = [
 
 _TINY = 1e-300
 # Part of every record key: bump it whenever a change can move a recorded
-# certificate sup or ledger number, as SOLVER_VERSION for fields.
+# certificate sup or ledger number, as SOLVER_VERSION for fields.  The keys
+# leave out what the code fixes for each d: the certificates' 11-time
+# ladder, the ledger's LEDGER_TIMES and the sample boxes' points per axis
+# (lyapunov._GRID_POINTS), so a change of any of them needs a bump too.
 RECORD_VERSION = 4
 # Part of every store key, fields and records alike: bump it whenever the
 # store file format changes, so no file of an older format is read.
@@ -240,13 +244,11 @@ class KernelStore:
     save_field as .kbf.  So a command reads each file at most once, and
     len() counts the entries held.  A file that does not load, or holds a NaN, is rebuilt,
     and a built array with a NaN is handed back but neither held nor
-    written.  grids(system) keeps the certificate grids of each system the
-    store sees, in memory only, so a command evaluates each grid once.
+    written.
     """
 
     def __init__(self, directory=None):
         self._memory: dict[str, np.ndarray] = {}
-        self._grids: dict[int, CertificateGrids] = {}
         # a plain string: every lookup builds a path, and pathlib is slow at it
         self._dir = os.fspath(directory) if directory is not None else None
         if self._dir is not None:
@@ -261,18 +263,6 @@ class KernelStore:
             return None
         name = hashlib.sha1(key.encode()).hexdigest()[:16]
         return os.path.join(self._dir, name + ".kbf")
-
-    def grids(self, system) -> CertificateGrids:
-        """The certificate grids of system, made on first use.
-
-        They are keyed by the system object, not by its fingerprint, since
-        verify_certificate takes only the grids of the very system it
-        certifies; they hold the system, so its id() stays unique while
-        the store lives.
-        """
-        if id(system) not in self._grids:
-            self._grids[id(system)] = CertificateGrids(system)
-        return self._grids[id(system)]
 
     def get_or_compute(self, key: str, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The array under key: from memory, else from its file, else from
@@ -306,11 +296,11 @@ def _record_key(kind: str, system, *parts) -> str:
 def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
                        radius: float = SAMPLE_RADIUS,
                        store: Optional[KernelStore] = None) -> CertificateReport:
-    """verify_certificate(system, lyap, radius=radius) on the store's grids
-    of the system, with its two grid sups held in the store as a record.
+    """verify_certificate(system, lyap, radius=radius), with its two grid
+    sups held in the store as a record.
 
-    The record key covers the system, every field of lyap, the radius and
-    the grid's points per axis.  The report is rebuilt from the sups by
+    The record key covers the system, every field of lyap and the radius.
+    The report is rebuilt from the sups by
     certificate_report, as verify_certificate builds it, so a stored
     certificate has the bits of a computed one.  Without a store the record
     goes to a KernelStore in memory, made for the call.
@@ -318,10 +308,10 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
     store = KernelStore() if store is None else store
 
     def sups():
-        report = verify_certificate(system, lyap, radius=radius, grids=store.grids(system))
+        report = verify_certificate(system, lyap, radius=radius)
         return report.sup_coarse, report.sup_fine
 
-    key = _record_key("certificate", system, lyap, radius, _points_per_axis(system.dims.d))
+    key = _record_key("certificate", system, lyap, radius)
     return certificate_report(lyap, *store.get_or_compute(key, sups).tolist(), radius)
 
 
@@ -332,7 +322,7 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
     and M held in the store as a record.
 
     The record key covers the system, every field of the three weights, s,
-    the window, the sample plan and its points per axis, adjoint and inner.
+    the window, adjoint and inner.
     The ledger is rebuilt from the numbers by ledger_of, as estimate_ledger
     builds it.
     """
@@ -340,18 +330,16 @@ def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
         led = estimate_ledger(system, w, nu1, nu2, s, window, adjoint=adjoint, inner=inner)
         return (*led.c, *led.boundary_flags, led.M)
 
-    d = system.dims.d
-    key = _record_key("ledger", system, w, nu1, nu2, s, window, SamplePlan(),
-                      _points_per_axis(d), adjoint, inner)
+    key = _record_key("ledger", system, w, nu1, nu2, s, window, adjoint, inner)
     nums = store.get_or_compute(key, numbers).tolist()
-    return ledger_of(d, s, window, inner, nums[:8], nums[8:16], nums[16])
+    return ledger_of(system.dims.d, s, window, inner, nums[:8], nums[8:16], nums[16])
 
 
 def _stored_row_sum(system, radius: float, store: KernelStore) -> RowSumBound:
     """compute_row_sum_bound(system, radius=radius), with M and the tail verdict
     held in the store as a record.
 
-    The record key covers the system, the radius and the points per axis.
+    The record key covers the system and the radius.
     The bound is rebuilt from the two numbers by row_sum_bound_of, as
     compute_row_sum_bound builds it.
     """
@@ -359,10 +347,9 @@ def _stored_row_sum(system, radius: float, store: KernelStore) -> RowSumBound:
         row = compute_row_sum_bound(system, radius=radius)
         return row.M, row.certified_tail
 
-    n = _points_per_axis(system.dims.d)
-    key = _record_key("row_sum", system, radius, n)
-    M, certified = store.get_or_compute(key, numbers).tolist()
-    return row_sum_bound_of(M, bool(certified), radius, n)
+    M, certified = store.get_or_compute(_record_key("row_sum", system, radius),
+                                        numbers).tolist()
+    return row_sum_bound_of(M, bool(certified), radius, system.dims.d)
 
 
 def _center(point, d: int) -> np.ndarray:

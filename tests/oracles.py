@@ -44,9 +44,9 @@ from kernelbound.bounds import LEDGER_ITEMS
 from kernelbound.coefficients import VARIANTS, SystemDims, _FamilyBase, _radial, eval_VP
 from kernelbound.errors import (BudgetError, CertificateError, DimensionMismatchError,
                                 DomainError, NonFiniteError)
-from kernelbound.hypotheses import SamplePlan, _log_norm_from_entries
-from kernelbound.lyapunov import (_LOG_MAX, RadialPoints, SpaceTimeWeight, TimeLyapunovSpec,
-                                  _grid_points, _signed_log_sum)
+from kernelbound.hypotheses import LEDGER_TIMES, _log_norm_from_entries
+from kernelbound.lyapunov import (_LOG_MAX, SAMPLE_RADIUS, RadialPoints, SpaceTimeWeight,
+                                  TimeLyapunovSpec, _grid_points, _signed_log_sum)
 from kernelbound import verify
 from kernelbound.solver import GridSpec, OperatorHandle, mollified_source
 
@@ -434,12 +434,12 @@ def heat_weight_image(eps: float, t: float, x) -> np.ndarray:
 # spells a family's per-equation values entry by entry (a family's ledger and
 # row sums from the log-magnitudes of those entries), with the weight's
 # gradient and Hessian, one time at a time.  pts defaults
-# to the whole box of the given radius and points per axis.
+# to the whole sample box of the given radius.
 
 
-def box(d: int, radius: float, per_axis: Optional[int] = None) -> np.ndarray:
+def box(d: int, radius: float) -> np.ndarray:
     """The whole sample box."""
-    return _grid_points(d, radius, per_axis)
+    return _grid_points(d, radius)
 
 
 def grad_log(w: SpaceTimeWeight, t: float, x: np.ndarray, d: int) -> np.ndarray:
@@ -495,13 +495,13 @@ def box_row_sums(system, pts: np.ndarray, adjoint: bool, with_divb: bool = False
     return out
 
 
-def box_row_sum_bound(system, adjoint: bool, radius: float, per_axis: Optional[int] = None,
+def box_row_sum_bound(system, adjoint: bool, radius: float,
                       pts: Optional[np.ndarray] = None) -> tuple:
     """The infimum M of the worst row sum on the points and the tail verdict,
     probed along each signed axis (and the in-plane diagonals in d >= 2) at
     radius * {1, 1.25, 1.5, 2}."""
     d = system.dims.d
-    pts = box(d, radius, per_axis) if pts is None else pts
+    pts = box(d, radius) if pts is None else pts
     M = float(np.min(box_row_sums(system, pts, adjoint, with_divb=adjoint)))
     dirs = [sign * e for e in np.eye(d) for sign in (1.0, -1.0)]
     if d >= 2:
@@ -550,12 +550,11 @@ def box_generator_ratio(system, lyap, t: Optional[float], pts: np.ndarray) -> np
     return out
 
 
-def certificate_sup(system, lyap, radius: float, per_axis: Optional[int] = None,
-                    pts: Optional[np.ndarray] = None) -> float:
+def certificate_sup(system, lyap, radius: float, pts: Optional[np.ndarray] = None) -> float:
     """The certificate's grid sup on the points: of the generator ratio for
     a static function, and for a timed one of the g-free residual over the
     11-time ladder T 2^-j, one time at a time."""
-    pts = box(system.dims.d, radius, per_axis) if pts is None else pts
+    pts = box(system.dims.d, radius) if pts is None else pts
     if not isinstance(lyap, TimeLyapunovSpec):
         return float(np.max(box_generator_ratio(system, lyap, None, pts)))
     p = lyap.sigma * (lyap.delta - 1.0) / lyap.delta
@@ -610,19 +609,20 @@ def box_ledger_fields(system, pts: np.ndarray, adjoint: bool) -> list:
 
 
 def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
-                       nu2: SpaceTimeWeight, s: float, window: tuple, plan: SamplePlan,
+                       nu2: SpaceTimeWeight, s: float, window: tuple,
                        adjoint: bool = False, pts: Optional[np.ndarray] = None) -> tuple:
-    """The eight ledger sups and their edge flags over plan.times(*window)
-    x the points, one time at a time; raises NonFiniteError at the first
-    time, item and point whose ratio is not finite."""
+    """The eight ledger sups and their edge flags over LEDGER_TIMES equally
+    spaced times of the window x the points (the box of radius
+    SAMPLE_RADIUS by default), one time at a time; raises NonFiniteError at
+    the first time, item and point whose ratio is not finite."""
     d = system.dims.d
-    pts = box(d, plan.radius, plan.per_axis) if pts is None else pts
+    pts = box(d, SAMPLE_RADIUS) if pts is None else pts
     n = len(pts)
     sups = np.zeros(8)
     arg_edge = [False] * 8
-    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * plan.radius
+    edge = np.max(np.abs(pts), axis=-1) >= 0.95 * SAMPLE_RADIUS
     fields = box_ledger_fields(system, pts, adjoint)
-    for t in plan.times(*window):
+    for t in np.linspace(*window, LEDGER_TIMES):
         gw = grad_log(w, t, pts, d)
         curv = gw[:, :, None] * gw[:, None, :] + hess_log(w, t, pts, d)
         Sw = w.log_value(t, pts, d)

@@ -239,10 +239,8 @@ def test_criterion_06_mass_bound():
 def test_criterion_07_lyapunov_certificates(headline_synthesis):
     fam = headline_synthesis["family"]
     syn = headline_synthesis["forward"]
-    static_rep = verify_certificate(fam, syn.static, radius=20.0,
-                                    tolerance=0.01)
-    timed_rep = verify_certificate(fam, syn.timed, radius=20.0,
-                                   tolerance=0.01)
+    static_rep = verify_certificate(fam, syn.static, radius=20.0)
+    timed_rep = verify_certificate(fam, syn.timed, radius=20.0)
     timed = timed_rep.certified
     gap = 0.0
     for t in (0.3, 1.0):

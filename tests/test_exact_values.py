@@ -11,8 +11,10 @@ synth's artifacts on the bench configs are pinned by their sha256.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +27,7 @@ from kernelbound import coefficients as co
 from kernelbound import lyapunov as ly
 from kernelbound import verify
 from kernelbound.errors import CertificateError, DomainError, NonFiniteError
-from kernelbound.hypotheses import SamplePlan, compute_row_sum_bound, estimate_ledger
+from kernelbound.hypotheses import compute_row_sum_bound, estimate_ledger
 from kernelbound.solver import GridSpec, assemble_generator
 
 from oracles import (OperatorSpec, box, box_generator_ratio, box_row_sum_bound,
@@ -224,6 +226,30 @@ def test_timed_certificate_evaluates_coefficients_once_per_grid(target, monkeypa
     assert len(calls) == 2
 
 
+def test_a_family_shares_its_certificate_grids_until_it_is_freed(monkeypatch):
+    evaluated = []
+    real = ly.grid_fields
+    monkeypatch.setattr(ly, "grid_fields",
+                        lambda fam, at, adjoint: evaluated.append(adjoint) or real(fam, at, adjoint))
+    fam = family("polynomial", 1)
+    res = synthesize(fam, "P")
+    ly.verify_certificate(fam, res.static)
+    # the timed certificate, computed in two stores, reads the static one's grids
+    for store in (verify.KernelStore(), verify.KernelStore()):
+        verify.stored_certificate(fam, res.timed, store=store)
+    assert len(evaluated) == 2
+    # a family of equal values evaluates its own
+    twin = family("polynomial", 1)
+    ly.verify_certificate(twin, res.static)
+    assert len(evaluated) == 4
+    gc.collect()
+    held, before = weakref.ref(fam), len(ly._FAMILY_FIELDS)
+    del fam
+    gc.collect()
+    assert held() is None and len(ly._FAMILY_FIELDS) == before - 1
+    assert twin in ly._FAMILY_FIELDS
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_ledger_evaluates_coefficients_once_per_component(adjoint, monkeypatch):
     fam = family("polynomial", 1)
@@ -245,33 +271,34 @@ def test_ledger_evaluates_coefficients_once_per_component(adjoint, monkeypatch):
 # the radial core against the box reference
 # ---------------------------------------------------------------------------
 
-# d with the points per axis of the sample box: the default boxes, a 1-D box
-# of 2,000 points, whose step 40/1999 is inexact, so that mirror points
-# differ in their squares, and coarser 2-D and 3-D boxes, which keep the
-# whole 3-D reference near 0.2 s a case
-BOXES = [(1, None), (1, 2000), (2, None), (2, 25), (3, 17)]
-CORE_CASES = [(kind, d, target, per_axis) for kind in ("polynomial", "exponential")
-              for target in ly.TARGETS for d, per_axis in BOXES]
+# d with the radius of the sample box, None for SAMPLE_RADIUS: the default
+# boxes, and a 1-D box of radius 20.1, whose step 40.2/512 is inexact, so
+# that mirror points differ in their squares.  The ledger samples the
+# default box alone.
+BOXES = [(1, None), (1, 20.1), (2, None), (3, None)]
+CORE_CASES = [(kind, d, target, radius) for kind in ("polynomial", "exponential")
+              for target in ly.TARGETS for d, radius in BOXES]
+LEDGER_CASES = [case for case in CORE_CASES if case[3] is None]
 
 
 def ledger_s(d):
     return 5.0 if d < 3 else 6.0
 
 
-def core_certificates(fam, target, per_axis=None):
+def core_certificates(fam, target, radius=None):
     """The static and the timed certificate's two grid sups."""
     res = synthesize(fam, target)
     return [sup for spec in (res.static, res.timed)
-            for rep in [ly.verify_certificate(fam, spec, per_axis=per_axis)]
+            for rep in [ly.verify_certificate(fam, spec, radius or ly.SAMPLE_RADIUS)]
             for sup in (rep.sup_coarse, rep.sup_fine)]
 
 
-def reference_certificates(fam, target, per_axis=None, sample=box, system=None):
+def reference_certificates(fam, target, radius=None, sample=box, system=None):
     """The box reference of fam's certificates, on system when one is given."""
     res = synthesize(fam, target)
-    return [certificate_sup(system or fam, spec, R, pts=sample(fam.dims.d, R, per_axis))
-            for spec in (res.static, res.timed)
-            for R in (ly.SAMPLE_RADIUS, 2.0 * ly.SAMPLE_RADIUS)]
+    radius = radius or ly.SAMPLE_RADIUS
+    return [certificate_sup(system or fam, spec, R, pts=sample(fam.dims.d, R))
+            for spec in (res.static, res.timed) for R in (radius, 2.0 * radius)]
 
 
 def ledger_args(fam, target):
@@ -280,47 +307,47 @@ def ledger_args(fam, target):
     return ledger_weights(synthesize(fam, target).timed)
 
 
-def core_ledger(fam, target, per_axis=None):
+def core_ledger(fam, target):
     """The eight sups, their edge flags and M."""
     led = estimate_ledger(fam, *ledger_args(fam, target), s=ledger_s(fam.dims.d),
-                          window=(0.0625, 0.375), plan=SamplePlan(per_axis=per_axis),
-                          adjoint=target == "P_adjoint")
+                          window=(0.0625, 0.375), adjoint=target == "P_adjoint")
     return list(led.c), list(led.boundary_flags), led.M
 
 
-def reference_ledger(fam, target, per_axis=None, sample=box, system=None):
+def reference_ledger(fam, target, sample=box, system=None):
     """The box reference of fam's ledger, on system when one is given."""
-    plan, adjoint = SamplePlan(per_axis=per_axis), target == "P_adjoint"
-    pts = sample(fam.dims.d, plan.radius, per_axis)
+    adjoint = target == "P_adjoint"
+    pts = sample(fam.dims.d, ly.SAMPLE_RADIUS)
     system = system or fam
     sups, edge = ledger_window_sups(system, *ledger_args(fam, target), ledger_s(fam.dims.d),
-                                    (0.0625, 0.375), plan, adjoint=adjoint, pts=pts)
-    return sups, edge, box_row_sum_bound(system, adjoint, plan.radius, per_axis, pts=pts)[0]
+                                    (0.0625, 0.375), adjoint=adjoint, pts=pts)
+    return sups, edge, box_row_sum_bound(system, adjoint, ly.SAMPLE_RADIUS, pts=pts)[0]
 
 
-@pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
-def test_certificates_in_r_match_the_box_reference(kind, d, target, per_axis):
+@pytest.mark.parametrize("kind,d,target,radius", CORE_CASES)
+def test_certificates_in_r_match_the_box_reference(kind, d, target, radius):
     fam = family(kind, d)
-    assert core_certificates(fam, target, per_axis) == pytest.approx(
-        reference_certificates(fam, target, per_axis), rel=1e-13, abs=0.0)
+    assert core_certificates(fam, target, radius) == pytest.approx(
+        reference_certificates(fam, target, radius), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
-def test_the_ledger_in_r_matches_the_box_reference(kind, d, target, per_axis):
+@pytest.mark.parametrize("kind,d,target,radius", LEDGER_CASES)
+def test_the_ledger_in_r_matches_the_box_reference(kind, d, target, radius):
     fam = family(kind, d)
-    sups, edge, M = core_ledger(fam, target, per_axis)
-    ref_sups, ref_edge, ref_M = reference_ledger(fam, target, per_axis)
+    sups, edge, M = core_ledger(fam, target)
+    ref_sups, ref_edge, ref_M = reference_ledger(fam, target)
     assert sups == pytest.approx(ref_sups, rel=1e-13, abs=0.0)
     assert edge == ref_edge
     assert M == pytest.approx(ref_M, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("kind,d,target,per_axis", CORE_CASES)
-def test_row_sums_in_r_match_the_box_reference(kind, d, target, per_axis):
+@pytest.mark.parametrize("kind,d,target,radius", CORE_CASES)
+def test_row_sums_in_r_match_the_box_reference(kind, d, target, radius):
     fam = family(kind, d)
     adjoint = target == "P_adjoint"
-    row = compute_row_sum_bound(fam, adjoint, per_axis=per_axis)
-    M, certified = box_row_sum_bound(fam, adjoint, ly.SAMPLE_RADIUS, per_axis)
+    radius = radius or ly.SAMPLE_RADIUS
+    row = compute_row_sum_bound(fam, adjoint, radius)
+    M, certified = box_row_sum_bound(fam, adjoint, radius)
     assert row.M == pytest.approx(M, rel=1e-13, abs=0.0)
     assert row.certified_tail == certified
 
@@ -368,31 +395,22 @@ def test_per_equation_values_are_not_collapsed(kind, target, d):
     assert A.shape == B.shape and (A != B).nnz == 0
 
 
-@pytest.mark.parametrize("d,per_axis,radii", [(1, None, 257), (2, None, 457), (3, None, 464),
-                                              (3, 17, 116)])
-def test_the_sample_radii_of_a_box(d, per_axis, radii):
-    # 1-D keeps the leading half of its 513 points; 65^2 and 33^3 points
-    # hold 457 and 464 radii
-    at = ly._sample_points(family("polynomial", d), ly.SAMPLE_RADIUS, per_axis)
+@pytest.mark.parametrize("d,radius,radii", [(1, None, 257), (2, None, 457), (3, None, 464),
+                                            (1, 20.1, 357)])
+def test_the_sample_radii_of_a_box(d, radius, radii):
+    # 1-D keeps the leading half of its 513 points, unless mirror points
+    # differ in their squares; 65^2 and 33^3 points hold 457 and 464 radii
+    radius = radius or ly.SAMPLE_RADIUS
+    at = ly._sample_points(family("polynomial", d), radius)
     assert len(at.r) == radii
-    pts = box(d, ly.SAMPLE_RADIUS, per_axis)
+    pts = box(d, radius)
     assert len(np.unique(np.sum(pts * pts, axis=-1))) == radii
-
-
-def test_a_ledger_reads_m_from_its_own_sample():
-    # the row-sum bound of the plan's 17-per-axis box, not of the default
-    # 33-per-axis one, which reads -5.527
-    fam = family("polynomial", 3)
-    M = core_ledger(fam, "P_adjoint", per_axis=17)[2]
-    assert M == pytest.approx(-2.5, rel=1e-13)
-    assert M == compute_row_sum_bound(fam, True, per_axis=17).M
-    assert compute_row_sum_bound(fam, True).M == pytest.approx(-5.527, abs=1e-3)
 
 
 @pytest.mark.parametrize("form", ly.FORMS)
 def test_a_block_of_times_has_the_bits_of_each_time(form):
     w = ly.SpaceTimeWeight(form, eps=0.37, sigma=1.3, rho=0.5)
-    at = ly._sample_points(family("polynomial", 2), 20.0, 9)
+    at = ly._sample_points(family("polynomial", 2), 20.0)
     ts = np.linspace(0.013, 0.97, 37)
     methods = {"log_value": w.log_value, "dt_log": w.dt_log,
                "r_log[0]": lambda t, x, d: w.r_log(t, x, d)[0],
@@ -414,19 +432,17 @@ def test_an_overflowing_certificate_raises_the_reference_error():
     assert str(core.value) == str(reference.value)
 
 
-@pytest.mark.parametrize("per_axis", [None, 3000])
-def test_the_ledger_names_the_reference_first_non_finite_ratio(per_axis):
+def test_the_ledger_names_the_reference_first_non_finite_ratio():
     # |Q grad w| crosses float range inside the window, at a time that is
     # not its first; with alpha = 0, |2 q'| is 0 although 2 zeta overflows
     fam = co.diagonal_family("polynomial", 1, 1, zeta_diag=1e308)
     w, nu1, nu2 = (ly.SpaceTimeWeight("power", eps, 1.0, 1.0)
                    for eps in (1.0, 1.0 + 1e-9, 1.0 + 2e-9))
     args = (fam, w, nu1, nu2, 4.0, (0.01, 0.5))
-    plan = SamplePlan(per_axis=per_axis)
     with pytest.raises(NonFiniteError) as core:
-        estimate_ledger(*args, plan=plan)
+        estimate_ledger(*args)
     with pytest.raises(NonFiniteError) as reference:
-        ledger_window_sups(*args, plan=plan)
+        ledger_window_sups(*args)
     assert str(core.value) == str(reference.value)
     assert "t=0.01," not in str(core.value)
 
@@ -439,7 +455,7 @@ def test_the_ledger_names_the_first_non_finite_ratio_of_the_whole_box():
     with pytest.raises(NonFiniteError) as core:
         estimate_ledger(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
     with pytest.raises(NonFiniteError) as reference:
-        ledger_window_sups(fam, w, nu1, nu2, 4.0, (0.1, 0.2), SamplePlan())
+        ledger_window_sups(fam, w, nu1, nu2, 4.0, (0.1, 0.2))
     assert str(core.value) == str(reference.value)
 
 
@@ -456,10 +472,10 @@ def skewed(kind):
     return tensor_spec(type(fam), fam.dims, replace(tensors_of(fam), zeta=zeta, eta=eta))
 
 
-def radius_classes(d, radius, per_axis=None):
+def radius_classes(d, radius):
     """The first box point of each distinct |x|^2, the points whose radii
     the package samples."""
-    return ly._radius_classes(d, float(radius), ly._points_per_axis(d, per_axis))
+    return ly._radius_classes(d, float(radius))
 
 
 def refusals(system, target="P"):
@@ -499,9 +515,9 @@ def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch)
     built = Counter()
     grid_points = ly._grid_points
 
-    def counted(d, radius, per_axis=None):
-        built[(d, radius, per_axis)] += 1
-        return grid_points(d, radius, per_axis)
+    def counted(d, radius):
+        built[(d, radius)] += 1
+        return grid_points(d, radius)
 
     monkeypatch.setattr(ly, "_grid_points", counted)
     ly._radius_classes.cache_clear()
@@ -510,9 +526,9 @@ def test_the_radius_class_table_is_built_once_per_key_and_read_only(monkeypatch)
         core_ledger(fam, target)
     # the certificates', the ledger's and the row sums' boxes of radius 20,
     # and the certificates' doubled boxes
-    assert built == Counter({(2, 20.0, 65): 1, (2, 40.0, 65): 1})
+    assert built == Counter({(2, 20.0): 1, (2, 40.0): 1})
     table = ly._sample_points(fam, ly.SAMPLE_RADIUS).pts
-    assert table is ly._sample_points(fam, 20, 65).pts
+    assert table is ly._sample_points(fam, 20).pts
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
 
@@ -553,19 +569,19 @@ SYNTH_SHA256 = {
     "poly1d": {
         "lyapunov_certificate.txt": "a2fd83a94511b9968c94f97de282adfef82f7dffa3cd7e41765b14b9071f5730",
         "time_spec.txt": "fa35e14243302c7f156691a6d35c3b3e016769f40870692e8e693773a0f58d54",
-        "ledger.txt": "0c559ad55a1d36ab0a28c77a856712d817fee1b1af18bb7f8e6f912ac8668330",
+        "ledger.txt": "28e7169a8129aa78b985f6dbe9d17a1814dac12406b124b37d8f884173c56727",
         "certificate.txt": "f3d08750efa1e2b001253082354065c5eef4f9c236424a822568cac6377de337",
     },
     "poly2d": {
         "lyapunov_certificate.txt": "aeac739f588d19ba9993a9bf4c3ea36511fa4de245e42fb8d45b19cf321488cc",
         "time_spec.txt": "c4c9afba303122d8405d0ad024e7d2bb249503bc859fb8057e9a5078801e7c70",
-        "ledger.txt": "1cbbfad5a23a68166c032b08b62105b59a31c90141ef45bb6d5f14f3ee6ac766",
+        "ledger.txt": "1af81e7c4e881d6c91d834f64c45104b1a44b63c91834a8086d67b10ce933a46",
         "certificate.txt": "6d8ab75ec51a05e31c8fbfc825f5483f4e00ea83ba7f4b7f12391f600a0990c5",
     },
     "exp1d": {
         "lyapunov_certificate.txt": "74e32c722b00124ee4b3de5540eb9642be954ed1761fe9a92076bcce7e066a1e",
         "time_spec.txt": "d0c5e05ccc1bdb5331450d71afcc041695aa4b708d2d313c40bb9cde08fa0d6c",
-        "ledger.txt": "ed9cfe4061fde81131219401d2aa2ed17aca7539e4c326a15546fd7698f282a1",
+        "ledger.txt": "177bf642da645f6ac338cdba9943b8acf9149d9ae32650f6b71f70c5d81fd780",
         "certificate.txt": "6356a52b61c5cc0c97506b01c62dd1970e35b0984e1fd0f93627086e097f5cc6",
     },
 }

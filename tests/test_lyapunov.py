@@ -357,7 +357,7 @@ def test_delta_validation():
 def test_certificate_static_headline():
     fam = poly_headline()
     res = ly.synth_poly(fam, T=1.0)
-    rep = ly.verify_certificate(fam, res.static, radius=20.0, tolerance=0.01)
+    rep = ly.verify_certificate(fam, res.static, radius=20.0)
     assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     assert rep.certified.lam is not None and rep.certified.lam >= 0
     # hand computation: ratio_k(0) = a1 + a3 = (2 rho eps zeta) - (theta_kk - theta_off)
@@ -392,7 +392,7 @@ def test_certificate_rejects_heat_equation_blowup():
 def test_certificate_timed_calibrates_c0():
     fam = poly_headline()
     res = ly.synth_poly(fam, T=1.0)
-    rep = ly.verify_certificate(fam, res.timed, radius=20.0, tolerance=0.01)
+    rep = ly.verify_certificate(fam, res.timed, radius=20.0)
     assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     timed = rep.certified
     assert timed.c0 is not None and timed.c0 >= 0.0
@@ -408,7 +408,7 @@ def test_certificate_timed_calibrates_c0():
 def test_certificate_timed_exponential_family():
     fam = exp_smoke()
     res = ly.synth_exp(fam, T=1.0)
-    rep = ly.verify_certificate(fam, res.timed, radius=20.0, tolerance=0.01)
+    rep = ly.verify_certificate(fam, res.timed, radius=20.0)
     assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     assert rep.certified.c0 >= 0.0
 
@@ -416,6 +416,6 @@ def test_certificate_timed_exponential_family():
 def test_certificate_adjoint_target():
     fam = poly_headline()
     res = ly.synth_poly(fam, T=1.0, target="P_adjoint")
-    rep = ly.verify_certificate(fam, res.static, radius=20.0, tolerance=0.01)
+    rep = ly.verify_certificate(fam, res.static, radius=20.0)
     assert rep.passed, (rep.sup_coarse, rep.sup_fine)
     assert rep.certified.lam is not None

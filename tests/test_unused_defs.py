@@ -23,6 +23,11 @@ A dataclasses.replace call sets each field it names by keyword, and under **
 each field that a string in the unpacked expression spells.  A field whose
 setters the scan cannot resolve is listed in UNRESOLVED_FIELDS.
 
+No defaulted parameter or dataclass field of src/ is passed or set by
+tests/ alone: calls from src/ and bench/ pass or set each one, unless
+TEST_SEAMS lists it with its reason.  A knob with one value in use is a
+constant.
+
 Every field of a @dataclass of src/ is read as an attribute (obj.name)
 somewhere in src/, unless UNREAD_FIELDS lists it with its reason; a field
 that only the tests read goes.
@@ -140,11 +145,20 @@ TEST_ONLY = {
 }
 
 
+def sources(folders: tuple) -> list:
+    """The text of every .py file under the folders."""
+    return [path.read_text(encoding="utf-8")
+            for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def src_modules() -> dict:
+    """The text of each module of src/, by file name."""
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
 def unreferenced(folders: tuple) -> set:
     """The (module, def) pairs of src/ that no source under folders references."""
-    sources = [path.read_text(encoding="utf-8")
-               for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))]
-    names, attrs = references(sources)
+    names, attrs = references(sources(folders))
     return {(path.name, name) for path in sorted(SRC.glob("*.py"))
             for name in unused_defs(path.read_text(encoding="utf-8"), names, attrs)}
 
@@ -265,12 +279,9 @@ UNRESOLVED = {}
 
 
 def test_every_defaulted_parameter_is_passed():
-    sources = [path.read_text(encoding="utf-8")
-               for folder in ("src", "tests", "bench")
-               for path in sorted((ROOT / folder).rglob("*.py"))]
-    calls = call_arguments(sources)
-    unpassed = {(path.name, name, param) for path in sorted(SRC.glob("*.py"))
-                for name, param in unpassed_params(path.read_text(encoding="utf-8"), calls)}
+    calls = call_arguments(sources(("src", "tests", "bench")))
+    unpassed = {(module, name, param) for module, source in src_modules().items()
+                for name, param in unpassed_params(source, calls)}
     # an entry of UNRESOLVED that the scan resolves is stale
     assert unpassed == set(UNRESOLVED)
 
@@ -386,14 +397,78 @@ UNRESOLVED_FIELDS = {
 
 
 def test_every_defaulted_dataclass_field_is_set():
-    sources = [path.read_text(encoding="utf-8")
-               for folder in ("src", "tests", "bench")
-               for path in sorted((ROOT / folder).rglob("*.py"))]
-    calls, replaced = call_arguments(sources), replaced_names(sources)
-    unset = {(path.name, cls, name) for path in sorted(SRC.glob("*.py"))
-             for cls, name in unset_fields(path.read_text(encoding="utf-8"), calls, replaced)}
+    users = sources(("src", "tests", "bench"))
+    calls, replaced = call_arguments(users), replaced_names(users)
+    unset = {(module, cls, name) for module, source in src_modules().items()
+             for cls, name in unset_fields(source, calls, replaced)}
     # an entry of UNRESOLVED_FIELDS that the scan resolves is stale
     assert unset == set(UNRESOLVED_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# knobs that only the tests set
+# ---------------------------------------------------------------------------
+
+def knobs_left_unset(modules: dict, users: list) -> set:
+    """The (module, def or class, name) triples of the defaulted parameters
+    and dataclass fields of modules (file name -> source) that no call in
+    users passes or sets."""
+    calls, replaced = call_arguments(users), replaced_names(users)
+    return {(module, owner, name) for module, source in modules.items()
+            for owner, name in unpassed_params(source, calls)
+            + unset_fields(source, calls, replaced)}
+
+
+def test_scan_finds_a_planted_knob_that_only_tests_set():
+    module = ("from dataclasses import dataclass\n"
+              "def f(a, used=1, planted=2):\n    pass\n"
+              "@dataclass\n"
+              "class Probe:\n"
+              "    n: int = 0\n"
+              "    planted: int = 0\n"
+              "f(0, used=3)\n"
+              "Probe(n=1)\n")
+    test = "f(0, 1, 2)\nProbe(planted=1)\n"
+    assert knobs_left_unset({"m.py": module}, [module]) == {
+        ("m.py", "f", "planted"), ("m.py", "Probe", "planted")}
+    # a test's call sets them, but it does not count for src/ and bench/
+    assert knobs_left_unset({"m.py": module}, [module, test]) == set()
+
+
+# (module, def or class, parameter or field) triples of src/ that only
+# tests/ pass or set, or whose setters the scan cannot resolve, each with
+# why the seam stays
+TEST_SEAMS = {
+    ("bounds.py", "checked_c_hat", "c_hat"): "cmd_synth passes it through cli._key_rule's "
+                                             "*args, which the scan cannot follow",
+    ("lyapunov.py", "synth_poly", "target"): "cli._synthesize passes it to the synth "
+                                             "function it holds in the variable fn",
+    ("lyapunov.py", "synth_exp", "target"): "cli._synthesize passes it to the synth "
+                                            "function it holds in the variable fn",
+    ("lyapunov.py", "_quad", "limit"): "the bisection limit of the error path, which a "
+                                       "test lowers to reach that path",
+    ("config.py", "RunConfig", "values"): "parse_config_text fills the values of a "
+                                          "RunConfig it made in place",
+    ("config.py", "RunConfig", "lines"): "parse_config_text fills the line of each "
+                                         "value in place",
+    ("verify.py", "Support", "support"): "a probe knob: a wrong support is the named "
+                                         "control that the support check fails",
+    ("verify.py", "MassAndPositivity", "row"): "a probe knob: a given row-sum bound is the "
+                                               "control that the mass check fails",
+    ("verify.py", "LyapunovIntegrability", "boundary_fraction"): "a probe knob: a tiny "
+        "fraction is the control that makes integrability inconclusive",
+    ("verify.py", "Domination", "n_random"): "a probe knob: a control on hand-made "
+                                             "outputs measures the kernel level alone",
+    ("verify.py", "ChapmanKolmogorov", "variant"): "a probe knob: a test composes the "
+                                                   "signed variant too",
+}
+
+
+def test_no_knob_is_set_by_the_tests_alone():
+    # bench/ drives the package from outside, so its calls count
+    unset = knobs_left_unset(src_modules(), sources(("src", "bench")))
+    # an entry of TEST_SEAMS that src/ or bench/ sets is stale
+    assert unset == set(TEST_SEAMS)
 
 
 # ---------------------------------------------------------------------------
