@@ -516,7 +516,7 @@ def cmd_verify(cfg: RunConfig, out: str, jobs: Optional[int] = None,
     sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
     print("verify: %d check runs in %.3fs; plan: %s"
           % (len(results), time.perf_counter() - wall, _plan_line(plan)))
-    return EXIT_PASS if all(r.status == "pass" for r in results) else EXIT_MATH
+    return EXIT_PASS if all(r.passed for r in results) else EXIT_MATH
 
 
 def _write_plots(out, fam, column, fields, results):

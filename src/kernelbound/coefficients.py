@@ -36,12 +36,10 @@ is a function of r alone, which they evaluate on the sample box's
 distinct radii (lyapunov._sample_points) from the per-equation values and
 radial_divb.  Any other system, such as one of bare coefficient
 callables, is refused there.  The solver takes any object with dims and
-the callables q, b and V, vectorized over a leading batch of points: for x
-of shape (n, d), q(h, x) is the scalar diffusion of equation h, (n,),
-b(h, x) is (n, d) and V(x) is (n, m, m).
-
-All family evaluators are vectorized over trailing point batches: x may be a
-single point of shape (d,) or a batch of shape (n, d).
+the callables q, b and V, vectorized over a batch of points: for x of
+shape (n, d), q(h, x) is the scalar diffusion of equation h, (n,),
+b(h, x) is (n, d) and V(x) is (n, m, m).  A family's evaluators take such
+a batch only; a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -96,14 +94,13 @@ def eval_VP(V: np.ndarray) -> np.ndarray:
 class CouplingSupport:
     """Which kernel entries of column k can be nontrivial.
 
-    levels[0] holds the components fed directly by component k through the
-    potential, levels[i] the fresh components reachable in one more step,
-    and reachable is {k} plus the union of all levels.  An entry p_hk of the
-    cooperative kernel is not identically zero exactly when h is reachable.
+    reachable holds k and every component that k feeds through the
+    potential, directly or along a chain of couplings.  An entry p_hk of
+    the cooperative kernel is not identically zero exactly when h is
+    reachable.
     """
 
     k: int
-    levels: tuple[frozenset[int], ...]
     reachable: frozenset[int]
 
 
@@ -111,25 +108,18 @@ def coupling_support(m: int, k: int, nonzero: Callable[[int, int], bool]) -> Cou
     """Breadth-first reachability of component k through the coupling graph.
 
     nonzero(h, l) must say whether the potential entry v_hl is not
-    identically zero for h != l; diagonal queries are never made.  Level 0
-    is {h != k : v_hk nontrivial}; level i+1 collects fresh h with v_hl
-    nontrivial for some l in level i.
+    identically zero for h != l; diagonal queries are never made.  The
+    first frontier is {h != k : v_hk nontrivial}; the next collects fresh h
+    with v_hl nontrivial for some l in the last.
     """
     if not (0 <= k < m):
         raise DimensionMismatchError(f"component index {k} outside 0..{m - 1}")
     seen = {k}
-    levels: list[frozenset[int]] = []
-    frontier = frozenset(h for h in range(m) if h != k and nonzero(h, k))
+    frontier = {h for h in range(m) if h != k and nonzero(h, k)}
     while frontier:
-        levels.append(frontier)
         seen |= frontier
-        nxt = set()
-        for l in frontier:
-            for h in range(m):
-                if h not in seen and h != l and nonzero(h, l):
-                    nxt.add(h)
-        frontier = frozenset(nxt)
-    return CouplingSupport(k=k, levels=tuple(levels), reachable=frozenset(seen))
+        frontier = {h for l in frontier for h in range(m) if h not in seen and nonzero(h, l)}
+    return CouplingSupport(k=k, reachable=frozenset(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +135,12 @@ def _as_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _radial(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Return (points (n,d), r = 1+|x|^2 (n,), scalar_input)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != d:
-        raise DimensionMismatchError(f"points must have last axis {d}, got shape {x.shape}")
-    r = 1.0 + np.sum(pts * pts, axis=-1)
-    return pts, r, scalar
+def _radial(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return (points (n, d), r = 1+|x|^2 (n,)) of a batch of points."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DimensionMismatchError(f"points must have shape (n, {d}), got {pts.shape}")
+    return pts, 1.0 + np.sum(pts * pts, axis=-1)
 
 
 class _FamilyBase:
@@ -193,14 +180,12 @@ class _FamilyBase:
 
     def q(self, k: int, x: np.ndarray) -> np.ndarray:
         """The scalar diffusion of equation k: Q^k = q_k I, q_k = zeta_k g(r, alpha_k)."""
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.zeta[k] * self._grow(r, self.alpha[k])
-        return out[0] if scalar else out
+        _, r = _radial(x, self.dims.d)
+        return self.zeta[k] * self._grow(r, self.alpha[k])
 
     def b(self, k: int, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = -self.eta[k] * pts * self._grow(r, self.beta[k])[:, None]
-        return out[0] if scalar else out
+        pts, r = _radial(x, self.dims.d)
+        return -self.eta[k] * pts * self._grow(r, self.beta[k])[:, None]
 
     def radial_divb(self, k: int, r: np.ndarray, log: bool = False) -> np.ndarray:
         """div b^k at r = 1+|x|^2, or log |div b^k| when log:
@@ -212,9 +197,8 @@ class _FamilyBase:
         return -eta * self._grow(r, beta) * factor
 
     def V(self, x: np.ndarray) -> np.ndarray:
-        pts, r, scalar = _radial(x, self.dims.d)
-        out = self.theta * self._grow(r[:, None, None], self.gamma)
-        return out[0] if scalar else out
+        _, r = _radial(x, self.dims.d)
+        return self.theta * self._grow(r[:, None, None], self.gamma)
 
     def log_growth_V(self, h: int, k: int, r: np.ndarray) -> np.ndarray:
         """log |v_hk| at radius variable r = 1+|x|^2 (for overflow-safe work)."""

@@ -287,31 +287,29 @@ def ledger_fields(fam, at: RadialPoints, adjoint: bool) -> list:
 
 
 def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: SpaceTimeWeight,
-                    s: float, window: tuple[float, float],
-                    adjoint: bool = False,
-                    inner: Optional[tuple[float, float]] = None) -> ConstantsLedger:
+                    s: float, window: tuple[float, float, float, float],
+                    adjoint: bool = False) -> ConstantsLedger:
     """Numeric suprema of the eight weight-compatibility ratios.
 
     w must decay relative to nu1 and nu2 (eps strictly increasing along
     w, nu1, nu2 and shared sigma, rho), otherwise the ratios blow up.  The
-    supremum runs over LEDGER_TIMES equally spaced times of [a0, b0] x the
-    sample box of radius SAMPLE_RADIUS; every evaluation is a log-space
-    combination, so family coefficients far beyond float64 range still
-    produce finite ratios.  adjoint=True computes the starred
-    variant: the potential item additionally absorbs |div b|, and the
-    resulting constants land in c with M from the adjoint row sums.  inner
-    overrides the inner window pair (a, b); the default sits at even
-    quarters.  A radial family's ratios are functions of r = 1 + |x|^2
-    alone, so they are evaluated on the box's distinct radii
-    (lyapunov._sample_points), the whole window in one (times, radii) pass,
-    and M is the infimum of the row sums on the same radii.  Each radius
-    stands at the first box point of its class in row-major order, which
-    gives the edge flags and the x of the first non-finite ratio, taken in
-    time, item and radius order.
+    window is the ledger's nested (a0, a, b, b0), and the supremum runs
+    over LEDGER_TIMES equally spaced times of [a0, b0] x the sample box of
+    radius SAMPLE_RADIUS; every evaluation is a log-space combination, so
+    family coefficients far beyond float64 range still produce finite
+    ratios.  adjoint=True computes the starred variant: the potential item
+    additionally absorbs |div b|, and the resulting constants land in c
+    with M from the adjoint row sums.  A radial family's ratios are
+    functions of r = 1 + |x|^2 alone, so they are evaluated on the box's
+    distinct radii (lyapunov._sample_points), the whole window in one
+    (times, radii) pass, and M is the infimum of the row sums on the same
+    radii.  Each radius stands at the first box point of its class in
+    row-major order, which gives the edge flags and the x of the first
+    non-finite ratio, taken in time, item and radius order.
     """
-    a0, b0 = window
-    if not (0 < a0 < b0):
-        raise DomainError(f"window must satisfy 0 < a0 < b0, got {window}")
+    if len(window) != 4 or not 0 < window[0] < window[1] < window[2] < window[3]:
+        raise DomainError(f"window must be (a0, a, b, b0) with 0 < a0 < a < b < b0, "
+                          f"got {window}")
     if not (w.sigma == nu1.sigma == nu2.sigma and w.rho == nu1.rho == nu2.rho
             and w.form == nu1.form == nu2.form):
         raise DomainError("w, nu1, nu2 must share form, sigma, and rho")
@@ -324,11 +322,11 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * SAMPLE_RADIUS
     fields = ledger_fields(system, at, adjoint)
 
-    ts = np.linspace(a0, b0, LEDGER_TIMES)
-    Sw = w.log_value(ts, at, d)             # (times, radii)
-    d1 = (Sw - nu1.log_value(ts, at, d)) / s
-    d2 = (Sw - nu2.log_value(ts, at, d)) / s
-    u, u2 = w.r_log(ts, at, d)              # grad log w = 2 u x
+    ts = np.linspace(window[0], window[3], LEDGER_TIMES)
+    Sw = w.log_value(ts, at)                # (times, radii)
+    d1 = (Sw - nu1.log_value(ts, at)) / s
+    d2 = (Sw - nu2.log_value(ts, at)) / s
+    u, u2 = w.r_log(ts, at)                 # grad log w = 2 u x
     with np.errstate(over="ignore", invalid="ignore"):
         grad = 2.0 * np.abs(u) * np.sqrt(rm1)                   # |grad log w|
         xgrad = 2.0 * u * rm1                                   # <x, grad log w>
@@ -336,7 +334,7 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
     log_grad, log_xgrad, log_curv = _log_abs(grad), _log_abs(xgrad), _log_abs(curv)
     log_ratios = np.full((len(ts), 8, len(rm1)), -np.inf)
     log_ratios[:, 0] = 2.0 * d1  # (w/nu1)^(2/s)
-    log_ratios[:, 3] = _log_abs(w.dt_log(ts, at, d)) + 2.0 * d1  # item 4
+    log_ratios[:, 3] = _log_abs(w.dt_log(ts, at)) + 2.0 * d1  # item 4
 
     for logq, sign_q, logdq, pot, norm_b, norm_Q, norm_R in fields:
         # item 2: |Q grad w| / (w^((s-1)/s) nu1^(1/s)) = |q| |grad log w| e^(d1)
@@ -370,24 +368,17 @@ def estimate_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight, nu2: Space
                 arg_edge[i] = bool(edge[t_arg[i]])
 
     row = compute_row_sum_bound(system, adjoint)
-    return ledger_of(d, s, window, inner, sups, arg_edge, row.M)
+    return ledger_of(d, s, window, sups, arg_edge, row.M)
 
 
-def ledger_of(d: int, s: float, window: tuple[float, float],
-              inner: Optional[tuple[float, float]], sups: Sequence[float],
-              edge: Sequence[bool], M: float) -> ConstantsLedger:
-    """The ledger estimate_ledger returns for its window and inner pair, from
-    the eight sups, their edge flags and the row-sum bound M it measured.
+def ledger_of(d: int, s: float, window: tuple[float, float, float, float],
+              sups: Sequence[float], edge: Sequence[bool], M: float) -> ConstantsLedger:
+    """The ledger estimate_ledger returns for its window, from the eight
+    sups, their edge flags and the row-sum bound M it measured.
 
     A store that keeps only those numbers rebuilds the ledger here.
     """
-    a0, b0 = window
-    if inner is None:
-        quarter = (b0 - a0) / 4.0
-        a, b = a0 + quarter, b0 - quarter
-    else:
-        a, b = inner
-    return ConstantsLedger(d=d, s=s, window=(a0, a, b, b0),
+    return ConstantsLedger(d=d, s=s, window=tuple(window),
                            c=tuple(np.asarray(sups, dtype=float)), M=M,
                            boundary_flags=tuple(bool(e) for e in edge))
 

@@ -175,15 +175,17 @@ _SHAPES = (_shape_S, _shape_dS, _shape_d2S)
 
 
 class RadialPoints:
-    """A point set with r = 1 + |x|^2 and the radial shapes evaluated on it.
+    """A batch of points (n, d) in R^d, its d, r = 1 + |x|^2 and the radial
+    shapes evaluated on it.
 
     S(r), S'(r) and S''(r) are computed on first use and cached, per form and
     rho, so weights of one shape evaluated at many times on the same points
-    compute them once.  Every weight method takes one in place of points.
+    compute them once.  Every weight method reads its points and d from one.
     """
 
     def __init__(self, x: np.ndarray, d: int):
-        self.pts, self.r, self.scalar = _radial(x, d)
+        self.pts, self.r = _radial(x, d)
+        self.d = d
         self._shapes: dict = {}
 
     def shape(self, order: int, form: str, rho: float) -> np.ndarray:
@@ -192,10 +194,6 @@ class RadialPoints:
         if key not in self._shapes:
             self._shapes[key] = _SHAPES[order](form, self.r, rho)
         return self._shapes[key]
-
-
-def _points(x, d: int) -> RadialPoints:
-    return x if isinstance(x, RadialPoints) else RadialPoints(x, d)
 
 
 def _power(t, exponent: float):
@@ -210,21 +208,17 @@ def _power(t, exponent: float):
     return np.array([ti ** exponent for ti in t])[:, None]
 
 
-def _at_points(p: RadialPoints, out: np.ndarray, t) -> np.ndarray:
-    # the point axis follows the time axis of a block
-    return np.take(out, 0, axis=np.ndim(t)) if p.scalar else out
-
-
 @dataclass(frozen=True)
 class SpaceTimeWeight:
     """Weight exp(eps * t^sigma * S(1+|x|^2)) exposed through log-derivatives.
 
     All downstream consumers (constants ledger, majorant, decay profiles)
     work with log w and its derivatives, never with w itself, so the class
-    stays finite wherever the exponent is representable.  x is an array of
-    points or a RadialPoints, which keeps the shape for the next call.  t is
-    one time, or a block of times (a sequence) evaluated in one pass, whose
-    axis then leads the result.
+    stays finite wherever the exponent is representable.  Each method reads
+    the points at a RadialPoints, which keeps their shapes for the next
+    call, and returns one value per point.  t is one time, or a block of
+    times (a sequence) evaluated in one pass, whose axis then leads the
+    result.
     """
 
     form: str
@@ -238,37 +232,31 @@ class SpaceTimeWeight:
         if self.eps <= 0 or self.sigma <= 0 or self.rho <= 0:
             raise DomainError("weight needs eps, sigma, rho > 0")
 
-    def log_value(self, t, x, d: int) -> np.ndarray:
-        p = _points(x, d)
-        out = self.eps * _power(t, self.sigma) * p.shape(0, self.form, self.rho)
-        return _at_points(p, out, t)
+    def log_value(self, t, at: RadialPoints) -> np.ndarray:
+        return self.eps * _power(t, self.sigma) * at.shape(0, self.form, self.rho)
 
-    def dt_log(self, t, x, d: int) -> np.ndarray:
+    def dt_log(self, t, at: RadialPoints) -> np.ndarray:
         if np.any(np.asarray(t) <= 0):
             raise DomainError("time derivative needs t > 0")
-        p = _points(x, d)
-        out = self.eps * self.sigma * _power(t, self.sigma - 1.0) \
-            * p.shape(0, self.form, self.rho)
-        return _at_points(p, out, t)
+        return self.eps * self.sigma * _power(t, self.sigma - 1.0) \
+            * at.shape(0, self.form, self.rho)
 
-    def value(self, t, x, d: int) -> np.ndarray:
+    def value(self, t, at: RadialPoints) -> np.ndarray:
         """w itself; SaturationError, carrying log w, where it leaves float range."""
         if np.any(np.asarray(t) < 0):
             raise DomainError("weight needs t >= 0")
-        lv = self.log_value(t, x, d)
+        lv = self.log_value(t, at)
         top = float(np.max(lv))
         if top > _LOG_MAX:
             raise SaturationError(top)
         return np.exp(lv)
 
-    def r_log(self, t, x, d: int) -> tuple:
+    def r_log(self, t, at: RadialPoints) -> tuple:
         """The first and second derivatives of log w in r, eps t^sigma S'(r)
         and eps t^sigma S''(r).  With u and u2 these, grad log w = 2 u x and
         D^2 log w = 2 u I + 4 u2 x x^T."""
-        p = _points(x, d)
         c = self.eps * _power(t, self.sigma)
-        return tuple(_at_points(p, c * p.shape(order, self.form, self.rho), t)
-                     for order in (1, 2))
+        return tuple(c * at.shape(order, self.form, self.rho) for order in (1, 2))
 
 
 def log_curvature(u: np.ndarray, u2: np.ndarray, rm1: np.ndarray, d: int) -> np.ndarray:
@@ -744,20 +732,19 @@ def _generator_ratio(fields: GridFields, lyap: LyapunovSpec | TimeLyapunovSpec,
     the one time at which t^sigma is frozen at 1.
     """
     at = fields.points
-    d = at.pts.shape[-1]
     timed = isinstance(lyap, TimeLyapunovSpec)
     w = lyap.weight()
     if not timed:
         t = 1.0  # the static function is read at t = 1
     tt = t if np.ndim(t) else float(t)
-    u, u2 = w.r_log(tt, at, d)
+    u, u2 = w.r_log(tt, at)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = log_curvature(u, u2, at.r - 1.0, d)
+        trace = log_curvature(u, u2, at.r - 1.0, at.d)
         out = fields.q * trace[..., None, :] + fields.drift * u[..., None, :] - fields.vp_sums
         if fields.divb is not None:
             out = out - fields.divb
         if timed:
-            out = out + w.dt_log(tt, at, d)[..., None, :]
+            out = out + w.dt_log(tt, at)[..., None, :]
     # -inf is fine (deep damping); +inf or NaN is not
     if np.any(np.isnan(out)) or np.any(np.isposinf(out)):
         raise CertificateError("generator ratio produced NaN/+inf on the certificate grid")

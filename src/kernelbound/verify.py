@@ -56,11 +56,11 @@ by which the mass check bounds the decay, rebuilt by the functions
 verify_certificate, estimate_ledger and compute_row_sum_bound build them
 with, so a stored constant has the bits of a computed one.  A record's key
 covers the system, every field of the specs and weights, the radius, s,
-the window, adjoint, the inner window and RECORD_VERSION, but not the
-sample box, a function of d, nor the ledger's LEDGER_TIMES.  So a
-rerun against the same store recomputes nothing, and a certificate the
-store lacks is computed on the family's own grids, so a command evaluates
-each grid once.  Every store entry reaches
+the window, adjoint and RECORD_VERSION, but not the sample box, a
+function of d, nor the ledger's LEDGER_TIMES.  So a rerun against the
+same store recomputes nothing, and a certificate the store lacks is
+computed on the family's own grids, so a command evaluates each grid
+once.  Every store entry reaches
 the disk in one binary format, a float64 array behind a magic and its
 shape, which save_field writes and load_field reads.
 """
@@ -317,22 +317,22 @@ def stored_certificate(system, lyap: LyapunovSpec | TimeLyapunovSpec,
 
 def _stored_ledger(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                    nu2: SpaceTimeWeight, s: float, window: tuple, adjoint: bool,
-                   inner: tuple, store: KernelStore) -> ConstantsLedger:
+                   store: KernelStore) -> ConstantsLedger:
     """estimate_ledger of the arguments, with its eight sups, their edge flags
     and M held in the store as a record.
 
     The record key covers the system, every field of the three weights, s,
-    the window, adjoint and inner.
+    the window (a0, a, b, b0) and adjoint.
     The ledger is rebuilt from the numbers by ledger_of, as estimate_ledger
     builds it.
     """
     def numbers():
-        led = estimate_ledger(system, w, nu1, nu2, s, window, adjoint=adjoint, inner=inner)
+        led = estimate_ledger(system, w, nu1, nu2, s, window, adjoint=adjoint)
         return (*led.c, *led.boundary_flags, led.M)
 
-    key = _record_key("ledger", system, w, nu1, nu2, s, window, adjoint, inner)
+    key = _record_key("ledger", system, w, nu1, nu2, s, window, adjoint)
     nums = store.get_or_compute(key, numbers).tolist()
-    return ledger_of(system.dims.d, s, window, inner, nums[:8], nums[8:16], nums[16])
+    return ledger_of(system.dims.d, s, window, nums[:8], nums[8:16], nums[16])
 
 
 def _stored_row_sum(system, radius: float, store: KernelStore) -> RowSumBound:
@@ -867,9 +867,7 @@ class Domination(_Check):
         for signed, coop, scale, y, k in compared:
             val, x, h = _peak((np.abs(signed) - coop) / scale, pts, d)
             rows.add(t, x, y, h, k, val, tol)
-        return self.result(rows.worst, tol, rows.loc,
-                           {"samples": rows.samples, "sources": len(self.sources),
-                            "random_data": self.n_random})
+        return self.result(rows.worst, tol, rows.loc, {"samples": rows.samples})
 
 
 @dataclass(frozen=True, eq=False)
@@ -928,7 +926,7 @@ class MonotoneInR(_Check):
         return self.result(worst, tol, rows.loc,
                            {"samples": rows.samples,
                             "violations": [row["value"] for row in rows.samples],
-                            "increments": increments, "scale": scale})
+                            "increments": increments})
 
 
 @dataclass(frozen=True, eq=False)
@@ -987,7 +985,6 @@ class MassAndPositivity(_Check):
         worst = max(rows.worst, tol * pos_ratio)
         return self.result(worst, tol, rows.loc,
                            {"samples": rows.samples, "M": row.M,
-                            "certified_tail": row.certified_tail,
                             "positivity_ratio": pos_ratio})
 
 
@@ -1056,8 +1053,7 @@ class Support(_Check):
             worst = max(worst, tol_null * floor / max(min_reach, _TINY))
         return self.result(worst, tol_null, loc,
                            {"samples": samples, "reachable": sorted(support.reachable),
-                            "levels": [sorted(level) for level in support.levels],
-                            "relative_maxima": per_comp, "floor": floor})
+                            "relative_maxima": per_comp})
 
 
 # ---------------------------------------------------------------------------
@@ -1127,16 +1123,20 @@ class ChapmanKolmogorov(_Check):
     tol: float = 1e-9
     seed: int = 0
 
+    def __post_init__(self):
+        if self.s <= 0.0:
+            raise DomainError(f"the second leg s must be positive, got {self.s}")
+
     @property
     def horizon(self) -> float:
         """The largest time the check evolves to, its legs included."""
-        return self.t + max(self.s, 0.0)
+        return self.t + self.s
 
     @property
     def step(self) -> Optional[float]:
         """The step of the split: by default the largest one that divides s
         and is at most min(t, s, default_dt(t + s, spacing))."""
-        if self.dt is None and self.s > 0.0:
+        if self.dt is None:
             base = min(self.t, self.s, default_dt(self.t + self.s, self.grid.spacing))
             return self.s / math.ceil(self.s / base)
         return self.dt
@@ -1144,24 +1144,23 @@ class ChapmanKolmogorov(_Check):
     @cached_property
     def requests(self) -> list:
         """The direct path over t + s and the composed one, s and then a leg
-        of t more; with s <= 0 the one evolution over t."""
+        of t more."""
         g, t, s, dt = self.grid, self.t, self.s, self.step
         f = np.random.default_rng(self.seed).uniform(-1.0, 1.0,
                                                      size=(g.n_nodes, self.system.dims.m))
-        if s <= 0.0:
-            return [Evolution.of_values(self.variant, g, f, t, dt, 1.0)]
         return [Evolution.of_values(self.variant, g, f, t + s, dt, 1.0),
                 Evolution.of_values(self.variant, g, f, s, dt, 1.0).then(t)]
 
     def measure(self, outputs: list, store: Optional[KernelStore] = None) -> CheckResult:
         grid, t, s, tol = self.grid, self.t, self.s, self.tol
         scale = max(float(np.max(np.abs(self.requests[0].data))), _TINY)
-        diff, x, h = _peak(np.abs(outputs[0] - outputs[-1]), grid.points(), grid.d)
+        direct, composed = outputs
+        diff, x, h = _peak(np.abs(direct - composed), grid.points(), grid.d)
         worst = diff / scale
         samples = [{"t": t + s, "x": x, "y": None, "h": h, "k": None, "value": worst,
                     "bound": tol}]
         return self.result(worst, tol, (t + s, x, None, h, None),
-                           {"samples": samples, "dt": self.step, "split": (t, s)})
+                           {"samples": samples, "dt": self.step})
 
 
 # ---------------------------------------------------------------------------
@@ -1211,7 +1210,7 @@ class LyapunovIntegrability(_Check):
         shell = np.max(np.abs(pts), axis=-1) >= 0.9 * grid.radius
         reqs = []
         for t in self.t_values:
-            log_nu = np.asarray(w.log_value(t, at, grid.d), dtype=float)
+            log_nu = w.log_value(t, at)
             init = np.repeat(np.exp(log_nu)[:, None], self.system.dims.m, axis=1)
             both = np.stack([init, init * shell[:, None]], axis=-1)
             reqs.append(Evolution.of_values("P", grid, both, t, self.dt, 1.0))
@@ -1274,10 +1273,8 @@ def weighted_majorant(system, synthesis: SynthesisResult, s: float,
         if t is None:
             raise DomainError("need an evaluation time or an explicit window")
         window = (t / 8.0, t / 4.0, t / 2.0, 3.0 * t / 4.0)
-    elif len(window) != 4:
-        raise DomainError(f"window needs 4 entries, got {len(window)}")
-    ledger = _stored_ledger(system, *(spec.weight() for spec in specs), s,
-                            (window[0], window[3]), adjoint, (window[1], window[2]), store)
+    ledger = _stored_ledger(system, *(spec.weight() for spec in specs), s, window, adjoint,
+                            store)
     G1, G2 = (stored_certificate(system, spec, cert_radius, store).certified.G
               for spec in specs[1:])
     # adjoint estimates land in the plain constant slots until merged, and
@@ -1345,6 +1342,9 @@ class WeightedBound(_Check):
         H_of = majorants(self.synthesis, False)
         Hstar_of = majorants(adj, True) if adj is not None else {}
 
+        # each source as a batch of one point, for its w(t, y)
+        at_sources = [RadialPoints(_center(y, d)[None, :], d) for y in self.sources]
+
         def sweep(pair, columns, scale):
             # one pair's columns, in request order: by time and source
             columns = iter(columns)
@@ -1356,15 +1356,15 @@ class WeightedBound(_Check):
             rows = _Rows(0.0)
             for t in self.t_values:
                 H = H_of[t]
-                for y in self.sources:
+                for y, at_y in zip(self.sources, at_sources):
                     total = np.zeros((grid.n_nodes, m))
                     for col in next(columns):
                         total += np.abs(col)
-                    wy = float(np.exp(w.log_value(t, _center(y, d)[None, :], d))[0])
+                    wy = float(np.exp(w.log_value(t, at_y))[0])
                     val, x, h = _peak(wy * total / (H * scale), pts, d)
                     rows.add(t, x, _loc_pt(y, d), h, None, val, H)
                     if adj is not None:
-                        wx = np.exp(0.5 * np.asarray(wstar.log_value(t, at, d)))
+                        wx = np.exp(0.5 * wstar.log_value(t, at))
                         r2 = math.sqrt(wy) * wx[:, None] * total / math.sqrt(H * Hstar_of[t])
                         sup2 = max(sup2, float(np.max(r2)))
             return rows, sup2
@@ -1384,7 +1384,7 @@ class WeightedBound(_Check):
             worst = max(worst, sup2_f / sup2_c - 1.0)
         return self.result(worst, self.tol, fine.loc,
                            {"samples": coarse.samples + fine.samples, "C_cal": sup_c,
-                            "sup_coarse": sup_c, "sup_fine": sup_f,
+                            "sup_fine": sup_f,
                             "sup2_coarse": sup2_c, "sup2_fine": sup2_f,
                             "majorants": H_of})
 
@@ -1428,7 +1428,7 @@ class DecayShape(_Check):
         for t, (col,) in zip(self.t_values, outputs):
             total = np.sum(np.abs(col), axis=1)
             noise = 1e-13 * max(float(np.max(total)), _TINY)
-            phi = np.log(np.maximum(total, _TINY)) + self.weight.log_value(t, at, d)
+            phi = np.log(np.maximum(total, _TINY)) + self.weight.log_value(t, at)
             core = phi[rr <= 1.0]
             tail_mask = (rr >= 2.0) & (rr <= 4.0) & (total > noise)
             if core.size == 0 or not np.any(tail_mask):
@@ -1436,8 +1436,7 @@ class DecayShape(_Check):
             rise = float(np.max(phi[tail_mask])) - float(np.max(core))
             y = _loc_pt(pts[int(np.argmax(np.where(tail_mask, phi, -np.inf)))], d)
             rows.add(t, x0, y, component, None, rise, slack)
-        return self.result(rows.worst, slack, rows.loc,
-                           {"samples": rows.samples, "weight": self.weight})
+        return self.result(rows.worst, slack, rows.loc, {"samples": rows.samples})
 
 
 # the checks that run on the working radius: they evolve P or plain columns

@@ -122,25 +122,26 @@ def eval_operator(system, variant: str, jet: FieldJet, h: int, x: np.ndarray) ->
     if not (0 <= h < m):
         raise DimensionMismatchError(f"component index {h} outside 0..{m - 1}")
     x = np.asarray(x, dtype=float)
+    at = x[None]  # the callables read a batch of points
     if jet.values.shape != (m,) or jet.gradients.shape != (m, d) or jet.hessians.shape != (m, d, d):
         raise DimensionMismatchError(
             f"jet shapes {jet.values.shape}/{jet.gradients.shape}/{jet.hessians.shape} "
             f"do not match dims (m={m}, d={d})")
 
-    Q = np.asarray(spec.Q(h, x), dtype=float).reshape(d, d)
-    R = np.asarray(spec.R(h, x), dtype=float).reshape(d, d)
+    Q = np.asarray(spec.Q(h, at), dtype=float).reshape(d, d)
+    R = np.asarray(spec.R(h, at), dtype=float).reshape(d, d)
     g = R.sum(axis=0)  # g_j = sum_i D_i q_ij
     grad = jet.gradients[h]
     diffusion = float(np.tensordot(Q, jet.hessians[h]) + g @ grad)
 
-    bvec = np.asarray(spec.b(h, x), dtype=float).reshape(d)
-    Vmat = np.asarray(spec.V(x), dtype=float).reshape(m, m)
+    bvec = np.asarray(spec.b(h, at), dtype=float).reshape(d)
+    Vmat = np.asarray(spec.V(at), dtype=float).reshape(m, m)
     if variant == "plain":
         value = diffusion + bvec @ grad - Vmat[h] @ jet.values
     elif variant == "P":
         value = diffusion + bvec @ grad - eval_VP(Vmat)[h] @ jet.values
     else:
-        db = float(np.asarray(spec.divb(h, x), dtype=float).reshape(()))
+        db = float(np.asarray(spec.divb(h, at), dtype=float).reshape(()))
         value = diffusion - bvec @ grad - db * jet.values[h] - eval_VP(Vmat)[:, h] @ jet.values
     value = float(value)
     if not np.isfinite(value):
@@ -161,8 +162,9 @@ def _fd_jacobian_of_Q(Q: Callable[[int, np.ndarray], np.ndarray], d: int):
             for i in range(d):
                 ei = np.zeros(d)
                 ei[i] = step
-                dQ = (np.asarray(Q(h, xp + ei), dtype=float) - np.asarray(Q(h, xp - ei), dtype=float)) / (2 * step)
-                out[p, i, :] = dQ[i, :] if dQ.ndim == 2 else dQ.reshape(d, d)[i, :]
+                dQ = (np.asarray(Q(h, (xp + ei)[None]), dtype=float)
+                      - np.asarray(Q(h, (xp - ei)[None]), dtype=float)) / (2 * step)
+                out[p, i, :] = dQ.reshape(d, d)[i, :]
         return out
 
     return R
@@ -179,7 +181,8 @@ def _fd_div_of_b(b: Callable[[int, np.ndarray], np.ndarray], d: int):
             for i in range(d):
                 ei = np.zeros(d)
                 ei[i] = step
-                acc += (np.asarray(b(h, xp + ei), dtype=float)[i] - np.asarray(b(h, xp - ei), dtype=float)[i]) / (2 * step)
+                acc += (np.asarray(b(h, (xp + ei)[None]), dtype=float).reshape(d)[i]
+                        - np.asarray(b(h, (xp - ei)[None]), dtype=float).reshape(d)[i]) / (2 * step)
             out[p] = acc
         return out
 
@@ -191,8 +194,7 @@ class FieldSpec:
     """Coefficient callables of the general form, vectorized over a leading
     batch of points: for x of shape (n, d), Q(h, x) returns (n, d, d), b(h, x)
     (n, d), V(x) (n, m, m), R(h, x) the diffusion derivatives
-    (R^h)_ij = D_i q^h_ij, (n, d, d), and divb(h, x) (n,).  Scalar points of
-    shape (d,) are accepted too."""
+    (R^h)_ij = D_i q^h_ij, (n, d, d), and divb(h, x) (n,)."""
 
     dims: SystemDims
     Q: Callable[[int, np.ndarray], np.ndarray]
@@ -263,9 +265,7 @@ def tensor_spec(law, dims: SystemDims, t: Tensors) -> TensorSpec:
     R^k_ij = D_i q^k_ij and div b^k = sum_i D_i b^k_i by the chain rule."""
 
     def at(x, field):
-        pts, r, scalar = _radial(x, dims.d)
-        out = field(pts, r)
-        return out[0] if scalar else out
+        return field(*_radial(x, dims.d))
 
     def R(k, x):
         def field(pts, r):
@@ -543,7 +543,7 @@ def box_generator_ratio(system, lyap, t: Optional[float], pts: np.ndarray) -> np
             if adjoint:
                 val = val - np.asarray(spec.divb(k, pts), dtype=float)
             if timed:
-                val = val + w.dt_log(tt, pts, d)
+                val = val + w.dt_log(tt, RadialPoints(pts, d))
             out[k] = val
     if np.any(np.isnan(out)) or np.any(np.isposinf(out)):
         raise CertificateError("generator ratio produced NaN/+inf on the certificate grid")
@@ -612,9 +612,10 @@ def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
                        nu2: SpaceTimeWeight, s: float, window: tuple,
                        adjoint: bool = False, pts: Optional[np.ndarray] = None) -> tuple:
     """The eight ledger sups and their edge flags over LEDGER_TIMES equally
-    spaced times of the window x the points (the box of radius
-    SAMPLE_RADIUS by default), one time at a time; raises NonFiniteError at
-    the first time, item and point whose ratio is not finite."""
+    spaced times of [a0, b0], of the window (a0, a, b, b0), x the points
+    (the box of radius SAMPLE_RADIUS by default), one time at a time;
+    raises NonFiniteError at the first time, item and point whose ratio is
+    not finite."""
     d = system.dims.d
     pts = box(d, SAMPLE_RADIUS) if pts is None else pts
     n = len(pts)
@@ -622,15 +623,16 @@ def ledger_window_sups(system, w: SpaceTimeWeight, nu1: SpaceTimeWeight,
     arg_edge = [False] * 8
     edge = np.max(np.abs(pts), axis=-1) >= 0.95 * SAMPLE_RADIUS
     fields = box_ledger_fields(system, pts, adjoint)
-    for t in np.linspace(*window, LEDGER_TIMES):
+    at = RadialPoints(pts, d)
+    for t in np.linspace(window[0], window[3], LEDGER_TIMES):
         gw = grad_log(w, t, pts, d)
         curv = gw[:, :, None] * gw[:, None, :] + hess_log(w, t, pts, d)
-        Sw = w.log_value(t, pts, d)
-        d1 = (Sw - nu1.log_value(t, pts, d)) / s
-        d2 = (Sw - nu2.log_value(t, pts, d)) / s
+        Sw = w.log_value(t, at)
+        d1 = (Sw - nu1.log_value(t, at)) / s
+        d2 = (Sw - nu2.log_value(t, at)) / s
         log_ratios = np.full((8, n), -np.inf)
         log_ratios[0] = 2.0 * d1
-        log_ratios[3] = np.log(np.maximum(np.abs(w.dt_log(t, pts, d)), 1e-300)) + 2.0 * d1
+        log_ratios[3] = np.log(np.maximum(np.abs(w.dt_log(t, at)), 1e-300)) + 2.0 * d1
         log_gw, sign_gw = np.log(np.maximum(np.abs(gw), 1e-300)), np.sign(gw)
         log_curv, sign_curv = np.log(np.maximum(np.abs(curv), 1e-300)), np.sign(curv)
         for logQ, signQ, logR, signR, pot, norm_b, norm_Q, norm_R in fields:

@@ -154,16 +154,13 @@ def test_support_chain():
     # entries flow 1 -> 2 -> 3 (0-based: 0 -> 1 -> 2): v_10 and v_21 nontrivial
     nz = {(1, 0), (2, 1)}
     sup = co.coupling_support(3, 0, lambda h, l: (h, l) in nz)
-    assert sup.levels == (frozenset({1}), frozenset({2}))
     assert sup.reachable == frozenset({0, 1, 2})
     sup_end = co.coupling_support(3, 2, lambda h, l: (h, l) in nz)
-    assert sup_end.levels == ()
     assert sup_end.reachable == frozenset({2})
 
 
 def test_support_full_coupling():
     sup = co.coupling_support(3, 1, lambda h, l: True)
-    assert sup.levels == (frozenset({0, 2}),)
     assert sup.reachable == frozenset({0, 1, 2})
 
 
@@ -215,11 +212,11 @@ def test_a_scalar_stands_for_every_equation():
 def test_polynomial_growth_values():
     fam = co.diagonal_family("polynomial", 1, 2, zeta_diag=2.0, alpha=1.5, eta=3.0, beta=0.5,
                              theta=[[1.0, 0.5], [0.5, 1.0]], gamma=[[2.0, 1.0], [1.0, 2.0]])
-    x = np.array([2.0])
+    x = np.array([[2.0]])
     r = 5.0
-    assert fam.q(0, x) == pytest.approx(2.0 * r ** 1.5)
-    assert fam.b(1, x)[0] == pytest.approx(-3.0 * 2.0 * r ** 0.5)
-    V = fam.V(x)
+    assert fam.q(0, x)[0] == pytest.approx(2.0 * r ** 1.5)
+    assert fam.b(1, x)[0, 0] == pytest.approx(-3.0 * 2.0 * r ** 0.5)
+    V = fam.V(x)[0]
     assert V[0, 0] == pytest.approx(r ** 2)
     assert V[0, 1] == pytest.approx(0.5 * r)
 
@@ -239,32 +236,33 @@ def test_exponential_derivative_fields_match_fd():
 def _assert_derivatives_match_fd(fam, x, step=1e-6):
     # the reference's R entries vs central differences of q I, and
     # radial_divb vs central differences of b
-    R = reference_spec(fam).R(0, x)
+    R = reference_spec(fam).R(0, x[None])[0]
     for i in range(2):
         ei = np.zeros(2)
         ei[i] = step
-        dq = (fam.q(0, x + ei) - fam.q(0, x - ei)) / (2 * step)
+        dq = (fam.q(0, (x + ei)[None])[0] - fam.q(0, (x - ei)[None])[0]) / (2 * step)
         for j in range(2):
             assert R[i, j] == pytest.approx(dq * (i == j), rel=1e-6, abs=1e-8)
     acc = 0.0
     for i in range(2):
         ei = np.zeros(2)
         ei[i] = step
-        acc += (fam.b(0, x + ei)[i] - fam.b(0, x - ei)[i]) / (2 * step)
+        acc += (fam.b(0, (x + ei)[None])[0, i] - fam.b(0, (x - ei)[None])[0, i]) / (2 * step)
     assert fam.radial_divb(0, 1.0 + x @ x) == pytest.approx(acc, rel=1e-6)
 
 
-def test_family_vectorized_evaluation_matches_scalar():
+def test_a_family_reads_a_batch_of_points():
+    # a single point is a batch of one; a (d,) vector or points of another
+    # d are refused
     fam = co.diagonal_family("exponential", 2, 2, alpha=0.3, beta=0.7,
                              theta=[[1.0, 0.2], [0.2, 1.0]], gamma=[[1.0, 0.5], [0.5, 1.0]])
-    pts = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.4]])
-    qb = fam.q(1, pts)
-    bb = fam.b(1, pts)
-    Vb = fam.V(pts)
-    for p in range(3):
-        assert np.allclose(qb[p], fam.q(1, pts[p]))
-        assert np.allclose(bb[p], fam.b(1, pts[p]))
-        assert np.allclose(Vb[p], fam.V(pts[p]))
+    one = np.array([[1.0, -2.0]])
+    assert fam.q(1, one).shape == (1,) and fam.b(1, one).shape == (1, 2)
+    assert fam.V(one).shape == (1, 2, 2)
+    for x in (np.array([1.0, -2.0]), np.array([[1.0, -2.0, 0.0]]), np.zeros((1, 1, 2))):
+        for evaluate in (lambda p: fam.q(1, p), lambda p: fam.b(1, p), fam.V):
+            with pytest.raises(DimensionMismatchError, match=r"shape \(n, 2\)"):
+                evaluate(x)
 
 
 def test_ellipticity_lower_bound_on_samples():
@@ -276,5 +274,5 @@ def test_ellipticity_lower_bound_on_samples():
         xi = rng.normal(size=2)
         r = 1 + x @ x
         for k in range(2):
-            quad = fam.q(k, x) * (xi @ xi)
+            quad = fam.q(k, x[None])[0] * (xi @ xi)
             assert quad == pytest.approx(fam.zeta[k] * r ** fam.alpha[k] * (xi @ xi), rel=1e-12)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernelbound import hypotheses
 from kernelbound.coefficients import (
     ExponentialFamily,
     PolynomialFamily,
@@ -193,11 +194,15 @@ def power_weights(eps_scale=(0.5, 0.75, 1.0), eps_T=1.0, sigma=1.0, rho=1.0):
     return tuple(SpaceTimeWeight("power", e * eps_T, sigma, rho) for e in eps_scale)
 
 
+# a ledger window (a0, a, b, b0), its inner pair at the quarters of [a0, b0]
+WINDOW = (0.5, 0.75, 1.25, 1.5)
+
+
 class TestLedger:
     def test_trivial_coefficients_pin_the_constants(self):
         w, nu1, nu2 = power_weights()
         led = estimate_ledger(quiet_family(m=2), w, nu1, nu2, s=4.0,
-                              window=(0.5, 1.5))
+                              window=WINDOW)
         # no diffusion derivative: |R|_F is the norm of zeros, 0
         assert led.c[7] == 0.0
         # weight-vs-nu1, |Q|_F and the unit potential against nu2 peak at
@@ -211,7 +216,7 @@ class TestLedger:
     def test_frobenius_scaling_with_dimension(self):
         w, nu1, nu2 = power_weights()
         led = estimate_ledger(quiet_family(d=2, m=1), w, nu1, nu2, s=5.0,
-                              window=(0.5, 1.5))
+                              window=WINDOW)
         expected = math.sqrt(2.0) * math.exp((0.5 - 0.75) * 0.5 / 5.0)
         assert led.c[6] == pytest.approx(expected, rel=1e-12)
 
@@ -220,13 +225,13 @@ class TestLedger:
         # B = 2 (eps_1 - eps_w) t / s; its max A/(eB) is largest at t = a0
         w, nu1, nu2 = power_weights()
         led = estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0,
-                              window=(0.5, 1.5))
+                              window=WINDOW)
         assert led.c[3] == pytest.approx(8.0 / math.e, rel=1e-3)
 
     def test_window_quarters_and_invariants(self):
         fam = headline_family()
         w, nu1, nu2 = power_weights(eps_T=0.5, sigma=2.0)
-        led = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
+        led = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=WINDOW)
         assert led.window == (0.5, 0.75, 1.25, 1.5)
         assert led.M == pytest.approx(0.5, abs=1e-12)
         assert len(led.boundary_flags) == 8 and not any(led.boundary_flags)
@@ -235,8 +240,8 @@ class TestLedger:
     def test_adjoint_potential_item_absorbs_divergence(self):
         fam = headline_family()
         w, nu1, nu2 = power_weights(eps_T=0.5, sigma=2.0)
-        fwd = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
-        adj = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5), adjoint=True)
+        fwd = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=WINDOW)
+        adj = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=WINDOW, adjoint=True)
         assert adj.c[4] > fwd.c[4]
         assert adj.M == pytest.approx(-1.0625, abs=2e-3)
 
@@ -245,10 +250,10 @@ class TestLedger:
         # radii of the 1-D box, and the ledger peaks near 0.6 MB
         fam = headline_family()
         w, nu1, nu2 = power_weights(eps_T=0.5, sigma=2.0)
-        estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
+        estimate_ledger(fam, w, nu1, nu2, s=4.0, window=WINDOW)
         tracemalloc.start()
         try:
-            estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5), adjoint=True)
+            estimate_ledger(fam, w, nu1, nu2, s=4.0, window=WINDOW, adjoint=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -258,7 +263,7 @@ class TestLedger:
         fam = smoke_exp_family()
         w, nu1, nu2 = tuple(SpaceTimeWeight("integrated-exp", e * 0.5, 1.0, 0.5)
                             for e in (0.5, 0.75, 1.0))
-        led = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=(0.5, 1.5))
+        led = estimate_ledger(fam, w, nu1, nu2, s=4.0, window=WINDOW)
         assert all(np.isfinite(led.c))
         assert led.c[4] > 1.0  # exponential potential dominates the weight gap
         assert led.M == pytest.approx(0.5 * math.e, rel=1e-9)
@@ -290,23 +295,36 @@ class TestLedger:
     def test_inner_window_override(self):
         w, nu1, nu2 = power_weights()
         led = estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0,
-                              window=(0.5, 1.5), inner=(0.6, 1.4))
+                              window=(0.5, 0.6, 1.4, 1.5))
         assert led.window == (0.5, 0.6, 1.4, 1.5)
 
     def test_degenerate_windows_rejected(self):
         w, nu1, nu2 = power_weights()
         with pytest.raises(DomainError):
-            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=(0.0, 1.0))
+            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=(0.0, 0.25, 0.75, 1.0))
         with pytest.raises(DomainError):
-            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=(2.0, 1.0))
+            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=(2.0, 1.75, 1.25, 1.0))
+
+    @pytest.mark.parametrize("window", [(0.5, 1.5), (0.5, 1.4, 0.6, 1.5), (0.5, 0.75, 0.75, 1.5),
+                                        (0.5, 0.75, 1.25, 1.5, 2.0)])
+    def test_a_window_is_four_increasing_times(self, window, monkeypatch):
+        # the outer pair alone, an inner pair out of order or a tie: refused
+        # before the ledger samples its box
+        def sample(*args):
+            raise AssertionError("the ledger sampled a bad window")
+
+        monkeypatch.setattr(hypotheses, "_sample_points", sample)
+        w, nu1, nu2 = power_weights()
+        with pytest.raises(DomainError, match="0 < a0 < a < b < b0"):
+            estimate_ledger(quiet_family(), w, nu1, nu2, s=4.0, window=window)
 
     def test_weight_ordering_enforced(self):
         w, nu1, nu2 = power_weights()
         with pytest.raises(DomainError):
-            estimate_ledger(quiet_family(), nu2, nu1, w, s=4.0, window=(0.5, 1.5))
+            estimate_ledger(quiet_family(), nu2, nu1, w, s=4.0, window=WINDOW)
         mixed = SpaceTimeWeight("power", 0.75, 2.0, 1.0)  # sigma mismatch
         with pytest.raises(DomainError):
-            estimate_ledger(quiet_family(), w, mixed, nu2, s=4.0, window=(0.5, 1.5))
+            estimate_ledger(quiet_family(), w, mixed, nu2, s=4.0, window=WINDOW)
 
 
 class TestReporting:

@@ -13,6 +13,7 @@ from kernelbound import coefficients as co
 from kernelbound import lyapunov as ly
 from kernelbound.errors import (
     CertificateError,
+    DimensionMismatchError,
     DomainError,
     NonFiniteError,
     SaturationError,
@@ -149,24 +150,50 @@ def test_synth_exp_infeasible():
 # evaluation
 # ---------------------------------------------------------------------------
 
+def points_1d(*xs):
+    """Points of R^1 as one batch."""
+    return ly.RadialPoints(np.array(xs, dtype=float)[:, None], 1)
+
+
 def test_eval_power_form():
     spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=1.0)
-    assert spec.weight().value(1.0, np.array([0.0]), 1) == pytest.approx(math.e)
-    assert spec.weight().value(1.0, np.array([1.0]), 1) == pytest.approx(math.exp(2.0))
+    assert spec.weight().value(1.0, points_1d(0.0, 1.0)).tolist() == \
+        pytest.approx([math.e, math.exp(2.0)])
 
 
 def test_eval_timed_at_zero_is_one():
     spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.5)
     timed = ly.TimeLyapunovSpec(base=spec, T=1.0, sigma=2.0, delta=5.0 / 6.0)
-    assert timed.weight().value(0.0, np.array([3.0]), 1) == pytest.approx(1.0)
-    assert timed.weight().value(1.0, np.array([0.0]), 1) == pytest.approx(math.exp(0.5))
+    assert timed.weight().value(0.0, points_1d(3.0)).tolist() == pytest.approx([1.0])
+    assert timed.weight().value(1.0, points_1d(0.0)).tolist() == pytest.approx([math.exp(0.5)])
 
 
 def test_a_weight_before_time_zero_is_rejected():
     spec = ly.LyapunovSpec(form="power", rho=1.0, eps_hat=0.5)
     timed = ly.TimeLyapunovSpec(base=spec, T=1.0, sigma=2.0, delta=5.0 / 6.0)
     with pytest.raises(DomainError):
-        timed.weight().value(-0.5, np.array([0.0]), 1)
+        timed.weight().value(-0.5, points_1d(0.0))
+
+
+@pytest.mark.parametrize("form", ly.FORMS)
+def test_a_weight_reads_its_d_from_its_points(form):
+    # one weight on points of R^1 and of R^2: log w = eps t^sigma S(r) at
+    # r = 1 + |x|^2, in closed form for rho = 1/2
+    w = ly.SpaceTimeWeight(form, eps=0.3, sigma=2.0, rho=0.5)
+    for pts, r in (([[0.0], [2.0]], [1.0, 5.0]), ([[0.0, 0.0], [2.0, 1.0]], [1.0, 6.0])):
+        at = ly.RadialPoints(pts, len(pts[0]))
+        assert at.d == len(pts[0]) and at.r.tolist() == r
+        s = np.sqrt(r)
+        S = s if form == "power" else (4.0 * s - 8.0) * np.exp(s / 2.0) + 8.0
+        np.testing.assert_allclose(w.log_value(0.7, at), 0.3 * 0.7 ** 2 * S, rtol=1e-15)
+
+
+def test_radial_points_are_a_batch_of_points_of_their_d():
+    # a single point is a batch of one; a (d,) vector or another d is refused
+    assert ly.RadialPoints(np.array([[0.5, 1.0]]), 2).r.tolist() == [2.25]
+    for x, d in ((np.array([0.5, 1.0]), 2), (np.array([[0.5, 1.0]]), 1)):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(n, %d\)" % d):
+            ly.RadialPoints(x, d)
 
 
 def test_a_scaled_spec_has_the_amplitude_and_no_growth_constant():
@@ -180,7 +207,7 @@ def test_a_scaled_spec_has_the_amplitude_and_no_growth_constant():
 def test_eval_saturation_error_carries_log_value():
     spec = ly.LyapunovSpec(form="power", rho=2.0, eps_hat=1.0)
     with pytest.raises(SaturationError) as exc:
-        spec.weight().value(1.0, np.array([100.0]), 1)
+        spec.weight().value(1.0, points_1d(100.0))
     assert exc.value.log_value == pytest.approx((1 + 100.0 ** 2) ** 2)
 
 
@@ -266,14 +293,15 @@ def test_weight_log_derivatives_match_fd():
     for form, rho in (("power", 1.5), ("integrated-exp", 0.5)):
         w = ly.SpaceTimeWeight(form=form, eps=0.3, sigma=2.0, rho=rho)
         t, x = 0.7, np.array([0.8, -0.4])
+        at = ly.RadialPoints(x[None], 2)
         step = 1e-6
-        lv = lambda tt, xx: w.log_value(tt, xx, 2)
+        lv = lambda tt, xx: w.log_value(tt, ly.RadialPoints(xx[None], 2))[0]
         dt_fd = (lv(t + step, x) - lv(t - step, x)) / (2 * step)
-        assert w.dt_log(t, x, 2) == pytest.approx(dt_fd, rel=1e-6)
+        assert w.dt_log(t, at)[0] == pytest.approx(dt_fd, rel=1e-6)
         grad = grad_log(w, t, x[None], 2)[0]
         hess = hess_log(w, t, x[None], 2)[0]
         # and in r: grad log w = 2 u x, D^2 log w = 2 u I + 4 u2 x x^T
-        u, u2 = w.r_log(t, x, 2)
+        (u,), (u2,) = w.r_log(t, at)
         np.testing.assert_allclose(grad, 2.0 * u * x, rtol=1e-15)
         np.testing.assert_allclose(hess, 2.0 * u * np.eye(2) + 4.0 * u2 * np.outer(x, x),
                                    rtol=1e-15)
@@ -306,7 +334,7 @@ def test_each_radial_shape_is_computed_once_per_grid(monkeypatch):
     calls.clear()
     # three weights of one shape, nine sample times
     estimate_ledger(fam, *[timed.scaled(f).weight() for f in (0.5, 0.75, 1.0)],
-                    s=5.0, window=(0.0625, 0.375))
+                    s=5.0, window=(0.0625, 0.140625, 0.296875, 0.375))
     assert calls == {0: 1, 1: 1, 2: 1}
 
 
@@ -372,7 +400,7 @@ def test_certificate_static_matches_fd_operator_route():
     res = ly.synth_poly(fam, T=1.0)
     static = res.static
     for xv in (0.0, 0.9, -1.7):
-        phi = lambda x: float(static.weight().value(1.0, np.atleast_1d(x), 1))
+        phi = lambda x: float(static.weight().value(1.0, points_1d(*np.atleast_1d(x)))[0])
         jet = FieldJet.from_callables([phi, phi], np.array([xv]), step=1e-5)
         for k in range(2):
             direct = eval_operator(fam, "P", jet, k, np.array([xv])) / phi(xv)

@@ -31,6 +31,10 @@ constant.
 Every field of a @dataclass of src/ is read as an attribute (obj.name)
 somewhere in src/, unless UNREAD_FIELDS lists it with its reason; a field
 that only the tests read goes.
+
+Every string key of a details dict that a check in verify.py builds is
+read somewhere in src/, tests/ or bench/, as ["key"] or .get("key"); a key
+that nothing reads goes.
 """
 
 import ast
@@ -531,3 +535,60 @@ def test_every_dataclass_field_is_read_in_src():
               for cls, name in unread_fields(path.read_text(encoding="utf-8"), reads)}
     # an entry of UNREAD_FIELDS that src/ reads is stale
     assert unread == set(UNREAD_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# details keys that nothing reads
+# ---------------------------------------------------------------------------
+
+def details_keys(source: str) -> set:
+    """The string keys of each dict literal that a check of source passes to
+    self.result as its details, fourth by position or by keyword."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or not _named(node.func, "result"):
+            continue
+        given = node.args[3:4] + [kw.value for kw in node.keywords if kw.arg == "details"]
+        keys.update(key.value for details in given if isinstance(details, ast.Dict)
+                    for key in details.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str))
+    return keys
+
+
+def key_reads(sources: list) -> set:
+    """The string keys that the sources read, as obj["key"] or obj.get("key")."""
+    reads = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                key = node.slice
+            elif isinstance(node, ast.Call) and _named(node.func, "get") and node.args:
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                reads.add(key.value)
+    return reads
+
+
+def test_scan_finds_a_planted_unread_details_key():
+    source = ("class Check:\n"
+              "    def measure(self, rows):\n"
+              "        table = {'unused': 1}\n"
+              "        self.result(0.0, 1.0, (), {'samples': rows, 'planted': 2})\n"
+              "        return self.result(0.0, 1.0, (), details={'dt': 0.1, 'kept': 3})\n"
+              "res.details['samples']\n"
+              "res.details.get('dt')\n"
+              "d = res.details\n"
+              "print(d['kept'])\n")
+    # a dict that is no check's details holds no key, and a write reads none
+    assert details_keys(source) == {"samples", "planted", "dt", "kept"}
+    assert details_keys(source) - key_reads([source, "res.details['planted'] = 1\n"]) \
+        == {"planted"}
+    assert details_keys(source) - key_reads([source, "res.details.get('planted')\n"]) == set()
+
+
+def test_every_details_key_a_check_builds_is_read():
+    built = details_keys((SRC / "verify.py").read_text(encoding="utf-8"))
+    assert "samples" in built and "C_cal" in built
+    assert built - key_reads(sources(("src", "tests", "bench"))) == set()

@@ -569,8 +569,7 @@ class TestSupport:
         assert min(res.details["relative_maxima"]) >= 1e-12
 
     def test_wrong_support_prediction_fails(self):
-        wrong = CouplingSupport(k=0, levels=(frozenset({1, 2}),),
-                                reachable=frozenset({0, 1, 2}))
+        wrong = CouplingSupport(k=0, reachable=frozenset({0, 1, 2}))
         res = run_alone(Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3,
                                 support=wrong))
         assert res.status == "fail"
@@ -664,10 +663,11 @@ class TestChapmanKolmogorov:
         assert res.status == "fail" and res.worst == pytest.approx(1e-6, rel=1e-9)
         assert res.location[1] == verify._loc_pt(g.points()[7], 1) and res.location[3] == 0
 
-    def test_zero_second_leg_is_identity(self):
-        res = run_alone(ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
-                                          t=0.2, s=0.0))
-        assert res.passed and res.worst == 0.0
+    @pytest.mark.parametrize("s", [0.0, -0.1])
+    def test_a_second_leg_must_be_positive(self, s):
+        # with no second leg both paths are one evolution, so nothing is compared
+        with pytest.raises(DomainError, match="second leg s must be positive"):
+            ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8), t=0.2, s=s)
 
     def test_signed_variant(self):
         res = run_alone(ChapmanKolmogorov(headline_family(), GridSpec(1, 4.0, 1.0 / 8),
@@ -885,7 +885,7 @@ class TestReporting:
     def _two_results(self):
         first = run_alone(Support(chain_family(), 0, GridSpec(1, 4.0, 1.0 / 8), 0.3))
         second = run_alone(ChapmanKolmogorov(headline_family(),
-                                             GridSpec(1, 4.0, 1.0 / 8), t=0.2, s=0.0))
+                                             GridSpec(1, 4.0, 1.0 / 8), t=0.2, s=0.1))
         return [first, second]
 
     def test_csv_shape_and_determinism(self):
